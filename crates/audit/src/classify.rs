@@ -153,18 +153,27 @@ mod tests {
             })
         );
         assert!(classify("crates/experiments/src/bin/sweep.rs").is_some_and(|c| !c.library));
-        // The remote transport lives in a determinism crate (a fleet run
-        // must be bit-identical to a local one) but is not a hot module:
-        // it allocates per request, never per replication.
-        assert_eq!(
-            classify("crates/exec/src/remote.rs"),
-            Some(FileClass {
-                crate_root: false,
-                library: true,
-                determinism: true,
-                hot: false,
-            })
-        );
+        // The remote transport and the cell pipeline (cell trait, grid
+        // executor) live in a determinism crate (a fleet or sharded run
+        // must be bit-identical to a local one) but are not hot modules:
+        // they allocate per request or per grid point, never per
+        // replication.
+        for path in [
+            "crates/exec/src/remote.rs",
+            "crates/exec/src/cell.rs",
+            "crates/exec/src/shard.rs",
+        ] {
+            assert_eq!(
+                classify(path),
+                Some(FileClass {
+                    crate_root: false,
+                    library: true,
+                    determinism: true,
+                    hot: false,
+                }),
+                "{path}"
+            );
+        }
         // The result store is determinism-scoped: a cache hit must be
         // byte-identical to recomputation.
         assert!(classify("crates/store/src/fs.rs").is_some_and(|c| c.determinism && c.library));

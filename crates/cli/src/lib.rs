@@ -53,10 +53,9 @@ use eacp_core::analysis::{
 use eacp_core::policies::PolicyKind;
 use eacp_energy::DvsConfig;
 use eacp_exec::{
-    coverage_dir, executive_coverage_dir, merge_dir, merge_executive_dir, render_executive_csv,
-    run_executive_point, run_executive_sweep, run_sweep, run_sweep_queued_tiered, run_sweep_tiered,
-    ExecutiveGridReport, ExecutiveJob, ExecutivePointReport, GridReport, Job, LocalRunner,
-    PaperRef, QueueObserver, QueueRunner, QueueStatus, Runner, ShardId, Summary,
+    coverage_dir, merge_dir, placement, render_executive_rows, render_rows, run_sweep,
+    run_sweep_queued_tiered, run_sweep_tiered, Cell, ExecutiveJob, GridReport, Job, LocalRunner,
+    PaperRef, QueueObserver, QueueRunner, QueueStatus, Runner, ShardId, Summary, Sweep,
 };
 use eacp_rtsched::feasibility::{
     edf_density, k_fault_wcet, minimum_feasible_speed, rm_response_times,
@@ -70,10 +69,9 @@ use eacp_spec::{
     SweepSpec, TaskSetSpec, ToJson, WorkSpec,
 };
 use eacp_store::{
-    executive_store_coverage, run_cached, run_cached_single, run_cached_tiered,
-    run_executive_cached, run_executive_sweep_cached, run_sweep_cached_tiered, store_coverage,
-    verify_store, CacheMode, CacheOutcome, FsBackend, MemBackend, NoopStoreObserver,
-    RetentionPolicy, StoreBackend, StoreCounters, STORE_ENV_VAR,
+    run_cached_single, run_cached_tiered, run_sweep_cached_tiered, store_coverage, verify_store,
+    CacheMode, CacheOutcome, FsBackend, MemBackend, NoopStoreObserver, RetentionPolicy,
+    StoreBackend, StoreCell, StoreCounters, StoreCoverage, STORE_ENV_VAR,
 };
 
 /// Usage text for `--help`.
@@ -445,24 +443,6 @@ fn parse_num(s: &str, name: &str) -> Result<f64, String> {
     s.parse::<f64>().map_err(|e| format!("bad {name}: {e}"))
 }
 
-/// Builds the point runner `--queue` asks for: an in-process worker pool,
-/// or — with `--endpoints` — the remote fleet (leased blocks ship to
-/// `eacp serve` processes, wedged leases are reclaimed on a deadline, and
-/// the final attempt falls back in-process). Bit-identical either way.
-fn queue_runner_of(o: &Options) -> Result<Box<dyn Runner>, String> {
-    let q = queue_spec_of(o);
-    q.validate().map_err(|e| e.to_string())?;
-    let runner = QueueRunner::new(q.workers).with_max_attempts(q.max_attempts);
-    if q.endpoints.is_empty() {
-        return Ok(Box::new(runner));
-    }
-    let worker = eacp_exec::RemoteWorker::from_queue_spec(&q);
-    let lease_timeout = worker.lease_timeout();
-    Ok(Box::new(
-        runner.with_worker(worker).with_lease_timeout(lease_timeout),
-    ))
-}
-
 /// Desugars the `--queue [--workers N] [--endpoints ... [--timeout-ms T]]`
 /// flags into the spec's queue section, so `--emit-spec` reproduces the
 /// scheduling (and fleet) choice exactly.
@@ -823,28 +803,38 @@ pub fn cmd_run(o: &Options) -> Result<String, String> {
     Ok(s)
 }
 
+/// One cell on the runner its spec places it on, through the store when
+/// one is configured — the dispatch shared by `mc` and `executive --mc`.
+/// Returns the exact summary, the report (byte-identical on hit and
+/// miss) and the cache note for text output.
+fn run_cell<C: StoreCell>(
+    o: &Options,
+    cell: &C,
+) -> Result<(C::Summary, C::Report, String), String> {
+    let analytic = !o.no_analytic;
+    match resolve_store(o)? {
+        Some(backend) => {
+            let run =
+                run_cached_tiered(cell, &backend, cache_mode(o), &NoopStoreObserver, analytic)
+                    .map_err(|e| e.to_string())?;
+            let note = store_note(run.cache, run.source.as_deref());
+            Ok((run.summary, run.report, note))
+        }
+        None => {
+            let (summary, report) =
+                eacp_exec::run_tiered(cell, analytic).map_err(|e| e.to_string())?;
+            Ok((summary, report, String::new()))
+        }
+    }
+}
+
 /// `eacp mc`: Monte-Carlo summary with confidence interval.
 pub fn cmd_mc(o: &Options) -> Result<String, String> {
     let spec = experiment_spec(o)?;
     if o.emit_spec {
         return Ok(spec.to_json_string());
     }
-    let mut note = String::new();
-    let (summary, report) = match resolve_store(o)? {
-        Some(backend) => {
-            let run = run_cached_tiered(
-                &spec,
-                &backend,
-                cache_mode(o),
-                &NoopStoreObserver,
-                !o.no_analytic,
-            )
-            .map_err(|e| e.to_string())?;
-            note = store_note(run.cache, run.report.source.as_deref());
-            (run.summary, run.report)
-        }
-        None => eacp_exec::run_tiered(&spec, !o.no_analytic).map_err(|e| e.to_string())?,
-    };
+    let (summary, report, mut note) = run_cell(o, &spec)?;
     if report.served == eacp_spec::ServeTier::Analytic {
         note.insert_str(0, "served: analytic (replication-invariant cell)\n");
     }
@@ -879,122 +869,257 @@ pub fn cmd_sweep(o: &Options) -> Result<String, String> {
     if o.spec.is_empty() {
         return Err("sweep: --spec sweep.json is required".to_owned());
     }
-    // Only base-level Monte-Carlo knobs make sense as overrides on a
-    // whole grid; reject experiment-shaping flags instead of silently
-    // dropping them (the grid's axes own those).
-    for flag in [
+    cmd_grid::<SweepSpec>(o, &o.spec)
+}
+
+/// What `sweep` and `executive --sweep` need to know about their sweep
+/// document kind; everything else about a grid run is shared
+/// ([`cmd_grid`]).
+trait CliSweep: Sweep<Cell: StoreCell> {
+    /// The command, as error messages name it.
+    const COMMAND: &'static str;
+    /// Experiment-shaping flags: the grid's axes own those, so they are
+    /// rejected instead of silently dropped.
+    const SHAPE_FLAGS: &'static [&'static str];
+
+    /// Reads a sweep document.
+    fn load(path: &std::path::Path) -> Result<Self, eacp_spec::SpecError>;
+
+    /// Applies the base-level Monte-Carlo flags (`--reps`, `--seed`,
+    /// `--threads`) — the only overrides that make sense on a whole grid.
+    fn apply_mc_flags(&mut self, o: &Options);
+
+    /// The base cell's local thread count.
+    fn threads(&self) -> usize;
+
+    /// The point-leased queue fork that `--queue` without a store or
+    /// endpoints takes, for kinds that have one (`None` otherwise).
+    fn run_point_leased(
+        &self,
+        _shard: Option<ShardId>,
+        _o: &Options,
+        _progress: &QueueProgress,
+    ) -> Option<Result<GridReport<Self::Cell>, eacp_spec::SpecError>> {
+        None
+    }
+
+    /// The text view: a header ending in `(… each{suffix})` and one line
+    /// per point.
+    fn table(&self, grid: &GridReport<Self::Cell>, suffix: &str) -> String;
+}
+
+impl CliSweep for SweepSpec {
+    const COMMAND: &'static str = "sweep";
+    const SHAPE_FLAGS: &'static [&'static str] = &[
         "--scheme",
         "--util",
         "--lambda",
         "--k",
         "--deadline",
         "--variant",
-    ] {
+    ];
+
+    fn load(path: &std::path::Path) -> Result<Self, eacp_spec::SpecError> {
+        SweepSpec::load(path)
+    }
+
+    fn apply_mc_flags(&mut self, o: &Options) {
+        if o.has("--reps") {
+            self.base.mc.replications = o.reps;
+        }
+        if o.has("--seed") {
+            self.base.mc.seed = o.seed;
+        }
+        if o.has("--threads") {
+            self.base.mc.threads = o.threads;
+        }
+    }
+
+    fn threads(&self) -> usize {
+        self.base.mc.threads
+    }
+
+    fn run_point_leased(
+        &self,
+        shard: Option<ShardId>,
+        o: &Options,
+        progress: &QueueProgress,
+    ) -> Option<Result<GridReport, eacp_spec::SpecError>> {
+        o.queue.then(|| {
+            run_sweep_queued_tiered(
+                self,
+                shard,
+                o.workers,
+                eacp_exec::queue::DEFAULT_MAX_ATTEMPTS,
+                progress,
+                !o.no_analytic,
+            )
+        })
+    }
+
+    fn table(&self, grid: &GridReport, suffix: &str) -> String {
+        let mut out = format!(
+            "sweep over {} points ({} replications each{suffix})\n\n{:<44} {:>8} {:>12} {:>10}\n",
+            grid.total_points, self.base.mc.replications, "experiment", "P", "E(timely)", "faults"
+        );
+        for p in &grid.points {
+            let r = &p.report;
+            out.push_str(&format!(
+                "{:<44} {:>8.4} {:>12.0} {:>10.2}\n",
+                r.spec.name,
+                r.summary.p_timely,
+                r.summary.energy_timely.mean,
+                r.summary.faults.mean,
+            ));
+        }
+        out
+    }
+}
+
+impl CliSweep for ExecutiveSweepSpec {
+    const COMMAND: &'static str = "executive --sweep";
+    const SHAPE_FLAGS: &'static [&'static str] = &[
+        "--scheme",
+        "--lambda",
+        "--k",
+        "--hyperperiods",
+        "--speed",
+        "--variant",
+    ];
+
+    fn load(path: &std::path::Path) -> Result<Self, eacp_spec::SpecError> {
+        ExecutiveSweepSpec::load(path)
+    }
+
+    fn apply_mc_flags(&mut self, o: &Options) {
+        if o.has("--reps") || o.has("--threads") {
+            let mut mc = self.base.mc_or_default();
+            if o.has("--reps") {
+                mc.replications = o.reps;
+            }
+            if o.has("--threads") {
+                mc.threads = o.threads;
+            }
+            self.base.mc = Some(mc);
+        }
+        if o.has("--seed") {
+            self.base.seed = o.seed;
+        }
+    }
+
+    fn threads(&self) -> usize {
+        self.base.placement().1
+    }
+
+    fn table(&self, grid: &GridReport<ExecutiveSpec>, suffix: &str) -> String {
+        let mut out = format!(
+            "executive sweep over {} points ({} seeded horizons each{suffix})\n\n\
+             {:<44} {:>10} {:>12} {:>10}\n",
+            grid.total_points,
+            self.base.mc_or_default().replications,
+            "experiment",
+            "miss",
+            "E(horizon)",
+            "faults"
+        );
+        for p in &grid.points {
+            let r = &p.report;
+            out.push_str(&format!(
+                "{:<44} {:>10.4} {:>12.0} {:>10.2}\n",
+                r.spec.name,
+                r.summary.mean_miss_ratio(),
+                r.summary.mean_energy(),
+                r.summary.horizon_faults.mean(),
+            ));
+        }
+        out
+    }
+}
+
+/// The grid run shared by `sweep` and `executive --sweep`: shape-flag
+/// rejection, Monte-Carlo overrides, `--shard`, `--emit-spec`, the
+/// store / fleet / queue / local dispatch with its one-line note, then
+/// `--out`, `--json` or the kind's text table.
+fn cmd_grid<S: CliSweep>(o: &Options, path: &str) -> Result<String, String> {
+    for flag in S::SHAPE_FLAGS {
         if o.has(flag) {
             return Err(format!(
-                "sweep: {flag} cannot override a sweep document — edit the base spec or its axes"
+                "{}: {flag} cannot override a sweep document — edit the base spec or its axes",
+                S::COMMAND
             ));
         }
     }
-    let mut sweep = SweepSpec::load(std::path::Path::new(&o.spec)).map_err(|e| e.to_string())?;
-    if o.has("--reps") {
-        sweep.base.mc.replications = o.reps;
-    }
-    if o.has("--seed") {
-        sweep.base.mc.seed = o.seed;
-    }
-    if o.has("--threads") {
-        sweep.base.mc.threads = o.threads;
-    }
+    let mut sweep = S::load(std::path::Path::new(path)).map_err(|e| e.to_string())?;
+    sweep.apply_mc_flags(o);
     let shard = if o.shard.is_empty() {
         None
     } else {
         Some(ShardId::parse(&o.shard).map_err(|e| e.to_string())?)
     };
+    let queue = o.queue.then(|| queue_spec_of(o));
     if o.emit_spec {
-        let mut specs = sweep.expand().map_err(|e| e.to_string())?;
-        if o.queue {
+        let mut cells = sweep.expand().map_err(|e| e.to_string())?;
+        if let Some(q) = &queue {
             // Emitted point specs must reproduce the scheduling choice,
             // exactly as `mc --queue --emit-spec` records it.
-            for spec in &mut specs {
-                spec.executor = spec.executor.clone().with_queue(queue_spec_of(o));
+            for cell in &mut cells {
+                cell.set_queue(q.clone());
             }
         }
-        let range = shard.map_or(0..specs.len(), |s| s.range(specs.len()));
-        let docs: Vec<eacp_spec::Json> = specs[range].iter().map(ToJson::to_json).collect();
-        return Ok(eacp_spec::Json::Array(docs).pretty());
+        let range = shard.map_or(0..cells.len(), |s| s.range(cells.len()));
+        let docs: Vec<Json> = cells[range].iter().map(ToJson::to_json).collect();
+        return Ok(Json::Array(docs).pretty());
     }
     let store = resolve_store(o)?;
     let progress = QueueProgress::default();
-    let counters = StoreCounters::new();
-    let grid = if let Some(backend) = &store {
+    let runner = placement(queue.as_ref(), sweep.threads()).map_err(|e| e.to_string())?;
+    let fleet = queue.as_ref().map_or(0, |q| q.endpoints.len());
+    let (grid, note) = match &store {
         // Store-backed sweep: covered cells are served, the rest are
         // scheduled on the chosen runner and recorded — this is what makes
         // an interrupted sweep resumable.
-        let runner: Box<dyn Runner> = if o.queue {
-            queue_runner_of(o)?
-        } else {
-            Box::new(LocalRunner::new(sweep.base.mc.threads))
-        };
-        run_sweep_cached_tiered(
-            &sweep,
-            shard,
-            runner.as_ref(),
-            backend,
-            cache_mode(o),
-            &counters,
-            !o.no_analytic,
-        )
-        .map_err(|e| e.to_string())?
-    } else if o.queue && !o.endpoints.is_empty() {
+        Some(backend) => {
+            let counters = StoreCounters::new();
+            let grid = run_sweep_cached_tiered(
+                &sweep,
+                shard,
+                runner.as_ref(),
+                backend,
+                cache_mode(o),
+                &counters,
+                !o.no_analytic,
+            );
+            let mut note = format!(
+                ", store: {} served, {} computed",
+                counters.hits(),
+                counters.records()
+            );
+            if counters.quarantined() > 0 {
+                note.push_str(&format!(", {} quarantined", counters.quarantined()));
+            }
+            (grid, note)
+        }
         // Remote fleet: each grid point's canonical blocks fan out across
         // the endpoints through the fleet point-runner.
-        let runner = queue_runner_of(o)?;
-        run_sweep_tiered(&sweep, shard, runner.as_ref(), !o.no_analytic)
-            .map_err(|e| e.to_string())?
-    } else if o.queue {
-        run_sweep_queued_tiered(
-            &sweep,
-            shard,
-            o.workers,
-            eacp_exec::queue::DEFAULT_MAX_ATTEMPTS,
-            &progress,
-            !o.no_analytic,
-        )
-        .map_err(|e| e.to_string())?
-    } else {
-        run_sweep_tiered(
-            &sweep,
-            shard,
-            &LocalRunner::new(sweep.base.mc.threads),
-            !o.no_analytic,
-        )
-        .map_err(|e| e.to_string())?
+        None if fleet > 0 => (
+            run_sweep_tiered(&sweep, shard, runner.as_ref(), !o.no_analytic),
+            format!(", fleet: {fleet} endpoint(s)"),
+        ),
+        None => match sweep.run_point_leased(shard, o, &progress) {
+            Some(grid) => (grid, format!(", queued: {}", progress.render(o.workers))),
+            None => (
+                run_sweep_tiered(&sweep, shard, runner.as_ref(), !o.no_analytic),
+                String::new(),
+            ),
+        },
     };
-    let queue_note = if store.is_some() {
-        let mut s = format!(
-            ", store: {} served, {} computed",
-            counters.hits(),
-            counters.records()
-        );
-        if counters.quarantined() > 0 {
-            s.push_str(&format!(", {} quarantined", counters.quarantined()));
-        }
-        s
-    } else if o.queue && !o.endpoints.is_empty() {
-        let n = queue_spec_of(o).endpoints.len();
-        format!(", fleet: {n} endpoint(s)")
-    } else if o.queue {
-        format!(", queued: {}", progress.render(o.workers))
-    } else {
-        String::new()
-    };
+    let grid = grid.map_err(|e| e.to_string())?;
     if !o.out.is_empty() {
         let path = grid
             .save(std::path::Path::new(&o.out))
             .map_err(|e| e.to_string())?;
         return Ok(format!(
-            "wrote {} ({} of {} grid points{}{queue_note})\n",
+            "wrote {} ({} of {} grid points{}{note})\n",
             path.display(),
             grid.points.len(),
             grid.total_points,
@@ -1002,30 +1127,13 @@ pub fn cmd_sweep(o: &Options) -> Result<String, String> {
         ));
     }
     if o.json {
-        let docs: Vec<eacp_spec::Json> = grid.points.iter().map(|p| p.report.to_json()).collect();
-        return Ok(eacp_spec::Json::Array(docs).pretty());
+        let docs: Vec<Json> = grid.points.iter().map(|p| p.report.to_json()).collect();
+        return Ok(Json::Array(docs).pretty());
     }
-    let mut out = format!(
-        "sweep over {} points ({} replications each{}{queue_note})\n\n{:<44} {:>8} {:>12} {:>10}\n",
-        grid.total_points,
-        sweep.base.mc.replications,
-        shard.map_or_else(String::new, |s| format!(
-            ", shard {s}: {} points",
-            grid.points.len()
-        )),
-        "experiment",
-        "P",
-        "E(timely)",
-        "faults"
-    );
-    for p in &grid.points {
-        let r = &p.report;
-        out.push_str(&format!(
-            "{:<44} {:>8.4} {:>12.0} {:>10.2}\n",
-            r.spec.name, r.summary.p_timely, r.summary.energy_timely.mean, r.summary.faults.mean,
-        ));
-    }
-    Ok(out)
+    let shard_note = shard.map_or_else(String::new, |s| {
+        format!(", shard {s}: {} points", grid.points.len())
+    });
+    Ok(sweep.table(&grid, &format!("{shard_note}{note}")))
 }
 
 /// Work-queue telemetry accumulated across the pool's threads; rendered
@@ -1092,10 +1200,11 @@ pub fn cmd_queue(o: &Options) -> Result<String, String> {
             // Executive collections produce the same SweepCoverage shape,
             // so both kinds render through one coverage formatter.
             let cov = if dir_has_executive_reports(dir)? {
-                executive_coverage_dir(dir).map_err(|e| e.to_string())?
+                coverage_dir::<ExecutiveSpec>(dir)
             } else {
-                coverage_dir(dir).map_err(|e| e.to_string())?
-            };
+                coverage_dir::<ExperimentSpec>(dir)
+            }
+            .map_err(|e| e.to_string())?;
             let mut out = format!(
                 "sweep {:?}: {} grid points{}\n",
                 cov.sweep_name,
@@ -1156,27 +1265,9 @@ pub fn cmd_store(o: &Options) -> Result<String, String> {
                 // sweep kinds produce one StoreCoverage shape, rendered
                 // through the shared coverage formatter below.
                 let cov = if json_is_executive_sweep(&json) {
-                    let mut sweep = ExecutiveSweepSpec::from_json(&json)
-                        .map_err(|e| format!("{}: {e}", o.spec))?;
-                    if o.has("--reps") {
-                        let mut mc = sweep.base.mc_or_default();
-                        mc.replications = o.reps;
-                        sweep.base.mc = Some(mc);
-                    }
-                    if o.has("--seed") {
-                        sweep.base.seed = o.seed;
-                    }
-                    executive_store_coverage(&backend, &sweep).map_err(|e| e.to_string())?
+                    sweep_store_coverage::<ExecutiveSweepSpec>(o, &backend, &json)?
                 } else {
-                    let mut sweep =
-                        SweepSpec::from_json(&json).map_err(|e| format!("{}: {e}", o.spec))?;
-                    if o.has("--reps") {
-                        sweep.base.mc.replications = o.reps;
-                    }
-                    if o.has("--seed") {
-                        sweep.base.mc.seed = o.seed;
-                    }
-                    store_coverage(&backend, &sweep).map_err(|e| e.to_string())?
+                    sweep_store_coverage::<SweepSpec>(o, &backend, &json)?
                 };
                 out.push_str(&format!(
                     "sweep {:?}: {} grid points\n",
@@ -1224,6 +1315,20 @@ pub fn cmd_store(o: &Options) -> Result<String, String> {
     }
 }
 
+/// How much of a sweep document's grid the store covers. Cells are keyed
+/// by (spec hash, seed, replications), so coverage is asked about the
+/// same Monte-Carlo block the sweep ran with: the same flag overrides
+/// apply.
+fn sweep_store_coverage<S: CliSweep>(
+    o: &Options,
+    backend: &FsBackend,
+    json: &Json,
+) -> Result<StoreCoverage, String> {
+    let mut sweep = S::from_json(json).map_err(|e| format!("{}: {e}", o.spec))?;
+    sweep.apply_mc_flags(o);
+    store_coverage(backend, &sweep).map_err(|e| e.to_string())
+}
+
 /// Whether a report directory holds *executive* sweep documents (the
 /// embedded sweep base describes a periodic task set) rather than
 /// single-task experiment reports. The first document that embeds a
@@ -1234,7 +1339,7 @@ fn dir_has_executive_reports(dir: &std::path::Path) -> Result<bool, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         let json = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
         if let Some(sweep) = json.get("sweep") {
-            return Ok(sweep.get("base").is_some_and(|b| b.get("tasks").is_some()));
+            return Ok(json_is_executive_sweep(sweep));
         }
     }
     Ok(false)
@@ -1258,17 +1363,22 @@ pub fn cmd_merge(o: &Options) -> Result<String, String> {
         .ok_or("merge: missing report directory")?;
     let dir = std::path::Path::new(dir);
     let (text, points) = if dir_has_executive_reports(dir)? {
-        let grid = merge_executive_dir(dir).map_err(|e| e.to_string())?;
-        (grid.to_json().pretty(), grid.points.len())
+        merged::<ExecutiveSpec>(dir)
     } else {
-        let grid = merge_dir(dir).map_err(|e| e.to_string())?;
-        (grid.to_json().pretty(), grid.points.len())
-    };
+        merged::<ExperimentSpec>(dir)
+    }
+    .map_err(|e| e.to_string())?;
     if o.out.is_empty() {
         return Ok(text);
     }
     std::fs::write(&o.out, &text).map_err(|e| format!("{}: {e}", o.out))?;
     Ok(format!("merged {points} grid points into {}\n", o.out))
+}
+
+/// A merged grid document and its point count.
+fn merged<C: Cell>(dir: &std::path::Path) -> Result<(String, usize), eacp_spec::SpecError> {
+    let grid = merge_dir::<C>(dir)?;
+    Ok((grid.to_json().pretty(), grid.points.len()))
 }
 
 /// `eacp csv`: render a directory of report documents (grid/shard files
@@ -1281,14 +1391,11 @@ pub fn cmd_csv(o: &Options) -> Result<String, String> {
         .ok_or("csv: missing report directory")?;
     let dir = std::path::Path::new(dir);
     let (csv, rows) = if dir_has_executive_reports(dir)? {
-        let points = load_executive_points(dir)?;
-        (render_executive_csv(&points), points.len())
+        let rows = load_report_rows::<ExecutiveSpec>(dir)?;
+        (render_executive_rows(&rows), rows.len())
     } else {
-        let rows = load_report_rows(dir)?;
-        (
-            eacp_exec::csv::render_rows(&rows, &paper_ref_of),
-            rows.len(),
-        )
+        let rows = load_report_rows::<ExperimentSpec>(dir)?;
+        (render_rows(&rows, &paper_ref_of), rows.len())
     };
     if o.out.is_empty() {
         return Ok(csv);
@@ -1297,49 +1404,13 @@ pub fn cmd_csv(o: &Options) -> Result<String, String> {
     Ok(format!("wrote {} ({} rows)\n", o.out, rows))
 }
 
-/// Loads every executive sweep report document under `dir` into grid
-/// points sorted by index — the executive analogue of
-/// [`load_report_rows`], with the same loud duplicate-coverage failure.
-// The map keys duplicate-detection paths; nothing iterates it (see
-// clippy.toml on R1 scope).
-#[allow(clippy::disallowed_types)]
-fn load_executive_points(dir: &std::path::Path) -> Result<Vec<ExecutivePointReport>, String> {
-    let paths = eacp_exec::list_report_files(dir).map_err(|e| e.to_string())?;
-    let mut points: Vec<ExecutivePointReport> = Vec::new();
-    let mut seen: std::collections::HashMap<usize, std::path::PathBuf> =
-        std::collections::HashMap::new();
-    for path in &paths {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let json = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        let grid = ExecutiveGridReport::from_json(&json).map_err(|e| {
-            format!(
-                "{}: invalid executive sweep report document: {e}",
-                path.display()
-            )
-        })?;
-        for p in grid.points {
-            if let Some(first) = seen.insert(p.index, path.clone()) {
-                return Err(format!(
-                    "{}: grid point {} already covered by {} — merged and \
-                     shard documents mixed in one directory?",
-                    path.display(),
-                    p.index,
-                    first.display()
-                ));
-            }
-            points.push(p);
-        }
-    }
-    if points.is_empty() {
-        return Err(format!("{}: no report documents found", dir.display()));
-    }
-    points.sort_by_key(|p| p.index);
-    Ok(points)
-}
+/// CSV rows of one kind: `(grid index, report)`, standalone reports
+/// without an index.
+type ReportRows<C> = Vec<(Option<usize>, <C as Cell>::Report)>;
 
 /// Loads every `.json` report document under `dir` into CSV rows: sweep
 /// report documents contribute their grid points (sorted by index),
-/// standalone run reports follow without an index.
+/// standalone reports follow without an index.
 ///
 /// Uses the same directory-enumeration rule as `eacp merge`
 /// ([`eacp_exec::list_report_files`]) and, like merge, fails loudly on a
@@ -1348,20 +1419,25 @@ fn load_executive_points(dir: &std::path::Path) -> Result<Vec<ExecutivePointRepo
 // The map keys duplicate-detection paths; nothing iterates it, so hash
 // order cannot leak into output (see clippy.toml on R1 scope).
 #[allow(clippy::disallowed_types)]
-fn load_report_rows(dir: &std::path::Path) -> Result<Vec<(Option<usize>, RunReport)>, String> {
+fn load_report_rows<C: Cell>(dir: &std::path::Path) -> Result<ReportRows<C>, String> {
     let paths = eacp_exec::list_report_files(dir).map_err(|e| e.to_string())?;
-    let mut indexed: Vec<(usize, RunReport)> = Vec::new();
+    let mut indexed: Vec<(usize, C::Report)> = Vec::new();
     let mut seen: std::collections::HashMap<usize, std::path::PathBuf> =
         std::collections::HashMap::new();
-    let mut loose: Vec<RunReport> = Vec::new();
+    let mut loose: Vec<C::Report> = Vec::new();
     for path in &paths {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         let json = eacp_spec::Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
         // Dispatch on the document's shape so a malformed field surfaces
         // its real parse error instead of a generic "not a report".
         if json.get("points").is_some() || json.get("sweep").is_some() {
-            let grid = GridReport::from_json(&json)
-                .map_err(|e| format!("{}: invalid sweep report document: {e}", path.display()))?;
+            let grid = GridReport::<C>::from_json(&json).map_err(|e| {
+                format!(
+                    "{}: invalid {} report document: {e}",
+                    path.display(),
+                    C::KIND
+                )
+            })?;
             for p in grid.points {
                 if let Some(first) = seen.insert(p.index, path.clone()) {
                     return Err(format!(
@@ -1375,7 +1451,7 @@ fn load_report_rows(dir: &std::path::Path) -> Result<Vec<(Option<usize>, RunRepo
                 indexed.push((p.index, p.report));
             }
         } else if json.get("spec").is_some() {
-            let report = RunReport::from_json(&json)
+            let report = C::Report::from_json(&json)
                 .map_err(|e| format!("{}: invalid run report: {e}", path.display()))?;
             loose.push(report);
         } else {
@@ -1389,8 +1465,7 @@ fn load_report_rows(dir: &std::path::Path) -> Result<Vec<(Option<usize>, RunRepo
         return Err(format!("{}: no report documents found", dir.display()));
     }
     indexed.sort_by_key(|(i, _)| *i);
-    let mut rows: Vec<(Option<usize>, RunReport)> =
-        indexed.into_iter().map(|(i, r)| (Some(i), r)).collect();
+    let mut rows: ReportRows<C> = indexed.into_iter().map(|(i, r)| (Some(i), r)).collect();
     rows.extend(loose.into_iter().map(|r| (None, r)));
     Ok(rows)
 }
@@ -1771,11 +1846,6 @@ pub fn cmd_feasibility(o: &Options) -> Result<String, String> {
 /// `--sweep grid.json` expands an executive sweep document
 /// ([`cmd_executive_sweep`]).
 pub fn cmd_executive(o: &Options) -> Result<String, String> {
-    if o.has("--endpoints") {
-        // The remote protocol ships spec-built replication jobs; executive
-        // horizons run in-process only (their queue leases whole points).
-        return Err("--endpoints is not supported for executive workloads".to_owned());
-    }
     if !o.sweep.is_empty() {
         return cmd_executive_sweep(o);
     }
@@ -1824,10 +1894,11 @@ pub fn cmd_executive(o: &Options) -> Result<String, String> {
 /// `replication_seed(spec.seed, i)` and the per-horizon observations are
 /// folded into a mergeable [`eacp_exec::ExecutiveSummary`].
 ///
-/// The Monte-Carlo flags (`--reps`, `--threads`, `--queue --workers`)
-/// are folded into the spec's `mc` section, so `--emit-spec` reproduces
-/// exactly what this command executes; with a store configured the cell
-/// is served byte-identical to recomputation.
+/// The Monte-Carlo flags (`--reps`, `--threads`, `--queue --workers
+/// --endpoints`) are folded into the spec's `mc` section, so `--emit-spec`
+/// reproduces exactly what this command executes and spec validation is
+/// the one check that rejects a fleet; with a store configured the cell is
+/// served byte-identical to recomputation.
 fn cmd_executive_mc(o: &Options) -> Result<String, String> {
     let mut spec = executive_spec(o)?;
     let mut mc = spec.mc_or_default();
@@ -1838,35 +1909,14 @@ fn cmd_executive_mc(o: &Options) -> Result<String, String> {
         mc.threads = o.threads;
     }
     if o.queue {
-        mc.queue = Some(eacp_spec::QueueSpec {
-            workers: o.workers,
-            ..Default::default()
-        });
+        mc.queue = Some(queue_spec_of(o));
     }
     spec.mc = Some(mc);
     spec.validate().map_err(|e| e.to_string())?;
     if o.emit_spec {
         return Ok(spec.to_json_string());
     }
-    let mut note = String::new();
-    let report = match resolve_store(o)? {
-        Some(backend) => {
-            let run = run_executive_cached(&spec, &backend, cache_mode(o), &NoopStoreObserver)
-                .map_err(|e| e.to_string())?;
-            note = store_note(run.cache, run.source.as_deref());
-            run.report
-        }
-        None => {
-            // Same dispatch as the single-task path: an mc.queue section
-            // picks the work-queue runner, result-neutral by construction.
-            let mc = spec.mc_or_default();
-            let runner: Box<dyn Runner> = match mc.queue {
-                Some(q) => Box::new(QueueRunner::new(q.workers).with_max_attempts(q.max_attempts)),
-                None => Box::new(LocalRunner::new(mc.threads)),
-            };
-            run_executive_point(runner.as_ref(), &spec).map_err(|e| e.to_string())?
-        }
-    };
+    let (_, report, note) = run_cell(o, &spec)?;
     if o.json {
         // Byte-identical on hit and miss; cache telemetry stays out.
         return Ok(report.to_json().pretty());
@@ -1919,8 +1969,8 @@ fn cmd_executive_mc(o: &Options) -> Result<String, String> {
 
 /// `eacp executive --sweep grid.json`: expand an
 /// [`ExecutiveSweepSpec`] and run every grid point (or one `--shard i/n`
-/// of it) as an executive Monte-Carlo, with the same resumable-store and
-/// sharded-collection workflow as the single-task `eacp sweep`.
+/// of it) as an executive Monte-Carlo, through the same grid command as
+/// `eacp sweep`.
 fn cmd_executive_sweep(o: &Options) -> Result<String, String> {
     if !o.spec.is_empty() || !o.preset.is_empty() || !o.tasks.is_empty() {
         return Err(
@@ -1929,135 +1979,16 @@ fn cmd_executive_sweep(o: &Options) -> Result<String, String> {
                 .to_owned(),
         );
     }
-    // Grid axes own the experiment shape; only base-level Monte-Carlo
-    // knobs make sense as overrides (mirrors `eacp sweep`).
-    for flag in [
-        "--scheme",
-        "--lambda",
-        "--k",
-        "--hyperperiods",
-        "--speed",
-        "--variant",
-    ] {
-        if o.has(flag) {
-            return Err(format!(
-                "executive --sweep: {flag} cannot override a sweep document — edit the \
-                 base spec or its axes"
-            ));
-        }
+    if o.queue {
+        // The same check `executive --mc` gets from its spec: executive
+        // horizons cannot ship to a fleet.
+        let mc = ExecutiveMcSpec {
+            queue: Some(queue_spec_of(o)),
+            ..ExecutiveMcSpec::default()
+        };
+        mc.validate().map_err(|e| e.to_string())?;
     }
-    let mut sweep =
-        ExecutiveSweepSpec::load(std::path::Path::new(&o.sweep)).map_err(|e| e.to_string())?;
-    if o.has("--reps") || o.has("--threads") {
-        let mut mc = sweep.base.mc_or_default();
-        if o.has("--reps") {
-            mc.replications = o.reps;
-        }
-        if o.has("--threads") {
-            mc.threads = o.threads;
-        }
-        sweep.base.mc = Some(mc);
-    }
-    if o.has("--seed") {
-        sweep.base.seed = o.seed;
-    }
-    let shard = if o.shard.is_empty() {
-        None
-    } else {
-        Some(ShardId::parse(&o.shard).map_err(|e| e.to_string())?)
-    };
-    let base_mc = sweep.base.mc_or_default();
-    if o.emit_spec {
-        let mut specs = sweep.expand().map_err(|e| e.to_string())?;
-        if o.queue {
-            // Emitted point specs must reproduce the scheduling choice.
-            for spec in &mut specs {
-                let mut mc = spec.mc_or_default();
-                mc.queue = Some(eacp_spec::QueueSpec {
-                    workers: o.workers,
-                    ..Default::default()
-                });
-                spec.mc = Some(mc);
-            }
-        }
-        let range = shard.map_or(0..specs.len(), |s| s.range(specs.len()));
-        let docs: Vec<Json> = specs[range].iter().map(ToJson::to_json).collect();
-        return Ok(Json::Array(docs).pretty());
-    }
-    let store = resolve_store(o)?;
-    let counters = StoreCounters::new();
-    let runner: Box<dyn Runner> = if o.queue {
-        Box::new(QueueRunner::new(o.workers))
-    } else {
-        Box::new(LocalRunner::new(base_mc.threads))
-    };
-    let grid = if let Some(backend) = &store {
-        run_executive_sweep_cached(
-            &sweep,
-            shard,
-            runner.as_ref(),
-            backend,
-            cache_mode(o),
-            &counters,
-        )
-        .map_err(|e| e.to_string())?
-    } else {
-        run_executive_sweep(&sweep, shard, runner.as_ref()).map_err(|e| e.to_string())?
-    };
-    let queue_note = if store.is_some() {
-        let mut s = format!(
-            ", store: {} served, {} computed",
-            counters.hits(),
-            counters.records()
-        );
-        if counters.quarantined() > 0 {
-            s.push_str(&format!(", {} quarantined", counters.quarantined()));
-        }
-        s
-    } else {
-        String::new()
-    };
-    if !o.out.is_empty() {
-        let path = grid
-            .save(std::path::Path::new(&o.out))
-            .map_err(|e| e.to_string())?;
-        return Ok(format!(
-            "wrote {} ({} of {} grid points{}{queue_note})\n",
-            path.display(),
-            grid.points.len(),
-            grid.total_points,
-            shard.map_or_else(String::new, |s| format!(", shard {s}")),
-        ));
-    }
-    if o.json {
-        let docs: Vec<Json> = grid.points.iter().map(|p| p.report.to_json()).collect();
-        return Ok(Json::Array(docs).pretty());
-    }
-    let mut out = format!(
-        "executive sweep over {} points ({} seeded horizons each{}{queue_note})\n\n\
-         {:<44} {:>10} {:>12} {:>10}\n",
-        grid.total_points,
-        base_mc.replications,
-        shard.map_or_else(String::new, |s| format!(
-            ", shard {s}: {} points",
-            grid.points.len()
-        )),
-        "experiment",
-        "miss",
-        "E(horizon)",
-        "faults"
-    );
-    for p in &grid.points {
-        let r = &p.report;
-        out.push_str(&format!(
-            "{:<44} {:>10.4} {:>12.0} {:>10.2}\n",
-            r.spec.name,
-            r.summary.mean_miss_ratio(),
-            r.summary.mean_energy(),
-            r.summary.horizon_faults.mean(),
-        ));
-    }
-    Ok(out)
+    cmd_grid::<ExecutiveSweepSpec>(o, &o.sweep)
 }
 
 /// `eacp bench`: measured throughput telemetry for the replication hot
@@ -2190,16 +2121,13 @@ pub fn cmd_bench(o: &Options) -> Result<String, String> {
     // doubles as a live bit-identity check across execution locations.
     let fleet_a = eacp_exec::RemoteServer::bind("127.0.0.1:0").map_err(|e| e.to_string())?;
     let fleet_b = eacp_exec::RemoteServer::bind("127.0.0.1:0").map_err(|e| e.to_string())?;
-    let fleet_endpoints = 2usize;
-    let fleet_worker = eacp_exec::RemoteWorker::new(
-        vec![fleet_a.endpoint().to_owned(), fleet_b.endpoint().to_owned()],
-        eacp_spec::DEFAULT_REMOTE_TIMEOUT_MS,
-    )
-    .with_fallback_attempt(eacp_exec::queue::DEFAULT_MAX_ATTEMPTS);
-    let fleet_lease_timeout = fleet_worker.lease_timeout();
-    let fleet_runner = QueueRunner::new(o.workers)
-        .with_worker(fleet_worker)
-        .with_lease_timeout(fleet_lease_timeout);
+    let fleet = eacp_spec::QueueSpec {
+        workers: o.workers,
+        endpoints: vec![fleet_a.endpoint().to_owned(), fleet_b.endpoint().to_owned()],
+        ..Default::default()
+    };
+    let fleet_endpoints = fleet.endpoints.len();
+    let fleet_runner = placement(Some(&fleet), 0).map_err(|e| e.to_string())?;
     let (remote_s, remote_summary) = best_of(Box::new(|| {
         let started = Instant::now();
         let s = fleet_runner.run(&pooled_job).map_err(|e| e.to_string())?;
@@ -2243,12 +2171,24 @@ pub fn cmd_bench(o: &Options) -> Result<String, String> {
     for i in 0..=iterations {
         let store = MemBackend::new();
         let started = Instant::now();
-        let cold = run_cached(&spec, &store, CacheMode::ReadWrite, &NoopStoreObserver)
-            .map_err(|e| e.to_string())?;
+        let cold = run_cached_tiered(
+            &spec,
+            &store,
+            CacheMode::ReadWrite,
+            &NoopStoreObserver,
+            true,
+        )
+        .map_err(|e| e.to_string())?;
         let cold_rep_s = started.elapsed().as_secs_f64();
         let started = Instant::now();
-        let warm = run_cached(&spec, &store, CacheMode::ReadWrite, &NoopStoreObserver)
-            .map_err(|e| e.to_string())?;
+        let warm = run_cached_tiered(
+            &spec,
+            &store,
+            CacheMode::ReadWrite,
+            &NoopStoreObserver,
+            true,
+        )
+        .map_err(|e| e.to_string())?;
         let warm_rep_s = started.elapsed().as_secs_f64();
         if cold.cache != CacheOutcome::Miss
             || warm.cache != CacheOutcome::Hit
@@ -2703,6 +2643,38 @@ mod tests {
         ))
         .unwrap_err();
         assert!(err.contains("not supported"), "{err}");
+
+        // A spec file naming endpoints fails the same spec check instead
+        // of silently running in-process.
+        let dir = temp_store("exec-endpoints");
+        std::fs::create_dir_all(&dir).unwrap();
+        let emitted = dispatch(args(
+            "executive --preset avionics-trio --mc --reps 4 --queue --emit-spec",
+        ))
+        .unwrap();
+        let mut spec = ExecutiveSpec::from_json_str(&emitted).unwrap();
+        if let Some(q) = spec.mc.as_mut().and_then(|mc| mc.queue.as_mut()) {
+            q.endpoints = vec!["127.0.0.1:9".into()];
+            q.timeout_ms = 200;
+        }
+        let path = dir.join("fleet-mc.json");
+        std::fs::write(&path, spec.to_json_string()).unwrap();
+        let err = dispatch(args(&format!(
+            "executive --spec {} --mc --json",
+            path.display()
+        )))
+        .unwrap_err();
+        assert!(err.contains("endpoints"), "{err}");
+
+        // So does an executive sweep asked to use a fleet.
+        let sweep = write_executive_sweep(&dir);
+        let err = dispatch(args(&format!(
+            "executive --sweep {} --queue --endpoints 127.0.0.1:9",
+            sweep.display()
+        )))
+        .unwrap_err();
+        assert!(err.contains("not supported"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

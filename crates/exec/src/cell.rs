@@ -1,0 +1,339 @@
+//! The grid cell: one reproducible unit of Monte-Carlo work, of either
+//! workload kind.
+//!
+//! The paper's results are grids of cells over (U, λ, k, cost model), and
+//! this crate evaluates two kinds of cell: single-task [`ExperimentSpec`]
+//! cells (a [`Job`] reduced into a [`Summary`]) and EDF-executive
+//! [`ExecutiveSpec`] cells (an [`ExecutiveJob`] reduced into an
+//! [`ExecutiveSummary`]). [`Cell`] is what both have in common — a sweep
+//! document that expands into cells, a report with a JSON codec, a
+//! placement (which runner the spec asks for) and the computation itself —
+//! so the layers above it are written once: the sharded sweep executor,
+//! merge and coverage ([`crate::shard`]), and the result store's
+//! cache-or-compute path (`eacp-store`). A new workload kind costs one
+//! impl of this trait.
+//!
+//! [`placement`] is the one place a runner is built from a spec's queue
+//! section.
+
+use crate::executive_mc::{ExecutiveJob, ExecutiveSummary};
+use crate::job::Job;
+use crate::queue::QueueRunner;
+use crate::remote::RemoteWorker;
+use crate::runner::{LocalRunner, Runner};
+use eacp_sim::Summary;
+use eacp_spec::{
+    ExecutiveSpec, ExecutiveSweepSpec, ExperimentSpec, FromJson, Json, QueueSpec, RunReport,
+    ServeTier, SpecError, SummaryReport, SweepSpec, ToJson,
+};
+
+/// A sweep document: a base cell plus axes, expanding into grid cells.
+pub trait Sweep: Clone + PartialEq + std::fmt::Debug + ToJson + FromJson {
+    /// The cells this sweep expands into.
+    type Cell: Cell<Sweep = Self>;
+
+    /// The grid's cells in flat-index order, each with its own
+    /// index-derived seed.
+    ///
+    /// # Errors
+    ///
+    /// Invalid axes or base specs.
+    fn expand(&self) -> Result<Vec<Self::Cell>, SpecError>;
+
+    /// The base experiment's name.
+    fn name(&self) -> &str;
+}
+
+/// One grid cell of a workload kind. See the module docs.
+pub trait Cell: Clone + PartialEq + std::fmt::Debug + ToJson + FromJson {
+    /// The sweep document that expands into cells of this kind.
+    type Sweep: Sweep<Cell = Self>;
+    /// The exact, mergeable Monte-Carlo aggregate.
+    type Summary: Clone + PartialEq + std::fmt::Debug;
+    /// The serializable per-cell report.
+    type Report: Clone + PartialEq + std::fmt::Debug + ToJson + FromJson;
+
+    /// What a grid document of this kind is called in errors (`"sweep"`,
+    /// `"executive sweep"`).
+    const KIND: &'static str;
+
+    /// The cell's experiment name.
+    fn name(&self) -> &str;
+
+    /// The spec's queue section and local thread count: what
+    /// [`placement`] builds the cell's own runner from.
+    fn placement(&self) -> (Option<&QueueSpec>, usize);
+
+    /// Records a queue section in the spec, so an emitted spec reproduces
+    /// a `--queue` scheduling choice.
+    fn set_queue(&mut self, queue: QueueSpec);
+
+    /// Computes the cell on `runner`. With `analytic`, kinds that have a
+    /// closed-form tier answer replication-invariant cells through it;
+    /// the returned tier says which path produced the summary.
+    ///
+    /// # Errors
+    ///
+    /// Invalid specs and runner failures.
+    fn compute(
+        &self,
+        runner: &dyn Runner,
+        analytic: bool,
+    ) -> Result<(Self::Summary, ServeTier), SpecError>;
+
+    /// The report of this cell holding `summary`. A pure function of its
+    /// arguments, so a served summary reports byte-identically to a
+    /// computed one.
+    fn report(&self, summary: &Self::Summary, served: ServeTier) -> Self::Report;
+
+    /// The spec a report embeds.
+    fn of_report(report: &Self::Report) -> &Self;
+}
+
+/// Builds the runner a queue section asks for: the local runner with
+/// `threads` workers when there is none, the work-queue runner otherwise,
+/// and — with endpoints — the remote fleet (leased blocks ship to `eacp
+/// serve` processes, wedged leases are reclaimed on a deadline, and the
+/// final attempt falls back in-process). Every choice is bit-identical.
+///
+/// # Errors
+///
+/// An invalid queue section.
+pub fn placement(queue: Option<&QueueSpec>, threads: usize) -> Result<Box<dyn Runner>, SpecError> {
+    let Some(q) = queue else {
+        return Ok(Box::new(LocalRunner::new(threads)));
+    };
+    q.validate()?;
+    let runner = QueueRunner::new(q.workers).with_max_attempts(q.max_attempts);
+    if q.endpoints.is_empty() {
+        return Ok(Box::new(runner));
+    }
+    let worker = RemoteWorker::from_queue_spec(q);
+    let lease_timeout = worker.lease_timeout();
+    Ok(Box::new(
+        runner.with_worker(worker).with_lease_timeout(lease_timeout),
+    ))
+}
+
+/// Computes one cell on `runner` and wraps it as the cell's report — the
+/// unit of work of the sweep executors.
+///
+/// # Errors
+///
+/// See [`Cell::compute`].
+pub fn run_point_tiered<C: Cell>(
+    runner: &dyn Runner,
+    cell: &C,
+    analytic: bool,
+) -> Result<C::Report, SpecError> {
+    let (summary, served) = cell.compute(runner, analytic)?;
+    Ok(cell.report(&summary, served))
+}
+
+/// Runs one cell end to end on the runner its own spec places it on
+/// ([`placement`]), returning the exact summary (for bit-identical
+/// comparisons) and the serializable report. `analytic = false` (the
+/// CLI's `--no-analytic`) forces the full Monte-Carlo loop.
+///
+/// # Errors
+///
+/// An invalid spec or queue section, or a runner failure.
+pub fn run_tiered<C: Cell>(cell: &C, analytic: bool) -> Result<(C::Summary, C::Report), SpecError> {
+    let (queue, threads) = cell.placement();
+    let runner = placement(queue, threads)?;
+    let (summary, served) = cell.compute(runner.as_ref(), analytic)?;
+    let report = cell.report(&summary, served);
+    Ok((summary, report))
+}
+
+impl Sweep for SweepSpec {
+    type Cell = ExperimentSpec;
+
+    fn expand(&self) -> Result<Vec<ExperimentSpec>, SpecError> {
+        SweepSpec::expand(self)
+    }
+
+    fn name(&self) -> &str {
+        &self.base.name
+    }
+}
+
+impl Cell for ExperimentSpec {
+    type Sweep = SweepSpec;
+    type Summary = Summary;
+    type Report = RunReport;
+    const KIND: &'static str = "sweep";
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn placement(&self) -> (Option<&QueueSpec>, usize) {
+        (self.executor.queue.as_ref(), self.mc.threads)
+    }
+
+    fn set_queue(&mut self, queue: QueueSpec) {
+        self.executor.queue = Some(queue);
+    }
+
+    fn compute(
+        &self,
+        runner: &dyn Runner,
+        analytic: bool,
+    ) -> Result<(Summary, ServeTier), SpecError> {
+        let job = Job::from_spec(self)?;
+        Ok(
+            match analytic.then(|| crate::serve_closed_form(&job)).flatten() {
+                Some(summary) => (summary, ServeTier::Analytic),
+                None => (runner.run(&job)?, ServeTier::Mc),
+            },
+        )
+    }
+
+    fn report(&self, summary: &Summary, served: ServeTier) -> RunReport {
+        RunReport {
+            spec: self.clone(),
+            policy_name: self.policy.policy_name().to_owned(),
+            summary: SummaryReport::from_summary(summary),
+            served,
+            source: None,
+        }
+    }
+
+    fn of_report(report: &RunReport) -> &Self {
+        &report.spec
+    }
+}
+
+/// One executive Monte-Carlo result: the spec that produced it, the
+/// resolved per-task policy names, and the exact mergeable summary.
+///
+/// The embedded [`ExecutiveSummary`] serializes losslessly (raw
+/// accumulator state), so a loaded report compares equal to — and
+/// re-serializes byte-identical with — its recomputation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExecutiveMcReport {
+    /// The validated spec the run was built from (provenance).
+    pub spec: ExecutiveSpec,
+    /// Resolved policy names, one per task.
+    pub policy_names: Vec<String>,
+    /// The exact Monte-Carlo aggregate.
+    pub summary: ExecutiveSummary,
+}
+
+impl ToJson for ExecutiveMcReport {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("spec", self.spec.to_json()),
+            (
+                "policy_names",
+                Json::Array(
+                    self.policy_names
+                        .iter()
+                        .map(|n| Json::from(n.as_str()))
+                        .collect(),
+                ),
+            ),
+            ("summary", self.summary.to_json()),
+        ])
+    }
+}
+
+impl FromJson for ExecutiveMcReport {
+    fn from_json(json: &Json) -> Result<Self, SpecError> {
+        Ok(Self {
+            spec: ExecutiveSpec::from_json(json.req("spec")?)?,
+            policy_names: json
+                .req("policy_names")?
+                .as_array()?
+                .iter()
+                .map(|n| Ok(n.as_str()?.to_owned()))
+                .collect::<Result<_, SpecError>>()?,
+            summary: ExecutiveSummary::from_json(json.req("summary")?)?,
+        })
+    }
+}
+
+impl Sweep for ExecutiveSweepSpec {
+    type Cell = ExecutiveSpec;
+
+    fn expand(&self) -> Result<Vec<ExecutiveSpec>, SpecError> {
+        ExecutiveSweepSpec::expand(self)
+    }
+
+    fn name(&self) -> &str {
+        &self.base.name
+    }
+}
+
+/// Executive cells have no closed-form tier: `analytic` is ignored and
+/// every summary is served by the Monte-Carlo loop.
+impl Cell for ExecutiveSpec {
+    type Sweep = ExecutiveSweepSpec;
+    type Summary = ExecutiveSummary;
+    type Report = ExecutiveMcReport;
+    const KIND: &'static str = "executive sweep";
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn placement(&self) -> (Option<&QueueSpec>, usize) {
+        match &self.mc {
+            Some(mc) => (mc.queue.as_ref(), mc.threads),
+            None => (None, eacp_spec::ExecutiveMcSpec::default().threads),
+        }
+    }
+
+    fn set_queue(&mut self, queue: QueueSpec) {
+        let mut mc = self.mc_or_default();
+        mc.queue = Some(queue);
+        self.mc = Some(mc);
+    }
+
+    fn compute(
+        &self,
+        runner: &dyn Runner,
+        _analytic: bool,
+    ) -> Result<(ExecutiveSummary, ServeTier), SpecError> {
+        let job = ExecutiveJob::from_spec(self)?;
+        Ok((runner.run_executive(&job)?, ServeTier::Mc))
+    }
+
+    fn report(&self, summary: &ExecutiveSummary, _served: ServeTier) -> ExecutiveMcReport {
+        ExecutiveMcReport {
+            spec: self.clone(),
+            policy_names: self.policy.policy_names(self.tasks.len()),
+            summary: summary.clone(),
+        }
+    }
+
+    fn of_report(report: &ExecutiveMcReport) -> &Self {
+        &report.spec
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn placement_follows_the_queue_section() {
+        assert_eq!(placement(None, 3).unwrap().name(), "local");
+        let queue = QueueSpec {
+            workers: 2,
+            ..Default::default()
+        };
+        assert_eq!(placement(Some(&queue), 0).unwrap().name(), "queue");
+        let fleet = QueueSpec {
+            endpoints: vec!["127.0.0.1:9".into()],
+            ..queue.clone()
+        };
+        assert_eq!(placement(Some(&fleet), 0).unwrap().name(), "queue");
+        let invalid = QueueSpec {
+            max_attempts: 0,
+            ..queue
+        };
+        assert!(placement(Some(&invalid), 0).is_err());
+    }
+}

@@ -1,14 +1,17 @@
-//! CSV renderer over sweep report documents — the first half of the
-//! ROADMAP's renderer item (the HTML table is the second).
+//! CSV renderers over report rows, one per workload kind.
 //!
-//! One row per grid point: scheme, `P` with its 95% Wilson interval, `E`,
-//! and — where a paper-value lookup recognizes the operating point —
-//! the paper's `P`/`E` and the measured-minus-paper deltas. The lookup is
+//! Single-task rows: scheme, `P` with its 95% Wilson interval, `E`, and —
+//! where a paper-value lookup recognizes the operating point — the
+//! paper's `P`/`E` and the measured-minus-paper deltas. The lookup is
 //! injected as a closure so this crate stays independent of
 //! `eacp-experiments` (which owns the transcribed paper tables); the CLI
-//! wires the two together.
+//! wires the two together. Executive rows carry per-point counters plus
+//! the miss-ratio and energy distribution columns.
+//!
+//! A row is `(grid index, report)`; standalone reports have no index and
+//! render an empty first cell.
 
-use crate::shard::PointReport;
+use crate::cell::ExecutiveMcReport;
 use eacp_spec::RunReport;
 
 /// The paper's reported values for one (operating point, scheme) cell.
@@ -61,24 +64,9 @@ fn row(index: Option<usize>, report: &RunReport, paper: Option<PaperRef>) -> Str
     )
 }
 
-/// Renders a set of grid points as a CSV matrix, one row per point in
-/// ascending grid order. `paper` maps a report to the paper's reference
-/// values where the operating point matches a transcribed table cell.
-pub fn render_csv(
-    points: &[PointReport],
-    paper: &dyn Fn(&RunReport) -> Option<PaperRef>,
-) -> String {
-    let mut out = String::from(CSV_HEADER);
-    out.push('\n');
-    for p in points {
-        out.push_str(&row(Some(p.index), &p.report, paper(&p.report)));
-        out.push('\n');
-    }
-    out
-}
-
-/// [`render_csv`] over pre-assembled rows, for mixtures of grid points
-/// (indexed) and standalone run reports (no grid index).
+/// Renders single-task report rows as a CSV matrix. `paper` maps a
+/// report to the paper's reference values where the operating point
+/// matches a transcribed table cell.
 pub fn render_rows(
     rows: &[(Option<usize>, RunReport)],
     paper: &dyn Fn(&RunReport) -> Option<PaperRef>,
@@ -92,13 +80,69 @@ pub fn render_rows(
     out
 }
 
+/// The executive CSV header row (no trailing newline): per-point counters
+/// plus the distribution columns (mean / standard deviation / min / max of
+/// the per-horizon miss ratio and energy).
+pub const EXECUTIVE_CSV_HEADER: &str = "index,experiment,policies,horizons,jobs,\
+deadline_misses,faults,rollbacks,checkpoints,total_energy,\
+miss_ratio_mean,miss_ratio_sd,miss_ratio_min,miss_ratio_max,\
+energy_mean,energy_sd,energy_min,energy_max";
+
+fn distribution_cells(s: &eacp_numerics::OnlineStats, precision: usize) -> String {
+    let (count, _, _, min, max) = s.raw_parts();
+    let (min, max) = if count == 0 {
+        (f64::NAN, f64::NAN)
+    } else {
+        (min, max)
+    };
+    format!(
+        "{},{},{},{}",
+        cell(s.mean(), precision),
+        cell(s.population_variance().sqrt(), precision),
+        cell(min, precision),
+        cell(max, precision),
+    )
+}
+
+/// Renders executive report rows as a CSV matrix.
+pub fn render_executive_rows(rows: &[(Option<usize>, ExecutiveMcReport)]) -> String {
+    let mut out = String::from(EXECUTIVE_CSV_HEADER);
+    out.push('\n');
+    for (index, report) in rows {
+        let s = &report.summary;
+        out.push_str(&format!(
+            "{},{},{},{},{},{},{},{},{},{},{},{}\n",
+            index.map_or_else(String::new, |i| i.to_string()),
+            report.spec.name,
+            report.policy_names.join("+"),
+            s.horizons,
+            s.jobs,
+            s.deadline_misses,
+            s.faults,
+            s.rollbacks,
+            s.checkpoints.total(),
+            cell(s.total_energy, 1),
+            distribution_cells(&s.miss_ratio, 4),
+            distribution_cells(&s.energy, 1),
+        ));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::shard::run_sweep;
     use eacp_spec::{ExperimentSpec, McSpec, SweepAxis, SweepSpec};
 
-    fn points() -> Vec<PointReport> {
+    fn rows_of<C: crate::Cell>(grid: crate::GridReport<C>) -> Vec<(Option<usize>, C::Report)> {
+        grid.points
+            .into_iter()
+            .map(|p| (Some(p.index), p.report))
+            .collect()
+    }
+
+    fn points() -> Vec<(Option<usize>, RunReport)> {
         let mut base = ExperimentSpec::paper_nominal();
         base.name = "csv".into();
         base.mc = McSpec {
@@ -110,13 +154,13 @@ mod tests {
             base,
             axes: vec![SweepAxis::Lambda(vec![1e-4, 1.4e-3])],
         };
-        run_sweep(&sweep, None, 1).unwrap().points
+        rows_of(run_sweep(&sweep, None, 1).unwrap())
     }
 
     #[test]
     fn csv_has_header_and_one_row_per_point() {
         let pts = points();
-        let csv = render_csv(&pts, &|_| None);
+        let csv = render_rows(&pts, &|_| None);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], CSV_HEADER);
         assert_eq!(lines.len(), 1 + pts.len());
@@ -132,7 +176,7 @@ mod tests {
     #[test]
     fn paper_deltas_are_rendered_when_the_lookup_hits() {
         let pts = points();
-        let csv = render_csv(&pts, &|r| {
+        let csv = render_rows(&pts, &|r| {
             Some(PaperRef {
                 p: r.summary.p_timely,
                 e: f64::NAN,
@@ -161,10 +205,45 @@ mod tests {
             base: spec,
             axes: vec![SweepAxis::K(vec![5])],
         };
-        let pts = run_sweep(&sweep, None, 1).unwrap().points;
-        let csv = render_csv(&pts, &|_| None);
+        let pts = rows_of(run_sweep(&sweep, None, 1).unwrap());
+        let csv = render_rows(&pts, &|_| None);
         let cols: Vec<&str> = csv.lines().nth(1).unwrap().split(',').collect();
         assert_eq!(cols[4], "0.0000"); // P
         assert_eq!(cols[7], ""); // E(timely) is NaN
+    }
+
+    #[test]
+    fn executive_csv_has_header_and_distribution_columns() {
+        use eacp_spec::{
+            ExecutiveMcSpec, ExecutiveSpec, ExecutiveSweepAxis, ExecutiveSweepSpec, FaultSpec,
+            PolicyAssignment, PolicySpec, TaskSetSpec,
+        };
+        let mut base = ExecutiveSpec::new(
+            "exec-grid",
+            TaskSetSpec::implicit([("sensor", 500.0, 4_000), ("control", 1_200.0, 8_000)]),
+        );
+        base.faults = FaultSpec::Poisson { lambda: 5e-4 };
+        base.policy = PolicyAssignment::Shared(PolicySpec::from_tag("a_d_s", 5e-4, 2, 0).unwrap());
+        base.hyperperiods = 2;
+        base.seed = 11;
+        base.mc = Some(ExecutiveMcSpec {
+            replications: 20,
+            threads: 1,
+            queue: None,
+        });
+        let sweep = ExecutiveSweepSpec {
+            base,
+            axes: vec![ExecutiveSweepAxis::Lambda(vec![2e-4, 1e-3])],
+        };
+        let rows = rows_of(run_sweep(&sweep, None, 1).unwrap());
+        let csv = render_executive_rows(&rows);
+        let lines: Vec<&str> = csv.lines().collect();
+        assert_eq!(lines[0], EXECUTIVE_CSV_HEADER);
+        assert_eq!(lines.len(), 1 + rows.len());
+        let cols: Vec<&str> = lines[1].split(',').collect();
+        assert_eq!(cols.len(), EXECUTIVE_CSV_HEADER.split(',').count());
+        assert!(lines[1].starts_with("0,exec-grid-l0.0002,A_D_S+A_D_S,20,"));
+        // Distribution cells are populated (20 horizons pushed).
+        assert!(!cols[10].is_empty() && !cols[14].is_empty(), "{}", lines[1]);
     }
 }

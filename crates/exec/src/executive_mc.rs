@@ -404,17 +404,6 @@ impl ExecutiveJob {
     pub fn base_seed(&self) -> u64 {
         self.base_seed
     }
-
-    /// Per-task policy names, one per task.
-    pub fn policy_names(&self) -> Vec<String> {
-        self.spec.policy.policy_names(self.set.len())
-    }
-
-    /// One display label for the assignment: the shared policy's name, or
-    /// the per-task names joined with `+`.
-    pub fn policy_label(&self) -> String {
-        self.policy_names().join("+")
-    }
 }
 
 /// Pooled per-task policies: one [`PolicyKind`] per task, reset in place
@@ -546,7 +535,6 @@ mod tests {
         let job = ExecutiveJob::from_spec(&mc_spec(16)).unwrap();
         assert_eq!(job.replications(), 16);
         assert_eq!(job.task_count(), 2);
-        assert_eq!(job.policy_label(), "A_D_S+A_D_S");
 
         let mut bad = mc_spec(16);
         bad.tasks.tasks.clear();

@@ -25,12 +25,26 @@
 //!   [`RemoteWorker`] ships leased blocks to `eacp serve` endpoints over
 //!   std-only TCP (see the [`remote`] module).
 //!
-//! On top sits the **sharded sweep executor** ([`run_sweep`],
-//! [`merge_dir`]): a [`SweepSpec`] grid is partitioned across machines by
-//! grid-index range, each shard emits a [`GridReport`] JSON document, and
-//! the merge step reassembles the full grid — refusing to proceed on
-//! missing, duplicated or spec-mismatched points. [`render_csv`] turns a
-//! merged grid into the CSV matrix of the ROADMAP's renderer item.
+//! On top sits one **cell pipeline** for both workload kinds. A [`Cell`]
+//! is one grid point — a single-task [`ExperimentSpec`] or an EDF
+//! executive [`ExecutiveSpec`](eacp_spec::ExecutiveSpec) — with its sweep
+//! document, report codec, placement and computation. Everything above it
+//! is written once over the trait:
+//!
+//! * [`placement`] builds the runner a spec's queue section asks for
+//!   (local, work queue, or remote fleet) — the only place that wiring
+//!   exists;
+//! * [`run_tiered`] runs one cell on its own placement;
+//!   [`run_point_tiered`] runs it on a given runner;
+//! * the **sharded sweep executor** ([`run_sweep_tiered`], [`merge_dir`],
+//!   [`coverage_dir`]) partitions a grid across machines by index range,
+//!   emits one [`GridReport`] JSON document per shard, and reassembles the
+//!   full grid — refusing to proceed on missing, duplicated or
+//!   spec-mismatched points.
+//!
+//! The result store (`eacp-store`) adds its cache-or-compute path over the
+//! same trait, and [`render_rows`] / [`render_executive_rows`] turn report
+//! rows into CSV matrices.
 //!
 //! # Example
 //!
@@ -51,10 +65,10 @@
 #![warn(missing_docs)]
 
 pub mod analytic;
+pub mod cell;
 pub mod csv;
 pub mod executive;
 pub mod executive_mc;
-pub mod executive_shard;
 pub mod job;
 pub mod queue;
 pub mod remote;
@@ -63,24 +77,20 @@ pub mod shard;
 pub mod workload;
 
 pub use analytic::serve_closed_form;
-pub use csv::{render_csv, render_rows, PaperRef, CSV_HEADER};
+pub use cell::{placement, run_point_tiered, run_tiered, Cell, ExecutiveMcReport, Sweep};
+pub use csv::{render_executive_rows, render_rows, PaperRef, CSV_HEADER, EXECUTIVE_CSV_HEADER};
 pub use executive::{run_executive, run_executive_observed};
 pub use executive_mc::{ExecutiveJob, ExecutiveReplicator, ExecutiveSummary, TaskAggregate};
-pub use executive_shard::{
-    executive_coverage_dir, merge_executive_dir, render_executive_csv, run_executive_point,
-    run_executive_sweep, ExecutiveGridReport, ExecutiveMcReport, ExecutivePointReport,
-    EXECUTIVE_CSV_HEADER,
-};
 pub use job::{FaultFactory, Job, PolicyFactory, Replicator};
 pub use queue::{
-    run_sweep_queued, run_sweep_queued_tiered, BlockAssignment, InProcessWorker, Lease,
-    NoopQueueObserver, QueueObserver, QueueRunner, QueueStatus, WorkQueue, Worker,
+    run_sweep_queued_tiered, BlockAssignment, InProcessWorker, Lease, NoopQueueObserver,
+    QueueObserver, QueueRunner, QueueStatus, WorkQueue, Worker,
 };
 pub use remote::{serve_blocking, RemoteServer, RemoteWorker};
 pub use runner::{LocalRunner, Runner};
 pub use shard::{
-    coverage_dir, list_report_files, merge_dir, run_point, run_point_tiered, run_sweep,
-    run_sweep_tiered, run_sweep_with, DocCoverage, GridReport, PointReport, ShardId, SweepCoverage,
+    coverage_dir, list_report_files, merge_dir, run_grid, run_sweep, run_sweep_tiered, DocCoverage,
+    GridReport, PointReport, ShardId, SweepCoverage,
 };
 pub use workload::{run_workload_local, run_workload_queued, Replicate, Workload};
 
@@ -88,17 +98,13 @@ pub use workload::{run_workload_local, run_workload_queued, Replicate, Workload}
 // events); re-exported here so runner-level code needs one import path.
 pub use eacp_sim::{NoopObserver, Observer, Summary};
 
-use eacp_spec::{ExperimentSpec, RunReport, ServeTier, SpecError, SummaryReport};
+use eacp_spec::{ExperimentSpec, RunReport, SpecError};
 
-/// Runs one experiment spec end to end, returning both the exact in-memory
+/// Runs one experiment spec end to end on the runner its executor section
+/// places it on ([`placement`]), returning both the exact in-memory
 /// [`Summary`] (for bit-identical comparisons) and the serializable
-/// [`RunReport`].
-///
-/// The spec's executor section picks the scheduler: with
-/// [`eacp_spec::QueueSpec`] present the job runs on the work-queue
-/// [`QueueRunner`], otherwise on the plain [`LocalRunner`] with
-/// `mc.threads` workers. Both honor the canonical-reduction contract, so
-/// the choice never changes a single bit of the summary.
+/// [`RunReport`]. Every placement honors the canonical-reduction
+/// contract, so the choice never changes a single bit of the summary.
 ///
 /// Replication-invariant cells are answered by the closed-form tier
 /// ([`serve_closed_form`]) and marked `served: analytic` in the report;
@@ -106,49 +112,6 @@ use eacp_spec::{ExperimentSpec, RunReport, ServeTier, SpecError, SummaryReport};
 /// to force the full Monte-Carlo loop.
 pub fn run(spec: &ExperimentSpec) -> Result<(Summary, RunReport), SpecError> {
     run_tiered(spec, true)
-}
-
-/// [`run`] with the closed-form serve tier explicitly enabled or disabled.
-pub fn run_tiered(
-    spec: &ExperimentSpec,
-    analytic: bool,
-) -> Result<(Summary, RunReport), SpecError> {
-    let job = Job::from_spec(spec)?;
-    let (summary, served) = match analytic.then(|| serve_closed_form(&job)).flatten() {
-        Some(summary) => (summary, ServeTier::Analytic),
-        None => {
-            let summary = match &spec.executor.queue {
-                Some(q) => {
-                    q.validate()?;
-                    let runner = QueueRunner::new(q.workers).with_max_attempts(q.max_attempts);
-                    if q.endpoints.is_empty() {
-                        runner.run(&job)?
-                    } else {
-                        // Remote fleet: leased blocks ship to the spec's
-                        // endpoints; the lease deadline lets peers reclaim
-                        // a wedged transport, and the final attempt falls
-                        // back in-process — bit-identical either way.
-                        let worker = RemoteWorker::from_queue_spec(q);
-                        let lease_timeout = worker.lease_timeout();
-                        runner
-                            .with_worker(worker)
-                            .with_lease_timeout(lease_timeout)
-                            .run(&job)?
-                    }
-                }
-                None => LocalRunner::new(spec.mc.threads).run(&job)?,
-            };
-            (summary, ServeTier::Mc)
-        }
-    };
-    let report = RunReport {
-        spec: spec.clone(),
-        policy_name: job.policy_name().to_owned(),
-        summary: SummaryReport::from_summary(&summary),
-        served,
-        source: None,
-    };
-    Ok((summary, report))
 }
 
 #[cfg(test)]

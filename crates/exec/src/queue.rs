@@ -37,16 +37,18 @@
 //!   and completion, each with a [`QueueStatus`] snapshot (queue depth,
 //!   outstanding leases, completions, retries).
 //!
-//! Sweep-level scheduling sits on the same queue: [`run_sweep_queued`]
-//! leases whole grid points to the pool, producing a [`GridReport`]
-//! byte-identical to the sequential [`crate::run_sweep`].
+//! Sweep-level scheduling sits on the same queue:
+//! [`run_sweep_queued_tiered`] leases whole grid points to the pool,
+//! producing a [`GridReport`] byte-identical to the sequential
+//! [`crate::run_sweep`].
 //!
 //! [`LocalRunner`]: crate::LocalRunner
 
+use crate::cell::run_point_tiered;
 use crate::job::Job;
 use crate::runner::Runner;
 use crate::runner::{canonical_block_size, merge_blocks, run_block, run_sequential_observed};
-use crate::shard::{run_point_tiered, GridReport, PointReport, ShardId};
+use crate::shard::{GridReport, PointReport, ShardId};
 use eacp_sim::{NoopObserver, Observer, Summary};
 use eacp_spec::{SpecError, SweepSpec};
 use std::collections::VecDeque;
@@ -216,7 +218,7 @@ struct QueueState<T> {
 ///
 /// The queue itself is execution-agnostic: items are whatever a scheduler
 /// leases out — replication blocks for [`QueueRunner`], grid-point indices
-/// for [`run_sweep_queued`]. Blocking [`lease`](WorkQueue::lease) calls
+/// for [`run_sweep_queued_tiered`]. Blocking [`lease`](WorkQueue::lease) calls
 /// wake when work reappears (a failed lease re-queued) or when the queue
 /// drains or is poisoned.
 pub struct WorkQueue<T> {
@@ -771,18 +773,9 @@ pub(crate) fn resolve_workers(workers: usize) -> usize {
 /// thread-count invariance of the canonical reduction makes the per-point
 /// reports — and therefore the assembled [`GridReport`] — independent of
 /// the pool size, the lease schedule and any retries.
-pub fn run_sweep_queued(
-    sweep: &SweepSpec,
-    shard: Option<ShardId>,
-    workers: usize,
-    max_attempts: u32,
-    obs: &dyn QueueObserver,
-) -> Result<GridReport, SpecError> {
-    run_sweep_queued_tiered(sweep, shard, workers, max_attempts, obs, true)
-}
-
-/// [`run_sweep_queued`] with the closed-form serve tier explicitly enabled
-/// or disabled (`analytic = false` is the CLI's `--no-analytic`).
+///
+/// `analytic = false` (the CLI's `--no-analytic`) disables the
+/// closed-form serve tier.
 pub fn run_sweep_queued_tiered(
     sweep: &SweepSpec,
     shard: Option<ShardId>,
@@ -1144,13 +1137,16 @@ mod tests {
         };
         let sequential = crate::run_sweep(&sweep, None, 1).unwrap();
         for workers in [1usize, 3] {
-            let queued = run_sweep_queued(&sweep, None, workers, 3, &NoopQueueObserver).unwrap();
+            let queued =
+                run_sweep_queued_tiered(&sweep, None, workers, 3, &NoopQueueObserver, true)
+                    .unwrap();
             assert_eq!(queued, sequential, "workers = {workers}");
             assert_eq!(queued.to_json().pretty(), sequential.to_json().pretty());
         }
         // Sharded queued runs cover exactly the shard's range.
         let shard = ShardId::new(1, 3).unwrap();
-        let queued = run_sweep_queued(&sweep, Some(shard), 2, 3, &NoopQueueObserver).unwrap();
+        let queued =
+            run_sweep_queued_tiered(&sweep, Some(shard), 2, 3, &NoopQueueObserver, true).unwrap();
         let sequential = crate::run_sweep(&sweep, Some(shard), 1).unwrap();
         assert_eq!(queued, sequential);
     }

@@ -1,10 +1,12 @@
-//! The sharded sweep executor: partition a [`SweepSpec`] grid across
+//! The sharded sweep executor: partition a grid of [`Cell`]s across
 //! machines by index range, emit per-shard report documents, and
 //! reassemble the full grid — failing loudly on anything suspicious.
 //!
-//! `SweepSpec::expand()` derives a deterministic per-point seed from the
-//! grid index, so a grid point produces the same [`RunReport`] no matter
-//! which shard (or machine) ran it. The workflow:
+//! Written once over [`Cell`], so single-task [`SweepSpec`] grids and
+//! executive [`ExecutiveSweepSpec`] grids share every rule below. A
+//! sweep's expansion derives each grid point's seed from its flat index,
+//! so a point produces the same report no matter which shard (or machine,
+//! or runner) computed it. The workflow:
 //!
 //! ```text
 //! eacp sweep --spec grid.json --shard 0/3 --out reports/   # machine 0
@@ -13,17 +15,19 @@
 //! eacp merge reports/ --out grid-report.json               # anywhere
 //! ```
 //!
-//! The merged document is bit-identical to what an unsharded
-//! `eacp sweep --out` writes (the unsharded document is simply the
-//! one-shard special case), and [`merge_dir`] refuses to produce a grid
-//! report when a shard is missing, a grid point is duplicated, or a
-//! point's embedded spec does not match the sweep it claims to belong to.
+//! (`eacp executive --sweep grid.json` shards the same way.) The merged
+//! document is bit-identical to what an unsharded run writes (the
+//! unsharded document is simply the one-shard special case), and
+//! [`merge_dir`] refuses to produce a grid report when a shard is missing,
+//! a grid point is duplicated, or a point's embedded spec does not match
+//! the sweep it claims to belong to.
+//!
+//! [`SweepSpec`]: eacp_spec::SweepSpec
+//! [`ExecutiveSweepSpec`]: eacp_spec::ExecutiveSweepSpec
 
-use crate::job::Job;
+use crate::cell::{run_point_tiered, Cell, Sweep};
 use crate::runner::{LocalRunner, Runner};
-use eacp_spec::{
-    ExperimentSpec, FromJson, Json, RunReport, SpecError, SummaryReport, SweepSpec, ToJson,
-};
+use eacp_spec::{ExperimentSpec, FromJson, Json, SpecError, ToJson};
 use std::path::{Path, PathBuf};
 
 /// One shard of a sweep: `index` of `count`.
@@ -107,24 +111,24 @@ impl std::fmt::Display for ShardId {
 
 /// One grid point's result, tagged with its flat grid index.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PointReport {
-    /// Flat index into `SweepSpec::expand()` order.
+pub struct PointReport<C: Cell = ExperimentSpec> {
+    /// Flat index into the sweep's expansion order.
     pub index: usize,
-    /// The point's full run report (spec embedded for provenance).
-    pub report: RunReport,
+    /// The point's full report (spec embedded for provenance).
+    pub report: C::Report,
 }
 
 /// A sweep result document: the whole grid, or one shard of it.
 #[derive(Debug, Clone)]
-pub struct GridReport {
+pub struct GridReport<C: Cell = ExperimentSpec> {
     /// The sweep that produced (or will reproduce) these points.
-    pub sweep: SweepSpec,
+    pub sweep: C::Sweep,
     /// Total grid points in the full sweep (not just this document).
     pub total_points: usize,
     /// Which shard this document covers (`None` = the full grid).
     pub shard: Option<ShardId>,
     /// Covered points, ascending by grid index.
-    pub points: Vec<PointReport>,
+    pub points: Vec<PointReport<C>>,
     /// Where this document was loaded from (`None` for freshly computed
     /// grids). Never serialized — diagnostics provenance only, so merge
     /// failures can name the artifact a bad point came from.
@@ -133,7 +137,7 @@ pub struct GridReport {
 
 // Like `RunReport`: provenance is where the document came from, not part
 // of the result, so a loaded shard compares equal to its recomputation.
-impl PartialEq for GridReport {
+impl<C: Cell> PartialEq for GridReport<C> {
     fn eq(&self, other: &Self) -> bool {
         self.sweep == other.sweep
             && self.total_points == other.total_points
@@ -142,7 +146,7 @@ impl PartialEq for GridReport {
     }
 }
 
-impl GridReport {
+impl<C: Cell> GridReport<C> {
     /// The canonical file name: `grid.json` for a full grid,
     /// `shard-I-of-N.json` for one shard.
     pub fn file_name(&self) -> String {
@@ -168,8 +172,8 @@ impl GridReport {
     /// # Errors
     ///
     /// Every failure — unreadable file, malformed/truncated JSON, a
-    /// document that is not a sweep report — carries the offending file
-    /// path, so a corrupt shard in a big collection directory is
+    /// document that is not a report of this kind — carries the offending
+    /// file path, so a corrupt shard in a big collection directory is
     /// identifiable without bisecting.
     pub fn load(path: &Path) -> Result<Self, SpecError> {
         let text = std::fs::read_to_string(path)
@@ -178,19 +182,17 @@ impl GridReport {
             .map_err(|e| SpecError::invalid(format!("{}: {e}", path.display())))?;
         let mut doc = Self::from_json(&json).map_err(|e| {
             SpecError::invalid(format!(
-                "{}: invalid sweep report document: {e}",
-                path.display()
+                "{}: invalid {} report document: {e}",
+                path.display(),
+                C::KIND
             ))
         })?;
         doc.source = Some(path.to_path_buf());
-        for point in &mut doc.points {
-            point.report.source = Some(path.to_path_buf());
-        }
         Ok(doc)
     }
 }
 
-impl ToJson for GridReport {
+impl<C: Cell> ToJson for GridReport<C> {
     fn to_json(&self) -> Json {
         let mut fields: Vec<(&'static str, Json)> = vec![
             ("sweep", self.sweep.to_json()),
@@ -212,7 +214,7 @@ impl ToJson for GridReport {
     }
 }
 
-impl FromJson for GridReport {
+impl<C: Cell> FromJson for GridReport<C> {
     fn from_json(json: &Json) -> Result<Self, SpecError> {
         let shard = match json.get("shard") {
             None | Some(Json::Null) => None,
@@ -222,11 +224,11 @@ impl FromJson for GridReport {
         for item in json.req("points")?.as_array()? {
             points.push(PointReport {
                 index: item.req("index")?.as_usize()?,
-                report: RunReport::from_json(item.req("report")?)?,
+                report: C::Report::from_json(item.req("report")?)?,
             });
         }
         Ok(Self {
-            sweep: SweepSpec::from_json(json.req("sweep")?)?,
+            sweep: C::Sweep::from_json(json.req("sweep")?)?,
             total_points: json.req("total_points")?.as_usize()?,
             shard,
             points,
@@ -235,57 +237,32 @@ impl FromJson for GridReport {
     }
 }
 
-/// Expands a sweep and runs the selected shard (or, with `shard = None`,
-/// the whole grid), producing the shard's report document.
+/// Expands a sweep and produces the selected shard's document (or, with
+/// `shard = None`, the whole grid's), computing each point with `point`.
 ///
-/// Each grid point runs through the [`Job`]/[`LocalRunner`] path with its
-/// own expansion-derived seed, so a point's report does not depend on
-/// which shard executed it.
-pub fn run_sweep(
-    sweep: &SweepSpec,
-    shard: Option<ShardId>,
-    threads: usize,
-) -> Result<GridReport, SpecError> {
-    run_sweep_tiered(sweep, shard, &LocalRunner::new(threads), true)
-}
-
-/// [`run_sweep`] on an explicit [`Runner`] — the seam the queued sweep
-/// path and future remote runners share with the local one.
+/// This is the one grid loop: the plain executor below and the result
+/// store's cache-or-compute sweep differ only in `point`.
 ///
-/// Any runner honoring the determinism contract (summaries are a pure
-/// function of the job) produces the same report document here.
-pub fn run_sweep_with(
-    sweep: &SweepSpec,
-    shard: Option<ShardId>,
-    runner: &dyn Runner,
-) -> Result<GridReport, SpecError> {
-    run_sweep_tiered(sweep, shard, runner, true)
-}
-
-/// [`run_sweep_with`] with the closed-form serve tier explicitly enabled
-/// or disabled (`analytic = false` is the CLI's `--no-analytic`).
+/// # Errors
 ///
-/// Replication-invariant grid points — `λ = 0` corners of a fault-rate
-/// axis, deterministic-schedule cells — are answered analytically and
-/// marked `served: analytic` in their point reports; everything else runs
-/// on `runner` as before.
-pub fn run_sweep_tiered(
-    sweep: &SweepSpec,
+/// Per-point failures are wrapped with the grid index and point name.
+pub fn run_grid<S: Sweep>(
+    sweep: &S,
     shard: Option<ShardId>,
-    runner: &dyn Runner,
-    analytic: bool,
-) -> Result<GridReport, SpecError> {
-    let specs = sweep.expand()?;
-    let total = specs.len();
+    mut point: impl FnMut(&S::Cell) -> Result<<S::Cell as Cell>::Report, SpecError>,
+) -> Result<GridReport<S::Cell>, SpecError> {
+    let cells = sweep.expand()?;
+    let total = cells.len();
     let range = match shard {
         Some(s) => s.range(total),
         None => 0..total,
     };
     let mut points = Vec::with_capacity(range.len());
     for index in range {
-        let spec = &specs[index];
-        let report = run_point_tiered(runner, spec, analytic)
-            .map_err(|e| SpecError::invalid(format!("grid point {index} ({}): {e}", spec.name)))?;
+        let cell = &cells[index];
+        let report = point(cell).map_err(|e| {
+            SpecError::invalid(format!("grid point {index} ({}): {e}", cell.name()))
+        })?;
         points.push(PointReport { index, report });
     }
     Ok(GridReport {
@@ -297,31 +274,32 @@ pub fn run_sweep_tiered(
     })
 }
 
-/// Runs one grid point's spec on a [`Runner`], wrapping the summary as a
-/// [`RunReport`] — the single-point unit of work shared by the sweep
-/// executors and the result store's cache-or-compute path.
-pub fn run_point(runner: &dyn Runner, spec: &ExperimentSpec) -> Result<RunReport, SpecError> {
-    run_point_tiered(runner, spec, true)
+/// Runs a sweep shard on a [`LocalRunner`] with `threads` workers.
+pub fn run_sweep<S: Sweep>(
+    sweep: &S,
+    shard: Option<ShardId>,
+    threads: usize,
+) -> Result<GridReport<S::Cell>, SpecError> {
+    run_sweep_tiered(sweep, shard, &LocalRunner::new(threads), true)
 }
 
-/// [`run_point`] with the closed-form serve tier explicitly enabled or
-/// disabled.
-pub fn run_point_tiered(
+/// Runs a sweep shard on an explicit [`Runner`], with the closed-form
+/// serve tier enabled or disabled (`analytic = false` is the CLI's
+/// `--no-analytic`).
+///
+/// Any runner honoring the determinism contract (summaries are a pure
+/// function of the job) produces the same report document here.
+/// Replication-invariant single-task points — `λ = 0` corners of a
+/// fault-rate axis, deterministic-schedule cells — are answered
+/// analytically and marked `served: analytic` in their point reports.
+pub fn run_sweep_tiered<S: Sweep>(
+    sweep: &S,
+    shard: Option<ShardId>,
     runner: &dyn Runner,
-    spec: &ExperimentSpec,
     analytic: bool,
-) -> Result<RunReport, SpecError> {
-    let job = Job::from_spec(spec)?;
-    let (summary, served) = match analytic.then(|| crate::serve_closed_form(&job)).flatten() {
-        Some(summary) => (summary, eacp_spec::ServeTier::Analytic),
-        None => (runner.run(&job)?, eacp_spec::ServeTier::Mc),
-    };
-    Ok(RunReport {
-        spec: spec.clone(),
-        policy_name: job.policy_name().to_owned(),
-        summary: SummaryReport::from_summary(&summary),
-        served,
-        source: None,
+) -> Result<GridReport<S::Cell>, SpecError> {
+    run_grid(sweep, shard, |cell| {
+        run_point_tiered(runner, cell, analytic)
     })
 }
 
@@ -347,23 +325,23 @@ pub fn list_report_files(dir: &Path) -> Result<Vec<PathBuf>, SpecError> {
 /// index — when:
 ///
 /// * the directory holds no report documents, or a `.json` file is not a
-///   sweep report document;
+///   report document of this kind;
 /// * documents disagree on the sweep spec, total point count, or shard
 ///   count (a mixed-up directory);
 /// * a grid point is covered twice (duplicated shard), is missing
 ///   (withheld shard), or embeds a spec that does not match the sweep's
 ///   expansion at its index (tampered or foreign report).
-pub fn merge_dir(dir: &Path) -> Result<GridReport, SpecError> {
+pub fn merge_dir<C: Cell>(dir: &Path) -> Result<GridReport<C>, SpecError> {
     let SweepDocs {
         docs,
         total,
         expected,
         ..
-    } = load_sweep_docs(dir)?;
+    } = load_sweep_docs::<C>(dir)?;
     let sweep = docs[0].1.sweep.clone();
 
     // Point coverage: exactly once each, spec-faithful.
-    let mut slots: Vec<Option<PointReport>> = vec![None; total];
+    let mut slots: Vec<Option<PointReport<C>>> = vec![None; total];
     for (path, doc) in &docs {
         for point in &doc.points {
             if point.index >= total {
@@ -380,14 +358,15 @@ pub fn merge_dir(dir: &Path) -> Result<GridReport, SpecError> {
                     point.index
                 )));
             }
-            if point.report.spec != expected[point.index] {
+            let embedded = C::of_report(&point.report);
+            if *embedded != expected[point.index] {
                 return Err(SpecError::invalid(format!(
                     "{}: grid point {}'s embedded spec does not match the \
                      sweep expansion (expected {:?}, found {:?})",
                     path.display(),
                     point.index,
-                    expected[point.index].name,
-                    point.report.spec.name
+                    expected[point.index].name(),
+                    embedded.name()
                 )));
             }
             slots[point.index] = Some(point.clone());
@@ -420,13 +399,13 @@ pub fn merge_dir(dir: &Path) -> Result<GridReport, SpecError> {
 }
 
 /// A directory of report documents proven to belong to one sweep.
-struct SweepDocs {
+struct SweepDocs<C: Cell> {
     /// `(path, document)` pairs in path order.
-    docs: Vec<(PathBuf, GridReport)>,
+    docs: Vec<(PathBuf, GridReport<C>)>,
     /// The validated total point count (equals `expected.len()`).
     total: usize,
     /// The sweep's expansion, for per-point spec checks.
-    expected: Vec<ExperimentSpec>,
+    expected: Vec<C>,
     /// Shard count declared by the shard documents, when any declare one.
     shard_count: Option<u64>,
 }
@@ -442,7 +421,7 @@ struct SweepDocs {
 /// iteration bound — a corrupt or tampered `total_points` must surface as
 /// a [`SpecError`] naming the file, not as a capacity-overflow panic or a
 /// multi-terabyte allocation.
-fn load_sweep_docs(dir: &Path) -> Result<SweepDocs, SpecError> {
+fn load_sweep_docs<C: Cell>(dir: &Path) -> Result<SweepDocs<C>, SpecError> {
     let paths = list_report_files(dir)?;
     if paths.is_empty() {
         return Err(SpecError::invalid(format!(
@@ -453,7 +432,7 @@ fn load_sweep_docs(dir: &Path) -> Result<SweepDocs, SpecError> {
 
     let mut docs = Vec::with_capacity(paths.len());
     for path in paths {
-        let doc = GridReport::load(&path)?;
+        let doc = GridReport::<C>::load(&path)?;
         docs.push((path, doc));
     }
 
@@ -564,7 +543,7 @@ impl SweepCoverage {
 /// Unreadable or malformed documents, and documents from *different*
 /// sweeps mixed into one directory, are still loud [`SpecError`]s naming
 /// the offending file — only incomplete/duplicated coverage is tolerated.
-pub fn coverage_dir(dir: &Path) -> Result<SweepCoverage, SpecError> {
+pub fn coverage_dir<C: Cell>(dir: &Path) -> Result<SweepCoverage, SpecError> {
     // Same loading and consistency rules as `merge_dir` — including the
     // total_points-vs-expansion guard, so a lying document cannot make
     // the status pass iterate a fantasy-sized grid.
@@ -573,8 +552,8 @@ pub fn coverage_dir(dir: &Path) -> Result<SweepCoverage, SpecError> {
         total,
         shard_count,
         ..
-    } = load_sweep_docs(dir)?;
-    let sweep_name = docs[0].1.sweep.base.name.clone();
+    } = load_sweep_docs::<C>(dir)?;
+    let sweep_name = docs[0].1.sweep.name().to_owned();
 
     let mut hits: std::collections::BTreeMap<usize, usize> = Default::default();
     let docs: Vec<DocCoverage> = docs
@@ -610,24 +589,6 @@ pub fn coverage_dir(dir: &Path) -> Result<SweepCoverage, SpecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eacp_spec::{McSpec, SweepAxis};
-
-    fn small_sweep() -> SweepSpec {
-        let mut base = ExperimentSpec::paper_nominal();
-        base.name = "grid".into();
-        base.mc = McSpec {
-            replications: 40,
-            seed: 5,
-            threads: 1,
-        };
-        SweepSpec {
-            base,
-            axes: vec![
-                SweepAxis::Lambda(vec![1.0e-4, 1.4e-3]),
-                SweepAxis::K(vec![1, 5]),
-            ],
-        }
-    }
 
     #[test]
     fn shard_parse_validates() {
@@ -675,201 +636,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn sharded_points_equal_unsharded_points() {
-        let sweep = small_sweep();
-        let full = run_sweep(&sweep, None, 1).unwrap();
-        assert_eq!(full.points.len(), 4);
-        let mut collected = Vec::new();
-        for i in 0..3 {
-            let shard = run_sweep(&sweep, Some(ShardId::new(i, 3).unwrap()), 1).unwrap();
-            collected.extend(shard.points);
-        }
-        collected.sort_by_key(|p| p.index);
-        assert_eq!(collected, full.points);
-    }
-
-    #[test]
-    fn merge_reassembles_bit_identically_and_rejects_corruption() {
-        let sweep = small_sweep();
-        let base = std::env::temp_dir().join(format!("eacp-exec-shard-{}", std::process::id()));
-        let sharded = base.join("sharded");
-        let _ = std::fs::remove_dir_all(&base);
-
-        let full = run_sweep(&sweep, None, 1).unwrap();
-        for i in 0..3 {
-            run_sweep(&sweep, Some(ShardId::new(i, 3).unwrap()), 1)
-                .unwrap()
-                .save(&sharded)
-                .unwrap();
-        }
-        let merged = merge_dir(&sharded).unwrap();
-        assert_eq!(merged, full, "merged grid must equal the unsharded grid");
-        assert_eq!(merged.to_json().pretty(), full.to_json().pretty());
-
-        // Withheld shard → loud failure.
-        let withheld = base.join("withheld");
-        std::fs::create_dir_all(&withheld).unwrap();
-        for name in ["shard-0-of-3.json", "shard-2-of-3.json"] {
-            std::fs::copy(sharded.join(name), withheld.join(name)).unwrap();
-        }
-        let err = merge_dir(&withheld).unwrap_err();
-        assert!(err.to_string().contains("missing"), "{err}");
-
-        // Duplicated shard → loud failure.
-        let duplicated = base.join("duplicated");
-        std::fs::create_dir_all(&duplicated).unwrap();
-        for name in [
-            "shard-0-of-3.json",
-            "shard-1-of-3.json",
-            "shard-2-of-3.json",
-        ] {
-            std::fs::copy(sharded.join(name), duplicated.join(name)).unwrap();
-        }
-        std::fs::copy(
-            sharded.join("shard-0-of-3.json"),
-            duplicated.join("shard-0-of-3-copy.json"),
-        )
-        .unwrap();
-        let err = merge_dir(&duplicated).unwrap_err();
-        assert!(err.to_string().contains("covered twice"), "{err}");
-
-        // Spec-mismatched shard → loud failure.
-        let mismatched = base.join("mismatched");
-        std::fs::create_dir_all(&mismatched).unwrap();
-        for name in ["shard-0-of-3.json", "shard-1-of-3.json"] {
-            std::fs::copy(sharded.join(name), mismatched.join(name)).unwrap();
-        }
-        let mut other = small_sweep();
-        other.base.mc.seed = 999;
-        run_sweep(&other, Some(ShardId::new(2, 3).unwrap()), 1)
-            .unwrap()
-            .save(&mismatched)
-            .unwrap();
-        let err = merge_dir(&mismatched).unwrap_err();
-        assert!(err.to_string().contains("sweep spec differs"), "{err}");
-
-        std::fs::remove_dir_all(&base).unwrap();
-    }
-
-    #[test]
-    fn grid_report_round_trips_through_json() {
-        let sweep = small_sweep();
-        let shard = run_sweep(&sweep, Some(ShardId::new(1, 2).unwrap()), 1).unwrap();
-        let back = GridReport::from_json(&Json::parse(&shard.to_json().pretty()).unwrap()).unwrap();
-        assert_eq!(back.shard, shard.shard);
-        assert_eq!(back.total_points, shard.total_points);
-        assert_eq!(back.points.len(), shard.points.len());
-        assert_eq!(back.to_json().pretty(), shard.to_json().pretty());
-    }
-
-    #[test]
-    fn corrupt_documents_are_spec_errors_naming_the_file() {
-        let sweep = small_sweep();
-        let base = std::env::temp_dir().join(format!("eacp-exec-corrupt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&base);
-
-        // Truncated JSON.
-        let truncated = base.join("truncated");
-        let path = run_sweep(&sweep, Some(ShardId::new(0, 2).unwrap()), 1)
-            .unwrap()
-            .save(&truncated)
-            .unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &text[..text.len() / 2]).unwrap();
-        let err = merge_dir(&truncated).unwrap_err();
-        assert!(matches!(err, SpecError::Invalid(_)), "{err}");
-        assert!(err.to_string().contains("shard-0-of-2.json"), "{err}");
-
-        // A total_points that does not match the embedded sweep must be a
-        // SpecError, never an allocation-size panic.
-        let lying = base.join("lying");
-        let path = run_sweep(&sweep, Some(ShardId::new(0, 2).unwrap()), 1)
-            .unwrap()
-            .save(&lying)
-            .unwrap();
-        let text = std::fs::read_to_string(&path).unwrap().replace(
-            "\"total_points\": 4",
-            "\"total_points\": 1152921504606846976",
-        );
-        std::fs::write(&path, text).unwrap();
-        let err = merge_dir(&lying).unwrap_err();
-        assert!(err.to_string().contains("expands to 4"), "{err}");
-        assert!(err.to_string().contains("shard-0-of-2.json"), "{err}");
-        // coverage_dir shares the guard: the lie must not become the
-        // status pass's iteration bound.
-        let err = coverage_dir(&lying).unwrap_err();
-        assert!(err.to_string().contains("expands to 4"), "{err}");
-
-        // Structurally-wrong field types also name the file.
-        let wrong = base.join("wrong");
-        std::fs::create_dir_all(&wrong).unwrap();
-        std::fs::write(
-            wrong.join("shard-bad.json"),
-            r#"{"sweep": 3, "points": "x"}"#,
-        )
-        .unwrap();
-        let err = merge_dir(&wrong).unwrap_err();
-        assert!(err.to_string().contains("shard-bad.json"), "{err}");
-
-        std::fs::remove_dir_all(&base).unwrap();
-    }
-
-    #[test]
-    fn coverage_reports_missing_and_duplicated_points_without_failing() {
-        let sweep = small_sweep();
-        let base = std::env::temp_dir().join(format!("eacp-exec-coverage-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&base);
-        let dir = base.join("partial");
-
-        // Shards 0 and 2 of 3 present, shard 0 duplicated under a second
-        // file name; shard 1 still owed.
-        run_sweep(&sweep, Some(ShardId::new(0, 3).unwrap()), 1)
-            .unwrap()
-            .save(&dir)
-            .unwrap();
-        run_sweep(&sweep, Some(ShardId::new(2, 3).unwrap()), 1)
-            .unwrap()
-            .save(&dir)
-            .unwrap();
-        std::fs::copy(
-            dir.join("shard-0-of-3.json"),
-            dir.join("shard-0-of-3-copy.json"),
-        )
-        .unwrap();
-
-        let cov = coverage_dir(&dir).unwrap();
-        assert_eq!(cov.sweep_name, "grid");
-        assert_eq!(cov.total_points, 4);
-        assert_eq!(cov.shard_count, Some(3));
-        assert_eq!(cov.docs.len(), 3);
-        // Balanced 4-over-3 partition: shard 0 owns {0,1}, shard 1 owns
-        // {2}, shard 2 owns {3}.
-        assert_eq!(cov.missing, vec![2]);
-        assert_eq!(cov.duplicated, vec![0, 1]);
-        assert_eq!(cov.covered(), 3);
-        assert!(!cov.complete());
-
-        // Completing the set clears both lists.
-        std::fs::remove_file(dir.join("shard-0-of-3-copy.json")).unwrap();
-        run_sweep(&sweep, Some(ShardId::new(1, 3).unwrap()), 1)
-            .unwrap()
-            .save(&dir)
-            .unwrap();
-        let cov = coverage_dir(&dir).unwrap();
-        assert!(cov.complete(), "{cov:?}");
-        assert_eq!(cov.covered(), 4);
-
-        std::fs::remove_dir_all(&base).unwrap();
-    }
-
-    #[test]
-    fn empty_dir_is_an_error() {
-        let dir = std::env::temp_dir().join(format!("eacp-exec-empty-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        assert!(merge_dir(&dir).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -177,6 +177,6 @@ fn remote_sweep_matches_sequential_sweep() {
         5_000,
         3,
     );
-    let remote = eacp_exec::run_sweep_with(&sweep, None, &runner).unwrap();
+    let remote = eacp_exec::run_sweep_tiered(&sweep, None, &runner, true).unwrap();
     assert_eq!(remote, sequential, "grid bytes are location-independent");
 }

@@ -292,6 +292,14 @@ impl ExecutiveMcSpec {
         }
         if let Some(q) = &self.queue {
             q.validate()?;
+            // The remote protocol ships single-task jobs only; a fleet
+            // section here would otherwise be silently run in-process.
+            if !q.endpoints.is_empty() {
+                return Err(SpecError::invalid(
+                    "mc.queue.endpoints: remote endpoints are not supported for \
+                     executive workloads (executive horizons run in-process)",
+                ));
+            }
         }
         Ok(())
     }
@@ -866,6 +874,27 @@ mod tests {
             ..ExecutiveMcSpec::default()
         });
         assert!(matches!(spec.validate(), Err(SpecError::Invalid(_))));
+    }
+
+    #[test]
+    fn mc_validation_rejects_fleet_endpoints() {
+        // Executive horizons cannot ship to a fleet; a spec naming
+        // endpoints is a typed error, not a silent in-process run.
+        let mut spec = ExecutiveSpec::new("fleet-mc", trio());
+        spec.mc = Some(ExecutiveMcSpec {
+            queue: Some(QueueSpec {
+                endpoints: vec!["127.0.0.1:9".into()],
+                timeout_ms: 200,
+                ..Default::default()
+            }),
+            ..ExecutiveMcSpec::default()
+        });
+        let err = spec.validate().unwrap_err();
+        assert!(matches!(err, SpecError::Invalid(_)), "{err}");
+        assert!(err.to_string().contains("endpoints"), "{err}");
+        // The same spec read back from JSON fails the same way.
+        let reread = ExecutiveSpec::from_json_str(&spec.to_json_string()).unwrap();
+        assert!(reread.validate().is_err());
     }
 
     #[test]

@@ -6,6 +6,12 @@
 //! deterministic simulator, so a cell's result never goes stale — the only
 //! way to get a different answer is to ask a different cell.
 //!
+//! [`StoreCell`] is where each workload kind makes its hashing decision:
+//! which fields of its spec are result-neutral and stripped before
+//! hashing, which fields key the cell alongside the hash, and which
+//! [`CellPayload`] variant holds its summary. Both kinds' rules live in
+//! this module, next to the key and entry types they feed.
+//!
 //! `replications == 0` is the **single-execution sentinel**: `eacp run`
 //! executes one replication directly with the raw base seed (no
 //! per-replication seed derivation), which is a different computation from
@@ -22,15 +28,171 @@
 //! shortest-round-trip float formatting — the property that makes a cache
 //! hit byte-identical to recomputation.
 
-use crate::hash::{
-    cell_spec_json, executive_cell_spec_json, executive_spec_hash, sha256, spec_hash, SpecHash,
-};
-use eacp_exec::ExecutiveSummary;
+use crate::hash::SpecHash;
+use eacp_exec::{Cell, ExecutiveSummary};
 use eacp_sim::{RunOutcome, Summary};
 use eacp_spec::{
     ExecutiveMcSpec, ExecutiveSpec, ExperimentSpec, FromJson, Json, ServeTier, SpecError, ToJson,
 };
 use std::path::PathBuf;
+
+/// A [`Cell`] the store can key and hold: one workload kind's cell key
+/// (hash-strip rule, seed, replication count) and payload mapping.
+pub trait StoreCell: Cell {
+    /// What this kind's payload is called in wrong-kind errors.
+    const PAYLOAD: &'static str;
+
+    /// The canonical cell-spec document: the spec's JSON with every
+    /// result-neutral field removed. This is the exact text that gets
+    /// hashed and the exact text an entry embeds, so a stored document
+    /// always re-hashes to its own address.
+    fn cell_spec_json(&self) -> Json;
+
+    /// The seed and replication count that key the cell alongside the
+    /// spec hash.
+    fn seed_and_replications(&self) -> (u64, u64);
+
+    /// The entry's `policy` column.
+    fn policy_label(&self) -> String;
+
+    /// Wraps a summary as this kind's payload.
+    fn payload(summary: &Self::Summary) -> CellPayload;
+
+    /// This kind's summary in `payload`, if it holds one.
+    fn summary_in(payload: &CellPayload) -> Option<&Self::Summary>;
+
+    /// Reconstructs a runnable cell from an entry's canonical document
+    /// plus its key — what `eacp store verify` re-executes. Stripped
+    /// fields take their defaults (`threads = 0`, which cannot change the
+    /// result).
+    ///
+    /// # Errors
+    ///
+    /// A canonical document that does not parse as this kind's spec.
+    fn from_entry(entry: &CellEntry) -> Result<Self, SpecError>;
+
+    /// The cell a Monte-Carlo run of this spec lands in.
+    fn cell_id(&self) -> CellId {
+        let (seed, replications) = self.seed_and_replications();
+        CellId {
+            spec_hash: SpecHash::of(&self.cell_spec_json()),
+            seed,
+            replications,
+        }
+    }
+}
+
+/// `doc` without the object fields named in `fields` — the shape of every
+/// kind's strip rule.
+fn strip(doc: Json, fields: &[&str]) -> Json {
+    match doc {
+        Json::Object(kv) => Json::Object(
+            kv.into_iter()
+                .filter(|(k, _)| !fields.contains(&k.as_str()))
+                .collect(),
+        ),
+        other => other,
+    }
+}
+
+/// Single-task cells strip `name` (a human label), `mc` (seed and
+/// replications key the cell alongside the hash; the thread count is
+/// proven result-neutral) and `executor.queue` (work-queue scheduling is
+/// proven bit-identical to the local runner — placement, not physics).
+impl StoreCell for ExperimentSpec {
+    const PAYLOAD: &'static str = "single-task Monte-Carlo summary";
+
+    fn cell_spec_json(&self) -> Json {
+        match strip(self.to_json(), &["name", "mc"]) {
+            Json::Object(fields) => Json::Object(
+                fields
+                    .into_iter()
+                    .map(|(k, v)| match k.as_str() {
+                        "executor" => (k, strip(v, &["queue"])),
+                        _ => (k, v),
+                    })
+                    .collect(),
+            ),
+            other => other,
+        }
+    }
+
+    fn seed_and_replications(&self) -> (u64, u64) {
+        (self.mc.seed, self.mc.replications)
+    }
+
+    fn policy_label(&self) -> String {
+        self.policy.policy_name().to_owned()
+    }
+
+    fn payload(summary: &Summary) -> CellPayload {
+        CellPayload::Summary(summary.clone())
+    }
+
+    fn summary_in(payload: &CellPayload) -> Option<&Summary> {
+        match payload {
+            CellPayload::Summary(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    fn from_entry(entry: &CellEntry) -> Result<Self, SpecError> {
+        let mut spec = ExperimentSpec::from_json(&entry.spec)?;
+        spec.mc.seed = entry.cell.seed;
+        spec.mc.replications = entry.cell.replications.max(1);
+        spec.mc.threads = 0;
+        Ok(spec)
+    }
+}
+
+/// Executive cells strip `name`, `seed` (keys the cell alongside the
+/// hash, like `mc.seed` for single-task cells) and `mc` (the horizon
+/// count keys the cell; threads and queue scheduling are proven
+/// bit-identical by the canonical-reduction contract).
+impl StoreCell for ExecutiveSpec {
+    const PAYLOAD: &'static str = "executive Monte-Carlo summary";
+
+    fn cell_spec_json(&self) -> Json {
+        strip(self.to_json(), &["name", "seed", "mc"])
+    }
+
+    /// The seed is the spec's top-level seed; the replication count is
+    /// the horizon count from the `mc` section (its default when absent).
+    fn seed_and_replications(&self) -> (u64, u64) {
+        let horizons = match &self.mc {
+            Some(mc) => mc.replications,
+            None => ExecutiveMcSpec::default().replications,
+        };
+        (self.seed, horizons)
+    }
+
+    /// The per-task names joined with `+`.
+    fn policy_label(&self) -> String {
+        self.policy.policy_names(self.tasks.len()).join("+")
+    }
+
+    fn payload(summary: &ExecutiveSummary) -> CellPayload {
+        CellPayload::Executive(summary.clone())
+    }
+
+    fn summary_in(payload: &CellPayload) -> Option<&ExecutiveSummary> {
+        match payload {
+            CellPayload::Executive(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    fn from_entry(entry: &CellEntry) -> Result<Self, SpecError> {
+        let mut spec = ExecutiveSpec::from_json(&entry.spec)?;
+        spec.seed = entry.cell.seed;
+        spec.mc = Some(ExecutiveMcSpec {
+            replications: entry.cell.replications.max(1),
+            threads: 0,
+            queue: None,
+        });
+        Ok(spec)
+    }
+}
 
 /// The key of one stored result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -44,32 +206,11 @@ pub struct CellId {
 }
 
 impl CellId {
-    /// The cell a Monte-Carlo run of `spec` lands in.
-    pub fn for_spec(spec: &ExperimentSpec) -> Self {
-        Self {
-            spec_hash: spec_hash(spec),
-            seed: spec.mc.seed,
-            replications: spec.mc.replications,
-        }
-    }
-
     /// The cell a single raw-seed execution of `spec` lands in.
     pub fn for_single(spec: &ExperimentSpec) -> Self {
         Self {
-            spec_hash: spec_hash(spec),
-            seed: spec.mc.seed,
             replications: 0,
-        }
-    }
-
-    /// The cell an executive Monte-Carlo run of `spec` lands in. The seed
-    /// is the spec's top-level seed; the replication count is the horizon
-    /// count from the spec's `mc` section (its default when absent).
-    pub fn for_executive(spec: &ExecutiveSpec) -> Self {
-        Self {
-            spec_hash: executive_spec_hash(spec),
-            seed: spec.seed,
-            replications: spec.mc_or_default().replications,
+            ..spec.cell_id()
         }
     }
 }
@@ -107,7 +248,7 @@ pub struct CellEntry {
     pub cell: CellId,
     /// The `Policy::name()` of the scheme that ran.
     pub policy: String,
-    /// The canonical cell-spec document ([`cell_spec_json`]) — embedded so
+    /// The canonical cell-spec document ([`StoreCell::cell_spec_json`]) — embedded so
     /// an entry is self-describing and re-verifiable without the original
     /// spec file.
     pub spec: Json,
@@ -139,22 +280,28 @@ impl PartialEq for CellEntry {
 }
 
 impl CellEntry {
-    /// Builds the entry recording a Monte-Carlo run of `spec`.
-    pub fn summary(spec: &ExperimentSpec, summary: &Summary) -> Self {
-        Self::summary_tiered(spec, summary, ServeTier::Mc)
-    }
-
-    /// [`CellEntry::summary`] carrying the tier that produced the
-    /// aggregate — `ServeTier::Analytic` for closed-form-served cells.
-    pub fn summary_tiered(spec: &ExperimentSpec, summary: &Summary, served: ServeTier) -> Self {
+    /// Builds the entry recording `summary` as `cell`'s result, filed
+    /// under `id` — the [`StoreCell::cell_id`] the caller already looked
+    /// up, so a point is hashed once.
+    pub fn record<C: StoreCell>(
+        cell: &C,
+        id: CellId,
+        summary: &C::Summary,
+        served: ServeTier,
+    ) -> Self {
         Self {
-            cell: CellId::for_spec(spec),
-            policy: spec.policy.policy_name().to_owned(),
-            spec: cell_spec_json(spec),
-            payload: CellPayload::Summary(summary.clone()),
+            cell: id,
+            policy: cell.policy_label(),
+            spec: cell.cell_spec_json(),
+            payload: C::payload(summary),
             served,
             source: None,
         }
+    }
+
+    /// Builds the entry recording a Monte-Carlo run of `spec`.
+    pub fn summary(spec: &ExperimentSpec, summary: &Summary) -> Self {
+        Self::record(spec, spec.cell_id(), summary, ServeTier::Mc)
     }
 
     /// Builds the entry recording a single raw-seed execution of `spec`.
@@ -162,35 +309,23 @@ impl CellEntry {
         Self {
             cell: CellId::for_single(spec),
             policy: spec.policy.policy_name().to_owned(),
-            spec: cell_spec_json(spec),
+            spec: spec.cell_spec_json(),
             payload: CellPayload::Outcome(outcome.clone()),
             served: ServeTier::Mc,
             source: None,
         }
     }
 
-    /// Builds the entry recording an executive Monte-Carlo run of `spec`.
-    /// The policy column holds the per-task names joined with `+`.
-    pub fn executive(spec: &ExecutiveSpec, summary: &ExecutiveSummary) -> Self {
-        Self {
-            cell: CellId::for_executive(spec),
-            policy: spec.policy.policy_names(spec.tasks.len()).join("+"),
-            spec: executive_cell_spec_json(spec),
-            payload: CellPayload::Executive(summary.clone()),
-            served: ServeTier::Mc,
-            source: None,
-        }
+    /// The `C`-kind aggregate, for that kind's cells.
+    pub fn summary_of<C: StoreCell>(&self) -> Result<&C::Summary, SpecError> {
+        C::summary_in(&self.payload).ok_or_else(|| {
+            SpecError::invalid(format!("cell {} does not hold a {}", self.cell, C::PAYLOAD))
+        })
     }
 
-    /// The Monte-Carlo aggregate, for summary cells.
+    /// The single-task Monte-Carlo aggregate, for summary cells.
     pub fn as_summary(&self) -> Result<&Summary, SpecError> {
-        match &self.payload {
-            CellPayload::Summary(s) => Ok(s),
-            _ => Err(SpecError::invalid(format!(
-                "cell {} does not hold a single-task Monte-Carlo summary",
-                self.cell
-            ))),
-        }
+        self.summary_of::<ExperimentSpec>()
     }
 
     /// The single-execution outcome, for `replications == 0` cells.
@@ -204,54 +339,13 @@ impl CellEntry {
         }
     }
 
-    /// The executive Monte-Carlo aggregate, for executive cells.
-    pub fn as_executive(&self) -> Result<&ExecutiveSummary, SpecError> {
-        match &self.payload {
-            CellPayload::Executive(s) => Ok(s),
-            _ => Err(SpecError::invalid(format!(
-                "cell {} does not hold an executive Monte-Carlo summary",
-                self.cell
-            ))),
-        }
-    }
-
-    /// Reconstructs a runnable [`ExperimentSpec`] from the embedded
-    /// canonical document plus this entry's key — the spec `eacp store
-    /// verify` re-executes. The canonical document carries no `name` or
-    /// `mc` section, so the name defaults and the seed/replications come
-    /// from the cell id (`threads = 0`, which cannot change the result).
-    pub fn experiment_spec(&self) -> Result<ExperimentSpec, SpecError> {
-        let mut spec = ExperimentSpec::from_json(&self.spec)?;
-        spec.mc.seed = self.cell.seed;
-        spec.mc.replications = self.cell.replications.max(1);
-        spec.mc.threads = 0;
-        Ok(spec)
-    }
-
-    /// Reconstructs a runnable [`ExecutiveSpec`] from the embedded
-    /// canonical document plus this entry's key — what `eacp store verify`
-    /// re-executes for executive cells. The canonical document carries no
-    /// `name`, `seed` or `mc`, so the name defaults, the seed comes from
-    /// the cell id and the horizon count from the cell's replications
-    /// (`threads = 0`, which cannot change the result).
-    pub fn executive_spec(&self) -> Result<ExecutiveSpec, SpecError> {
-        let mut spec = ExecutiveSpec::from_json(&self.spec)?;
-        spec.seed = self.cell.seed;
-        spec.mc = Some(ExecutiveMcSpec {
-            replications: self.cell.replications.max(1),
-            threads: 0,
-            queue: None,
-        });
-        Ok(spec)
-    }
-
     /// Internal-consistency check: the embedded spec re-hashes to the
     /// cell's address, and the payload kind, replication count and anomaly
     /// discipline match the key. Backends run this on every read so a
     /// corrupt or tampered entry surfaces as a quarantine, never as a
     /// silently wrong cache hit.
     pub fn validate(&self) -> Result<(), SpecError> {
-        let rehashed = SpecHash(sha256(self.spec.pretty().as_bytes()));
+        let rehashed = SpecHash::of(&self.spec);
         if rehashed != self.cell.spec_hash {
             return Err(SpecError::invalid(format!(
                 "cell {}: embedded spec re-hashes to {rehashed}",
@@ -264,21 +358,7 @@ impl CellEntry {
                 self.cell
             )));
         }
-        match &self.payload {
-            CellPayload::Summary(s) => {
-                if self.cell.replications == 0 {
-                    return Err(SpecError::invalid(format!(
-                        "cell {}: summary payload in a single-execution cell",
-                        self.cell
-                    )));
-                }
-                if s.replications != self.cell.replications {
-                    return Err(SpecError::invalid(format!(
-                        "cell {}: summary covers {} replications",
-                        self.cell, s.replications
-                    )));
-                }
-            }
+        let covered = match &self.payload {
             CellPayload::Outcome(o) => {
                 if self.cell.replications != 0 {
                     return Err(SpecError::invalid(format!(
@@ -292,21 +372,22 @@ impl CellEntry {
                         self.cell
                     )));
                 }
+                return Ok(());
             }
-            CellPayload::Executive(s) => {
-                if self.cell.replications == 0 {
-                    return Err(SpecError::invalid(format!(
-                        "cell {}: executive payload in a single-execution cell",
-                        self.cell
-                    )));
-                }
-                if s.horizons != self.cell.replications {
-                    return Err(SpecError::invalid(format!(
-                        "cell {}: executive summary covers {} horizons",
-                        self.cell, s.horizons
-                    )));
-                }
-            }
+            CellPayload::Summary(s) => s.replications,
+            CellPayload::Executive(s) => s.horizons,
+        };
+        if self.cell.replications == 0 {
+            return Err(SpecError::invalid(format!(
+                "cell {}: Monte-Carlo payload in a single-execution cell",
+                self.cell
+            )));
+        }
+        if covered != self.cell.replications {
+            return Err(SpecError::invalid(format!(
+                "cell {}: payload covers {covered} replications",
+                self.cell
+            )));
         }
         Ok(())
     }
@@ -505,8 +586,8 @@ mod tests {
         let spec = small_spec();
         let (summary, _) = run(&spec).unwrap();
         let entry = CellEntry::summary(&spec, &summary);
-        let rebuilt = entry.experiment_spec().unwrap();
-        assert_eq!(CellId::for_spec(&rebuilt), entry.cell);
+        let rebuilt = ExperimentSpec::from_entry(&entry).unwrap();
+        assert_eq!(rebuilt.cell_id(), entry.cell);
         // Re-running the reconstructed spec reproduces the payload.
         let (again, _) = run(&rebuilt).unwrap();
         assert_eq!(&again, entry.as_summary().unwrap());

@@ -1,15 +1,8 @@
 //! Content addressing for experiment cells.
 //!
 //! A cell's address is the SHA-256 digest of its *canonical cell spec*:
-//! the experiment's [`ExperimentSpec`] JSON with everything that cannot
-//! change the result removed. Three fields are stripped:
-//!
-//! * `name` — a human label, not an input to the simulation;
-//! * `mc` — seed and replication count key the cell *alongside* the hash
-//!   (see `CellId`), and the thread count is proven not to change a bit
-//!   of the summary (the canonical-reduction contract);
-//! * `executor.queue` — scheduling through the work queue is proven
-//!   bit-identical to the local runner, so it is placement, not physics.
+//! the spec's JSON with everything that cannot change the result removed
+//! (each workload kind's strip rule is its `StoreCell::cell_spec_json`).
 //!
 //! Hashing the [`Json::pretty`] text of the stripped document inherits the
 //! spec layer's canonical formatting: shortest-round-trip floats, lossless
@@ -21,13 +14,19 @@
 //! The build environment is offline, so the crate carries its own SHA-256
 //! (FIPS 180-4) rather than depending on a hashing crate.
 
-use eacp_spec::{ExecutiveSpec, ExperimentSpec, Json, SpecError, ToJson};
+use crate::cell::StoreCell;
+use eacp_spec::{ExperimentSpec, Json, SpecError};
 
 /// The 32-byte content address of a canonical cell spec.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SpecHash(pub [u8; 32]);
 
 impl SpecHash {
+    /// The address of a canonical cell-spec document.
+    pub fn of(doc: &Json) -> Self {
+        Self(sha256(doc.pretty().as_bytes()))
+    }
+
     /// Parses the 64-character lowercase-hex form produced by `Display`.
     pub fn from_hex(text: &str) -> Result<Self, SpecError> {
         let bytes = text.as_bytes();
@@ -67,76 +66,9 @@ impl std::fmt::Display for SpecHash {
     }
 }
 
-/// The canonical cell-spec document of an experiment: its JSON with the
-/// result-neutral fields (`name`, `mc`, `executor.queue`) removed.
-///
-/// This is the exact text that gets hashed, and the exact text a store
-/// entry embeds for verification — so the stored document always re-hashes
-/// to its own address.
-pub fn cell_spec_json(spec: &ExperimentSpec) -> Json {
-    strip_result_neutral(spec.to_json())
-}
-
-/// Removes `name`, `mc` and `executor.queue` from an experiment document.
-fn strip_result_neutral(json: Json) -> Json {
-    let Json::Object(fields) = json else {
-        return json;
-    };
-    Json::Object(
-        fields
-            .into_iter()
-            .filter(|(k, _)| k != "name" && k != "mc")
-            .map(|(k, v)| {
-                if k != "executor" {
-                    return (k, v);
-                }
-                match v {
-                    Json::Object(exec_fields) => (
-                        k,
-                        Json::Object(
-                            exec_fields
-                                .into_iter()
-                                .filter(|(ek, _)| ek != "queue")
-                                .collect(),
-                        ),
-                    ),
-                    other => (k, other),
-                }
-            })
-            .collect(),
-    )
-}
-
 /// The content address of an experiment's canonical cell spec.
 pub fn spec_hash(spec: &ExperimentSpec) -> SpecHash {
-    SpecHash(sha256(cell_spec_json(spec).pretty().as_bytes()))
-}
-
-/// The canonical cell-spec document of an executive experiment: its JSON
-/// with the result-neutral fields removed.
-///
-/// For executive specs three top-level fields are stripped: `name` (human
-/// label), `seed` (keys the cell alongside the hash, like `mc.seed` for
-/// single-task cells) and `mc` (replications key the cell; threads and
-/// queue scheduling are proven bit-identical by the canonical-reduction
-/// contract).
-pub fn executive_cell_spec_json(spec: &ExecutiveSpec) -> Json {
-    let Json::Object(fields) = spec.to_json() else {
-        // audit:allow(panic): ExecutiveSpec::to_json always builds an
-        // object; any other shape is a ToJson impl bug.
-        unreachable!("executive specs serialize to objects");
-    };
-    Json::Object(
-        fields
-            .into_iter()
-            .filter(|(k, _)| k != "name" && k != "seed" && k != "mc")
-            .collect(),
-    )
-}
-
-/// The content address of an executive spec's canonical cell document.
-pub fn executive_spec_hash(spec: &ExecutiveSpec) -> SpecHash {
-    SpecHash(sha256(executive_cell_spec_json(spec).pretty().as_bytes()))
+    SpecHash::of(&spec.cell_spec_json())
 }
 
 /// SHA-256 (FIPS 180-4) of `data`.
@@ -289,9 +221,9 @@ mod tests {
     #[test]
     fn canonical_cell_spec_re_hashes_to_its_own_address() {
         let spec = ExperimentSpec::paper_nominal();
-        let doc = cell_spec_json(&spec);
+        let doc = spec.cell_spec_json();
         assert!(doc.get("name").is_none());
         assert!(doc.get("mc").is_none());
-        assert_eq!(SpecHash(sha256(doc.pretty().as_bytes())), spec_hash(&spec));
+        assert_eq!(SpecHash::of(&doc), spec_hash(&spec));
     }
 }

@@ -15,14 +15,21 @@
 //! persists one JSON file per cell with atomic write-rename and
 //! quarantine-on-corruption; [`MemBackend`] is the in-memory reference.
 //!
+//! Every entry point is written once over [`StoreCell`] — the store's
+//! extension of the execution layer's `Cell` — so single-task and
+//! executive cells share one pipeline. Each kind's [`StoreCell`] impl is
+//! its key (hash-strip rule, seed, replication count) and payload mapping.
+//!
 //! Entry points:
 //!
-//! * [`run_cached`] — cache-or-compute for one Monte-Carlo experiment
-//!   (`eacp mc`);
+//! * [`run_cached_with_tiered`] — cache-or-compute for one cell on a given
+//!   runner: replay keyed by [`CellId`] around the compute path;
+//!   [`run_cached_tiered`] runs it on the cell's own placement (`eacp mc`,
+//!   `eacp executive --mc`);
 //! * [`run_cached_single`] — the same for one raw-seed execution
 //!   (`eacp run`), keyed with the `replications == 0` sentinel;
-//! * [`run_sweep_cached`] — a resumable sweep: only uncovered grid cells
-//!   are scheduled onto the runner;
+//! * [`run_sweep_cached_tiered`] — a resumable sweep: only uncovered grid
+//!   cells are scheduled onto the runner; [`store_coverage`] reports which;
 //! * [`verify_store`] / [`verify_cell`] — recompute stored cells and fail
 //!   on any byte mismatch.
 
@@ -37,22 +44,15 @@ pub mod observe;
 pub mod sweep;
 
 pub use backend::{EvictionReport, Lookup, MemBackend, RetentionPolicy, StoreBackend, StoreHealth};
-pub use cell::{CellEntry, CellId, CellPayload};
+pub use cell::{CellEntry, CellId, CellPayload, StoreCell};
 pub use fs::{FsBackend, STORE_ENV_VAR};
-pub use hash::{
-    cell_spec_json, executive_cell_spec_json, executive_spec_hash, sha256, spec_hash, SpecHash,
-};
+pub use hash::{sha256, spec_hash, SpecHash};
 pub use observe::{NoopStoreObserver, StoreCounters, StoreObserver};
-pub use sweep::{
-    executive_store_coverage, run_executive_sweep_cached, run_sweep_cached,
-    run_sweep_cached_tiered, store_coverage, StoreCoverage,
-};
+pub use sweep::{run_sweep_cached_tiered, store_coverage, StoreCoverage};
 
-use eacp_exec::{
-    ExecutiveJob, ExecutiveMcReport, ExecutiveSummary, Job, LocalRunner, QueueRunner, Runner,
-};
-use eacp_sim::{RunOutcome, Summary};
-use eacp_spec::{ExecutiveSpec, ExperimentSpec, RunReport, ServeTier, SpecError, SummaryReport};
+use eacp_exec::{LocalRunner, Runner};
+use eacp_sim::RunOutcome;
+use eacp_spec::{ExecutiveSpec, ExperimentSpec, ServeTier, SpecError};
 
 /// How the cache participates in a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,6 +74,16 @@ pub enum CacheOutcome {
     Refreshed,
 }
 
+impl CacheOutcome {
+    /// The outcome of a computed (not served) result under `mode`.
+    fn computed(mode: CacheMode) -> Self {
+        match mode {
+            CacheMode::ReadWrite => CacheOutcome::Miss,
+            CacheMode::Refresh => CacheOutcome::Refreshed,
+        }
+    }
+}
+
 impl std::fmt::Display for CacheOutcome {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
@@ -84,245 +94,110 @@ impl std::fmt::Display for CacheOutcome {
     }
 }
 
-/// The result of a cache-or-compute Monte-Carlo run.
+/// The result of a cache-or-compute Monte-Carlo run of one cell.
 #[derive(Debug, Clone)]
-pub struct CachedRun {
+pub struct CachedRun<C: StoreCell = ExperimentSpec> {
     /// The cell the run landed in.
     pub id: CellId,
     /// The exact in-memory aggregate (bit-identical on hit and miss).
-    pub summary: Summary,
-    /// The serializable report; on a hit its `source` names the store
-    /// entry the result was served from.
-    pub report: RunReport,
-    /// Hit, miss, or refresh.
-    pub cache: CacheOutcome,
-}
-
-/// Cache-or-compute for one experiment spec (the `eacp mc` path).
-///
-/// The compute side matches `eacp_exec::run` exactly: the spec's executor
-/// section picks the queue or local scheduler. Either way the summary is
-/// bit-identical (the canonical-reduction contract), which is why the
-/// scheduling choice is not part of the cell key.
-pub fn run_cached(
-    spec: &ExperimentSpec,
-    store: &dyn StoreBackend,
-    mode: CacheMode,
-    observer: &dyn StoreObserver,
-) -> Result<CachedRun, SpecError> {
-    run_cached_tiered(spec, store, mode, observer, true)
-}
-
-/// [`run_cached`] with the closed-form serve tier explicitly enabled or
-/// disabled (`analytic = false` is the CLI's `--no-analytic`).
-pub fn run_cached_tiered(
-    spec: &ExperimentSpec,
-    store: &dyn StoreBackend,
-    mode: CacheMode,
-    observer: &dyn StoreObserver,
-    analytic: bool,
-) -> Result<CachedRun, SpecError> {
-    match &spec.executor.queue {
-        Some(q) => {
-            q.validate()?;
-            let runner = QueueRunner::new(q.workers).with_max_attempts(q.max_attempts);
-            if q.endpoints.is_empty() {
-                run_cached_with_tiered(spec, &runner, store, mode, observer, analytic)
-            } else {
-                // Remote fleet on a cache miss: same worker wiring as
-                // `eacp_exec::run_tiered`, same bit-identical summary, so
-                // the cell bytes are location-independent too.
-                let worker = eacp_exec::RemoteWorker::from_queue_spec(q);
-                let lease_timeout = worker.lease_timeout();
-                let runner = runner.with_worker(worker).with_lease_timeout(lease_timeout);
-                run_cached_with_tiered(spec, &runner, store, mode, observer, analytic)
-            }
-        }
-        None => run_cached_with_tiered(
-            spec,
-            &LocalRunner::new(spec.mc.threads),
-            store,
-            mode,
-            observer,
-            analytic,
-        ),
-    }
-}
-
-/// [`run_cached`] on an explicit [`Runner`] — the seam the resumable sweep
-/// shares with the single-experiment path.
-pub fn run_cached_with(
-    spec: &ExperimentSpec,
-    runner: &dyn Runner,
-    store: &dyn StoreBackend,
-    mode: CacheMode,
-    observer: &dyn StoreObserver,
-) -> Result<CachedRun, SpecError> {
-    run_cached_with_tiered(spec, runner, store, mode, observer, true)
-}
-
-/// [`run_cached_with`] with the closed-form serve tier explicitly enabled
-/// or disabled.
-///
-/// Cells record the tier that computed them, and a hit serves whatever
-/// tier the recording run used (the marker travels in the report), so one
-/// store can hold a mix of analytic and forced-Monte-Carlo cells and
-/// `store verify` re-derives each through its own tier.
-pub fn run_cached_with_tiered(
-    spec: &ExperimentSpec,
-    runner: &dyn Runner,
-    store: &dyn StoreBackend,
-    mode: CacheMode,
-    observer: &dyn StoreObserver,
-    analytic: bool,
-) -> Result<CachedRun, SpecError> {
-    let id = CellId::for_spec(spec);
-    if mode == CacheMode::ReadWrite {
-        match store.get(&id)? {
-            Lookup::Hit { entry, .. } => {
-                observer.on_hit(&id);
-                let summary = entry.as_summary()?.clone();
-                let report = RunReport {
-                    spec: spec.clone(),
-                    policy_name: entry.policy.clone(),
-                    summary: SummaryReport::from_summary(&summary),
-                    served: entry.served,
-                    source: entry.source,
-                };
-                return Ok(CachedRun {
-                    id,
-                    summary,
-                    report,
-                    cache: CacheOutcome::Hit,
-                });
-            }
-            Lookup::Quarantined { detail } => observer.on_quarantine(&id, &detail),
-            Lookup::Miss => {}
-        }
-        observer.on_miss(&id);
-    }
-    let job = Job::from_spec(spec)?;
-    let (summary, served) = match analytic
-        .then(|| eacp_exec::serve_closed_form(&job))
-        .flatten()
-    {
-        Some(summary) => (summary, ServeTier::Analytic),
-        None => (runner.run(&job)?, ServeTier::Mc),
-    };
-    store.put(&CellEntry::summary_tiered(spec, &summary, served))?;
-    observer.on_record(&id);
-    let report = RunReport {
-        spec: spec.clone(),
-        policy_name: job.policy_name().to_owned(),
-        summary: SummaryReport::from_summary(&summary),
-        served,
-        source: None,
-    };
-    Ok(CachedRun {
-        id,
-        summary,
-        report,
-        cache: match mode {
-            CacheMode::ReadWrite => CacheOutcome::Miss,
-            CacheMode::Refresh => CacheOutcome::Refreshed,
-        },
-    })
-}
-
-/// The result of a cache-or-compute executive Monte-Carlo run.
-#[derive(Debug, Clone)]
-pub struct CachedExecutive {
-    /// The cell the run landed in.
-    pub id: CellId,
-    /// The exact in-memory aggregate (bit-identical on hit and miss).
-    pub summary: ExecutiveSummary,
-    /// The serializable report (spec embedded for provenance).
-    pub report: ExecutiveMcReport,
+    pub summary: C::Summary,
+    /// The serializable report (byte-identical on hit and miss).
+    pub report: C::Report,
     /// On a hit, the store entry the result was served from.
     pub source: Option<std::path::PathBuf>,
     /// Hit, miss, or refresh.
     pub cache: CacheOutcome,
 }
 
-/// Cache-or-compute for one executive spec (the `eacp executive --mc`
-/// path).
+/// Cache-or-compute for one cell on the runner its own spec places it on
+/// (`eacp_exec::placement`: local, work queue, or remote fleet). Every
+/// placement gives a bit-identical summary (the canonical-reduction
+/// contract), which is why the scheduling choice is not part of the cell
+/// key and the cell bytes are location-independent.
 ///
-/// The compute side matches the execution layer's dispatch exactly: an
-/// `mc.queue` section picks the work-queue runner, otherwise the local
-/// runner with `mc.threads` workers — a placement choice the canonical
-/// reduction proves result-neutral, which is why it is not part of the
-/// cell key.
-pub fn run_executive_cached(
-    spec: &ExecutiveSpec,
+/// # Errors
+///
+/// An invalid queue section, plus everything [`run_cached_with_tiered`]
+/// reports.
+pub fn run_cached_tiered<C: StoreCell>(
+    cell: &C,
     store: &dyn StoreBackend,
     mode: CacheMode,
     observer: &dyn StoreObserver,
-) -> Result<CachedExecutive, SpecError> {
-    let mc = spec.mc_or_default();
-    match mc.queue {
-        Some(q) => {
-            q.validate()?;
-            let runner = QueueRunner::new(q.workers).with_max_attempts(q.max_attempts);
-            run_executive_cached_with(spec, &runner, store, mode, observer)
-        }
-        None => {
-            run_executive_cached_with(spec, &LocalRunner::new(mc.threads), store, mode, observer)
-        }
-    }
+    analytic: bool,
+) -> Result<CachedRun<C>, SpecError> {
+    let (queue, threads) = cell.placement();
+    let runner = eacp_exec::placement(queue, threads)?;
+    run_cached_with_tiered(cell, runner.as_ref(), store, mode, observer, analytic)
 }
 
-/// [`run_executive_cached`] on an explicit [`Runner`] — the seam the
-/// resumable executive sweep shares with the single-spec path.
-pub fn run_executive_cached_with(
-    spec: &ExecutiveSpec,
+/// Cache-or-compute for one cell on an explicit [`Runner`]: an intact
+/// entry under the cell's [`CellId`] is replayed, anything else is
+/// computed (`Cell::compute`, with the closed-form serve tier enabled
+/// or disabled by `analytic`) and recorded.
+///
+/// Cells record the tier that computed them, and a hit serves whatever
+/// tier the recording run used, so one store can hold a mix of analytic
+/// and forced-Monte-Carlo cells and `store verify` re-derives each
+/// through its own tier.
+///
+/// # Errors
+///
+/// Backend failures, a hit holding another kind's payload, and compute
+/// failures.
+pub fn run_cached_with_tiered<C: StoreCell>(
+    cell: &C,
     runner: &dyn Runner,
     store: &dyn StoreBackend,
     mode: CacheMode,
     observer: &dyn StoreObserver,
-) -> Result<CachedExecutive, SpecError> {
-    let id = CellId::for_executive(spec);
-    if mode == CacheMode::ReadWrite {
-        match store.get(&id)? {
-            Lookup::Hit { entry, .. } => {
-                observer.on_hit(&id);
-                let summary = entry.as_executive()?.clone();
-                let report = ExecutiveMcReport {
-                    spec: spec.clone(),
-                    policy_names: spec.policy.policy_names(spec.tasks.len()),
-                    summary: summary.clone(),
-                };
-                return Ok(CachedExecutive {
-                    id,
-                    summary,
-                    report,
-                    source: entry.source,
-                    cache: CacheOutcome::Hit,
-                });
-            }
-            Lookup::Quarantined { detail } => observer.on_quarantine(&id, &detail),
-            Lookup::Miss => {}
-        }
-        observer.on_miss(&id);
+    analytic: bool,
+) -> Result<CachedRun<C>, SpecError> {
+    let id = cell.cell_id();
+    if let Some(entry) = replay(store, &id, mode, observer)? {
+        let summary = entry.summary_of::<C>()?.clone();
+        return Ok(CachedRun {
+            id,
+            report: cell.report(&summary, entry.served),
+            summary,
+            source: entry.source,
+            cache: CacheOutcome::Hit,
+        });
     }
-    let job = ExecutiveJob::from_spec(spec)?;
-    let summary = runner.run_executive(&job)?;
-    store.put(&CellEntry::executive(spec, &summary))?;
+    let (summary, served) = cell.compute(runner, analytic)?;
+    store.put(&CellEntry::record(cell, id, &summary, served))?;
     observer.on_record(&id);
-    let report = ExecutiveMcReport {
-        spec: spec.clone(),
-        policy_names: job.policy_names(),
-        summary: summary.clone(),
-    };
-    Ok(CachedExecutive {
+    Ok(CachedRun {
         id,
+        report: cell.report(&summary, served),
         summary,
-        report,
         source: None,
-        cache: match mode {
-            CacheMode::ReadWrite => CacheOutcome::Miss,
-            CacheMode::Refresh => CacheOutcome::Refreshed,
-        },
+        cache: CacheOutcome::computed(mode),
     })
+}
+
+/// The replay half of cache-or-compute: the intact entry under `id`, when
+/// `mode` serves hits and one exists. Reports the hit, miss or quarantine
+/// to `observer`.
+fn replay(
+    store: &dyn StoreBackend,
+    id: &CellId,
+    mode: CacheMode,
+    observer: &dyn StoreObserver,
+) -> Result<Option<CellEntry>, SpecError> {
+    if mode == CacheMode::Refresh {
+        return Ok(None);
+    }
+    match store.get(id)? {
+        Lookup::Hit { entry, .. } => {
+            observer.on_hit(id);
+            return Ok(Some(entry));
+        }
+        Lookup::Quarantined { detail } => observer.on_quarantine(id, &detail),
+        Lookup::Miss => {}
+    }
+    observer.on_miss(id);
+    Ok(None)
 }
 
 /// The result of a cache-or-compute single execution.
@@ -351,21 +226,13 @@ pub fn run_cached_single(
     observer: &dyn StoreObserver,
 ) -> Result<CachedSingle, SpecError> {
     let id = CellId::for_single(spec);
-    if mode == CacheMode::ReadWrite {
-        match store.get(&id)? {
-            Lookup::Hit { entry, .. } => {
-                observer.on_hit(&id);
-                return Ok(CachedSingle {
-                    id,
-                    outcome: entry.as_outcome()?.clone(),
-                    source: entry.source,
-                    cache: CacheOutcome::Hit,
-                });
-            }
-            Lookup::Quarantined { detail } => observer.on_quarantine(&id, &detail),
-            Lookup::Miss => {}
-        }
-        observer.on_miss(&id);
+    if let Some(entry) = replay(store, &id, mode, observer)? {
+        return Ok(CachedSingle {
+            id,
+            outcome: entry.as_outcome()?.clone(),
+            source: entry.source,
+            cache: CacheOutcome::Hit,
+        });
     }
     let outcome = run_single(spec)?;
     if outcome.anomaly.is_none() {
@@ -376,10 +243,7 @@ pub fn run_cached_single(
         id,
         outcome,
         source: None,
-        cache: match mode {
-            CacheMode::ReadWrite => CacheOutcome::Miss,
-            CacheMode::Refresh => CacheOutcome::Refreshed,
-        },
+        cache: CacheOutcome::computed(mode),
     })
 }
 
@@ -412,32 +276,11 @@ pub fn verify_cell(store: &dyn StoreBackend, id: &CellId) -> Result<(), SpecErro
     };
     let recomputed = match &entry.payload {
         CellPayload::Outcome(_) => {
-            let spec = entry.experiment_spec()?;
+            let spec = ExperimentSpec::from_entry(&entry)?;
             CellEntry::outcome(&spec, &run_single(&spec)?)
         }
-        CellPayload::Summary(_) => {
-            let spec = entry.experiment_spec()?;
-            let job = Job::from_spec(&spec)?;
-            // Re-derive through the tier that recorded the cell: an
-            // analytic cell must reproduce analytically (a Monte-Carlo
-            // recomputation of the same aggregate can differ in the last
-            // ulp of the merged accumulators).
-            let summary = match entry.served {
-                ServeTier::Analytic => eacp_exec::serve_closed_form(&job).ok_or_else(|| {
-                    SpecError::invalid(format!(
-                        "cell {id}: marked analytic but its spec is not \
-                         replication-invariant — tampered entry"
-                    ))
-                })?,
-                ServeTier::Mc => LocalRunner::new(0).run(&job)?,
-            };
-            CellEntry::summary_tiered(&spec, &summary, entry.served)
-        }
-        CellPayload::Executive(_) => {
-            let spec = entry.executive_spec()?;
-            let job = ExecutiveJob::from_spec(&spec)?;
-            CellEntry::executive(&spec, &LocalRunner::new(0).run_executive(&job)?)
-        }
+        CellPayload::Summary(_) => recompute::<ExperimentSpec>(&entry)?,
+        CellPayload::Executive(_) => recompute::<ExecutiveSpec>(&entry)?,
     };
     if recomputed.canonical_text() != text {
         let origin = entry
@@ -450,6 +293,24 @@ pub fn verify_cell(store: &dyn StoreBackend, id: &CellId) -> Result<(), SpecErro
         )));
     }
     Ok(())
+}
+
+/// Re-derives a summary cell through the tier that recorded it: an
+/// analytic cell must reproduce analytically (a Monte-Carlo recomputation
+/// of the same aggregate can differ in the last ulp of the merged
+/// accumulators).
+fn recompute<C: StoreCell>(entry: &CellEntry) -> Result<CellEntry, SpecError> {
+    let cell = C::from_entry(entry)?;
+    let analytic = entry.served == ServeTier::Analytic;
+    let (summary, served) = cell.compute(&LocalRunner::new(0), analytic)?;
+    if served != entry.served {
+        return Err(SpecError::invalid(format!(
+            "cell {}: marked analytic but its spec is not \
+             replication-invariant — tampered entry",
+            entry.cell
+        )));
+    }
+    Ok(CellEntry::record(&cell, cell.cell_id(), &summary, served))
 }
 
 /// What [`verify_store`] checked.
@@ -483,7 +344,7 @@ pub fn verify_store(store: &dyn StoreBackend, sample: usize) -> Result<VerifyRep
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eacp_spec::{McSpec, ToJson};
+    use eacp_spec::McSpec;
 
     fn small_spec(seed: u64) -> ExperimentSpec {
         let mut spec = ExperimentSpec::paper_nominal();
@@ -496,36 +357,29 @@ mod tests {
     }
 
     #[test]
-    fn hit_is_byte_identical_to_recomputation() {
-        let store = MemBackend::new();
-        let counters = StoreCounters::new();
-        let spec = small_spec(3);
-
-        let miss = run_cached(&spec, &store, CacheMode::ReadWrite, &counters).unwrap();
-        assert_eq!(miss.cache, CacheOutcome::Miss);
-        let hit = run_cached(&spec, &store, CacheMode::ReadWrite, &counters).unwrap();
-        assert_eq!(hit.cache, CacheOutcome::Hit);
-
-        let (direct_summary, direct_report) = eacp_exec::run(&spec).unwrap();
-        assert_eq!(hit.summary, direct_summary, "hit must be bit-identical");
-        assert_eq!(
-            hit.report.to_json().pretty(),
-            direct_report.to_json().pretty(),
-            "hit report must serialize byte-identically"
-        );
-        assert_eq!((counters.hits(), counters.misses()), (1, 1));
-        assert_eq!(counters.records(), 1);
-    }
-
-    #[test]
     fn refresh_recomputes_and_overwrites() {
         let store = MemBackend::new();
         let spec = small_spec(4);
-        run_cached(&spec, &store, CacheMode::ReadWrite, &NoopStoreObserver).unwrap();
-        let refreshed = run_cached(&spec, &store, CacheMode::Refresh, &NoopStoreObserver).unwrap();
+        run_cached_tiered(
+            &spec,
+            &store,
+            CacheMode::ReadWrite,
+            &NoopStoreObserver,
+            true,
+        )
+        .unwrap();
+        let refreshed =
+            run_cached_tiered(&spec, &store, CacheMode::Refresh, &NoopStoreObserver, true).unwrap();
         assert_eq!(refreshed.cache, CacheOutcome::Refreshed);
         // The overwrite is idempotent: the next lookup still hits.
-        let hit = run_cached(&spec, &store, CacheMode::ReadWrite, &NoopStoreObserver).unwrap();
+        let hit = run_cached_tiered(
+            &spec,
+            &store,
+            CacheMode::ReadWrite,
+            &NoopStoreObserver,
+            true,
+        )
+        .unwrap();
         assert_eq!(hit.cache, CacheOutcome::Hit);
         assert_eq!(hit.summary, refreshed.summary);
     }
@@ -544,7 +398,14 @@ mod tests {
         assert_eq!(hit.outcome, miss.outcome, "hit must be bit-identical");
         // The sentinel cell never collides with a Monte-Carlo cell of the
         // same spec and seed.
-        let mc = run_cached(&spec, &store, CacheMode::ReadWrite, &NoopStoreObserver).unwrap();
+        let mc = run_cached_tiered(
+            &spec,
+            &store,
+            CacheMode::ReadWrite,
+            &NoopStoreObserver,
+            true,
+        )
+        .unwrap();
         assert_ne!(mc.id, hit.id);
         assert_eq!(store.health().unwrap().entries, 2);
     }
@@ -553,11 +414,12 @@ mod tests {
     fn verify_passes_on_intact_stores_and_names_tampered_cells() {
         let store = MemBackend::new();
         for seed in 0..3 {
-            run_cached(
+            run_cached_tiered(
                 &small_spec(seed),
                 &store,
                 CacheMode::ReadWrite,
                 &NoopStoreObserver,
+                true,
             )
             .unwrap();
         }
@@ -612,49 +474,26 @@ mod tests {
     }
 
     #[test]
-    fn executive_hit_is_byte_identical_and_verifies() {
-        let store = MemBackend::new();
-        let counters = StoreCounters::new();
-        let spec = executive_spec(7);
-
-        let miss = run_executive_cached(&spec, &store, CacheMode::ReadWrite, &counters).unwrap();
-        assert_eq!(miss.cache, CacheOutcome::Miss);
-        assert_eq!(miss.id.seed, 7);
-        assert_eq!(miss.id.replications, 10);
-        let hit = run_executive_cached(&spec, &store, CacheMode::ReadWrite, &counters).unwrap();
-        assert_eq!(hit.cache, CacheOutcome::Hit);
-        assert_eq!(hit.summary, miss.summary, "hit must be bit-identical");
-        assert_eq!(
-            hit.report.to_json().pretty(),
-            miss.report.to_json().pretty(),
-            "hit report must serialize byte-identically"
-        );
-
-        // The stored entry re-verifies: recomputation is byte-identical.
-        verify_store(&store, 0).unwrap();
-
-        // Tampering is caught by the byte comparison.
-        let ids = store.list().unwrap();
-        let Lookup::Hit { mut entry, .. } = store.get(&ids[0]).unwrap() else {
-            panic!("expected hit");
-        };
-        match &mut entry.payload {
-            CellPayload::Executive(s) => s.jobs = s.jobs.wrapping_add(1),
-            _ => panic!("expected executive payload"),
-        }
-        store.put(&entry).unwrap();
-        let err = verify_store(&store, 0).unwrap_err();
-        assert!(err.to_string().contains("differ"), "{err}");
-    }
-
-    #[test]
     fn executive_cells_never_collide_with_single_task_cells() {
         let store = MemBackend::new();
         let exec_spec = executive_spec(3);
         let mc_spec = small_spec(3);
-        let a = run_executive_cached(&exec_spec, &store, CacheMode::ReadWrite, &NoopStoreObserver)
-            .unwrap();
-        let b = run_cached(&mc_spec, &store, CacheMode::ReadWrite, &NoopStoreObserver).unwrap();
+        let a = run_cached_tiered(
+            &exec_spec,
+            &store,
+            CacheMode::ReadWrite,
+            &NoopStoreObserver,
+            true,
+        )
+        .unwrap();
+        let b = run_cached_tiered(
+            &mc_spec,
+            &store,
+            CacheMode::ReadWrite,
+            &NoopStoreObserver,
+            true,
+        )
+        .unwrap();
         assert_ne!(a.id, b.id);
         assert_eq!(store.health().unwrap().entries, 2);
         // Asking an executive cell for a single-task summary is an error,
@@ -663,7 +502,7 @@ mod tests {
             panic!("expected hit");
         };
         assert!(entry.as_summary().is_err());
-        assert!(entry.as_executive().is_ok());
+        assert!(entry.summary_of::<ExecutiveSpec>().is_ok());
     }
 
     #[test]
@@ -684,17 +523,17 @@ mod tests {
             }),
         });
         for variant in [&renamed, &reseeded, &rescheduled] {
-            assert_eq!(executive_spec_hash(&base), executive_spec_hash(variant));
+            assert_eq!(base.cell_id().spec_hash, variant.cell_id().spec_hash);
         }
         let mut retasked = base.clone();
         retasked.hyperperiods = 5;
-        assert_ne!(executive_spec_hash(&base), executive_spec_hash(&retasked));
+        assert_ne!(base.cell_id().spec_hash, retasked.cell_id().spec_hash);
     }
 
     #[test]
     fn missing_cells_are_verify_errors() {
         let store = MemBackend::new();
-        let id = CellId::for_spec(&small_spec(1));
+        let id = small_spec(1).cell_id();
         let err = verify_cell(&store, &id).unwrap_err();
         assert!(err.to_string().contains("not in the store"), "{err}");
     }

@@ -7,15 +7,14 @@
 //! hits while only the uncovered cells go through the runner. The
 //! resulting [`GridReport`] is byte-identical to an uninterrupted run —
 //! hits reconstruct the exact summary from the lossless entry payload.
+//! Both workload kinds share this module through [`StoreCell`].
 
 use crate::backend::{Lookup, StoreBackend};
-use crate::cell::CellId;
+use crate::cell::StoreCell;
 use crate::observe::StoreObserver;
-use crate::{run_cached_with_tiered, run_executive_cached_with, CacheMode};
-use eacp_exec::{
-    ExecutiveGridReport, ExecutivePointReport, GridReport, PointReport, Runner, ShardId,
-};
-use eacp_spec::{ExecutiveSweepSpec, SpecError, SweepSpec};
+use crate::{run_cached_with_tiered, CacheMode};
+use eacp_exec::{run_grid, GridReport, Runner, ShardId, Sweep};
+use eacp_spec::SpecError;
 
 /// How much of a sweep's grid the store already covers — the store-side
 /// analogue of the execution layer's `SweepCoverage` over report files.
@@ -45,149 +44,64 @@ impl StoreCoverage {
 ///
 /// Corrupt entries encountered along the way are quarantined by the
 /// backend and counted as missing — exactly what a subsequent
-/// [`run_sweep_cached`] would recompute.
-pub fn store_coverage(
+/// [`run_sweep_cached_tiered`] would recompute.
+pub fn store_coverage<S: Sweep>(
     store: &dyn StoreBackend,
-    sweep: &SweepSpec,
-) -> Result<StoreCoverage, SpecError> {
-    let specs = sweep.expand()?;
+    sweep: &S,
+) -> Result<StoreCoverage, SpecError>
+where
+    S::Cell: StoreCell,
+{
+    let cells = sweep.expand()?;
     let mut missing = Vec::new();
-    for (index, spec) in specs.iter().enumerate() {
-        let id = CellId::for_spec(spec);
-        if !matches!(store.get(&id)?, Lookup::Hit { .. }) {
+    for (index, cell) in cells.iter().enumerate() {
+        if !matches!(store.get(&cell.cell_id())?, Lookup::Hit { .. }) {
             missing.push(index);
         }
     }
     Ok(StoreCoverage {
-        sweep_name: sweep.base.name.clone(),
-        total_points: specs.len(),
+        sweep_name: sweep.name().to_owned(),
+        total_points: cells.len(),
         missing,
     })
 }
 
 /// Runs a sweep shard against a store: covered cells are served, uncovered
-/// cells are scheduled onto `runner` and recorded.
+/// cells are scheduled onto `runner` and recorded (`analytic = false` is
+/// the CLI's `--no-analytic`).
 ///
-/// Drop-in replacement for `eacp_exec::run_sweep_with` — same shard
-/// semantics, same report document, byte-identical output (a point's
-/// report never depends on whether it was computed or served).
-pub fn run_sweep_cached(
-    sweep: &SweepSpec,
-    shard: Option<ShardId>,
-    runner: &dyn Runner,
-    store: &dyn StoreBackend,
-    mode: CacheMode,
-    observer: &dyn StoreObserver,
-) -> Result<GridReport, SpecError> {
-    run_sweep_cached_tiered(sweep, shard, runner, store, mode, observer, true)
-}
-
-/// [`run_sweep_cached`] with the closed-form serve tier explicitly enabled
-/// or disabled (`analytic = false` is the CLI's `--no-analytic`).
+/// Same shard semantics and same report document as
+/// `eacp_exec::run_sweep_tiered`, byte for byte: a point's report never
+/// depends on whether it was computed or served.
 #[allow(clippy::too_many_arguments)]
-pub fn run_sweep_cached_tiered(
-    sweep: &SweepSpec,
+pub fn run_sweep_cached_tiered<S: Sweep>(
+    sweep: &S,
     shard: Option<ShardId>,
     runner: &dyn Runner,
     store: &dyn StoreBackend,
     mode: CacheMode,
     observer: &dyn StoreObserver,
     analytic: bool,
-) -> Result<GridReport, SpecError> {
-    let specs = sweep.expand()?;
-    let total = specs.len();
-    let range = match shard {
-        Some(s) => s.range(total),
-        None => 0..total,
-    };
-    let mut points = Vec::with_capacity(range.len());
-    for index in range {
-        let spec = &specs[index];
-        let cached = run_cached_with_tiered(spec, runner, store, mode, observer, analytic)
-            .map_err(|e| SpecError::invalid(format!("grid point {index} ({}): {e}", spec.name)))?;
-        points.push(PointReport {
-            index,
-            report: cached.report,
-        });
-    }
-    Ok(GridReport {
-        sweep: sweep.clone(),
-        total_points: total,
-        shard,
-        points,
-        source: None,
-    })
-}
-
-/// Inspects how much of an executive sweep's grid the store already holds
-/// — the same [`StoreCoverage`] the single-task path produces, so status
-/// commands render both kinds through one shared coverage formatter.
-pub fn executive_store_coverage(
-    store: &dyn StoreBackend,
-    sweep: &ExecutiveSweepSpec,
-) -> Result<StoreCoverage, SpecError> {
-    let specs = sweep.expand()?;
-    let mut missing = Vec::new();
-    for (index, spec) in specs.iter().enumerate() {
-        let id = CellId::for_executive(spec);
-        if !matches!(store.get(&id)?, Lookup::Hit { .. }) {
-            missing.push(index);
-        }
-    }
-    Ok(StoreCoverage {
-        sweep_name: sweep.base.name.clone(),
-        total_points: specs.len(),
-        missing,
-    })
-}
-
-/// Runs an executive sweep shard against a store: covered cells are
-/// served, uncovered cells are scheduled onto `runner` and recorded.
-///
-/// Drop-in replacement for `eacp_exec::run_executive_sweep` — same shard
-/// semantics, same report document, byte-identical output (a point's
-/// report never depends on whether it was computed or served).
-pub fn run_executive_sweep_cached(
-    sweep: &ExecutiveSweepSpec,
-    shard: Option<ShardId>,
-    runner: &dyn Runner,
-    store: &dyn StoreBackend,
-    mode: CacheMode,
-    observer: &dyn StoreObserver,
-) -> Result<ExecutiveGridReport, SpecError> {
-    let specs = sweep.expand()?;
-    let total = specs.len();
-    let range = match shard {
-        Some(s) => s.range(total),
-        None => 0..total,
-    };
-    let mut points = Vec::with_capacity(range.len());
-    for index in range {
-        let spec = &specs[index];
-        let cached = run_executive_cached_with(spec, runner, store, mode, observer)
-            .map_err(|e| SpecError::invalid(format!("grid point {index} ({}): {e}", spec.name)))?;
-        points.push(ExecutivePointReport {
-            index,
-            report: cached.report,
-        });
-    }
-    Ok(ExecutiveGridReport {
-        sweep: sweep.clone(),
-        total_points: total,
-        shard,
-        points,
-        source: None,
+) -> Result<GridReport<S::Cell>, SpecError>
+where
+    S::Cell: StoreCell,
+{
+    run_grid(sweep, shard, |cell| {
+        run_cached_with_tiered(cell, runner, store, mode, observer, analytic).map(|run| run.report)
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_cached_with, CacheOutcome, MemBackend, NoopStoreObserver, StoreCounters};
-    use eacp_exec::{run_sweep_with, LocalRunner};
-    use eacp_spec::{ExperimentSpec, McSpec, SweepAxis, ToJson};
+    use crate::{MemBackend, NoopStoreObserver};
+    use eacp_exec::LocalRunner;
+    use eacp_spec::{ExperimentSpec, McSpec, SweepAxis, SweepSpec};
 
-    fn small_sweep() -> SweepSpec {
+    #[test]
+    fn per_point_seed_axes_key_distinct_cells() {
+        // A seed axis gives grid points identical canonical specs that
+        // differ only in mc.seed — the cell key must keep them apart.
         let mut base = ExperimentSpec::paper_nominal();
         base.name = "grid".into();
         base.mc = McSpec {
@@ -195,234 +109,22 @@ mod tests {
             seed: 5,
             threads: 1,
         };
-        SweepSpec {
+        let sweep = SweepSpec {
             base,
-            axes: vec![
-                SweepAxis::Lambda(vec![1.0e-4, 1.4e-3]),
-                SweepAxis::K(vec![1, 5]),
-            ],
-        }
-    }
-
-    #[test]
-    fn cached_sweep_matches_plain_sweep_byte_for_byte() {
-        let sweep = small_sweep();
-        let runner = LocalRunner::new(1);
+            axes: vec![SweepAxis::Seed(vec![1, 2, 3])],
+        };
         let store = MemBackend::new();
-        let counters = StoreCounters::new();
-
-        let plain = run_sweep_with(&sweep, None, &runner).unwrap();
-        let cold = run_sweep_cached(
-            &sweep,
-            None,
-            &runner,
-            &store,
-            CacheMode::ReadWrite,
-            &counters,
-        )
-        .unwrap();
-        assert_eq!(cold, plain);
-        assert_eq!(cold.to_json().pretty(), plain.to_json().pretty());
-        assert_eq!((counters.hits(), counters.misses()), (0, 4));
-
-        // Warm rerun: all four points served, still byte-identical.
-        let warm = run_sweep_cached(
-            &sweep,
-            None,
-            &runner,
-            &store,
-            CacheMode::ReadWrite,
-            &counters,
-        )
-        .unwrap();
-        assert_eq!(warm.to_json().pretty(), plain.to_json().pretty());
-        assert_eq!((counters.hits(), counters.misses()), (4, 4));
-    }
-
-    #[test]
-    fn interrupted_sweep_resumes_from_the_store() {
-        let sweep = small_sweep();
-        let runner = LocalRunner::new(1);
-        let store = MemBackend::new();
-
-        // "Killed at the shard boundary": only shard 0 of 2 completed.
-        let shard0 = ShardId::new(0, 2).unwrap();
-        run_sweep_cached(
-            &sweep,
-            Some(shard0),
-            &runner,
-            &store,
-            CacheMode::ReadWrite,
-            &NoopStoreObserver,
-        )
-        .unwrap();
-
-        let coverage = store_coverage(&store, &sweep).unwrap();
-        assert_eq!(coverage.sweep_name, "grid");
-        assert_eq!(coverage.total_points, 4);
-        assert_eq!(coverage.covered(), 2);
-        assert_eq!(coverage.missing, vec![2, 3]);
-        assert!(!coverage.complete());
-
-        // Resume over the full grid: the finished half hits, the rest
-        // computes, and the result equals an uninterrupted run.
-        let counters = StoreCounters::new();
-        let resumed = run_sweep_cached(
-            &sweep,
-            None,
-            &runner,
-            &store,
-            CacheMode::ReadWrite,
-            &counters,
-        )
-        .unwrap();
-        assert_eq!((counters.hits(), counters.misses()), (2, 2));
-        let plain = run_sweep_with(&sweep, None, &runner).unwrap();
-        assert_eq!(resumed.to_json().pretty(), plain.to_json().pretty());
-        assert!(store_coverage(&store, &sweep).unwrap().complete());
-    }
-
-    #[test]
-    fn per_point_seed_axes_key_distinct_cells() {
-        // A seed axis gives grid points identical canonical specs that
-        // differ only in mc.seed — the cell key must keep them apart.
-        let mut sweep = small_sweep();
-        sweep.axes = vec![SweepAxis::Seed(vec![1, 2, 3])];
-        let store = MemBackend::new();
-        let report = run_sweep_cached(
+        let report = run_sweep_cached_tiered(
             &sweep,
             None,
             &LocalRunner::new(1),
             &store,
             CacheMode::ReadWrite,
             &NoopStoreObserver,
+            true,
         )
         .unwrap();
         assert_eq!(report.points.len(), 3);
         assert_eq!(store.health().unwrap().entries, 3);
-    }
-
-    #[test]
-    fn hits_carry_no_stale_spec() {
-        // A hit's report embeds the *caller's* expansion spec (name, mc
-        // and all), not a reconstruction from the canonical document —
-        // otherwise merged grids would lose their names.
-        let sweep = small_sweep();
-        let store = MemBackend::new();
-        let runner = LocalRunner::new(1);
-        run_sweep_cached(
-            &sweep,
-            None,
-            &runner,
-            &store,
-            CacheMode::ReadWrite,
-            &NoopStoreObserver,
-        )
-        .unwrap();
-        let warm = run_sweep_cached(
-            &sweep,
-            None,
-            &runner,
-            &store,
-            CacheMode::ReadWrite,
-            &NoopStoreObserver,
-        )
-        .unwrap();
-        let expected = sweep.expand().unwrap();
-        for point in &warm.points {
-            assert_eq!(point.report.spec, expected[point.index]);
-        }
-    }
-
-    fn executive_sweep() -> ExecutiveSweepSpec {
-        use eacp_spec::{
-            ExecutiveMcSpec, ExecutiveSpec, ExecutiveSweepAxis, FaultSpec, PolicyAssignment,
-            PolicySpec, TaskSetSpec,
-        };
-        let mut base = ExecutiveSpec::new(
-            "exec-grid",
-            TaskSetSpec::implicit([("sensor", 500.0, 4_000), ("control", 1_200.0, 8_000)]),
-        );
-        base.faults = FaultSpec::Poisson { lambda: 5e-4 };
-        base.policy = PolicyAssignment::Shared(PolicySpec::from_tag("a_d_s", 5e-4, 2, 0).unwrap());
-        base.hyperperiods = 2;
-        base.seed = 13;
-        base.mc = Some(ExecutiveMcSpec {
-            replications: 12,
-            threads: 1,
-            queue: None,
-        });
-        ExecutiveSweepSpec {
-            base,
-            axes: vec![ExecutiveSweepAxis::Lambda(vec![2e-4, 1e-3])],
-        }
-    }
-
-    #[test]
-    fn cached_executive_sweep_resumes_byte_identically() {
-        let sweep = executive_sweep();
-        let runner = LocalRunner::new(1);
-        let store = MemBackend::new();
-        let counters = StoreCounters::new();
-
-        let plain = eacp_exec::run_executive_sweep(&sweep, None, &runner).unwrap();
-
-        // "Killed" after shard 0 of 2; resume over the full grid.
-        let shard0 = ShardId::new(0, 2).unwrap();
-        run_executive_sweep_cached(
-            &sweep,
-            Some(shard0),
-            &runner,
-            &store,
-            CacheMode::ReadWrite,
-            &NoopStoreObserver,
-        )
-        .unwrap();
-        let coverage = executive_store_coverage(&store, &sweep).unwrap();
-        assert_eq!(coverage.sweep_name, "exec-grid");
-        assert_eq!(coverage.covered(), 1);
-        assert_eq!(coverage.missing, vec![1]);
-
-        let resumed = run_executive_sweep_cached(
-            &sweep,
-            None,
-            &runner,
-            &store,
-            CacheMode::ReadWrite,
-            &counters,
-        )
-        .unwrap();
-        assert_eq!((counters.hits(), counters.misses()), (1, 1));
-        assert_eq!(resumed, plain);
-        assert_eq!(resumed.to_json().pretty(), plain.to_json().pretty());
-        assert!(executive_store_coverage(&store, &sweep).unwrap().complete());
-    }
-
-    #[test]
-    fn single_point_cache_outcome_is_visible() {
-        let sweep = small_sweep();
-        let store = MemBackend::new();
-        let spec = &sweep.expand().unwrap()[0];
-        let runner = LocalRunner::new(1);
-        let first = run_cached_with(
-            spec,
-            &runner,
-            &store,
-            CacheMode::ReadWrite,
-            &NoopStoreObserver,
-        )
-        .unwrap();
-        assert_eq!(first.cache, CacheOutcome::Miss);
-        let second = run_cached_with(
-            spec,
-            &runner,
-            &store,
-            CacheMode::ReadWrite,
-            &NoopStoreObserver,
-        )
-        .unwrap();
-        assert_eq!(second.cache, CacheOutcome::Hit);
-        assert!(second.report.source.is_none(), "memory backend has no path");
-        assert_eq!(second.summary, first.summary);
     }
 }

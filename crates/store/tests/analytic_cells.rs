@@ -6,8 +6,8 @@
 use eacp_exec::LocalRunner;
 use eacp_spec::{ExperimentSpec, FaultSpec, McSpec, ServeTier, ToJson};
 use eacp_store::{
-    run_cached_tiered, run_cached_with_tiered, verify_store, CacheMode, CacheOutcome, CellId,
-    MemBackend, NoopStoreObserver, StoreBackend,
+    run_cached_tiered, run_cached_with_tiered, verify_store, CacheMode, CacheOutcome, MemBackend,
+    NoopStoreObserver, StoreBackend, StoreCell,
 };
 
 fn invariant_spec(name: &str) -> ExperimentSpec {
@@ -52,7 +52,7 @@ fn analytic_cell_records_serves_and_verifies_through_its_tier() {
     assert_eq!(warm.summary, cold.summary);
 
     // The persisted entry carries the marker …
-    let id = CellId::for_spec(&spec);
+    let id = spec.cell_id();
     match store.get(&id).unwrap() {
         eacp_store::Lookup::Hit { entry, .. } => {
             assert_eq!(entry.served, ServeTier::Analytic);
@@ -87,7 +87,7 @@ fn forced_mc_cell_of_the_same_spec_is_a_distinct_but_equal_recording() {
     )
     .unwrap();
     assert_eq!(cold.report.served, ServeTier::Mc);
-    let id = CellId::for_spec(&spec);
+    let id = spec.cell_id();
     match store.get(&id).unwrap() {
         eacp_store::Lookup::Hit { entry, .. } => {
             assert_eq!(entry.served, ServeTier::Mc);
@@ -122,7 +122,7 @@ fn refresh_with_tier_toggled_overwrites_the_recorded_tier() {
     let spec = invariant_spec("tier-flip");
     let store = MemBackend::new();
     let runner = LocalRunner::new(1);
-    let id = CellId::for_spec(&spec);
+    let id = spec.cell_id();
 
     run_cached_with_tiered(
         &spec,

@@ -7,8 +7,8 @@
 
 use eacp_spec::{ExperimentSpec, FaultSpec, McSpec, PolicySpec, ToJson};
 use eacp_store::{
-    run_cached, verify_store, CacheMode, CacheOutcome, FsBackend, MemBackend, NoopStoreObserver,
-    StoreBackend, StoreCounters,
+    run_cached_tiered, verify_store, CacheMode, CacheOutcome, FsBackend, MemBackend,
+    NoopStoreObserver, StoreBackend, StoreCounters,
 };
 
 fn fault_processes(lambda: f64) -> Vec<FaultSpec> {
@@ -59,7 +59,8 @@ fn assert_hits_identical(store: &dyn StoreBackend) {
     // Cold pass: everything computes and records.
     let mut cold = Vec::with_capacity(specs.len());
     for spec in &specs {
-        let run = run_cached(spec, store, CacheMode::ReadWrite, &counters).expect("cold run");
+        let run = run_cached_tiered(spec, store, CacheMode::ReadWrite, &counters, true)
+            .expect("cold run");
         assert_eq!(run.cache, CacheOutcome::Miss, "{}", spec.name);
         cold.push(run);
     }
@@ -69,7 +70,8 @@ fn assert_hits_identical(store: &dyn StoreBackend) {
     // Warm pass: every cell hits, bit- and byte-identical to the cold
     // computation and to an independent direct recomputation.
     for (spec, cold_run) in specs.iter().zip(&cold) {
-        let hit = run_cached(spec, store, CacheMode::ReadWrite, &counters).expect("warm run");
+        let hit = run_cached_tiered(spec, store, CacheMode::ReadWrite, &counters, true)
+            .expect("warm run");
         assert_eq!(hit.cache, CacheOutcome::Hit, "{}", spec.name);
         assert_eq!(
             hit.summary, cold_run.summary,
@@ -113,9 +115,10 @@ fn cache_hits_are_byte_identical_across_the_scheme_fault_landscape_fs() {
 
     // Filesystem hits carry provenance: the report names its entry file.
     let spec = &landscape()[0];
-    let hit = run_cached(spec, &store, CacheMode::ReadWrite, &NoopStoreObserver).expect("hit");
+    let hit = run_cached_tiered(spec, &store, CacheMode::ReadWrite, &NoopStoreObserver, true)
+        .expect("hit");
     assert_eq!(hit.cache, CacheOutcome::Hit);
-    let source = hit.report.source.expect("fs hit names its artifact");
+    let source = hit.source.expect("fs hit names its artifact");
     assert!(source.starts_with(&dir), "{}", source.display());
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

@@ -11,7 +11,7 @@
 //! serve a wrong answer. Both directions are load-bearing.
 
 use eacp_spec::{ExperimentSpec, FaultSpec, PolicySpec, QueueSpec, ToJson};
-use eacp_store::spec_hash;
+use eacp_store::{spec_hash, StoreCell};
 use proptest::prelude::*;
 
 /// A grid of distinct experiments to perturb.
@@ -152,7 +152,7 @@ proptest! {
         for scheme in 0..PolicySpec::TAGS.len() {
             for k in [1u32, 5] {
                 let spec = spec_for(scheme, lambda, k);
-                let doc = eacp_store::cell_spec_json(&spec).pretty();
+                let doc = spec.cell_spec_json().pretty();
                 let hash = spec_hash(&spec).to_string();
                 if let Some(prior) = seen.get(&hash) {
                     prop_assert_eq!(
