@@ -8,7 +8,7 @@
 //!
 //! Timings are the benchmark payload; the *values* the paper reports are
 //! regenerated by `cargo run --release -p eacp-experiments --bin
-//! gen-tables` and recorded in `EXPERIMENTS.md`.
+//! gen-tables`.
 
 #![forbid(unsafe_code)]
 

@@ -53,9 +53,10 @@ use eacp_core::analysis::{
 use eacp_core::policies::PolicyKind;
 use eacp_energy::DvsConfig;
 use eacp_exec::{
-    coverage_dir, merge_dir, placement, render_executive_rows, render_rows, run_sweep,
-    run_sweep_queued_tiered, run_sweep_tiered, Cell, ExecutiveJob, GridReport, Job, LocalRunner,
-    PaperRef, QueueObserver, QueueRunner, QueueStatus, Runner, ShardId, Summary, Sweep,
+    coverage_dir, merge_dir, placement, render_executive_rows, render_rows, resolve_workers,
+    run_sweep, run_sweep_queued_tiered, run_sweep_tiered, Cell, ExecutiveJob, GridReport, Job,
+    LocalRunner, PaperRef, QueueObserver, QueueRunner, QueueStatus, Runner, ShardId, Summary,
+    Sweep,
 };
 use eacp_rtsched::feasibility::{
     edf_density, k_fault_wcet, minimum_feasible_speed, rm_response_times,
@@ -2101,7 +2102,10 @@ pub fn cmd_bench(o: &Options) -> Result<String, String> {
     // The work-queue scheduler on the same nominal job: tracks the
     // lease/drain orchestration overhead relative to the plain runner.
     // The run doubles as a live bit-identity check across schedulers.
-    let queue_runner = QueueRunner::new(o.workers);
+    // The pool size the queue and remote sections actually ran with (the
+    // flag's 0 means auto).
+    let workers = resolve_workers(o.workers);
+    let queue_runner = QueueRunner::new(workers);
     let (queue_s, queue_summary) = best_of(Box::new(|| {
         let started = Instant::now();
         let s = queue_runner.run(&pooled_job).map_err(|e| e.to_string())?;
@@ -2122,7 +2126,7 @@ pub fn cmd_bench(o: &Options) -> Result<String, String> {
     let fleet_a = eacp_exec::RemoteServer::bind("127.0.0.1:0").map_err(|e| e.to_string())?;
     let fleet_b = eacp_exec::RemoteServer::bind("127.0.0.1:0").map_err(|e| e.to_string())?;
     let fleet = eacp_spec::QueueSpec {
-        workers: o.workers,
+        workers,
         endpoints: vec![fleet_a.endpoint().to_owned(), fleet_b.endpoint().to_owned()],
         ..Default::default()
     };
@@ -2241,13 +2245,7 @@ pub fn cmd_bench(o: &Options) -> Result<String, String> {
                 .map(|s| (best, s))
                 .ok_or_else(|| "bench ran zero iterations".to_owned())
         };
-    let threads = if o.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        o.threads
-    };
+    let threads = resolve_workers(o.threads);
     let (exec_single_s, exec_single) = time_executive(&LocalRunner::new(1))?;
     // A second, threaded run is only a *multi*-thread measurement when the
     // host can actually run more than one worker; on a single-core host
@@ -2321,7 +2319,7 @@ pub fn cmd_bench(o: &Options) -> Result<String, String> {
         (
             "queue",
             Json::obj([
-                ("workers", o.workers.into()),
+                ("workers", workers.into()),
                 ("wall_s", queue_s.into()),
                 ("reps_per_s", (reps as f64 / queue_s.max(1e-12)).into()),
             ]),
@@ -2330,7 +2328,7 @@ pub fn cmd_bench(o: &Options) -> Result<String, String> {
             "remote",
             Json::obj([
                 ("endpoints", fleet_endpoints.into()),
-                ("workers", o.workers.into()),
+                ("workers", workers.into()),
                 ("wall_s", remote_s.into()),
                 ("reps_per_s", (reps as f64 / remote_s.max(1e-12)).into()),
             ]),
@@ -2740,6 +2738,11 @@ mod tests {
             let s = doc.req(section).unwrap();
             assert!(s.req("wall_s").unwrap().as_f64().unwrap() >= 0.0);
             assert!(s.req("reps_per_s").unwrap().as_f64().unwrap() > 0.0);
+        }
+        // Pool sizes are recorded resolved, never as the auto value 0.
+        for section in ["queue", "remote"] {
+            let workers = doc.req(section).and_then(|s| s.req("workers")).unwrap();
+            assert!(workers.as_u64().unwrap() >= 1, "{section}: {workers:?}");
         }
         assert!(
             doc.req("speedup_pooled_vs_boxed")

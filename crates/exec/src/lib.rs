@@ -83,8 +83,8 @@ pub use executive::{run_executive, run_executive_observed};
 pub use executive_mc::{ExecutiveJob, ExecutiveReplicator, ExecutiveSummary, TaskAggregate};
 pub use job::{FaultFactory, Job, PolicyFactory, Replicator};
 pub use queue::{
-    run_sweep_queued_tiered, BlockAssignment, InProcessWorker, Lease, NoopQueueObserver,
-    QueueObserver, QueueRunner, QueueStatus, WorkQueue, Worker,
+    resolve_workers, run_sweep_queued_tiered, BlockAssignment, InProcessWorker, Lease,
+    NoopQueueObserver, QueueObserver, QueueRunner, QueueStatus, WorkQueue, Worker,
 };
 pub use remote::{serve_blocking, RemoteServer, RemoteWorker};
 pub use runner::{LocalRunner, Runner};

@@ -754,7 +754,7 @@ impl<W: Worker> Runner for QueueRunner<W> {
 }
 
 /// Resolves a requested pool size: 0 means available parallelism.
-pub(crate) fn resolve_workers(workers: usize) -> usize {
+pub fn resolve_workers(workers: usize) -> usize {
     if workers == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())

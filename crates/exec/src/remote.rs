@@ -5,26 +5,37 @@
 //!
 //! * **Frame codec** ([`write_frame`] / [`read_frame`]) — a 4-byte
 //!   big-endian length prefix followed by a UTF-8 JSON payload, capped at
-//!   [`MAX_FRAME_BYTES`]. Truncated, oversized or non-UTF-8 frames are
-//!   [`SpecError`]s, never panics; the oversized check runs *before* the
-//!   payload allocation, so a hostile length prefix cannot balloon memory.
+//!   [`MAX_FRAME_BYTES`] and written with a single `write_all`, so a frame
+//!   never straddles a Nagle/delayed-ACK stall. Truncated, oversized or
+//!   non-UTF-8 frames are [`SpecError`]s, never panics; the oversized check
+//!   runs *before* the payload allocation, so a hostile length prefix
+//!   cannot balloon memory.
 //! * **Protocol** — version-tagged request/response objects in the
-//!   workspace's hand-rolled JSON. A request is `ping` or `run_block`
-//!   (the job's full [`ExperimentSpec`] plus a `[lo, hi)` replication
-//!   range); a response carries the partial [`Summary`] in the lossless
-//!   raw-parts encoding from `eacp_spec::report`, or an error string.
+//!   workspace's hand-rolled JSON. A request is `ping` or `run_block`: a
+//!   `[lo, hi)` replication range plus, optionally, the job's
+//!   [`ExperimentSpec`]. A connection is a conversation: the server keeps
+//!   the job built from the last spec it received on that connection (a
+//!   [`Session`]), and a `run_block` without a spec runs against it. A
+//!   spec-less request on a connection that has loaded no job — or to a
+//!   server that predates the optional spec — is an error response, never
+//!   a wrong result. A response carries the partial [`Summary`] in the
+//!   lossless raw-parts encoding from `eacp_spec::report`, or an error
+//!   string. [`answer_request`] answers one request statelessly.
 //! * **[`RemoteServer`]** — the `eacp serve` loop: accept, read requests,
 //!   run each block with the same [`run_block`] the local runners use,
-//!   reply. One thread per connection, sequential requests within it.
-//! * **[`RemoteWorker`]** — the client side of the [`Worker`] seam. Each
-//!   leased block becomes one request: connect (with timeout), send,
-//!   await the partial summary (read/write timeouts throughout). Failures
-//!   rotate through the configured endpoints with a short backoff; if
-//!   every endpoint fails the lease fails, and the work queue re-leases
-//!   the block — on the final attempt the worker runs the block
-//!   **in-process** instead ([`RemoteWorker::with_fallback_attempt`]), so
-//!   a fully dead fleet degrades to local execution rather than a failed
-//!   run.
+//!   reply. One thread per connection, sequential requests within it,
+//!   `TCP_NODELAY` on. Shutdown lets in-flight answers finish, then closes
+//!   every kept-alive connection.
+//! * **[`RemoteWorker`]** — the client side of the [`Worker`] seam. It
+//!   keeps connections alive in a per-endpoint pool: each leased block
+//!   checks a connection out, sends the spec only when that connection
+//!   does not already carry it, and returns the connection only after a
+//!   fully validated reply. Failures rotate through the configured
+//!   endpoints with a short backoff; if every endpoint fails the lease
+//!   fails, and the work queue re-leases the block — on the final attempt
+//!   the worker runs the block **in-process** instead
+//!   ([`RemoteWorker::with_fallback_attempt`]), so a fully dead fleet
+//!   degrades to local execution rather than a failed run.
 //!
 //! Determinism is inherited, not negotiated: per-replication seeding makes
 //! a block's partial summary bit-identical wherever it executes, so N
@@ -36,14 +47,17 @@ use crate::queue::{BlockAssignment, InProcessWorker, Worker};
 use crate::runner::run_block;
 use eacp_sim::{NoopObserver, Summary};
 use eacp_spec::{ExperimentSpec, FromJson, Json, QueueSpec, SpecError, ToJson};
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::collections::BTreeMap;
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Wire protocol version; bumped on any incompatible frame/JSON change.
+/// The optional `run_block` spec is compatible: a full request is still a
+/// version-1 request.
 pub const PROTOCOL_VERSION: u64 = 1;
 
 /// Hard cap on a single frame's payload. Large enough for any spec or
@@ -51,8 +65,15 @@ pub const PROTOCOL_VERSION: u64 = 1;
 /// hostile length prefix cannot exhaust memory.
 pub const MAX_FRAME_BYTES: usize = 8 * 1024 * 1024;
 
-/// Writes one length-prefixed frame.
-pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> Result<(), SpecError> {
+/// Locks `m`, recovering from poisoning: every critical section in this
+/// module is a single push, pop, insert, remove or replace, so the data is
+/// consistent even if a holder panicked.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The length prefix and payload of one frame, in one buffer.
+fn encode_frame(payload: &str) -> Result<Vec<u8>, SpecError> {
     let bytes = payload.as_bytes();
     if bytes.len() > MAX_FRAME_BYTES {
         return Err(SpecError::invalid(format!(
@@ -60,9 +81,16 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> Result<(), SpecError> 
             bytes.len()
         )));
     }
-    let len = (bytes.len() as u32).to_be_bytes();
-    w.write_all(&len)
-        .and_then(|()| w.write_all(bytes))
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    frame.extend_from_slice(bytes);
+    Ok(frame)
+}
+
+/// Writes one length-prefixed frame with a single `write_all`.
+pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> Result<(), SpecError> {
+    let frame = encode_frame(payload)?;
+    w.write_all(&frame)
         .and_then(|()| w.flush())
         .map_err(|e| SpecError::Io(format!("frame write failed: {e}")))
 }
@@ -111,15 +139,24 @@ fn versioned(fields: Vec<(&'static str, Json)>) -> Json {
     Json::obj(all)
 }
 
-/// Serializes a `run_block` request for `[lo, hi)` of `spec`.
+/// A `run_block` request for `[lo, hi)`, carrying `spec_text` — an encoded
+/// [`ExperimentSpec`], embedded verbatim — or, without it, running against
+/// the job the connection already holds.
+fn block_request(spec_text: Option<&str>, lo: u64, hi: u64) -> String {
+    let mut request =
+        format!("{{\"v\": {PROTOCOL_VERSION}, \"op\": \"run_block\", \"lo\": {lo}, \"hi\": {hi}");
+    if let Some(spec) = spec_text {
+        request.push_str(", \"spec\": ");
+        request.push_str(spec);
+    }
+    request.push('}');
+    request
+}
+
+/// Serializes a full `run_block` request for `[lo, hi)` of `spec` — the
+/// first request of a job on a connection.
 pub fn run_block_request(spec: &ExperimentSpec, lo: u64, hi: u64) -> String {
-    versioned(vec![
-        ("op", "run_block".into()),
-        ("spec", spec.to_json()),
-        ("lo", lo.into()),
-        ("hi", hi.into()),
-    ])
-    .pretty()
+    block_request(Some(&spec.to_json().pretty()), lo, hi)
 }
 
 /// Serializes a `ping` request.
@@ -127,52 +164,81 @@ pub fn ping_request() -> String {
     versioned(vec![("op", "ping".into())]).pretty()
 }
 
-/// Answers one request frame; protocol or execution errors become error
-/// responses rather than dropped connections, so the client always learns
-/// *why* (and its provenance wrapper names the endpoint and attempt).
+/// Answers one request frame in a fresh [`Session`]: a full `run_block`
+/// or `ping` is answered, a spec-less `run_block` is an error response.
 pub fn answer_request(text: &str) -> String {
-    match answer_inner(text) {
-        Ok(response) => response,
-        Err(e) => versioned(vec![("error", e.to_string().into())]).pretty(),
-    }
+    Session::default().answer(text)
 }
 
-fn answer_inner(text: &str) -> Result<String, SpecError> {
-    let json = Json::parse(text)?;
-    let v = json.req("v")?.as_u64()?;
-    if v != PROTOCOL_VERSION {
-        return Err(SpecError::invalid(format!(
-            "unsupported protocol version {v} (this server speaks {PROTOCOL_VERSION})"
-        )));
-    }
-    match json.req("op")?.as_str()? {
-        "ping" => Ok(versioned(vec![("ok", true.into())]).pretty()),
-        "run_block" => {
-            let spec = ExperimentSpec::from_json(json.req("spec")?)?;
-            let lo = json.req("lo")?.as_u64()?;
-            let hi = json.req("hi")?.as_u64()?;
-            let job = Job::from_spec(&spec)?;
-            let reps = job.replications();
-            if lo > hi || hi > reps {
-                return Err(SpecError::invalid(format!(
-                    "block range [{lo}, {hi}) is out of bounds for {reps} replications"
-                )));
-            }
-            let summary = run_block(&job, lo, hi, &mut NoopObserver);
-            Ok(versioned(vec![("summary", summary.to_json())]).pretty())
+/// The server's side of one connection: the job built from the last spec
+/// the client sent, which spec-less `run_block` requests run against.
+#[derive(Default)]
+pub struct Session {
+    job: Option<Job>,
+}
+
+impl Session {
+    /// Answers one request frame. Protocol or execution errors become
+    /// error responses rather than dropped connections, so the client
+    /// always learns *why* (and its provenance wrapper names the endpoint
+    /// and attempt). A request carrying a spec replaces the session's job
+    /// — and clears it if the spec does not build.
+    pub fn answer(&mut self, text: &str) -> String {
+        match self.answer_inner(text) {
+            Ok(response) => response,
+            Err(e) => versioned(vec![("error", e.to_string().into())]).pretty(),
         }
-        other => Err(SpecError::invalid(format!(
-            "unknown op {other:?} (expected ping or run_block)"
-        ))),
+    }
+
+    fn answer_inner(&mut self, text: &str) -> Result<String, SpecError> {
+        let json = Json::parse(text)?;
+        let v = json.req("v")?.as_u64()?;
+        if v != PROTOCOL_VERSION {
+            return Err(SpecError::invalid(format!(
+                "unsupported protocol version {v} (this server speaks {PROTOCOL_VERSION})"
+            )));
+        }
+        match json.req("op")?.as_str()? {
+            "ping" => Ok(versioned(vec![("ok", true.into())]).pretty()),
+            "run_block" => {
+                if let Some(spec) = json.get("spec") {
+                    // Cleared first: a spec that fails to build must not
+                    // leave the previous job behind for spec-less requests.
+                    self.job = None;
+                    self.job = Some(Job::from_spec(&ExperimentSpec::from_json(spec)?)?);
+                }
+                let job = self.job.as_ref().ok_or_else(|| {
+                    SpecError::invalid(
+                        "run_block without a spec on a connection that holds no job \
+                         (send the spec first)",
+                    )
+                })?;
+                let lo = json.req("lo")?.as_u64()?;
+                let hi = json.req("hi")?.as_u64()?;
+                let reps = job.replications();
+                if lo > hi || hi > reps {
+                    return Err(SpecError::invalid(format!(
+                        "block range [{lo}, {hi}) is out of bounds for {reps} replications"
+                    )));
+                }
+                let summary = run_block(job, lo, hi, &mut NoopObserver);
+                Ok(versioned(vec![("summary", summary.to_json())]).pretty())
+            }
+            other => Err(SpecError::invalid(format!(
+                "unknown op {other:?} (expected ping or run_block)"
+            ))),
+        }
     }
 }
 
 fn serve_connection(stream: TcpStream) {
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let mut reader = std::io::BufReader::new(read_half);
+    let mut reader = BufReader::new(read_half);
     let mut writer = stream;
+    let mut session = Session::default();
     loop {
         let request = match read_frame(&mut reader) {
             Ok(Some(text)) => text,
@@ -180,19 +246,43 @@ fn serve_connection(stream: TcpStream) {
             // is over; the client's timeouts and retries own recovery.
             Ok(None) | Err(_) => return,
         };
-        if write_frame(&mut writer, &answer_request(&request)).is_err() {
+        if write_frame(&mut writer, &session.answer(&request)).is_err() {
             return;
         }
     }
 }
 
-fn accept_loop(listener: TcpListener, stop: &AtomicBool) {
+/// The connections a server is answering — a handle on each socket and
+/// its handler thread — so shutdown can close them. Handlers remove their
+/// own entry on exit, which also releases the socket.
+#[derive(Default)]
+struct Connections {
+    next_id: u64,
+    live: BTreeMap<u64, (TcpStream, JoinHandle<()>)>,
+}
+
+fn accept_loop(listener: TcpListener, stop: &AtomicBool, connections: &Arc<Mutex<Connections>>) {
     for conn in listener.incoming() {
         if stop.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = conn else { continue };
-        std::thread::spawn(move || serve_connection(stream));
+        let Ok(handle) = stream.try_clone() else {
+            continue;
+        };
+        // Spawn and register under one lock, so a handler that finishes
+        // at once still finds its entry to remove.
+        let mut registry = lock(connections);
+        let id = registry.next_id;
+        registry.next_id += 1;
+        let own = Arc::clone(connections);
+        let spawned = std::thread::Builder::new().spawn(move || {
+            serve_connection(stream);
+            lock(&own).live.remove(&id);
+        });
+        if let Ok(handler) = spawned {
+            registry.live.insert(id, (handle, handler));
+        }
     }
 }
 
@@ -204,6 +294,7 @@ pub struct RemoteServer {
     endpoint: String,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
+    connections: Arc<Mutex<Connections>>,
 }
 
 impl RemoteServer {
@@ -217,14 +308,17 @@ impl RemoteServer {
             .map_err(|e| SpecError::Io(format!("local_addr of {addr}: {e}")))?
             .to_string();
         let stop = Arc::new(AtomicBool::new(false));
+        let connections = Arc::new(Mutex::new(Connections::default()));
         let accept = {
             let stop = Arc::clone(&stop);
-            std::thread::spawn(move || accept_loop(listener, &stop))
+            let connections = Arc::clone(&connections);
+            std::thread::spawn(move || accept_loop(listener, &stop, &connections))
         };
         Ok(Self {
             endpoint,
             stop,
             accept: Some(accept),
+            connections,
         })
     }
 
@@ -233,8 +327,9 @@ impl RemoteServer {
         &self.endpoint
     }
 
-    /// Stops accepting and joins the accept thread. Connections already
-    /// being served finish their current conversation and exit at EOF.
+    /// Stops accepting, lets every in-flight answer finish, then closes
+    /// every connection — kept-alive ones included — and joins their
+    /// handlers. Clients see the server as gone.
     pub fn shutdown(self) {
         drop(self);
     }
@@ -247,6 +342,14 @@ impl Drop for RemoteServer {
         let _ = TcpStream::connect(&self.endpoint);
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
+        }
+        // The accept thread is gone, so nothing registers after this.
+        let live = std::mem::take(&mut lock(&self.connections).live);
+        for (stream, handler) in live.into_values() {
+            // Closing the read side ends the handler at its next read: an
+            // answer being computed is still written first.
+            let _ = stream.shutdown(Shutdown::Read);
+            let _ = handler.join();
         }
     }
 }
@@ -263,17 +366,17 @@ pub fn serve_blocking(addr: &str, on_ready: impl FnOnce(&str)) -> Result<(), Spe
         .to_string();
     on_ready(&endpoint);
     let never = AtomicBool::new(false);
-    accept_loop(listener, &never);
+    accept_loop(listener, &never, &Arc::default());
     Ok(())
 }
 
-/// Pings `endpoint` once within `timeout`; `Ok` means a protocol-speaking
-/// server answered.
+/// Pings `endpoint` once within `timeout` on a fresh connection; `Ok`
+/// means a protocol-speaking server answered.
 pub fn ping(endpoint: &str, timeout: Duration) -> Result<(), SpecError> {
     let stream = connect(endpoint, timeout)?;
     let mut writer = &stream;
     write_frame(&mut writer, &ping_request())?;
-    let mut reader = std::io::BufReader::new(&stream);
+    let mut reader = BufReader::new(&stream);
     let text = read_frame(&mut reader)?
         .ok_or_else(|| SpecError::Io(format!("{endpoint}: closed without a pong")))?;
     let json = Json::parse(&text)?;
@@ -306,8 +409,120 @@ fn backoff(t: usize) -> Duration {
     Duration::from_millis(25u64.saturating_mul(1 << t.min(3).saturating_sub(1)))
 }
 
+/// Why one request/reply exchange failed.
+struct Failure {
+    phase: &'static str,
+    detail: String,
+    /// The server had closed the connection before any reply byte (EOF,
+    /// reset, broken pipe — not a timeout): a kept-alive connection gone
+    /// stale, worth one redial.
+    stale: bool,
+}
+
+impl Failure {
+    fn new(phase: &'static str, detail: impl ToString) -> Self {
+        Self {
+            phase,
+            detail: detail.to_string(),
+            stale: false,
+        }
+    }
+
+    fn io(phase: &'static str, what: &str, e: &std::io::Error) -> Self {
+        Self {
+            stale: matches!(
+                e.kind(),
+                ErrorKind::UnexpectedEof
+                    | ErrorKind::ConnectionReset
+                    | ErrorKind::ConnectionAborted
+                    | ErrorKind::BrokenPipe
+            ),
+            ..Self::new(phase, format!("{what}: {e}"))
+        }
+    }
+}
+
+/// A kept-alive connection to one endpoint.
+struct Conn {
+    reader: BufReader<TcpStream>,
+    /// The wire spec the server holds for this connection, if any.
+    spec: Option<Arc<str>>,
+}
+
+impl Conn {
+    fn dial(endpoint: &str, timeout: Duration) -> Result<Self, SpecError> {
+        Ok(Self {
+            reader: BufReader::new(connect(endpoint, timeout)?),
+            spec: None,
+        })
+    }
+
+    /// Sends one `run_block` — with the spec only if this connection does
+    /// not carry it yet — and validates the reply.
+    fn exchange(&mut self, spec: &Arc<str>, a: BlockAssignment) -> Result<Summary, Failure> {
+        let carried = self.spec.as_deref() == Some(&**spec);
+        let request = block_request((!carried).then_some(&**spec), a.lo, a.hi);
+        let frame = encode_frame(&request).map_err(|e| Failure::new("write", e))?;
+        self.reader
+            .get_mut()
+            .write_all(&frame)
+            .map_err(|e| Failure::io("write", "frame write failed", &e))?;
+        // Wait for the first reply byte on its own, so a connection the
+        // server has closed is told apart from one that broke mid-reply.
+        match self.reader.fill_buf() {
+            Ok([]) => {
+                return Err(Failure {
+                    stale: true,
+                    ..Failure::new("read", "server closed the connection without replying")
+                })
+            }
+            Ok(_) => {}
+            Err(e) => return Err(Failure::io("read", "frame length read failed", &e)),
+        }
+        let text = read_frame(&mut self.reader)
+            .map_err(|e| Failure::new("read", e))?
+            .ok_or_else(|| Failure::new("read", "server closed the connection without replying"))?;
+        let json = Json::parse(&text).map_err(|e| Failure::new("decode", e))?;
+        if let Some(error) = json.get("error") {
+            let detail = error.as_str().unwrap_or("malformed error response");
+            return Err(Failure::new("decode", format!("server reported: {detail}")));
+        }
+        let summary = json
+            .req("summary")
+            .and_then(Summary::from_json)
+            .map_err(|e| Failure::new("decode", e))?;
+        let expected = a.hi - a.lo;
+        if summary.replications != expected {
+            return Err(Failure::new(
+                "decode",
+                format!(
+                    "summary covers {} replications, expected {expected}",
+                    summary.replications
+                ),
+            ));
+        }
+        self.spec = Some(Arc::clone(spec));
+        Ok(summary)
+    }
+}
+
 /// The networked [`Worker`]: ships each leased block to one of a set of
-/// `eacp serve` endpoints and deserializes the partial [`Summary`].
+/// `eacp serve` endpoints over kept-alive connections and deserializes
+/// the partial [`Summary`].
+///
+/// **Connections.** The worker keeps an idle pool of connections per
+/// endpoint. A transport try checks one out (dialing when the pool is
+/// empty) and returns it only after a fully validated reply; any failure
+/// drops it. A *reused* connection that fails before any reply byte — the
+/// server closed or restarted since (EOF, reset, broken pipe; not a
+/// timeout) — is redialed once on the same endpoint within the same try.
+/// At most one connection per pool thread and endpoint stays open.
+///
+/// **Spec caching.** The job's wire spec (its queue section stripped) is
+/// encoded once per job, memoised on spec equality. Each connection
+/// remembers the spec it last carried, and a request on it omits the spec
+/// when it would be unchanged — the server runs it against the job it
+/// already built for that connection.
 ///
 /// Failure handling is layered:
 ///
@@ -332,6 +547,10 @@ pub struct RemoteWorker {
     /// Lease attempt at (and after) which blocks run in-process; 0 never
     /// falls back.
     fallback_attempt: u32,
+    /// Idle kept-alive connections, one list per endpoint.
+    idle: Vec<Mutex<Vec<Conn>>>,
+    /// The last job's spec and its encoded wire form.
+    wire: Mutex<Option<(ExperimentSpec, Arc<str>)>>,
 }
 
 impl RemoteWorker {
@@ -340,9 +559,11 @@ impl RemoteWorker {
     /// fallback.
     pub fn new(endpoints: Vec<String>, timeout_ms: u64) -> Self {
         Self {
+            idle: endpoints.iter().map(|_| Mutex::default()).collect(),
             endpoints,
             timeout: Duration::from_millis(timeout_ms.max(1)),
             fallback_attempt: 0,
+            wire: Mutex::default(),
         }
     }
 
@@ -361,70 +582,76 @@ impl RemoteWorker {
     }
 
     /// A lease deadline safely above this worker's worst-case transport
-    /// time for one attempt (every endpoint tried, each paying full
-    /// connect + write + read timeouts plus backoff), so the queue only
-    /// reclaims leases that are truly wedged.
+    /// time for one attempt, so the queue only reclaims leases that are
+    /// truly wedged. Worst case: every endpoint tried, each try paying a
+    /// reused connection's write and read timeouts, then a redial's
+    /// connect, write and read timeouts, plus backoff.
     pub fn lease_timeout(&self) -> Duration {
         let tries = self.endpoints.len().max(1) as u32;
         let per_try = self
             .timeout
-            .saturating_mul(3)
+            .saturating_mul(5)
             .saturating_add(Duration::from_millis(200));
         per_try
             .saturating_mul(tries.saturating_mul(2))
             .max(Duration::from_secs(1))
     }
 
+    /// The wire form of `spec`: encoded once per job, the queue section
+    /// stripped — the server runs the block directly, so shipping it along
+    /// would be circular, and it is result-neutral anyway.
+    fn wire_spec(&self, spec: &ExperimentSpec) -> Arc<str> {
+        let mut memo = lock(&self.wire);
+        if let Some((source, text)) = memo.as_ref() {
+            if source == spec {
+                return Arc::clone(text);
+            }
+        }
+        let mut wire = spec.clone();
+        wire.executor.queue = None;
+        let text: Arc<str> = wire.to_json().pretty().into();
+        *memo = Some((spec.clone(), Arc::clone(&text)));
+        text
+    }
+
     fn request_summary(
         &self,
-        endpoint: &str,
-        request: &str,
+        index: usize,
+        spec: &Arc<str>,
         assignment: BlockAssignment,
         attempt: u32,
         this_try: usize,
-        tries: usize,
     ) -> Result<Summary, SpecError> {
+        let endpoint = &self.endpoints[index];
         // Every failure names where, when and at which phase it happened:
         // the endpoint, the lease attempt, the transport try, and the
         // protocol phase — `fleet-smoke` triage depends on this.
         let at = |phase: &str, detail: String| {
             SpecError::Io(format!(
                 "remote endpoint {endpoint}: {phase} failed for block {} [{}, {}) \
-                 on lease attempt {attempt}, transport try {this_try}/{tries}: {detail}",
-                assignment.block, assignment.lo, assignment.hi
+                 on lease attempt {attempt}, transport try {this_try}/{}: {detail}",
+                assignment.block,
+                assignment.lo,
+                assignment.hi,
+                self.endpoints.len()
             ))
         };
-        let stream = connect(endpoint, self.timeout).map_err(|e| at("connect", e.to_string()))?;
-        let mut writer = &stream;
-        write_frame(&mut writer, request).map_err(|e| at("write", e.to_string()))?;
-        let mut reader = std::io::BufReader::new(&stream);
-        let text = read_frame(&mut reader)
-            .map_err(|e| at("read", e.to_string()))?
-            .ok_or_else(|| {
-                at(
-                    "read",
-                    "server closed the connection without replying".into(),
-                )
-            })?;
-        let json = Json::parse(&text).map_err(|e| at("decode", e.to_string()))?;
-        if let Some(error) = json.get("error") {
-            let detail = error.as_str().unwrap_or("malformed error response");
-            return Err(at("decode", format!("server reported: {detail}")));
-        }
-        let summary = json
-            .req("summary")
-            .and_then(Summary::from_json)
-            .map_err(|e| at("decode", e.to_string()))?;
-        let expected = assignment.hi - assignment.lo;
-        if summary.replications != expected {
-            return Err(at(
-                "decode",
-                format!(
-                    "summary covers {} replications, expected {expected}",
-                    summary.replications
-                ),
-            ));
-        }
+        let dial = || Conn::dial(endpoint, self.timeout).map_err(|e| at("connect", e.to_string()));
+        let pooled = lock(&self.idle[index]).pop();
+        let reused = pooled.is_some();
+        let mut conn = match pooled {
+            Some(conn) => conn,
+            None => dial()?,
+        };
+        let reply = match conn.exchange(spec, assignment) {
+            Err(failure) if reused && failure.stale => {
+                conn = dial()?;
+                conn.exchange(spec, assignment)
+            }
+            reply => reply,
+        };
+        let summary = reply.map_err(|f| at(f.phase, f.detail))?;
+        lock(&self.idle[index]).push(conn);
         Ok(summary)
     }
 }
@@ -451,11 +678,7 @@ impl Worker for RemoteWorker {
                  (Job::from_parts closures have no serializable form)",
             )
         })?;
-        // The server runs the block directly; shipping the queue section
-        // along would be circular and is result-neutral anyway.
-        let mut spec = spec.clone();
-        spec.executor.queue = None;
-        let request = run_block_request(&spec, assignment.lo, assignment.hi);
+        let spec = self.wire_spec(spec);
         let n = self.endpoints.len();
         let start = (assignment.block as usize).wrapping_add(attempt as usize - 1) % n;
         let mut last_error = None;
@@ -463,8 +686,7 @@ impl Worker for RemoteWorker {
             if t > 0 {
                 std::thread::sleep(backoff(t));
             }
-            let endpoint = &self.endpoints[(start + t) % n];
-            match self.request_summary(endpoint, &request, assignment, attempt, t + 1, n) {
+            match self.request_summary((start + t) % n, &spec, assignment, attempt, t + 1) {
                 Ok(summary) => return Ok(summary),
                 Err(e) => last_error = Some(e),
             }
@@ -569,8 +791,11 @@ mod tests {
     #[test]
     fn lease_timeout_covers_the_transport_budget() {
         let w = RemoteWorker::new(vec!["a:1".into(), "b:1".into()], 250);
-        // 2 endpoints × (3 × 250ms + 200ms) × 2 headroom = 3.8s.
-        assert!(w.lease_timeout() >= Duration::from_millis(1900));
+        // One attempt's worst case: 2 endpoints, each a stale reused
+        // connection (write + read) then a redial (connect + write +
+        // read), plus backoff.
+        let worst = 2 * (5 * 250 + 100);
+        assert!(w.lease_timeout() >= Duration::from_millis(worst));
         // Even a tiny budget keeps a sane floor.
         let w = RemoteWorker::new(vec!["a:1".into()], 1);
         assert!(w.lease_timeout() >= Duration::from_secs(1));

@@ -8,11 +8,21 @@
 //!   rotation, the lease retry budget and the in-process fallback.
 //! * Transport errors carry full provenance: endpoint, lease attempt,
 //!   transport try, and protocol phase.
+//! * Connections are kept alive: at most one per pool worker and
+//!   endpoint, reused across blocks and jobs, redialed when the server
+//!   behind them restarted, and closed when it shuts down.
 
-use eacp_exec::{Job, LocalRunner, QueueRunner, RemoteServer, RemoteWorker, Runner};
+use eacp_exec::remote::{read_frame, write_frame};
+use eacp_exec::{
+    Job, LocalRunner, QueueObserver, QueueRunner, QueueStatus, RemoteServer, RemoteWorker, Runner,
+};
 use eacp_spec::{ExperimentSpec, McSpec, QueueSpec, SweepAxis, SweepSpec};
-use std::io::Read;
-use std::net::TcpListener;
+use std::io::{BufReader, Read};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 fn spec(reps: u64, seed: u64) -> ExperimentSpec {
     let mut spec = ExperimentSpec::paper_nominal();
@@ -179,4 +189,185 @@ fn remote_sweep_matches_sequential_sweep() {
     );
     let remote = eacp_exec::run_sweep_tiered(&sweep, None, &runner, true).unwrap();
     assert_eq!(remote, sequential, "grid bytes are location-independent");
+}
+
+/// A TCP forwarder in front of one server that counts the connections it
+/// accepts — the number of connections the client opened.
+struct CountingProxy {
+    endpoint: String,
+    accepted: Arc<AtomicUsize>,
+    stop: Arc<AtomicBool>,
+    accept: Option<JoinHandle<()>>,
+}
+
+impl CountingProxy {
+    fn new(upstream: &str) -> Self {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let endpoint = listener.local_addr().unwrap().to_string();
+        let accepted = Arc::new(AtomicUsize::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let accept = {
+            let (accepted, stop, upstream) = (accepted.clone(), stop.clone(), upstream.to_owned());
+            std::thread::spawn(move || {
+                let mut pipes = Vec::new();
+                for client in listener.incoming() {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    accepted.fetch_add(1, Ordering::SeqCst);
+                    let client = client.unwrap();
+                    let server = TcpStream::connect(&upstream).unwrap();
+                    pipes.push(pipe(
+                        client.try_clone().unwrap(),
+                        server.try_clone().unwrap(),
+                    ));
+                    pipes.push(pipe(server, client));
+                }
+                for p in pipes {
+                    p.join().unwrap();
+                }
+            })
+        };
+        Self {
+            endpoint,
+            accepted,
+            stop,
+            accept: Some(accept),
+        }
+    }
+
+    fn accepted(&self) -> usize {
+        self.accepted.load(Ordering::SeqCst)
+    }
+}
+
+/// Copies `from` to `to` until EOF, then passes the close on.
+fn pipe(mut from: TcpStream, mut to: TcpStream) -> JoinHandle<()> {
+    std::thread::spawn(move || {
+        let _ = std::io::copy(&mut from, &mut to);
+        let _ = to.shutdown(Shutdown::Write);
+    })
+}
+
+impl Drop for CountingProxy {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(&self.endpoint);
+        if let Some(accept) = self.accept.take() {
+            accept.join().unwrap();
+        }
+    }
+}
+
+/// Records the queue's final retry count.
+#[derive(Default)]
+struct RetryCount(AtomicU64);
+
+impl QueueObserver for RetryCount {
+    fn on_complete(&self, _worker: usize, _index: usize, status: QueueStatus) {
+        self.0.fetch_max(status.retries, Ordering::SeqCst);
+    }
+
+    fn on_retry(
+        &self,
+        _worker: usize,
+        _index: usize,
+        _attempt: u32,
+        _error: &eacp_spec::SpecError,
+        status: QueueStatus,
+    ) {
+        self.0.fetch_max(status.retries, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn pooled_connections_stay_within_one_per_worker_and_endpoint() {
+    let servers = [
+        RemoteServer::bind("127.0.0.1:0").unwrap(),
+        RemoteServer::bind("127.0.0.1:0").unwrap(),
+    ];
+    let proxies: Vec<CountingProxy> = servers
+        .iter()
+        .map(|s| CountingProxy::new(s.endpoint()))
+        .collect();
+    let endpoints = proxies.iter().map(|p| p.endpoint.clone()).collect();
+    // 1024 replications = 64 canonical blocks of 16.
+    let job = Job::from_spec(&spec(1024, 21)).unwrap();
+    let reference = LocalRunner::new(1).run(&job).unwrap();
+    let runner = fleet_runner(endpoints, 4, 5_000, 3);
+    assert_eq!(runner.run(&job).unwrap(), reference);
+    let opened: usize = proxies.iter().map(CountingProxy::accepted).sum();
+    assert!(
+        opened <= 8,
+        "2 endpoints x 4 workers opened {opened} connections"
+    );
+    drop(runner);
+}
+
+#[test]
+fn restarted_server_is_redialed_without_a_lease_retry() {
+    let server = RemoteServer::bind("127.0.0.1:0").unwrap();
+    let endpoint = server.endpoint().to_owned();
+    let job = Job::from_spec(&spec(256, 8)).unwrap();
+    let reference = LocalRunner::new(1).run(&job).unwrap();
+    let runner = fleet_runner(vec![endpoint.clone()], 2, 5_000, 3);
+    assert_eq!(runner.run(&job).unwrap(), reference);
+    // Every pooled connection now points at a dead server; a new one
+    // listens on the same port.
+    server.shutdown();
+    let _restarted = RemoteServer::bind(&endpoint).unwrap();
+    let retries = RetryCount::default();
+    assert_eq!(runner.run_with(&job, &retries).unwrap(), reference);
+    assert_eq!(
+        retries.0.load(Ordering::SeqCst),
+        0,
+        "stale connections must be redialed within the transport try"
+    );
+}
+
+#[test]
+fn alternating_specs_share_one_workers_connections() {
+    let server = RemoteServer::bind("127.0.0.1:0").unwrap();
+    let proxy = CountingProxy::new(server.endpoint());
+    let jobs = [
+        Job::from_spec(&spec(96, 4)).unwrap(),
+        Job::from_spec(&spec(160, 13)).unwrap(),
+    ];
+    let references: Vec<_> = jobs
+        .iter()
+        .map(|job| LocalRunner::new(1).run(job).unwrap())
+        .collect();
+    let runner = fleet_runner(vec![proxy.endpoint.clone()], 2, 5_000, 3);
+    for round in 0..3 {
+        for (job, reference) in jobs.iter().zip(&references) {
+            assert_eq!(&runner.run(job).unwrap(), reference, "round {round}");
+        }
+    }
+    assert!(proxy.accepted() <= 2, "{} connections", proxy.accepted());
+}
+
+#[test]
+fn shutdown_closes_kept_alive_connections() {
+    let a = RemoteServer::bind("127.0.0.1:0").unwrap();
+    let b = RemoteServer::bind("127.0.0.1:0").unwrap();
+    let endpoints = vec![a.endpoint().to_owned(), b.endpoint().to_owned()];
+    let job = Job::from_spec(&spec(320, 6)).unwrap();
+    let reference = LocalRunner::new(1).run(&job).unwrap();
+    let runner = fleet_runner(endpoints, 3, 5_000, 3);
+    assert_eq!(runner.run(&job).unwrap(), reference);
+    // An idle kept-alive connection to A, with its handler running.
+    let idle = TcpStream::connect(a.endpoint()).unwrap();
+    idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut writer = &idle;
+    write_frame(&mut writer, &eacp_exec::remote::ping_request()).unwrap();
+    let mut reader = BufReader::new(&idle);
+    assert!(read_frame(&mut reader).unwrap().unwrap().contains("ok"));
+    a.shutdown();
+    // Its handler has exited and closed the socket: a clean EOF, not a
+    // read timeout.
+    assert_eq!(read_frame(&mut reader).unwrap(), None);
+    // The worker's pooled connections to A are gone too; B absorbs A's
+    // blocks.
+    assert_eq!(runner.run(&job).unwrap(), reference);
+    drop(b);
 }

@@ -1,10 +1,70 @@
-//! Property and adversarial tests of the remote frame codec: round-trip
-//! fidelity for arbitrary payload streams, and the R4 contract that
+//! Property and adversarial tests of the remote frame codec and protocol:
+//! round-trip fidelity for arbitrary payload streams, the R4 contract that
 //! corrupt, truncated or oversized input is always a `SpecError`, never a
-//! panic or an unbounded allocation.
+//! panic or an unbounded allocation, and the per-connection job cache —
+//! a spec-less `run_block` runs against the spec most recently loaded on
+//! its connection, or is an error response.
 
-use eacp_exec::remote::{read_frame, write_frame, MAX_FRAME_BYTES};
+use eacp_exec::remote::{
+    answer_request, ping_request, read_frame, run_block_request, write_frame, Session,
+    MAX_FRAME_BYTES,
+};
+use eacp_exec::{BlockAssignment, InProcessWorker, Job, RemoteServer, Summary, Worker};
+use eacp_spec::{ExperimentSpec, FromJson, Json, McSpec};
 use proptest::prelude::*;
+use std::io::BufReader;
+use std::net::TcpStream;
+use std::time::Duration;
+
+fn spec(reps: u64, seed: u64) -> ExperimentSpec {
+    let mut spec = ExperimentSpec::paper_nominal();
+    spec.mc = McSpec {
+        replications: reps,
+        seed,
+        threads: 1,
+    };
+    spec
+}
+
+/// A `run_block` request without a spec.
+fn spec_less_request(lo: u64, hi: u64) -> String {
+    format!("{{\"v\": 1, \"op\": \"run_block\", \"lo\": {lo}, \"hi\": {hi}}}")
+}
+
+/// One request of a connection's conversation.
+#[derive(Debug, Clone)]
+enum Request {
+    /// A full request carrying spec `specs()[i]`, or — for the index past
+    /// the end — a spec that does not build.
+    Full(usize, u64, u64),
+    SpecLess(u64, u64),
+    /// A full request cut short, or arbitrary bytes.
+    Garbage(String),
+}
+
+fn specs() -> [ExperimentSpec; 2] {
+    [spec(8, 3), spec(12, 17)]
+}
+
+fn request_strategy() -> impl Strategy<Value = Request> {
+    (
+        0u8..4,
+        0usize..=2,
+        0u64..16,
+        0u64..16,
+        proptest::collection::vec(0u8..=255, 0..64),
+    )
+        .prop_map(|(kind, i, lo, hi, bytes)| match kind {
+            0 => Request::Full(i, lo, hi),
+            1 => Request::SpecLess(lo, hi),
+            2 => {
+                let full = run_block_request(&specs()[0], 0, 4);
+                let cut = (bytes.len() * 13).min(full.len() - 1);
+                Request::Garbage(full[..cut].to_owned())
+            }
+            _ => Request::Garbage(String::from_utf8_lossy(&bytes).into_owned()),
+        })
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -64,6 +124,101 @@ proptest! {
             Ok(Some(s)) => prop_assert!(false, "read a whole frame from a truncated stream: {:?}", s),
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Any sequence of full, spec-less and garbage requests through one
+    /// connection's session never panics; every summary it returns equals
+    /// the block run on the spec most recently loaded, and every request
+    /// that should succeed does.
+    #[test]
+    fn session_answers_follow_the_most_recently_loaded_spec(
+        requests in proptest::collection::vec(request_strategy(), 1..10),
+    ) {
+        let specs = specs();
+        let jobs: Vec<Job> = specs.iter().map(|s| Job::from_spec(s).unwrap()).collect();
+        let mut session = Session::default();
+        let mut loaded: Option<usize> = None;
+        for request in &requests {
+            let (text, range) = match *request {
+                Request::Full(i, lo, hi) if i < specs.len() => {
+                    loaded = Some(i);
+                    (run_block_request(&specs[i], lo, hi), Some((lo, hi)))
+                }
+                Request::Full(_, lo, hi) => {
+                    loaded = None;
+                    let text = format!(
+                        "{{\"v\": 1, \"op\": \"run_block\", \"lo\": {lo}, \"hi\": {hi}, \
+                         \"spec\": {{\"name\": \"broken\"}}}}"
+                    );
+                    (text, None)
+                }
+                Request::SpecLess(lo, hi) => (spec_less_request(lo, hi), Some((lo, hi))),
+                Request::Garbage(ref text) => (text.clone(), None),
+            };
+            let response = Json::parse(&session.answer(&text)).unwrap();
+            let expected = match (loaded, range) {
+                (Some(i), Some((lo, hi))) if lo <= hi && hi <= specs[i].mc.replications => {
+                    let block = BlockAssignment { block: 0, lo, hi };
+                    Some(InProcessWorker.run_assignment(&jobs[i], block, 1).unwrap())
+                }
+                _ => None,
+            };
+            match (response.get("summary"), expected) {
+                (Some(summary), Some(expected)) => {
+                    prop_assert_eq!(Summary::from_json(summary).unwrap(), expected);
+                }
+                (None, None) => prop_assert!(response.get("error").is_some()),
+                (got, want) => prop_assert!(
+                    false,
+                    "{:?} answered {:?}, expected {:?}",
+                    request,
+                    got,
+                    want.is_some()
+                ),
+            }
+        }
+    }
+}
+
+#[test]
+fn spec_less_run_block_without_a_loaded_job_is_an_error_response() {
+    // Stateless: a fresh session holds no job.
+    let text = answer_request(&spec_less_request(0, 4));
+    let json = Json::parse(&text).unwrap();
+    let error = json.req("error").unwrap().as_str().unwrap();
+    assert!(error.contains("spec"), "{error}");
+    assert!(json.get("summary").is_none(), "{text}");
+
+    // On a fresh connection: an error response, and the connection keeps
+    // serving.
+    let server = RemoteServer::bind("127.0.0.1:0").unwrap();
+    let stream = TcpStream::connect(server.endpoint()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut writer = &stream;
+    let mut reader = BufReader::new(&stream);
+    write_frame(&mut writer, &spec_less_request(0, 4)).unwrap();
+    let reply = read_frame(&mut reader).unwrap().unwrap();
+    assert!(
+        Json::parse(&reply).unwrap().get("error").is_some(),
+        "{reply}"
+    );
+    write_frame(&mut writer, &ping_request()).unwrap();
+    let pong = read_frame(&mut reader).unwrap().unwrap();
+    assert!(pong.contains("ok"), "{pong}");
+    // Once a spec is loaded, spec-less requests run against it.
+    let spec = spec(8, 5);
+    write_frame(&mut writer, &run_block_request(&spec, 0, 4)).unwrap();
+    let full = read_frame(&mut reader).unwrap().unwrap();
+    write_frame(&mut writer, &spec_less_request(0, 4)).unwrap();
+    let cached = read_frame(&mut reader).unwrap().unwrap();
+    assert!(full.contains("summary"), "{full}");
+    assert_eq!(full, cached);
+    server.shutdown();
 }
 
 #[test]

@@ -53,8 +53,7 @@
 //! ```
 //!
 //! Regenerate the paper's tables with
-//! `cargo run --release -p eacp-experiments --bin gen-tables`, and see
-//! `EXPERIMENTS.md` for the full paper-vs-measured record.
+//! `cargo run --release -p eacp-experiments --bin gen-tables`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
