@@ -270,6 +270,11 @@ impl<'s> Executor<'s> {
         let mut ops: u64 = 0;
         let mut stalled_rounds: u32 = 0;
         let mut deadline_missed = false;
+        // The arrival that last failed the commit window's fault guard.
+        // While it is still the next fault it lands inside the same
+        // commit window, so asking the policy again could only fail the
+        // same way (NaN: no arrival has failed yet).
+        let mut window_blocked_by = f64::NAN;
 
         // One planning-view constructor for both planning points in the
         // loop (pre-segment plan and post-compare notification).
@@ -344,7 +349,9 @@ impl<'s> Executor<'s> {
             // accumulated rounding of ~1e-10), so near-boundary windows
             // fall back to the general path below instead of ever risking
             // a decision the scalar path would not have made.
-            if pending_fault.is_none() {
+            // Skipping the query is always sound: declining a window only
+            // sends the run down the general path.
+            if pending_fault.is_none() && next_fault != window_blocked_by {
                 if let Some(w) = policy.commit_window(&plan_ctx(now, pos, speed)) {
                     let subs = w.subs as f64;
                     let seg_cycles = w.compute_time * level.frequency;
@@ -357,6 +364,9 @@ impl<'s> Executor<'s> {
                     let upper = (now + span) * (1.0 + 1e-9) + 1e-9;
                     let before_final = (task.work_cycles - pos) - subs * seg_cycles * (1.0 + 1e-9);
                     let after_window = before_final - seg_cycles * (1.0 + 1e-9);
+                    if next_fault <= upper {
+                        window_blocked_by = next_fault;
+                    }
                     let fits = w.speed == speed
                         && w.compute_time > 0.0
                         && w.compute_time.is_finite()

@@ -248,3 +248,24 @@ fn frame_exactly_at_the_cap_round_trips() {
     let mut r = buf.as_slice();
     assert_eq!(read_frame(&mut r).unwrap(), Some(max));
 }
+
+#[test]
+fn deeply_nested_frame_is_an_error_response_and_the_server_keeps_serving() {
+    let server = RemoteServer::bind("127.0.0.1:0").unwrap();
+    let stream = TcpStream::connect(server.endpoint()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut writer = &stream;
+    let mut reader = BufReader::new(&stream);
+    // 2 MB of `[`: far deeper than a connection thread's stack could
+    // recurse through.
+    write_frame(&mut writer, &"[".repeat(2 << 20)).unwrap();
+    let reply = read_frame(&mut reader).unwrap().unwrap();
+    let json = Json::parse(&reply).unwrap();
+    let error = json.req("error").unwrap().as_str().unwrap();
+    assert!(error.contains("deeper than"), "{error}");
+    // The process survived: a fresh connection still gets its pong.
+    eacp_exec::remote::ping(server.endpoint(), Duration::from_secs(5)).unwrap();
+    server.shutdown();
+}

@@ -12,8 +12,24 @@
 //! shortest-round-trip formatting and integers are kept in a separate
 //! lossless variant, which is what makes "serialize → deserialize → run"
 //! bit-identical for every spec in this workspace.
+//!
+//! The writer formats numbers **in place**: floats (`{:?}`) and integers
+//! go straight into the output buffer through `fmt::Write`, strings that
+//! need no escaping are copied in one piece, and indentation is sliced
+//! from a static run of spaces — no intermediate `String` per value. The
+//! parser copies string contents as runs between quotes, backslashes and
+//! control bytes.
+//!
+//! The parser caps nesting at [`MAX_DEPTH`] arrays/objects. Deeper input
+//! is rejected with a parse error (line and column) instead of recursing
+//! until the stack overflows; nothing this workspace writes nests deeper
+//! than about ten levels.
 
 use crate::error::SpecError;
+use std::fmt::Write as _;
+
+/// The deepest array/object nesting [`Json::parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,8 +66,10 @@ impl Json {
     /// Parses a JSON text.
     pub fn parse(text: &str) -> Result<Json, SpecError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -64,7 +82,7 @@ impl Json {
 
     /// Pretty-prints with two-space indentation and a trailing newline.
     pub fn pretty(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(1024);
         self.write(&mut out, 0);
         out.push('\n');
         out
@@ -74,8 +92,8 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Float(x) => out.push_str(&format_float(*x)),
-            Json::Int(i) => out.push_str(&i.to_string()),
+            Json::Float(x) => write_float(out, *x),
+            Json::Int(i) => write_int(out, *i),
             Json::Str(s) => write_string(out, s),
             Json::Array(items) => {
                 if items.is_empty() {
@@ -252,50 +270,79 @@ impl From<String> for Json {
     }
 }
 
+/// Two spaces per level; deeper levels take it in several slices.
+const SPACES: &str = "                                                                ";
+
 fn push_indent(out: &mut String, n: usize) {
-    for _ in 0..n {
-        out.push_str("  ");
+    let mut width = 2 * n;
+    while width > 0 {
+        let run = width.min(SPACES.len());
+        out.push_str(&SPACES[..run]);
+        width -= run;
     }
 }
 
 /// Shortest representation that parses back to the same f64 (Rust's `{:?}`),
 /// with JSON-isms for the values JSON cannot express.
-fn format_float(x: f64) -> String {
+fn write_float(out: &mut String, x: f64) {
     if x.is_nan() {
         // JSON has no NaN; the spec layer writes null and readers of report
         // documents treat null as NaN (the paper's empty table cells).
-        "null".to_owned()
+        out.push_str("null");
     } else if x.is_infinite() {
-        if x > 0.0 { "1e999" } else { "-1e999" }.to_owned()
+        out.push_str(if x > 0.0 { "1e999" } else { "-1e999" });
     } else {
-        let s = format!("{x:?}");
         // `{:?}` prints integral floats as `1.0`, which is already valid
-        // JSON and keeps the float/int distinction on re-parse.
-        s
+        // JSON and keeps the float/int distinction on re-parse. Writing
+        // into a `String` cannot fail.
+        let _ = write!(out, "{x:?}");
     }
+}
+
+fn write_int(out: &mut String, i: i128) {
+    // Same digits either way; the i64 formatter is the cheaper one.
+    let _ = match i64::try_from(i) {
+        Ok(small) => write!(out, "{small}"),
+        Err(_) => write!(out, "{i}"),
+    };
+}
+
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
 }
 
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    // Every byte that needs escaping is ASCII, so the runs between them
+    // fall on char boundaries.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !needs_escape(b) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -323,9 +370,11 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
+        let rest = &self.bytes[self.pos..];
+        self.pos += rest
+            .iter()
+            .position(|b| !matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
+            .unwrap_or(rest.len());
     }
 
     fn expect_byte(&mut self, b: u8) -> Result<(), SpecError> {
@@ -335,6 +384,15 @@ impl<'a> Parser<'a> {
         } else {
             Err(self.err(&format!("expected '{}'", b as char)))
         }
+    }
+
+    /// Enters one array/object level, refusing to go past [`MAX_DEPTH`].
+    fn descend(&mut self) -> Result<(), SpecError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("JSON nests deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn literal(&mut self, lit: &str, value: Json) -> Result<Json, SpecError> {
@@ -360,11 +418,13 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self) -> Result<Json, SpecError> {
+        self.descend()?;
         self.expect_byte(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(Json::Object(fields));
         }
         loop {
@@ -378,18 +438,23 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b'}') => return Ok(Json::Object(fields)),
+                Some(b'}') => {
+                    self.depth -= 1;
+                    return Ok(Json::Object(fields));
+                }
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
         }
     }
 
     fn array(&mut self) -> Result<Json, SpecError> {
+        self.descend()?;
         self.expect_byte(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(Json::Array(items));
         }
         loop {
@@ -398,7 +463,10 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b']') => return Ok(Json::Array(items)),
+                Some(b']') => {
+                    self.depth -= 1;
+                    return Ok(Json::Array(items));
+                }
                 _ => return Err(self.err("expected ',' or ']' in array")),
             }
         }
@@ -408,6 +476,22 @@ impl<'a> Parser<'a> {
         self.expect_byte(b'"')?;
         let mut s = String::new();
         loop {
+            // Copy everything up to the next quote, backslash or control
+            // byte as one run. Those stop bytes are ASCII, so the run ends
+            // on a char boundary of the (already valid UTF-8) input.
+            let run = self.pos;
+            let rest = &self.bytes[run..];
+            self.pos += rest
+                .iter()
+                .position(|&b| needs_escape(b))
+                .unwrap_or(rest.len());
+            if self.pos > run {
+                let chunk = self
+                    .text
+                    .get(run..self.pos)
+                    .ok_or_else(|| self.err("invalid UTF-8 in string"))?;
+                s.push_str(chunk);
+            }
             match self.bump() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => return Ok(s),
@@ -437,20 +521,7 @@ impl<'a> Parser<'a> {
                     }
                     _ => return Err(self.err("bad escape sequence")),
                 },
-                Some(b) if b < 0x20 => return Err(self.err("control character in string")),
-                Some(b) => {
-                    // Re-assemble UTF-8 multibyte sequences byte-wise.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let end = start + len;
-                    if len == 0 || end > self.bytes.len() {
-                        return Err(self.err("invalid UTF-8 in string"));
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    s.push_str(chunk);
-                    self.pos = end;
-                }
+                Some(_) => return Err(self.err("control character in string")),
             }
         }
     }
@@ -481,27 +552,24 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = self
+            .text
+            .get(start..self.pos)
+            .ok_or_else(|| self.err("invalid number"))?;
         if is_float {
             text.parse::<f64>()
                 .map(Json::Float)
                 .map_err(|_| self.err("invalid number"))
         } else {
-            text.parse::<i128>()
-                .map(Json::Int)
-                .map_err(|_| self.err("invalid integer"))
+            // Up to 18 characters always fit an i64, whose parser is
+            // cheaper; longer literals take the lossless i128 path.
+            let int = if text.len() <= 18 {
+                text.parse::<i64>().map(i128::from)
+            } else {
+                text.parse::<i128>()
+            };
+            int.map(Json::Int).map_err(|_| self.err("invalid integer"))
         }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        0xf0..=0xf7 => 4,
-        _ => 0,
     }
 }
 
@@ -588,5 +656,23 @@ mod tests {
         assert_eq!(v.as_str().unwrap(), "λ ≈ 1.4×10⁻³");
         let round = Json::parse(v.pretty().trim()).unwrap();
         assert_eq!(round, v);
+    }
+
+    #[test]
+    fn integers_take_the_i64_or_i128_path_losslessly() {
+        for text in [
+            "999999999999999999",
+            "-99999999999999999",
+            "1000000000000000000",
+            "-999999999999999999",
+            "170141183460469231731687303715884105727",
+            "-170141183460469231731687303715884105728",
+        ] {
+            let v = Json::parse(text).unwrap();
+            assert_eq!(v, Json::Int(text.parse().unwrap()));
+            assert_eq!(v.pretty().trim_end(), text);
+        }
+        assert!(Json::parse("170141183460469231731687303715884105728").is_err());
+        assert!(Json::parse("-").is_err());
     }
 }

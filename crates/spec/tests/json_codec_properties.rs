@@ -1,0 +1,376 @@
+//! Property and fuzz tests of the workspace's JSON codec.
+//!
+//! * `Json::parse` never panics: not on arbitrary bytes, not on random
+//!   single-byte mutations or truncations of real spec, sweep and report
+//!   texts, not on nesting past the depth cap. Neither do the spec
+//!   decoders fed whatever a mutated text still parses to.
+//! * `parse(pretty(doc)) == doc` (bit-for-bit on floats, NaN reading back
+//!   as `null`), and `pretty` is idempotent.
+//! * The in-place writer is byte-identical to the `format!`-based renderer
+//!   it replaced, kept below as [`reference_pretty`].
+
+use eacp_spec::json::MAX_DEPTH;
+use eacp_spec::{
+    ExecutiveRunReport, ExecutiveSpec, ExecutiveSweepSpec, ExperimentSpec, FromJson, Json,
+    SweepSpec,
+};
+use proptest::prelude::*;
+use proptest::TestRng;
+use rand::Rng;
+
+// ---------------------------------------------------------------------------
+// The renderer the in-place writer replaced, kept as the oracle.
+
+fn reference_pretty(doc: &Json) -> String {
+    let mut out = String::new();
+    reference_write(doc, &mut out, 0);
+    out.push('\n');
+    out
+}
+
+fn reference_write(doc: &Json, out: &mut String, indent: usize) {
+    match doc {
+        Json::Null => out.push_str("null"),
+        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Json::Float(x) => out.push_str(&reference_float(*x)),
+        Json::Int(i) => out.push_str(&i.to_string()),
+        Json::Str(s) => reference_string(out, s),
+        Json::Array(items) => {
+            if items.is_empty() {
+                out.push_str("[]");
+                return;
+            }
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push('\n');
+                reference_indent(out, indent + 1);
+                reference_write(item, out, indent + 1);
+            }
+            out.push('\n');
+            reference_indent(out, indent);
+            out.push(']');
+        }
+        Json::Object(fields) => {
+            if fields.is_empty() {
+                out.push_str("{}");
+                return;
+            }
+            out.push('{');
+            for (i, (k, v)) in fields.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push('\n');
+                reference_indent(out, indent + 1);
+                reference_string(out, k);
+                out.push_str(": ");
+                reference_write(v, out, indent + 1);
+            }
+            out.push('\n');
+            reference_indent(out, indent);
+            out.push('}');
+        }
+    }
+}
+
+fn reference_indent(out: &mut String, n: usize) {
+    for _ in 0..n {
+        out.push_str("  ");
+    }
+}
+
+fn reference_float(x: f64) -> String {
+    if x.is_nan() {
+        "null".to_owned()
+    } else if x.is_infinite() {
+        if x > 0.0 { "1e999" } else { "-1e999" }.to_owned()
+    } else {
+        format!("{x:?}")
+    }
+}
+
+fn reference_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+// ---------------------------------------------------------------------------
+// Generated documents.
+
+fn below(rng: &mut TestRng, n: u64) -> u64 {
+    (0..n).sample(rng)
+}
+
+fn pick<T: Copy>(rng: &mut TestRng, items: &[T]) -> T {
+    items[below(rng, items.len() as u64) as usize]
+}
+
+fn float(rng: &mut TestRng) -> f64 {
+    const SPECIAL: [f64; 16] = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        0.1,
+        1.4e-3,
+        1e308,
+        -1e308,
+        f64::MAX,
+        f64::MIN,
+        f64::MIN_POSITIVE,
+        5e-324,
+        -5e-324,
+        f64::from_bits(0x000f_ffff_ffff_ffff), // largest subnormal
+        f64::NAN,
+        f64::INFINITY,
+    ];
+    match below(rng, 4) {
+        0 => pick(rng, &SPECIAL),
+        // Any bit pattern: subnormals, huge and tiny exponents, NaNs.
+        1 => f64::from_bits(rng.gen::<u64>()),
+        2 => (below(rng, 2_000_001) as f64 - 1e6) / 8.0,
+        _ => rng.gen::<f64>() * 10f64.powi(below(rng, 40) as i32 - 20),
+    }
+}
+
+fn int(rng: &mut TestRng) -> i128 {
+    const SPECIAL: [i128; 10] = [
+        0,
+        -1,
+        1,
+        i64::MAX as i128,
+        i64::MIN as i128,
+        i64::MAX as i128 + 1,
+        i64::MIN as i128 - 1,
+        u64::MAX as i128,
+        i128::MAX,
+        i128::MIN,
+    ];
+    match below(rng, 3) {
+        0 => pick(rng, &SPECIAL),
+        1 => rng.gen::<u64>() as i64 as i128,
+        _ => ((rng.gen::<u64>() as i128) << 64 | rng.gen::<u64>() as i128) >> below(rng, 127),
+    }
+}
+
+fn string(rng: &mut TestRng) -> String {
+    const CHARS: [char; 16] = [
+        'a', 'Z', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'λ', '≈',
+        '⁻', '🛰',
+    ];
+    (0..below(rng, 12))
+        .map(|_| match below(rng, 3) {
+            0 => pick(rng, &CHARS),
+            1 => char::from_u32(below(rng, 0x80) as u32).unwrap(),
+            _ => char::from_u32(below(rng, 0x11_0000) as u32).unwrap_or('\u{fffd}'),
+        })
+        .collect()
+}
+
+fn doc(rng: &mut TestRng, depth: u32) -> Json {
+    let kinds = if depth == 0 { 5 } else { 8 };
+    match below(rng, kinds) {
+        0 => Json::Null,
+        1 => Json::Bool(below(rng, 2) == 1),
+        2 => Json::Float(float(rng)),
+        3 => Json::Int(int(rng)),
+        4 => Json::Str(string(rng)),
+        5 | 6 => Json::Array((0..below(rng, 5)).map(|_| doc(rng, depth - 1)).collect()),
+        _ => Json::Object(
+            (0..below(rng, 5))
+                .map(|_| (string(rng), doc(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+/// Random documents up to `depth` levels of arrays/objects.
+struct Docs(u32);
+
+impl Strategy for Docs {
+    type Value = Json;
+    fn sample(&self, rng: &mut TestRng) -> Json {
+        doc(rng, self.0)
+    }
+}
+
+/// `doc` as it reads back: NaN is written as `null`.
+fn written(doc: &Json) -> Json {
+    match doc {
+        Json::Float(x) if x.is_nan() => Json::Null,
+        Json::Array(items) => Json::Array(items.iter().map(written).collect()),
+        Json::Object(fields) => Json::Object(
+            fields
+                .iter()
+                .map(|(k, v)| (k.clone(), written(v)))
+                .collect(),
+        ),
+        other => other.clone(),
+    }
+}
+
+/// Structural equality with floats compared bit for bit (`-0.0 != 0.0`).
+fn identical(a: &Json, b: &Json) -> bool {
+    match (a, b) {
+        (Json::Float(x), Json::Float(y)) => x.to_bits() == y.to_bits(),
+        (Json::Array(xs), Json::Array(ys)) => {
+            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| identical(x, y))
+        }
+        (Json::Object(xs), Json::Object(ys)) => {
+            xs.len() == ys.len()
+                && xs
+                    .iter()
+                    .zip(ys)
+                    .all(|((kx, x), (ky, y))| kx == ky && identical(x, y))
+        }
+        _ => a == b,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Real texts to mutate.
+
+fn real_texts() -> Vec<String> {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let mut texts: Vec<String> = [
+        "specs/table1-anchor.json",
+        "specs/table1a-sweep.json",
+        "specs/satellite-telemetry.json",
+        "specs/avionics-trio.json",
+        "specs/avionics-trio-sweep.json",
+        "crates/cli/tests/golden/executive-avionics-trio.json",
+    ]
+    .iter()
+    .map(|path| std::fs::read_to_string(format!("{root}/{path}")).unwrap())
+    .collect();
+    texts.extend(
+        eacp_spec::preset_names()
+            .into_iter()
+            .map(|name| eacp_spec::ToJson::to_json(&eacp_spec::preset(name).unwrap()).pretty()),
+    );
+    texts
+}
+
+/// Every decoder a spec, sweep or report text can reach. Errors are fine;
+/// panics are not.
+fn decode_all(doc: &Json) {
+    let _ = ExperimentSpec::from_json(doc);
+    let _ = ExecutiveSpec::from_json(doc);
+    let _ = SweepSpec::from_json(doc);
+    let _ = ExecutiveSweepSpec::from_json(doc);
+    let _ = ExecutiveRunReport::from_json(doc);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn pretty_matches_the_reference_renderer(doc in Docs(4)) {
+        prop_assert_eq!(doc.pretty(), reference_pretty(&doc));
+    }
+
+    #[test]
+    fn parse_inverts_pretty_and_pretty_is_idempotent(doc in Docs(4)) {
+        let text = doc.pretty();
+        let back = Json::parse(&text).unwrap();
+        prop_assert!(identical(&back, &written(&doc)), "{} read back as {:?}", text, back);
+        prop_assert_eq!(back.pretty(), text);
+    }
+
+    #[test]
+    fn arbitrary_bytes_never_panic_the_parser(
+        bytes in proptest::collection::vec(0u8..=255, 0..256),
+    ) {
+        let text = String::from_utf8_lossy(&bytes);
+        if let Ok(doc) = Json::parse(&text) {
+            decode_all(&doc);
+        }
+    }
+
+    #[test]
+    fn json_shaped_noise_never_panics_the_parser(
+        picks in proptest::collection::vec(0usize..24, 0..512),
+    ) {
+        const TOKENS: [&str; 24] = [
+            "[", "]", "{", "}", ",", ":", " ", "\n", "\"", "\\", "\\u", "\\ud800", "0", "-",
+            "1.5", "e", "E+", "1e999", "true", "nul", "\"k\":", "λ", "\u{1}", "18446744073709551616",
+        ];
+        let text: String = picks.iter().map(|&i| TOKENS[i]).collect();
+        if let Ok(doc) = Json::parse(&text) {
+            decode_all(&doc);
+        }
+    }
+
+    #[test]
+    fn mutated_and_truncated_real_texts_never_panic(
+        which in 0usize..64,
+        at in 0usize..1 << 20,
+        byte in 0u8..=255,
+        truncate in 0u8..3,
+    ) {
+        thread_local! {
+            static TEXTS: Vec<String> = real_texts();
+        }
+        TEXTS.with(|texts| {
+            let original = texts[which % texts.len()].as_bytes();
+            let mut bytes = original.to_vec();
+            if truncate == 0 {
+                bytes.truncate(at % original.len());
+            } else {
+                bytes[at % original.len()] = byte;
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            if let Ok(doc) = Json::parse(&text) {
+                decode_all(&doc);
+                prop_assert_eq!(Json::parse(&doc.pretty()).unwrap().pretty(), doc.pretty());
+            }
+        });
+    }
+}
+
+#[test]
+fn real_texts_round_trip_through_both_renderers() {
+    for text in real_texts() {
+        let doc = Json::parse(&text).unwrap();
+        decode_all(&doc);
+        assert_eq!(doc.pretty(), reference_pretty(&doc));
+        assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc);
+    }
+}
+
+#[test]
+fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+    for open in ["[", "{\"k\": ", "[{\"k\": "] {
+        let text = open.repeat(1_000_000);
+        let err = Json::parse(&text).unwrap_err().to_string();
+        assert!(err.contains("deeper than"), "{err}");
+    }
+    // The error points at the first bracket past the cap.
+    let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+    let err = Json::parse(&over).unwrap_err().to_string();
+    assert!(err.contains("line 1, column 129"), "{err}");
+    // Exactly at the cap parses, and the writer agrees with the oracle.
+    let mut doc = Json::Int(7);
+    for _ in 0..MAX_DEPTH {
+        doc = Json::Array(vec![doc]);
+    }
+    let text = doc.pretty();
+    assert_eq!(text, reference_pretty(&doc));
+    assert_eq!(Json::parse(&text).unwrap(), doc);
+    let deeper = Json::Array(vec![doc]).pretty();
+    assert!(Json::parse(&deeper).is_err());
+}

@@ -135,13 +135,18 @@ fn parse_cell_file_name(hash: SpecHash, path: &Path) -> Option<CellId> {
 impl StoreBackend for FsBackend {
     fn get(&self, id: &CellId) -> Result<Lookup, SpecError> {
         let path = self.cell_path(id);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
+        let bytes = match std::fs::read(&path) {
+            Ok(bytes) => bytes,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Lookup::Miss),
             Err(e) => return Err(io_err(&path, e)),
         };
-        match decode(id, &text) {
-            Ok(mut entry) => {
+        // A corrupt entry is quarantined like any other, not an I/O error.
+        let decoded = match String::from_utf8(bytes) {
+            Ok(text) => decode(id, &text).map(|entry| (entry, text)),
+            Err(_) => Err("entry is not valid UTF-8".to_owned()),
+        };
+        match decoded {
+            Ok((mut entry, text)) => {
                 entry.source = Some(path);
                 Ok(Lookup::Hit { entry, text })
             }

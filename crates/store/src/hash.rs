@@ -16,6 +16,12 @@
 
 use crate::cell::StoreCell;
 use eacp_spec::{ExperimentSpec, Json, SpecError};
+use std::cell::RefCell;
+
+thread_local! {
+    /// The last canonical text this thread hashed, with its digest.
+    static LAST_DIGEST: RefCell<Option<(String, [u8; 32])>> = const { RefCell::new(None) };
+}
 
 /// The 32-byte content address of a canonical cell spec.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -23,8 +29,29 @@ pub struct SpecHash(pub [u8; 32]);
 
 impl SpecHash {
     /// The address of a canonical cell-spec document.
+    ///
+    /// Each thread remembers the last canonical text it hashed and its
+    /// digest. A call whose text is byte-for-byte equal to that text
+    /// returns the remembered digest; any other text is hashed in full and
+    /// becomes the new memo. A memo hit therefore never stands in for a
+    /// different text. On a store hit this turns the read-side integrity
+    /// check ([`crate::CellEntry::validate`] re-hashing the embedded spec
+    /// right after the lookup hashed the requested one) into a string
+    /// compare, while an embedded spec that differs in any byte still
+    /// re-hashes to a different address.
     pub fn of(doc: &Json) -> Self {
-        Self(sha256(doc.pretty().as_bytes()))
+        let text = doc.pretty();
+        LAST_DIGEST.with(|memo| {
+            let mut memo = memo.borrow_mut();
+            if let Some((last, digest)) = memo.as_ref() {
+                if *last == text {
+                    return Self(*digest);
+                }
+            }
+            let digest = sha256(text.as_bytes());
+            *memo = Some((text, digest));
+            Self(digest)
+        })
     }
 
     /// Parses the 64-character lowercase-hex form produced by `Display`.
@@ -59,10 +86,14 @@ fn hex_digit(b: u8) -> Result<u8, SpecError> {
 
 impl std::fmt::Display for SpecHash {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for b in self.0 {
-            write!(f, "{b:02x}")?;
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut text = [0u8; 64];
+        for (pair, b) in text.chunks_exact_mut(2).zip(self.0) {
+            pair[0] = HEX[usize::from(b >> 4)];
+            pair[1] = HEX[usize::from(b & 0xf)];
         }
-        Ok(())
+        // Every byte is an ASCII hex digit.
+        f.write_str(std::str::from_utf8(&text).map_err(|_| std::fmt::Error)?)
     }
 }
 
