@@ -37,6 +37,7 @@ pub const DETERMINISM_CRATES: &[&str] = &[
 /// pooled in setup functions, never per replication.
 pub const HOT_MODULES: &[&str] = &[
     "crates/dmr-sim/src/engine.rs",
+    "crates/energy-model/src/lib.rs",
     "crates/exec/src/runner.rs",
     "crates/exec/src/job.rs",
     "crates/exec/src/workload.rs",
@@ -141,6 +142,17 @@ mod tests {
                 "{hot}"
             );
         }
+        // The energy meter runs once per simulated segment: a crate root
+        // that is also a hot module.
+        assert_eq!(
+            classify("crates/energy-model/src/lib.rs"),
+            Some(FileClass {
+                crate_root: true,
+                library: true,
+                determinism: true,
+                hot: true,
+            })
+        );
         // Binary entry points: R2 but not R4.
         let c = classify("crates/cli/src/main.rs");
         assert_eq!(

@@ -1,0 +1,107 @@
+//! Golden Monte-Carlo reports, pinned byte for byte across versions.
+//!
+//! The determinism suites compare two paths of the same build, so an
+//! engine change that moves bits on every path at once passes them all.
+//! These snapshots were written by an earlier `eacp` binary and are
+//! compared with what this build prints (stdout, trailing newline
+//! included). A diff means the simulated executions, the RNG streams or
+//! the report schema changed; each of those must be a deliberate change
+//! that regenerates the file with the command named next to it.
+
+use eacp_cli::dispatch;
+
+/// What `eacp <args>` writes to stdout.
+fn stdout_of(args: &[&str]) -> String {
+    let args = args.iter().map(|s| (*s).to_owned()).collect();
+    let out = dispatch(args).unwrap_or_else(|e| panic!("eacp failed: {e}"));
+    format!("{out}\n")
+}
+
+/// Path of a shipped spec document under the repository's `specs/`.
+fn spec(name: &str) -> String {
+    format!("{}/../../specs/{name}", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Equality with a readable failure: the first line where the texts part.
+fn assert_golden(actual: &str, expected: &str, what: &str) {
+    if actual != expected {
+        let mut pairs = actual.lines().zip(expected.lines());
+        let line = pairs
+            .position(|(a, e)| a != e)
+            .unwrap_or_else(|| actual.lines().count().min(expected.lines().count()));
+        panic!(
+            "golden report drifted: {what}\nfirst differing line {}:\n  actual:   {:?}\n  expected: {:?}",
+            line + 1,
+            actual.lines().nth(line),
+            expected.lines().nth(line),
+        );
+    }
+}
+
+/// `eacp mc --spec specs/table1-anchor.json --json --no-cache`
+#[test]
+fn table1_anchor_spec_report_is_pinned() {
+    let actual = stdout_of(&[
+        "mc",
+        "--spec",
+        &spec("table1-anchor.json"),
+        "--json",
+        "--no-cache",
+    ]);
+    assert_golden(
+        &actual,
+        include_str!("golden/mc-table1-anchor.json"),
+        "mc --spec specs/table1-anchor.json",
+    );
+}
+
+/// `eacp mc --spec specs/satellite-telemetry.json --json --no-cache`
+#[test]
+fn satellite_telemetry_spec_report_is_pinned() {
+    let actual = stdout_of(&[
+        "mc",
+        "--spec",
+        &spec("satellite-telemetry.json"),
+        "--json",
+        "--no-cache",
+    ]);
+    assert_golden(
+        &actual,
+        include_str!("golden/mc-satellite-telemetry.json"),
+        "mc --spec specs/satellite-telemetry.json",
+    );
+}
+
+/// `eacp mc --scheme a_d_c --variant ccp --lambda 0.004 --reps 2000 --json --no-cache`
+#[test]
+fn adaptive_ccp_flag_report_is_pinned() {
+    let actual = stdout_of(&[
+        "mc",
+        "--scheme",
+        "a_d_c",
+        "--variant",
+        "ccp",
+        "--lambda",
+        "0.004",
+        "--reps",
+        "2000",
+        "--json",
+        "--no-cache",
+    ]);
+    assert_golden(
+        &actual,
+        include_str!("golden/mc-a_d_c-ccp-l0.004.json"),
+        "mc --scheme a_d_c --variant ccp --lambda 0.004",
+    );
+}
+
+/// `eacp table 1 --reps 20 --json`
+#[test]
+fn table1_report_is_pinned() {
+    let actual = stdout_of(&["table", "1", "--reps", "20", "--json"]);
+    assert_golden(
+        &actual,
+        include_str!("golden/table1-reps20.json"),
+        "table 1 --reps 20",
+    );
+}

@@ -236,6 +236,10 @@ impl<'s> Executor<'s> {
         let mut speed = dvs.slowest();
         let mut level = dvs.level(speed);
         let mut times = LevelTimes::new(costs, level);
+        // One meter run per speed epoch: every cycle record until the next
+        // speed switch accumulates into this register-resident copy of the
+        // meter's state (see `EnergyMeter`).
+        let mut run = meter.begin_run(level);
         // The two processors start in a known-equal, stored state: the task
         // image itself is the first rollback target.
         let stores = &mut scratch.stores;
@@ -291,7 +295,10 @@ impl<'s> Executor<'s> {
         // Advances wall-clock time by `dt`, consuming fault arrivals that
         // land in the window. Returns the number of faults consumed.
         // (A fn, not a closure, so `next_fault` stays a plain local the
-        // commit-window fast path below can read between calls.)
+        // commit-window fast path below can read between calls.) The
+        // common case — no arrival before `now + dt` — is one inlined
+        // compare; consuming arrivals is the cold, out-of-line path.
+        #[inline(always)]
         fn advance<F: FaultProcess + ?Sized, O: Observer + ?Sized>(
             faults: &mut F,
             next_fault: &mut f64,
@@ -302,11 +309,35 @@ impl<'s> Executor<'s> {
             obs: &mut O,
         ) -> u32 {
             let end = *now + dt;
+            *now = end;
+            if *next_fault < end {
+                let (hit, next, first) =
+                    consume_arrivals(faults, *next_fault, end, *pending, vulnerable, obs);
+                *next_fault = next;
+                *pending = first;
+                hit
+            } else {
+                0
+            }
+        }
+
+        // Takes and returns the run state by value: nothing the loop keeps
+        // in registers has its address passed out of line.
+        #[cold]
+        #[inline(never)]
+        fn consume_arrivals<F: FaultProcess + ?Sized, O: Observer + ?Sized>(
+            faults: &mut F,
+            mut next_fault: f64,
+            end: f64,
+            mut pending: Option<f64>,
+            vulnerable: bool,
+            obs: &mut O,
+        ) -> (u32, f64, Option<f64>) {
             let mut hit = 0;
-            while *next_fault < end {
+            while next_fault < end {
                 if vulnerable {
                     if pending.is_none() {
-                        *pending = Some(*next_fault);
+                        pending = Some(next_fault);
                     }
                     hit += 1;
                     // Which processor a fault corrupts is irrelevant to
@@ -315,14 +346,13 @@ impl<'s> Executor<'s> {
                     // realism.
                     let proc = (next_fault.to_bits() >> 3) as u32 & 1;
                     obs.on_event(&TraceEvent::Fault {
-                        at: *next_fault,
+                        at: next_fault,
                         processor: proc,
                     });
                 }
-                *next_fault = faults.next_fault();
+                next_fault = faults.next_fault();
             }
-            *now = end;
-            hit
+            (hit, next_fault, pending)
         }
 
         loop {
@@ -343,8 +373,9 @@ impl<'s> Executor<'s> {
             // the same operands in the same order, so the run state stays
             // bit-identical; the window skips only work that provably has
             // no effect — per-segment `plan()` calls, directive
-            // validation, fault scans over empty windows and clean-compare
-            // notifications (no-ops by the `commit_window` contract).
+            // validation, fault scans over empty windows, clean-compare
+            // notifications (no-ops by the `commit_window` contract) and
+            // the sub-checkpoint snapshots the closing commit discards.
             // The guards are conservative (margins of 1e-6 against
             // accumulated rounding of ~1e-10), so near-boundary windows
             // fall back to the general path below instead of ever risking
@@ -377,15 +408,17 @@ impl<'s> Executor<'s> {
                         && before_final / level.frequency > w.compute_time + 1e-6
                         && after_window > 1e-6;
                     if fits {
+                        // `subs` sub-checkpoint steps, then the closing
+                        // CSCP step. Sub-checkpoint stores push no
+                        // `StorePoint`: the closing commit clears the
+                        // store stack before anything could roll back to
+                        // them, so those snapshots are dead. That keeps
+                        // the loop free of calls that can reallocate, and
+                        // the run state (`now`, `pos`, the meter run) in
+                        // registers.
                         let sub_cycles = costs.cycles_of(w.sub_kind);
                         let cscp_cycles = costs.cycles_of(CheckpointKind::CompareStore);
-                        for i in 0..=w.subs {
-                            let last = i == w.subs;
-                            let kind = if last {
-                                CheckpointKind::CompareStore
-                            } else {
-                                w.sub_kind
-                            };
+                        for _ in 0..w.subs {
                             // Segment (the scalar path with `dur ==
                             // compute_time` and an empty fault window).
                             obs.on_event(&TraceEvent::Segment {
@@ -395,37 +428,53 @@ impl<'s> Executor<'s> {
                             });
                             now += w.compute_time;
                             pos = (pos + seg_cycles).min(task.work_cycles);
-                            meter.record_cycles(seg_cycles, level);
-                            out.segments += 1;
-                            // Checkpoint operation (clean by construction).
-                            let op_cycles = if last { cscp_cycles } else { sub_cycles };
-                            let op_time = if last { times.compare_store } else { sub_time };
+                            run.record(seg_cycles);
+                            // Sub-checkpoint (clean by construction).
                             obs.on_event(&TraceEvent::Checkpoint {
-                                kind,
+                                kind: w.sub_kind,
                                 from: now,
-                                to: now + op_time,
+                                to: now + sub_time,
                                 position: pos,
                                 mismatch: false,
                             });
-                            now += op_time;
-                            if op_cycles > 0.0 {
-                                meter.record_cycles(op_cycles, level);
+                            now += sub_time;
+                            if sub_cycles > 0.0 {
+                                run.record(sub_cycles);
                             }
-                            ops += 2;
-                            match kind {
-                                CheckpointKind::Store => {
-                                    out.store_checkpoints += 1;
-                                    stores.push(StorePoint { pos, clean: true });
-                                }
-                                CheckpointKind::Compare => out.compare_checkpoints += 1,
-                                CheckpointKind::CompareStore => {
-                                    out.compare_store_checkpoints += 1;
-                                    stores.clear();
-                                    stores.push(StorePoint { pos, clean: true });
-                                }
-                            }
-                            obs.on_energy_sample(now, meter.total());
+                            obs.on_energy_sample(now, run.total());
                         }
+                        // The closing step: segment, then the commit.
+                        obs.on_event(&TraceEvent::Segment {
+                            from: now,
+                            to: now + w.compute_time,
+                            speed,
+                        });
+                        now += w.compute_time;
+                        pos = (pos + seg_cycles).min(task.work_cycles);
+                        run.record(seg_cycles);
+                        obs.on_event(&TraceEvent::Checkpoint {
+                            kind: CheckpointKind::CompareStore,
+                            from: now,
+                            to: now + times.compare_store,
+                            position: pos,
+                            mismatch: false,
+                        });
+                        now += times.compare_store;
+                        if cscp_cycles > 0.0 {
+                            run.record(cscp_cycles);
+                        }
+                        stores.clear();
+                        stores.push(StorePoint { pos, clean: true });
+                        obs.on_energy_sample(now, run.total());
+
+                        out.segments += w.subs + 1;
+                        ops += 2 * (u64::from(w.subs) + 1);
+                        match w.sub_kind {
+                            CheckpointKind::Store => out.store_checkpoints += w.subs,
+                            CheckpointKind::Compare => out.compare_checkpoints += w.subs,
+                            CheckpointKind::CompareStore => out.compare_store_checkpoints += w.subs,
+                        }
+                        out.compare_store_checkpoints += 1;
                         policy.on_commit_window_executed();
                         stalled_rounds = 0;
                         continue;
@@ -466,8 +515,9 @@ impl<'s> Executor<'s> {
                 level = dvs.level(speed);
                 times = LevelTimes::new(costs, level);
                 out.speed_switches += 1;
+                meter.end_run(run);
                 if dvs.switch_time > 0.0 {
-                    advance(
+                    out.faults += advance(
                         faults,
                         &mut next_fault,
                         &mut now,
@@ -480,6 +530,7 @@ impl<'s> Executor<'s> {
                 if dvs.switch_energy > 0.0 {
                     meter.record_switch(dvs.switch_energy);
                 }
+                run = meter.begin_run(level);
             }
             // --- Computation segment -------------------------------------
             let remaining_time = times.time_for(task.work_cycles - pos, level.frequency);
@@ -504,7 +555,7 @@ impl<'s> Executor<'s> {
                 );
                 let cycles = dur * level.frequency;
                 pos = (pos + cycles).min(task.work_cycles);
-                meter.record_cycles(cycles, level);
+                run.record(cycles);
                 out.segments += 1;
                 ops += 1;
             }
@@ -532,7 +583,7 @@ impl<'s> Executor<'s> {
                 obs,
             );
             if op_cycles > 0.0 {
-                meter.record_cycles(op_cycles, level);
+                run.record(op_cycles);
             }
             ops += 1;
             match checkpoint {
@@ -600,7 +651,7 @@ impl<'s> Executor<'s> {
                         self.options.faults_during_overhead,
                         obs,
                     );
-                    meter.record_cycles(costs.rollback_cycles, level);
+                    run.record(costs.rollback_cycles);
                 }
             } else if checkpoint.compares() && !snapshot_diverged && pos >= task.work_cycles - 1e-9
             {
@@ -609,7 +660,7 @@ impl<'s> Executor<'s> {
                 out.timely = now <= deadline;
                 obs.on_event(&TraceEvent::Complete { at: now });
             }
-            obs.on_energy_sample(now, meter.total());
+            obs.on_energy_sample(now, run.total());
             if !deadline_missed && now > deadline {
                 deadline_missed = true;
                 obs.on_deadline_miss(now);
@@ -641,6 +692,7 @@ impl<'s> Executor<'s> {
         if !out.completed {
             out.timely = false;
         }
+        meter.end_run(run);
         out.energy = meter.total();
         out.cycles_at_fastest = meter.cycles_at_frequency(dvs.level(dvs.fastest()).frequency);
         out.total_cycles = meter.total_cycles();

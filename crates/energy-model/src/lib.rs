@@ -24,6 +24,17 @@
 //! meter.record_cycles(500.0, dvs.level(1));
 //! // 2·(1000·2 + 500·4) = 8000 (to rounding: V1 = √2 squares to ~2)
 //! assert!((meter.total() - 8000.0).abs() < 1e-9);
+//!
+//! // The same accounting as one run per speed epoch (what the simulator
+//! // does), bit-identical to the per-record calls above.
+//! let mut batched = EnergyMeter::new(2);
+//! let mut run = batched.begin_run(dvs.level(0));
+//! run.record(1000.0);
+//! batched.end_run(run);
+//! let mut run = batched.begin_run(dvs.level(1));
+//! run.record(500.0);
+//! batched.end_run(run);
+//! assert_eq!(batched.total().to_bits(), meter.total().to_bits());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -112,6 +123,8 @@ impl DvsConfig {
     }
 
     /// Two-level configuration `f2 = 2·f1` with `f1` normalized to 1.
+    // audit:setup: a configuration is built once per scenario, before any
+    // replication runs.
     pub fn two_speed(v1: f64, v2: f64) -> Self {
         Self::new(vec![SpeedLevel::new(1.0, v1), SpeedLevel::new(2.0, v2)])
     }
@@ -123,6 +136,8 @@ impl DvsConfig {
     }
 
     /// Single fixed-speed configuration (no DVS).
+    // audit:setup: a configuration is built once per scenario, before any
+    // replication runs.
     pub fn fixed(level: SpeedLevel) -> Self {
         Self::new(vec![level])
     }
@@ -174,16 +189,70 @@ impl Default for DvsConfig {
 ///
 /// Also tracks per-level cycle counts so experiments can report how much of
 /// the task ran at each speed (the DVS "downshift fraction").
+///
+/// # Runs
+///
+/// All cycle accounting goes through a [`LevelRun`]: [`EnergyMeter::begin_run`]
+/// copies the running total and the level's cycle bucket into a small
+/// `Copy` value, [`LevelRun::record`] accumulates into it, and
+/// [`EnergyMeter::end_run`] writes both back. A simulation opens one run per
+/// speed epoch, so the per-segment accounting touches only the run — a
+/// local the compiler keeps in registers — instead of the meter in memory.
+/// [`EnergyMeter::record_cycles`] is a one-record run, so a sequence of
+/// runs and the same records made one call at a time give bit-identical
+/// totals: the additions happen on the same operands in the same order.
+///
+/// While a run is open the meter's own state is stale: close the run before
+/// reading totals or recording a switch.
 #[derive(Debug, Clone)]
 pub struct EnergyMeter {
     processors: u32,
     total: NeumaierSum,
-    cycles_per_level: Vec<(f64, f64)>, // (frequency key, cycles)
-    /// Index of the last level bucket hit — segments overwhelmingly repeat
-    /// the previous segment's speed, so the per-level find is usually one
-    /// probe instead of a scan.
-    last_level: usize,
+    cycles_per_level: Vec<(f64, f64)>, // (frequency key, cycles), first-record order
+    run_open: bool,
     switches: u64,
+}
+
+/// An open accounting run at one speed level; see [`EnergyMeter`].
+///
+/// Holds the meter's compensated total, the level's cycle count so far,
+/// the processor count and the level's `V²`, so recording a segment is a
+/// few register operations with no memory traffic.
+#[derive(Debug, Clone, Copy)]
+pub struct LevelRun {
+    total: NeumaierSum,
+    cycles: f64,
+    processors: f64,
+    energy_per_cycle: f64,
+    frequency: f64,
+    /// The level's bucket index, or the table length when it has none yet.
+    bucket: usize,
+    recorded: bool,
+}
+
+impl LevelRun {
+    /// Records `cycles` executed (per processor) at this run's level.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycles` is negative or not finite.
+    #[inline]
+    pub fn record(&mut self, cycles: f64) {
+        assert!(
+            cycles >= 0.0 && cycles.is_finite(),
+            "cycle count must be non-negative and finite"
+        );
+        self.total
+            .add(self.processors * cycles * self.energy_per_cycle);
+        self.cycles += cycles;
+        self.recorded = true;
+    }
+
+    /// Total energy so far, this run's records included.
+    #[inline]
+    pub fn total(&self) -> f64 {
+        self.total.value()
+    }
 }
 
 impl EnergyMeter {
@@ -192,13 +261,15 @@ impl EnergyMeter {
     /// # Panics
     ///
     /// Panics if `processors == 0`.
+    // audit:setup: the per-level table starts empty; `reset` keeps its
+    // capacity, so pooled replication loops grow it at most once per level.
     pub fn new(processors: u32) -> Self {
         assert!(processors > 0, "at least one processor is required");
         Self {
             processors,
             total: NeumaierSum::new(),
             cycles_per_level: Vec::new(),
-            last_level: 0,
+            run_open: false,
             switches: 0,
         }
     }
@@ -215,62 +286,77 @@ impl EnergyMeter {
         self.processors = processors;
         self.total = NeumaierSum::new();
         self.cycles_per_level.clear();
-        self.last_level = 0;
+        self.run_open = false;
         self.switches = 0;
     }
 
-    /// Records `cycles` executed (per processor) at `level`.
-    ///
-    /// Negative or non-finite cycle counts are rejected.
+    /// Opens an accounting run at `level`.
     ///
     /// # Panics
     ///
-    /// Panics if `cycles` is negative or not finite.
+    /// Panics if a run is already open.
     #[inline]
-    pub fn record_cycles(&mut self, cycles: f64, level: SpeedLevel) {
-        assert!(
-            cycles >= 0.0 && cycles.is_finite(),
-            "cycle count must be non-negative and finite"
-        );
-        self.total
-            .add(self.processors as f64 * cycles * level.energy_per_cycle());
-        // Fast path: the bucket hit by the previous call. Bucket additions
-        // stay per-level in call order either way, so totals per level are
-        // bit-identical to a plain front-to-back find.
-        if let Some((f, c)) = self.cycles_per_level.get_mut(self.last_level) {
-            if *f == level.frequency {
-                *c += cycles;
-                return;
-            }
-        }
-        self.record_level_slow(cycles, level.frequency);
-    }
-
-    /// Per-level bookkeeping when the last-hit hint misses: front-to-back
-    /// find (first match, same as the pre-hint behavior), inserting a new
-    /// bucket for a never-seen frequency. The push happens at most once
-    /// per level per run; `reset` keeps the capacity, so pooled
-    /// replication loops do not allocate here after warmup.
-    #[cold]
-    fn record_level_slow(&mut self, cycles: f64, frequency: f64) {
-        match self
+    pub fn begin_run(&mut self, level: SpeedLevel) -> LevelRun {
+        assert!(!self.run_open, "an energy-meter run is already open");
+        self.run_open = true;
+        let bucket = self
             .cycles_per_level
             .iter()
-            .position(|(f, _)| *f == frequency)
-        {
-            Some(i) => {
-                self.cycles_per_level[i].1 += cycles;
-                self.last_level = i;
-            }
-            None => {
-                self.last_level = self.cycles_per_level.len();
-                self.cycles_per_level.push((frequency, cycles));
-            }
+            .position(|(f, _)| *f == level.frequency)
+            .unwrap_or(self.cycles_per_level.len());
+        LevelRun {
+            total: self.total,
+            // `-0.0 + x == x` for every `x`, so a new bucket's first record
+            // lands exactly as the value a direct insert would store.
+            cycles: self.cycles_per_level.get(bucket).map_or(-0.0, |b| b.1),
+            processors: self.processors as f64,
+            energy_per_cycle: level.energy_per_cycle(),
+            frequency: level.frequency,
+            bucket,
+            recorded: false,
         }
+    }
+
+    /// Closes `run`, folding its records into the meter. A level's bucket
+    /// is created only if the run recorded something, so buckets keep the
+    /// order in which levels first received cycles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no run is open.
+    #[inline]
+    pub fn end_run(&mut self, run: LevelRun) {
+        assert!(self.run_open, "no energy-meter run is open");
+        self.run_open = false;
+        self.total = run.total;
+        if let Some(bucket) = self.cycles_per_level.get_mut(run.bucket) {
+            bucket.1 = run.cycles;
+        } else if run.recorded {
+            // At most once per level per meter lifetime; `reset` keeps the
+            // capacity, so pooled loops do not allocate here after warmup.
+            self.cycles_per_level.push((run.frequency, run.cycles));
+        }
+    }
+
+    /// Records `cycles` executed (per processor) at `level`: a run holding
+    /// one record.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycles` is negative or not finite, or a run is open.
+    pub fn record_cycles(&mut self, cycles: f64, level: SpeedLevel) {
+        let mut run = self.begin_run(level);
+        run.record(cycles);
+        self.end_run(run);
     }
 
     /// Records one speed switch costing `energy` per processor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a run is open.
     pub fn record_switch(&mut self, energy: f64) {
+        assert!(!self.run_open, "close the energy-meter run before a switch");
         self.switches += 1;
         self.total.add(self.processors as f64 * energy);
     }
@@ -280,6 +366,7 @@ impl EnergyMeter {
     // inline so a discarded reading costs nothing instead of a call.
     #[inline]
     pub fn total(&self) -> f64 {
+        debug_assert!(!self.run_open, "read with an energy-meter run open");
         self.total.value()
     }
 
@@ -296,6 +383,7 @@ impl EnergyMeter {
     /// Per-processor cycles executed at the level with frequency `frequency`.
     #[inline]
     pub fn cycles_at_frequency(&self, frequency: f64) -> f64 {
+        debug_assert!(!self.run_open, "read with an energy-meter run open");
         self.cycles_per_level
             .iter()
             .find(|(f, _)| *f == frequency)
@@ -306,6 +394,7 @@ impl EnergyMeter {
     /// Total per-processor cycles executed at any level.
     #[inline]
     pub fn total_cycles(&self) -> f64 {
+        debug_assert!(!self.run_open, "read with an energy-meter run open");
         self.cycles_per_level.iter().map(|(_, c)| c).sum()
     }
 

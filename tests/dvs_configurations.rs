@@ -131,3 +131,31 @@ fn single_speed_config_disables_dvs_gracefully() {
     // trivially 1 whenever anything ran.
     assert!(summary.fast_fraction.mean() > 0.99);
 }
+
+#[test]
+fn faults_during_a_speed_switch_are_counted() {
+    // The tight start forces an upshift at t = 0; with switch_time = 25 the
+    // fault at t = 10 strikes while the processor is switching. It is
+    // exposed (faults_during_overhead), forces one rollback, and must show
+    // in the fault count like a fault in any other operation.
+    let mut dvs = DvsConfig::paper_default();
+    dvs.switch_time = 25.0;
+    let scenario = Scenario::new(
+        TaskSpec::new(7_600.0, 10_000.0),
+        CheckpointCosts::paper_scp_variant(),
+        dvs,
+    );
+    let options = ExecutorOptions {
+        faults_during_overhead: true,
+        ..ExecutorOptions::default()
+    };
+    let mut policy = Adaptive::dvs_scp(1.4e-3, 5);
+    let mut faults = DeterministicFaults::new(vec![10.0]);
+    let out = Executor::new(&scenario)
+        .with_options(options)
+        .run(&mut policy, &mut faults);
+    assert!(out.completed && out.timely);
+    assert!(out.speed_switches >= 1);
+    assert_eq!(out.rollbacks, 1);
+    assert_eq!(out.faults, 1, "a fault during the switch went uncounted");
+}
