@@ -16,7 +16,8 @@
 //!   paper-value deltas;
 //! * `analyze` — print the paper's analysis quantities (`I1/I2/I3`,
 //!   thresholds, `num_SCP`/`num_CCP`, `t_est`, chosen speed);
-//! * `table` — regenerate one of the paper's tables;
+//! * `table` — regenerate one of the paper's tables, each cell through
+//!   the same store / analytic tier / placement path as `mc`;
 //! * `feasibility` — checkpoint-aware EDF/RM analysis of a periodic task
 //!   set, with a per-k sensitivity table (spec-driven via
 //!   [`ExecutiveSpec`], or the `--tasks` shorthand);
@@ -66,8 +67,8 @@ use eacp_sim::{Executor, Policy, TraceRecorder};
 use eacp_spec::{
     executive_preset, executive_preset_names, preset, preset_names, CostsSpec, ExecSpec,
     ExecutiveMcSpec, ExecutiveSpec, ExecutiveSweepSpec, ExperimentSpec, FaultSpec, FromJson, Json,
-    McSpec, PeriodicTaskSpec, PolicyAssignment, PolicySpec, RunReport, ScenarioSpec, SweepAxis,
-    SweepSpec, TaskSetSpec, ToJson, WorkSpec,
+    McSpec, PaperScheme, PeriodicTaskSpec, PolicyAssignment, PolicySpec, RunReport, ScenarioSpec,
+    SweepAxis, SweepSpec, TaskSetSpec, ToJson, WorkSpec, PAPER_DEADLINE, PAPER_TABLES,
 };
 use eacp_store::{
     run_cached_single, run_cached_tiered, run_sweep_cached_tiered, store_coverage, verify_store,
@@ -94,7 +95,9 @@ USAGE:
   eacp queue      status <DIR>
   eacp csv        <DIR> [--out FILE]
   eacp analyze    [--util U] [--lambda L] [--k K] [--deadline D] [--variant scp|ccp]
-  eacp table      <1|2|3|4> [--reps N] [--seed N] [--json]
+  eacp table      <1|2|3|4> [--reps N] [--seed N] [--threads N] [--json] [--out DIR]
+                  [--queue [--workers N] [--endpoints H:P,... [--timeout-ms T]]]
+                  [--no-analytic] [CACHE]
   eacp feasibility [SPEC] [--tasks name:wcet:period[:deadline][,...]] [--k K] [--speed F]
   eacp executive  [SPEC] [--tasks ...] [--scheme S] [--lambda L] [--k K]
                   [--hyperperiods N] [--seed N] [--json]
@@ -108,18 +111,32 @@ USAGE:
                   (all take --store DIR or $EACP_STORE)
   eacp presets
 
-CACHE (run/mc/sweep):
+CACHE (run/mc/sweep/table):
   --store DIR        consult/record a result store (default: $EACP_STORE)
   --no-cache         ignore any configured store for this invocation
   --refresh          recompute and re-record even on a hit
 
-ANALYTIC SERVE TIER (mc/sweep):
+ANALYTIC SERVE TIER (mc/sweep/table):
   Replication-invariant cells — fault specs where every replication is
   the same execution (poisson lambda=0, deterministic fault times) — are
   answered in closed form: one execution, aggregated N times, marked
   \"served\": \"analytic\" in reports and store cells. --no-analytic forces
   the full Monte-Carlo loop; `store verify` re-derives each cell through
   the tier that recorded it.
+
+PAPER TABLES:
+  `eacp table N` regenerates the paper's Table N: every (U, lambda, k)
+  row times the four scheme columns, --reps replications per scheme,
+  row i seeded --seed + i. Each scheme of each row runs as an `mc` cell
+  does: through the store (CACHE), the analytic tier (unless
+  --no-analytic) and --threads or the --queue pool / --endpoints fleet,
+  with identical summaries on every path. Text output is the table, its
+  error statistics against the paper and the shape-criteria tally (with
+  each failing criterion); --json emits every cell's specs and
+  summaries; --out DIR writes tableN.txt (the text output), tableN.md
+  and tableN.csv. The table fixes its operating points, so --scheme,
+  --util, --lambda, --k, --deadline, --variant, --spec, --preset,
+  --shard and --sweep are rejected.
 
 PERIODIC TASK SETS (feasibility/executive):
   Both subcommands resolve an ExecutiveSpec: --spec file.json loads a
@@ -163,13 +180,13 @@ RESULT STORE:
   A store is a content-addressed cache of finished cells: each result is
   keyed by a stable hash of the canonical spec (minus name, Monte-Carlo
   block and queue scheduling) plus (seed, replications). With --store DIR
-  (or $EACP_STORE), `run`/`mc` serve hits byte-identical to recomputation
-  and record misses; `sweep --store` is resumable — kill it anywhere,
-  rerun, and only uncovered grid cells are computed. Corrupt entries are
-  quarantined and recomputed, never served. `eacp store status` reports
-  health (add --spec sweep.json for grid coverage), `gc` applies a
-  retention policy, `verify` recomputes sampled cells and fails on any
-  byte mismatch.
+  (or $EACP_STORE), `run`/`mc`/`table` serve hits byte-identical to
+  recomputation and record misses; `sweep --store` is resumable — kill
+  it anywhere, rerun, and only uncovered grid cells are computed.
+  Corrupt entries are quarantined and recomputed, never served. `eacp
+  store status` reports health (add --spec sweep.json for grid
+  coverage), `gc` applies a retention policy, `verify` recomputes sampled
+  cells and fails on any byte mismatch.
 
 QUEUED EXECUTION AND THE REMOTE FLEET:
   --queue schedules work through a work queue drained by a worker pool
@@ -267,7 +284,7 @@ pub struct Options {
     pub max_bytes: u64,
     /// Cells to spot-check for `store verify` (0 = all).
     pub sample: u64,
-    /// Output path: a directory for `sweep`, a file for
+    /// Output path: a directory for `sweep`/`table`, a file for
     /// `merge`/`csv`/`bench`.
     pub out: String,
     /// Reduced-replication quick mode (bench subcommand; CI smoke).
@@ -1472,11 +1489,11 @@ fn load_report_rows<C: Cell>(dir: &std::path::Path) -> Result<ReportRows<C>, Str
 }
 
 /// The paper's reference values for a report's operating point, where the
-/// report matches a transcribed table cell (paper deadline, DMR, paper
-/// cost variant, a tabulated `(U, λ)` row, and a scheme column of that
-/// table).
+/// report matches a transcribed table cell (paper deadline, DMR, a paper
+/// table's cost variant and utilization speed, a tabulated `(U, λ)` row,
+/// and a scheme column of that table).
 fn paper_ref_of(report: &RunReport) -> Option<PaperRef> {
-    use eacp_experiments::{SchemeId, TableId, TablePart};
+    use eacp_experiments::{TableId, TablePart};
     let spec = &report.spec;
     let (util, util_speed, deadline) = match spec.scenario.work {
         WorkSpec::Utilization {
@@ -1486,29 +1503,26 @@ fn paper_ref_of(report: &RunReport) -> Option<PaperRef> {
         } => (utilization, speed, deadline),
         WorkSpec::Cycles { .. } => return None,
     };
-    if deadline != 10_000.0 || spec.scenario.processors != 2 {
+    if deadline != PAPER_DEADLINE || spec.scenario.processors != 2 {
         return None;
     }
     let lambda = spec.faults.nominal_lambda()?;
-    let table = match spec.scenario.costs {
-        CostsSpec::PaperScp if util_speed == 1.0 => TableId::Table1,
-        CostsSpec::PaperScp if util_speed == 2.0 => TableId::Table2,
-        CostsSpec::PaperCcp if util_speed == 1.0 => TableId::Table3,
-        CostsSpec::PaperCcp if util_speed == 2.0 => TableId::Table4,
-        _ => return None,
-    };
-    let scheme = match (spec.policy.tag(), table) {
-        ("poisson", _) => SchemeId::Poisson,
-        ("kft", _) => SchemeId::KFaultTolerant,
-        ("a_d", _) => SchemeId::AdtDvs,
-        ("a_d_s", TableId::Table1 | TableId::Table2) => SchemeId::Proposed,
-        ("a_d_c", TableId::Table3 | TableId::Table4) => SchemeId::Proposed,
+    let index = PAPER_TABLES
+        .iter()
+        .position(|t| t.costs == spec.scenario.costs && t.util_speed == util_speed)?;
+    let scheme = match spec.policy.tag() {
+        "poisson" => PaperScheme::Poisson,
+        "kft" => PaperScheme::KFaultTolerant,
+        "a_d" => PaperScheme::AdtDvs,
+        tag if tag == PAPER_TABLES[index].proposed_tag => PaperScheme::Proposed,
         _ => return None,
     };
     [TablePart::A, TablePart::B].iter().find_map(|&part| {
-        eacp_experiments::paper::paper_cell(table, part, util, lambda).map(|cell| PaperRef {
-            p: cell.p_of(scheme),
-            e: cell.e_of(scheme),
+        eacp_experiments::paper::paper_cell(TableId::ALL[index], part, util, lambda).map(|cell| {
+            PaperRef {
+                p: cell.p_of(scheme),
+                e: cell.e_of(scheme),
+            }
         })
     })
 }
@@ -1597,10 +1611,33 @@ pub fn cmd_analyze(o: &Options) -> Result<String, String> {
     ))
 }
 
-/// `eacp table`: regenerate one paper table (delegates to
-/// `eacp-experiments`).
+/// Flags that would reshape a paper table's cells: the table fixes every
+/// operating point, so they are rejected instead of silently dropped.
+const TABLE_SHAPE_FLAGS: &[&str] = &[
+    "--scheme",
+    "--util",
+    "--lambda",
+    "--k",
+    "--deadline",
+    "--variant",
+    "--spec",
+    "--preset",
+    "--shard",
+    "--sweep",
+];
+
+/// `eacp table`: regenerate one paper table. Every scheme of every cell
+/// goes through [`run_cell`] — the store, analytic tier and placement
+/// path `mc` uses — so `--store`, `--queue`/`--endpoints` and `--threads`
+/// apply to tables as they do to single cells.
 pub fn cmd_table(o: &Options) -> Result<String, String> {
-    use eacp_experiments::TableId;
+    use eacp_experiments::{compare, render, shape, TableId};
+    if let Some(flag) = TABLE_SHAPE_FLAGS.iter().find(|f| o.has(f)) {
+        return Err(format!(
+            "table: {flag} cannot reshape a paper table — run other operating \
+             points with `eacp mc` or `eacp sweep`"
+        ));
+    }
     let which = o
         .positional
         .first()
@@ -1612,19 +1649,48 @@ pub fn cmd_table(o: &Options) -> Result<String, String> {
         "4" => TableId::Table4,
         other => return Err(format!("unknown table {other:?}")),
     };
-    let result = eacp_experiments::run_table_with(
-        id,
-        o.reps,
-        o.seed,
-        ExecSpec::paper().build().map_err(|e| e.to_string())?,
-    );
-    if o.json {
-        return Ok(eacp_experiments::render::to_json(&result));
+    let mut executor = ExecSpec::paper();
+    if o.queue {
+        // Recorded in each cell's spec, as `mc --queue` records it; the
+        // summaries are bit-identical either way.
+        executor = executor.with_queue(queue_spec_of(o));
     }
-    let mut out = eacp_experiments::render::to_text(&result);
-    out.push('\n');
-    out.push_str(&eacp_experiments::compare::render_comparison(&result));
-    Ok(out)
+    let result = eacp_experiments::run_table(id, o.reps, o.seed, &executor, |spec| {
+        // The local pool size is an execution choice, not part of the
+        // cell: it changes no summary bit and stays out of the report.
+        let mut spec = spec.clone();
+        spec.mc.threads = o.threads;
+        run_cell(o, &spec).map(|(summary, _, _)| summary)
+    })?;
+    if o.json && o.out.is_empty() {
+        return Ok(render::to_json(&result));
+    }
+    let findings = shape::check_table(&result);
+    let (passed, failed) = shape::tally(&findings);
+    let tally = format!("shape: {passed} criteria passed, {failed} failed\n");
+    let mut text = render::to_text(&result);
+    text.push('\n');
+    text.push_str(&compare::render_comparison(&result));
+    text.push('\n');
+    text.push_str(&tally);
+    for f in findings.iter().filter(|f| !f.passed) {
+        text.push_str(&format!("  FAIL {}: {}\n", f.criterion, f.detail));
+    }
+    if o.out.is_empty() {
+        return Ok(text);
+    }
+    let dir = std::path::Path::new(&o.out);
+    std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    let base = dir.join(format!("table{}", id.number()));
+    for (ext, body) in [
+        ("txt", text),
+        ("md", render::to_markdown(&result)),
+        ("csv", render::to_csv(&result)),
+    ] {
+        let path = base.with_extension(ext);
+        std::fs::write(&path, body).map_err(|e| format!("{}: {e}", path.display()))?;
+    }
+    Ok(format!("wrote {}.{{txt,md,csv}}\n{tally}", base.display()))
 }
 
 /// Parses `name:wcet:period[:deadline]` task lists into a [`TaskSetSpec`].

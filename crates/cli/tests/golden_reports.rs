@@ -105,3 +105,40 @@ fn table1_report_is_pinned() {
         "table 1 --reps 20",
     );
 }
+
+/// Lower-case hex SHA-256 of a report.
+fn sha256_hex(text: &str) -> String {
+    eacp_store::sha256(text.as_bytes())
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect()
+}
+
+/// Tables 2–4 are ~150 KB each, so their reports are pinned by digest
+/// (`eacp table N --reps 20 --json | sha256sum`). Between them they cover
+/// what Table 1 does not: baselines at f2 (Tables 2, 4) and the CCP
+/// variant with the `A_D_C` proposal (Tables 3, 4).
+#[test]
+fn tables_2_to_4_reports_are_pinned_by_digest() {
+    for (table, digest) in [
+        (
+            "2",
+            "917e6d9133277bddb81ac743e8b1482dbbae2b20929ce19b96ec632f5fc4644c",
+        ),
+        (
+            "3",
+            "9e13ef1a4b9c94076749f8b290d287d04d8e97d21d5bdbb2bea06ba4ab6169e0",
+        ),
+        (
+            "4",
+            "d8d9665d207c2e28df7e8561fbd1f55a9582116f63e037916dde57d23ffafbcc",
+        ),
+    ] {
+        let actual = stdout_of(&["table", table, "--reps", "20", "--json"]);
+        assert_eq!(
+            sha256_hex(&actual),
+            digest,
+            "table {table} --reps 20 --json drifted"
+        );
+    }
+}

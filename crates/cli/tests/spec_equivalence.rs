@@ -3,8 +3,8 @@
 //! the CLI and the experiments runner, with identical `Summary` numbers
 //! for the same seed.
 
-use eacp_experiments::{cell_experiment, table_config, SchemeId, TableId};
-use eacp_spec::{ExecSpec, ExperimentSpec, Json};
+use eacp_experiments::{cell_experiment, run_table, table_config, TableId};
+use eacp_spec::{ExecSpec, ExperimentSpec, Json, PaperScheme};
 
 #[test]
 fn one_spec_file_reproduces_a_table_cell_through_cli_and_runner() {
@@ -13,24 +13,21 @@ fn one_spec_file_reproduces_a_table_cell_through_cli_and_runner() {
     let config = table_config(TableId::Table1);
     let cell = config.cells[0]; // U = 0.76, λ = 1.4e-3, k = 5
 
-    // The experiments runner's own result for the proposed scheme...
-    let runner_cell = eacp_experiments::run_cell_with(
-        &config,
-        &cell,
-        reps,
-        seed,
-        ExecSpec::paper().build().unwrap(),
-    );
-    let runner_result = runner_cell.scheme(SchemeId::Proposed);
+    // The table runner's own result for the proposed scheme...
+    let table = run_table(TableId::Table1, reps, seed, &ExecSpec::paper(), |spec| {
+        eacp_exec::run(spec).map(|(summary, _)| summary)
+    })
+    .unwrap();
+    let runner_result = table.cells[0].scheme(PaperScheme::Proposed);
 
     // ...and the spec document describing exactly that scheme/cell.
     let spec = cell_experiment(
         &config,
         &cell,
-        SchemeId::Proposed,
+        PaperScheme::Proposed,
         reps,
         seed,
-        ExecSpec::paper().build().unwrap(),
+        &ExecSpec::paper(),
     );
     assert_eq!(spec, runner_result.spec);
 
@@ -103,10 +100,10 @@ fn cli_flags_desugar_to_the_same_cell_spec() {
     let harness_spec = cell_experiment(
         &config,
         &cell,
-        SchemeId::Proposed,
+        PaperScheme::Proposed,
         2_000,
         2006,
-        ExecSpec::paper().build().unwrap(),
+        &ExecSpec::paper(),
     );
 
     let emitted = eacp_cli::dispatch(vec![

@@ -1,0 +1,169 @@
+//! `eacp table` runs every cell through the CLI's cell path — store,
+//! analytic tier and runner placement — so the cache, scheduling and
+//! output flags that `eacp mc` honours apply to tables too, and none of
+//! them moves a summary bit.
+
+use eacp_cli::dispatch;
+use eacp_spec::Json;
+
+fn eacp(args: &[&str]) -> Result<String, String> {
+    dispatch(args.iter().map(|s| (*s).to_owned()).collect())
+}
+
+/// A fresh scratch directory for one test.
+fn scratch(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("eacp-table-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// `eacp table 2 --reps 20 --json` plus `extra` flags.
+fn table2(extra: &[&str]) -> String {
+    let mut args = vec!["table", "2", "--reps", "20", "--json"];
+    args.extend_from_slice(extra);
+    eacp(&args).unwrap_or_else(|e| panic!("table 2 {extra:?}: {e}"))
+}
+
+/// Every scheme's `(spec, summary)` in table order.
+fn schemes(report: &str) -> Vec<(Json, Json)> {
+    let doc = Json::parse(report).unwrap();
+    let mut out = Vec::new();
+    for cell in doc.req("cells").unwrap().as_array().unwrap() {
+        for s in cell.req("schemes").unwrap().as_array().unwrap() {
+            out.push((
+                s.req("spec").unwrap().clone(),
+                s.req("summary").unwrap().clone(),
+            ));
+        }
+    }
+    out
+}
+
+#[test]
+fn table_store_and_tier_flags_give_identical_bytes() {
+    let plain = table2(&["--no-cache"]);
+    let dir = scratch("store");
+    let store = dir.to_str().unwrap();
+    let cold = table2(&["--store", store]);
+    let warm = table2(&["--store", store]);
+    assert_eq!(cold, plain, "cold store run differs from the plain run");
+    assert_eq!(warm, plain, "warm store run differs from the plain run");
+    // Twelve rows × four schemes were recorded...
+    let status = eacp(&["store", "status", "--store", store]).unwrap();
+    assert!(status.contains("entries: 48 "), "{status}");
+    // ...under the same keys `mc` uses: a table cell's spec is a hit there.
+    let (first_spec, _) = &schemes(&plain)[0];
+    let spec_path = dir.join("cell.json");
+    std::fs::write(&spec_path, first_spec.pretty()).unwrap();
+    let mc = eacp(&[
+        "mc",
+        "--spec",
+        spec_path.to_str().unwrap(),
+        "--store",
+        store,
+    ])
+    .unwrap();
+    assert!(mc.contains("store: hit"), "{mc}");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert_eq!(table2(&["--no-cache", "--no-analytic"]), plain);
+    assert_eq!(table2(&["--no-cache", "--threads", "1"]), plain);
+}
+
+#[test]
+fn table_cell_specs_reproduce_through_mc() {
+    // Each embedded spec is a complete document: read back by `mc --spec`,
+    // it reports the summary the table printed for it.
+    let dir = scratch("specs");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (i, (spec, summary)) in schemes(&table2(&["--no-cache"])).iter().take(4).enumerate() {
+        let path = dir.join(format!("cell{i}.json"));
+        std::fs::write(&path, spec.pretty()).unwrap();
+        let path = path.to_str().unwrap();
+        let report = eacp(&["mc", "--spec", path, "--json", "--no-cache"]).unwrap();
+        let report = Json::parse(&report).unwrap();
+        assert_eq!(report.req("spec").unwrap(), spec);
+        assert_eq!(report.req("summary").unwrap(), summary);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn queued_table_summaries_equal_the_plain_run() {
+    let plain = schemes(&table2(&["--no-cache"]));
+    let queued = schemes(&table2(&["--no-cache", "--queue", "--workers", "3"]));
+    assert_eq!(plain.len(), 12 * 4);
+    assert_eq!(queued.len(), plain.len());
+    for ((_, want), (spec, got)) in plain.iter().zip(&queued) {
+        assert_eq!(got, want, "{}", spec.req("name").unwrap().as_str().unwrap());
+        // The scheduling choice is recorded in each cell's spec, as
+        // `mc --queue` records it.
+        let workers = spec
+            .req("executor")
+            .and_then(|e| e.req("queue"))
+            .and_then(|q| q.req("workers"))
+            .and_then(|w| w.as_u64())
+            .unwrap();
+        assert_eq!(workers, 3);
+    }
+}
+
+#[test]
+fn table_out_writes_text_markdown_and_csv() {
+    let dir = scratch("out");
+    let out = dir.to_str().unwrap();
+    let note = eacp(&["table", "4", "--reps", "20", "--no-cache", "--out", out]).unwrap();
+    assert!(note.starts_with("wrote "), "{note}");
+    assert!(note.contains("shape: "), "{note}");
+    let text = eacp(&["table", "4", "--reps", "20", "--no-cache"]).unwrap();
+    assert!(text.starts_with("Table 4 — A_D_C variant"), "{text}");
+    assert!(text.contains("Table 4 vs paper"), "{text}");
+    assert!(text.contains(" criteria passed, "), "{text}");
+    let read = |ext: &str| std::fs::read_to_string(dir.join(format!("table4.{ext}"))).unwrap();
+    assert_eq!(read("txt"), text);
+    assert!(read("md").starts_with("### Table 4"));
+    assert_eq!(read("csv").lines().count(), 12 * 4 + 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn table_rejects_flags_that_would_reshape_its_cells() {
+    // Each of these used to be accepted and silently ignored.
+    for (flag, value) in [
+        ("--scheme", "poisson"),
+        ("--util", "0.5"),
+        ("--lambda", "0.5"),
+        ("--k", "3"),
+        ("--deadline", "5000"),
+        ("--variant", "ccp"),
+        ("--spec", "cell.json"),
+        ("--preset", "table1-a"),
+        ("--shard", "0/2"),
+        ("--sweep", "grid.json"),
+    ] {
+        let err = eacp(&["table", "1", "--reps", "20", flag, value]).expect_err(flag);
+        assert!(err.starts_with(&format!("table: {flag} ")), "{flag}: {err}");
+    }
+    // The reported case: nothing runs, and no store is created.
+    let dir = scratch("rejected");
+    let store = dir.to_str().unwrap();
+    let err = eacp(&[
+        "table",
+        "1",
+        "--reps",
+        "20",
+        "--json",
+        "--store",
+        store,
+        "--scheme",
+        "poisson",
+        "--lambda",
+        "0.5",
+        "--queue",
+        "--workers",
+        "2",
+    ])
+    .unwrap_err();
+    assert!(err.contains("--scheme"), "{err}");
+    assert!(!dir.exists());
+}

@@ -62,8 +62,7 @@ pub trait Observer {
 /// The do-nothing observer: the fast path.
 ///
 /// Every callback is an empty default method, so monomorphized engine code
-/// using `NoopObserver` optimizes to exactly the unobserved execution loop
-/// (guarded by the `observer_overhead` bench in `eacp-bench`).
+/// using `NoopObserver` optimizes to exactly the unobserved execution loop.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoopObserver;
 

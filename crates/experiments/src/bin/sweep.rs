@@ -6,7 +6,6 @@
 //! sweep --kind optimizer             # paper closed-form vs exact num_SCP
 //! sweep --kind no-dvs                # paper §2 (Fig. 3): adaptive schemes
 //!                                    # at a fixed speed vs static baselines
-//! sweep --spec sweep.json            # any user-provided SweepSpec grid
 //! ```
 //!
 //! Optional: `--reps N` (default 2000), `--seed S`.
@@ -14,7 +13,9 @@
 //! Every built-in kind is expressed as `eacp-spec` documents: a base
 //! [`ExperimentSpec`] plus [`SweepAxis`] grids where the shape is a
 //! cartesian product, or explicit spec lists where it is not. `--emit-spec`
-//! prints the expanded documents instead of running them.
+//! prints the expanded documents instead of running them. A user-provided
+//! [`SweepSpec`] grid runs through `eacp sweep --spec sweep.json` (and
+//! `eacp csv` renders its report documents).
 
 #![forbid(unsafe_code)]
 
@@ -223,36 +224,6 @@ fn sweep_no_dvs(reps: u64, seed: u64, emit: bool) {
     }
 }
 
-/// Runs an arbitrary user-provided [`SweepSpec`] document.
-fn sweep_from_file(path: &str, reps_override: Option<u64>, emit: bool) {
-    let mut sweep = SweepSpec::load(std::path::Path::new(path)).unwrap_or_else(|e| {
-        eprintln!("sweep: {e}");
-        std::process::exit(2);
-    });
-    if let Some(reps) = reps_override {
-        sweep.base.mc.replications = reps;
-    }
-    let specs = sweep.expand().unwrap_or_else(|e| {
-        eprintln!("sweep: {e}");
-        std::process::exit(2);
-    });
-    if emit {
-        emit_specs(specs.iter());
-        return;
-    }
-    println!("experiment,P,E,faults_mean");
-    for spec in &specs {
-        let s = run_spec(spec);
-        println!(
-            "{},{:.4},{:.0},{:.2}",
-            spec.name,
-            s.p_timely(),
-            s.mean_energy_timely(),
-            s.faults.mean(),
-        );
-    }
-}
-
 fn emit_specs<'a, I: Iterator<Item = &'a ExperimentSpec>>(specs: I) {
     let docs: Vec<eacp_spec::Json> = specs.map(ToJson::to_json).collect();
     print!("{}", eacp_spec::Json::Array(docs).pretty());
@@ -261,23 +232,19 @@ fn emit_specs<'a, I: Iterator<Item = &'a ExperimentSpec>>(specs: I) {
 fn main() {
     let mut kind = String::from("store-compare-ratio");
     let mut reps = 2000u64;
-    let mut reps_given = false;
     let mut seed = 77u64;
-    let mut spec_path: Option<String> = None;
     let mut emit = false;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--kind" => kind = it.next().expect("missing value for --kind"),
-            "--spec" => spec_path = Some(it.next().expect("missing value for --spec")),
             "--emit-spec" => emit = true,
             "--reps" => {
                 reps = it
                     .next()
                     .expect("missing value for --reps")
                     .parse()
-                    .expect("bad --reps");
-                reps_given = true;
+                    .expect("bad --reps")
             }
             "--seed" => {
                 seed = it
@@ -289,7 +256,6 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: sweep --kind store-compare-ratio|lambda|optimizer|no-dvs [--reps N] [--seed S]\n\
-                     \x20      sweep --spec sweep.json [--reps N]\n\
                      \x20      (add --emit-spec to print the expanded spec documents instead of running)"
                 );
                 return;
@@ -299,10 +265,6 @@ fn main() {
                 std::process::exit(2);
             }
         }
-    }
-    if let Some(path) = spec_path {
-        sweep_from_file(&path, reps_given.then_some(reps), emit);
-        return;
     }
     match kind.as_str() {
         "store-compare-ratio" => sweep_store_compare_ratio(reps, seed, emit),

@@ -2,16 +2,16 @@
 //! reported values: per-scheme error statistics and the worst cells.
 
 use crate::runner::TableResult;
-use crate::tables::SchemeId;
 use eacp_numerics::OnlineStats;
+use eacp_spec::PaperScheme;
 
 /// Error statistics of one scheme's column across a table.
 #[derive(Debug, Clone)]
 pub struct SchemeErrors {
     /// Which scheme.
-    pub scheme: SchemeId,
+    pub scheme: PaperScheme,
     /// Scheme display name.
-    pub name: String,
+    pub name: &'static str,
     /// Absolute error on `P` (measured − paper) over cells with paper data.
     pub p_abs_error: OnlineStats,
     /// Relative error on `E` over cells where both energies are finite.
@@ -27,7 +27,7 @@ pub struct SchemeErrors {
 
 /// Compares a regenerated table with the paper cell by cell.
 pub fn compare_with_paper(result: &TableResult) -> Vec<SchemeErrors> {
-    SchemeId::ALL
+    PaperScheme::ALL
         .iter()
         .map(|&scheme| {
             let mut p_abs = OnlineStats::new();
@@ -35,11 +35,11 @@ pub fn compare_with_paper(result: &TableResult) -> Vec<SchemeErrors> {
             let mut nan_agree = 0;
             let mut nan_disagree = 0;
             let mut worst: Option<(f64, f64, f64, f64)> = None;
-            let mut name = String::new();
+            let mut name = "";
             for cell in &result.cells {
                 let Some(paper) = cell.paper else { continue };
                 let s = cell.scheme(scheme);
-                name = s.name.clone();
+                name = s.name();
                 let (pm, pp) = (s.summary.p_timely(), paper.p_of(scheme));
                 p_abs.push(pm - pp);
                 if worst.is_none_or(|(_, _, wm, wp)| (pm - pp).abs() > (wm - wp).abs()) {
@@ -101,20 +101,13 @@ pub fn render_comparison(result: &TableResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_table_with;
+    use crate::runner::{direct, run_table};
     use crate::tables::TableId;
-    use eacp_sim::ExecutorOptions;
-
-    fn paper_model() -> ExecutorOptions {
-        ExecutorOptions {
-            faults_during_overhead: false,
-            ..ExecutorOptions::default()
-        }
-    }
+    use eacp_spec::ExecSpec;
 
     #[test]
     fn comparison_reports_tight_errors_on_table1() {
-        let result = run_table_with(TableId::Table1, 800, 2006, paper_model());
+        let result = run_table(TableId::Table1, 800, 2006, &ExecSpec::paper(), direct).unwrap();
         let errors = compare_with_paper(&result);
         assert_eq!(errors.len(), 4);
         for e in &errors {
@@ -145,7 +138,7 @@ mod tests {
 
     #[test]
     fn render_contains_all_schemes() {
-        let result = run_table_with(TableId::Table1, 60, 1, paper_model());
+        let result = run_table(TableId::Table1, 60, 1, &ExecSpec::paper(), direct).unwrap();
         let report = render_comparison(&result);
         for name in ["Poisson", "k-f-t", "A_D", "A_D_S"] {
             assert!(report.contains(name), "missing {name} in:\n{report}");

@@ -12,16 +12,19 @@
 //! * **Table 3** — CCP cost variant (`ts = 20, tcp = 2`), baselines at `f1`;
 //! * **Table 4** — CCP cost variant, baselines at `f2`.
 //!
-//! [`tables::table_config`] holds the exact parameters, [`paper`] the
-//! values transcribed from the paper, [`runner`] the Monte-Carlo driver,
-//! [`render`] the side-by-side formatting and [`shape`] the qualitative
-//! claims ("who wins, by roughly what factor") that a successful
-//! reproduction must satisfy.
+//! A cell's experiment is [`eacp_spec::paper_cell`], and what sets each
+//! table apart is [`eacp_spec::PAPER_TABLES`]. Here, [`tables::table_config`]
+//! adds each table's `(U, λ, k)` rows, [`paper`] the values transcribed
+//! from the paper, [`runner`] the table runner (the caller supplies the
+//! Monte-Carlo), [`render`] the side-by-side formatting, [`compare`] the
+//! error statistics and [`shape`] the qualitative claims ("who wins, by
+//! roughly what factor") that a successful reproduction must satisfy.
 //!
-//! Regenerate everything with:
+//! Regenerate a table — through the result store, the analytic tier and
+//! the queue/fleet placement, like any `eacp mc` cell — with:
 //!
 //! ```text
-//! cargo run --release -p eacp-experiments --bin gen-tables
+//! eacp table N [--reps 10000] [--store DIR] [--queue --workers W] [--out DIR]
 //! ```
 
 #![forbid(unsafe_code)]
@@ -34,9 +37,5 @@ pub mod runner;
 pub mod shape;
 pub mod tables;
 
-pub use runner::{
-    cell_experiment, cell_experiment_exec, cell_scenario_spec, run_cell, run_cell_exec,
-    run_cell_with, run_table, run_table_exec, run_table_with, scheme_policy_spec, CellResult,
-    SchemeResult, TableResult,
-};
-pub use tables::{table_config, CellSpec, SchemeId, TableConfig, TableId, TablePart};
+pub use runner::{cell_experiment, run_table, CellResult, SchemeResult, TableResult};
+pub use tables::{table_config, CellSpec, TableConfig, TableId, TablePart};

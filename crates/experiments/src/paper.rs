@@ -4,13 +4,14 @@
 //! `NaN` energies reproduce the paper's own `NaN` cells (no timely run to
 //! average over).
 
-use crate::tables::{SchemeId, TableId, TablePart};
+use crate::tables::{TableId, TablePart};
+use eacp_spec::PaperScheme;
 
 /// Paper-reported `(P, E)` for all four schemes at one operating point.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaperCell {
-    /// Probability of timely completion per scheme, in [`SchemeId::ALL`]
-    /// column order.
+    /// Probability of timely completion per scheme, in
+    /// [`PaperScheme::ALL`] column order.
     pub p: [f64; 4],
     /// Mean energy per scheme (same order); `NaN` where the paper prints
     /// `NaN`.
@@ -19,22 +20,13 @@ pub struct PaperCell {
 
 impl PaperCell {
     /// `P` for one scheme.
-    pub fn p_of(&self, scheme: SchemeId) -> f64 {
-        self.p[scheme_index(scheme)]
+    pub fn p_of(&self, scheme: PaperScheme) -> f64 {
+        self.p[scheme as usize]
     }
 
     /// `E` for one scheme.
-    pub fn e_of(&self, scheme: SchemeId) -> f64 {
-        self.e[scheme_index(scheme)]
-    }
-}
-
-fn scheme_index(scheme: SchemeId) -> usize {
-    match scheme {
-        SchemeId::Poisson => 0,
-        SchemeId::KFaultTolerant => 1,
-        SchemeId::AdtDvs => 2,
-        SchemeId::Proposed => 3,
+    pub fn e_of(&self, scheme: PaperScheme) -> f64 {
+        self.e[scheme as usize]
     }
 }
 
@@ -147,11 +139,12 @@ fn rows_of(table: TableId, part: TablePart) -> &'static [Row] {
 ///
 /// ```
 /// use eacp_experiments::paper::paper_cell;
-/// use eacp_experiments::{SchemeId, TableId, TablePart};
+/// use eacp_experiments::{TableId, TablePart};
+/// use eacp_spec::PaperScheme;
 ///
 /// let c = paper_cell(TableId::Table1, TablePart::A, 0.76, 1.4e-3).unwrap();
-/// assert_eq!(c.p_of(SchemeId::Proposed), 0.9999);
-/// assert_eq!(c.e_of(SchemeId::Poisson), 39015.0);
+/// assert_eq!(c.p_of(PaperScheme::Proposed), 0.9999);
+/// assert_eq!(c.e_of(PaperScheme::Poisson), 39015.0);
 /// ```
 pub fn paper_cell(table: TableId, part: TablePart, u: f64, lambda: f64) -> Option<PaperCell> {
     rows_of(table, part)
@@ -194,10 +187,10 @@ mod tests {
         for id in [TableId::Table1, TableId::Table3] {
             for lambda in [1.0e-4, 2.0e-4] {
                 let c = paper_cell(id, TablePart::B, 1.00, lambda).unwrap();
-                assert!(c.e_of(SchemeId::Poisson).is_nan());
-                assert!(c.e_of(SchemeId::KFaultTolerant).is_nan());
-                assert_eq!(c.p_of(SchemeId::Poisson), 0.0);
-                assert!(!c.e_of(SchemeId::AdtDvs).is_nan());
+                assert!(c.e_of(PaperScheme::Poisson).is_nan());
+                assert!(c.e_of(PaperScheme::KFaultTolerant).is_nan());
+                assert_eq!(c.p_of(PaperScheme::Poisson), 0.0);
+                assert!(!c.e_of(PaperScheme::AdtDvs).is_nan());
             }
         }
     }
@@ -223,7 +216,7 @@ mod tests {
         // doubles) — the calibration anchor from DESIGN.md §2.4.
         let f1 = paper_cell(TableId::Table1, TablePart::A, 0.76, 1.4e-3).unwrap();
         let f2 = paper_cell(TableId::Table2, TablePart::A, 0.76, 1.4e-3).unwrap();
-        let ratio = f2.e_of(SchemeId::Poisson) / f1.e_of(SchemeId::Poisson);
+        let ratio = f2.e_of(PaperScheme::Poisson) / f1.e_of(PaperScheme::Poisson);
         assert!((3.5..4.2).contains(&ratio), "ratio = {ratio}");
     }
 }

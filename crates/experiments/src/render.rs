@@ -2,7 +2,8 @@
 //! paper's numbers), Markdown, and CSV.
 
 use crate::runner::TableResult;
-use crate::tables::{SchemeId, TablePart};
+use crate::tables::TablePart;
+use eacp_spec::PaperScheme;
 
 fn fmt_p(p: f64) -> String {
     if p.is_nan() {
@@ -31,7 +32,7 @@ pub fn to_text(result: &TableResult) -> String {
         cfg.proposed_name(),
         cfg.costs.store_cycles,
         cfg.costs.compare_cycles,
-        cfg.baseline_speed + 1,
+        cfg.paper.baseline_speed + 1,
         result.replications,
     ));
     for part in [TablePart::A, TablePart::B] {
@@ -63,7 +64,7 @@ pub fn to_text(result: &TableResult) -> String {
                 "P"
             );
             let mut eline = format!("{:<6} {:<9} {:<3} ", "", "", "E");
-            for scheme in SchemeId::ALL {
+            for scheme in PaperScheme::ALL {
                 let s = cell.scheme(scheme);
                 let (pp, pe) = cell
                     .paper
@@ -96,7 +97,7 @@ pub fn to_markdown(result: &TableResult) -> String {
         cfg.proposed_name(),
         cfg.costs.store_cycles,
         cfg.costs.compare_cycles,
-        cfg.baseline_speed + 1
+        cfg.paper.baseline_speed + 1
     );
     for part in [TablePart::A, TablePart::B] {
         let rows: Vec<_> = result
@@ -122,7 +123,7 @@ pub fn to_markdown(result: &TableResult) -> String {
                 } else {
                     format!("| | | {metric} |")
                 };
-                for scheme in SchemeId::ALL {
+                for scheme in PaperScheme::ALL {
                     let s = cell.scheme(scheme);
                     let (meas, pap) = if metric == "P" {
                         (
@@ -158,7 +159,7 @@ pub fn to_csv(result: &TableResult) -> String {
          checkpoints_mean,fast_fraction,paper_p,paper_e\n",
     );
     for cell in &result.cells {
-        for scheme in SchemeId::ALL {
+        for scheme in PaperScheme::ALL {
             let s = cell.scheme(scheme);
             let (lo, hi) = s.summary.p_timely_ci(1.96);
             let (pp, pe) = cell
@@ -172,7 +173,7 @@ pub fn to_csv(result: &TableResult) -> String {
                 cell.spec.k,
                 cell.spec.utilization,
                 cell.spec.lambda,
-                s.name,
+                s.name(),
                 s.summary.p_timely(),
                 lo,
                 hi,
@@ -207,7 +208,7 @@ pub fn to_json(result: &TableResult) -> String {
                 .iter()
                 .map(|s| {
                     Json::obj([
-                        ("scheme", s.name.as_str().into()),
+                        ("scheme", s.name().into()),
                         ("spec", s.spec.to_json()),
                         ("summary", s.summary_report().to_json()),
                     ])
@@ -222,7 +223,7 @@ pub fn to_json(result: &TableResult) -> String {
             ];
             if let Some(p) = cell.paper {
                 let paper = Json::Array(
-                    SchemeId::ALL
+                    PaperScheme::ALL
                         .iter()
                         .map(|&id| Json::obj([("p", p.p_of(id).into()), ("e", p.e_of(id).into())]))
                         .collect(),
@@ -243,11 +244,12 @@ pub fn to_json(result: &TableResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_table;
+    use crate::runner::{direct, run_table};
     use crate::tables::TableId;
+    use eacp_spec::ExecSpec;
 
     fn small_table() -> TableResult {
-        run_table(TableId::Table1, 30, 7)
+        run_table(TableId::Table1, 30, 7, &ExecSpec::default(), direct).unwrap()
     }
 
     #[test]

@@ -1,28 +1,24 @@
-//! Monte-Carlo driver for table cells.
+//! The paper's tables, run cell by cell.
 //!
-//! Since the `eacp-spec` redesign this module no longer hand-builds
-//! scenarios and policies: every cell is first *described* as an
-//! [`ExperimentSpec`] ([`cell_experiment`]) and then executed through
-//! [`eacp_exec::run`] (the `Job`/`Runner` path). The same spec,
-//! serialized to JSON and fed to `eacp mc --spec`, reproduces any cell of
-//! any table bit for bit.
+//! A table cell is described once, by [`eacp_spec::paper_cell`];
+//! [`cell_experiment`] only adds what a table run decides — the
+//! part-lettered name, the replication block and the executor. The
+//! Monte-Carlo itself is the caller's: [`run_table`] hands every scheme's
+//! [`ExperimentSpec`] to a `compute` closure, which is how `eacp table`
+//! runs each cell through the same store / analytic-tier / placement path
+//! as `eacp mc`. The same spec, serialized to JSON and fed to
+//! `eacp mc --spec`, reproduces any cell of any table bit for bit.
 
 use crate::paper::{paper_cell, PaperCell};
-use crate::tables::{CellSpec, SchemeId, TableConfig, TableId};
-use eacp_core::policies::SubCheckpointKind;
-use eacp_sim::{ExecutorOptions, Policy, Scenario, Summary};
-use eacp_spec::{
-    CostsSpec, DvsSpec, ExecSpec, ExperimentSpec, FaultSpec, McSpec, PolicySpec, ScenarioSpec,
-    SummaryReport, WorkSpec,
-};
+use crate::tables::{table_config, CellSpec, TableConfig, TableId};
+use eacp_sim::Summary;
+use eacp_spec::{ExecSpec, ExperimentSpec, McSpec, PaperScheme, SummaryReport};
 
 /// Result of one scheme at one operating point.
 #[derive(Debug, Clone)]
 pub struct SchemeResult {
     /// Which scheme.
-    pub scheme: SchemeId,
-    /// Display name ("Poisson", "k-f-t", "A_D", "A_D_S"/"A_D_C").
-    pub name: String,
+    pub scheme: PaperScheme,
     /// Monte-Carlo aggregate.
     pub summary: Summary,
     /// The spec that produced `summary` (serialize it to reproduce the
@@ -31,6 +27,11 @@ pub struct SchemeResult {
 }
 
 impl SchemeResult {
+    /// Display name ("Poisson", "k-f-t", "A_D", "A_D_S"/"A_D_C").
+    pub fn name(&self) -> &'static str {
+        self.spec.policy.policy_name()
+    }
+
     /// The serializable mirror of [`Self::summary`].
     pub fn summary_report(&self) -> SummaryReport {
         SummaryReport::from_summary(&self.summary)
@@ -42,7 +43,7 @@ impl SchemeResult {
 pub struct CellResult {
     /// The operating point.
     pub spec: CellSpec,
-    /// Results in [`SchemeId::ALL`] column order.
+    /// Results in [`PaperScheme::ALL`] column order.
     pub schemes: Vec<SchemeResult>,
     /// The paper's reported values for this cell, when available.
     pub paper: Option<PaperCell>,
@@ -50,12 +51,12 @@ pub struct CellResult {
 
 impl CellResult {
     /// The result for one scheme.
-    pub fn scheme(&self, id: SchemeId) -> &SchemeResult {
+    pub fn scheme(&self, id: PaperScheme) -> &SchemeResult {
         self.schemes
             .iter()
             .find(|s| s.scheme == id)
-            // audit:allow(panic): run_table iterates SchemeId::ALL, so every
-            // id is present by construction.
+            // audit:allow(panic): run_table iterates PaperScheme::ALL, so
+            // every id is present by construction.
             .expect("all schemes are always run")
     }
 }
@@ -73,286 +74,194 @@ pub struct TableResult {
     pub replications: u64,
 }
 
-/// The scenario description for one cell of a table.
-pub fn cell_scenario_spec(config: &TableConfig, spec: &CellSpec) -> ScenarioSpec {
-    ScenarioSpec {
-        work: WorkSpec::Utilization {
-            utilization: spec.utilization,
-            speed: config.util_speed,
-            deadline: config.deadline,
-        },
-        costs: CostsSpec::from_costs(&config.costs),
-        dvs: DvsSpec::PaperDefault,
-        processors: 2,
-    }
-}
-
-/// Builds the scenario for one cell of a table.
-pub fn cell_scenario(config: &TableConfig, spec: &CellSpec) -> Scenario {
-    cell_scenario_spec(config, spec)
-        .build()
-        // audit:allow(panic): the table configs are compiled-in constants
-        // exercised by every experiments test; an invalid one is a bug here.
-        .expect("table configurations are valid scenarios")
-}
-
-/// The policy description for one scheme at one cell.
-pub fn scheme_policy_spec(config: &TableConfig, spec: &CellSpec, scheme: SchemeId) -> PolicySpec {
-    match scheme {
-        SchemeId::Poisson => PolicySpec::Poisson {
-            lambda: spec.lambda,
-            speed: config.baseline_speed,
-        },
-        SchemeId::KFaultTolerant => PolicySpec::KFaultTolerant {
-            k: spec.k,
-            speed: config.baseline_speed,
-        },
-        SchemeId::AdtDvs => PolicySpec::AdtDvs {
-            lambda: spec.lambda,
-            k: spec.k,
-            optimizer: Default::default(),
-        },
-        SchemeId::Proposed => match config.sub_kind {
-            SubCheckpointKind::Store => PolicySpec::DvsScp {
-                lambda: spec.lambda,
-                k: spec.k,
-                optimizer: Default::default(),
-            },
-            SubCheckpointKind::Compare => PolicySpec::DvsCcp {
-                lambda: spec.lambda,
-                k: spec.k,
-                optimizer: Default::default(),
-            },
-        },
-    }
-}
-
-/// Builds the policy for one scheme at one cell.
-pub fn make_policy(config: &TableConfig, spec: &CellSpec, scheme: SchemeId) -> Box<dyn Policy> {
-    Box::new(
-        scheme_policy_spec(config, spec, scheme)
-            .build()
-            // audit:allow(panic): same compiled-in table constants as the
-            // scenario above; failure is a programming error, not input.
-            .expect("table configurations are valid policies"),
-    )
-}
-
-/// The complete experiment description for one scheme at one cell — the
-/// single source of truth [`run_cell_with`] executes, and the document
-/// `eacp mc --spec` accepts.
+/// The complete experiment description for one scheme at one cell:
+/// [`eacp_spec::paper_cell`] with the part-lettered name
+/// (`table1a-u0.76-l0.0014-k5-a_d_s`), `replications` seeded from `seed`,
+/// and `executor`.
 pub fn cell_experiment(
     config: &TableConfig,
-    spec: &CellSpec,
-    scheme: SchemeId,
+    cell: &CellSpec,
+    scheme: PaperScheme,
     replications: u64,
     seed: u64,
-    options: ExecutorOptions,
+    executor: &ExecSpec,
 ) -> ExperimentSpec {
-    cell_experiment_exec(
-        config,
-        spec,
-        scheme,
+    let table = config.id.number();
+    let mut spec = eacp_spec::paper_cell(table, cell.utilization, cell.lambda, cell.k, scheme)
+        // audit:allow(panic): the table grids are compiled-in constants
+        // exercised by every experiments test; an invalid one is a bug here.
+        .expect("table cells are valid paper cells");
+    spec.name = format!(
+        "table{table}{}-u{}-l{}-k{}-{}",
+        cell.part,
+        cell.utilization,
+        cell.lambda,
+        cell.k,
+        spec.policy.tag()
+    );
+    spec.mc = McSpec {
         replications,
         seed,
-        ExecSpec::from_options(&options),
-    )
+        threads: 0,
+    };
+    spec.executor = executor.clone();
+    spec
 }
 
-/// [`cell_experiment`] with the full executor section — including the
-/// execution-layer scheduling choice ([`eacp_spec::QueueSpec`]) that
-/// [`ExecutorOptions`] cannot express.
-pub fn cell_experiment_exec(
-    config: &TableConfig,
-    spec: &CellSpec,
-    scheme: SchemeId,
-    replications: u64,
-    seed: u64,
-    executor: ExecSpec,
-) -> ExperimentSpec {
-    let policy = scheme_policy_spec(config, spec, scheme);
-    ExperimentSpec {
-        name: format!(
-            "table{}{}-u{}-l{}-k{}-{}",
-            config.id.number(),
-            spec.part,
-            spec.utilization,
-            spec.lambda,
-            spec.k,
-            policy.tag()
-        ),
-        scenario: cell_scenario_spec(config, spec),
-        faults: FaultSpec::Poisson {
-            lambda: spec.lambda,
-        },
-        policy,
-        mc: McSpec {
-            replications,
-            seed,
-            threads: 0,
-        },
-        executor,
-    }
-}
-
-/// Runs all four schemes at one operating point with default executor
-/// options.
-pub fn run_cell(config: &TableConfig, spec: &CellSpec, replications: u64, seed: u64) -> CellResult {
-    run_cell_with(config, spec, replications, seed, ExecutorOptions::default())
-}
-
-/// Runs all four schemes at one operating point.
+/// Regenerates one full table: every scheme of every cell, in table
+/// order, at `replications` per scheme (the paper uses 10,000; lower
+/// counts are useful for quick looks and CI).
 ///
-/// `options` selects executor semantics — notably
-/// [`ExecutorOptions::faults_during_overhead`], which distinguishes the
-/// physical fault model (faults can strike during checkpoint operations;
-/// the default) from the analysis-faithful model the paper's renewal
-/// equations assume (faults only during useful computation).
-pub fn run_cell_with(
-    config: &TableConfig,
-    spec: &CellSpec,
+/// Cell `i` is seeded `seed + i` for all four schemes, so the schemes of
+/// a row face the same fault streams. `compute` turns each scheme's spec
+/// into its summary; it is called once per scheme per cell, in order.
+///
+/// # Errors
+///
+/// The first error `compute` returns.
+pub fn run_table<E>(
+    id: TableId,
     replications: u64,
     seed: u64,
-    options: ExecutorOptions,
-) -> CellResult {
-    run_cell_exec(
-        config,
-        spec,
-        replications,
-        seed,
-        ExecSpec::from_options(&options),
-    )
-}
-
-/// [`run_cell_with`] with the full executor section: with a
-/// [`eacp_spec::QueueSpec`] present the cell's replications are scheduled
-/// through the work-queue runner (`eacp_exec::run` dispatches on it) —
-/// summaries are bit-identical either way.
-pub fn run_cell_exec(
-    config: &TableConfig,
-    spec: &CellSpec,
-    replications: u64,
-    seed: u64,
-    executor: ExecSpec,
-) -> CellResult {
-    let schemes = SchemeId::ALL
-        .iter()
-        .map(|&scheme| {
-            let experiment =
-                cell_experiment_exec(config, spec, scheme, replications, seed, executor.clone());
-            let (summary, report) =
-                // audit:allow(panic): specs are assembled from validated
-                // table constants; eacp_exec::run only errs on invalid specs.
-                eacp_exec::run(&experiment).expect("table cells are valid experiment specs");
+    executor: &ExecSpec,
+    mut compute: impl FnMut(&ExperimentSpec) -> Result<Summary, E>,
+) -> Result<TableResult, E> {
+    let config = table_config(id);
+    let mut cells = Vec::with_capacity(config.cells.len());
+    for (i, cell) in config.cells.iter().enumerate() {
+        let seed = seed.wrapping_add(i as u64);
+        let mut schemes = Vec::with_capacity(PaperScheme::ALL.len());
+        for scheme in PaperScheme::ALL {
+            let spec = cell_experiment(&config, cell, scheme, replications, seed, executor);
+            let summary = compute(&spec)?;
             debug_assert_eq!(summary.anomalies, 0, "policy anomaly in {scheme:?}");
-            SchemeResult {
+            schemes.push(SchemeResult {
                 scheme,
-                name: report.policy_name,
                 summary,
-                spec: experiment,
-            }
-        })
-        .collect();
-    CellResult {
-        spec: *spec,
-        schemes,
-        paper: paper_cell(config.id, spec.part, spec.utilization, spec.lambda),
-    }
-}
-
-/// Regenerates one full table at the given replication count (the paper
-/// uses 10,000; lower counts are useful for quick looks and CI).
-pub fn run_table(id: TableId, replications: u64, seed: u64) -> TableResult {
-    run_table_with(id, replications, seed, ExecutorOptions::default())
-}
-
-/// [`run_table`] with explicit executor options (see [`run_cell_with`]).
-pub fn run_table_with(
-    id: TableId,
-    replications: u64,
-    seed: u64,
-    options: ExecutorOptions,
-) -> TableResult {
-    run_table_exec(id, replications, seed, ExecSpec::from_options(&options))
-}
-
-/// [`run_table_with`] with the full executor section (see
-/// [`run_cell_exec`]); `gen-tables --queue-workers N` regenerates whole
-/// tables through the work-queue scheduler this way.
-pub fn run_table_exec(
-    id: TableId,
-    replications: u64,
-    seed: u64,
-    executor: ExecSpec,
-) -> TableResult {
-    let config = crate::tables::table_config(id);
-    let cells = config
-        .cells
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            run_cell_exec(
-                &config,
                 spec,
-                replications,
-                seed.wrapping_add(i as u64),
-                executor.clone(),
-            )
-        })
-        .collect();
-    TableResult {
+            });
+        }
+        cells.push(CellResult {
+            spec: *cell,
+            schemes,
+            paper: paper_cell(id, cell.part, cell.utilization, cell.lambda),
+        });
+    }
+    Ok(TableResult {
         id,
         config,
         cells,
         replications,
-    }
+    })
+}
+
+/// A `compute` for [`run_table`] that runs each spec directly, without a
+/// store.
+#[cfg(test)]
+pub(crate) fn direct(spec: &ExperimentSpec) -> Result<Summary, eacp_spec::SpecError> {
+    eacp_exec::run(spec).map(|(summary, _)| summary)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tables::{table_config, TablePart};
+    use crate::tables::TablePart;
+    use eacp_sim::Policy;
 
     #[test]
     fn cell_scenario_scales_work_with_util_speed() {
-        let t1 = table_config(TableId::Table1);
-        let t2 = table_config(TableId::Table2);
-        let spec = t1.cells[0];
-        assert_eq!(cell_scenario(&t1, &spec).task.work_cycles, 7600.0);
-        assert_eq!(cell_scenario(&t2, &t2.cells[0]).task.work_cycles, 15_200.0);
+        let work = |id, cell: usize| {
+            let config = table_config(id);
+            let spec = cell_experiment(
+                &config,
+                &config.cells[cell],
+                PaperScheme::Poisson,
+                1,
+                0,
+                &ExecSpec::paper(),
+            );
+            spec.scenario.build().unwrap().task.work_cycles
+        };
+        assert_eq!(work(TableId::Table1, 0), 7600.0);
+        assert_eq!(work(TableId::Table2, 0), 15_200.0);
     }
 
     #[test]
     fn policies_have_expected_names() {
         let cfg = table_config(TableId::Table3);
-        let spec = cfg.cells[0];
-        assert_eq!(
-            make_policy(&cfg, &spec, SchemeId::Poisson).name(),
-            "Poisson"
-        );
-        assert_eq!(
-            make_policy(&cfg, &spec, SchemeId::KFaultTolerant).name(),
-            "k-f-t"
-        );
-        assert_eq!(make_policy(&cfg, &spec, SchemeId::AdtDvs).name(), "A_D");
-        assert_eq!(make_policy(&cfg, &spec, SchemeId::Proposed).name(), "A_D_C");
+        let name = |scheme| {
+            let spec = cell_experiment(&cfg, &cfg.cells[0], scheme, 1, 0, &ExecSpec::paper());
+            spec.policy.build().unwrap().name().to_owned()
+        };
+        assert_eq!(name(PaperScheme::Poisson), "Poisson");
+        assert_eq!(name(PaperScheme::KFaultTolerant), "k-f-t");
+        assert_eq!(name(PaperScheme::AdtDvs), "A_D");
+        assert_eq!(name(PaperScheme::Proposed), "A_D_C");
+    }
+
+    #[test]
+    fn cell_experiment_is_the_paper_cell_with_name_mc_and_executor() {
+        let executor = ExecSpec::default().with_queue(eacp_spec::QueueSpec {
+            workers: 2,
+            ..Default::default()
+        });
+        for id in TableId::ALL {
+            let config = table_config(id);
+            for cell in &config.cells {
+                for scheme in PaperScheme::ALL {
+                    let built = cell_experiment(&config, cell, scheme, 321, 9, &executor);
+                    let mut expected = eacp_spec::paper_cell(
+                        id.number(),
+                        cell.utilization,
+                        cell.lambda,
+                        cell.k,
+                        scheme,
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        built.name,
+                        format!(
+                            "table{}{}-u{}-l{}-k{}-{}",
+                            id.number(),
+                            cell.part,
+                            cell.utilization,
+                            cell.lambda,
+                            cell.k,
+                            expected.policy.tag()
+                        )
+                    );
+                    assert_eq!(
+                        built.mc,
+                        McSpec {
+                            replications: 321,
+                            seed: 9,
+                            threads: 0
+                        }
+                    );
+                    assert_eq!(built.executor, executor);
+                    expected.name = built.name.clone();
+                    expected.mc = built.mc;
+                    expected.executor = executor.clone();
+                    assert_eq!(built, expected, "{id} {scheme:?}");
+                }
+            }
+        }
     }
 
     #[test]
     fn smoke_cell_runs_all_schemes() {
-        let cfg = table_config(TableId::Table1);
-        let spec = cfg.cells[0]; // U = 0.76, λ = 1.4e-3, k = 5
-        let cell = run_cell(&cfg, &spec, 60, 1);
+        let table = run_table(TableId::Table1, 60, 1, &ExecSpec::default(), direct).unwrap();
+        let cell = &table.cells[0]; // U = 0.76, λ = 1.4e-3, k = 5
         assert_eq!(cell.schemes.len(), 4);
         assert!(cell.paper.is_some());
         for s in &cell.schemes {
             assert_eq!(s.summary.replications, 60);
-            assert_eq!(s.summary.anomalies, 0, "{}", s.name);
+            assert_eq!(s.summary.anomalies, 0, "{}", s.name());
         }
         // Coarse shape even at 60 reps: adaptive schemes nearly always
         // finish, baselines rarely do at this operating point.
-        let p_prop = cell.scheme(SchemeId::Proposed).summary.p_timely();
-        let p_poisson = cell.scheme(SchemeId::Poisson).summary.p_timely();
+        let p_prop = cell.scheme(PaperScheme::Proposed).summary.p_timely();
+        let p_poisson = cell.scheme(PaperScheme::Poisson).summary.p_timely();
         assert!(p_prop > 0.9, "P(A_D_S) = {p_prop}");
         assert!(p_poisson < 0.5, "P(Poisson) = {p_poisson}");
     }
@@ -360,60 +269,21 @@ mod tests {
     #[test]
     fn impossible_utilization_gives_zero_p_and_nan_e() {
         // U = 1.00, k = 1 (Table 1(b)): the baselines can never finish by D.
-        let cfg = table_config(TableId::Table1);
-        let spec = *cfg
+        let table = run_table(TableId::Table1, 40, 2, &ExecSpec::default(), direct).unwrap();
+        let cell = table
             .cells
             .iter()
-            .find(|c| c.part == TablePart::B && (c.utilization - 1.0).abs() < 1e-9)
+            .find(|c| c.spec.part == TablePart::B && (c.spec.utilization - 1.0).abs() < 1e-9)
             .unwrap();
-        let cell = run_cell(&cfg, &spec, 40, 2);
-        let poisson = &cell.scheme(SchemeId::Poisson).summary;
+        let poisson = &cell.scheme(PaperScheme::Poisson).summary;
         assert_eq!(poisson.p_timely(), 0.0);
         assert!(poisson.mean_energy_timely().is_nan());
     }
 
     #[test]
-    fn cell_experiment_round_trips_and_reproduces_the_cell() {
-        // The acceptance contract of the spec redesign: the embedded spec,
-        // serialized to JSON and re-run elsewhere, gives the same Summary.
-        let cfg = table_config(TableId::Table1);
-        let spec = cfg.cells[0];
-        let cell = run_cell(&cfg, &spec, 50, 3);
-        for s in &cell.schemes {
-            let json = s.spec.to_json_string();
-            let reread = ExperimentSpec::from_json_str(&json).unwrap();
-            assert_eq!(reread, s.spec);
-            let (summary, _) = eacp_exec::run(&reread).unwrap();
-            assert_eq!(summary, s.summary, "scheme {}", s.name);
-        }
-    }
-
-    #[test]
-    fn queued_cell_is_bit_identical_to_the_plain_cell() {
-        let cfg = table_config(TableId::Table1);
-        let spec = cfg.cells[0];
-        let plain = run_cell(&cfg, &spec, 40, 6);
-        let queued = run_cell_exec(
-            &cfg,
-            &spec,
-            40,
-            6,
-            ExecSpec::default().with_queue(eacp_spec::QueueSpec {
-                workers: 3,
-                ..Default::default()
-            }),
-        );
-        for (a, b) in plain.schemes.iter().zip(&queued.schemes) {
-            assert_eq!(a.summary, b.summary, "scheme {}", a.name);
-            assert!(b.spec.executor.queue.is_some());
-        }
-    }
-
-    #[test]
     fn scheme_result_report_matches_summary() {
-        let cfg = table_config(TableId::Table1);
-        let cell = run_cell(&cfg, &cfg.cells[0], 30, 1);
-        let s = cell.scheme(SchemeId::Proposed);
+        let table = run_table(TableId::Table1, 30, 1, &ExecSpec::default(), direct).unwrap();
+        let s = table.cells[0].scheme(PaperScheme::Proposed);
         let report = s.summary_report();
         assert_eq!(report.replications, 30);
         assert_eq!(report.p_timely, s.summary.p_timely());

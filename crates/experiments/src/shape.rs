@@ -4,11 +4,13 @@
 //! a reimplementation, so exact values are not expected to match. What
 //! *must* match is the shape of the comparison — who wins, by roughly what
 //! factor, and where the regimes flip. These checks encode the paper's
-//! claims (see `DESIGN.md` §5) and are evaluated by the `gen-tables` binary
-//! and the workspace integration tests.
+//! claims. `eacp table` prints their tally (and every failing criterion)
+//! after the comparison block, and the workspace integration tests assert
+//! them.
 
 use crate::runner::TableResult;
-use crate::tables::{SchemeId, TableId, TablePart};
+use crate::tables::{TableId, TablePart};
+use eacp_spec::{PaperScheme, PAPER_DEADLINE};
 
 /// Outcome of one shape criterion.
 #[derive(Debug, Clone)]
@@ -30,12 +32,18 @@ pub fn check_table(result: &TableResult) -> Vec<ShapeFinding> {
     for cell in &result.cells {
         let u = cell.spec.utilization;
         let l = cell.spec.lambda;
-        let p_poisson = cell.scheme(SchemeId::Poisson).summary.p_timely();
-        let p_kft = cell.scheme(SchemeId::KFaultTolerant).summary.p_timely();
-        let p_ad = cell.scheme(SchemeId::AdtDvs).summary.p_timely();
-        let p_prop = cell.scheme(SchemeId::Proposed).summary.p_timely();
-        let e_ad = cell.scheme(SchemeId::AdtDvs).summary.mean_energy_timely();
-        let e_prop = cell.scheme(SchemeId::Proposed).summary.mean_energy_timely();
+        let p_poisson = cell.scheme(PaperScheme::Poisson).summary.p_timely();
+        let p_kft = cell.scheme(PaperScheme::KFaultTolerant).summary.p_timely();
+        let p_ad = cell.scheme(PaperScheme::AdtDvs).summary.p_timely();
+        let p_prop = cell.scheme(PaperScheme::Proposed).summary.p_timely();
+        let e_ad = cell
+            .scheme(PaperScheme::AdtDvs)
+            .summary
+            .mean_energy_timely();
+        let e_prop = cell
+            .scheme(PaperScheme::Proposed)
+            .summary
+            .mean_energy_timely();
 
         // (i) The proposed scheme never loses to A_D on timely completion
         // (small Monte-Carlo tolerance).
@@ -69,7 +77,10 @@ pub fn check_table(result: &TableResult) -> Vec<ShapeFinding> {
 
         if baselines_slow && cell.spec.part == TablePart::B && (u - 1.0).abs() < 1e-9 {
             // (iv) At U = 1.00 the static baselines can never finish.
-            let e_poisson = cell.scheme(SchemeId::Poisson).summary.mean_energy_timely();
+            let e_poisson = cell
+                .scheme(PaperScheme::Poisson)
+                .summary
+                .mean_energy_timely();
             findings.push(ShapeFinding {
                 criterion: "u1-baselines-impossible",
                 detail: format!("{id} λ={l:.1e}: Poisson P={p_poisson:.4} E={e_poisson}"),
@@ -96,8 +107,8 @@ pub fn check_table(result: &TableResult) -> Vec<ShapeFinding> {
         .iter()
         .find(|c| c.spec.part == TablePart::A && (c.spec.utilization - 0.76).abs() < 1e-9)
     {
-        let e_all = cell.scheme(SchemeId::Poisson).summary.energy_all.mean();
-        let n = 0.76 * result.config.util_speed * result.config.deadline;
+        let e_all = cell.scheme(PaperScheme::Poisson).summary.energy_all.mean();
+        let n = 0.76 * result.config.paper.util_speed * PAPER_DEADLINE;
         let vsq = if baselines_slow { 2.0 } else { 4.0 };
         let floor = 2.0 * vsq * n;
         findings.push(ShapeFinding {
@@ -119,12 +130,13 @@ pub fn tally(findings: &[ShapeFinding]) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_table;
+    use crate::runner::{direct, run_table};
+    use eacp_spec::ExecSpec;
 
     #[test]
     fn shape_holds_on_reduced_table1() {
         // 250 replications are enough for every qualitative criterion.
-        let result = run_table(TableId::Table1, 250, 3);
+        let result = run_table(TableId::Table1, 250, 3, &ExecSpec::default(), direct).unwrap();
         let findings = check_table(&result);
         let (passed, failed) = tally(&findings);
         let failures: Vec<_> = findings

@@ -1,14 +1,10 @@
-//! Parameterization of the paper's four evaluation tables.
+//! The rows of the paper's four evaluation tables. What distinguishes one
+//! table from another (costs, baseline speed, utilization speed, proposed
+//! scheme) is [`eacp_spec::PAPER_TABLES`]; this module adds the `(U, λ, k)`
+//! grid of each.
 
-use eacp_core::policies::SubCheckpointKind;
 use eacp_sim::CheckpointCosts;
-
-/// The paper's deadline for every experiment (`D = 10000` normalized time
-/// units, i.e. CPU cycles at the minimum speed).
-pub const DEADLINE: f64 = 10_000.0;
-
-/// Replications per cell used by the paper.
-pub const PAPER_REPLICATIONS: u64 = 10_000;
+use eacp_spec::{paper_table, PaperTable, PolicySpec};
 
 /// One of the paper's four evaluation tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -80,45 +76,15 @@ pub struct CellSpec {
     pub k: u32,
 }
 
-/// The four schemes of each table, in column order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SchemeId {
-    /// Poisson-arrival baseline (fixed `sqrt(2C/λ)` interval).
-    Poisson,
-    /// k-fault-tolerant baseline (fixed `sqrt(NC/k)` interval).
-    KFaultTolerant,
-    /// ADT_DVS of DATE'03 (`A_D`).
-    AdtDvs,
-    /// The paper's proposal: `A_D_S` for Tables 1–2, `A_D_C` for 3–4.
-    Proposed,
-}
-
-impl SchemeId {
-    /// Column order used throughout the harness.
-    pub const ALL: [SchemeId; 4] = [
-        SchemeId::Poisson,
-        SchemeId::KFaultTolerant,
-        SchemeId::AdtDvs,
-        SchemeId::Proposed,
-    ];
-}
-
 /// Full parameterization of one table.
 #[derive(Debug, Clone)]
 pub struct TableConfig {
     /// Which table this is.
     pub id: TableId,
-    /// Checkpoint costs (`ts`, `tcp`, `tr`) in cycles.
+    /// The table's entry in [`eacp_spec::PAPER_TABLES`].
+    pub paper: PaperTable,
+    /// `paper.costs` in cycles (`ts`, `tcp`, `tr`).
     pub costs: CheckpointCosts,
-    /// DVS level index the baselines are pinned to (0 = `f1`, 1 = `f2`).
-    pub baseline_speed: usize,
-    /// The speed the utilization is quoted at (`N = U · util_speed · D`).
-    pub util_speed: f64,
-    /// Sub-checkpoint kind of the proposed scheme (`Store` ⇒ `A_D_S`,
-    /// `Compare` ⇒ `A_D_C`).
-    pub sub_kind: SubCheckpointKind,
-    /// Relative deadline `D`.
-    pub deadline: f64,
     /// All rows, part (a) followed by part (b).
     pub cells: Vec<CellSpec>,
 }
@@ -126,10 +92,11 @@ pub struct TableConfig {
 impl TableConfig {
     /// Scheme name of the proposed column ("A_D_S" or "A_D_C").
     pub fn proposed_name(&self) -> &'static str {
-        match self.sub_kind {
-            SubCheckpointKind::Store => "A_D_S",
-            SubCheckpointKind::Compare => "A_D_C",
-        }
+        PolicySpec::from_tag(self.paper.proposed_tag, 0.0, 0, 0)
+            // audit:allow(panic): `PAPER_TABLES` holds only known tags,
+            // pinned by the spec crate's tests.
+            .expect("paper tables name known schemes")
+            .policy_name()
     }
 
     /// Rows belonging to one part.
@@ -179,34 +146,27 @@ fn part_b_cells(us: &[f64]) -> Vec<CellSpec> {
 /// use eacp_experiments::{table_config, TableId};
 /// let t1 = table_config(TableId::Table1);
 /// assert_eq!(t1.costs.store_cycles, 2.0);
-/// assert_eq!(t1.baseline_speed, 0);
+/// assert_eq!(t1.paper.baseline_speed, 0);
 /// assert_eq!(t1.proposed_name(), "A_D_S");
 /// assert_eq!(t1.cells.len(), 14);
 /// ```
 pub fn table_config(id: TableId) -> TableConfig {
-    let (costs, sub_kind) = match id {
-        TableId::Table1 | TableId::Table2 => (
-            CheckpointCosts::paper_scp_variant(),
-            SubCheckpointKind::Store,
-        ),
-        TableId::Table3 | TableId::Table4 => (
-            CheckpointCosts::paper_ccp_variant(),
-            SubCheckpointKind::Compare,
-        ),
-    };
-    let (baseline_speed, util_speed, part_b_us): (usize, f64, &[f64]) = match id {
-        TableId::Table1 | TableId::Table3 => (0, 1.0, &[0.92, 0.95, 1.00]),
-        TableId::Table2 | TableId::Table4 => (1, 2.0, &[0.92, 0.95]),
+    // audit:allow(panic): `TableId::number` is 1..=4 by construction.
+    let paper = paper_table(id.number()).expect("TableId numbers are paper tables");
+    // audit:allow(panic): the paper cost variants are valid constants.
+    let costs = paper.costs.build().expect("paper cost variants are valid");
+    // `U = 1.00` rows exist only for the `f1`-baseline tables.
+    let part_b_us: &[f64] = if paper.baseline_speed == 0 {
+        &[0.92, 0.95, 1.00]
+    } else {
+        &[0.92, 0.95]
     };
     let mut cells = part_a_cells();
     cells.extend(part_b_cells(part_b_us));
     TableConfig {
         id,
+        paper,
         costs,
-        baseline_speed,
-        util_speed,
-        sub_kind,
-        deadline: DEADLINE,
         cells,
     }
 }
@@ -235,10 +195,10 @@ mod tests {
 
     #[test]
     fn baselines_pinned_to_correct_speed() {
-        assert_eq!(table_config(TableId::Table1).baseline_speed, 0);
-        assert_eq!(table_config(TableId::Table2).baseline_speed, 1);
-        assert_eq!(table_config(TableId::Table2).util_speed, 2.0);
-        assert_eq!(table_config(TableId::Table3).util_speed, 1.0);
+        assert_eq!(table_config(TableId::Table1).paper.baseline_speed, 0);
+        assert_eq!(table_config(TableId::Table2).paper.baseline_speed, 1);
+        assert_eq!(table_config(TableId::Table2).paper.util_speed, 2.0);
+        assert_eq!(table_config(TableId::Table3).paper.util_speed, 1.0);
     }
 
     #[test]

@@ -84,7 +84,8 @@ pub use model::{
     QueueSpec, ScenarioSpec, WorkSpec, DEFAULT_REMOTE_TIMEOUT_MS,
 };
 pub use presets::{
-    executive_preset, executive_preset_names, paper_cell, preset, preset_names, PaperScheme,
+    executive_preset, executive_preset_names, paper_cell, paper_table, preset, preset_names,
+    PaperScheme, PaperTable, PAPER_DEADLINE, PAPER_TABLES,
 };
 pub use report::{RunReport, ServeTier, StatsReport, SummaryReport};
 pub use sweep::{ExecutiveSweepAxis, ExecutiveSweepSpec, SweepAxis, SweepSpec};

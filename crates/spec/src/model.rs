@@ -184,24 +184,6 @@ impl CostsSpec {
             }
         }
     }
-
-    /// Spec for an existing cost model (used when deriving specs from
-    /// legacy `TableConfig` values).
-    pub fn from_costs(costs: &CheckpointCosts) -> CostsSpec {
-        let scp = CheckpointCosts::paper_scp_variant();
-        let ccp = CheckpointCosts::paper_ccp_variant();
-        if *costs == scp {
-            CostsSpec::PaperScp
-        } else if *costs == ccp {
-            CostsSpec::PaperCcp
-        } else {
-            CostsSpec::Explicit {
-                store: costs.store_cycles,
-                compare: costs.compare_cycles,
-                rollback: costs.rollback_cycles,
-            }
-        }
-    }
 }
 
 impl ToJson for CostsSpec {
@@ -1308,18 +1290,6 @@ impl ExecSpec {
         Self {
             faults_during_overhead: false,
             ..Self::default()
-        }
-    }
-
-    /// Spec for existing executor options (used when deriving specs from
-    /// legacy call sites).
-    pub fn from_options(options: &ExecutorOptions) -> Self {
-        Self {
-            faults_during_overhead: options.faults_during_overhead,
-            stop_at_deadline: options.stop_at_deadline,
-            max_operations: options.max_operations,
-            max_stalled_rounds: options.max_stalled_rounds,
-            queue: None,
         }
     }
 

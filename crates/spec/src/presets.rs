@@ -21,7 +21,8 @@ use crate::model::{
 /// The paper's deadline (`D = 10000` normalized time units).
 pub const PAPER_DEADLINE: f64 = 10_000.0;
 
-/// Scheme column of a paper table.
+/// Scheme column of a paper table. Variants are declared in the tables'
+/// column order, so `scheme as usize` is the column index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PaperScheme {
     /// Poisson-arrival baseline.
@@ -34,12 +35,77 @@ pub enum PaperScheme {
     Proposed,
 }
 
+impl PaperScheme {
+    /// Every column, in table order.
+    pub const ALL: [PaperScheme; 4] = [
+        PaperScheme::Poisson,
+        PaperScheme::KFaultTolerant,
+        PaperScheme::AdtDvs,
+        PaperScheme::Proposed,
+    ];
+}
+
+/// What sets one of the paper's four tables apart from the others.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PaperTable {
+    /// Checkpoint cost variant: SCP (`ts = 2, tcp = 20`) for Tables 1–2,
+    /// CCP (`ts = 20, tcp = 2`) for Tables 3–4.
+    pub costs: CostsSpec,
+    /// DVS level the static baselines are pinned to (0 = `f1`, 1 = `f2`).
+    pub baseline_speed: usize,
+    /// The speed the utilization is quoted at (`N = U · util_speed · D`).
+    pub util_speed: f64,
+    /// Policy tag of the proposed column (`a_d_s` or `a_d_c`).
+    pub proposed_tag: &'static str,
+}
+
+/// Tables 1–4, in order: the only per-table parameterization in the
+/// workspace.
+pub const PAPER_TABLES: [PaperTable; 4] = [
+    PaperTable {
+        costs: CostsSpec::PaperScp,
+        baseline_speed: 0,
+        util_speed: 1.0,
+        proposed_tag: "a_d_s",
+    },
+    PaperTable {
+        costs: CostsSpec::PaperScp,
+        baseline_speed: 1,
+        util_speed: 2.0,
+        proposed_tag: "a_d_s",
+    },
+    PaperTable {
+        costs: CostsSpec::PaperCcp,
+        baseline_speed: 0,
+        util_speed: 1.0,
+        proposed_tag: "a_d_c",
+    },
+    PaperTable {
+        costs: CostsSpec::PaperCcp,
+        baseline_speed: 1,
+        util_speed: 2.0,
+        proposed_tag: "a_d_c",
+    },
+];
+
+/// The parameterization of table `table` (1-based).
+///
+/// # Errors
+///
+/// A table number outside `1..=4`.
+pub fn paper_table(table: u32) -> Result<PaperTable, SpecError> {
+    table
+        .checked_sub(1)
+        .and_then(|i| PAPER_TABLES.get(i as usize))
+        .copied()
+        .ok_or_else(|| SpecError::invalid(format!("paper table must be 1..=4, got {table}")))
+}
+
 /// Builds the spec for one cell of one of the paper's four tables.
 ///
-/// `table` is the 1-based table number. Baseline schemes are pinned to the
-/// table's baseline speed (`f1` for Tables 1/3, `f2` for 2/4) and the task
-/// is scaled by the table's utilization speed, exactly as
-/// `eacp_experiments::table_config` does.
+/// `table` is the 1-based table number ([`paper_table`]). Baseline schemes
+/// are pinned to the table's baseline speed (`f1` for Tables 1/3, `f2`
+/// for 2/4) and the task is scaled by the table's utilization speed.
 pub fn paper_cell(
     table: u32,
     utilization: f64,
@@ -47,30 +113,18 @@ pub fn paper_cell(
     k: u32,
     scheme: PaperScheme,
 ) -> Result<ExperimentSpec, SpecError> {
-    let (costs, proposed_tag) = match table {
-        1 | 2 => (CostsSpec::PaperScp, "a_d_s"),
-        3 | 4 => (CostsSpec::PaperCcp, "a_d_c"),
-        other => {
-            return Err(SpecError::invalid(format!(
-                "paper table must be 1..=4, got {other}"
-            )))
-        }
-    };
-    let (baseline_speed, util_speed) = match table {
-        1 | 3 => (0usize, 1.0),
-        _ => (1usize, 2.0),
-    };
+    let params = paper_table(table)?;
     let policy = match scheme {
         PaperScheme::Poisson => PolicySpec::Poisson {
             lambda,
-            speed: baseline_speed,
+            speed: params.baseline_speed,
         },
         PaperScheme::KFaultTolerant => PolicySpec::KFaultTolerant {
             k,
-            speed: baseline_speed,
+            speed: params.baseline_speed,
         },
         PaperScheme::AdtDvs => PolicySpec::from_tag("a_d", lambda, k, 0)?,
-        PaperScheme::Proposed => PolicySpec::from_tag(proposed_tag, lambda, k, 0)?,
+        PaperScheme::Proposed => PolicySpec::from_tag(params.proposed_tag, lambda, k, 0)?,
     };
     Ok(ExperimentSpec {
         name: format!(
@@ -80,10 +134,10 @@ pub fn paper_cell(
         scenario: ScenarioSpec {
             work: WorkSpec::Utilization {
                 utilization,
-                speed: util_speed,
+                speed: params.util_speed,
                 deadline: PAPER_DEADLINE,
             },
-            costs,
+            costs: params.costs,
             dvs: DvsSpec::PaperDefault,
             processors: 2,
         },
@@ -335,6 +389,7 @@ mod tests {
         assert_eq!(spec.scenario.costs, CostsSpec::PaperCcp);
         assert_eq!(spec.policy.tag(), "a_d_c");
         assert!(paper_cell(5, 0.76, 1e-3, 5, PaperScheme::Proposed).is_err());
+        assert!(paper_cell(0, 0.76, 1e-3, 5, PaperScheme::Proposed).is_err());
     }
 
     #[test]

@@ -218,8 +218,9 @@ impl SweepSpec {
     ///
     /// Each point gets a derived name (`base-u0.78-l0.0014`) and, unless a
     /// [`SweepAxis::Seed`] axis overrides it, a per-point seed
-    /// `base.mc.seed + index` — the same offsetting the legacy table
-    /// runner applies to its cells, so sweeps shard reproducibly.
+    /// `base.mc.seed + index`, so sweeps shard reproducibly. (Paper tables
+    /// offset per row instead — all four schemes of row `i` share
+    /// `seed + i` — which is why they are not sweep documents.)
     ///
     /// # Errors
     ///

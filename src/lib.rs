@@ -52,8 +52,8 @@
 //! );
 //! ```
 //!
-//! Regenerate the paper's tables with
-//! `cargo run --release -p eacp-experiments --bin gen-tables`.
+//! Regenerate the paper's tables with `eacp table N` (`N` = 1..4; see
+//! `eacp --help` for the store, queue and output flags it honours).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,24 +2,25 @@
 //! proximity on anchor cells and the qualitative shape criteria everywhere.
 //!
 //! Full 10,000-replication tables are regenerated by
-//! `cargo run --release -p eacp-experiments --bin gen-tables`; these tests
-//! keep CI fast while still checking the claims end to end.
+//! `eacp table N --reps 10000` (which prints the same shape tally); these
+//! tests keep CI fast while still checking the claims end to end.
 
 use eacp::experiments::shape::{check_table, tally};
-use eacp::experiments::{run_table_with, SchemeId, TableId, TablePart};
-use eacp::sim::ExecutorOptions;
+use eacp::experiments::{run_table, TableId, TablePart, TableResult};
+use eacp::spec::{ExecSpec, PaperScheme};
 
-/// The paper's fault model: faults strike useful computation only.
-fn paper_options() -> ExecutorOptions {
-    ExecutorOptions {
-        faults_during_overhead: false,
-        ..ExecutorOptions::default()
-    }
+/// One table under the paper's fault model (faults strike useful
+/// computation only), each cell run directly.
+fn regenerate(id: TableId, replications: u64, seed: u64) -> TableResult {
+    run_table(id, replications, seed, &ExecSpec::paper(), |spec| {
+        eacp::exec::run(spec).map(|(summary, _)| summary)
+    })
+    .unwrap()
 }
 
 #[test]
 fn table1_shape_and_anchors() {
-    let result = run_table_with(TableId::Table1, 1_500, 2006, paper_options());
+    let result = regenerate(TableId::Table1, 1_500, 2006);
     let findings = check_table(&result);
     let (_, failed) = tally(&findings);
     let msgs: Vec<_> = findings
@@ -32,13 +33,13 @@ fn table1_shape_and_anchors() {
     // Anchor cell U = 0.76, λ = 1.4e-3 (paper: 0.1185/39015 Poisson,
     // 0.9991/57564 A_D, 0.9999/52863 A_D_S).
     let cell = &result.cells[0];
-    let poisson = &cell.scheme(SchemeId::Poisson).summary;
+    let poisson = &cell.scheme(PaperScheme::Poisson).summary;
     assert!((poisson.p_timely() - 0.1185).abs() < 0.06);
     assert!((poisson.mean_energy_timely() - 39_015.0).abs() / 39_015.0 < 0.03);
-    let ads = &cell.scheme(SchemeId::Proposed).summary;
+    let ads = &cell.scheme(PaperScheme::Proposed).summary;
     assert!(ads.p_timely() > 0.99);
     assert!((ads.mean_energy_timely() - 52_863.0).abs() / 52_863.0 < 0.06);
-    let ad = &cell.scheme(SchemeId::AdtDvs).summary;
+    let ad = &cell.scheme(PaperScheme::AdtDvs).summary;
     assert!(
         ads.mean_energy_timely() < ad.mean_energy_timely(),
         "A_D_S must save energy vs A_D"
@@ -47,7 +48,7 @@ fn table1_shape_and_anchors() {
 
 #[test]
 fn table2_shape_and_crossover() {
-    let result = run_table_with(TableId::Table2, 1_200, 2006, paper_options());
+    let result = regenerate(TableId::Table2, 1_200, 2006);
     let findings = check_table(&result);
     let (_, failed) = tally(&findings);
     let msgs: Vec<_> = findings
@@ -60,11 +61,11 @@ fn table2_shape_and_crossover() {
     // The paper's headline factor at U = 0.76, λ = 1.4e-3: P(A_D_S) ≈ 0.95
     // vs P(A_D) ≈ 0.65 — proposed wins by a wide margin, not noise.
     let cell = &result.cells[0];
-    let p_prop = cell.scheme(SchemeId::Proposed).summary.p_timely();
-    let p_ad = cell.scheme(SchemeId::AdtDvs).summary.p_timely();
+    let p_prop = cell.scheme(PaperScheme::Proposed).summary.p_timely();
+    let p_ad = cell.scheme(PaperScheme::AdtDvs).summary.p_timely();
     assert!(p_prop > p_ad + 0.15, "prop {p_prop} vs A_D {p_ad}");
     // Energy scale: everyone near the all-f2 level (≈150k), within 5%.
-    for scheme in SchemeId::ALL {
+    for scheme in PaperScheme::ALL {
         let e = cell.scheme(scheme).summary.mean_energy_timely();
         assert!((140_000.0..165_000.0).contains(&e), "{scheme:?}: {e}");
     }
@@ -73,7 +74,7 @@ fn table2_shape_and_crossover() {
         .cells
         .iter()
         .filter(|c| c.spec.part == TablePart::A && (c.spec.lambda - 1.4e-3).abs() < 1e-9)
-        .map(|c| c.scheme(SchemeId::Poisson).summary.p_timely())
+        .map(|c| c.scheme(PaperScheme::Poisson).summary.p_timely())
         .collect();
     assert_eq!(ps.len(), 4);
     for w in ps.windows(2) {
@@ -83,7 +84,7 @@ fn table2_shape_and_crossover() {
 
 #[test]
 fn table3_shape_holds() {
-    let result = run_table_with(TableId::Table3, 1_000, 2006, paper_options());
+    let result = regenerate(TableId::Table3, 1_000, 2006);
     let findings = check_table(&result);
     let (_, failed) = tally(&findings);
     let msgs: Vec<_> = findings
@@ -96,7 +97,7 @@ fn table3_shape_holds() {
 
 #[test]
 fn table4_shape_holds() {
-    let result = run_table_with(TableId::Table4, 1_000, 2006, paper_options());
+    let result = regenerate(TableId::Table4, 1_000, 2006);
     let findings = check_table(&result);
     let (_, failed) = tally(&findings);
     let msgs: Vec<_> = findings
@@ -111,18 +112,18 @@ fn table4_shape_holds() {
 fn nan_cells_reproduce() {
     // Table 1(b), U = 1.00: the baselines cannot finish by D — P = 0 and
     // the paper prints NaN energies.
-    let result = run_table_with(TableId::Table1, 300, 9, paper_options());
+    let result = regenerate(TableId::Table1, 300, 9);
     for cell in result
         .cells
         .iter()
         .filter(|c| (c.spec.utilization - 1.0).abs() < 1e-9)
     {
-        for scheme in [SchemeId::Poisson, SchemeId::KFaultTolerant] {
+        for scheme in [PaperScheme::Poisson, PaperScheme::KFaultTolerant] {
             let s = &cell.scheme(scheme).summary;
             assert_eq!(s.p_timely(), 0.0);
             assert!(s.mean_energy_timely().is_nan());
         }
-        for scheme in [SchemeId::AdtDvs, SchemeId::Proposed] {
+        for scheme in [PaperScheme::AdtDvs, PaperScheme::Proposed] {
             let s = &cell.scheme(scheme).summary;
             assert!(s.p_timely() > 0.8, "{scheme:?} {}", s.p_timely());
         }
