@@ -54,10 +54,9 @@ use eacp_core::analysis::{
 use eacp_core::policies::PolicyKind;
 use eacp_energy::DvsConfig;
 use eacp_exec::{
-    coverage_dir, merge_dir, placement, render_executive_rows, render_rows, resolve_workers,
-    run_sweep, run_sweep_queued_tiered, run_sweep_tiered, Cell, ExecutiveJob, GridReport, Job,
-    LocalRunner, PaperRef, QueueObserver, QueueRunner, QueueStatus, Runner, ShardId, Summary,
-    Sweep,
+    coverage_dir, merge_dir, placement, render_executive_rows, render_rows,
+    run_sweep_queued_tiered, run_sweep_tiered, Cell, GridReport, PaperRef, QueueObserver,
+    QueueStatus, ShardId, Sweep,
 };
 use eacp_rtsched::feasibility::{
     edf_density, k_fault_wcet, minimum_feasible_speed, rm_response_times,
@@ -68,12 +67,12 @@ use eacp_spec::{
     executive_preset, executive_preset_names, preset, preset_names, CostsSpec, ExecSpec,
     ExecutiveMcSpec, ExecutiveSpec, ExecutiveSweepSpec, ExperimentSpec, FaultSpec, FromJson, Json,
     McSpec, PaperScheme, PeriodicTaskSpec, PolicyAssignment, PolicySpec, RunReport, ScenarioSpec,
-    SweepAxis, SweepSpec, TaskSetSpec, ToJson, WorkSpec, PAPER_DEADLINE, PAPER_TABLES,
+    SweepSpec, TaskSetSpec, ToJson, WorkSpec, PAPER_DEADLINE, PAPER_TABLES,
 };
 use eacp_store::{
     run_cached_single, run_cached_tiered, run_sweep_cached_tiered, store_coverage, verify_store,
-    CacheMode, CacheOutcome, FsBackend, MemBackend, NoopStoreObserver, RetentionPolicy,
-    StoreBackend, StoreCell, StoreCounters, StoreCoverage, STORE_ENV_VAR,
+    CacheMode, CacheOutcome, FsBackend, NoopStoreObserver, RetentionPolicy, StoreBackend,
+    StoreCell, StoreCounters, StoreCoverage, STORE_ENV_VAR,
 };
 
 /// Usage text for `--help`.
@@ -104,8 +103,6 @@ USAGE:
                   | --mc [--reps N] [--threads N] [--queue [--workers N]] [CACHE]
                   | --sweep grid.json [--reps N] [--shard I/N] [--out DIR]
                   [--queue [--workers N]] [CACHE]
-  eacp bench      [--reps N] [--quick] [--threads N] [--seed N] [--out FILE]
-                  [--baseline FILE [--max-regress FRAC]]
   eacp store      status [--spec sweep.json [--reps N] [--seed N]]
                   | gc [--max-entries N] [--max-bytes N] | verify [--sample N]
                   (all take --store DIR or $EACP_STORE)
@@ -167,14 +164,6 @@ SHARDED SWEEPS:
   status DIR` shows how far the collection has progressed (covered /
   missing / duplicated points) without failing. `eacp csv DIR` renders
   report documents as CSV with paper-value deltas.
-
-BENCH:
-  `eacp bench` measures replication throughput on the paper-nominal
-  10k-replication job (pooled spec path vs the boxed-factory escape
-  hatch, bit-identical by construction) plus one sweep cell, and writes
-  the numbers as BENCH_simulator.json (override with --out). Track
-  pooled.reps_per_s across commits for the perf trajectory. --quick runs
-  a reduced-replication smoke for CI.
 
 RESULT STORE:
   A store is a content-addressed cache of finished cells: each result is
@@ -248,10 +237,6 @@ pub struct Options {
     pub mc: bool,
     /// Executive sweep document (`executive --sweep grid.json`).
     pub sweep: String,
-    /// Baseline BENCH document to compare against (bench subcommand).
-    pub baseline: String,
-    /// Tolerated fractional replications/sec regression vs the baseline.
-    pub max_regress: f64,
     /// Path to an `ExperimentSpec`/`SweepSpec` JSON document.
     pub spec: String,
     /// Name of a built-in preset.
@@ -285,10 +270,8 @@ pub struct Options {
     /// Cells to spot-check for `store verify` (0 = all).
     pub sample: u64,
     /// Output path: a directory for `sweep`/`table`, a file for
-    /// `merge`/`csv`/`bench`.
+    /// `merge`/`csv`.
     pub out: String,
-    /// Reduced-replication quick mode (bench subcommand; CI smoke).
-    pub quick: bool,
     /// Emit results as JSON.
     pub json: bool,
     /// Print the effective spec instead of running it.
@@ -317,8 +300,6 @@ impl Default for Options {
             hyperperiods: 1,
             mc: false,
             sweep: String::new(),
-            baseline: String::new(),
-            max_regress: 0.30,
             spec: String::new(),
             preset: String::new(),
             shard: String::new(),
@@ -335,7 +316,6 @@ impl Default for Options {
             max_bytes: 0,
             sample: 0,
             out: String::new(),
-            quick: false,
             json: false,
             emit_spec: false,
             positional: Vec::new(),
@@ -366,42 +346,35 @@ pub fn parse_options<I: Iterator<Item = String>>(mut args: I) -> Result<Options,
             "--scheme" => o.scheme = val("--scheme")?,
             "--util" => o.util = parse_num(&val("--util")?, "--util")?,
             "--lambda" => o.lambda = parse_num(&val("--lambda")?, "--lambda")?,
-            "--k" => o.k = parse_num(&val("--k")?, "--k")? as u32,
+            "--k" => o.k = parse_int(&val("--k")?, "--k")?,
             "--deadline" => o.deadline = parse_num(&val("--deadline")?, "--deadline")?,
             "--variant" => o.variant = val("--variant")?,
-            "--seed" => o.seed = parse_num(&val("--seed")?, "--seed")? as u64,
-            "--reps" => o.reps = parse_num(&val("--reps")?, "--reps")? as u64,
-            "--threads" => o.threads = parse_num(&val("--threads")?, "--threads")? as usize,
+            "--seed" => o.seed = parse_int(&val("--seed")?, "--seed")?,
+            "--reps" => o.reps = parse_int(&val("--reps")?, "--reps")?,
+            "--threads" => o.threads = parse_int(&val("--threads")?, "--threads")?,
             "--speed" => o.speed = parse_num(&val("--speed")?, "--speed")?,
             "--hyperperiods" => {
-                o.hyperperiods = parse_num(&val("--hyperperiods")?, "--hyperperiods")? as u32
+                o.hyperperiods = parse_int(&val("--hyperperiods")?, "--hyperperiods")?
             }
-            "--baseline" => o.baseline = val("--baseline")?,
-            "--max-regress" => o.max_regress = parse_num(&val("--max-regress")?, "--max-regress")?,
             "--tasks" => o.tasks = val("--tasks")?,
             "--sweep" => o.sweep = val("--sweep")?,
             "--spec" => o.spec = val("--spec")?,
             "--preset" => o.preset = val("--preset")?,
             "--shard" => o.shard = val("--shard")?,
-            "--workers" => o.workers = parse_num(&val("--workers")?, "--workers")? as usize,
+            "--workers" => o.workers = parse_int(&val("--workers")?, "--workers")?,
             "--endpoints" => o.endpoints = val("--endpoints")?,
-            "--timeout-ms" => {
-                o.timeout_ms = parse_num(&val("--timeout-ms")?, "--timeout-ms")? as u64
-            }
+            "--timeout-ms" => o.timeout_ms = parse_int(&val("--timeout-ms")?, "--timeout-ms")?,
             "--listen" => o.listen = val("--listen")?,
             "--store" => o.store = val("--store")?,
-            "--max-entries" => {
-                o.max_entries = parse_num(&val("--max-entries")?, "--max-entries")? as u64
-            }
-            "--max-bytes" => o.max_bytes = parse_num(&val("--max-bytes")?, "--max-bytes")? as u64,
-            "--sample" => o.sample = parse_num(&val("--sample")?, "--sample")? as u64,
+            "--max-entries" => o.max_entries = parse_int(&val("--max-entries")?, "--max-entries")?,
+            "--max-bytes" => o.max_bytes = parse_int(&val("--max-bytes")?, "--max-bytes")?,
+            "--sample" => o.sample = parse_int(&val("--sample")?, "--sample")?,
             "--out" => o.out = val("--out")?,
             "--no-cache" => o.no_cache = true,
             "--no-analytic" => o.no_analytic = true,
             "--refresh" => o.refresh = true,
             "--mc" => o.mc = true,
             "--queue" => o.queue = true,
-            "--quick" => o.quick = true,
             "--trace" => o.trace = true,
             "--json" => o.json = true,
             "--emit-spec" => o.emit_spec = true,
@@ -441,24 +414,20 @@ pub fn parse_options<I: Iterator<Item = String>>(mut args: I) -> Result<Options,
                 .to_owned(),
         );
     }
-    if o.has("--max-regress") {
-        if !o.has("--baseline") {
-            return Err("--max-regress only applies with --baseline".to_owned());
-        }
-        // A value >= 1 would make the regression floor non-positive and
-        // silently wave every slowdown through.
-        if !(o.max_regress > 0.0 && o.max_regress < 1.0) {
-            return Err(format!(
-                "--max-regress must be a fraction in (0, 1) — e.g. 0.30 for 30% — got {}",
-                o.max_regress
-            ));
-        }
-    }
     Ok(o)
 }
 
 fn parse_num(s: &str, name: &str) -> Result<f64, String> {
     s.parse::<f64>().map_err(|e| format!("bad {name}: {e}"))
+}
+
+/// Parses a count, seed or size: a non-negative integer that fits `T`,
+/// never a float truncated by a cast.
+fn parse_int<T>(s: &str, name: &str) -> Result<T, String>
+where
+    T: std::str::FromStr<Err = std::num::ParseIntError>,
+{
+    s.parse::<T>().map_err(|e| format!("bad {name}: {e}"))
 }
 
 /// Desugars the `--queue [--workers N] [--endpoints ... [--timeout-ms T]]`
@@ -2058,518 +2027,6 @@ fn cmd_executive_sweep(o: &Options) -> Result<String, String> {
     cmd_grid::<ExecutiveSweepSpec>(o, &o.sweep)
 }
 
-/// `eacp bench`: measured throughput telemetry for the replication hot
-/// path, written as a `BENCH_simulator.json` document.
-///
-/// Runs the paper-nominal job (10,000 replications; 500 with `--quick`)
-/// twice — once on the pooled/monomorphized spec path, once on the
-/// boxed-factory escape hatch ([`Job::from_spec_boxed`]: per-replication
-/// `Box<dyn ...>`, virtual dispatch) — plus one sweep grid cell, and
-/// reports wall time and replications/second for each. The two runs
-/// double as a live sanity check: their summaries must be bit-identical
-/// or the bench fails.
-///
-/// Note the boxed run still shares every *engine-level* optimization
-/// (pooled scratch, the integer-argmin `num_SCP`/`num_CCP`, inlined
-/// sampling), so `speedup_pooled_vs_boxed` isolates only the dispatch +
-/// per-replication-allocation cost. Cross-commit before/after comparisons
-/// come from tracking `pooled.reps_per_s` over the artifact trajectory,
-/// not from that ratio.
-///
-/// # Errors
-///
-/// Returns a message on invalid options, runner failures, a pooled/boxed
-/// summary mismatch, or an unwritable output path.
-// Timing the runners is the command's purpose; the CLI is outside the R1
-// determinism scope (see clippy.toml and crates/audit).
-#[allow(clippy::disallowed_types)]
-pub fn cmd_bench(o: &Options) -> Result<String, String> {
-    use std::time::Instant;
-
-    let reps = if o.has("--reps") {
-        o.reps
-    } else if o.quick {
-        500
-    } else {
-        10_000
-    };
-    let mut spec = ExperimentSpec::paper_nominal();
-    spec.name = "bench-paper-nominal".into();
-    spec.mc = McSpec {
-        replications: reps,
-        seed: o.seed,
-        threads: o.threads,
-    };
-
-    let pooled_job = Job::from_spec(&spec).map_err(|e| e.to_string())?;
-    let boxed_job = Job::from_spec_boxed(&spec).map_err(|e| e.to_string())?;
-
-    let runner = LocalRunner::new(o.threads);
-    // Best-of-K wall time after one discarded warmup repetition: the
-    // warmup faults in code pages, branch predictors and the allocator so
-    // the first timed repetition isn't structurally the slowest, and
-    // best-of-K rides out scheduler noise without a statistics engine.
-    // Quick mode times once when it only feeds a CI artifact — but a
-    // --baseline comparison is a comparison, so it always gets the
-    // best-of-3 treatment.
-    let iterations = if o.quick && o.baseline.is_empty() {
-        1
-    } else {
-        3
-    };
-    let best_of = |mut timed: Box<dyn FnMut() -> Result<(f64, Summary), String> + '_>|
-     -> Result<(f64, Summary), String> {
-        timed()?; // warmup, discarded
-        let mut best = f64::INFINITY;
-        let mut summary = None;
-        for _ in 0..iterations {
-            let (wall_s, s) = timed()?;
-            best = best.min(wall_s);
-            summary = Some(s);
-        }
-        summary
-            .map(|s| (best, s))
-            .ok_or_else(|| "bench ran zero iterations".to_owned())
-    };
-    let time_job = |job: &Job| -> Result<(f64, Summary), String> {
-        best_of(Box::new(|| {
-            let started = Instant::now();
-            let s = runner.run(job).map_err(|e| e.to_string())?;
-            Ok((started.elapsed().as_secs_f64(), s))
-        }))
-    };
-
-    let (pooled_s, pooled_summary) = time_job(&pooled_job)?;
-    let (boxed_s, boxed_summary) = time_job(&boxed_job)?;
-    if pooled_summary != boxed_summary {
-        return Err(
-            "bench sanity check failed: pooled and boxed paths produced different summaries"
-                .to_owned(),
-        );
-    }
-
-    // A replanning-dominated cell: 10x the nominal fault rate makes the
-    // adaptive policies recompute their checkpoint plan constantly, so
-    // this section tracks the replan/memoization path the nominal cell
-    // barely exercises. Fewer replications keep the wall time bounded —
-    // the recorded number is reps/s, so the count doesn't skew it.
-    let hl_reps = (reps / 10).max(100);
-    let mut hl_spec = ExperimentSpec::paper_nominal();
-    hl_spec.name = "bench-high-lambda".into();
-    hl_spec.faults = FaultSpec::Poisson { lambda: 1.4e-2 };
-    hl_spec.mc = McSpec {
-        replications: hl_reps,
-        seed: o.seed,
-        threads: o.threads,
-    };
-    let hl_job = Job::from_spec(&hl_spec).map_err(|e| e.to_string())?;
-    let (hl_s, _hl_summary) = time_job(&hl_job)?;
-
-    // The work-queue scheduler on the same nominal job: tracks the
-    // lease/drain orchestration overhead relative to the plain runner.
-    // The run doubles as a live bit-identity check across schedulers.
-    // The pool size the queue and remote sections actually ran with (the
-    // flag's 0 means auto).
-    let workers = resolve_workers(o.workers);
-    let queue_runner = QueueRunner::new(workers);
-    let (queue_s, queue_summary) = best_of(Box::new(|| {
-        let started = Instant::now();
-        let s = queue_runner.run(&pooled_job).map_err(|e| e.to_string())?;
-        Ok((started.elapsed().as_secs_f64(), s))
-    }))?;
-    if queue_summary != pooled_summary {
-        return Err(
-            "bench sanity check failed: queue and local schedulers produced different summaries"
-                .to_owned(),
-        );
-    }
-
-    // The remote fleet on the same nominal job: two in-process block
-    // servers behind the real TCP transport, so the section prices the
-    // full spec-serialization + framing + loopback-socket overhead per
-    // block — the saturation telemetry for sizing a fleet. The run
-    // doubles as a live bit-identity check across execution locations.
-    let fleet_a = eacp_exec::RemoteServer::bind("127.0.0.1:0").map_err(|e| e.to_string())?;
-    let fleet_b = eacp_exec::RemoteServer::bind("127.0.0.1:0").map_err(|e| e.to_string())?;
-    let fleet = eacp_spec::QueueSpec {
-        workers,
-        endpoints: vec![fleet_a.endpoint().to_owned(), fleet_b.endpoint().to_owned()],
-        ..Default::default()
-    };
-    let fleet_endpoints = fleet.endpoints.len();
-    let fleet_runner = placement(Some(&fleet), 0).map_err(|e| e.to_string())?;
-    let (remote_s, remote_summary) = best_of(Box::new(|| {
-        let started = Instant::now();
-        let s = fleet_runner.run(&pooled_job).map_err(|e| e.to_string())?;
-        Ok((started.elapsed().as_secs_f64(), s))
-    }))?;
-    if remote_summary != pooled_summary {
-        return Err(
-            "bench sanity check failed: remote fleet and local runner produced different summaries"
-                .to_owned(),
-        );
-    }
-    fleet_a.shutdown();
-    fleet_b.shutdown();
-
-    // One sweep grid cell through the sweep executor, so the telemetry
-    // also tracks the per-point orchestration overhead.
-    let mut sweep_base = spec.clone();
-    sweep_base.name = "bench-sweep-cell".into();
-    let lambda = sweep_base.faults.nominal_lambda().unwrap_or(1.4e-3);
-    let sweep = SweepSpec {
-        base: sweep_base,
-        axes: vec![SweepAxis::Lambda(vec![lambda])],
-    };
-    let mut sweep_s = f64::INFINITY;
-    let mut sweep_points = 0;
-    for i in 0..=iterations {
-        let started = Instant::now();
-        let grid = run_sweep(&sweep, None, o.threads).map_err(|e| e.to_string())?;
-        if i > 0 {
-            sweep_s = sweep_s.min(started.elapsed().as_secs_f64());
-        }
-        sweep_points = grid.points.len();
-    }
-    let sweep_reps = sweep_points as u64 * reps;
-
-    // Result-store round-trip on the same cell: a cold miss pays compute
-    // plus record, a warm hit replays the persisted summary. Each
-    // repetition gets a fresh store so every cold is a true miss.
-    let mut cold_s = f64::INFINITY;
-    let mut warm_s = f64::INFINITY;
-    for i in 0..=iterations {
-        let store = MemBackend::new();
-        let started = Instant::now();
-        let cold = run_cached_tiered(
-            &spec,
-            &store,
-            CacheMode::ReadWrite,
-            &NoopStoreObserver,
-            true,
-        )
-        .map_err(|e| e.to_string())?;
-        let cold_rep_s = started.elapsed().as_secs_f64();
-        let started = Instant::now();
-        let warm = run_cached_tiered(
-            &spec,
-            &store,
-            CacheMode::ReadWrite,
-            &NoopStoreObserver,
-            true,
-        )
-        .map_err(|e| e.to_string())?;
-        let warm_rep_s = started.elapsed().as_secs_f64();
-        if cold.cache != CacheOutcome::Miss
-            || warm.cache != CacheOutcome::Hit
-            || warm.summary != pooled_summary
-        {
-            return Err(
-                "bench sanity check failed: store hit diverged from the computed summary"
-                    .to_owned(),
-            );
-        }
-        if i > 0 {
-            cold_s = cold_s.min(cold_rep_s);
-            warm_s = warm_s.min(warm_rep_s);
-        }
-    }
-
-    // Executive horizon throughput over the avionics-trio workload
-    // (specs/avionics-trio.json ships the same document): the replication
-    // engine pushed through the Workload seam, timed single- and
-    // multi-threaded. The two runs double as a live bit-identity check.
-    let exec_horizons = if o.has("--reps") {
-        reps.min(200)
-    } else if o.quick {
-        50
-    } else {
-        200
-    };
-    let mut exec_spec =
-        executive_preset("avionics-trio").ok_or("bench: missing avionics-trio preset")?;
-    exec_spec.name = "bench-executive".into();
-    exec_spec.seed = o.seed;
-    exec_spec.mc = Some(ExecutiveMcSpec {
-        replications: exec_horizons,
-        threads: 1,
-        queue: None,
-    });
-    let exec_job = ExecutiveJob::from_spec(&exec_spec).map_err(|e| e.to_string())?;
-    let time_executive =
-        |runner: &LocalRunner| -> Result<(f64, eacp_exec::ExecutiveSummary), String> {
-            runner.run_executive(&exec_job).map_err(|e| e.to_string())?; // warmup
-            let mut best = f64::INFINITY;
-            let mut summary = None;
-            for _ in 0..iterations {
-                let started = Instant::now();
-                let s = runner.run_executive(&exec_job).map_err(|e| e.to_string())?;
-                best = best.min(started.elapsed().as_secs_f64());
-                summary = Some(s);
-            }
-            summary
-                .map(|s| (best, s))
-                .ok_or_else(|| "bench ran zero iterations".to_owned())
-        };
-    let threads = resolve_workers(o.threads);
-    let (exec_single_s, exec_single) = time_executive(&LocalRunner::new(1))?;
-    // A second, threaded run is only a *multi*-thread measurement when the
-    // host can actually run more than one worker; on a single-core host
-    // the section is omitted instead of recording a mislabeled repeat of
-    // the single-thread number. When it runs, it doubles as a live
-    // bit-identity check across thread counts.
-    let exec_multi = if threads > 1 {
-        let (exec_multi_s, exec_multi) = time_executive(&LocalRunner::new(threads))?;
-        if exec_single != exec_multi {
-            return Err(
-                "bench sanity check failed: executive summaries diverged across thread counts"
-                    .to_owned(),
-            );
-        }
-        Some(exec_multi_s)
-    } else {
-        None
-    };
-    let section = |reps: u64, wall_s: f64| {
-        Json::obj([
-            ("wall_s", wall_s.into()),
-            ("reps_per_s", (reps as f64 / wall_s.max(1e-12)).into()),
-        ])
-    };
-    let speedup = boxed_s / pooled_s.max(1e-12);
-    let mut executive_fields = vec![
-        ("job", exec_spec.name.as_str().into()),
-        ("horizons", exec_horizons.into()),
-        (
-            "single_thread",
-            Json::obj([
-                ("wall_s", exec_single_s.into()),
-                (
-                    "horizons_per_s",
-                    (exec_horizons as f64 / exec_single_s.max(1e-12)).into(),
-                ),
-            ]),
-        ),
-    ];
-    if let Some(exec_multi_s) = exec_multi {
-        executive_fields.push((
-            "multi_thread",
-            Json::obj([
-                ("threads", threads.into()),
-                ("wall_s", exec_multi_s.into()),
-                (
-                    "horizons_per_s",
-                    (exec_horizons as f64 / exec_multi_s.max(1e-12)).into(),
-                ),
-            ]),
-        ));
-    }
-    let doc = Json::obj([
-        ("bench", "simulator".into()),
-        ("mode", if o.quick { "quick" } else { "full" }.into()),
-        ("job", spec.name.as_str().into()),
-        ("replications", reps.into()),
-        ("threads", threads.into()),
-        ("pooled", section(reps, pooled_s)),
-        ("boxed_baseline", section(reps, boxed_s)),
-        ("speedup_pooled_vs_boxed", speedup.into()),
-        (
-            "high_lambda",
-            Json::obj([
-                ("lambda", 1.4e-2.into()),
-                ("replications", hl_reps.into()),
-                ("wall_s", hl_s.into()),
-                ("reps_per_s", (hl_reps as f64 / hl_s.max(1e-12)).into()),
-            ]),
-        ),
-        (
-            "queue",
-            Json::obj([
-                ("workers", workers.into()),
-                ("wall_s", queue_s.into()),
-                ("reps_per_s", (reps as f64 / queue_s.max(1e-12)).into()),
-            ]),
-        ),
-        (
-            "remote",
-            Json::obj([
-                ("endpoints", fleet_endpoints.into()),
-                ("workers", workers.into()),
-                ("wall_s", remote_s.into()),
-                ("reps_per_s", (reps as f64 / remote_s.max(1e-12)).into()),
-            ]),
-        ),
-        (
-            "sweep_cell",
-            Json::obj([
-                ("points", sweep_points.into()),
-                ("replications", sweep_reps.into()),
-                ("wall_s", sweep_s.into()),
-                (
-                    "reps_per_s",
-                    (sweep_reps as f64 / sweep_s.max(1e-12)).into(),
-                ),
-            ]),
-        ),
-        (
-            "store",
-            Json::obj([
-                ("cold_miss", section(reps, cold_s)),
-                ("warm_hit", section(reps, warm_s)),
-                ("hit_speedup", (cold_s / warm_s.max(1e-12)).into()),
-            ]),
-        ),
-        ("executive", Json::obj(executive_fields)),
-    ]);
-
-    let path = if o.out.is_empty() {
-        "BENCH_simulator.json"
-    } else {
-        o.out.as_str()
-    };
-    std::fs::write(path, doc.pretty()).map_err(|e| format!("{path}: {e}"))?;
-
-    let exec_multi_note = match exec_multi {
-        Some(exec_multi_s) => format!(
-            ", {threads} thread(s) {exec_multi_s:.3} s ({:.0}/s)",
-            exec_horizons as f64 / exec_multi_s.max(1e-12),
-        ),
-        None => " (single-core host: threaded section omitted)".to_owned(),
-    };
-    let mut out = format!(
-        "bench simulator: {reps} replications on {threads} thread(s)\n\
-         pooled  : {pooled_s:.3} s  ({:.0} reps/s)\n\
-         boxed   : {boxed_s:.3} s  ({:.0} reps/s)\n\
-         speedup : {speedup:.2}x\n\
-         high-λ  : {hl_reps} reps at λ=1.4e-2 in {hl_s:.3} s ({:.0} reps/s)\n\
-         queue   : {queue_s:.3} s  ({:.0} reps/s)\n\
-         remote  : {fleet_endpoints} endpoint(s) in {remote_s:.3} s  ({:.0} reps/s)\n\
-         sweep   : {sweep_points} point(s) in {sweep_s:.3} s\n\
-         store   : cold {cold_s:.3} s, warm hit {:.2} ms ({:.0}x)\n\
-         executive: {exec_horizons} horizons — 1 thread {exec_single_s:.3} s \
-         ({:.0}/s){exec_multi_note}\n\
-         wrote {path}",
-        reps as f64 / pooled_s.max(1e-12),
-        reps as f64 / boxed_s.max(1e-12),
-        hl_reps as f64 / hl_s.max(1e-12),
-        reps as f64 / queue_s.max(1e-12),
-        reps as f64 / remote_s.max(1e-12),
-        warm_s * 1e3,
-        cold_s / warm_s.max(1e-12),
-        exec_horizons as f64 / exec_single_s.max(1e-12),
-    );
-    if !o.baseline.is_empty() {
-        out.push('\n');
-        out.push_str(&check_bench_baseline(
-            &o.baseline,
-            reps as f64 / pooled_s.max(1e-12),
-            exec_horizons as f64 / exec_single_s.max(1e-12),
-            hl_reps as f64 / hl_s.max(1e-12),
-            reps as f64 / queue_s.max(1e-12),
-            reps as f64 / remote_s.max(1e-12),
-            o.max_regress,
-        )?);
-    }
-    Ok(out)
-}
-
-/// Compares the measured pooled replications/sec against a tracked
-/// baseline document, failing on a regression beyond `max_regress`
-/// (a fraction: 0.30 tolerates a 30% slowdown — headroom for
-/// runner-to-runner noise; the tracked number is what CI pins).
-///
-/// # Errors
-///
-/// Returns a message for an unreadable/invalid baseline document or a
-/// replications/sec regression beyond the tolerance.
-fn check_bench_baseline(
-    path: &str,
-    pooled_reps_per_s: f64,
-    exec_horizons_per_s: f64,
-    high_lambda_reps_per_s: f64,
-    queue_reps_per_s: f64,
-    remote_reps_per_s: f64,
-    max_regress: f64,
-) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("baseline {path}: {e}"))?;
-    let doc = Json::parse(&text).map_err(|e| format!("baseline {path}: {e}"))?;
-    let baseline = doc
-        .req("pooled")
-        .and_then(|p| p.req("reps_per_s"))
-        .and_then(Json::as_f64)
-        .map_err(|e| format!("baseline {path}: {e}"))?;
-    let floor = baseline * (1.0 - max_regress);
-    let ratio = pooled_reps_per_s / baseline.max(1e-12);
-    if pooled_reps_per_s < floor {
-        return Err(format!(
-            "perf regression: pooled {pooled_reps_per_s:.0} reps/s is {:.1}% below the \
-             baseline {baseline:.0} reps/s in {path} (tolerance {:.0}%)",
-            (1.0 - ratio) * 100.0,
-            max_regress * 100.0,
-        ));
-    }
-    let mut out = format!(
-        "baseline check ok: pooled {pooled_reps_per_s:.0} reps/s vs {baseline:.0} baseline \
-         ({:+.1}%, tolerance -{:.0}%)",
-        (ratio - 1.0) * 100.0,
-        max_regress * 100.0,
-    );
-    // The executive section gates too when the baseline records one
-    // (older baseline documents without it still pass the pooled gate).
-    if let Ok(exec_base) = doc
-        .req("executive")
-        .and_then(|e| e.req("single_thread"))
-        .and_then(|s| s.req("horizons_per_s"))
-        .and_then(Json::as_f64)
-    {
-        let exec_ratio = exec_horizons_per_s / exec_base.max(1e-12);
-        if exec_horizons_per_s < exec_base * (1.0 - max_regress) {
-            return Err(format!(
-                "perf regression: executive {exec_horizons_per_s:.0} horizons/s is {:.1}% \
-                 below the baseline {exec_base:.0} horizons/s in {path} (tolerance {:.0}%)",
-                (1.0 - exec_ratio) * 100.0,
-                max_regress * 100.0,
-            ));
-        }
-        out.push_str(&format!(
-            "\nbaseline check ok: executive {exec_horizons_per_s:.0} horizons/s vs \
-             {exec_base:.0} baseline ({:+.1}%, tolerance -{:.0}%)",
-            (exec_ratio - 1.0) * 100.0,
-            max_regress * 100.0,
-        ));
-    }
-    // The replanning-dominated and queue-scheduler sections gate the same
-    // way — optional in the baseline so older documents keep passing.
-    for (label, measured, section) in [
-        ("high-lambda", high_lambda_reps_per_s, "high_lambda"),
-        ("queue", queue_reps_per_s, "queue"),
-        ("remote", remote_reps_per_s, "remote"),
-    ] {
-        if let Ok(base) = doc
-            .req(section)
-            .and_then(|s| s.req("reps_per_s"))
-            .and_then(Json::as_f64)
-        {
-            let ratio = measured / base.max(1e-12);
-            if measured < base * (1.0 - max_regress) {
-                return Err(format!(
-                    "perf regression: {label} {measured:.0} reps/s is {:.1}% below the \
-                     baseline {base:.0} reps/s in {path} (tolerance {:.0}%)",
-                    (1.0 - ratio) * 100.0,
-                    max_regress * 100.0,
-                ));
-            }
-            out.push_str(&format!(
-                "\nbaseline check ok: {label} {measured:.0} reps/s vs {base:.0} baseline \
-                 ({:+.1}%, tolerance -{:.0}%)",
-                (ratio - 1.0) * 100.0,
-                max_regress * 100.0,
-            ));
-        }
-    }
-    Ok(out)
-}
-
 /// `eacp serve`: run one stateless block server for the remote fleet.
 ///
 /// Accepts framed `run_block` requests (spec + canonical block range),
@@ -2616,7 +2073,6 @@ pub fn dispatch(args: Vec<String>) -> Result<String, String> {
         "table" => cmd_table(&parse_options(rest)?),
         "feasibility" => cmd_feasibility(&parse_options(rest)?),
         "executive" => cmd_executive(&parse_options(rest)?),
-        "bench" => cmd_bench(&parse_options(rest)?),
         "presets" => Ok(cmd_presets()),
         "--help" | "-h" | "help" => Ok(USAGE.to_owned()),
         other => Err(format!("unknown command {other:?}\n{USAGE}")),
@@ -2650,22 +2106,6 @@ mod tests {
     #[test]
     fn parse_rejects_bad_variant() {
         assert!(parse_options(args("--variant xyz").into_iter()).is_err());
-    }
-
-    #[test]
-    fn parse_validates_max_regress() {
-        // Requires --baseline, and must be a fraction in (0, 1): a value
-        // like 30 (percent misread) would disable the gate entirely.
-        assert!(parse_options(args("--max-regress 0.3").into_iter()).is_err());
-        for bad in ["30", "1.0", "0", "-0.1"] {
-            let line = format!("--baseline b.json --max-regress {bad}");
-            assert!(
-                parse_options(args(&line).into_iter()).is_err(),
-                "{bad} should be rejected"
-            );
-        }
-        let o = parse_options(args("--baseline b.json --max-regress 0.25").into_iter()).unwrap();
-        assert_eq!(o.max_regress, 0.25);
     }
 
     #[test]
@@ -2779,53 +2219,6 @@ mod tests {
         use eacp_spec::FromJson;
         let spec = ExperimentSpec::from_json(doc.req("spec").unwrap()).unwrap();
         assert_eq!(spec.mc.replications, 50);
-    }
-
-    #[test]
-    fn bench_quick_writes_telemetry_document() {
-        let path = std::env::temp_dir().join(format!("eacp-bench-{}.json", std::process::id()));
-        let out = dispatch(args(&format!(
-            "bench --quick --reps 40 --threads 1 --out {}",
-            path.display()
-        )))
-        .unwrap();
-        assert!(out.contains("speedup"), "{out}");
-        let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(doc.req("bench").unwrap().as_str().unwrap(), "simulator");
-        assert_eq!(doc.req("mode").unwrap().as_str().unwrap(), "quick");
-        assert_eq!(doc.req("replications").unwrap().as_u64().unwrap(), 40);
-        for section in [
-            "pooled",
-            "boxed_baseline",
-            "high_lambda",
-            "queue",
-            "sweep_cell",
-        ] {
-            let s = doc.req(section).unwrap();
-            assert!(s.req("wall_s").unwrap().as_f64().unwrap() >= 0.0);
-            assert!(s.req("reps_per_s").unwrap().as_f64().unwrap() > 0.0);
-        }
-        // Pool sizes are recorded resolved, never as the auto value 0.
-        for section in ["queue", "remote"] {
-            let workers = doc.req(section).and_then(|s| s.req("workers")).unwrap();
-            assert!(workers.as_u64().unwrap() >= 1, "{section}: {workers:?}");
-        }
-        assert!(
-            doc.req("speedup_pooled_vs_boxed")
-                .unwrap()
-                .as_f64()
-                .unwrap()
-                > 0.0
-        );
-        // Honest labeling: a "multi_thread" executive section may only
-        // exist when it actually ran on more than one thread.
-        if let Ok(multi) = doc.req("executive").and_then(|e| e.req("multi_thread")) {
-            assert!(
-                multi.req("threads").unwrap().as_u64().unwrap() > 1,
-                "multi_thread section recorded on a single-thread run"
-            );
-        }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -61,3 +61,49 @@ fn truncated_and_garbled_specs_exit_2() {
         remove(&path);
     }
 }
+
+#[test]
+fn non_integer_counts_seeds_and_sizes_are_usage_errors() {
+    // Each value once parsed as a float and was cast: 2.5 replications ran
+    // 2, k = 3.9 recorded 3, seed -1 recorded 0 and 1e30 replications
+    // saturated to u64::MAX. `--emit-spec` makes an accepted value exit at
+    // once instead of running.
+    let cases: &[(&str, &str, &[&str])] = &[
+        ("--reps", "2.5", &[]),
+        ("--reps", "1e30", &[]),
+        ("--k", "3.9", &[]),
+        ("--seed", "-1", &[]),
+        ("--threads", "1.5", &[]),
+        ("--workers", "2.5", &["--queue"]),
+        (
+            "--timeout-ms",
+            "1e3",
+            &["--queue", "--endpoints", "127.0.0.1:1"],
+        ),
+        ("--hyperperiods", "2.5", &["--preset", "avionics-trio"]),
+        ("--max-entries", "1.5", &[]),
+        ("--max-bytes", "1e9", &[]),
+        ("--sample", "0.5", &[]),
+    ];
+    for &(flag, value, extra) in cases {
+        let command = if flag == "--hyperperiods" {
+            "executive"
+        } else {
+            "mc"
+        };
+        let out = Command::new(env!("CARGO_BIN_EXE_eacp"))
+            .args([command, "--emit-spec"])
+            .args(extra)
+            .args([flag, value])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("eacp: bad {flag}: ")),
+            "{flag} {value}: {stderr}"
+        );
+        assert_eq!(stderr.lines().count(), 1, "{flag} {value}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flag} {value}: spec emitted");
+    }
+}

@@ -7,7 +7,7 @@ use crate::analysis::{
     checkpoint_interval, choose_speed, num_ccp, num_scp, IntervalInputs, OptimizeMethod,
     RenewalParams,
 };
-use crate::policies::plan_cache::{ArgminCache, PlanCache};
+use crate::policies::plan_cache::ArgminCache;
 use eacp_sim::{CheckpointKind, CommitWindow, Directive, PlanContext, Policy};
 
 /// Which sub-checkpoint is placed between consecutive CSCPs.
@@ -95,15 +95,12 @@ pub struct Adaptive {
     plan: Option<IntervalPlan>,
     /// Count of detected errors (exposed for tests/diagnostics).
     errors_seen: u32,
-    /// Memoized replan decisions, exact-key direct-mapped. Survives
-    /// [`Adaptive::reset`]: replications in a block revisit the same
-    /// replan lattice, and an exact-key hit is bit-identical to the
-    /// uncached computation by construction.
-    cache: PlanCache,
     /// Memoized `num_SCP`/`num_CCP` argmins keyed on (interval,
-    /// frequency, env). Hits even when the full replan key misses: the
-    /// Fig. 4 Poisson-branch interval is independent of remaining work
-    /// and time, so post-fault replans reuse the same argmin.
+    /// frequency, env), exact-key direct-mapped. Survives
+    /// [`Adaptive::reset`]: the Fig. 4 Poisson-branch interval is
+    /// independent of remaining work and time, so replans across a block
+    /// reuse the same argmin, and an exact-key hit is bit-identical to the
+    /// uncached computation by construction.
     argmin_cache: ArgminCache,
 }
 
@@ -131,7 +128,6 @@ impl Adaptive {
             rf: k as f64,
             plan: None,
             errors_seen: 0,
-            cache: PlanCache::new(),
             argmin_cache: ArgminCache::new(),
         }
     }
@@ -139,9 +135,9 @@ impl Adaptive {
     /// Restores the just-constructed state (full fault budget, no plan,
     /// no errors seen) so one instance can serve many replications.
     ///
-    /// The replan memo deliberately survives: it caches a pure function
-    /// of the replan inputs, so a later replication hitting an entry
-    /// computes exactly what a fresh instance would.
+    /// The argmin memo deliberately survives: it caches a pure function
+    /// of its inputs, so a later replication hitting an entry computes
+    /// exactly what a fresh instance would.
     pub fn reset(&mut self) {
         self.rf = self.k as f64;
         self.plan = None;
@@ -208,15 +204,14 @@ impl Adaptive {
     /// (default: the paper's closed-form procedure).
     pub fn with_optimizer(mut self, optimizer: OptimizeMethod) -> Self {
         self.optimizer = optimizer;
-        // Memoized decisions were computed under the previous optimizer.
-        self.cache.invalidate();
+        // Memoized argmins were computed under the previous optimizer.
         self.argmin_cache.invalidate();
         self
     }
 
-    /// Lifetime replan-memo (hits, misses) — diagnostics and tests.
+    /// Lifetime argmin-memo (hits, misses) — diagnostics and tests.
     pub fn plan_cache_stats(&self) -> (u64, u64) {
-        self.cache.stats()
+        self.argmin_cache.stats()
     }
 
     /// Remaining fault budget `Rf`.
@@ -256,25 +251,12 @@ impl Adaptive {
     }
 
     /// Builds a fresh interval plan (paper Fig. 6 lines 2–4 / 15–17),
-    /// memoized through the exact-key [`PlanCache`]. Returns `None` when
-    /// the deadline can no longer be met.
+    /// with the subdivision argmin memoized through the exact-key
+    /// [`ArgminCache`]. Returns `None` when the deadline can no longer be
+    /// met.
     fn replan(&mut self, ctx: &PlanContext<'_>, remaining_cycles: f64) -> Option<IntervalPlan> {
         let c_cycles = ctx.costs.cscp_cycles();
         let rd = ctx.time_left();
-        let key = [
-            remaining_cycles.to_bits(),
-            rd.to_bits(),
-            self.rf.to_bits(),
-            Self::env_fingerprint(ctx),
-        ];
-        if let Some((speed, m, sub_interval)) = self.cache.get(&key) {
-            return Some(IntervalPlan::new(
-                speed,
-                sub_interval,
-                m,
-                ctx.dvs.level(speed).frequency,
-            ));
-        }
         let speed = if self.dvs_enabled {
             choose_speed(remaining_cycles, rd, c_cycles, self.lambda, ctx.dvs)
         } else {
@@ -295,7 +277,7 @@ impl Adaptive {
         let (m, sub_interval) = match self.sub {
             None => (1, interval),
             Some(kind) => {
-                let argmin_key = [interval.to_bits(), f.to_bits(), key[3]];
+                let argmin_key = [interval.to_bits(), f.to_bits(), Self::env_fingerprint(ctx)];
                 let m = match self.argmin_cache.get(&argmin_key) {
                     Some(m) => m,
                     None => {
@@ -318,7 +300,6 @@ impl Adaptive {
                 (m, interval / m as f64)
             }
         };
-        self.cache.put(key, speed, m, sub_interval);
         Some(IntervalPlan::new(speed, sub_interval, m, f))
     }
 }

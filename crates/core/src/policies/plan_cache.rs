@@ -1,131 +1,28 @@
-//! Replan memoization: a fixed-capacity direct-mapped cache over replan
-//! inputs.
+//! Replan memoization: a fixed-capacity direct-mapped cache of the
+//! subdivision argmin.
 //!
 //! The adaptive schemes recompute speed, CSCP interval and `num_SCP` /
 //! `num_CCP` subdivision at task start and after every detected error.
-//! That computation — an integer argmin over the renewal closed form — is
-//! the single most expensive call on the Monte-Carlo hot path, yet its
-//! inputs recur constantly: every replication's *initial* plan sees the
-//! same `(work, deadline, k)` triple, and post-fault replans happen at
-//! checkpoint-grid positions whose `(remaining work, remaining time,
-//! fault budget)` values form a small lattice revisited across
-//! replications in the same block.
+//! The subdivision count — an integer argmin over the renewal closed
+//! form — is the most expensive part of that computation, and its inputs
+//! recur: the Fig. 4 Poisson-branch interval does not depend on the
+//! remaining work or time, so post-fault replans at different points of
+//! a task, and across replications in one block, ask for the same
+//! `(interval, frequency)` argmin.
 //!
-//! [`PlanCache`] memoizes the full replan result behind an **exact-key**
-//! contract: keys are the raw IEEE-754 bit patterns of the replan inputs
-//! (plus a fingerprint of the cost/DVS environment), compared for
-//! equality on every probe. A hit therefore returns the bit-identical
-//! plan the uncached computation would produce — quantization decides
-//! only which slot a key maps to, never whether two keys match. The
-//! property test in `tests/replan_cache.rs` pins "cache never changes a
-//! decision" over randomized contexts.
+//! [`ArgminCache`] memoizes it behind an **exact-key** contract: keys are
+//! the raw IEEE-754 bit patterns of the argmin inputs (plus a fingerprint
+//! of the cost/DVS environment), compared for equality on every probe. A
+//! hit therefore returns the bit-identical count the uncached computation
+//! would produce — quantization decides only which slot a key maps to,
+//! never whether two keys match. The property test in
+//! `crates/exec/tests/replan_cache_properties.rs` pins "cache never
+//! changes a decision" over randomized contexts.
 //!
 //! Per the audit rules the cache is a fixed inline array (no `HashMap`,
 //! no iteration-order dependence — R1) and performs no allocation at any
 //! point (R3): direct-mapped, one slot per key hash, eviction by
 //! overwrite.
-
-/// Number of direct-mapped slots. Power of two so the slot index is a
-/// mask; 64 entries (~3 KiB) cover the replan lattice of a paper-nominal
-/// block with negligible conflict eviction.
-const SLOTS: usize = 64;
-
-/// One memoized replan decision.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    /// Exact key: bit patterns of (remaining cycles, time left, fault
-    /// budget) and the environment fingerprint.
-    key: [u64; 4],
-    /// Chosen speed level.
-    speed: usize,
-    /// Chosen subdivision count `m`.
-    m: u32,
-    /// Whether the slot holds a value.
-    full: bool,
-    /// Chosen sub-interval length (interval / m).
-    sub_interval: f64,
-}
-
-const EMPTY: Entry = Entry {
-    key: [0; 4],
-    speed: 0,
-    m: 0,
-    full: false,
-    sub_interval: 0.0,
-};
-
-/// A fixed-capacity direct-mapped memo of replan decisions. See the
-/// [module docs](self) for the exact-key contract.
-#[derive(Debug, Clone)]
-pub(crate) struct PlanCache {
-    slots: [Entry; SLOTS],
-    hits: u64,
-    misses: u64,
-}
-
-impl PlanCache {
-    /// An empty cache. The array is inline — no allocation, ever.
-    pub(crate) const fn new() -> Self {
-        Self {
-            slots: [EMPTY; SLOTS],
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Forgets every memoized decision (used when the optimizer method
-    /// changes after construction).
-    pub(crate) fn invalidate(&mut self) {
-        self.slots = [EMPTY; SLOTS];
-    }
-
-    /// Probes the cache for an exact key match.
-    #[inline]
-    pub(crate) fn get(&mut self, key: &[u64; 4]) -> Option<(usize, u32, f64)> {
-        let slot = &self.slots[Self::index(key)];
-        if slot.full && slot.key == *key {
-            self.hits += 1;
-            Some((slot.speed, slot.m, slot.sub_interval))
-        } else {
-            self.misses += 1;
-            None
-        }
-    }
-
-    /// Memoizes a computed decision, overwriting any colliding entry.
-    #[inline]
-    pub(crate) fn put(&mut self, key: [u64; 4], speed: usize, m: u32, sub_interval: f64) {
-        self.slots[Self::index(&key)] = Entry {
-            key,
-            speed,
-            m,
-            full: true,
-            sub_interval,
-        };
-    }
-
-    /// Lifetime (hits, misses) — diagnostics only.
-    pub(crate) fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Direct-mapped slot for a key: a SplitMix64-style mix of the folded
-    /// key bits, masked to the table size. This quantization picks the
-    /// slot only — matching is always on the full key.
-    #[inline]
-    fn index(key: &[u64; 4]) -> usize {
-        let mut x = key[0]
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(key[1])
-            .wrapping_mul(0xbf58_476d_1ce4_e5b9)
-            .wrapping_add(key[2])
-            .wrapping_add(key[3]);
-        x ^= x >> 31;
-        x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^= x >> 29;
-        (x as usize) & (SLOTS - 1)
-    }
-}
 
 /// Number of slots in the subdivision-argmin memo. The key lattice is
 /// tiny — one entry per (interval, frequency) pair, and the Fig. 4
@@ -152,14 +49,13 @@ const ARGMIN_EMPTY: ArgminEntry = ArgminEntry {
 };
 
 /// A fixed-capacity direct-mapped memo of subdivision argmins — the
-/// `num_SCP`/`num_CCP` integer walk over the renewal closed form, the
-/// most expensive call a replan makes. Same exact-key contract as
-/// [`PlanCache`]; this cache hits even when the full replan key misses,
-/// because the Fig. 4 Poisson-branch interval does not depend on the
-/// remaining work or time.
+/// `num_SCP`/`num_CCP` integer walk over the renewal closed form. See the
+/// [module docs](self) for the exact-key contract.
 #[derive(Debug, Clone)]
 pub(crate) struct ArgminCache {
     slots: [ArgminEntry; ARGMIN_SLOTS],
+    hits: u64,
+    misses: u64,
 }
 
 impl ArgminCache {
@@ -167,6 +63,8 @@ impl ArgminCache {
     pub(crate) const fn new() -> Self {
         Self {
             slots: [ARGMIN_EMPTY; ARGMIN_SLOTS],
+            hits: 0,
+            misses: 0,
         }
     }
 
@@ -177,11 +75,13 @@ impl ArgminCache {
 
     /// Probes for an exact key match.
     #[inline]
-    pub(crate) fn get(&self, key: &[u64; 3]) -> Option<u32> {
+    pub(crate) fn get(&mut self, key: &[u64; 3]) -> Option<u32> {
         let slot = &self.slots[Self::index(key)];
         if slot.full && slot.key == *key {
+            self.hits += 1;
             Some(slot.m)
         } else {
+            self.misses += 1;
             None
         }
     }
@@ -190,6 +90,11 @@ impl ArgminCache {
     #[inline]
     pub(crate) fn put(&mut self, key: [u64; 3], m: u32) {
         self.slots[Self::index(&key)] = ArgminEntry { key, m, full: true };
+    }
+
+    /// Lifetime (hits, misses) — diagnostics only.
+    pub(crate) fn stats(&self) -> (u64, u64) {
+        (self.hits, self.misses)
     }
 
     /// Direct-mapped slot for a key; matching is always on the full key.
@@ -210,61 +115,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn miss_then_hit_roundtrips_the_value() {
-        let mut c = PlanCache::new();
-        let key = [1.5f64.to_bits(), 2.5f64.to_bits(), 5.0f64.to_bits(), 7];
-        assert_eq!(c.get(&key), None);
-        c.put(key, 1, 4, 123.456);
-        assert_eq!(c.get(&key), Some((1, 4, 123.456)));
-        assert_eq!(c.stats(), (1, 1));
-    }
-
-    #[test]
-    fn different_keys_do_not_alias() {
-        let mut c = PlanCache::new();
-        let a = [1u64, 2, 3, 4];
-        c.put(a, 0, 1, 1.0);
-        // Same slot or not, a different key must never report a hit.
-        for delta in 1..200u64 {
-            let b = [1u64.wrapping_add(delta), 2, 3, 4];
-            assert_eq!(c.get(&b), None, "delta {delta}");
-        }
-    }
-
-    #[test]
-    fn colliding_keys_evict_by_overwrite() {
-        let mut c = PlanCache::new();
-        // Find two distinct keys that map to the same slot.
-        let a = [10u64, 20, 30, 40];
-        let mut b = a;
-        loop {
-            b[0] += 1;
-            if PlanCache::index(&b) == PlanCache::index(&a) {
-                break;
-            }
-        }
-        c.put(a, 1, 2, 3.0);
-        c.put(b, 4, 5, 6.0);
-        assert_eq!(c.get(&a), None, "overwritten by the colliding key");
-        assert_eq!(c.get(&b), Some((4, 5, 6.0)));
-    }
-
-    #[test]
-    fn invalidate_forgets_everything() {
-        let mut c = PlanCache::new();
-        let key = [9, 9, 9, 9];
-        c.put(key, 2, 3, 4.0);
-        c.invalidate();
-        assert_eq!(c.get(&key), None);
-    }
-
-    #[test]
     fn argmin_cache_roundtrips_and_never_aliases() {
         let mut c = ArgminCache::new();
         let key = [100.0f64.to_bits(), 1.0f64.to_bits(), 7];
         assert_eq!(c.get(&key), None);
         c.put(key, 6);
         assert_eq!(c.get(&key), Some(6));
+        assert_eq!(c.stats(), (1, 1));
         for delta in 1..100u64 {
             let other = [key[0] ^ delta, key[1], key[2]];
             assert_eq!(c.get(&other), None, "delta {delta}");

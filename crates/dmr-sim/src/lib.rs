@@ -83,7 +83,7 @@ pub mod trace;
 
 pub use costs::CheckpointCosts;
 pub use engine::{Executor, ExecutorOptions, ExecutorScratch};
-pub use montecarlo::{replication_seed, MonteCarlo, Summary};
+pub use montecarlo::{replication_seed, Summary};
 pub use observe::{NoopObserver, Observer};
 pub use outcome::{Anomaly, RunOutcome};
 pub use policy::{CheckpointKind, CommitWindow, Directive, PlanContext, Policy};

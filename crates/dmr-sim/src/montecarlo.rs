@@ -1,6 +1,6 @@
-//! Monte-Carlo replication vocabulary: configuration ([`MonteCarlo`]),
-//! the per-replication seeding contract ([`replication_seed`]) and the
-//! mergeable aggregate ([`Summary`]).
+//! Monte-Carlo replication vocabulary: the per-replication seeding
+//! contract ([`replication_seed`]) and the mergeable aggregate
+//! ([`Summary`]).
 //!
 //! The paper: "Due to the stochastic nature of the fault arrival process,
 //! the experiment is repeated 10,000 times for the same task and the results
@@ -11,42 +11,6 @@
 //! [`RunOutcome`](crate::outcome::RunOutcome)s into a [`Summary`].
 
 use eacp_numerics::{wilson_interval, OnlineStats};
-
-/// Monte-Carlo experiment configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MonteCarlo {
-    /// Number of independent replications (the paper uses 10,000).
-    pub replications: u64,
-    /// Base seed; replication `i` derives its own seed deterministically,
-    /// so results are reproducible regardless of thread count.
-    pub base_seed: u64,
-    /// Worker threads (0 = use available parallelism).
-    pub threads: usize,
-}
-
-impl MonteCarlo {
-    /// Creates a runner with the given replication count, a fixed default
-    /// seed and automatic thread count.
-    pub fn new(replications: u64) -> Self {
-        Self {
-            replications,
-            base_seed: 0xEAC9_2006,
-            threads: 0,
-        }
-    }
-
-    /// Overrides the base seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.base_seed = seed;
-        self
-    }
-
-    /// Overrides the thread count (0 = automatic).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-}
 
 /// Derives the per-replication seed from the base seed (SplitMix64 mixing,
 /// so neighbouring replication indices yield decorrelated streams).
@@ -222,11 +186,11 @@ mod tests {
 
     /// Sequential replication loop on the engine API under the seeding
     /// contract — the Summary fixtures for the aggregate tests below.
-    fn run_reps(s: &Scenario, mc: &MonteCarlo, lambda: f64) -> Summary {
+    fn run_reps(s: &Scenario, replications: u64, base_seed: u64, lambda: f64) -> Summary {
         let executor = Executor::new(s).with_options(ExecutorOptions::default());
         let mut sum = Summary::empty();
-        for rep in 0..mc.replications {
-            let seed = replication_seed(mc.base_seed, rep);
+        for rep in 0..replications {
+            let seed = replication_seed(base_seed, rep);
             let mut policy = FixedCscp { interval: 100.0 };
             let mut faults = PoissonProcess::new(lambda, StdRng::seed_from_u64(seed));
             sum.absorb(&executor.run(&mut policy, &mut faults));
@@ -237,7 +201,7 @@ mod tests {
     #[test]
     fn fault_free_aggregate_is_deterministic() {
         let s = scenario();
-        let sum = run_reps(&s, &MonteCarlo::new(100), 0.0);
+        let sum = run_reps(&s, 100, 0xEAC9_2006, 0.0);
         assert_eq!(sum.replications, 100);
         assert_eq!(sum.timely, 100);
         assert_eq!(sum.p_timely(), 1.0);
@@ -254,9 +218,8 @@ mod tests {
             CheckpointCosts::paper_scp_variant(),
             DvsConfig::paper_default(),
         );
-        let mc = MonteCarlo::new(2000).with_seed(7);
-        let low = run_reps(&s, &mc, 1e-5);
-        let high = run_reps(&s, &mc, 2e-3);
+        let low = run_reps(&s, 2000, 7, 1e-5);
+        let high = run_reps(&s, 2000, 7, 2e-3);
         assert!(low.p_timely() > high.p_timely());
         assert!(low.faults.mean() < high.faults.mean());
         // Faulty runs do strictly more work on average.
@@ -266,7 +229,7 @@ mod tests {
     #[test]
     fn p_ci_brackets_p() {
         let s = scenario();
-        let sum = run_reps(&s, &MonteCarlo::new(300).with_seed(3), 1e-3);
+        let sum = run_reps(&s, 300, 3, 1e-3);
         let p = sum.p_timely();
         let (lo, hi) = sum.p_timely_ci(1.96);
         assert!(lo <= p && p <= hi);
@@ -280,7 +243,7 @@ mod tests {
             CheckpointCosts::paper_scp_variant(),
             DvsConfig::paper_default(),
         );
-        let sum = run_reps(&s, &MonteCarlo::new(50), 0.0);
+        let sum = run_reps(&s, 50, 0xEAC9_2006, 0.0);
         assert_eq!(sum.timely, 0);
         assert_eq!(sum.p_timely(), 0.0);
         assert!(sum.mean_energy_timely().is_nan(), "paper-style NaN cell");

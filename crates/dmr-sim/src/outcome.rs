@@ -34,7 +34,7 @@ impl std::fmt::Display for Anomaly {
 /// timely are stopped at the first operation boundary past the deadline, so
 /// their energy is "energy spent by ≈`D`"; the paper's per-cell energy
 /// averages only timely runs (hence `NaN` for cells with `P = 0`), which is
-/// what [`crate::MonteCarlo`] reports as `energy_timely`.
+/// what [`crate::Summary`] reports as `energy_timely`.
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunOutcome {

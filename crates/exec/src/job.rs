@@ -1,9 +1,7 @@
 //! The [`Job`] abstraction: a fully-validated, self-contained Monte-Carlo
 //! experiment ready for any [`crate::Runner`].
 //!
-//! A job replaces the old closure-factory signature of
-//! `MonteCarlo::run(scenario, options, policy_factory, fault_factory)`:
-//! spec-driven jobs build their per-replication policy and fault stream
+//! Spec-driven jobs build their per-replication policy and fault stream
 //! from the validated [`ExperimentSpec`] ([`Job::from_spec`]), while
 //! custom policies (tests, ablations) enter through [`Job::from_parts`].
 //! Both keep the workspace's bit-identical seeding contract: replication
@@ -111,15 +109,14 @@ impl Job {
     /// dispatched virtually, with no instance pooling.
     ///
     /// This is the trait-object path the pooled enums replaced. It exists
-    /// for measurement and proof: `eacp bench` times it against the
-    /// pooled path, and the golden bit-identity tests pin both paths to
-    /// the same `Summary` for every scheme × fault process.
+    /// as a reference: the golden bit-identity tests pin it and the pooled
+    /// path to the same `Summary` for every scheme × fault process.
     ///
     /// # Errors
     ///
     /// Fails on the same invalid specs as [`Job::from_spec`].
     // audit:setup: the boxed escape hatch allocates by design — that is
-    // the path the pooled enums are benchmarked against.
+    // the reference path the pooled enums are checked against.
     pub fn from_spec_boxed(spec: &ExperimentSpec) -> Result<Self, SpecError> {
         let policy_spec = spec.policy;
         let fault_spec = spec.faults.clone();

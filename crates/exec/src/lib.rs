@@ -1,15 +1,12 @@
 //! Unified execution layer for the EACP workspace.
 //!
-//! `eacp-spec` describes experiments; this crate *runs* them. It replaces
-//! the two welded-shut entry points of the original simulator — the
-//! closure-factory `MonteCarlo::run` and the separate `run_traced` code
-//! path — with three composable pieces:
+//! `eacp-spec` describes experiments; this crate *runs* them, with three
+//! composable pieces:
 //!
 //! * **[`Job`]** — a validated Monte-Carlo experiment, built from an
 //!   [`ExperimentSpec`] ([`Job::from_spec`]) or from explicit parts for
-//!   custom policies ([`Job::from_parts`]). Seeding is bit-identical to
-//!   the legacy driver: replication `i` always runs with
-//!   [`eacp_sim::replication_seed`]`(base_seed, i)`.
+//!   custom policies ([`Job::from_parts`]). Replication `i` always runs
+//!   with [`eacp_sim::replication_seed`]`(base_seed, i)`.
 //! * **[`Observer`]** (re-exported from `eacp-sim`) — a streaming view of
 //!   execution: replication brackets, every engine event (segments,
 //!   checkpoints, faults, rollbacks, speed changes), deadline misses and

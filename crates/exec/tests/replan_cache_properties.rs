@@ -1,8 +1,8 @@
 //! Property test of the replan memo's transparency contract: the
-//! `PlanCache`/`ArgminCache` inside the adaptive policies survive
-//! `reset(seed)` on purpose (they memoize a pure function of the plan
-//! inputs), so a replication's outcome must be bit-identical whether the
-//! cache is cold or warmed by any number of earlier replications.
+//! `ArgminCache` inside the adaptive policies survives `reset(seed)` on
+//! purpose (it memoizes a pure function of the subdivision inputs), so a
+//! replication's outcome must be bit-identical whether the cache is cold
+//! or warmed by any number of earlier replications.
 
 use eacp_exec::Job;
 use eacp_sim::NoopObserver;

@@ -9,13 +9,11 @@
 
 use crate::TaskSet;
 use eacp_energy::DvsConfig;
-use eacp_faults::{DeterministicFaults, FaultProcess, PoissonProcess};
+use eacp_faults::{DeterministicFaults, FaultProcess};
 use eacp_sim::{
-    CheckpointCosts, Executor, ExecutorOptions, ExecutorScratch, NoopObserver, Observer, Policy,
-    Scenario, TaskSpec,
+    CheckpointCosts, Executor, ExecutorOptions, ExecutorScratch, Observer, Policy, Scenario,
+    TaskSpec,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Outcome of one released job.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,22 +72,6 @@ impl ExecutiveReport {
     }
 }
 
-/// Configuration of the executive simulation.
-pub struct ExecutiveConfig<'a> {
-    /// The periodic workload.
-    pub set: &'a TaskSet,
-    /// Checkpoint costs shared by all tasks.
-    pub costs: CheckpointCosts,
-    /// DVS levels shared by all tasks.
-    pub dvs: DvsConfig,
-    /// Fault arrival rate (global Poisson stream across the horizon).
-    pub lambda: f64,
-    /// Number of hyperperiods to simulate.
-    pub hyperperiods: u32,
-    /// RNG seed for the fault stream.
-    pub seed: u64,
-}
-
 /// Workload-level inputs of an executive run, independent of where the
 /// fault stream comes from. This is the seedable, spec-drivable shape:
 /// `eacp_exec::run_executive` builds one from an
@@ -106,38 +88,6 @@ pub struct ExecutiveParams<'a> {
     pub hyperperiods: u32,
     /// Executor semantics every job runs under.
     pub options: ExecutorOptions,
-}
-
-/// Runs the executive: jobs scheduled non-preemptively by EDF, each
-/// executed under a policy built by `make_policy(task_index, lambda)`.
-///
-/// The fault stream is global wall-clock Poisson seeded from
-/// `config.seed`; each job sees the arrivals that land inside its
-/// execution window, which preserves the burstiness across job
-/// boundaries. This is a convenience wrapper over
-/// [`run_executive_stream`].
-///
-/// # Panics
-///
-/// Panics if `hyperperiods == 0`.
-pub fn run_executive<F>(config: &ExecutiveConfig<'_>, mut make_policy: F) -> ExecutiveReport
-where
-    F: FnMut(usize, f64) -> Box<dyn Policy>,
-{
-    let params = ExecutiveParams {
-        set: config.set,
-        costs: config.costs,
-        dvs: config.dvs.clone(),
-        hyperperiods: config.hyperperiods,
-        options: ExecutorOptions::default(),
-    };
-    let mut faults = PoissonProcess::new(config.lambda, StdRng::seed_from_u64(config.seed));
-    run_executive_stream(
-        &params,
-        &mut faults,
-        |task| make_policy(task, config.lambda),
-        &mut NoopObserver,
-    )
 }
 
 /// Supplies the checkpointing policy each dispatched job runs under.
@@ -496,6 +446,10 @@ mod tests {
     use super::*;
     use crate::PeriodicTask;
     use eacp_core::policies::Adaptive;
+    use eacp_faults::PoissonProcess;
+    use eacp_sim::NoopObserver;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn light_set() -> TaskSet {
         TaskSet::new(vec![
@@ -504,22 +458,32 @@ mod tests {
         ])
     }
 
-    fn config(set: &TaskSet, lambda: f64, hyperperiods: u32) -> ExecutiveConfig<'_> {
-        ExecutiveConfig {
+    fn params(set: &TaskSet, hyperperiods: u32) -> ExecutiveParams<'_> {
+        ExecutiveParams {
             set,
             costs: CheckpointCosts::paper_scp_variant(),
             dvs: DvsConfig::paper_default(),
-            lambda,
             hyperperiods,
-            seed: 42,
+            options: ExecutorOptions::default(),
         }
+    }
+
+    /// The executive under a global Poisson stream seeded with 42, every
+    /// job on a fresh `A_D_S` policy with fault budget `k`.
+    fn run_poisson(set: &TaskSet, lambda: f64, hyperperiods: u32, k: u32) -> ExecutiveReport {
+        let mut faults = PoissonProcess::new(lambda, StdRng::seed_from_u64(42));
+        run_executive_stream(
+            &params(set, hyperperiods),
+            &mut faults,
+            |_| Box::new(Adaptive::dvs_scp(lambda, k)),
+            &mut NoopObserver,
+        )
     }
 
     #[test]
     fn fault_free_hyperperiod_has_no_misses() {
         let set = light_set();
-        let cfg = config(&set, 0.0, 1);
-        let report = run_executive(&cfg, |_, l| Box::new(Adaptive::dvs_scp(l, 2)));
+        let report = run_poisson(&set, 0.0, 1, 2);
         // 2 jobs of "sensor" (period 4000 in hyperperiod 8000) + 1 "control".
         assert_eq!(report.jobs.len(), 3);
         assert_eq!(report.deadline_misses, 0);
@@ -532,8 +496,7 @@ mod tests {
     #[test]
     fn multiple_hyperperiods_scale_job_count() {
         let set = light_set();
-        let cfg = config(&set, 0.0, 3);
-        let report = run_executive(&cfg, |_, l| Box::new(Adaptive::dvs_scp(l, 2)));
+        let report = run_poisson(&set, 0.0, 3, 2);
         assert_eq!(report.jobs.len(), 9);
     }
 
@@ -545,8 +508,7 @@ mod tests {
             PeriodicTask::new("late", 500.0, 10_000, 10_000),
             PeriodicTask::new("urgent", 500.0, 10_000, 2_000),
         ]);
-        let cfg = config(&set, 0.0, 1);
-        let report = run_executive(&cfg, |_, l| Box::new(Adaptive::dvs_scp(l, 1)));
+        let report = run_poisson(&set, 0.0, 1, 1);
         let urgent = report.jobs_of(1).next().unwrap();
         let late = report.jobs_of(0).next().unwrap();
         assert!(urgent.finished < late.finished);
@@ -559,8 +521,7 @@ mod tests {
         // busy windows is ≫ 1 for any healthy RNG stream, not just one
         // lucky seed.
         let set = light_set();
-        let cfg = config(&set, 2e-3, 4);
-        let report = run_executive(&cfg, |_, l| Box::new(Adaptive::dvs_scp(l, 2)));
+        let report = run_poisson(&set, 2e-3, 4, 2);
         let total_faults: u32 = report.jobs.iter().map(|j| j.faults).sum();
         assert!(total_faults > 0, "the seed should inject faults");
         // Light load: adaptive checkpointing keeps all deadlines.
@@ -573,8 +534,7 @@ mod tests {
             PeriodicTask::new("a", 3500.0, 4000, 4000),
             PeriodicTask::new("b", 3500.0, 4000, 4000),
         ]);
-        let cfg = config(&set, 0.0, 1);
-        let report = run_executive(&cfg, |_, l| Box::new(Adaptive::dvs_scp(l, 1)));
+        let report = run_poisson(&set, 0.0, 1, 1);
         assert!(report.deadline_misses > 0);
         assert!(report.miss_ratio() > 0.0);
     }
@@ -686,8 +646,7 @@ mod tests {
         // One tiny task with a long period: the executive must jump across
         // idle time instead of spinning.
         let set = TaskSet::new(vec![PeriodicTask::new("rare", 10.0, 100_000, 1_000)]);
-        let cfg = config(&set, 0.0, 2);
-        let report = run_executive(&cfg, |_, l| Box::new(Adaptive::dvs_scp(l, 1)));
+        let report = run_poisson(&set, 0.0, 2, 1);
         assert_eq!(report.jobs.len(), 2);
         assert_eq!(report.deadline_misses, 0);
         assert!((report.jobs[1].release - 100_000.0).abs() < 1e-9);

@@ -2,9 +2,10 @@
 //!
 //! Every type here is plain data with a `build()` method that turns it into
 //! the corresponding runtime object (`Scenario`, [`PolicyKind`],
-//! [`FaultKind`], `MonteCarlo`, `ExecutorOptions`). Building validates:
-//! all the panicking invariants of the runtime constructors are checked up
-//! front and reported as [`SpecError`]s instead. Policies and fault
+//! [`FaultKind`], `ExecutorOptions`); [`McSpec`] has no runtime object and
+//! only a `validate()`. Building validates: all the panicking invariants of
+//! the runtime constructors are checked up front and reported as
+//! [`SpecError`]s instead. Policies and fault
 //! processes build as concrete enums — the monomorphized hot path — and
 //! can be boxed into `dyn Policy` / `dyn FaultProcess` where the open
 //! trait-object path is needed.
@@ -17,7 +18,7 @@ use eacp_energy::{DvsConfig, SpeedLevel};
 use eacp_faults::{
     BurstProcess, DeterministicFaults, FaultKind, PhasedPoisson, PoissonProcess, WeibullRenewal,
 };
-use eacp_sim::{CheckpointCosts, ExecutorOptions, MonteCarlo, Scenario, TaskSpec};
+use eacp_sim::{CheckpointCosts, ExecutorOptions, Scenario, TaskSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -1091,14 +1092,12 @@ impl Default for McSpec {
 }
 
 impl McSpec {
-    /// Builds the [`MonteCarlo`] configuration.
-    pub fn build(&self) -> Result<MonteCarlo, SpecError> {
+    /// Checks the replication count is positive.
+    pub fn validate(&self) -> Result<(), SpecError> {
         if self.replications == 0 {
             return Err(SpecError::invalid("replications must be positive"));
         }
-        Ok(MonteCarlo::new(self.replications)
-            .with_seed(self.seed)
-            .with_threads(self.threads))
+        Ok(())
     }
 }
 
@@ -1425,7 +1424,7 @@ impl ExperimentSpec {
         self.scenario.build()?;
         self.faults.build(0)?;
         self.policy.build()?;
-        self.mc.build()?;
+        self.mc.validate()?;
         self.executor.build()?;
         Ok(())
     }
@@ -1508,7 +1507,7 @@ mod tests {
             replications: 0,
             ..McSpec::default()
         };
-        assert!(mc.build().is_err());
+        assert!(mc.validate().is_err());
 
         let dvs = DvsSpec::Levels { levels: vec![] };
         assert!(dvs.build().is_err());
