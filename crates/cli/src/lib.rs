@@ -25,7 +25,8 @@
 //!   hyperperiods and emit an [`eacp_spec::ExecutiveRunReport`]; with
 //!   `--mc` run N seeded horizons through the replication engine
 //!   (mergeable [`eacp_exec::ExecutiveSummary`], store-cacheable), and
-//!   with `--sweep grid.json` expand an [`ExecutiveSweepSpec`] grid with
+//!   with `--sweep grid.json` expand an
+//!   [`ExecutiveSweepSpec`](eacp_spec::ExecutiveSweepSpec) grid with
 //!   the same shard/store workflow as `sweep`;
 //! * `store` — inspect (`status`), prune (`gc`) and audit (`verify`) the
 //!   content-addressed result store that `run`/`mc`/`sweep` consult with
@@ -51,12 +52,11 @@ use eacp_core::analysis::{
     checkpoint_interval_with_branch, choose_speed, estimated_completion_time, num_ccp, num_scp,
     IntervalInputs, OptimizeMethod, RenewalParams,
 };
-use eacp_core::policies::PolicyKind;
 use eacp_energy::DvsConfig;
 use eacp_exec::{
     coverage_dir, merge_dir, placement, render_executive_rows, render_rows,
     run_sweep_queued_tiered, run_sweep_tiered, Cell, GridReport, PaperRef, QueueObserver,
-    QueueStatus, ShardId, Sweep,
+    QueueStatus, ShardId,
 };
 use eacp_rtsched::feasibility::{
     edf_density, k_fault_wcet, minimum_feasible_speed, rm_response_times,
@@ -65,9 +65,9 @@ use eacp_rtsched::TaskSet;
 use eacp_sim::{Executor, Policy, TraceRecorder};
 use eacp_spec::{
     executive_preset, executive_preset_names, preset, preset_names, CostsSpec, ExecSpec,
-    ExecutiveMcSpec, ExecutiveSpec, ExecutiveSweepSpec, ExperimentSpec, FaultSpec, FromJson, Json,
-    McSpec, PaperScheme, PeriodicTaskSpec, PolicyAssignment, PolicySpec, RunReport, ScenarioSpec,
-    SweepSpec, TaskSetSpec, ToJson, WorkSpec, PAPER_DEADLINE, PAPER_TABLES,
+    ExecutiveMcSpec, ExecutiveSpec, ExperimentSpec, FaultSpec, FromJson, Grid, GridCell, Json,
+    Knob, McSpec, PaperScheme, PeriodicTaskSpec, PolicyAssignment, PolicySpec, RunReport,
+    ScenarioSpec, SweepSpec, TaskSetSpec, ToJson, WorkSpec, PAPER_DEADLINE, PAPER_TABLES,
 };
 use eacp_store::{
     run_cached_single, run_cached_tiered, run_sweep_cached_tiered, store_coverage, verify_store,
@@ -97,9 +97,10 @@ USAGE:
   eacp table      <1|2|3|4> [--reps N] [--seed N] [--threads N] [--json] [--out DIR]
                   [--queue [--workers N] [--endpoints H:P,... [--timeout-ms T]]]
                   [--no-analytic] [CACHE]
-  eacp feasibility [SPEC] [--tasks name:wcet:period[:deadline][,...]] [--k K] [--speed F]
-  eacp executive  [SPEC] [--tasks ...] [--scheme S] [--lambda L] [--k K]
-                  [--hyperperiods N] [--seed N] [--json]
+  eacp feasibility [SPEC] [--tasks name:wcet:period[:deadline][,...]] [--util U] [--k K]
+                  [--speed F]
+  eacp executive  [SPEC] [--tasks ...] [--scheme S] [--util U] [--lambda L] [--k K]
+                  [--speed F] [--hyperperiods N] [--seed N] [--json]
                   | --mc [--reps N] [--threads N] [--queue [--workers N]] [CACHE]
                   | --sweep grid.json [--reps N] [--shard I/N] [--out DIR]
                   [--queue [--workers N]] [CACHE]
@@ -131,9 +132,9 @@ PAPER TABLES:
   error statistics against the paper and the shape-criteria tally (with
   each failing criterion); --json emits every cell's specs and
   summaries; --out DIR writes tableN.txt (the text output), tableN.md
-  and tableN.csv. The table fixes its operating points, so --scheme,
-  --util, --lambda, --k, --deadline, --variant, --spec, --preset,
-  --shard and --sweep are rejected.
+  and tableN.csv. The table fixes its operating points, so the shape
+  flags (see PARAMETER FLAGS) and --spec, --preset, --shard and --sweep
+  are rejected.
 
 PERIODIC TASK SETS (feasibility/executive):
   Both subcommands resolve an ExecutiveSpec: --spec file.json loads a
@@ -144,6 +145,8 @@ PERIODIC TASK SETS (feasibility/executive):
   `executive` simulates N hyperperiods of non-preemptive EDF and emits a
   JSON report (--json) with per-task deadline misses, energy and
   checkpoint totals. --emit-spec prints the effective spec on both.
+  --util U rescales every task's WCET uniformly to total utilization U,
+  as the executive grid's utilization axis does.
 
 EXECUTIVE MONTE-CARLO:
   `executive --mc` runs the spec's mc.replications seeded horizons
@@ -196,6 +199,13 @@ SPEC selection (run/mc):
   --preset NAME      load a named preset (see `eacp presets`)
   --emit-spec        print the effective spec as JSON instead of running
   Flags given alongside --spec/--preset override the loaded document.
+
+PARAMETER FLAGS:
+  --util --deadline --variant --lambda --k --speed --hyperperiods --seed
+  each set one cell parameter, as the grid axis of the same name does. A
+  flag the command's cell lacks is an error, never dropped (run/mc:
+  --speed, --hyperperiods; feasibility/executive: --deadline). Grids and
+  table fix the shape flags: --scheme and all of these but --seed.
 
 SCHEMES: poisson | kft | a_d | a_d_s | a_d_c | a_s | a_c | cscp (default a_d_s)
 DEFAULTS: util 0.76, lambda 1.4e-3, k 5, deadline 10000, variant scp";
@@ -557,22 +567,54 @@ fn coverage_summary(
     out
 }
 
-/// Applies `--lambda` to a spec's fault process. Only the Poisson process
-/// has a single rate to override; anything else is a loud error shared by
-/// every spec-resolving subcommand.
-fn override_lambda(faults: &mut FaultSpec, lambda: f64) -> Result<(), String> {
-    match faults {
-        FaultSpec::Poisson { lambda: l } => {
-            *l = lambda;
-            Ok(())
+/// The flags that set one cell parameter, with the knob each sets, in
+/// the order they apply. Every spec-resolving command applies them
+/// through the kind's [`GridCell::set`] hook, so a flag means what the
+/// matching grid axis means, and a kind without the parameter rejects it.
+fn parameter_flags(o: &Options) -> [(&'static str, Knob); 8] {
+    [
+        ("--util", Knob::Utilization(o.util)),
+        ("--deadline", Knob::Deadline(o.deadline)),
+        ("--variant", Knob::Costs(costs_of(o))),
+        ("--lambda", Knob::Lambda(o.lambda)),
+        ("--k", Knob::K(o.k)),
+        ("--speed", Knob::Speed(o.speed)),
+        ("--hyperperiods", Knob::Hyperperiods(o.hyperperiods)),
+        ("--seed", Knob::Seed(o.seed)),
+    ]
+}
+
+/// The first shape flag passed: `--scheme` or a parameter flag other
+/// than `--seed`. A grid's base and axes and a paper table's rows fix
+/// them all, so grids and `table` reject them instead of silently
+/// dropping them.
+fn shape_flag(o: &Options) -> Option<&'static str> {
+    std::iter::once("--scheme")
+        .chain(parameter_flags(o).map(|(flag, _)| flag))
+        .find(|&flag| flag != "--seed" && o.has(flag))
+}
+
+/// Applies the explicitly passed parameter flags to `cell`.
+fn apply_flags<C: GridCell>(o: &Options, cell: &mut C) -> Result<(), String> {
+    for (flag, knob) in parameter_flags(o) {
+        if o.has(flag) {
+            cell.set(knob).map_err(|e| format!("{flag}: {e}"))?;
         }
-        other => Err(format!(
-            "--lambda cannot override a {} fault process",
-            other
-                .to_json()
-                .req("kind")
-                .map_or("?", |k| k.as_str().unwrap_or("?"))
-        )),
+    }
+    Ok(())
+}
+
+/// Applies `--reps` and `--threads`, where passed, and `--queue` to a
+/// cell run on its own. The queue section is recorded in the spec so
+/// `--emit-spec` reproduces the scheduling choice; the summary is
+/// bit-identical either way.
+fn set_run_flags<C: Cell>(o: &Options, cell: &mut C) {
+    cell.set_mc(
+        o.has("--reps").then_some(o.reps),
+        o.has("--threads").then_some(o.threads),
+    );
+    if o.queue {
+        cell.set_queue(queue_spec_of(o));
     }
 }
 
@@ -583,16 +625,6 @@ fn override_lambda(faults: &mut FaultSpec, lambda: f64) -> Result<(), String> {
 /// Returns a message for unknown scheme names.
 pub fn policy_spec_of(o: &Options) -> Result<PolicySpec, String> {
     PolicySpec::from_tag(&o.scheme, o.lambda, o.k, 0).map_err(|e| e.to_string())
-}
-
-/// Builds the policy named by `--scheme` (the concrete [`PolicyKind`];
-/// box it where a `dyn Policy` is required).
-///
-/// # Errors
-///
-/// Returns a message for unknown scheme names.
-pub fn build_policy(o: &Options) -> Result<PolicyKind, String> {
-    policy_spec_of(o)?.build().map_err(|e| e.to_string())
 }
 
 /// Resolves the effective [`ExperimentSpec`] for `mc`: load
@@ -663,45 +695,8 @@ fn experiment_spec_with(o: &Options, flag_executor: ExecSpec) -> Result<Experime
         spec.policy =
             PolicySpec::from_tag(&o.scheme, lambda, k, speed).map_err(|e| e.to_string())?;
     }
-    if o.has("--util") {
-        match &mut spec.scenario.work {
-            WorkSpec::Utilization { utilization, .. } => *utilization = o.util,
-            WorkSpec::Cycles { .. } => {
-                return Err("--util cannot override a spec whose work is cycle-based".to_owned())
-            }
-        }
-    }
-    if o.has("--deadline") {
-        match &mut spec.scenario.work {
-            WorkSpec::Utilization { deadline, .. } | WorkSpec::Cycles { deadline, .. } => {
-                *deadline = o.deadline
-            }
-        }
-    }
-    if o.has("--variant") {
-        spec.scenario.costs = costs_of(o);
-    }
-    if o.has("--lambda") {
-        override_lambda(&mut spec.faults, o.lambda)?;
-        spec.policy = spec.policy.with_lambda(o.lambda);
-    }
-    if o.has("--k") {
-        spec.policy = spec.policy.with_k(o.k);
-    }
-    if o.has("--seed") {
-        spec.mc.seed = o.seed;
-    }
-    if o.has("--reps") {
-        spec.mc.replications = o.reps;
-    }
-    if o.has("--threads") {
-        spec.mc.threads = o.threads;
-    }
-    if o.queue {
-        // Recorded in the spec so --emit-spec reproduces the scheduling
-        // choice; the summary is bit-identical either way.
-        spec.executor = spec.executor.with_queue(queue_spec_of(o));
-    }
+    apply_flags(o, &mut spec)?;
+    set_run_flags(o, &mut spec);
     spec.validate().map_err(|e| e.to_string())?;
     Ok(spec)
 }
@@ -856,85 +851,43 @@ pub fn cmd_sweep(o: &Options) -> Result<String, String> {
     if o.spec.is_empty() {
         return Err("sweep: --spec sweep.json is required".to_owned());
     }
-    cmd_grid::<SweepSpec>(o, &o.spec)
+    cmd_grid::<ExperimentSpec>(o, &o.spec)
 }
 
-/// What `sweep` and `executive --sweep` need to know about their sweep
-/// document kind; everything else about a grid run is shared
-/// ([`cmd_grid`]).
-trait CliSweep: Sweep<Cell: StoreCell> {
-    /// The command, as error messages name it.
+/// What differs between the grid commands' output for a cell kind;
+/// everything else about a grid run is shared ([`cmd_grid`]).
+trait CliCell: StoreCell {
+    /// The grid command, as error messages name it.
     const COMMAND: &'static str;
-    /// Experiment-shaping flags: the grid's axes own those, so they are
-    /// rejected instead of silently dropped.
-    const SHAPE_FLAGS: &'static [&'static str];
-
-    /// Reads a sweep document.
-    fn load(path: &std::path::Path) -> Result<Self, eacp_spec::SpecError>;
-
-    /// Applies the base-level Monte-Carlo flags (`--reps`, `--seed`,
-    /// `--threads`) — the only overrides that make sense on a whole grid.
-    fn apply_mc_flags(&mut self, o: &Options);
-
-    /// The base cell's local thread count.
-    fn threads(&self) -> usize;
 
     /// The point-leased queue fork that `--queue` without a store or
     /// endpoints takes, for kinds that have one (`None` otherwise).
     fn run_point_leased(
-        &self,
+        _grid: &Grid<Self>,
         _shard: Option<ShardId>,
         _o: &Options,
         _progress: &QueueProgress,
-    ) -> Option<Result<GridReport<Self::Cell>, eacp_spec::SpecError>> {
+    ) -> Option<Result<GridReport<Self>, eacp_spec::SpecError>> {
         None
     }
 
     /// The text view: a header ending in `(… each{suffix})` and one line
     /// per point.
-    fn table(&self, grid: &GridReport<Self::Cell>, suffix: &str) -> String;
+    fn table(grid: &GridReport<Self>, suffix: &str) -> String;
 }
 
-impl CliSweep for SweepSpec {
+impl CliCell for ExperimentSpec {
     const COMMAND: &'static str = "sweep";
-    const SHAPE_FLAGS: &'static [&'static str] = &[
-        "--scheme",
-        "--util",
-        "--lambda",
-        "--k",
-        "--deadline",
-        "--variant",
-    ];
-
-    fn load(path: &std::path::Path) -> Result<Self, eacp_spec::SpecError> {
-        SweepSpec::load(path)
-    }
-
-    fn apply_mc_flags(&mut self, o: &Options) {
-        if o.has("--reps") {
-            self.base.mc.replications = o.reps;
-        }
-        if o.has("--seed") {
-            self.base.mc.seed = o.seed;
-        }
-        if o.has("--threads") {
-            self.base.mc.threads = o.threads;
-        }
-    }
-
-    fn threads(&self) -> usize {
-        self.base.mc.threads
-    }
 
     fn run_point_leased(
-        &self,
+        grid: &SweepSpec,
         shard: Option<ShardId>,
         o: &Options,
         progress: &QueueProgress,
     ) -> Option<Result<GridReport, eacp_spec::SpecError>> {
         o.queue.then(|| {
             run_sweep_queued_tiered(
-                self,
+                grid,
                 shard,
                 o.workers,
                 eacp_exec::queue::DEFAULT_MAX_ATTEMPTS,
@@ -944,10 +897,11 @@ impl CliSweep for SweepSpec {
         })
     }
 
-    fn table(&self, grid: &GridReport, suffix: &str) -> String {
+    fn table(grid: &GridReport, suffix: &str) -> String {
+        let reps = grid.sweep.base.replications();
         let mut out = format!(
-            "sweep over {} points ({} replications each{suffix})\n\n{:<44} {:>8} {:>12} {:>10}\n",
-            grid.total_points, self.base.mc.replications, "experiment", "P", "E(timely)", "faults"
+            "sweep over {} points ({reps} replications each{suffix})\n\n{:<44} {:>8} {:>12} {:>10}\n",
+            grid.total_points, "experiment", "P", "E(timely)", "faults"
         );
         for p in &grid.points {
             let r = &p.report;
@@ -963,51 +917,15 @@ impl CliSweep for SweepSpec {
     }
 }
 
-impl CliSweep for ExecutiveSweepSpec {
+impl CliCell for ExecutiveSpec {
     const COMMAND: &'static str = "executive --sweep";
-    const SHAPE_FLAGS: &'static [&'static str] = &[
-        "--scheme",
-        "--lambda",
-        "--k",
-        "--hyperperiods",
-        "--speed",
-        "--variant",
-    ];
 
-    fn load(path: &std::path::Path) -> Result<Self, eacp_spec::SpecError> {
-        ExecutiveSweepSpec::load(path)
-    }
-
-    fn apply_mc_flags(&mut self, o: &Options) {
-        if o.has("--reps") || o.has("--threads") {
-            let mut mc = self.base.mc_or_default();
-            if o.has("--reps") {
-                mc.replications = o.reps;
-            }
-            if o.has("--threads") {
-                mc.threads = o.threads;
-            }
-            self.base.mc = Some(mc);
-        }
-        if o.has("--seed") {
-            self.base.seed = o.seed;
-        }
-    }
-
-    fn threads(&self) -> usize {
-        self.base.placement().1
-    }
-
-    fn table(&self, grid: &GridReport<ExecutiveSpec>, suffix: &str) -> String {
+    fn table(grid: &GridReport<ExecutiveSpec>, suffix: &str) -> String {
+        let horizons = grid.sweep.base.replications();
         let mut out = format!(
-            "executive sweep over {} points ({} seeded horizons each{suffix})\n\n\
+            "executive sweep over {} points ({horizons} seeded horizons each{suffix})\n\n\
              {:<44} {:>10} {:>12} {:>10}\n",
-            grid.total_points,
-            self.base.mc_or_default().replications,
-            "experiment",
-            "miss",
-            "E(horizon)",
-            "faults"
+            grid.total_points, "experiment", "miss", "E(horizon)", "faults"
         );
         for p in &grid.points {
             let r = &p.report;
@@ -1023,21 +941,31 @@ impl CliSweep for ExecutiveSweepSpec {
     }
 }
 
-/// The grid run shared by `sweep` and `executive --sweep`: shape-flag
-/// rejection, Monte-Carlo overrides, `--shard`, `--emit-spec`, the
-/// store / fleet / queue / local dispatch with its one-line note, then
-/// `--out`, `--json` or the kind's text table.
-fn cmd_grid<S: CliSweep>(o: &Options, path: &str) -> Result<String, String> {
-    for flag in S::SHAPE_FLAGS {
-        if o.has(flag) {
-            return Err(format!(
-                "{}: {flag} cannot override a sweep document — edit the base spec or its axes",
-                S::COMMAND
-            ));
-        }
+/// Rejects the shape flags a grid fixes, then applies `--seed`, `--reps`
+/// and `--threads` to its base — the only overrides that make sense on a
+/// whole grid.
+fn apply_grid_flags<C: CliCell>(o: &Options, grid: &mut Grid<C>) -> Result<(), String> {
+    if let Some(flag) = shape_flag(o) {
+        return Err(format!(
+            "{}: {flag} cannot override a sweep document — edit the base spec or its axes",
+            C::COMMAND
+        ));
     }
-    let mut sweep = S::load(std::path::Path::new(path)).map_err(|e| e.to_string())?;
-    sweep.apply_mc_flags(o);
+    apply_flags(o, &mut grid.base)?;
+    grid.base.set_mc(
+        o.has("--reps").then_some(o.reps),
+        o.has("--threads").then_some(o.threads),
+    );
+    Ok(())
+}
+
+/// The grid run shared by `sweep` and `executive --sweep`: grid flags,
+/// `--shard`, `--emit-spec`, the store / fleet / queue / local dispatch
+/// with its one-line note, then `--out`, `--json` or the kind's text
+/// table.
+fn cmd_grid<C: CliCell>(o: &Options, path: &str) -> Result<String, String> {
+    let mut sweep = Grid::<C>::load(std::path::Path::new(path)).map_err(|e| e.to_string())?;
+    apply_grid_flags(o, &mut sweep)?;
     let shard = if o.shard.is_empty() {
         None
     } else {
@@ -1059,7 +987,7 @@ fn cmd_grid<S: CliSweep>(o: &Options, path: &str) -> Result<String, String> {
     }
     let store = resolve_store(o)?;
     let progress = QueueProgress::default();
-    let runner = placement(queue.as_ref(), sweep.threads()).map_err(|e| e.to_string())?;
+    let runner = placement(queue.as_ref(), sweep.base.placement().1).map_err(|e| e.to_string())?;
     let fleet = queue.as_ref().map_or(0, |q| q.endpoints.len());
     let (grid, note) = match &store {
         // Store-backed sweep: covered cells are served, the rest are
@@ -1092,7 +1020,7 @@ fn cmd_grid<S: CliSweep>(o: &Options, path: &str) -> Result<String, String> {
             run_sweep_tiered(&sweep, shard, runner.as_ref(), !o.no_analytic),
             format!(", fleet: {fleet} endpoint(s)"),
         ),
-        None => match sweep.run_point_leased(shard, o, &progress) {
+        None => match C::run_point_leased(&sweep, shard, o, &progress) {
             Some(grid) => (grid, format!(", queued: {}", progress.render(o.workers))),
             None => (
                 run_sweep_tiered(&sweep, shard, runner.as_ref(), !o.no_analytic),
@@ -1120,7 +1048,7 @@ fn cmd_grid<S: CliSweep>(o: &Options, path: &str) -> Result<String, String> {
     let shard_note = shard.map_or_else(String::new, |s| {
         format!(", shard {s}: {} points", grid.points.len())
     });
-    Ok(sweep.table(&grid, &format!("{shard_note}{note}")))
+    Ok(C::table(&grid, &format!("{shard_note}{note}")))
 }
 
 /// Work-queue telemetry accumulated across the pool's threads; rendered
@@ -1252,9 +1180,9 @@ pub fn cmd_store(o: &Options) -> Result<String, String> {
                 // sweep kinds produce one StoreCoverage shape, rendered
                 // through the shared coverage formatter below.
                 let cov = if json_is_executive_sweep(&json) {
-                    sweep_store_coverage::<ExecutiveSweepSpec>(o, &backend, &json)?
+                    sweep_store_coverage::<ExecutiveSpec>(o, &backend, &json)?
                 } else {
-                    sweep_store_coverage::<SweepSpec>(o, &backend, &json)?
+                    sweep_store_coverage::<ExperimentSpec>(o, &backend, &json)?
                 };
                 out.push_str(&format!(
                     "sweep {:?}: {} grid points\n",
@@ -1304,16 +1232,15 @@ pub fn cmd_store(o: &Options) -> Result<String, String> {
 
 /// How much of a sweep document's grid the store covers. Cells are keyed
 /// by (spec hash, seed, replications), so coverage is asked about the
-/// same Monte-Carlo block the sweep ran with: the same flag overrides
-/// apply.
-fn sweep_store_coverage<S: CliSweep>(
+/// same Monte-Carlo block the sweep ran with: the same grid flags apply.
+fn sweep_store_coverage<C: CliCell>(
     o: &Options,
     backend: &FsBackend,
     json: &Json,
 ) -> Result<StoreCoverage, String> {
-    let mut sweep = S::from_json(json).map_err(|e| format!("{}: {e}", o.spec))?;
-    sweep.apply_mc_flags(o);
-    store_coverage(backend, &sweep).map_err(|e| e.to_string())
+    let mut sweep = Grid::<C>::from_json(json).map_err(|e| format!("{}: {e}", o.spec))?;
+    apply_grid_flags(o, &mut sweep)?;
+    store_coverage(backend, &sweep).map_err(|e| format!("{}: {e}", o.spec))
 }
 
 /// Whether a report directory holds *executive* sweep documents (the
@@ -1580,28 +1507,16 @@ pub fn cmd_analyze(o: &Options) -> Result<String, String> {
     ))
 }
 
-/// Flags that would reshape a paper table's cells: the table fixes every
-/// operating point, so they are rejected instead of silently dropped.
-const TABLE_SHAPE_FLAGS: &[&str] = &[
-    "--scheme",
-    "--util",
-    "--lambda",
-    "--k",
-    "--deadline",
-    "--variant",
-    "--spec",
-    "--preset",
-    "--shard",
-    "--sweep",
-];
-
 /// `eacp table`: regenerate one paper table. Every scheme of every cell
 /// goes through [`run_cell`] — the store, analytic tier and placement
 /// path `mc` uses — so `--store`, `--queue`/`--endpoints` and `--threads`
 /// apply to tables as they do to single cells.
 pub fn cmd_table(o: &Options) -> Result<String, String> {
     use eacp_experiments::{compare, render, shape, TableId};
-    if let Some(flag) = TABLE_SHAPE_FLAGS.iter().find(|f| o.has(f)) {
+    let document_flag = ["--spec", "--preset", "--shard", "--sweep"]
+        .into_iter()
+        .find(|&flag| o.has(flag));
+    if let Some(flag) = shape_flag(o).or(document_flag) {
         return Err(format!(
             "table: {flag} cannot reshape a paper table — run other operating \
              points with `eacp mc` or `eacp sweep`"
@@ -1752,14 +1667,6 @@ pub fn executive_spec(o: &Options) -> Result<ExecutiveSpec, String> {
     };
 
     // Explicit flags override whatever the document said.
-    let override_policies = |spec: &mut ExecutiveSpec, f: &dyn Fn(PolicySpec) -> PolicySpec| {
-        spec.policy = match spec.policy.clone() {
-            PolicyAssignment::Shared(p) => PolicyAssignment::Shared(f(p)),
-            PolicyAssignment::PerTask(ps) => {
-                PolicyAssignment::PerTask(ps.into_iter().map(f).collect())
-            }
-        };
-    };
     if o.has("--scheme") {
         // Carry the loaded spec's parameters into the new scheme unless
         // the matching flag was also passed — switching the scheme must
@@ -1787,26 +1694,7 @@ pub fn executive_spec(o: &Options) -> Result<ExecutiveSpec, String> {
             PolicySpec::from_tag(&o.scheme, lambda, k, speed).map_err(|e| e.to_string())?,
         );
     }
-    if o.has("--variant") {
-        spec.costs = costs_of(o);
-    }
-    if o.has("--lambda") {
-        override_lambda(&mut spec.faults, o.lambda)?;
-        override_policies(&mut spec, &|p| p.with_lambda(o.lambda));
-    }
-    if o.has("--k") {
-        spec.k = o.k;
-        override_policies(&mut spec, &|p| p.with_k(o.k));
-    }
-    if o.has("--speed") {
-        spec.speed = o.speed;
-    }
-    if o.has("--hyperperiods") {
-        spec.hyperperiods = o.hyperperiods;
-    }
-    if o.has("--seed") {
-        spec.seed = o.seed;
-    }
+    apply_flags(o, &mut spec)?;
     spec.validate().map_err(|e| e.to_string())?;
     Ok(spec)
 }
@@ -1937,17 +1825,8 @@ pub fn cmd_executive(o: &Options) -> Result<String, String> {
 /// served byte-identical to recomputation.
 fn cmd_executive_mc(o: &Options) -> Result<String, String> {
     let mut spec = executive_spec(o)?;
-    let mut mc = spec.mc_or_default();
-    if o.has("--reps") {
-        mc.replications = o.reps;
-    }
-    if o.has("--threads") {
-        mc.threads = o.threads;
-    }
-    if o.queue {
-        mc.queue = Some(queue_spec_of(o));
-    }
-    spec.mc = Some(mc);
+    spec.mc = Some(spec.mc_or_default());
+    set_run_flags(o, &mut spec);
     spec.validate().map_err(|e| e.to_string())?;
     if o.emit_spec {
         return Ok(spec.to_json_string());
@@ -2004,9 +1883,9 @@ fn cmd_executive_mc(o: &Options) -> Result<String, String> {
 }
 
 /// `eacp executive --sweep grid.json`: expand an
-/// [`ExecutiveSweepSpec`] and run every grid point (or one `--shard i/n`
-/// of it) as an executive Monte-Carlo, through the same grid command as
-/// `eacp sweep`.
+/// [`ExecutiveSweepSpec`](eacp_spec::ExecutiveSweepSpec) and run every
+/// grid point (or one `--shard i/n` of it) as an executive Monte-Carlo,
+/// through the same grid command as `eacp sweep`.
 fn cmd_executive_sweep(o: &Options) -> Result<String, String> {
     if !o.spec.is_empty() || !o.preset.is_empty() || !o.tasks.is_empty() {
         return Err(
@@ -2024,7 +1903,7 @@ fn cmd_executive_sweep(o: &Options) -> Result<String, String> {
         };
         mc.validate().map_err(|e| e.to_string())?;
     }
-    cmd_grid::<ExecutiveSweepSpec>(o, &o.sweep)
+    cmd_grid::<ExecutiveSpec>(o, &o.sweep)
 }
 
 /// `eacp serve`: run one stateless block server for the remote fleet.
@@ -2291,7 +2170,7 @@ mod tests {
 
     #[test]
     fn sweep_command_runs_grids() {
-        use eacp_spec::{SweepAxis, SweepSpec};
+        use eacp_spec::{Axis, Knob, SweepSpec};
         let dir = std::env::temp_dir().join("eacp-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sweep.json");
@@ -2300,7 +2179,7 @@ mod tests {
         base.mc.replications = 30;
         let sweep = SweepSpec {
             base,
-            axes: vec![SweepAxis::Lambda(vec![1.0e-4, 1.4e-3])],
+            axes: vec![Axis::new(Knob::Lambda, vec![1.0e-4, 1.4e-3])],
         };
         std::fs::write(&path, sweep.to_json_string()).unwrap();
         let p = path.to_str().unwrap();
@@ -2416,7 +2295,7 @@ mod tests {
 
     #[test]
     fn sweep_honors_mc_flags_and_rejects_shape_flags() {
-        use eacp_spec::{SweepAxis, SweepSpec};
+        use eacp_spec::{Axis, Knob, SweepSpec};
         let dir = std::env::temp_dir().join("eacp-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sweep-flags.json");
@@ -2425,7 +2304,7 @@ mod tests {
         base.mc.replications = 20;
         let sweep = SweepSpec {
             base,
-            axes: vec![SweepAxis::Seed(vec![5, 6])],
+            axes: vec![Axis::new(Knob::Seed, vec![5, 6])],
         };
         std::fs::write(&path, sweep.to_json_string()).unwrap();
         let p = path.to_str().unwrap().to_owned();
@@ -2512,7 +2391,7 @@ mod tests {
 
     #[test]
     fn sweep_store_resumes_and_store_subcommands_inspect_it() {
-        use eacp_spec::{SweepAxis, SweepSpec};
+        use eacp_spec::{Axis, Knob, SweepSpec};
         let dir = temp_store("sweep");
         let s = dir.to_str().unwrap();
         let spec_path = dir.join("sweep.json");
@@ -2522,7 +2401,7 @@ mod tests {
         base.mc.threads = 1;
         let sweep = SweepSpec {
             base,
-            axes: vec![SweepAxis::Lambda(vec![1.0e-4, 1.4e-3])],
+            axes: vec![Axis::new(Knob::Lambda, vec![1.0e-4, 1.4e-3])],
         };
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(&spec_path, sweep.to_json_string()).unwrap();
@@ -2628,7 +2507,7 @@ mod tests {
     }
 
     fn write_executive_sweep(dir: &std::path::Path) -> std::path::PathBuf {
-        use eacp_spec::{ExecutiveSweepAxis, ExecutiveSweepSpec};
+        use eacp_spec::{Axis, ExecutiveSweepSpec, Knob};
         let mut base = executive_preset("avionics-trio").unwrap();
         base.name = "exec-grid".into();
         base.hyperperiods = 2;
@@ -2639,7 +2518,7 @@ mod tests {
         });
         let sweep = ExecutiveSweepSpec {
             base,
-            axes: vec![ExecutiveSweepAxis::Lambda(vec![2.0e-4, 1.0e-3])],
+            axes: vec![Axis::new(Knob::Lambda, vec![2.0e-4, 1.0e-3])],
         };
         std::fs::create_dir_all(dir).unwrap();
         let path = dir.join("exec-sweep.json");

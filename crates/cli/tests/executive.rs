@@ -162,3 +162,43 @@ fn executive_json_is_deterministic_across_invocations() {
     let b = dispatch(args("executive --preset k-fault-feasibility-sweep --json")).unwrap();
     assert_eq!(a, b);
 }
+
+/// `--util U` on an executive command is the executive utilization axis:
+/// it rescales every WCET to total utilization U, so the flag's spec is
+/// point 0 of a one-value utilization grid over the same base, once the
+/// names (the grid appends `-u0.5`) are normalized.
+#[test]
+fn executive_util_flag_equals_the_utilization_axis() {
+    let base = dispatch(args("executive --preset avionics-trio --emit-spec")).unwrap();
+    let dir = temp_dir();
+    let path = dir.join("util-grid.json");
+    std::fs::write(
+        &path,
+        format!(r#"{{"base": {base}, "axes": [{{"utilization": [0.5]}}]}}"#),
+    )
+    .unwrap();
+    let points = dispatch(args(&format!(
+        "executive --sweep {} --emit-spec",
+        path.display()
+    )))
+    .unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let points = Json::parse(&points).unwrap();
+    let mut point = ExecutiveSpec::from_json(&points.as_array().unwrap()[0]).unwrap();
+    assert_eq!(point.name, "avionics-trio-u0.5");
+
+    let flagged = dispatch(args(
+        "executive --preset avionics-trio --util 0.5 --emit-spec",
+    ))
+    .unwrap();
+    let flagged = ExecutiveSpec::from_json_str(&flagged).unwrap();
+    point.name = flagged.name.clone();
+    assert_eq!(flagged, point);
+    let util: f64 = flagged
+        .tasks
+        .tasks
+        .iter()
+        .map(|t| t.wcet / t.period as f64)
+        .sum();
+    assert!((util - 0.5).abs() < 1e-12, "utilization {util}");
+}

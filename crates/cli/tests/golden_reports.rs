@@ -142,3 +142,145 @@ fn tables_2_to_4_reports_are_pinned_by_digest() {
         );
     }
 }
+
+/// A grid document over a shipped sweep file's base with other axes,
+/// written to a directory of its own; returns (document path, output dir).
+fn grid_file(tag: &str, base_file: &str, axes: &str) -> (String, String) {
+    let text = std::fs::read_to_string(spec(base_file)).unwrap();
+    let json = eacp_spec::Json::parse(&text).unwrap();
+    let base = json.req("base").unwrap().pretty();
+    let dir = std::env::temp_dir().join(format!("eacp-golden-grid-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("grid-spec.json");
+    std::fs::write(&path, format!("{{\"base\": {base}, \"axes\": {axes}}}")).unwrap();
+    let out = dir.join("out");
+    (path.display().to_string(), out.display().to_string())
+}
+
+/// Pins a 32-point grid's `--out` document and `--emit-spec` output by
+/// digest, for `cmd` (`sweep --spec` or `executive --sweep`).
+fn assert_grid_pinned(cmd: &[&str], reps: &str, doc: &str, out: &str, digests: [&str; 2]) {
+    let mut args = cmd.to_vec();
+    args.extend([doc, "--reps", reps]);
+    let mut emit = args.clone();
+    emit.push("--emit-spec");
+    args.extend(["--out", out]);
+    stdout_of(&args);
+    let grid = std::fs::read_to_string(std::path::Path::new(out).join("grid.json")).unwrap();
+    assert_eq!(
+        sha256_hex(&grid),
+        digests[0],
+        "{cmd:?} --out grid.json drifted"
+    );
+    assert_eq!(
+        sha256_hex(&stdout_of(&emit)),
+        digests[1],
+        "{cmd:?} --emit-spec drifted"
+    );
+    std::fs::remove_dir_all(std::path::Path::new(doc).parent().unwrap()).unwrap();
+}
+
+/// A 32-point experiment grid over every experiment axis key:
+/// `eacp sweep --spec D --reps 10 --out O` (`O/grid.json | sha256sum`)
+/// and `... --emit-spec | sha256sum`, with D the base of
+/// `specs/table1a-sweep.json` and the axes below.
+#[test]
+fn experiment_grid_over_every_axis_is_pinned_by_digest() {
+    let (doc, out) = grid_file(
+        "experiment",
+        "table1a-sweep.json",
+        r#"[{"utilization": [0.76, 0.8]}, {"lambda": [1e-3, 2e-3]}, {"k": [3, 5]},
+            {"costs": [{"kind": "paper-scp"},
+                       {"kind": "explicit", "store": 5, "compare": 17, "rollback": 0}]},
+            {"seed": [1, 2]}]"#,
+    );
+    assert_grid_pinned(
+        &["sweep", "--spec"],
+        "10",
+        &doc,
+        &out,
+        [
+            "08e8990057f4314729c1b105de0ec8dbf48c1a359b67a879138dc69716565160",
+            "4cf5b4bba6fcf615b3da22c242c08129659dd9a0b88b1dc04536d43187569f20",
+        ],
+    );
+}
+
+/// A 32-point executive grid over every executive axis key:
+/// `eacp executive --sweep D --reps 4 --out O` and `... --emit-spec`,
+/// with D the base of `specs/avionics-trio-sweep.json` and the axes below.
+#[test]
+fn executive_grid_over_every_axis_is_pinned_by_digest() {
+    let (doc, out) = grid_file(
+        "executive",
+        "avionics-trio-sweep.json",
+        r#"[{"hyperperiods": [1, 2]}, {"utilization": [0.5, 0.7]},
+            {"lambda": [5e-4, 1e-3]}, {"k": [1, 2]}, {"seed": [1, 2]}]"#,
+    );
+    assert_grid_pinned(
+        &["executive", "--sweep"],
+        "4",
+        &doc,
+        &out,
+        [
+            "b6e2bd990a86a0c7a6f5f36237e9f4b7177eea97fb844eabcfa03c5c9aa61902",
+            "0dd93c9c1f8b1af932a937e7c7c5949683ce7d4bfb10d7f593630a1d3615049b",
+        ],
+    );
+}
+
+/// Every parameter flag a kind applies, overriding a preset:
+/// `eacp mc --preset table1-a --util 0.8 --lambda 2e-3 --k 3 --variant ccp
+/// --seed 9 --deadline 9000 --emit-spec | sha256sum` and `eacp executive
+/// --preset avionics-trio --lambda 2e-3 --k 2 --hyperperiods 3 --variant
+/// ccp --seed 9 --speed 2 --emit-spec | sha256sum`.
+#[test]
+fn parameter_flag_overrides_are_pinned_by_digest() {
+    for (args, digest) in [
+        (
+            &[
+                "mc",
+                "--preset",
+                "table1-a",
+                "--util",
+                "0.8",
+                "--lambda",
+                "2e-3",
+                "--k",
+                "3",
+                "--variant",
+                "ccp",
+                "--seed",
+                "9",
+                "--deadline",
+                "9000",
+                "--emit-spec",
+            ][..],
+            "bec1d81eaa97b92831a1adac8b4714d07a64e30d1f9f6e7aa9abbf5501599782",
+        ),
+        (
+            &[
+                "executive",
+                "--preset",
+                "avionics-trio",
+                "--lambda",
+                "2e-3",
+                "--k",
+                "2",
+                "--hyperperiods",
+                "3",
+                "--variant",
+                "ccp",
+                "--seed",
+                "9",
+                "--speed",
+                "2",
+                "--emit-spec",
+            ][..],
+            "bb8872c9f6f3b34c16ac00063e18bd55c1746a31d2804976a1f4da131b1e7e22",
+        ),
+    ] {
+        assert_eq!(sha256_hex(&stdout_of(args)), digest, "{args:?} drifted");
+    }
+}

@@ -107,3 +107,178 @@ fn non_integer_counts_seeds_and_sizes_are_usage_errors() {
         assert!(out.stdout.is_empty(), "{flag} {value}: spec emitted");
     }
 }
+
+/// Runs `eacp` and asserts a one-line `eacp: ` usage error (exit 2).
+fn assert_usage_error(args: &[&str], what: &str) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_eacp"))
+        .args(args)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "{what}: {stderr}");
+    assert!(stderr.starts_with("eacp: "), "{what}: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{what}: {stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "{what}: wrote {} bytes",
+        out.stdout.len()
+    );
+    stderr
+}
+
+/// A grid document over a shipped sweep file's base whose axes are
+/// `twos` two-valued seed axes, plus one three-valued one when `three`.
+fn huge_grid(base_file: &str, twos: usize, three: bool) -> String {
+    let path = format!("{}/../../specs/{base_file}", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(path).unwrap();
+    let base = &text[text.find('{').unwrap() + 1..text.find("\"axes\"").unwrap()];
+    let mut axes = vec![r#"{"seed": [1, 2]}"#; twos];
+    if three {
+        axes.push(r#"{"seed": [1, 2, 3]}"#);
+    }
+    format!("{{{base}\"axes\": [{}]}}", axes.join(", "))
+}
+
+/// Grids whose point count overflows `usize` (64 two-valued axes: the
+/// product wraps to 0; one more three-valued axis: a capacity-overflow
+/// panic) or cannot be allocated (2^40 points: an abort) are usage
+/// errors for both grid kinds, in every command that expands a grid.
+#[test]
+fn grids_too_large_to_expand_are_usage_errors() {
+    let store = std::env::temp_dir().join(format!("eacp-hostile-store-{}", std::process::id()));
+    let store = store.display().to_string();
+    for (kind, base_file, command) in [
+        ("experiment", "table1a-sweep.json", &["sweep", "--spec"][..]),
+        (
+            "executive",
+            "avionics-trio-sweep.json",
+            &["executive", "--sweep"][..],
+        ),
+    ] {
+        for (shape, twos, three) in [
+            ("wrap", 64, false),
+            ("panic", 63, true),
+            ("abort", 40, false),
+        ] {
+            let what = format!("{kind} {shape}");
+            let path = temp_file(
+                &format!("{kind}-{shape}.json"),
+                &huge_grid(base_file, twos, three),
+            );
+            let path_str = path.display().to_string();
+            let mut args = command.to_vec();
+            args.extend([path_str.as_str(), "--emit-spec"]);
+            assert_usage_error(&args, &format!("{what}: {command:?} --emit-spec"));
+            assert_usage_error(
+                &["store", "status", "--store", &store, "--spec", &path_str],
+                &format!("{what}: store status --spec"),
+            );
+            remove(&path);
+        }
+
+        // A `--out` document edited to embed the wrapping grid, with no
+        // points and `total_points: 0`: neither merge nor queue status may
+        // take it for a complete empty grid, and both name the file.
+        let sweep = huge_grid(base_file, 64, false);
+        let doc = format!("{{\"sweep\": {sweep}, \"total_points\": 0, \"points\": []}}");
+        let path = temp_file(&format!("{kind}-edited-grid.json"), &doc);
+        let dir = path.parent().unwrap().display().to_string();
+        for cmd in [
+            &["merge", dir.as_str()][..],
+            &["queue", "status", dir.as_str()],
+        ] {
+            let stderr = assert_usage_error(cmd, &format!("{kind}: {cmd:?}"));
+            assert!(
+                stderr.contains(&path.display().to_string()),
+                "{kind}: {cmd:?}: {stderr}"
+            );
+        }
+        remove(&path);
+    }
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+/// A parameter flag the command's cell has no parameter for, or that a
+/// grid or paper table fixes, is a usage error naming the flag — never
+/// silently dropped.
+#[test]
+fn parameter_flags_a_command_cannot_apply_are_usage_errors() {
+    let spec = |name: &str| format!("{}/../../specs/{name}", env!("CARGO_MANIFEST_DIR"));
+    let (sweep, exec_sweep) = (spec("table1a-sweep.json"), spec("avionics-trio-sweep.json"));
+    let cases: &[(&[&str], &str)] = &[
+        // Executives have no single relative deadline.
+        (
+            &[
+                "executive",
+                "--preset",
+                "avionics-trio",
+                "--util",
+                "0.3",
+                "--deadline",
+                "5",
+            ],
+            "--deadline",
+        ),
+        (
+            &[
+                "feasibility",
+                "--preset",
+                "avionics-trio",
+                "--deadline",
+                "5",
+            ],
+            "--deadline",
+        ),
+        // Single-task experiments have no hyperperiods or fixed speed.
+        (
+            &[
+                "mc",
+                "--preset",
+                "table1-a",
+                "--hyperperiods",
+                "9",
+                "--speed",
+                "3",
+            ],
+            "--speed",
+        ),
+        (
+            &["mc", "--preset", "table1-a", "--hyperperiods", "9"],
+            "--hyperperiods",
+        ),
+        (&["run", "--speed", "2"], "--speed"),
+        // Grids and tables fix every parameter but the seed.
+        (
+            &["sweep", "--spec", &sweep, "--hyperperiods", "3"],
+            "--hyperperiods",
+        ),
+        (&["sweep", "--spec", &sweep, "--speed", "2"], "--speed"),
+        (
+            &[
+                "executive",
+                "--sweep",
+                &exec_sweep,
+                "--util",
+                "0.9",
+                "--deadline",
+                "7",
+            ],
+            "--util",
+        ),
+        (
+            &["executive", "--sweep", &exec_sweep, "--deadline", "7"],
+            "--deadline",
+        ),
+        (
+            &["table", "1", "--hyperperiods", "3", "--speed", "2"],
+            "--speed",
+        ),
+        (&["table", "1", "--hyperperiods", "3"], "--hyperperiods"),
+    ];
+    for &(args, flag) in cases {
+        let mut args = args.to_vec();
+        args.push("--emit-spec");
+        let stderr = assert_usage_error(&args, &format!("{args:?}"));
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+    }
+}

@@ -4,7 +4,7 @@
 //! queue config round-trips through `--emit-spec`, and corrupt shard
 //! documents are clear errors naming the offending file.
 
-use eacp_spec::{ExperimentSpec, McSpec, SweepAxis, SweepSpec};
+use eacp_spec::{Axis, ExperimentSpec, Knob, McSpec, SweepSpec};
 use std::path::PathBuf;
 
 fn args(parts: &[&str]) -> Vec<String> {
@@ -27,8 +27,8 @@ fn write_sweep(dir: &PathBuf) -> PathBuf {
     let sweep = SweepSpec {
         base,
         axes: vec![
-            SweepAxis::Lambda(vec![1.4e-3, 1.6e-3]),
-            SweepAxis::K(vec![5, 1]),
+            Axis::new(Knob::Lambda, vec![1.4e-3, 1.6e-3]),
+            Axis::new(Knob::K, vec![5, 1]),
         ],
     };
     std::fs::create_dir_all(dir).unwrap();

@@ -5,7 +5,7 @@
 //! shard; bad `--shard` arguments are clear errors; and `eacp csv` renders
 //! the merged directory with paper-value deltas.
 
-use eacp_spec::{ExperimentSpec, McSpec, SweepAxis, SweepSpec};
+use eacp_spec::{Axis, ExperimentSpec, Knob, McSpec, SweepSpec};
 use std::path::PathBuf;
 
 fn args(parts: &[&str]) -> Vec<String> {
@@ -25,8 +25,8 @@ fn write_sweep(dir: &PathBuf) -> PathBuf {
     let sweep = SweepSpec {
         base,
         axes: vec![
-            SweepAxis::Lambda(vec![1.4e-3, 1.6e-3]),
-            SweepAxis::K(vec![5, 1]),
+            Axis::new(Knob::Lambda, vec![1.4e-3, 1.6e-3]),
+            Axis::new(Knob::K, vec![5, 1]),
         ],
     };
     std::fs::create_dir_all(dir).unwrap();

@@ -5,13 +5,14 @@
 //! this crate evaluates two kinds of cell: single-task [`ExperimentSpec`]
 //! cells (a [`Job`] reduced into a [`Summary`]) and EDF-executive
 //! [`ExecutiveSpec`] cells (an [`ExecutiveJob`] reduced into an
-//! [`ExecutiveSummary`]). [`Cell`] is what both have in common — a sweep
-//! document that expands into cells, a report with a JSON codec, a
-//! placement (which runner the spec asks for) and the computation itself —
-//! so the layers above it are written once: the sharded sweep executor,
-//! merge and coverage ([`crate::shard`]), and the result store's
-//! cache-or-compute path (`eacp-store`). A new workload kind costs one
-//! impl of this trait.
+//! [`ExecutiveSummary`]). [`Cell`] is what both have in common — a report
+//! with a JSON codec, a placement (which runner the spec asks for) and the
+//! computation itself — on top of `eacp-spec`'s [`GridCell`] hook, which
+//! gives both kinds one grid document ([`eacp_spec::Grid`]) and one way to
+//! set a parameter. So the layers above it are written once: the sharded
+//! sweep executor, merge and coverage ([`crate::shard`]), and the result
+//! store's cache-or-compute path (`eacp-store`). A new workload kind costs
+//! one impl of [`GridCell`] and one of this trait.
 //!
 //! [`placement`] is the one place a runner is built from a spec's queue
 //! section.
@@ -23,42 +24,16 @@ use crate::remote::RemoteWorker;
 use crate::runner::{LocalRunner, Runner};
 use eacp_sim::Summary;
 use eacp_spec::{
-    ExecutiveSpec, ExecutiveSweepSpec, ExperimentSpec, FromJson, Json, QueueSpec, RunReport,
-    ServeTier, SpecError, SummaryReport, SweepSpec, ToJson,
+    ExecutiveSpec, ExperimentSpec, FromJson, GridCell, Json, QueueSpec, RunReport, ServeTier,
+    SpecError, SummaryReport, ToJson,
 };
 
-/// A sweep document: a base cell plus axes, expanding into grid cells.
-pub trait Sweep: Clone + PartialEq + std::fmt::Debug + ToJson + FromJson {
-    /// The cells this sweep expands into.
-    type Cell: Cell<Sweep = Self>;
-
-    /// The grid's cells in flat-index order, each with its own
-    /// index-derived seed.
-    ///
-    /// # Errors
-    ///
-    /// Invalid axes or base specs.
-    fn expand(&self) -> Result<Vec<Self::Cell>, SpecError>;
-
-    /// The base experiment's name.
-    fn name(&self) -> &str;
-}
-
 /// One grid cell of a workload kind. See the module docs.
-pub trait Cell: Clone + PartialEq + std::fmt::Debug + ToJson + FromJson {
-    /// The sweep document that expands into cells of this kind.
-    type Sweep: Sweep<Cell = Self>;
+pub trait Cell: GridCell {
     /// The exact, mergeable Monte-Carlo aggregate.
     type Summary: Clone + PartialEq + std::fmt::Debug;
     /// The serializable per-cell report.
     type Report: Clone + PartialEq + std::fmt::Debug + ToJson + FromJson;
-
-    /// What a grid document of this kind is called in errors (`"sweep"`,
-    /// `"executive sweep"`).
-    const KIND: &'static str;
-
-    /// The cell's experiment name.
-    fn name(&self) -> &str;
 
     /// The spec's queue section and local thread count: what
     /// [`placement`] builds the cell's own runner from.
@@ -67,6 +42,13 @@ pub trait Cell: Clone + PartialEq + std::fmt::Debug + ToJson + FromJson {
     /// Records a queue section in the spec, so an emitted spec reproduces
     /// a `--queue` scheduling choice.
     fn set_queue(&mut self, queue: QueueSpec);
+
+    /// The Monte-Carlo replication count (executive horizons).
+    fn replications(&self) -> u64;
+
+    /// Sets the Monte-Carlo replication count and local thread count,
+    /// where given (the CLI's `--reps` and `--threads`).
+    fn set_mc(&mut self, replications: Option<u64>, threads: Option<usize>);
 
     /// Computes the cell on `runner`. With `analytic`, kinds that have a
     /// closed-form tier answer replication-invariant cells through it;
@@ -146,27 +128,9 @@ pub fn run_tiered<C: Cell>(cell: &C, analytic: bool) -> Result<(C::Summary, C::R
     Ok((summary, report))
 }
 
-impl Sweep for SweepSpec {
-    type Cell = ExperimentSpec;
-
-    fn expand(&self) -> Result<Vec<ExperimentSpec>, SpecError> {
-        SweepSpec::expand(self)
-    }
-
-    fn name(&self) -> &str {
-        &self.base.name
-    }
-}
-
 impl Cell for ExperimentSpec {
-    type Sweep = SweepSpec;
     type Summary = Summary;
     type Report = RunReport;
-    const KIND: &'static str = "sweep";
-
-    fn name(&self) -> &str {
-        &self.name
-    }
 
     fn placement(&self) -> (Option<&QueueSpec>, usize) {
         (self.executor.queue.as_ref(), self.mc.threads)
@@ -174,6 +138,19 @@ impl Cell for ExperimentSpec {
 
     fn set_queue(&mut self, queue: QueueSpec) {
         self.executor.queue = Some(queue);
+    }
+
+    fn replications(&self) -> u64 {
+        self.mc.replications
+    }
+
+    fn set_mc(&mut self, replications: Option<u64>, threads: Option<usize>) {
+        if let Some(replications) = replications {
+            self.mc.replications = replications;
+        }
+        if let Some(threads) = threads {
+            self.mc.threads = threads;
+        }
     }
 
     fn compute(
@@ -254,29 +231,11 @@ impl FromJson for ExecutiveMcReport {
     }
 }
 
-impl Sweep for ExecutiveSweepSpec {
-    type Cell = ExecutiveSpec;
-
-    fn expand(&self) -> Result<Vec<ExecutiveSpec>, SpecError> {
-        ExecutiveSweepSpec::expand(self)
-    }
-
-    fn name(&self) -> &str {
-        &self.base.name
-    }
-}
-
 /// Executive cells have no closed-form tier: `analytic` is ignored and
 /// every summary is served by the Monte-Carlo loop.
 impl Cell for ExecutiveSpec {
-    type Sweep = ExecutiveSweepSpec;
     type Summary = ExecutiveSummary;
     type Report = ExecutiveMcReport;
-    const KIND: &'static str = "executive sweep";
-
-    fn name(&self) -> &str {
-        &self.name
-    }
 
     fn placement(&self) -> (Option<&QueueSpec>, usize) {
         match &self.mc {
@@ -288,6 +247,30 @@ impl Cell for ExecutiveSpec {
     fn set_queue(&mut self, queue: QueueSpec) {
         let mut mc = self.mc_or_default();
         mc.queue = Some(queue);
+        self.mc = Some(mc);
+    }
+
+    /// The `mc` section's horizon count, its default when absent.
+    fn replications(&self) -> u64 {
+        self.mc
+            .as_ref()
+            .map_or(eacp_spec::ExecutiveMcSpec::default().replications, |mc| {
+                mc.replications
+            })
+    }
+
+    /// Leaves `mc` absent unless a count is given.
+    fn set_mc(&mut self, replications: Option<u64>, threads: Option<usize>) {
+        if replications.is_none() && threads.is_none() {
+            return;
+        }
+        let mut mc = self.mc_or_default();
+        if let Some(replications) = replications {
+            mc.replications = replications;
+        }
+        if let Some(threads) = threads {
+            mc.threads = threads;
+        }
         self.mc = Some(mc);
     }
 

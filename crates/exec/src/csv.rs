@@ -133,7 +133,7 @@ pub fn render_executive_rows(rows: &[(Option<usize>, ExecutiveMcReport)]) -> Str
 mod tests {
     use super::*;
     use crate::shard::run_sweep;
-    use eacp_spec::{ExperimentSpec, McSpec, SweepAxis, SweepSpec};
+    use eacp_spec::{Axis, ExperimentSpec, Knob, McSpec, SweepSpec};
 
     fn rows_of<C: crate::Cell>(grid: crate::GridReport<C>) -> Vec<(Option<usize>, C::Report)> {
         grid.points
@@ -152,7 +152,7 @@ mod tests {
         };
         let sweep = SweepSpec {
             base,
-            axes: vec![SweepAxis::Lambda(vec![1e-4, 1.4e-3])],
+            axes: vec![Axis::new(Knob::Lambda, vec![1e-4, 1.4e-3])],
         };
         rows_of(run_sweep(&sweep, None, 1).unwrap())
     }
@@ -203,7 +203,7 @@ mod tests {
         spec.mc.replications = 10;
         let sweep = SweepSpec {
             base: spec,
-            axes: vec![SweepAxis::K(vec![5])],
+            axes: vec![Axis::new(Knob::K, vec![5])],
         };
         let pts = rows_of(run_sweep(&sweep, None, 1).unwrap());
         let csv = render_rows(&pts, &|_| None);
@@ -215,7 +215,7 @@ mod tests {
     #[test]
     fn executive_csv_has_header_and_distribution_columns() {
         use eacp_spec::{
-            ExecutiveMcSpec, ExecutiveSpec, ExecutiveSweepAxis, ExecutiveSweepSpec, FaultSpec,
+            Axis, ExecutiveMcSpec, ExecutiveSpec, ExecutiveSweepSpec, FaultSpec, Knob,
             PolicyAssignment, PolicySpec, TaskSetSpec,
         };
         let mut base = ExecutiveSpec::new(
@@ -233,7 +233,7 @@ mod tests {
         });
         let sweep = ExecutiveSweepSpec {
             base,
-            axes: vec![ExecutiveSweepAxis::Lambda(vec![2e-4, 1e-3])],
+            axes: vec![Axis::new(Knob::Lambda, vec![2e-4, 1e-3])],
         };
         let rows = rows_of(run_sweep(&sweep, None, 1).unwrap());
         let csv = render_executive_rows(&rows);

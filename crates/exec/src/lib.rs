@@ -24,9 +24,11 @@
 //!
 //! On top sits one **cell pipeline** for both workload kinds. A [`Cell`]
 //! is one grid point — a single-task [`ExperimentSpec`] or an EDF
-//! executive [`ExecutiveSpec`](eacp_spec::ExecutiveSpec) — with its sweep
-//! document, report codec, placement and computation. Everything above it
-//! is written once over the trait:
+//! executive [`ExecutiveSpec`](eacp_spec::ExecutiveSpec) — with its report
+//! codec, placement and computation, on top of `eacp-spec`'s
+//! [`GridCell`](eacp_spec::GridCell) hook, which gives both kinds one grid
+//! document ([`Grid<C>`](eacp_spec::Grid)). Everything above it is written
+//! once over the trait:
 //!
 //! * [`placement`] builds the runner a spec's queue section asks for
 //!   (local, work queue, or remote fleet) — the only place that wiring
@@ -74,7 +76,7 @@ pub mod shard;
 pub mod workload;
 
 pub use analytic::serve_closed_form;
-pub use cell::{placement, run_point_tiered, run_tiered, Cell, ExecutiveMcReport, Sweep};
+pub use cell::{placement, run_point_tiered, run_tiered, Cell, ExecutiveMcReport};
 pub use csv::{render_executive_rows, render_rows, PaperRef, CSV_HEADER, EXECUTIVE_CSV_HEADER};
 pub use executive::{run_executive, run_executive_observed};
 pub use executive_mc::{ExecutiveJob, ExecutiveReplicator, ExecutiveSummary, TaskAggregate};

@@ -813,7 +813,7 @@ pub fn run_sweep_queued_tiered(
 mod tests {
     use super::*;
     use crate::runner::LocalRunner;
-    use eacp_spec::{ExperimentSpec, McSpec, SweepAxis, ToJson};
+    use eacp_spec::{Axis, ExperimentSpec, Knob, McSpec, ToJson};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex as StdMutex;
 
@@ -1131,8 +1131,8 @@ mod tests {
         let sweep = SweepSpec {
             base,
             axes: vec![
-                SweepAxis::Lambda(vec![1.0e-4, 1.4e-3]),
-                SweepAxis::K(vec![1, 5]),
+                Axis::new(Knob::Lambda, vec![1.0e-4, 1.4e-3]),
+                Axis::new(Knob::K, vec![1, 5]),
             ],
         };
         let sequential = crate::run_sweep(&sweep, None, 1).unwrap();

@@ -2,11 +2,11 @@
 //! machines by index range, emit per-shard report documents, and
 //! reassemble the full grid — failing loudly on anything suspicious.
 //!
-//! Written once over [`Cell`], so single-task [`SweepSpec`] grids and
-//! executive [`ExecutiveSweepSpec`] grids share every rule below. A
-//! sweep's expansion derives each grid point's seed from its flat index,
-//! so a point produces the same report no matter which shard (or machine,
-//! or runner) computed it. The workflow:
+//! Written once over [`Cell`] and its [`Grid`], so single-task
+//! [`SweepSpec`] grids and executive [`ExecutiveSweepSpec`] grids share
+//! every rule below. A grid's expansion derives each point's seed from
+//! its flat index, so a point produces the same report no matter which
+//! shard (or machine, or runner) computed it. The workflow:
 //!
 //! ```text
 //! eacp sweep --spec grid.json --shard 0/3 --out reports/   # machine 0
@@ -25,9 +25,9 @@
 //! [`SweepSpec`]: eacp_spec::SweepSpec
 //! [`ExecutiveSweepSpec`]: eacp_spec::ExecutiveSweepSpec
 
-use crate::cell::{run_point_tiered, Cell, Sweep};
+use crate::cell::{run_point_tiered, Cell};
 use crate::runner::{LocalRunner, Runner};
-use eacp_spec::{ExperimentSpec, FromJson, Json, SpecError, ToJson};
+use eacp_spec::{ExperimentSpec, FromJson, Grid, Json, SpecError, ToJson};
 use std::path::{Path, PathBuf};
 
 /// One shard of a sweep: `index` of `count`.
@@ -121,8 +121,8 @@ pub struct PointReport<C: Cell = ExperimentSpec> {
 /// A sweep result document: the whole grid, or one shard of it.
 #[derive(Debug, Clone)]
 pub struct GridReport<C: Cell = ExperimentSpec> {
-    /// The sweep that produced (or will reproduce) these points.
-    pub sweep: C::Sweep,
+    /// The grid that produced (or will reproduce) these points.
+    pub sweep: Grid<C>,
     /// Total grid points in the full sweep (not just this document).
     pub total_points: usize,
     /// Which shard this document covers (`None` = the full grid).
@@ -228,7 +228,7 @@ impl<C: Cell> FromJson for GridReport<C> {
             });
         }
         Ok(Self {
-            sweep: C::Sweep::from_json(json.req("sweep")?)?,
+            sweep: Grid::from_json(json.req("sweep")?)?,
             total_points: json.req("total_points")?.as_usize()?,
             shard,
             points,
@@ -246,11 +246,11 @@ impl<C: Cell> FromJson for GridReport<C> {
 /// # Errors
 ///
 /// Per-point failures are wrapped with the grid index and point name.
-pub fn run_grid<S: Sweep>(
-    sweep: &S,
+pub fn run_grid<C: Cell>(
+    sweep: &Grid<C>,
     shard: Option<ShardId>,
-    mut point: impl FnMut(&S::Cell) -> Result<<S::Cell as Cell>::Report, SpecError>,
-) -> Result<GridReport<S::Cell>, SpecError> {
+    mut point: impl FnMut(&C) -> Result<C::Report, SpecError>,
+) -> Result<GridReport<C>, SpecError> {
     let cells = sweep.expand()?;
     let total = cells.len();
     let range = match shard {
@@ -275,11 +275,11 @@ pub fn run_grid<S: Sweep>(
 }
 
 /// Runs a sweep shard on a [`LocalRunner`] with `threads` workers.
-pub fn run_sweep<S: Sweep>(
-    sweep: &S,
+pub fn run_sweep<C: Cell>(
+    sweep: &Grid<C>,
     shard: Option<ShardId>,
     threads: usize,
-) -> Result<GridReport<S::Cell>, SpecError> {
+) -> Result<GridReport<C>, SpecError> {
     run_sweep_tiered(sweep, shard, &LocalRunner::new(threads), true)
 }
 
@@ -292,12 +292,12 @@ pub fn run_sweep<S: Sweep>(
 /// Replication-invariant single-task points — `λ = 0` corners of a
 /// fault-rate axis, deterministic-schedule cells — are answered
 /// analytically and marked `served: analytic` in their point reports.
-pub fn run_sweep_tiered<S: Sweep>(
-    sweep: &S,
+pub fn run_sweep_tiered<C: Cell>(
+    sweep: &Grid<C>,
     shard: Option<ShardId>,
     runner: &dyn Runner,
     analytic: bool,
-) -> Result<GridReport<S::Cell>, SpecError> {
+) -> Result<GridReport<C>, SpecError> {
     run_grid(sweep, shard, |cell| {
         run_point_tiered(runner, cell, analytic)
     })
@@ -472,7 +472,10 @@ fn load_sweep_docs<C: Cell>(dir: &Path) -> Result<SweepDocs<C>, SpecError> {
         }
     }
 
-    let expected = first.sweep.expand()?;
+    let expected = first
+        .sweep
+        .expand()
+        .map_err(|e| SpecError::invalid(format!("{}: {e}", first_path.display())))?;
     if expected.len() != total {
         return Err(SpecError::invalid(format!(
             "{}: declares {total} total points but its embedded sweep \
@@ -553,7 +556,7 @@ pub fn coverage_dir<C: Cell>(dir: &Path) -> Result<SweepCoverage, SpecError> {
         shard_count,
         ..
     } = load_sweep_docs::<C>(dir)?;
-    let sweep_name = docs[0].1.sweep.name().to_owned();
+    let sweep_name = docs[0].1.sweep.base.name().to_owned();
 
     let mut hits: std::collections::BTreeMap<usize, usize> = Default::default();
     let docs: Vec<DocCoverage> = docs

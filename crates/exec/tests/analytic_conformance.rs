@@ -6,7 +6,7 @@
 //! cell falls back to MC bit-identically. These tests pin the promise.
 
 use eacp_exec::{run_sweep_tiered, run_tiered, serve_closed_form, Job, LocalRunner};
-use eacp_spec::{ExperimentSpec, FaultSpec, McSpec, ServeTier, SweepAxis, SweepSpec, ToJson};
+use eacp_spec::{Axis, ExperimentSpec, FaultSpec, Knob, McSpec, ServeTier, SweepSpec, ToJson};
 
 fn spec_with(faults: FaultSpec, reps: u64) -> ExperimentSpec {
     let mut spec = ExperimentSpec::paper_nominal();
@@ -96,7 +96,7 @@ fn sweep_marks_only_invariant_points_analytic() {
     };
     let sweep = SweepSpec {
         base,
-        axes: vec![SweepAxis::Lambda(vec![0.0, 1.4e-3])],
+        axes: vec![Axis::new(Knob::Lambda, vec![0.0, 1.4e-3])],
     };
     let grid = run_sweep_tiered(&sweep, None, &LocalRunner::new(1), true).unwrap();
     let tiers: Vec<ServeTier> = grid.points.iter().map(|p| p.report.served).collect();

@@ -16,7 +16,7 @@ use eacp_exec::remote::{read_frame, write_frame};
 use eacp_exec::{
     Job, LocalRunner, QueueObserver, QueueRunner, QueueStatus, RemoteServer, RemoteWorker, Runner,
 };
-use eacp_spec::{ExperimentSpec, McSpec, QueueSpec, SweepAxis, SweepSpec};
+use eacp_spec::{Axis, ExperimentSpec, Knob, McSpec, QueueSpec, SweepSpec};
 use std::io::{BufReader, Read};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -176,8 +176,8 @@ fn remote_sweep_matches_sequential_sweep() {
     let sweep = SweepSpec {
         base,
         axes: vec![
-            SweepAxis::Lambda(vec![1.0e-4, 1.4e-3]),
-            SweepAxis::K(vec![1, 5]),
+            Axis::new(Knob::Lambda, vec![1.0e-4, 1.4e-3]),
+            Axis::new(Knob::K, vec![1, 5]),
         ],
     };
     let sequential = eacp_exec::run_sweep(&sweep, None, 1).unwrap();

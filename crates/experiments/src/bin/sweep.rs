@@ -11,7 +11,7 @@
 //! Optional: `--reps N` (default 2000), `--seed S`.
 //!
 //! Every built-in kind is expressed as `eacp-spec` documents: a base
-//! [`ExperimentSpec`] plus [`SweepAxis`] grids where the shape is a
+//! [`ExperimentSpec`] plus [`Axis`] grids where the shape is a
 //! cartesian product, or explicit spec lists where it is not. `--emit-spec`
 //! prints the expanded documents instead of running them. A user-provided
 //! [`SweepSpec`] grid runs through `eacp sweep --spec sweep.json` (and
@@ -20,15 +20,22 @@
 #![forbid(unsafe_code)]
 
 use eacp_spec::{
-    CostsSpec, ExperimentSpec, FaultSpec, McSpec, OptimizerSpec, PolicySpec, SweepAxis, SweepSpec,
+    Axis, CostsSpec, ExperimentSpec, GridCell, Knob, McSpec, OptimizerSpec, PolicySpec, SweepSpec,
     ToJson,
 };
+
+/// [`nominal_base`] at the nominal λ under the scheme `tag`, named after it.
+fn scheme_base(tag: &str, reps: u64, seed: u64) -> ExperimentSpec {
+    let mut base = nominal_base(tag, 1.4e-3, reps, seed);
+    base.policy = PolicySpec::from_tag(tag, 1.4e-3, 5, 0).expect("known tag");
+    base
+}
 
 fn nominal_base(name: &str, lambda: f64, reps: u64, seed: u64) -> ExperimentSpec {
     let mut spec = ExperimentSpec::paper_nominal();
     spec.name = name.to_owned();
-    spec.faults = FaultSpec::Poisson { lambda };
-    spec.policy = spec.policy.with_lambda(lambda);
+    spec.set(Knob::Lambda(lambda))
+        .expect("the nominal faults are Poisson");
     spec.mc = McSpec {
         replications: reps,
         seed,
@@ -62,16 +69,12 @@ fn sweep_store_compare_ratio(reps: u64, seed: u64, emit: bool) {
         })
         .collect();
     let grid = |tag: &str| SweepSpec {
-        base: {
-            let mut b = nominal_base(tag, 1.4e-3, reps, seed);
-            b.policy = PolicySpec::from_tag(tag, 1.4e-3, 5, 0).expect("known tag");
-            b
-        },
+        base: scheme_base(tag, reps, seed),
         axes: vec![
-            SweepAxis::Costs(costs.clone()),
+            Axis::new(Knob::Costs, costs.clone()),
             // Pin every point to the same seed: both schemes must face
             // identical fault streams for the crossover to be meaningful.
-            SweepAxis::Seed(vec![seed]),
+            Axis::new(Knob::Seed, vec![seed]),
         ],
     };
     let ads_grid = grid("a_d_s").expand().expect("compatible axes");
@@ -111,14 +114,10 @@ fn sweep_lambda(reps: u64, seed: u64, emit: bool) {
         .iter()
         .map(|tag| {
             SweepSpec {
-                base: {
-                    let mut b = nominal_base(tag, 1.4e-3, reps, seed);
-                    b.policy = PolicySpec::from_tag(tag, 1.4e-3, 5, 0).expect("known tag");
-                    b
-                },
+                base: scheme_base(tag, reps, seed),
                 axes: vec![
-                    SweepAxis::Lambda(lambdas.clone()),
-                    SweepAxis::Seed(vec![seed]),
+                    Axis::new(Knob::Lambda, lambdas.clone()),
+                    Axis::new(Knob::Seed, vec![seed]),
                 ],
             }
             .expand()
@@ -199,11 +198,8 @@ fn sweep_no_dvs(reps: u64, seed: u64, emit: bool) {
                 reps,
                 seed,
             );
-            spec.scenario.work = eacp_spec::WorkSpec::Utilization {
-                utilization: util,
-                speed: 1.0,
-                deadline: 10_000.0,
-            };
+            spec.set(Knob::Utilization(util))
+                .expect("the nominal work is utilization-based");
             spec.policy = PolicySpec::from_tag(tag, lambda, 5, 0).expect("known tag");
             specs.push((util, lambda, spec));
         }

@@ -31,7 +31,7 @@ pub enum SpecError {
         /// The unrecognized tag.
         kind: String,
         /// Accepted tags, for the error message.
-        expected: &'static str,
+        expected: String,
     },
     /// A value is structurally valid JSON but semantically invalid
     /// (negative rate, empty DVS table, zero replications, ...).
@@ -59,12 +59,12 @@ impl SpecError {
     pub(crate) fn unknown_kind(
         what: &'static str,
         kind: impl Into<String>,
-        expected: &'static str,
+        expected: impl Into<String>,
     ) -> Self {
         SpecError::UnknownKind {
             what,
             kind: kind.into(),
-            expected,
+            expected: expected.into(),
         }
     }
 

@@ -201,6 +201,19 @@ impl PolicyAssignment {
         }
     }
 
+    /// Replaces every policy in the assignment, shared or per-task, with
+    /// `f` of itself.
+    pub fn update_all(&mut self, f: impl Fn(&PolicySpec) -> PolicySpec) {
+        match self {
+            PolicyAssignment::Shared(p) => *p = f(p),
+            PolicyAssignment::PerTask(ps) => {
+                for p in ps.iter_mut() {
+                    *p = f(p);
+                }
+            }
+        }
+    }
+
     /// The per-task `Policy::name()` list (one entry per task).
     pub fn policy_names(&self, task_count: usize) -> Vec<String> {
         (0..task_count)

@@ -14,7 +14,10 @@
 //!   `build() -> Box<dyn Policy>` factory;
 //! * [`McSpec`] / [`ExecSpec`] — replications, seeding, threads, and
 //!   executor semantics;
-//! * [`SweepSpec`] — grids over utilization, λ, k, costs and seeds;
+//! * [`Grid`] — grids over utilization, λ, k, costs, hyperperiods and
+//!   seeds, for either cell kind ([`SweepSpec`], [`ExecutiveSweepSpec`]);
+//!   each parameter is one [`Knob`] that the kind's [`GridCell::set`]
+//!   hook writes, for grid axes and CLI flags alike;
 //! * [`TaskSetSpec`] / [`ExecutiveSpec`] — periodic task sets and the
 //!   EDF-executive workload around them ([`executive`] module), with the
 //!   serializable [`ExecutiveRunReport`] result schema;
@@ -88,4 +91,4 @@ pub use presets::{
     PaperScheme, PaperTable, PAPER_DEADLINE, PAPER_TABLES,
 };
 pub use report::{RunReport, ServeTier, StatsReport, SummaryReport};
-pub use sweep::{ExecutiveSweepAxis, ExecutiveSweepSpec, SweepAxis, SweepSpec};
+pub use sweep::{Axis, ExecutiveSweepSpec, Grid, GridCell, Knob, KnobKind, SweepSpec};

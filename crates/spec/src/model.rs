@@ -144,9 +144,10 @@ impl FromJson for WorkSpec {
 }
 
 /// Checkpoint operation costs.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum CostsSpec {
     /// The paper's SCP experiment costs (`ts = 2, tcp = 20, tr = 0`).
+    #[default]
     PaperScp,
     /// The paper's CCP experiment costs (`ts = 20, tcp = 2, tr = 0`).
     PaperCcp,

@@ -1,125 +1,169 @@
-//! Sweep grids: a base experiment plus axes of variation, expanding into
-//! the cartesian product of concrete [`ExperimentSpec`]s.
+//! Sweep grids: a base cell plus axes of variation, expanding into the
+//! cartesian product of concrete cells — for both workload kinds.
 //!
-//! `spec + seed = identical results` extends to sweeps: the expansion order
+//! A grid is written once, as [`Grid<C>`], over any cell kind that
+//! implements the per-kind hook [`GridCell`]: [`SweepSpec`] grids vary a
+//! single-task [`ExperimentSpec`], [`ExecutiveSweepSpec`] grids an EDF
+//! [`ExecutiveSpec`]. Every cell parameter is one [`Knob`] value; an
+//! [`Axis`] is one knob kind and its list of values. [`GridCell::set`]
+//! writes one knob into a cell, and it is the only place a parameter is
+//! set: grid expansion calls it for every axis value, and the CLI calls it
+//! for every parameter flag (`--util`, `--lambda`, ...), so an axis and
+//! the matching flag always mean the same thing.
+//!
+//! `spec + seed = identical results` extends to grids: the expansion order
 //! is deterministic (axes in declaration order, values in listed order) and
 //! each point derives a distinct seed from the base seed and its grid
-//! index, so a sweep can be sharded across machines by index range and
+//! index, so a grid can be sharded across machines by index range and
 //! re-assembled without collisions.
 
 use crate::error::SpecError;
-use crate::executive::{ExecutiveSpec, PolicyAssignment};
+use crate::executive::ExecutiveSpec;
 use crate::json::{FromJson, Json, ToJson};
-use crate::model::{CostsSpec, ExperimentSpec, FaultSpec, PolicySpec, WorkSpec};
+use crate::model::{CostsSpec, ExperimentSpec, FaultSpec, WorkSpec};
 
-/// One axis of variation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SweepAxis {
-    /// Task utilization (requires the base work spec to be
-    /// [`WorkSpec::Utilization`]).
-    Utilization(Vec<f64>),
-    /// Fault arrival rate; updates the fault process *and* the policy's
-    /// assumed rate, mirroring the paper where the two coincide.
-    Lambda(Vec<f64>),
+/// Which cell parameter a [`Knob`] sets; an axis varies one kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KnobKind {
+    /// Task utilization.
+    Utilization,
+    /// Relative deadline.
+    Deadline,
+    /// Checkpoint cost model.
+    Costs,
+    /// Fault arrival rate.
+    Lambda,
     /// Fault-tolerance target `k`.
-    K(Vec<u32>),
-    /// Checkpoint cost models.
-    Costs(Vec<CostsSpec>),
-    /// Replication base seeds (for variance studies).
-    Seed(Vec<u64>),
+    K,
+    /// Fixed speed.
+    Speed,
+    /// Hyperperiods per horizon.
+    Hyperperiods,
+    /// Base seed.
+    Seed,
 }
 
-impl SweepAxis {
-    fn len(&self) -> usize {
+impl KnobKind {
+    /// The key naming this kind in grid documents and errors.
+    pub fn key(self) -> &'static str {
         match self {
-            SweepAxis::Utilization(v) => v.len(),
-            SweepAxis::Lambda(v) => v.len(),
-            SweepAxis::K(v) => v.len(),
-            SweepAxis::Costs(v) => v.len(),
-            SweepAxis::Seed(v) => v.len(),
-        }
-    }
-
-    fn label(&self, idx: usize) -> String {
-        match self {
-            SweepAxis::Utilization(v) => format!("u{}", v[idx]),
-            SweepAxis::Lambda(v) => format!("l{}", v[idx]),
-            SweepAxis::K(v) => format!("k{}", v[idx]),
-            SweepAxis::Costs(v) => match v[idx] {
-                CostsSpec::PaperScp => "scp".to_owned(),
-                CostsSpec::PaperCcp => "ccp".to_owned(),
-                CostsSpec::Explicit { store, compare, .. } => format!("ts{store}-tcp{compare}"),
-            },
-            SweepAxis::Seed(v) => format!("s{}", v[idx]),
-        }
-    }
-
-    fn apply(&self, idx: usize, spec: &mut ExperimentSpec) -> Result<(), SpecError> {
-        match self {
-            SweepAxis::Utilization(v) => match &mut spec.scenario.work {
-                WorkSpec::Utilization { utilization, .. } => {
-                    *utilization = v[idx];
-                    Ok(())
-                }
-                WorkSpec::Cycles { .. } => Err(SpecError::invalid(
-                    "utilization axis requires the base work spec to be utilization-based",
-                )),
-            },
-            SweepAxis::Lambda(v) => {
-                let lambda = v[idx];
-                match &mut spec.faults {
-                    FaultSpec::Poisson { lambda: l } => *l = lambda,
-                    _ => {
-                        return Err(SpecError::invalid(
-                            "lambda axis requires a Poisson base fault process",
-                        ))
-                    }
-                }
-                spec.policy = spec.policy.with_lambda(lambda);
-                Ok(())
-            }
-            SweepAxis::K(v) => {
-                spec.policy = spec.policy.with_k(v[idx]);
-                Ok(())
-            }
-            SweepAxis::Costs(v) => {
-                spec.scenario.costs = v[idx];
-                Ok(())
-            }
-            SweepAxis::Seed(v) => {
-                spec.mc.seed = v[idx];
-                Ok(())
-            }
+            KnobKind::Utilization => "utilization",
+            KnobKind::Deadline => "deadline",
+            KnobKind::Costs => "costs",
+            KnobKind::Lambda => "lambda",
+            KnobKind::K => "k",
+            KnobKind::Speed => "speed",
+            KnobKind::Hyperperiods => "hyperperiods",
+            KnobKind::Seed => "seed",
         }
     }
 }
 
-impl ToJson for SweepAxis {
-    fn to_json(&self) -> Json {
+/// One cell parameter value. What setting it means for each cell kind is
+/// that kind's [`GridCell::set`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Knob {
+    /// Task utilization (experiments) or target task-set utilization
+    /// (executives, which rescale every WCET uniformly to hit it).
+    Utilization(f64),
+    /// Relative deadline of a single-task experiment.
+    Deadline(f64),
+    /// Checkpoint cost model.
+    Costs(CostsSpec),
+    /// Fault arrival rate; updates the Poisson fault process *and* every
+    /// policy's assumed rate, mirroring the paper where the two coincide.
+    Lambda(f64),
+    /// Fault-tolerance target `k` of every policy (and of an executive's
+    /// feasibility analysis).
+    K(u32),
+    /// Fixed speed of an executive workload.
+    Speed(f64),
+    /// Hyperperiods per executive horizon.
+    Hyperperiods(u32),
+    /// Base seed (for variance studies).
+    Seed(u64),
+}
+
+impl Knob {
+    /// The parameter this value sets.
+    pub fn kind(&self) -> KnobKind {
         match self {
-            SweepAxis::Utilization(v) => Json::obj([(
-                "utilization",
-                Json::Array(v.iter().map(|&x| x.into()).collect()),
-            )]),
-            SweepAxis::Lambda(v) => {
-                Json::obj([("lambda", Json::Array(v.iter().map(|&x| x.into()).collect()))])
-            }
-            SweepAxis::K(v) => {
-                Json::obj([("k", Json::Array(v.iter().map(|&x| x.into()).collect()))])
-            }
-            SweepAxis::Costs(v) => Json::obj([(
-                "costs",
-                Json::Array(v.iter().map(ToJson::to_json).collect()),
-            )]),
-            SweepAxis::Seed(v) => {
-                Json::obj([("seed", Json::Array(v.iter().map(|&x| x.into()).collect()))])
-            }
+            Knob::Utilization(_) => KnobKind::Utilization,
+            Knob::Deadline(_) => KnobKind::Deadline,
+            Knob::Costs(_) => KnobKind::Costs,
+            Knob::Lambda(_) => KnobKind::Lambda,
+            Knob::K(_) => KnobKind::K,
+            Knob::Speed(_) => KnobKind::Speed,
+            Knob::Hyperperiods(_) => KnobKind::Hyperperiods,
+            Knob::Seed(_) => KnobKind::Seed,
         }
+    }
+
+    /// The grid-point name suffix for this value: `u0.76`, `l0.0014`,
+    /// `k5`, `scp`/`ccp`/`ts5-tcp17`, `h2`, `s1` (`d…` and `f…` for the
+    /// kinds no grid varies).
+    pub fn label(&self) -> String {
+        match *self {
+            Knob::Utilization(u) => format!("u{u}"),
+            Knob::Deadline(d) => format!("d{d}"),
+            Knob::Costs(CostsSpec::PaperScp) => "scp".to_owned(),
+            Knob::Costs(CostsSpec::PaperCcp) => "ccp".to_owned(),
+            Knob::Costs(CostsSpec::Explicit { store, compare, .. }) => {
+                format!("ts{store}-tcp{compare}")
+            }
+            Knob::Lambda(l) => format!("l{l}"),
+            Knob::K(k) => format!("k{k}"),
+            Knob::Speed(f) => format!("f{f}"),
+            Knob::Hyperperiods(h) => format!("h{h}"),
+            Knob::Seed(s) => format!("s{s}"),
+        }
+    }
+
+    fn value_json(&self) -> Json {
+        match *self {
+            Knob::Utilization(x) | Knob::Deadline(x) | Knob::Lambda(x) | Knob::Speed(x) => x.into(),
+            Knob::Costs(c) => c.to_json(),
+            Knob::K(x) | Knob::Hyperperiods(x) => x.into(),
+            Knob::Seed(x) => x.into(),
+        }
+    }
+
+    fn parse(kind: KnobKind, value: &Json) -> Result<Self, SpecError> {
+        Ok(match kind {
+            KnobKind::Utilization => Knob::Utilization(value.as_f64()?),
+            KnobKind::Deadline => Knob::Deadline(value.as_f64()?),
+            KnobKind::Costs => Knob::Costs(CostsSpec::from_json(value)?),
+            KnobKind::Lambda => Knob::Lambda(value.as_f64()?),
+            KnobKind::K => Knob::K(value.as_u32()?),
+            KnobKind::Speed => Knob::Speed(value.as_f64()?),
+            KnobKind::Hyperperiods => Knob::Hyperperiods(value.as_u32()?),
+            KnobKind::Seed => Knob::Seed(value.as_u64()?),
+        })
     }
 }
 
-impl FromJson for SweepAxis {
-    fn from_json(json: &Json) -> Result<Self, SpecError> {
+/// One axis of variation: one knob kind and its values, in order.
+///
+/// JSON shape: a single-key object, e.g. `{"lambda": [1e-4, 2e-4]}`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Axis {
+    kind: KnobKind,
+    values: Vec<Knob>,
+}
+
+impl Axis {
+    /// The axis setting `knob` to each of `values`, e.g.
+    /// `Axis::new(Knob::Lambda, [1e-4, 2e-4])`. The kind is read off
+    /// `knob` itself, so an empty axis still knows what it varies.
+    pub fn new<T: Default>(knob: fn(T) -> Knob, values: impl IntoIterator<Item = T>) -> Self {
+        Self {
+            kind: knob(T::default()).kind(),
+            values: values.into_iter().map(knob).collect(),
+        }
+    }
+
+    /// Reads an axis whose key must be one of `accepted`.
+    fn parse(json: &Json, accepted: &[KnobKind]) -> Result<Self, SpecError> {
         let fields = match json {
             Json::Object(fields) if fields.len() == 1 => fields,
             _ => {
@@ -129,83 +173,260 @@ impl FromJson for SweepAxis {
             }
         };
         let (key, value) = &fields[0];
-        let axis = match key.as_str() {
-            "utilization" => SweepAxis::Utilization(
-                value
-                    .as_array()?
-                    .iter()
-                    .map(Json::as_f64)
-                    .collect::<Result<_, _>>()?,
-            ),
-            "lambda" => SweepAxis::Lambda(
-                value
-                    .as_array()?
-                    .iter()
-                    .map(Json::as_f64)
-                    .collect::<Result<_, _>>()?,
-            ),
-            "k" => SweepAxis::K(
-                value
-                    .as_array()?
-                    .iter()
-                    .map(Json::as_u32)
-                    .collect::<Result<_, _>>()?,
-            ),
-            "costs" => SweepAxis::Costs(
-                value
-                    .as_array()?
-                    .iter()
-                    .map(CostsSpec::from_json)
-                    .collect::<Result<_, _>>()?,
-            ),
-            "seed" => SweepAxis::Seed(
-                value
-                    .as_array()?
-                    .iter()
-                    .map(Json::as_u64)
-                    .collect::<Result<_, _>>()?,
-            ),
-            other => {
-                return Err(SpecError::unknown_kind(
-                    "sweep axis",
-                    other,
-                    "utilization, lambda, k, costs, seed",
-                ))
-            }
+        let Some(&kind) = accepted.iter().find(|k| k.key() == key) else {
+            let keys: Vec<&str> = accepted.iter().map(|k| k.key()).collect();
+            return Err(SpecError::unknown_kind(
+                "sweep axis",
+                key.as_str(),
+                keys.join(", "),
+            ));
         };
-        if axis.len() == 0 {
+        let values = value
+            .as_array()?
+            .iter()
+            .map(|v| Knob::parse(kind, v))
+            .collect::<Result<Vec<_>, _>>()?;
+        if values.is_empty() {
             return Err(SpecError::invalid(format!("sweep axis {key:?} is empty")));
         }
-        Ok(axis)
+        Ok(Self { kind, values })
     }
 }
 
-/// A base experiment and the axes to vary it over.
+impl ToJson for Axis {
+    fn to_json(&self) -> Json {
+        Json::obj([(
+            self.kind.key(),
+            Json::Array(self.values.iter().map(Knob::value_json).collect()),
+        )])
+    }
+}
+
+/// The per-kind hook: what a grid needs to know about its cells.
+pub trait GridCell: Clone + PartialEq + std::fmt::Debug + ToJson + FromJson {
+    /// What a grid document of this kind is called in errors (`"sweep"`,
+    /// `"executive sweep"`).
+    const KIND: &'static str;
+
+    /// The knob kinds this kind's grid documents accept as axes, in the
+    /// order an unknown-key error lists them.
+    const AXES: &'static [KnobKind];
+
+    /// The cell's name.
+    fn name(&self) -> &str;
+
+    /// Renames the cell (grid points are named after the base and their
+    /// axis labels).
+    fn rename(&mut self, name: String);
+
+    /// The seed expansion derives each point's seed from.
+    fn seed(&self) -> u64;
+
+    /// Sets one parameter.
+    ///
+    /// # Errors
+    ///
+    /// A knob this kind has no parameter for, or one the cell cannot take
+    /// (a λ on a non-Poisson fault process, ...).
+    fn set(&mut self, knob: Knob) -> Result<(), SpecError>;
+
+    /// Checks one expanded grid point. Executive points are validated
+    /// here, so a bad grid is rejected before any horizon runs; experiment
+    /// points are validated when they run.
+    ///
+    /// # Errors
+    ///
+    /// An invalid point.
+    fn check_point(&self) -> Result<(), SpecError> {
+        Ok(())
+    }
+}
+
+/// Sets the rate of a Poisson fault process: the only process with one.
+fn set_poisson_rate(faults: &mut FaultSpec, lambda: f64) -> Result<(), SpecError> {
+    match faults {
+        FaultSpec::Poisson { lambda: l } => {
+            *l = lambda;
+            Ok(())
+        }
+        other => Err(SpecError::invalid(format!(
+            "lambda needs a Poisson fault process, not a {} one",
+            other
+                .to_json()
+                .req("kind")
+                .map_or("?", |k| k.as_str().unwrap_or("?"))
+        ))),
+    }
+}
+
+/// The error for a knob a cell kind has no parameter for.
+fn no_such_parameter(knob: Knob, cell: &str) -> SpecError {
+    SpecError::invalid(format!(
+        "{} is not a parameter of {cell}",
+        knob.kind().key()
+    ))
+}
+
+impl GridCell for ExperimentSpec {
+    const KIND: &'static str = "sweep";
+    const AXES: &'static [KnobKind] = &[
+        KnobKind::Utilization,
+        KnobKind::Lambda,
+        KnobKind::K,
+        KnobKind::Costs,
+        KnobKind::Seed,
+    ];
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn rename(&mut self, name: String) {
+        self.name = name;
+    }
+
+    fn seed(&self) -> u64 {
+        self.mc.seed
+    }
+
+    fn set(&mut self, knob: Knob) -> Result<(), SpecError> {
+        match knob {
+            Knob::Utilization(u) => match &mut self.scenario.work {
+                WorkSpec::Utilization { utilization, .. } => *utilization = u,
+                WorkSpec::Cycles { .. } => {
+                    return Err(SpecError::invalid(
+                        "utilization needs utilization-based work, not cycle-based work",
+                    ))
+                }
+            },
+            Knob::Deadline(d) => match &mut self.scenario.work {
+                WorkSpec::Utilization { deadline, .. } | WorkSpec::Cycles { deadline, .. } => {
+                    *deadline = d
+                }
+            },
+            Knob::Costs(costs) => self.scenario.costs = costs,
+            Knob::Lambda(lambda) => {
+                set_poisson_rate(&mut self.faults, lambda)?;
+                self.policy = self.policy.with_lambda(lambda);
+            }
+            Knob::K(k) => self.policy = self.policy.with_k(k),
+            Knob::Seed(seed) => self.mc.seed = seed,
+            Knob::Speed(_) | Knob::Hyperperiods(_) => {
+                return Err(no_such_parameter(knob, "a single-task experiment"))
+            }
+        }
+        Ok(())
+    }
+}
+
+impl GridCell for ExecutiveSpec {
+    const KIND: &'static str = "executive sweep";
+    const AXES: &'static [KnobKind] = &[
+        KnobKind::Hyperperiods,
+        KnobKind::Utilization,
+        KnobKind::Lambda,
+        KnobKind::K,
+        KnobKind::Seed,
+    ];
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn rename(&mut self, name: String) {
+        self.name = name;
+    }
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn set(&mut self, knob: Knob) -> Result<(), SpecError> {
+        match knob {
+            Knob::Utilization(target) => {
+                if !(target > 0.0 && target.is_finite()) {
+                    return Err(SpecError::invalid(format!(
+                        "utilization must be positive and finite, got {target}"
+                    )));
+                }
+                let tasks = &mut self.tasks.tasks;
+                let current: f64 = tasks.iter().map(|t| t.wcet / t.period as f64).sum();
+                if !(current > 0.0 && current.is_finite()) {
+                    return Err(SpecError::invalid(
+                        "utilization needs a non-empty task set with positive wcets and periods",
+                    ));
+                }
+                let scale = target / current;
+                for task in tasks {
+                    task.wcet *= scale;
+                }
+            }
+            Knob::Costs(costs) => self.costs = costs,
+            Knob::Lambda(lambda) => {
+                set_poisson_rate(&mut self.faults, lambda)?;
+                self.policy.update_all(|p| p.with_lambda(lambda));
+            }
+            Knob::K(k) => {
+                self.k = k;
+                self.policy.update_all(|p| p.with_k(k));
+            }
+            Knob::Speed(speed) => self.speed = speed,
+            Knob::Hyperperiods(h) => self.hyperperiods = h,
+            Knob::Seed(seed) => self.seed = seed,
+            Knob::Deadline(_) => {
+                return Err(no_such_parameter(
+                    knob,
+                    "an executive workload (each task has its own)",
+                ))
+            }
+        }
+        Ok(())
+    }
+
+    fn check_point(&self) -> Result<(), SpecError> {
+        self.validate()
+    }
+}
+
+/// A base cell and the axes to vary it over.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SweepSpec {
-    /// The experiment every grid point starts from.
-    pub base: ExperimentSpec,
+pub struct Grid<C> {
+    /// The cell every grid point starts from.
+    pub base: C,
     /// Axes, outermost first.
-    pub axes: Vec<SweepAxis>,
+    pub axes: Vec<Axis>,
 }
 
-impl SweepSpec {
+/// A grid of single-task experiments (`eacp sweep`).
+pub type SweepSpec = Grid<ExperimentSpec>;
+
+/// A grid of executive workloads (`eacp executive --sweep`).
+pub type ExecutiveSweepSpec = Grid<ExecutiveSpec>;
+
+impl<C: GridCell> Grid<C> {
     /// Number of grid points.
-    pub fn len(&self) -> usize {
-        self.axes.iter().map(SweepAxis::len).product()
+    ///
+    /// # Errors
+    ///
+    /// The axis lengths multiply out past `usize::MAX`.
+    pub fn len(&self) -> Result<usize, SpecError> {
+        self.axes
+            .iter()
+            .try_fold(1usize, |n, axis| n.checked_mul(axis.values.len()))
+            .ok_or_else(|| SpecError::invalid("the grid has more points than a usize counts"))
     }
 
-    /// Whether the grid is empty (never true for a valid spec — axes must
-    /// be non-empty — but kept for clippy's `len_without_is_empty`).
+    /// Whether the grid has no points: some axis has no values (never
+    /// true for a parsed document).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.axes.iter().any(|axis| axis.values.is_empty())
     }
 
     /// Validates the grid's shape: every axis must have at least one value
     /// (an empty axis would expand to a silent zero-point grid).
     pub fn validate_axes(&self) -> Result<(), SpecError> {
         for (i, axis) in self.axes.iter().enumerate() {
-            if axis.len() == 0 {
+            if axis.values.is_empty() {
                 return Err(SpecError::invalid(format!(
                     "sweep axis #{i} has no values: the grid would be empty"
                 )));
@@ -214,374 +435,56 @@ impl SweepSpec {
         Ok(())
     }
 
-    /// Expands the grid into concrete experiments, outermost axis slowest.
+    /// Expands the grid into concrete cells, outermost axis slowest. A
+    /// grid with no axes is its base, as one point.
     ///
     /// Each point gets a derived name (`base-u0.78-l0.0014`) and, unless a
-    /// [`SweepAxis::Seed`] axis overrides it, a per-point seed
-    /// `base.mc.seed + index`, so sweeps shard reproducibly. (Paper tables
-    /// offset per row instead — all four schemes of row `i` share
-    /// `seed + i` — which is why they are not sweep documents.)
+    /// seed axis overrides it, a per-point seed `base seed + index`, so
+    /// grids shard reproducibly. (Paper tables offset per row instead —
+    /// all four schemes of row `i` share `seed + i` — which is why they
+    /// are not grid documents.)
     ///
     /// # Errors
     ///
     /// Fails with a clear [`SpecError`] when an axis has zero values
-    /// (instead of silently returning an empty grid) or when an axis is
-    /// incompatible with the base spec.
-    pub fn expand(&self) -> Result<Vec<ExperimentSpec>, SpecError> {
+    /// (instead of silently returning an empty grid), when the grid has
+    /// more points than can be counted or allocated, when an axis is
+    /// incompatible with the base cell, or when a point fails
+    /// [`GridCell::check_point`].
+    pub fn expand(&self) -> Result<Vec<C>, SpecError> {
         self.validate_axes()?;
-        let total = self.len();
-        let has_seed_axis = self.axes.iter().any(|a| matches!(a, SweepAxis::Seed(_)));
-        let mut out = Vec::with_capacity(total);
+        let total = self.len()?;
+        let mut out = Vec::new();
+        out.try_reserve_exact(total).map_err(|e| {
+            SpecError::invalid(format!("a grid of {total} points cannot be allocated: {e}"))
+        })?;
+        let derive_seed = !self.axes.iter().any(|a| a.kind == KnobKind::Seed);
         for flat in 0..total {
-            let mut spec = self.base.clone();
-            let mut name = self.base.name.clone();
+            let mut cell = self.base.clone();
+            let mut name = self.base.name().to_owned();
             // Decompose the flat index, outermost axis slowest.
             let mut rem = flat;
             let mut stride = total;
             for axis in &self.axes {
-                stride /= axis.len();
-                let idx = rem / stride;
+                stride /= axis.values.len();
+                let knob = axis.values[rem / stride];
                 rem %= stride;
-                axis.apply(idx, &mut spec)?;
+                cell.set(knob)?;
                 name.push('-');
-                name.push_str(&axis.label(idx));
+                name.push_str(&knob.label());
             }
-            if !has_seed_axis {
-                spec.mc.seed = self.base.mc.seed.wrapping_add(flat as u64);
+            if derive_seed {
+                cell.set(Knob::Seed(self.base.seed().wrapping_add(flat as u64)))?;
             }
-            spec.name = name;
-            out.push(spec);
-        }
-        Ok(out)
-    }
-
-    /// Parses a sweep from JSON text.
-    pub fn from_json_str(text: &str) -> Result<Self, SpecError> {
-        Self::from_json(&Json::parse(text)?)
-    }
-
-    /// Serializes as pretty-printed JSON.
-    pub fn to_json_string(&self) -> String {
-        self.to_json().pretty()
-    }
-
-    /// Reads a sweep file.
-    pub fn load(path: &std::path::Path) -> Result<Self, SpecError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| SpecError::Io(format!("{}: {e}", path.display())))?;
-        Self::from_json_str(&text)
-    }
-}
-
-impl ToJson for SweepSpec {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("base", self.base.to_json()),
-            (
-                "axes",
-                Json::Array(self.axes.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
-    }
-}
-
-impl FromJson for SweepSpec {
-    fn from_json(json: &Json) -> Result<Self, SpecError> {
-        let axes = json
-            .req("axes")?
-            .as_array()?
-            .iter()
-            .map(SweepAxis::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        if axes.is_empty() {
-            return Err(SpecError::invalid("a sweep needs at least one axis"));
-        }
-        Ok(Self {
-            base: ExperimentSpec::from_json(json.req("base")?)?,
-            axes,
-        })
-    }
-}
-
-/// One axis of variation over an [`ExecutiveSpec`] task-set workload.
-///
-/// The executive analogue of [`SweepAxis`]: single-key-object JSON, the
-/// same outermost-slowest expansion order, the same per-point seed
-/// derivation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ExecutiveSweepAxis {
-    /// Number of hyperperiods per horizon.
-    Hyperperiods(Vec<u32>),
-    /// Target task-set utilization; rescales every task's WCET uniformly
-    /// so `sum(wcet_i / period_i)` hits the listed value.
-    Utilization(Vec<f64>),
-    /// Fault arrival rate; updates the fault process *and* every assigned
-    /// policy's assumed rate, mirroring the single-task lambda axis.
-    Lambda(Vec<f64>),
-    /// Fault-tolerance target `k` (feasibility input and every policy).
-    K(Vec<u32>),
-    /// Base seeds (for variance studies).
-    Seed(Vec<u64>),
-}
-
-/// Applies `f` to every policy in the assignment, shared or per-task.
-fn map_policies(assignment: &mut PolicyAssignment, f: impl Fn(&PolicySpec) -> PolicySpec) {
-    match assignment {
-        PolicyAssignment::Shared(p) => *p = f(p),
-        PolicyAssignment::PerTask(ps) => {
-            for p in ps.iter_mut() {
-                *p = f(p);
-            }
-        }
-    }
-}
-
-impl ExecutiveSweepAxis {
-    fn len(&self) -> usize {
-        match self {
-            ExecutiveSweepAxis::Hyperperiods(v) => v.len(),
-            ExecutiveSweepAxis::Utilization(v) => v.len(),
-            ExecutiveSweepAxis::Lambda(v) => v.len(),
-            ExecutiveSweepAxis::K(v) => v.len(),
-            ExecutiveSweepAxis::Seed(v) => v.len(),
-        }
-    }
-
-    fn label(&self, idx: usize) -> String {
-        match self {
-            ExecutiveSweepAxis::Hyperperiods(v) => format!("h{}", v[idx]),
-            ExecutiveSweepAxis::Utilization(v) => format!("u{}", v[idx]),
-            ExecutiveSweepAxis::Lambda(v) => format!("l{}", v[idx]),
-            ExecutiveSweepAxis::K(v) => format!("k{}", v[idx]),
-            ExecutiveSweepAxis::Seed(v) => format!("s{}", v[idx]),
-        }
-    }
-
-    fn apply(&self, idx: usize, spec: &mut ExecutiveSpec) -> Result<(), SpecError> {
-        match self {
-            ExecutiveSweepAxis::Hyperperiods(v) => {
-                spec.hyperperiods = v[idx];
-                Ok(())
-            }
-            ExecutiveSweepAxis::Utilization(v) => {
-                let target = v[idx];
-                if !(target > 0.0 && target.is_finite()) {
-                    return Err(SpecError::invalid(format!(
-                        "utilization axis values must be positive and finite, got {target}"
-                    )));
-                }
-                let current: f64 = spec
-                    .tasks
-                    .tasks
-                    .iter()
-                    .map(|t| t.wcet / t.period as f64)
-                    .sum();
-                if !(current > 0.0 && current.is_finite()) {
-                    return Err(SpecError::invalid(
-                        "utilization axis requires a non-empty task set with positive \
-                         wcets and periods",
-                    ));
-                }
-                let scale = target / current;
-                for task in &mut spec.tasks.tasks {
-                    task.wcet *= scale;
-                }
-                Ok(())
-            }
-            ExecutiveSweepAxis::Lambda(v) => {
-                let lambda = v[idx];
-                match &mut spec.faults {
-                    FaultSpec::Poisson { lambda: l } => *l = lambda,
-                    _ => {
-                        return Err(SpecError::invalid(
-                            "lambda axis requires a Poisson base fault process",
-                        ))
-                    }
-                }
-                map_policies(&mut spec.policy, |p| p.with_lambda(lambda));
-                Ok(())
-            }
-            ExecutiveSweepAxis::K(v) => {
-                spec.k = v[idx];
-                map_policies(&mut spec.policy, |p| p.with_k(v[idx]));
-                Ok(())
-            }
-            ExecutiveSweepAxis::Seed(v) => {
-                spec.seed = v[idx];
-                Ok(())
-            }
-        }
-    }
-}
-
-impl ToJson for ExecutiveSweepAxis {
-    fn to_json(&self) -> Json {
-        match self {
-            ExecutiveSweepAxis::Hyperperiods(v) => Json::obj([(
-                "hyperperiods",
-                Json::Array(v.iter().map(|&x| x.into()).collect()),
-            )]),
-            ExecutiveSweepAxis::Utilization(v) => Json::obj([(
-                "utilization",
-                Json::Array(v.iter().map(|&x| x.into()).collect()),
-            )]),
-            ExecutiveSweepAxis::Lambda(v) => {
-                Json::obj([("lambda", Json::Array(v.iter().map(|&x| x.into()).collect()))])
-            }
-            ExecutiveSweepAxis::K(v) => {
-                Json::obj([("k", Json::Array(v.iter().map(|&x| x.into()).collect()))])
-            }
-            ExecutiveSweepAxis::Seed(v) => {
-                Json::obj([("seed", Json::Array(v.iter().map(|&x| x.into()).collect()))])
-            }
-        }
-    }
-}
-
-impl FromJson for ExecutiveSweepAxis {
-    fn from_json(json: &Json) -> Result<Self, SpecError> {
-        let fields = match json {
-            Json::Object(fields) if fields.len() == 1 => fields,
-            _ => {
-                return Err(SpecError::invalid(
-                    "a sweep axis is a single-key object, e.g. {\"lambda\": [1e-4, 2e-4]}",
-                ))
-            }
-        };
-        let (key, value) = &fields[0];
-        let axis = match key.as_str() {
-            "hyperperiods" => ExecutiveSweepAxis::Hyperperiods(
-                value
-                    .as_array()?
-                    .iter()
-                    .map(Json::as_u32)
-                    .collect::<Result<_, _>>()?,
-            ),
-            "utilization" => ExecutiveSweepAxis::Utilization(
-                value
-                    .as_array()?
-                    .iter()
-                    .map(Json::as_f64)
-                    .collect::<Result<_, _>>()?,
-            ),
-            "lambda" => ExecutiveSweepAxis::Lambda(
-                value
-                    .as_array()?
-                    .iter()
-                    .map(Json::as_f64)
-                    .collect::<Result<_, _>>()?,
-            ),
-            "k" => ExecutiveSweepAxis::K(
-                value
-                    .as_array()?
-                    .iter()
-                    .map(Json::as_u32)
-                    .collect::<Result<_, _>>()?,
-            ),
-            "seed" => ExecutiveSweepAxis::Seed(
-                value
-                    .as_array()?
-                    .iter()
-                    .map(Json::as_u64)
-                    .collect::<Result<_, _>>()?,
-            ),
-            other => {
-                return Err(SpecError::unknown_kind(
-                    "executive sweep axis",
-                    other,
-                    "hyperperiods, utilization, lambda, k, seed",
-                ))
-            }
-        };
-        if axis.len() == 0 {
-            return Err(SpecError::invalid(format!("sweep axis {key:?} is empty")));
-        }
-        Ok(axis)
-    }
-}
-
-/// A base executive workload and the axes to vary it over — the task-set
-/// counterpart of [`SweepSpec`], expanding into concrete
-/// [`ExecutiveSpec`]s for `eacp executive --sweep`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExecutiveSweepSpec {
-    /// The workload every grid point starts from.
-    pub base: ExecutiveSpec,
-    /// Axes, outermost first.
-    pub axes: Vec<ExecutiveSweepAxis>,
-}
-
-impl ExecutiveSweepSpec {
-    /// Number of grid points.
-    pub fn len(&self) -> usize {
-        self.axes.iter().map(ExecutiveSweepAxis::len).product()
-    }
-
-    /// Whether the grid is empty (never true for a valid spec — axes must
-    /// be non-empty — but kept for clippy's `len_without_is_empty`).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Validates the grid's shape: every axis must have at least one value.
-    pub fn validate_axes(&self) -> Result<(), SpecError> {
-        for (i, axis) in self.axes.iter().enumerate() {
-            if axis.len() == 0 {
-                return Err(SpecError::invalid(format!(
-                    "sweep axis #{i} has no values: the grid would be empty"
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Expands the grid into concrete workloads, outermost axis slowest.
-    ///
-    /// Each point gets a derived name (`base-h5-l0.0014`) and, unless a
-    /// [`ExecutiveSweepAxis::Seed`] axis overrides it, a per-point seed
-    /// `base.seed + index` — the same derivation the single-task
-    /// [`SweepSpec::expand`] applies, so executive sweeps shard and
-    /// resume reproducibly.
-    ///
-    /// # Errors
-    ///
-    /// Fails with a clear [`SpecError`] when an axis has zero values or is
-    /// incompatible with the base spec, and validates every expanded
-    /// point so a bad grid is rejected before any horizon runs.
-    pub fn expand(&self) -> Result<Vec<ExecutiveSpec>, SpecError> {
-        self.validate_axes()?;
-        let total = self.len();
-        let has_seed_axis = self
-            .axes
-            .iter()
-            .any(|a| matches!(a, ExecutiveSweepAxis::Seed(_)));
-        let mut out = Vec::with_capacity(total);
-        for flat in 0..total {
-            let mut spec = self.base.clone();
-            let mut name = self.base.name.clone();
-            // Decompose the flat index, outermost axis slowest.
-            let mut rem = flat;
-            let mut stride = total;
-            for axis in &self.axes {
-                stride /= axis.len();
-                let idx = rem / stride;
-                rem %= stride;
-                axis.apply(idx, &mut spec)?;
-                name.push('-');
-                name.push_str(&axis.label(idx));
-            }
-            if !has_seed_axis {
-                spec.seed = self.base.seed.wrapping_add(flat as u64);
-            }
-            spec.name = name;
-            spec.validate()
+            cell.rename(name);
+            cell.check_point()
                 .map_err(|e| SpecError::invalid(format!("grid point {flat}: {e}")))?;
-            out.push(spec);
+            out.push(cell);
         }
         Ok(out)
     }
 
-    /// Parses a sweep from JSON text.
+    /// Parses a grid from JSON text.
     pub fn from_json_str(text: &str) -> Result<Self, SpecError> {
         Self::from_json(&Json::parse(text)?)
     }
@@ -591,7 +494,7 @@ impl ExecutiveSweepSpec {
         self.to_json().pretty()
     }
 
-    /// Reads a sweep file.
+    /// Reads a grid file.
     pub fn load(path: &std::path::Path) -> Result<Self, SpecError> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| SpecError::Io(format!("{}: {e}", path.display())))?;
@@ -599,7 +502,7 @@ impl ExecutiveSweepSpec {
     }
 }
 
-impl ToJson for ExecutiveSweepSpec {
+impl<C: GridCell> ToJson for Grid<C> {
     fn to_json(&self) -> Json {
         Json::obj([
             ("base", self.base.to_json()),
@@ -611,19 +514,19 @@ impl ToJson for ExecutiveSweepSpec {
     }
 }
 
-impl FromJson for ExecutiveSweepSpec {
+impl<C: GridCell> FromJson for Grid<C> {
     fn from_json(json: &Json) -> Result<Self, SpecError> {
         let axes = json
             .req("axes")?
             .as_array()?
             .iter()
-            .map(ExecutiveSweepAxis::from_json)
+            .map(|axis| Axis::parse(axis, C::AXES))
             .collect::<Result<Vec<_>, _>>()?;
         if axes.is_empty() {
             return Err(SpecError::invalid("a sweep needs at least one axis"));
         }
         Ok(Self {
-            base: ExecutiveSpec::from_json(json.req("base")?)?,
+            base: C::from_json(json.req("base")?)?,
             axes,
         })
     }
@@ -632,7 +535,7 @@ impl FromJson for ExecutiveSweepSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executive::TaskSetSpec;
+    use crate::executive::{PolicyAssignment, TaskSetSpec};
     use crate::model::PolicySpec;
 
     fn base() -> ExperimentSpec {
@@ -647,11 +550,11 @@ mod tests {
         let sweep = SweepSpec {
             base: base(),
             axes: vec![
-                SweepAxis::Utilization(vec![0.76, 0.78]),
-                SweepAxis::Lambda(vec![1.4e-3, 1.6e-3]),
+                Axis::new(Knob::Utilization, [0.76, 0.78]),
+                Axis::new(Knob::Lambda, [1.4e-3, 1.6e-3]),
             ],
         };
-        assert_eq!(sweep.len(), 4);
+        assert_eq!(sweep.len().unwrap(), 4);
         let specs = sweep.expand().unwrap();
         assert_eq!(specs.len(), 4);
         assert_eq!(specs[0].name, "grid-u0.76-l0.0014");
@@ -673,7 +576,7 @@ mod tests {
     fn lambda_axis_updates_policy_too() {
         let sweep = SweepSpec {
             base: base(),
-            axes: vec![SweepAxis::Lambda(vec![9e-4])],
+            axes: vec![Axis::new(Knob::Lambda, [9e-4])],
         };
         let specs = sweep.expand().unwrap();
         match specs[0].policy {
@@ -686,7 +589,7 @@ mod tests {
     fn seed_axis_takes_precedence_over_derived_seeds() {
         let sweep = SweepSpec {
             base: base(),
-            axes: vec![SweepAxis::Seed(vec![100, 200])],
+            axes: vec![Axis::new(Knob::Seed, [100, 200])],
         };
         let seeds: Vec<u64> = sweep.expand().unwrap().iter().map(|s| s.mc.seed).collect();
         assert_eq!(seeds, vec![100, 200]);
@@ -697,11 +600,11 @@ mod tests {
         let sweep = SweepSpec {
             base: base(),
             axes: vec![
-                SweepAxis::Utilization(vec![0.76]),
-                SweepAxis::Lambda(vec![]),
+                Axis::new(Knob::Utilization, [0.76]),
+                Axis::new(Knob::Lambda, []),
             ],
         };
-        assert_eq!(sweep.len(), 0);
+        assert_eq!(sweep.len().unwrap(), 0);
         let err = sweep.expand().unwrap_err();
         assert!(
             err.to_string().contains("axis #1"),
@@ -715,7 +618,7 @@ mod tests {
         b.faults = FaultSpec::Deterministic { times: vec![] };
         let sweep = SweepSpec {
             base: b,
-            axes: vec![SweepAxis::Lambda(vec![1e-3])],
+            axes: vec![Axis::new(Knob::Lambda, [1e-3])],
         };
         assert!(sweep.expand().is_err());
     }
@@ -725,9 +628,9 @@ mod tests {
         let sweep = SweepSpec {
             base: base(),
             axes: vec![
-                SweepAxis::Utilization(vec![0.76, 0.8]),
-                SweepAxis::K(vec![1, 5]),
-                SweepAxis::Costs(vec![CostsSpec::PaperScp, CostsSpec::PaperCcp]),
+                Axis::new(Knob::Utilization, [0.76, 0.8]),
+                Axis::new(Knob::K, [1, 5]),
+                Axis::new(Knob::Costs, [CostsSpec::PaperScp, CostsSpec::PaperCcp]),
             ],
         };
         let back = SweepSpec::from_json_str(&sweep.to_json_string()).unwrap();
@@ -750,11 +653,11 @@ mod tests {
         let sweep = ExecutiveSweepSpec {
             base: executive_base(),
             axes: vec![
-                ExecutiveSweepAxis::Hyperperiods(vec![2, 4]),
-                ExecutiveSweepAxis::Lambda(vec![1.4e-3, 1.6e-3]),
+                Axis::new(Knob::Hyperperiods, [2, 4]),
+                Axis::new(Knob::Lambda, [1.4e-3, 1.6e-3]),
             ],
         };
-        assert_eq!(sweep.len(), 4);
+        assert_eq!(sweep.len().unwrap(), 4);
         let specs = sweep.expand().unwrap();
         assert_eq!(specs.len(), 4);
         assert_eq!(specs[0].name, "exec-grid-h2-l0.0014");
@@ -779,7 +682,7 @@ mod tests {
         ]);
         let sweep = ExecutiveSweepSpec {
             base,
-            axes: vec![ExecutiveSweepAxis::Lambda(vec![9e-4])],
+            axes: vec![Axis::new(Knob::Lambda, [9e-4])],
         };
         let specs = sweep.expand().unwrap();
         match &specs[0].policy {
@@ -801,7 +704,7 @@ mod tests {
     fn executive_utilization_axis_rescales_wcets_to_the_target() {
         let sweep = ExecutiveSweepSpec {
             base: executive_base(),
-            axes: vec![ExecutiveSweepAxis::Utilization(vec![0.5, 0.9])],
+            axes: vec![Axis::new(Knob::Utilization, [0.5, 0.9])],
         };
         let specs = sweep.expand().unwrap();
         for (spec, target) in specs.iter().zip([0.5, 0.9]) {
@@ -825,7 +728,7 @@ mod tests {
     fn executive_k_axis_updates_feasibility_target_and_policies() {
         let sweep = ExecutiveSweepSpec {
             base: executive_base(),
-            axes: vec![ExecutiveSweepAxis::K(vec![4])],
+            axes: vec![Axis::new(Knob::K, [4])],
         };
         let specs = sweep.expand().unwrap();
         assert_eq!(specs[0].k, 4);
@@ -839,7 +742,7 @@ mod tests {
     fn executive_seed_axis_takes_precedence_over_derived_seeds() {
         let sweep = ExecutiveSweepSpec {
             base: executive_base(),
-            axes: vec![ExecutiveSweepAxis::Seed(vec![100, 200])],
+            axes: vec![Axis::new(Knob::Seed, [100, 200])],
         };
         let seeds: Vec<u64> = sweep.expand().unwrap().iter().map(|s| s.seed).collect();
         assert_eq!(seeds, vec![100, 200]);
@@ -852,7 +755,7 @@ mod tests {
         b.faults = FaultSpec::Deterministic { times: vec![] };
         let sweep = ExecutiveSweepSpec {
             base: b,
-            axes: vec![ExecutiveSweepAxis::Lambda(vec![1e-3])],
+            axes: vec![Axis::new(Knob::Lambda, [1e-3])],
         };
         let err = sweep.expand().unwrap_err();
         assert!(err.to_string().contains("Poisson"), "unhelpful: {err}");
@@ -861,8 +764,8 @@ mod tests {
         let sweep = ExecutiveSweepSpec {
             base: executive_base(),
             axes: vec![
-                ExecutiveSweepAxis::Hyperperiods(vec![1]),
-                ExecutiveSweepAxis::Lambda(vec![]),
+                Axis::new(Knob::Hyperperiods, [1]),
+                Axis::new(Knob::Lambda, []),
             ],
         };
         let err = sweep.expand().unwrap_err();
@@ -871,13 +774,16 @@ mod tests {
         // Non-positive utilization target.
         let sweep = ExecutiveSweepSpec {
             base: executive_base(),
-            axes: vec![ExecutiveSweepAxis::Utilization(vec![0.0])],
+            axes: vec![Axis::new(Knob::Utilization, [0.0])],
         };
         assert!(sweep.expand().is_err());
 
         // Unknown axis kind names the executive vocabulary.
-        let err =
-            ExecutiveSweepAxis::from_json(&Json::parse(r#"{"costs": []}"#).unwrap()).unwrap_err();
+        let doc = format!(
+            r#"{{"base": {}, "axes": [{{"costs": []}}]}}"#,
+            executive_base().to_json().pretty()
+        );
+        let err = ExecutiveSweepSpec::from_json_str(&doc).unwrap_err();
         assert!(err.to_string().contains("hyperperiods"), "unhelpful: {err}");
     }
 
@@ -892,9 +798,9 @@ mod tests {
         let sweep = ExecutiveSweepSpec {
             base,
             axes: vec![
-                ExecutiveSweepAxis::Hyperperiods(vec![1, 2]),
-                ExecutiveSweepAxis::Utilization(vec![0.4, 0.7]),
-                ExecutiveSweepAxis::K(vec![1, 3]),
+                Axis::new(Knob::Hyperperiods, [1, 2]),
+                Axis::new(Knob::Utilization, [0.4, 0.7]),
+                Axis::new(Knob::K, [1, 3]),
             ],
         };
         let back = ExecutiveSweepSpec::from_json_str(&sweep.to_json_string()).unwrap();

@@ -32,7 +32,7 @@ use crate::hash::SpecHash;
 use eacp_exec::{Cell, ExecutiveSummary};
 use eacp_sim::{RunOutcome, Summary};
 use eacp_spec::{
-    ExecutiveMcSpec, ExecutiveSpec, ExperimentSpec, FromJson, Json, ServeTier, SpecError, ToJson,
+    ExecutiveSpec, ExperimentSpec, FromJson, Json, Knob, ServeTier, SpecError, ToJson,
 };
 use std::path::PathBuf;
 
@@ -47,10 +47,6 @@ pub trait StoreCell: Cell {
     /// hashed and the exact text an entry embeds, so a stored document
     /// always re-hashes to its own address.
     fn cell_spec_json(&self) -> Json;
-
-    /// The seed and replication count that key the cell alongside the
-    /// spec hash.
-    fn seed_and_replications(&self) -> (u64, u64);
 
     /// The entry's `policy` column.
     fn policy_label(&self) -> String;
@@ -69,15 +65,19 @@ pub trait StoreCell: Cell {
     /// # Errors
     ///
     /// A canonical document that does not parse as this kind's spec.
-    fn from_entry(entry: &CellEntry) -> Result<Self, SpecError>;
+    fn from_entry(entry: &CellEntry) -> Result<Self, SpecError> {
+        let mut cell = Self::from_json(&entry.spec)?;
+        cell.set(Knob::Seed(entry.cell.seed))?;
+        cell.set_mc(Some(entry.cell.replications.max(1)), Some(0));
+        Ok(cell)
+    }
 
     /// The cell a Monte-Carlo run of this spec lands in.
     fn cell_id(&self) -> CellId {
-        let (seed, replications) = self.seed_and_replications();
         CellId {
             spec_hash: SpecHash::of(&self.cell_spec_json()),
-            seed,
-            replications,
+            seed: self.seed(),
+            replications: self.replications(),
         }
     }
 }
@@ -117,10 +117,6 @@ impl StoreCell for ExperimentSpec {
         }
     }
 
-    fn seed_and_replications(&self) -> (u64, u64) {
-        (self.mc.seed, self.mc.replications)
-    }
-
     fn policy_label(&self) -> String {
         self.policy.policy_name().to_owned()
     }
@@ -135,14 +131,6 @@ impl StoreCell for ExperimentSpec {
             _ => None,
         }
     }
-
-    fn from_entry(entry: &CellEntry) -> Result<Self, SpecError> {
-        let mut spec = ExperimentSpec::from_json(&entry.spec)?;
-        spec.mc.seed = entry.cell.seed;
-        spec.mc.replications = entry.cell.replications.max(1);
-        spec.mc.threads = 0;
-        Ok(spec)
-    }
 }
 
 /// Executive cells strip `name`, `seed` (keys the cell alongside the
@@ -154,16 +142,6 @@ impl StoreCell for ExecutiveSpec {
 
     fn cell_spec_json(&self) -> Json {
         strip(self.to_json(), &["name", "seed", "mc"])
-    }
-
-    /// The seed is the spec's top-level seed; the replication count is
-    /// the horizon count from the `mc` section (its default when absent).
-    fn seed_and_replications(&self) -> (u64, u64) {
-        let horizons = match &self.mc {
-            Some(mc) => mc.replications,
-            None => ExecutiveMcSpec::default().replications,
-        };
-        (self.seed, horizons)
     }
 
     /// The per-task names joined with `+`.
@@ -180,17 +158,6 @@ impl StoreCell for ExecutiveSpec {
             CellPayload::Executive(s) => Some(s),
             _ => None,
         }
-    }
-
-    fn from_entry(entry: &CellEntry) -> Result<Self, SpecError> {
-        let mut spec = ExecutiveSpec::from_json(&entry.spec)?;
-        spec.seed = entry.cell.seed;
-        spec.mc = Some(ExecutiveMcSpec {
-            replications: entry.cell.replications.max(1),
-            threads: 0,
-            queue: None,
-        });
-        Ok(spec)
     }
 }
 

@@ -7,14 +7,15 @@
 //! hits while only the uncovered cells go through the runner. The
 //! resulting [`GridReport`] is byte-identical to an uninterrupted run —
 //! hits reconstruct the exact summary from the lossless entry payload.
-//! Both workload kinds share this module through [`StoreCell`].
+//! Both workload kinds share this module: it takes any [`Grid`] of
+//! [`StoreCell`]s.
 
 use crate::backend::{Lookup, StoreBackend};
 use crate::cell::StoreCell;
 use crate::observe::StoreObserver;
 use crate::{run_cached_with_tiered, CacheMode};
-use eacp_exec::{run_grid, GridReport, Runner, ShardId, Sweep};
-use eacp_spec::SpecError;
+use eacp_exec::{run_grid, GridReport, Runner, ShardId};
+use eacp_spec::{Grid, SpecError};
 
 /// How much of a sweep's grid the store already covers — the store-side
 /// analogue of the execution layer's `SweepCoverage` over report files.
@@ -45,13 +46,10 @@ impl StoreCoverage {
 /// Corrupt entries encountered along the way are quarantined by the
 /// backend and counted as missing — exactly what a subsequent
 /// [`run_sweep_cached_tiered`] would recompute.
-pub fn store_coverage<S: Sweep>(
+pub fn store_coverage<C: StoreCell>(
     store: &dyn StoreBackend,
-    sweep: &S,
-) -> Result<StoreCoverage, SpecError>
-where
-    S::Cell: StoreCell,
-{
+    sweep: &Grid<C>,
+) -> Result<StoreCoverage, SpecError> {
     let cells = sweep.expand()?;
     let mut missing = Vec::new();
     for (index, cell) in cells.iter().enumerate() {
@@ -60,7 +58,7 @@ where
         }
     }
     Ok(StoreCoverage {
-        sweep_name: sweep.name().to_owned(),
+        sweep_name: sweep.base.name().to_owned(),
         total_points: cells.len(),
         missing,
     })
@@ -74,18 +72,15 @@ where
 /// `eacp_exec::run_sweep_tiered`, byte for byte: a point's report never
 /// depends on whether it was computed or served.
 #[allow(clippy::too_many_arguments)]
-pub fn run_sweep_cached_tiered<S: Sweep>(
-    sweep: &S,
+pub fn run_sweep_cached_tiered<C: StoreCell>(
+    sweep: &Grid<C>,
     shard: Option<ShardId>,
     runner: &dyn Runner,
     store: &dyn StoreBackend,
     mode: CacheMode,
     observer: &dyn StoreObserver,
     analytic: bool,
-) -> Result<GridReport<S::Cell>, SpecError>
-where
-    S::Cell: StoreCell,
-{
+) -> Result<GridReport<C>, SpecError> {
     run_grid(sweep, shard, |cell| {
         run_cached_with_tiered(cell, runner, store, mode, observer, analytic).map(|run| run.report)
     })
@@ -96,7 +91,7 @@ mod tests {
     use super::*;
     use crate::{MemBackend, NoopStoreObserver};
     use eacp_exec::LocalRunner;
-    use eacp_spec::{ExperimentSpec, McSpec, SweepAxis, SweepSpec};
+    use eacp_spec::{Axis, ExperimentSpec, Knob, McSpec, SweepSpec};
 
     #[test]
     fn per_point_seed_axes_key_distinct_cells() {
@@ -111,7 +106,7 @@ mod tests {
         };
         let sweep = SweepSpec {
             base,
-            axes: vec![SweepAxis::Seed(vec![1, 2, 3])],
+            axes: vec![Axis::new(Knob::Seed, vec![1, 2, 3])],
         };
         let store = MemBackend::new();
         let report = run_sweep_cached_tiered(

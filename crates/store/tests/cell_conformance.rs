@@ -14,12 +14,12 @@
 
 use eacp_exec::{
     coverage_dir, merge_dir, run_sweep, run_sweep_tiered, run_tiered, Cell, GridReport,
-    LocalRunner, ShardId, Sweep,
+    LocalRunner, ShardId,
 };
 use eacp_spec::{
-    ExecutiveMcSpec, ExecutiveSpec, ExecutiveSweepAxis, ExecutiveSweepSpec, ExperimentSpec,
-    FaultSpec, FromJson, Json, McSpec, PolicyAssignment, PolicySpec, SpecError, SweepAxis,
-    SweepSpec, TaskSetSpec, ToJson,
+    Axis, ExecutiveMcSpec, ExecutiveSpec, ExecutiveSweepSpec, ExperimentSpec, FaultSpec, FromJson,
+    Grid, Json, Knob, McSpec, PolicyAssignment, PolicySpec, SpecError, SweepSpec, TaskSetSpec,
+    ToJson,
 };
 use eacp_store::{
     run_cached_with_tiered, run_sweep_cached_tiered, store_coverage, verify_store, CacheMode,
@@ -28,16 +28,16 @@ use eacp_store::{
 };
 use std::path::PathBuf;
 
-/// A sweep kind under test: a 4-point grid named "grid".
-trait Fixture: Sweep<Cell: StoreCell> {
+/// A cell kind under test: a 4-point grid named "grid".
+trait Fixture: StoreCell {
     const TAG: &'static str;
-    fn grid(seed: u64) -> Self;
+    fn grid(seed: u64) -> Grid<Self>;
 }
 
-impl Fixture for SweepSpec {
+impl Fixture for ExperimentSpec {
     const TAG: &'static str = "single";
 
-    fn grid(seed: u64) -> Self {
+    fn grid(seed: u64) -> Grid<Self> {
         let mut base = ExperimentSpec::paper_nominal();
         base.name = "grid".into();
         base.mc = McSpec {
@@ -48,17 +48,17 @@ impl Fixture for SweepSpec {
         SweepSpec {
             base,
             axes: vec![
-                SweepAxis::Lambda(vec![1.0e-4, 1.4e-3]),
-                SweepAxis::K(vec![1, 5]),
+                Axis::new(Knob::Lambda, vec![1.0e-4, 1.4e-3]),
+                Axis::new(Knob::K, vec![1, 5]),
             ],
         }
     }
 }
 
-impl Fixture for ExecutiveSweepSpec {
+impl Fixture for ExecutiveSpec {
     const TAG: &'static str = "executive";
 
-    fn grid(seed: u64) -> Self {
+    fn grid(seed: u64) -> Grid<Self> {
         let mut base = ExecutiveSpec::new(
             "grid",
             TaskSetSpec::implicit([("sensor", 500.0, 4_000), ("control", 1_200.0, 8_000)]),
@@ -75,8 +75,8 @@ impl Fixture for ExecutiveSweepSpec {
         ExecutiveSweepSpec {
             base,
             axes: vec![
-                ExecutiveSweepAxis::Lambda(vec![2e-4, 1e-3]),
-                ExecutiveSweepAxis::K(vec![1, 3]),
+                Axis::new(Knob::Lambda, vec![2e-4, 1e-3]),
+                Axis::new(Knob::K, vec![1, 3]),
             ],
         }
     }
@@ -117,16 +117,16 @@ fn shards_merge_byte_identically<S: Fixture>() {
     collected.sort_by_key(|p| p.index);
     assert_eq!(collected, full.points, "a point never depends on its shard");
 
-    let merged = merge_dir::<S::Cell>(&dir).unwrap();
+    let merged = merge_dir::<S>(&dir).unwrap();
     assert_eq!(merged, full, "merged grid must equal the unsharded grid");
     assert_eq!(pretty(&merged), pretty(&full));
 
     // The document codec round-trips, and a loaded shard names its file.
-    let back = GridReport::<S::Cell>::from_json(&Json::parse(&pretty(&full)).unwrap()).unwrap();
+    let back = GridReport::<S>::from_json(&Json::parse(&pretty(&full)).unwrap()).unwrap();
     assert_eq!(back, full);
     assert_eq!(pretty(&back), pretty(&full));
     let path = dir.join("shard-1-of-3.json");
-    let loaded = GridReport::<S::Cell>::load(&path).unwrap();
+    let loaded = GridReport::<S>::load(&path).unwrap();
     assert_eq!(loaded.source.as_deref(), Some(path.as_path()));
 
     // Withheld shard → loud failure.
@@ -135,7 +135,7 @@ fn shards_merge_byte_identically<S: Fixture>() {
     for name in ["shard-0-of-3.json", "shard-2-of-3.json"] {
         std::fs::copy(dir.join(name), withheld.join(name)).unwrap();
     }
-    let err = merge_dir::<S::Cell>(&withheld).unwrap_err();
+    let err = merge_dir::<S>(&withheld).unwrap_err();
     assert!(err.to_string().contains("missing"), "{err}");
 
     // Duplicated shard → loud failure.
@@ -150,7 +150,7 @@ fn shards_merge_byte_identically<S: Fixture>() {
         duplicated.join("shard-0-of-3-copy.json"),
     )
     .unwrap();
-    let err = merge_dir::<S::Cell>(&duplicated).unwrap_err();
+    let err = merge_dir::<S>(&duplicated).unwrap_err();
     assert!(err.to_string().contains("covered twice"), "{err}");
 
     // A shard of a different sweep → loud failure.
@@ -163,13 +163,13 @@ fn shards_merge_byte_identically<S: Fixture>() {
         .unwrap()
         .save(&mismatched)
         .unwrap();
-    let err = merge_dir::<S::Cell>(&mismatched).unwrap_err();
+    let err = merge_dir::<S>(&mismatched).unwrap_err();
     assert!(err.to_string().contains("sweep spec differs"), "{err}");
 
     // No documents at all.
     let empty = base.join("empty");
     std::fs::create_dir_all(&empty).unwrap();
-    assert!(merge_dir::<S::Cell>(&empty).is_err());
+    assert!(merge_dir::<S>(&empty).is_err());
 
     std::fs::remove_dir_all(&base).unwrap();
 }
@@ -207,7 +207,7 @@ fn store_is_byte_identical_cold_warm_and_plain<S: Fixture>() {
     assert_eq!((counters.hits(), counters.misses()), (4, 4));
     let expected = sweep.expand().unwrap();
     for point in &warm.points {
-        assert_eq!(S::Cell::of_report(&point.report), &expected[point.index]);
+        assert_eq!(S::of_report(&point.report), &expected[point.index]);
     }
 
     // One cell: miss then hit, both bit-identical to a direct run; a
@@ -312,7 +312,7 @@ fn coverage_lists_missing_and_duplicated_points<S: Fixture>() {
     )
     .unwrap();
 
-    let cov = coverage_dir::<S::Cell>(&dir).unwrap();
+    let cov = coverage_dir::<S>(&dir).unwrap();
     assert_eq!(cov.sweep_name, "grid");
     assert_eq!(cov.total_points, 4);
     assert_eq!(cov.shard_count, Some(3));
@@ -330,7 +330,7 @@ fn coverage_lists_missing_and_duplicated_points<S: Fixture>() {
         .unwrap()
         .save(&dir)
         .unwrap();
-    let cov = coverage_dir::<S::Cell>(&dir).unwrap();
+    let cov = coverage_dir::<S>(&dir).unwrap();
     assert!(cov.complete(), "{cov:?}");
     assert_eq!(cov.covered(), 4);
 
@@ -347,7 +347,7 @@ fn corrupt_documents_name_the_file<S: Fixture>() {
     let path = half().save(&truncated).unwrap();
     let text = std::fs::read_to_string(&path).unwrap();
     std::fs::write(&path, &text[..text.len() / 2]).unwrap();
-    let err = merge_dir::<S::Cell>(&truncated).unwrap_err();
+    let err = merge_dir::<S>(&truncated).unwrap_err();
     assert!(matches!(err, SpecError::Invalid(_)), "{err}");
     assert!(err.to_string().contains("shard-0-of-2.json"), "{err}");
 
@@ -362,8 +362,8 @@ fn corrupt_documents_name_the_file<S: Fixture>() {
     );
     std::fs::write(&path, text).unwrap();
     for err in [
-        merge_dir::<S::Cell>(&lying).unwrap_err(),
-        coverage_dir::<S::Cell>(&lying).unwrap_err(),
+        merge_dir::<S>(&lying).unwrap_err(),
+        coverage_dir::<S>(&lying).unwrap_err(),
     ] {
         assert!(err.to_string().contains("expands to 4"), "{err}");
         assert!(err.to_string().contains("shard-0-of-2.json"), "{err}");
@@ -377,7 +377,7 @@ fn corrupt_documents_name_the_file<S: Fixture>() {
         r#"{"sweep": 3, "points": "x"}"#,
     )
     .unwrap();
-    let err = merge_dir::<S::Cell>(&wrong).unwrap_err();
+    let err = merge_dir::<S>(&wrong).unwrap_err();
     assert!(err.to_string().contains("shard-bad.json"), "{err}");
 
     std::fs::remove_dir_all(&base).unwrap();
@@ -389,13 +389,13 @@ macro_rules! for_both_kinds {
         mod single_task {
             $(#[test]
             fn $contract() {
-                super::$contract::<eacp_spec::SweepSpec>();
+                super::$contract::<eacp_spec::ExperimentSpec>();
             })*
         }
         mod executive {
             $(#[test]
             fn $contract() {
-                super::$contract::<eacp_spec::ExecutiveSweepSpec>();
+                super::$contract::<eacp_spec::ExecutiveSpec>();
             })*
         }
     };

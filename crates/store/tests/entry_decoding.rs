@@ -12,7 +12,7 @@
 //!   byte-identical to the same sweep computed without a store.
 
 use eacp_exec::{run_sweep_tiered, LocalRunner};
-use eacp_spec::{ExperimentSpec, FromJson, Json, McSpec, SweepAxis, SweepSpec, ToJson};
+use eacp_spec::{Axis, ExperimentSpec, FromJson, Json, Knob, McSpec, SweepSpec, ToJson};
 use eacp_store::{
     run_cached_tiered, run_sweep_cached_tiered, CacheMode, CellEntry, CellId, FsBackend, Lookup,
     NoopStoreObserver, SpecHash, StoreBackend, StoreCell, StoreCounters,
@@ -221,9 +221,9 @@ fn served_seed_axis_sweep_is_byte_identical_to_the_computed_sweep() {
     let sweep = SweepSpec {
         base,
         axes: vec![
-            SweepAxis::Utilization(vec![0.7, 0.76]),
-            SweepAxis::Lambda(vec![1.4e-3, 3e-3]),
-            SweepAxis::Seed(vec![11, 12, 13]),
+            Axis::new(Knob::Utilization, vec![0.7, 0.76]),
+            Axis::new(Knob::Lambda, vec![1.4e-3, 3e-3]),
+            Axis::new(Knob::Seed, vec![11, 12, 13]),
         ],
     };
     let runner = LocalRunner::new(1);

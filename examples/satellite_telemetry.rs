@@ -15,7 +15,9 @@
 
 use eacp::faults::FaultProcess;
 use eacp::sim::Executor;
-use eacp::spec::{preset, ExperimentSpec, FaultSpec, McSpec, PolicySpec, SweepAxis, SweepSpec};
+use eacp::spec::{
+    preset, Axis, ExperimentSpec, FaultSpec, GridCell, Knob, McSpec, PolicySpec, SweepSpec,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -27,11 +29,8 @@ const LAMBDAS: [f64; 6] = [1e-5, 1e-4, 5e-4, 1e-3, 1.4e-3, 2e-3];
 fn base(scheme_tag: &str) -> ExperimentSpec {
     let mut spec = preset("satellite-telemetry").expect("built-in preset");
     spec.name = format!("telemetry-{scheme_tag}");
-    spec.scenario.work = eacp::spec::WorkSpec::Utilization {
-        utilization: 0.76,
-        speed: 1.0,
-        deadline: 10_000.0,
-    };
+    spec.set(Knob::Utilization(0.76))
+        .expect("the preset's work is utilization-based");
     spec.faults = FaultSpec::Poisson { lambda: 1.4e-3 };
     spec.policy = PolicySpec::from_tag(scheme_tag, 1.4e-3, 5, 0).expect("known tag");
     spec.mc = McSpec {
@@ -55,27 +54,26 @@ fn main() {
         "lambda", "P(static)", "E(static)", "P(A_D_S)", "E(A_D_S)"
     );
     // One sweep document per scheme; the λ axis retunes both the injected
-    // faults and the policy's assumed rate, as in the paper.
+    // faults and the policy's assumed rate, as in the paper. The seed axis
+    // keeps every point on the same seed so the two schemes face identical
+    // fault streams, like the original hand-rolled comparison.
     let sweep = |tag: &str| {
         SweepSpec {
             base: base(tag),
-            axes: vec![SweepAxis::Lambda(LAMBDAS.to_vec())],
+            axes: vec![
+                Axis::new(Knob::Lambda, LAMBDAS.to_vec()),
+                Axis::new(Knob::Seed, [99]),
+            ],
         }
         .expand()
         .expect("compatible axes")
-    };
-    // Keep every point on the same seed so the two schemes face identical
-    // fault streams, like the original hand-rolled comparison.
-    let pin_seed = |mut spec: ExperimentSpec| {
-        spec.mc.seed = 99;
-        spec
     };
     let static_points = sweep("poisson");
     let ads_points = sweep("a_d_s");
     for (s, a) in static_points.into_iter().zip(ads_points) {
         let lambda = s.faults.nominal_lambda().expect("poisson base");
-        let (p_static, e_static) = p_and_e(&pin_seed(s));
-        let (p_ads, e_ads) = p_and_e(&pin_seed(a));
+        let (p_static, e_static) = p_and_e(&s);
+        let (p_ads, e_ads) = p_and_e(&a);
         println!("{lambda:<12.0e} {p_static:>10.4} {e_static:>10.0} {p_ads:>10.4} {e_ads:>10.0}");
     }
 

@@ -4,8 +4,8 @@
 
 use eacp::sim::Policy;
 use eacp::spec::{
-    paper_cell, preset, preset_names, ExperimentSpec, FaultSpec, McSpec, PaperScheme, PolicySpec,
-    SweepAxis, SweepSpec,
+    paper_cell, preset, preset_names, Axis, ExperimentSpec, FaultSpec, Knob, McSpec, PaperScheme,
+    PolicySpec, SweepSpec,
 };
 
 fn small(mut spec: ExperimentSpec) -> ExperimentSpec {
@@ -88,7 +88,7 @@ fn sweep_points_reproduce_individually() {
     // same numbers as running it inside the sweep.
     let sweep = SweepSpec {
         base: small(paper_cell(1, 0.76, 1.4e-3, 5, PaperScheme::Proposed).unwrap()),
-        axes: vec![SweepAxis::Lambda(vec![1.0e-4, 1.4e-3])],
+        axes: vec![Axis::new(Knob::Lambda, vec![1.0e-4, 1.4e-3])],
     };
     let points = sweep.expand().unwrap();
     assert_eq!(points.len(), 2);
