@@ -44,7 +44,7 @@ pub const HOT_MODULES: &[&str] = &[
     "crates/exec/src/executive_mc.rs",
     "crates/rt-sched/src/executive.rs",
     "crates/fault-model/src/batch.rs",
-    "crates/core/src/policies/plan_cache.rs",
+    "crates/core/src/policies/plan_table.rs",
 ];
 
 /// Which rule families apply to one file.
@@ -128,7 +128,7 @@ mod tests {
             "crates/exec/src/executive_mc.rs",
             "crates/rt-sched/src/executive.rs",
             "crates/fault-model/src/batch.rs",
-            "crates/core/src/policies/plan_cache.rs",
+            "crates/core/src/policies/plan_table.rs",
         ] {
             let c = classify(hot);
             assert_eq!(

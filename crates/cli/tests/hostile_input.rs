@@ -3,6 +3,8 @@
 
 use std::process::Command;
 
+use eacp_spec::{CostsSpec, ExecutiveSpec, ExperimentSpec, PolicyAssignment, PolicySpec};
+
 /// A file in a directory of its own, removed by [`remove`].
 fn temp_file(name: &str, contents: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("eacp-hostile-{name}-{}", std::process::id()));
@@ -281,4 +283,107 @@ fn parameter_flags_a_command_cannot_apply_are_usage_errors() {
         let stderr = assert_usage_error(&args, &format!("{args:?}"));
         assert!(stderr.contains(flag), "{args:?}: {stderr}");
     }
+}
+
+/// The document `eacp <args> --emit-spec` writes.
+fn emitted(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_eacp"))
+        .args(args)
+        .arg("--emit-spec")
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{args:?}");
+    String::from_utf8(out.stdout).unwrap()
+}
+
+/// A fixed DVS level index past the scenario's table is a spec error
+/// naming the index and the table size, never an index-out-of-bounds
+/// panic: in `mc` ...
+#[test]
+fn mc_fixed_speed_past_the_dvs_table_is_a_usage_error() {
+    let mut spec = ExperimentSpec::from_json_str(&emitted(&["mc"])).unwrap();
+    spec.policy = PolicySpec::Poisson {
+        lambda: 0.0014,
+        speed: 2,
+    };
+    let path = temp_file("speed-mc.json", &spec.to_json_string());
+    let err = assert_usage_error(
+        &["mc", "--reps", "10", "--spec", path.to_str().unwrap()],
+        "mc, poisson at speed 2",
+    );
+    assert!(err.contains("speed 2") && err.contains("2 level"), "{err}");
+    remove(&path);
+}
+
+/// ... and in both executive commands, for a shared and a per-task
+/// policy.
+fn assert_executive_rejects_speed_7(mode: &[&str]) {
+    let base = emitted(&["executive", "--preset", "avionics-trio"]);
+    let pinned = PolicySpec::from_tag("a_s", 0.0005, 2, 7).unwrap();
+    let shared = {
+        let mut spec = ExecutiveSpec::from_json_str(&base).unwrap();
+        spec.policy = PolicyAssignment::Shared(pinned);
+        spec
+    };
+    let per_task = {
+        let mut spec = ExecutiveSpec::from_json_str(&base).unwrap();
+        let tasks = spec.tasks.len();
+        let mut policies = vec![PolicySpec::from_tag("a_d_s", 0.0005, 2, 0).unwrap(); tasks];
+        policies[tasks - 1] = pinned;
+        spec.policy = PolicyAssignment::PerTask(policies);
+        spec
+    };
+    for (name, spec) in [("shared", shared), ("per-task", per_task)] {
+        let path = temp_file(
+            &format!("speed-{name}-{}.json", mode.len()),
+            &spec.to_json_string(),
+        );
+        let mut args = vec!["executive"];
+        args.extend_from_slice(mode);
+        args.extend_from_slice(&["--spec", path.to_str().unwrap()]);
+        let err = assert_usage_error(&args, &format!("{name}: {args:?}"));
+        assert!(err.contains("speed 7") && err.contains("2 level"), "{err}");
+        remove(&path);
+    }
+}
+
+#[test]
+fn executive_fixed_speed_past_the_dvs_table_is_a_usage_error() {
+    assert_executive_rejects_speed_7(&[]);
+}
+
+#[test]
+fn executive_mc_fixed_speed_past_the_dvs_table_is_a_usage_error() {
+    assert_executive_rejects_speed_7(&["--mc", "--reps", "10"]);
+}
+
+/// An operation far longer than the mean gap between faults once drew
+/// every arrival inside it — λ × its length of them, unbounded by the
+/// operation budget: at checkpoint costs of 1e300 cycles the run never
+/// ended. Draws now count against `max_operations`, so the run stops and
+/// reports the exhausted budget.
+#[test]
+fn astronomically_long_operations_end_at_the_op_budget() {
+    let mut spec = ExperimentSpec::from_json_str(&emitted(&["mc"])).unwrap();
+    spec.scenario.costs = CostsSpec::Explicit {
+        store: 1e300,
+        compare: 1e300,
+        rollback: 0.0,
+    };
+    spec.mc.replications = 1;
+    spec.executor.max_operations = 1000;
+    let path = temp_file("long-ops.json", &spec.to_json_string());
+    let out = Command::new(env!("CARGO_BIN_EXE_eacp"))
+        .args(["mc", "--json", "--spec"])
+        .arg(&path)
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("\"anomalies\": 1"), "{stdout}");
+    remove(&path);
 }

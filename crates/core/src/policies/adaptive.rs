@@ -3,11 +3,8 @@
 //! `A_D`, `A_D_S`, `A_D_C` (Figs. 6/7), `adapchp-SCP`/`-CCP` (Fig. 3) and
 //! the no-DVS adaptive-CSCP ablation.
 
-use crate::analysis::{
-    checkpoint_interval, choose_speed, num_ccp, num_scp, IntervalInputs, OptimizeMethod,
-    RenewalParams,
-};
-use crate::policies::plan_cache::ArgminCache;
+use crate::analysis::OptimizeMethod;
+use crate::policies::plan_table::{LevelPlan, PlanTable};
 use eacp_sim::{CheckpointKind, CommitWindow, Directive, PlanContext, Policy};
 
 /// Which sub-checkpoint is placed between consecutive CSCPs.
@@ -40,16 +37,15 @@ struct IntervalPlan {
 }
 
 impl IntervalPlan {
-    fn new(speed: usize, sub_interval: f64, m: u32, freq: f64) -> Self {
-        let inv = 1.0 / freq;
+    fn new(speed: usize, sub_interval: f64, m: u32, level: &LevelPlan) -> Self {
         Self {
             speed,
             sub_interval,
             m,
             segments_done: 0,
-            freq,
-            inv_freq: inv,
-            inv_exact: freq.to_bits() & ((1u64 << 52) - 1) == 0 && inv.is_finite(),
+            freq: level.f,
+            inv_freq: level.inv_f,
+            inv_exact: level.inv_exact,
         }
     }
 
@@ -95,13 +91,12 @@ pub struct Adaptive {
     plan: Option<IntervalPlan>,
     /// Count of detected errors (exposed for tests/diagnostics).
     errors_seen: u32,
-    /// Memoized `num_SCP`/`num_CCP` argmins keyed on (interval,
-    /// frequency, env), exact-key direct-mapped. Survives
-    /// [`Adaptive::reset`]: the Fig. 4 Poisson-branch interval is
-    /// independent of remaining work and time, so replans across a block
-    /// reuse the same argmin, and an exact-key hit is bit-identical to the
-    /// uncached computation by construction.
-    argmin_cache: ArgminCache,
+    /// Per-level planning constants and the memoized subdivision of
+    /// each level's Poisson interval, built on the first replan for an
+    /// environment. Survives [`Adaptive::reset`]: it holds pure
+    /// functions of the costs, the frequencies and λ, so a later
+    /// replication reading it plans exactly as a fresh instance would.
+    table: PlanTable,
 }
 
 impl Adaptive {
@@ -128,16 +123,16 @@ impl Adaptive {
             rf: k as f64,
             plan: None,
             errors_seen: 0,
-            argmin_cache: ArgminCache::new(),
+            table: PlanTable::new(),
         }
     }
 
     /// Restores the just-constructed state (full fault budget, no plan,
     /// no errors seen) so one instance can serve many replications.
     ///
-    /// The argmin memo deliberately survives: it caches a pure function
-    /// of its inputs, so a later replication hitting an entry computes
-    /// exactly what a fresh instance would.
+    /// The plan table deliberately survives: it caches pure functions
+    /// of its inputs, so a later replication reading it computes exactly
+    /// what a fresh instance would.
     pub fn reset(&mut self) {
         self.rf = self.k as f64;
         self.plan = None;
@@ -204,14 +199,14 @@ impl Adaptive {
     /// (default: the paper's closed-form procedure).
     pub fn with_optimizer(mut self, optimizer: OptimizeMethod) -> Self {
         self.optimizer = optimizer;
-        // Memoized argmins were computed under the previous optimizer.
-        self.argmin_cache.invalidate();
+        // Memoized subdivisions were computed under the previous optimizer.
+        self.table.clear_memos();
         self
     }
 
-    /// Lifetime argmin-memo (hits, misses) — diagnostics and tests.
+    /// Lifetime subdivision-memo (hits, misses) — diagnostics and tests.
     pub fn plan_cache_stats(&self) -> (u64, u64) {
-        self.argmin_cache.stats()
+        self.table.stats()
     }
 
     /// Remaining fault budget `Rf`.
@@ -229,78 +224,35 @@ impl Adaptive {
         self.sub
     }
 
-    /// Fingerprint of the planning environment (checkpoint costs and DVS
-    /// table) folded into the memo key, so an instance reused against a
-    /// different scenario — the `from_parts` escape hatch allows it —
-    /// can never serve a stale plan.
-    #[inline]
-    fn env_fingerprint(ctx: &PlanContext<'_>) -> u64 {
-        let mut fp = ctx
-            .costs
-            .store_cycles
-            .to_bits()
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            ^ ctx.costs.compare_cycles.to_bits().rotate_left(21)
-            ^ ctx.costs.rollback_cycles.to_bits().rotate_left(42);
-        for level in ctx.dvs.levels() {
-            fp = fp
-                .rotate_left(7)
-                .wrapping_add(level.frequency.to_bits() ^ level.voltage.to_bits().rotate_left(32));
-        }
-        fp
-    }
-
-    /// Builds a fresh interval plan (paper Fig. 6 lines 2–4 / 15–17),
-    /// with the subdivision argmin memoized through the exact-key
-    /// [`ArgminCache`]. Returns `None` when the deadline can no longer be
-    /// met.
+    /// Builds a fresh interval plan (paper Fig. 6 lines 2–4 / 15–17)
+    /// from the plan table. Returns `None` when the deadline can no longer
+    /// be met.
     fn replan(&mut self, ctx: &PlanContext<'_>, remaining_cycles: f64) -> Option<IntervalPlan> {
-        let c_cycles = ctx.costs.cscp_cycles();
+        self.table.ensure(ctx.costs, ctx.dvs, self.lambda);
         let rd = ctx.time_left();
-        let speed = if self.dvs_enabled {
-            choose_speed(remaining_cycles, rd, c_cycles, self.lambda, ctx.dvs)
+        let (speed, rt) = if self.dvs_enabled {
+            self.table.choose_speed(remaining_cycles, rd)
         } else {
-            self.fixed_speed
+            let speed = self.fixed_speed;
+            (speed, remaining_cycles / self.table.level(speed).f)
         };
-        let f = ctx.dvs.level(speed).frequency;
-        let rt = remaining_cycles / f;
         if rt > rd {
             return None; // "break with task failure"
         }
-        let interval = checkpoint_interval(IntervalInputs {
-            rd,
-            rt,
-            c: c_cycles / f,
-            rf: self.rf,
-            lambda: self.lambda,
-        });
+        let interval = self
+            .table
+            .level(speed)
+            .interval(rd, rt, self.rf, self.lambda);
         let (m, sub_interval) = match self.sub {
             None => (1, interval),
-            Some(kind) => {
-                let argmin_key = [interval.to_bits(), f.to_bits(), Self::env_fingerprint(ctx)];
-                let m = match self.argmin_cache.get(&argmin_key) {
-                    Some(m) => m,
-                    None => {
-                        let params = RenewalParams::new(
-                            ctx.costs.store_cycles / f,
-                            ctx.costs.compare_cycles / f,
-                            ctx.costs.rollback_cycles / f,
-                            self.lambda,
-                        );
-                        let m = match kind {
-                            SubCheckpointKind::Store => num_scp(interval, &params, self.optimizer),
-                            SubCheckpointKind::Compare => {
-                                num_ccp(interval, &params, self.optimizer)
-                            }
-                        };
-                        self.argmin_cache.put(argmin_key, m);
-                        m
-                    }
-                };
-                (m, interval / m as f64)
-            }
+            Some(kind) => self.table.subdivide(speed, interval, kind, self.optimizer),
         };
-        Some(IntervalPlan::new(speed, sub_interval, m, f))
+        Some(IntervalPlan::new(
+            speed,
+            sub_interval,
+            m,
+            self.table.level(speed),
+        ))
     }
 }
 
@@ -383,6 +335,8 @@ impl Policy for Adaptive {
         }
         // Between errors the schedule is fixed (the paper replans only on
         // faults): the rest of this CSCP interval is committed in advance.
+        // A mismatch inside the window reaches `on_compare`, which drops
+        // the plan, just as it would after per-segment `plan()` calls.
         let subs = (plan.m - 1).checked_sub(plan.segments_done)?;
         let sub_kind = match self.sub {
             Some(SubCheckpointKind::Compare) => CheckpointKind::Compare,
@@ -636,6 +590,208 @@ mod tests {
             let out = Executor::new(&s).run(&mut p, &mut faults);
             assert!(out.anomaly.is_none(), "seed {seed}: {:?}", out.anomaly);
         }
+    }
+
+    use crate::analysis::{
+        checkpoint_interval_with_branch, choose_speed, num_ccp, num_scp, IntervalBranch,
+        IntervalInputs, RenewalParams,
+    };
+
+    /// The replan the plan table replaced, written on the reference
+    /// functions in `analysis`: `(speed, m, sub_interval)`.
+    fn reference_replan(
+        p: &Adaptive,
+        ctx: &PlanContext<'_>,
+        remaining: f64,
+    ) -> Option<(usize, u32, f64, IntervalBranch)> {
+        let c_cycles = ctx.costs.cscp_cycles();
+        let rd = ctx.time_left();
+        let speed = if p.dvs_enabled {
+            choose_speed(remaining, rd, c_cycles, p.lambda, ctx.dvs)
+        } else {
+            p.fixed_speed
+        };
+        let f = ctx.dvs.level(speed).frequency;
+        let rt = remaining / f;
+        if rt > rd {
+            return None;
+        }
+        let (interval, branch) = checkpoint_interval_with_branch(IntervalInputs {
+            rd,
+            rt,
+            c: c_cycles / f,
+            rf: p.rf,
+            lambda: p.lambda,
+        });
+        let (m, sub_interval) = match p.sub {
+            None => (1, interval),
+            Some(kind) => {
+                let params = RenewalParams::new(
+                    ctx.costs.store_cycles / f,
+                    ctx.costs.compare_cycles / f,
+                    ctx.costs.rollback_cycles / f,
+                    p.lambda,
+                );
+                let m = match kind {
+                    SubCheckpointKind::Store => num_scp(interval, &params, p.optimizer),
+                    SubCheckpointKind::Compare => num_ccp(interval, &params, p.optimizer),
+                };
+                (m, interval / m as f64)
+            }
+        };
+        Some((speed, m, sub_interval, branch))
+    }
+
+    /// Table-based replans pick the speed, subdivision and interval bits
+    /// the reference functions pick, over random remaining work, slack,
+    /// fault budgets, rates, costs and DVS tables — with the plan table
+    /// and its memo warm across inputs of one environment, and rebuilt
+    /// when the environment changes under a reused instance.
+    #[test]
+    fn table_replans_match_the_reference_functions() {
+        use eacp_energy::SpeedLevel;
+        use rand::Rng;
+
+        let uni = |rng: &mut StdRng, lo: f64, hi: f64| lo + (hi - lo) * rng.gen::<f64>();
+        let pick = |rng: &mut StdRng, n: u32| (rng.gen::<f64>() * f64::from(n)) as u32;
+
+        let mut rng = StdRng::seed_from_u64(2006);
+        let mut branches = [0u32; 4];
+        let (mut zero_lambda, mut s_at_least_one, mut three_levels, mut aborts) = (0, 0, 0, 0);
+        let mut memo_hits = 0;
+        // One instance planning across every environment: its table is
+        // rebuilt whenever the costs or frequencies change.
+        let mut reused = Adaptive::dvs_ccp(2e-3, 5);
+        for env in 0..600 {
+            let store = if rng.gen_bool(0.2) {
+                0.0
+            } else {
+                uni(&mut rng, 0.5, 40.0)
+            };
+            let compare = uni(&mut rng, 0.5, 40.0);
+            let rollback = if rng.gen_bool(0.5) {
+                0.0
+            } else {
+                uni(&mut rng, 0.0, 10.0)
+            };
+            let costs = CheckpointCosts::new(store, compare, rollback);
+            let n_levels = pick(&mut rng, 3) as usize + 1;
+            let mut f = uni(&mut rng, 0.5, 2.0);
+            let mut levels = Vec::new();
+            for _ in 0..n_levels {
+                levels.push(SpeedLevel::new(f, uni(&mut rng, 0.8, 2.5)));
+                f *= uni(&mut rng, 1.1, 2.5);
+            }
+            let dvs = DvsConfig::new(levels);
+            let lambda = match env % 10 {
+                0 => 0.0,
+                1 => uni(&mut rng, 0.05, 0.5),
+                _ => 10f64.powf(uni(&mut rng, -5.0, -1.5)),
+            };
+            let k = pick(&mut rng, 8);
+            let fixed = pick(&mut rng, n_levels as u32) as usize;
+            let mut p = match env % 6 {
+                0 => Adaptive::adt_dvs(lambda, k),
+                1 => Adaptive::dvs_scp(lambda, k),
+                2 => Adaptive::dvs_ccp(lambda, k),
+                3 => Adaptive::scp(lambda, k, fixed),
+                4 => Adaptive::ccp(lambda, k, fixed),
+                _ => Adaptive::cscp(lambda, k, fixed),
+            };
+            if lambda == 0.0 {
+                zero_lambda += 1;
+            }
+            let c_cycles = costs.cscp_cycles();
+            if dvs
+                .levels()
+                .iter()
+                .any(|l| lambda * c_cycles / l.frequency >= 1.0)
+            {
+                s_at_least_one += 1;
+            }
+            if n_levels == 3 {
+                three_levels += 1;
+            }
+            for _ in 0..24 {
+                let rc = uni(&mut rng, 1.0, 20_000.0);
+                let f_max = dvs.level(dvs.fastest()).frequency;
+                let rd = uni(
+                    &mut rng,
+                    0.5 * rc / f_max,
+                    3.0 * rc / dvs.level(0).frequency,
+                );
+                p.rf = f64::from(pick(&mut rng, k + 1));
+                let ctx = PlanContext {
+                    now: 0.0,
+                    position_cycles: 0.0,
+                    work_cycles: rc,
+                    deadline: rd,
+                    speed: 0,
+                    costs: &costs,
+                    dvs: &dvs,
+                };
+                reused.rf = p.rf.min(5.0);
+                let want = reference_replan(&reused, &ctx, rc);
+                let got = reused.replan(&ctx, rc);
+                assert_eq!(
+                    format!("{:?}", want.map(|w| (w.0, w.1, w.2))),
+                    format!("{:?}", got.map(|g| (g.speed, g.m, g.sub_interval))),
+                    "env {env}: reused instance"
+                );
+                let want = reference_replan(&p, &ctx, rc);
+                let got = p.replan(&ctx, rc);
+                match (want, got) {
+                    (None, None) => aborts += 1,
+                    (Some((speed, m, sub_interval, branch)), Some(plan)) => {
+                        assert_eq!(plan.speed, speed, "env {env}: speed");
+                        assert_eq!(plan.m, m, "env {env}: m");
+                        assert_eq!(
+                            plan.sub_interval.to_bits(),
+                            sub_interval.to_bits(),
+                            "env {env}: interval {sub_interval} vs {}",
+                            plan.sub_interval
+                        );
+                        assert_eq!(plan.freq.to_bits(), dvs.level(speed).frequency.to_bits());
+                        branches[branch as usize] += 1;
+                    }
+                    (want, got) => panic!("env {env}: reference {want:?}, table {got:?}"),
+                }
+            }
+            memo_hits += p.plan_cache_stats().0;
+        }
+        assert!(
+            branches.iter().all(|&n| n > 0),
+            "every Fig. 4 branch is exercised: {branches:?}"
+        );
+        assert!(zero_lambda > 0 && s_at_least_one > 0 && three_levels > 0 && aborts > 0);
+        assert!(memo_hits > 0, "the memo served no replan");
+    }
+
+    #[test]
+    fn changing_the_optimizer_forgets_memoized_subdivisions() {
+        let costs = CheckpointCosts::paper_scp_variant();
+        let dvs = DvsConfig::paper_default();
+        let ctx = PlanContext {
+            now: 0.0,
+            position_cycles: 0.0,
+            work_cycles: 7_600.0,
+            deadline: 10_000.0,
+            speed: 0,
+            costs: &costs,
+            dvs: &dvs,
+        };
+        let mut warm = Adaptive::dvs_scp(0.02, 5);
+        warm.replan(&ctx, 7_600.0);
+        warm.replan(&ctx, 7_600.0);
+        assert_eq!(warm.plan_cache_stats(), (1, 1));
+        let mut exact = warm.with_optimizer(OptimizeMethod::ExactRecursion);
+        let got = exact.replan(&ctx, 7_600.0).unwrap();
+        let want = reference_replan(&exact, &ctx, 7_600.0).unwrap();
+        assert_eq!(
+            (got.m, got.sub_interval.to_bits()),
+            (want.1, want.2.to_bits())
+        );
+        assert_eq!(exact.plan_cache_stats(), (1, 2), "the memo was recomputed");
     }
 
     #[test]

@@ -86,7 +86,9 @@ impl Policy for PoissonArrival {
         // The executor only takes it when the interval fits before the
         // task end, which is exactly when `plan()`'s min() would pick the
         // constant interval; an infinite interval (λ = 0) is rejected by
-        // the executor's finiteness guard and falls back to `plan()`.
+        // the executor's finiteness guard and falls back to `plan()`. A
+        // mismatch at the window's commit changes nothing here: the
+        // scheme keeps its interval through faults.
         let f = ctx.dvs.level(self.speed).frequency;
         let c = ctx.costs.cscp_cycles() / f;
         let lambda = self.lambda;

@@ -13,7 +13,7 @@
 
 mod adaptive;
 mod baselines;
-mod plan_cache;
+mod plan_table;
 
 pub use adaptive::{Adaptive, SubCheckpointKind};
 pub use baselines::{KFaultTolerant, PoissonArrival};
@@ -31,12 +31,6 @@ use eacp_sim::{CheckpointKind, CommitWindow, Directive, PlanContext, Policy};
 /// boxed trait object — the open, slower path.
 #[derive(Debug, Clone)]
 #[allow(missing_docs)]
-// `Adaptive` embeds its direct-mapped plan/argmin caches inline (~4 KiB)
-// so cache lookups stay pointer-chase-free on the replication hot path.
-// Instances are pooled per block, never created per replication, so the
-// variant-size skew costs nothing; boxing the caches would trade it for
-// an indirection on every plan call.
-#[allow(clippy::large_enum_variant)]
 pub enum PolicyKind {
     Poisson(PoissonArrival),
     KFaultTolerant(KFaultTolerant),

@@ -14,8 +14,12 @@ use eacp_faults::FaultProcess;
 /// Tunable executor limits and switches.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecutorOptions {
-    /// Hard cap on executed operations (segments + checkpoints); exceeded
-    /// only by buggy policies. The run is marked with
+    /// Hard cap on the work one run may do: executed operations
+    /// (segments and checkpoints) plus fault arrivals drawn from the
+    /// fault process. Counting draws bounds an operation far longer than
+    /// the mean gap between faults, which would otherwise draw arrivals
+    /// without limit. Exceeded only by buggy policies or absurd
+    /// parameters; the run stops and is marked with
     /// [`Anomaly::OpBudgetExhausted`] when hit.
     pub max_operations: u64,
     /// Consecutive zero-progress planning rounds tolerated before the run is
@@ -271,14 +275,13 @@ impl<'s> Executor<'s> {
             anomaly: None,
         };
 
+        let max_ops = self.options.max_operations;
+        let fdo = self.options.faults_during_overhead;
+        // Operations executed plus fault arrivals drawn: both count
+        // against `max_ops` (see `ExecutorOptions::max_operations`).
         let mut ops: u64 = 0;
         let mut stalled_rounds: u32 = 0;
         let mut deadline_missed = false;
-        // The arrival that last failed the commit window's fault guard.
-        // While it is still the next fault it lands inside the same
-        // commit window, so asking the policy again could only fail the
-        // same way (NaN: no arrival has failed yet).
-        let mut window_blocked_by = f64::NAN;
 
         // One planning-view constructor for both planning points in the
         // loop (pre-segment plan and post-compare notification).
@@ -294,10 +297,11 @@ impl<'s> Executor<'s> {
 
         // Advances wall-clock time by `dt`, consuming fault arrivals that
         // land in the window. Returns the number of faults consumed.
-        // (A fn, not a closure, so `next_fault` stays a plain local the
-        // commit-window fast path below can read between calls.) The
+        // (A fn, not a closure, so `next_fault` and `ops` stay plain
+        // locals the commit-window loop below keeps in registers.) The
         // common case — no arrival before `now + dt` — is one inlined
         // compare; consuming arrivals is the cold, out-of-line path.
+        #[allow(clippy::too_many_arguments)]
         #[inline(always)]
         fn advance<F: FaultProcess + ?Sized, O: Observer + ?Sized>(
             faults: &mut F,
@@ -306,15 +310,25 @@ impl<'s> Executor<'s> {
             dt: f64,
             pending: &mut Option<f64>,
             vulnerable: bool,
+            ops: &mut u64,
+            max_ops: u64,
             obs: &mut O,
         ) -> u32 {
             let end = *now + dt;
             *now = end;
             if *next_fault < end {
-                let (hit, next, first) =
-                    consume_arrivals(faults, *next_fault, end, *pending, vulnerable, obs);
+                let (hit, next, first, drawn) = consume_arrivals(
+                    faults,
+                    *next_fault,
+                    end,
+                    *pending,
+                    vulnerable,
+                    max_ops.saturating_sub(*ops),
+                    obs,
+                );
                 *next_fault = next;
                 *pending = first;
+                *ops += drawn;
                 hit
             } else {
                 0
@@ -322,7 +336,10 @@ impl<'s> Executor<'s> {
         }
 
         // Takes and returns the run state by value: nothing the loop keeps
-        // in registers has its address passed out of line.
+        // in registers has its address passed out of line. Draws at most
+        // `budget` arrivals: an operation far longer than the mean gap
+        // between faults would otherwise draw without bound, and the
+        // caller ends the run once the budget is spent.
         #[cold]
         #[inline(never)]
         fn consume_arrivals<F: FaultProcess + ?Sized, O: Observer + ?Sized>(
@@ -331,10 +348,12 @@ impl<'s> Executor<'s> {
             end: f64,
             mut pending: Option<f64>,
             vulnerable: bool,
+            budget: u64,
             obs: &mut O,
-        ) -> (u32, f64, Option<f64>) {
+        ) -> (u32, f64, Option<f64>, u64) {
             let mut hit = 0;
-            while next_fault < end {
+            let mut drawn = 0;
+            while next_fault < end && drawn < budget {
                 if vulnerable {
                     if pending.is_none() {
                         pending = Some(next_fault);
@@ -351,38 +370,55 @@ impl<'s> Executor<'s> {
                     });
                 }
                 next_fault = faults.next_fault();
+                drawn += 1;
             }
-            (hit, next_fault, pending)
+            (hit, next_fault, pending, drawn)
         }
 
-        loop {
-            if self.options.stop_at_deadline && now > deadline {
-                break;
-            }
-            if ops >= self.options.max_operations {
+        'rounds: loop {
+            // The budget check comes first: an operation long enough to
+            // spend the budget on fault draws usually also passes the
+            // deadline, and the run must still report the exhaustion.
+            if ops >= max_ops {
                 out.anomaly = Some(Anomaly::OpBudgetExhausted);
                 break;
             }
+            if self.options.stop_at_deadline && now > deadline {
+                break;
+            }
 
-            // --- Commit-window fast path ------------------------------
-            // When the policy publishes its committed schedule up to the
-            // next commit ([`Policy::commit_window`]) and the pre-sampled
-            // next fault arrival provably lands beyond it, the whole
-            // window executes here in a tight loop. Every float operation
-            // below is the exact operation the general path performs, on
-            // the same operands in the same order, so the run state stays
-            // bit-identical; the window skips only work that provably has
-            // no effect — per-segment `plan()` calls, directive
-            // validation, fault scans over empty windows, clean-compare
-            // notifications (no-ops by the `commit_window` contract) and
-            // the sub-checkpoint snapshots the closing commit discards.
-            // The guards are conservative (margins of 1e-6 against
-            // accumulated rounding of ~1e-10), so near-boundary windows
-            // fall back to the general path below instead of ever risking
-            // a decision the scalar path would not have made.
-            // Skipping the query is always sound: declining a window only
-            // sends the run down the general path.
-            if pending_fault.is_none() && next_fault != window_blocked_by {
+            // A round ends with one checkpoint operation: its kind,
+            // whether the running states had diverged when it started,
+            // and whether the round did any work (a segment or a
+            // non-free operation).
+            let (checkpoint, snapshot_diverged, worked) = 'round: {
+                // --- Commit-window fast path --------------------------
+                // When the policy publishes its committed schedule up to
+                // the next commit ([`Policy::commit_window`]), the window
+                // executes here in a tight loop with no per-segment
+                // `plan()` call or directive validation. Every float
+                // operation below is the exact operation the general path
+                // performs, on the same operands in the same order, so
+                // the run state stays bit-identical. Fault arrivals are
+                // consumed exactly as the general path consumes them: the
+                // window runs until its closing commit or until the first
+                // comparison that mismatches, where it hands the rollback
+                // to the shared round tail below. It skips only work that
+                // provably has no effect — clean-compare notifications
+                // (no-ops by the `commit_window` contract) and pushing
+                // sub-checkpoint snapshots that no rollback can target:
+                // the closing commit discards the clean ones, and a
+                // mismatch discards the dirty ones, so only the newest
+                // clean snapshot is kept, in a register. That keeps the
+                // loop free of calls that can reallocate, and the run
+                // state (`now`, `pos`, the meter run) in registers.
+                // The guards depend on no fault. They are conservative
+                // (margins of 1e-6 against accumulated rounding of
+                // ~1e-10), so near-boundary windows fall back to the
+                // general path below instead of ever risking a decision
+                // the scalar path would not have made. Skipping the query
+                // is always sound: declining a window only sends the run
+                // down the general path.
                 if let Some(w) = policy.commit_window(&plan_ctx(now, pos, speed)) {
                     let subs = w.subs as f64;
                     let seg_cycles = w.compute_time * level.frequency;
@@ -395,53 +431,93 @@ impl<'s> Executor<'s> {
                     let upper = (now + span) * (1.0 + 1e-9) + 1e-9;
                     let before_final = (task.work_cycles - pos) - subs * seg_cycles * (1.0 + 1e-9);
                     let after_window = before_final - seg_cycles * (1.0 + 1e-9);
-                    if next_fault <= upper {
-                        window_blocked_by = next_fault;
-                    }
                     let fits = w.speed == speed
                         && w.compute_time > 0.0
                         && w.compute_time.is_finite()
                         && w.sub_kind != CheckpointKind::CompareStore
-                        && next_fault > upper
                         && upper <= deadline
-                        && ops + 2 * (w.subs as u64 + 1) <= self.options.max_operations
+                        && ops + 2 * (w.subs as u64 + 1) <= max_ops
                         && before_final / level.frequency > w.compute_time + 1e-6
                         && after_window > 1e-6;
                     if fits {
-                        // `subs` sub-checkpoint steps, then the closing
-                        // CSCP step. Sub-checkpoint stores push no
-                        // `StorePoint`: the closing commit clears the
-                        // store stack before anything could roll back to
-                        // them, so those snapshots are dead. That keeps
-                        // the loop free of calls that can reallocate, and
-                        // the run state (`now`, `pos`, the meter run) in
-                        // registers.
                         let sub_cycles = costs.cycles_of(w.sub_kind);
                         let cscp_cycles = costs.cycles_of(CheckpointKind::CompareStore);
-                        for _ in 0..w.subs {
-                            // Segment (the scalar path with `dur ==
-                            // compute_time` and an empty fault window).
+                        let sub_stores = w.sub_kind == CheckpointKind::Store;
+                        let sub_compares = w.sub_kind.compares();
+                        // Position of the newest clean sub-store.
+                        let mut clean_store: Option<f64> = None;
+                        // `subs` sub-checkpoint steps, then the closing
+                        // CSCP step.
+                        let mut subs_done: u32 = 0;
+                        let mut mismatch = false;
+                        // Before each step, the budget check of the
+                        // round loop (fault draws count against it too).
+                        while subs_done < w.subs && ops < max_ops {
                             obs.on_event(&TraceEvent::Segment {
                                 from: now,
                                 to: now + w.compute_time,
                                 speed,
                             });
-                            now += w.compute_time;
+                            out.faults += advance(
+                                faults,
+                                &mut next_fault,
+                                &mut now,
+                                w.compute_time,
+                                &mut pending_fault,
+                                true,
+                                &mut ops,
+                                max_ops,
+                                obs,
+                            );
                             pos = (pos + seg_cycles).min(task.work_cycles);
                             run.record(seg_cycles);
-                            // Sub-checkpoint (clean by construction).
+                            ops += 1;
+                            let diverged = pending_fault.is_some();
                             obs.on_event(&TraceEvent::Checkpoint {
                                 kind: w.sub_kind,
                                 from: now,
                                 to: now + sub_time,
                                 position: pos,
-                                mismatch: false,
+                                mismatch: sub_compares && diverged,
                             });
-                            now += sub_time;
+                            out.faults += advance(
+                                faults,
+                                &mut next_fault,
+                                &mut now,
+                                sub_time,
+                                &mut pending_fault,
+                                fdo,
+                                &mut ops,
+                                max_ops,
+                                obs,
+                            );
                             if sub_cycles > 0.0 {
                                 run.record(sub_cycles);
                             }
+                            ops += 1;
+                            subs_done += 1;
+                            if sub_compares && diverged {
+                                mismatch = true;
+                                break;
+                            }
+                            if sub_stores && !diverged {
+                                clean_store = Some(pos);
+                            }
                             obs.on_energy_sample(now, run.total());
+                        }
+                        out.segments += subs_done;
+                        if sub_stores {
+                            out.store_checkpoints += subs_done;
+                        } else {
+                            out.compare_checkpoints += subs_done;
+                        }
+                        if mismatch {
+                            break 'round (w.sub_kind, true, true);
+                        }
+                        if ops >= max_ops {
+                            // Fault draws spent the budget; the round loop
+                            // ends the run.
+                            continue 'rounds;
                         }
                         // The closing step: segment, then the commit.
                         obs.on_event(&TraceEvent::Segment {
@@ -449,177 +525,205 @@ impl<'s> Executor<'s> {
                             to: now + w.compute_time,
                             speed,
                         });
-                        now += w.compute_time;
+                        out.faults += advance(
+                            faults,
+                            &mut next_fault,
+                            &mut now,
+                            w.compute_time,
+                            &mut pending_fault,
+                            true,
+                            &mut ops,
+                            max_ops,
+                            obs,
+                        );
                         pos = (pos + seg_cycles).min(task.work_cycles);
                         run.record(seg_cycles);
+                        out.segments += 1;
+                        ops += 1;
+                        let diverged = pending_fault.is_some();
                         obs.on_event(&TraceEvent::Checkpoint {
                             kind: CheckpointKind::CompareStore,
                             from: now,
                             to: now + times.compare_store,
                             position: pos,
-                            mismatch: false,
+                            mismatch: diverged,
                         });
-                        now += times.compare_store;
+                        out.faults += advance(
+                            faults,
+                            &mut next_fault,
+                            &mut now,
+                            times.compare_store,
+                            &mut pending_fault,
+                            fdo,
+                            &mut ops,
+                            max_ops,
+                            obs,
+                        );
                         if cscp_cycles > 0.0 {
                             run.record(cscp_cycles);
                         }
+                        ops += 1;
+                        out.compare_store_checkpoints += 1;
+                        if diverged {
+                            // The newest clean snapshot the general path
+                            // would have stacked is the rollback target;
+                            // the round tail rolls back to the stack top.
+                            if let Some(at) = clean_store {
+                                stores.push(StorePoint {
+                                    pos: at,
+                                    clean: true,
+                                });
+                            }
+                            break 'round (CheckpointKind::CompareStore, true, true);
+                        }
+                        // Clean commit: earlier targets can never be
+                        // needed again.
                         stores.clear();
                         stores.push(StorePoint { pos, clean: true });
                         obs.on_energy_sample(now, run.total());
-
-                        out.segments += w.subs + 1;
-                        ops += 2 * (u64::from(w.subs) + 1);
-                        match w.sub_kind {
-                            CheckpointKind::Store => out.store_checkpoints += w.subs,
-                            CheckpointKind::Compare => out.compare_checkpoints += w.subs,
-                            CheckpointKind::CompareStore => out.compare_store_checkpoints += w.subs,
-                        }
-                        out.compare_store_checkpoints += 1;
                         policy.on_commit_window_executed();
                         stalled_rounds = 0;
-                        continue;
+                        continue 'rounds;
                     }
                 }
-            }
 
-            let directive = policy.plan(&plan_ctx(now, pos, speed));
+                let directive = policy.plan(&plan_ctx(now, pos, speed));
 
-            let (want_speed, compute_time, checkpoint) = match directive {
-                Directive::Abort => {
-                    out.aborted = true;
-                    break;
+                let (want_speed, compute_time, checkpoint) = match directive {
+                    Directive::Abort => {
+                        out.aborted = true;
+                        break 'rounds;
+                    }
+                    Directive::Run {
+                        speed,
+                        compute_time,
+                        checkpoint,
+                    } => (speed, compute_time, checkpoint),
+                };
+
+                if want_speed >= dvs.len() {
+                    out.anomaly = Some(Anomaly::InvalidSpeed);
+                    break 'rounds;
                 }
-                Directive::Run {
-                    speed,
-                    compute_time,
-                    checkpoint,
-                } => (speed, compute_time, checkpoint),
-            };
+                if !compute_time.is_finite() || compute_time < 0.0 {
+                    out.anomaly = Some(Anomaly::InvalidComputeTime);
+                    break 'rounds;
+                }
 
-            if want_speed >= dvs.len() {
-                out.anomaly = Some(Anomaly::InvalidSpeed);
-                break;
-            }
-            if !compute_time.is_finite() || compute_time < 0.0 {
-                out.anomaly = Some(Anomaly::InvalidComputeTime);
-                break;
-            }
-
-            if want_speed != speed {
-                obs.on_event(&TraceEvent::SpeedChange {
-                    at: now,
-                    from: speed,
-                    to: want_speed,
-                });
-                speed = want_speed;
-                level = dvs.level(speed);
-                times = LevelTimes::new(costs, level);
-                out.speed_switches += 1;
-                meter.end_run(run);
-                if dvs.switch_time > 0.0 {
+                if want_speed != speed {
+                    obs.on_event(&TraceEvent::SpeedChange {
+                        at: now,
+                        from: speed,
+                        to: want_speed,
+                    });
+                    speed = want_speed;
+                    level = dvs.level(speed);
+                    times = LevelTimes::new(costs, level);
+                    out.speed_switches += 1;
+                    meter.end_run(run);
+                    if dvs.switch_time > 0.0 {
+                        out.faults += advance(
+                            faults,
+                            &mut next_fault,
+                            &mut now,
+                            dvs.switch_time,
+                            &mut pending_fault,
+                            fdo,
+                            &mut ops,
+                            max_ops,
+                            obs,
+                        );
+                    }
+                    if dvs.switch_energy > 0.0 {
+                        meter.record_switch(dvs.switch_energy);
+                    }
+                    run = meter.begin_run(level);
+                }
+                // --- Computation segment ---------------------------------
+                let remaining_time = times.time_for(task.work_cycles - pos, level.frequency);
+                let dur = compute_time.min(remaining_time).max(0.0);
+                let progressed = dur > 0.0;
+                if progressed {
+                    // Emit the segment before consuming its fault window so
+                    // the trace stays sorted by event start time.
+                    obs.on_event(&TraceEvent::Segment {
+                        from: now,
+                        to: now + dur,
+                        speed,
+                    });
                     out.faults += advance(
                         faults,
                         &mut next_fault,
                         &mut now,
-                        dvs.switch_time,
+                        dur,
                         &mut pending_fault,
-                        self.options.faults_during_overhead,
+                        true,
+                        &mut ops,
+                        max_ops,
                         obs,
                     );
+                    let cycles = dur * level.frequency;
+                    pos = (pos + cycles).min(task.work_cycles);
+                    run.record(cycles);
+                    out.segments += 1;
+                    ops += 1;
                 }
-                if dvs.switch_energy > 0.0 {
-                    meter.record_switch(dvs.switch_energy);
-                }
-                run = meter.begin_run(level);
-            }
-            // --- Computation segment -------------------------------------
-            let remaining_time = times.time_for(task.work_cycles - pos, level.frequency);
-            let dur = compute_time.min(remaining_time).max(0.0);
-            let progressed = dur > 0.0;
-            if progressed {
-                // Emit the segment before consuming its fault window so the
-                // trace stays sorted by event start time.
-                obs.on_event(&TraceEvent::Segment {
+
+                // --- Checkpoint operation --------------------------------
+                // Snapshot/comparison semantics are evaluated at operation
+                // start; the operation's own duration is still fault-exposed.
+                let snapshot_diverged = pending_fault.is_some();
+                let op_cycles = costs.cycles_of(checkpoint);
+                let op_time = times.op_time(checkpoint);
+                obs.on_event(&TraceEvent::Checkpoint {
+                    kind: checkpoint,
                     from: now,
-                    to: now + dur,
-                    speed,
+                    to: now + op_time,
+                    position: pos,
+                    mismatch: checkpoint.compares() && snapshot_diverged,
                 });
                 out.faults += advance(
                     faults,
                     &mut next_fault,
                     &mut now,
-                    dur,
+                    op_time,
                     &mut pending_fault,
-                    true,
+                    fdo,
+                    &mut ops,
+                    max_ops,
                     obs,
                 );
-                let cycles = dur * level.frequency;
-                pos = (pos + cycles).min(task.work_cycles);
-                run.record(cycles);
-                out.segments += 1;
+                if op_cycles > 0.0 {
+                    run.record(op_cycles);
+                }
                 ops += 1;
-            }
-
-            // --- Checkpoint operation ------------------------------------
-            // Snapshot/comparison semantics are evaluated at operation
-            // start; the operation's own duration is still fault-exposed.
-            let snapshot_diverged = pending_fault.is_some();
-            let op_cycles = costs.cycles_of(checkpoint);
-            let op_time = times.op_time(checkpoint);
-            obs.on_event(&TraceEvent::Checkpoint {
-                kind: checkpoint,
-                from: now,
-                to: now + op_time,
-                position: pos,
-                mismatch: checkpoint.compares() && snapshot_diverged,
-            });
-            out.faults += advance(
-                faults,
-                &mut next_fault,
-                &mut now,
-                op_time,
-                &mut pending_fault,
-                self.options.faults_during_overhead,
-                obs,
-            );
-            if op_cycles > 0.0 {
-                run.record(op_cycles);
-            }
-            ops += 1;
-            match checkpoint {
-                CheckpointKind::Store => out.store_checkpoints += 1,
-                CheckpointKind::Compare => out.compare_checkpoints += 1,
-                CheckpointKind::CompareStore => out.compare_store_checkpoints += 1,
-            }
-
-            let mut rolled_back = false;
-            match checkpoint {
-                CheckpointKind::Store => {
-                    stores.push(StorePoint {
-                        pos,
-                        clean: !snapshot_diverged,
-                    });
-                }
-                CheckpointKind::Compare => {
-                    if !snapshot_diverged {
-                        // Agreement verified, but nothing stored: rollback
-                        // targets are unchanged (paper Fig. 5 semantics).
-                    } else {
-                        rolled_back = true;
+                match checkpoint {
+                    CheckpointKind::Store => {
+                        out.store_checkpoints += 1;
+                        stores.push(StorePoint {
+                            pos,
+                            clean: !snapshot_diverged,
+                        });
+                    }
+                    CheckpointKind::Compare => out.compare_checkpoints += 1,
+                    CheckpointKind::CompareStore => {
+                        out.compare_store_checkpoints += 1;
+                        if !snapshot_diverged {
+                            // Commit: this snapshot is verified-equal and
+                            // stored; earlier targets can never be needed
+                            // again.
+                            stores.clear();
+                            stores.push(StorePoint { pos, clean: true });
+                        }
                     }
                 }
-                CheckpointKind::CompareStore => {
-                    if !snapshot_diverged {
-                        // Commit: this snapshot is verified-equal and
-                        // stored; earlier targets can never be needed again.
-                        stores.clear();
-                        stores.push(StorePoint { pos, clean: true });
-                    } else {
-                        rolled_back = true;
-                    }
-                }
-            }
+                // A passing CCP verifies agreement but stores nothing:
+                // rollback targets are unchanged (paper Fig. 5 semantics).
+                (checkpoint, snapshot_diverged, progressed || op_cycles > 0.0)
+            };
 
+            // --- Round tail: rollback or completion, then notifications --
+            let rolled_back = checkpoint.compares() && snapshot_diverged;
             if rolled_back {
                 // Discard snapshots taken after the divergence began: the
                 // newest clean snapshot is the rollback target. The bottom
@@ -648,7 +752,9 @@ impl<'s> Executor<'s> {
                         &mut now,
                         rb_time,
                         &mut pending_fault,
-                        self.options.faults_during_overhead,
+                        fdo,
+                        &mut ops,
+                        max_ops,
                         obs,
                     );
                     run.record(costs.rollback_cycles);
@@ -674,7 +780,7 @@ impl<'s> Executor<'s> {
                 break;
             }
 
-            if progressed || rolled_back || op_cycles > 0.0 {
+            if worked || rolled_back {
                 stalled_rounds = 0;
             } else {
                 stalled_rounds += 1;
@@ -1193,6 +1299,45 @@ mod tests {
         );
         let out = Executor::new(&s).run(&mut Lazy, &mut DeterministicFaults::none());
         assert_eq!(out.anomaly, Some(Anomaly::NoProgress));
+    }
+
+    #[test]
+    fn fault_draws_count_against_the_op_budget() {
+        /// One arrival per time unit, counting every draw.
+        struct Counting {
+            at: f64,
+            drawn: u64,
+        }
+        impl FaultProcess for Counting {
+            fn next_fault(&mut self) -> f64 {
+                self.drawn += 1;
+                self.at += 1.0;
+                self.at
+            }
+        }
+        // A CSCP of 2e300 time units would hold ~2e300 arrivals.
+        let s = Scenario::new(
+            TaskSpec::new(1000.0, 10_000.0),
+            CheckpointCosts::new(1e300, 1e300, 0.0),
+            DvsConfig::paper_default(),
+        );
+        for faults_during_overhead in [true, false] {
+            let mut p = FixedCscp {
+                interval: 100.0,
+                speed: 0,
+            };
+            let mut f = Counting { at: 0.0, drawn: 0 };
+            let opts = ExecutorOptions {
+                max_operations: 1000,
+                faults_during_overhead,
+                ..ExecutorOptions::default()
+            };
+            let out = Executor::new(&s).with_options(opts).run(&mut p, &mut f);
+            assert_eq!(out.anomaly, Some(Anomaly::OpBudgetExhausted));
+            // One arrival drawn up front, then at most the budget.
+            assert!(f.drawn <= 1001, "drew {} arrivals", f.drawn);
+            assert!(f.drawn >= 990, "drew {} arrivals", f.drawn);
+        }
     }
 
     #[test]

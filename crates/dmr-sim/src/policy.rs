@@ -148,10 +148,13 @@ pub trait Policy {
 
     /// The policy's committed schedule from `ctx` up to its next commit,
     /// if it is fixed in advance — the executor's licence to run the whole
-    /// window in its fault-free fast path.
+    /// window in its fast path, without a `plan` call per segment.
     ///
-    /// Returning `Some(w)` is a promise that, starting from `ctx`, as long
-    /// as no fault is delivered, no comparison mismatches and every
+    /// `plan` cannot observe fault delivery, so the schedule a policy
+    /// promises holds through faults: the window runs until its closing
+    /// commit or until the first comparing checkpoint that mismatches,
+    /// whichever comes first. Returning `Some(w)` is a promise that,
+    /// starting from `ctx`, as long as no comparison mismatches and every
     /// segment runs its full `compute_time` (no task-end clamping,
     /// deadline stop or op-budget stop — the executor verifies all of
     /// these with conservative bounds before taking the window):
@@ -161,9 +164,16 @@ pub trait Policy {
     ///    `w.subs` and `Run { speed, compute_time, CompareStore }` for
     ///    the last;
     /// 2. clean-compare [`Policy::on_compare`] notifications during the
-    ///    window do not change the policy's observable behaviour; and
-    /// 3. one [`Policy::on_commit_window_executed`] call afterwards
-    ///    leaves the policy in the state those `plan` calls would have.
+    ///    window do not change the policy's observable behaviour;
+    /// 3. one [`Policy::on_commit_window_executed`] call after a clean
+    ///    closing commit leaves the policy in the state those `plan`
+    ///    calls would have; and
+    /// 4. when a comparison inside the window mismatches, the executor
+    ///    rolls back and calls `on_compare(ctx_after_rollback, kind,
+    ///    true)` — with no `plan` call for the window's earlier segments
+    ///    — and afterwards the policy must be in the state the
+    ///    per-segment path (those `plan` calls, then the same
+    ///    `on_compare`) would have left.
     ///
     /// The method takes `&mut self` so a policy may materialize internal
     /// planning state, but any such mutation must be exactly the state a
@@ -177,7 +187,8 @@ pub trait Policy {
     }
 
     /// Notification that the executor executed a full window returned by
-    /// [`Policy::commit_window`], ending in a clean commit.
+    /// [`Policy::commit_window`], ending in a clean commit. Not called for
+    /// a window that a mismatching comparison ended.
     fn on_commit_window_executed(&mut self) {}
 }
 

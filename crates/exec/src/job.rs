@@ -87,6 +87,7 @@ impl Job {
         }
         // Validate once; replication loops can then expect success.
         let policy_name = spec.policy.build()?.name().to_owned();
+        spec.policy.check_speed(scenario.dvs.len())?;
         spec.faults.build(0)?;
         Ok(Self {
             name: spec.name.clone(),
@@ -123,9 +124,11 @@ impl Job {
         // Validate up front so the factories can expect success.
         policy_spec.build()?;
         fault_spec.build(0)?;
+        let scenario = spec.scenario.build()?;
+        policy_spec.check_speed(scenario.dvs.len())?;
         Self::from_parts(
             spec.name.clone(),
-            spec.scenario.build()?,
+            scenario,
             spec.executor.build()?,
             spec.mc.replications,
             spec.mc.seed,

@@ -1,7 +1,8 @@
-//! Property test of the replan memo's transparency contract: the
-//! `ArgminCache` inside the adaptive policies survives `reset(seed)` on
-//! purpose (it memoizes a pure function of the subdivision inputs), so a
-//! replication's outcome must be bit-identical whether the cache is cold
+//! Property test of the plan table's transparency contract: the per-level
+//! plan table inside the adaptive policies, with its memoized subdivision
+//! of each level's Poisson interval, survives `reset(seed)` on purpose
+//! (it holds pure functions of the costs, the frequencies and λ), so a
+//! replication's outcome must be bit-identical whether the table is cold
 //! or warmed by any number of earlier replications.
 
 use eacp_exec::Job;

@@ -62,6 +62,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 fn fault_specs() -> Vec<(&'static str, FaultSpec)> {
     vec![
         ("poisson", FaultSpec::Poisson { lambda: 2e-3 }),
+        // Fault-dense rates: most commit windows end at a mismatch.
+        ("poisson-dense", FaultSpec::Poisson { lambda: 7e-3 }),
+        ("poisson-densest", FaultSpec::Poisson { lambda: 2.1e-2 }),
         (
             "weibull",
             FaultSpec::Weibull {
@@ -112,9 +115,10 @@ fn main() {
     executive_horizons_never_allocate_after_warmup();
     batched_sampling_never_allocates_after_warmup();
     println!(
-        "zero-alloc witness: ok ({} schemes × 4 fault processes + executive horizons \
+        "zero-alloc witness: ok ({} schemes × {} fault processes + executive horizons \
          + batched sampling)",
-        PolicySpec::TAGS.len()
+        PolicySpec::TAGS.len(),
+        fault_specs().len()
     );
 }
 

@@ -36,6 +36,13 @@ pub enum SpecError {
     /// A value is structurally valid JSON but semantically invalid
     /// (negative rate, empty DVS table, zero replications, ...).
     Invalid(String),
+    /// A policy pins a DVS level index the scenario's table does not have.
+    SpeedOutOfRange {
+        /// The pinned level index.
+        speed: usize,
+        /// How many levels the DVS table has.
+        levels: usize,
+    },
     /// Reading or writing a spec file failed.
     Io(String),
 }
@@ -93,6 +100,12 @@ impl std::fmt::Display for SpecError {
                 "unknown {what} kind {kind:?} (expected one of: {expected})"
             ),
             SpecError::Invalid(msg) => write!(f, "invalid spec: {msg}"),
+            SpecError::SpeedOutOfRange { speed, levels } => write!(
+                f,
+                "invalid spec: policy speed {speed} is past the DVS table's {levels} level(s) \
+                 (valid indices 0..={})",
+                levels.saturating_sub(1)
+            ),
             SpecError::Io(msg) => write!(f, "spec file I/O: {msg}"),
         }
     }

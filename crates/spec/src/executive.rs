@@ -221,11 +221,13 @@ impl PolicyAssignment {
             .collect()
     }
 
-    /// Validates arity and every contained policy.
-    pub fn validate(&self, task_count: usize) -> Result<(), SpecError> {
+    /// Validates arity and every contained policy, including pinned
+    /// speeds against a DVS table of `levels` levels.
+    pub fn validate(&self, task_count: usize, levels: usize) -> Result<(), SpecError> {
         match self {
             PolicyAssignment::Shared(p) => {
                 p.build()?;
+                p.check_speed(levels)?;
             }
             PolicyAssignment::PerTask(ps) => {
                 if ps.len() != task_count {
@@ -237,6 +239,7 @@ impl PolicyAssignment {
                 }
                 for p in ps {
                     p.build()?;
+                    p.check_speed(levels)?;
                 }
             }
         }
@@ -430,9 +433,9 @@ impl ExecutiveSpec {
     pub fn validate(&self) -> Result<(), SpecError> {
         self.tasks.build()?;
         self.costs.build()?;
-        self.dvs.build()?;
+        let dvs = self.dvs.build()?;
         self.faults.build(0)?;
-        self.policy.validate(self.tasks.len())?;
+        self.policy.validate(self.tasks.len(), dvs.len())?;
         if !(self.speed > 0.0 && self.speed.is_finite()) {
             return Err(SpecError::invalid(format!(
                 "speed must be positive and finite, got {}",

@@ -918,6 +918,19 @@ impl PolicySpec {
         }
     }
 
+    /// Checks the pinned speed, if any, against a DVS table of `levels`
+    /// levels.
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError::SpeedOutOfRange`] when the index is past the table.
+    pub fn check_speed(&self, levels: usize) -> Result<(), SpecError> {
+        match self.speed() {
+            Some(speed) if speed >= levels => Err(SpecError::SpeedOutOfRange { speed, levels }),
+            _ => Ok(()),
+        }
+    }
+
     /// Overrides the assumed fault rate, where the scheme has one.
     pub fn with_lambda(mut self, new_lambda: f64) -> Self {
         match &mut self {
@@ -1262,7 +1275,9 @@ pub struct ExecSpec {
     pub faults_during_overhead: bool,
     /// Stop once the deadline has passed.
     pub stop_at_deadline: bool,
-    /// Safety cap on executed operations.
+    /// Safety cap on the work of one run: executed operations (segments
+    /// and checkpoints) plus fault arrivals drawn. A run that reaches it
+    /// stops with the "operation budget exhausted" anomaly.
     pub max_operations: u64,
     /// Zero-progress rounds tolerated before flagging an anomaly.
     pub max_stalled_rounds: u32,
@@ -1422,9 +1437,10 @@ impl ExperimentSpec {
 
     /// Validates every component by building it once.
     pub fn validate(&self) -> Result<(), SpecError> {
-        self.scenario.build()?;
+        let scenario = self.scenario.build()?;
         self.faults.build(0)?;
         self.policy.build()?;
+        self.policy.check_speed(scenario.dvs.len())?;
         self.mc.validate()?;
         self.executor.build()?;
         Ok(())
