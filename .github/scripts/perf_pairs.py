@@ -22,7 +22,9 @@ median) and some head run is no worse than some parent run: on a shared
 2-vCPU host the few-millisecond `setup_s` of mc-nominal and sweep-replan
 varies by 25-50% between runs of the same build. It prints one row per
 workload and metric: parent median, head median, ratio (head / parent),
-bound, parent spread and verdict.
+bound, parent spread and verdict. Then, for each workload and metric, it
+prints every pair's parent and head values and in how many pairs the
+head was better, so a claimed gain can be checked pair by pair.
 """
 
 import argparse
@@ -123,6 +125,29 @@ def compare(parent_runs, head_runs, end_to_end):
     return rows, failures
 
 
+def per_pair(parent_runs, head_runs, end_to_end):
+    """The pair-by-pair view of both sides.
+
+    Returns a row per workload and end-to-end metric found in both sides:
+    (workload, metric, [(parent, head) per pair], pairs in which the head
+    is strictly better in the metric's `better` direction). Informational
+    only: `compare` alone decides the gate.
+    """
+    rows = []
+    for workload, first in parent_runs[0].items():
+        for metric in (m for m in end_to_end if m["name"] in first["metrics"]):
+            name = metric["name"]
+            value = lambda run: run[workload]["metrics"][name]["value"]  # noqa: E731
+            try:
+                pairs = [(value(p), value(h)) for p, h in zip(parent_runs, head_runs)]
+            except KeyError:
+                continue
+            lower = metric["better"] == "lower"
+            better = sum(1 for p, h in pairs if (h < p if lower else h > p))
+            rows.append((workload, name, pairs, better))
+    return rows
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", type=Path, required=True)
@@ -153,6 +178,10 @@ def main(argv=None):
     for workload, name, before, after, ratio, bound, noise, verdict in rows:
         print(f"{workload:<14} {name:<12} {before:>11.5g} {after:>11.5g} {ratio:>7.3f} "
               f"{bound:>6.2f} {noise:>7.3f}  {verdict}")
+    print("\nper pair (parent/head):")
+    for workload, name, pairs, better in per_pair(runs["parent"], runs["head"], end_to_end):
+        values = "  ".join(f"{p:.5g}/{h:.5g}" for p, h in pairs)
+        print(f"{workload:<14} {name:<12} head better in {better} of {len(pairs)} pairs: {values}")
     for failure in failures:
         print(f"perf-pairs: FAIL {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -95,6 +95,24 @@ class CompareTests(unittest.TestCase):
         self.assertIn("failed 1 of 50", failures[0])
 
 
+class PerPairTests(unittest.TestCase):
+    def test_pair_values_and_the_better_count_follow_the_direction(self):
+        parent, head = runs(), runs()
+        for i in range(5):
+            parent[i]["mc-nominal"] = result(wall_s=0.10, reps_per_s=1000.0)
+            # Faster in pairs 0-3, slower in pair 4; rates mirror it.
+            head[i]["mc-nominal"] = result(wall_s=0.08 if i < 4 else 0.12,
+                                           reps_per_s=1250.0 if i < 4 else 800.0)
+        rows = {row[:2]: row[2:] for row in perf_pairs.per_pair(parent, head, END_TO_END)}
+        self.assertEqual(len(rows), len(WORKLOADS) * len(END_TO_END))
+        pairs, better = rows[("mc-nominal", "wall_s")]
+        self.assertEqual(pairs, [(0.10, 0.08)] * 4 + [(0.10, 0.12)])
+        self.assertEqual(better, 4)
+        self.assertEqual(rows[("mc-nominal", "reps_per_s")][1], 4)
+        # Equal values are not better.
+        self.assertEqual(rows[("sweep-replan", "wall_s")][1], 0)
+
+
 class ParseTests(unittest.TestCase):
     def test_results_are_named_by_the_meta_lines(self):
         lines = []

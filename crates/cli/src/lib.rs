@@ -185,12 +185,12 @@ QUEUED EXECUTION AND THE REMOTE FLEET:
   (--workers N, 0 = auto) with lease retry; results are bit-identical to
   the default runner for any worker count. On `mc` the queue config is
   recorded in the effective spec (see --emit-spec). With --endpoints
-  H:P,... each leased block is shipped over TCP to `eacp serve`
-  processes instead of executing in-process (--timeout-ms caps each
-  request, default 10000). Dead or wedged servers fail the lease; the
-  retry budget re-leases to surviving endpoints and the final attempt
-  always runs in-process, so a fleet run completes — bit-identical —
-  even with every server down. `eacp serve --listen HOST:PORT` runs one
+  H:P,... each lease, a run of consecutive blocks, is shipped over TCP
+  to `eacp serve` processes in one request instead of executing
+  in-process (--timeout-ms caps each request, default 10000). Dead or
+  wedged servers fail the lease; the retry budget re-leases to
+  surviving endpoints and the final attempt always runs in-process, so
+  a fleet run completes — bit-identical — even with every server down. `eacp serve --listen HOST:PORT` runs one
   stateless block server (start several, list them all in --endpoints;
   the merged summary is byte-identical to an unqueued run).
 
@@ -701,6 +701,27 @@ fn experiment_spec_with(o: &Options, flag_executor: ExecSpec) -> Result<Experime
     Ok(spec)
 }
 
+/// Energies of at least this magnitude print in scientific notation: in
+/// whole units, a runaway energy (explicit 1e300-cycle checkpoint costs)
+/// would be a 300-digit number.
+const ENERGY_SCI_FROM: f64 = 1e15;
+
+/// An energy in a text report: whole units (`{:.0}`) below
+/// [`ENERGY_SCI_FROM`], `{:.6e}` from there on. Width and alignment
+/// apply as to any string (`{:>12}`); JSON reports carry the raw value.
+struct Energy(f64);
+
+impl std::fmt::Display for Energy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let text = if self.0.abs() < ENERGY_SCI_FROM {
+            format!("{:.0}", self.0)
+        } else {
+            format!("{:.6e}", self.0)
+        };
+        f.pad(&text)
+    }
+}
+
 /// `eacp run`: one seeded execution, optionally traced.
 pub fn cmd_run(o: &Options) -> Result<String, String> {
     // Flag-desugared single runs keep the physical executor semantics
@@ -754,7 +775,7 @@ pub fn cmd_run(o: &Options) -> Result<String, String> {
     let mut s = format!(
         "scheme={} N={:.0} D={:.0} {} k={}\n\
          completed={} timely={} aborted={}\n\
-         finish={:.1} energy={:.0} faults={} rollbacks={}\n\
+         finish={:.1} energy={} faults={} rollbacks={}\n\
          checkpoints: SCP={} CCP={} CSCP={} fast-fraction={:.2}\n",
         policy.name(),
         scenario.task.work_cycles,
@@ -769,7 +790,7 @@ pub fn cmd_run(o: &Options) -> Result<String, String> {
         out.timely,
         out.aborted,
         out.finish_time,
-        out.energy,
+        Energy(out.energy),
         out.faults,
         out.rollbacks,
         out.store_checkpoints,
@@ -827,16 +848,16 @@ pub fn cmd_mc(o: &Options) -> Result<String, String> {
     }
     let (lo, hi) = summary.p_timely_ci(1.96);
     Ok(format!(
-        "scheme={} reps={}\nP = {:.4} [95% CI {:.4}, {:.4}]\nE(timely) = {:.0}\n\
-         E(all) = {:.0}\nfaults/run = {:.2}  rollbacks/run = {:.2}\n\
+        "scheme={} reps={}\nP = {:.4} [95% CI {:.4}, {:.4}]\nE(timely) = {}\n\
+         E(all) = {}\nfaults/run = {:.2}  rollbacks/run = {:.2}\n\
          checkpoints/run = {:.1}  fast-fraction = {:.3}\naborted = {}  anomalies = {}\n{note}",
         report.policy_name,
         summary.replications,
         summary.p_timely(),
         lo,
         hi,
-        summary.mean_energy_timely(),
-        summary.energy_all.mean(),
+        Energy(summary.mean_energy_timely()),
+        Energy(summary.energy_all.mean()),
         summary.faults.mean(),
         summary.rollbacks.mean(),
         summary.checkpoints.mean(),
@@ -906,10 +927,10 @@ impl CliCell for ExperimentSpec {
         for p in &grid.points {
             let r = &p.report;
             out.push_str(&format!(
-                "{:<44} {:>8.4} {:>12.0} {:>10.2}\n",
+                "{:<44} {:>8.4} {:>12} {:>10.2}\n",
                 r.spec.name,
                 r.summary.p_timely,
-                r.summary.energy_timely.mean,
+                Energy(r.summary.energy_timely.mean),
                 r.summary.faults.mean,
             ));
         }
@@ -930,10 +951,10 @@ impl CliCell for ExecutiveSpec {
         for p in &grid.points {
             let r = &p.report;
             out.push_str(&format!(
-                "{:<44} {:>10.4} {:>12.0} {:>10.2}\n",
+                "{:<44} {:>10.4} {:>12} {:>10.2}\n",
                 r.spec.name,
                 r.summary.mean_miss_ratio(),
-                r.summary.mean_energy(),
+                Energy(r.summary.mean_energy()),
                 r.summary.horizon_faults.mean(),
             ));
         }
@@ -1787,7 +1808,7 @@ pub fn cmd_executive(o: &Options) -> Result<String, String> {
     let s = &report.summary;
     let mut out = format!(
         "executive {}: {} task(s), hyperperiod {} × {} = horizon {:.0}\n\
-         jobs={} misses={} (ratio {:.3}) energy={:.0}\n\
+         jobs={} misses={} (ratio {:.3}) energy={}\n\
          faults={} rollbacks={} checkpoints: SCP={} CCP={} CSCP={}\n",
         report.spec.name,
         report.tasks.len(),
@@ -1797,7 +1818,7 @@ pub fn cmd_executive(o: &Options) -> Result<String, String> {
         s.jobs,
         s.deadline_misses,
         s.miss_ratio,
-        s.total_energy,
+        Energy(s.total_energy),
         s.faults,
         s.rollbacks,
         s.checkpoints.store,
@@ -1806,8 +1827,14 @@ pub fn cmd_executive(o: &Options) -> Result<String, String> {
     );
     for (t, policy) in report.tasks.iter().zip(&report.policy_names) {
         out.push_str(&format!(
-            "  {:<20} {:<6} {:>3} jobs  {:>3} misses  E={:<10.0} faults={:<4} worst R={:.0}\n",
-            t.name, policy, t.jobs, t.deadline_misses, t.energy, t.faults, t.worst_response,
+            "  {:<20} {:<6} {:>3} jobs  {:>3} misses  E={:<10} faults={:<4} worst R={:.0}\n",
+            t.name,
+            policy,
+            t.jobs,
+            t.deadline_misses,
+            Energy(t.energy),
+            t.faults,
+            t.worst_response,
         ));
     }
     Ok(out)
@@ -1841,7 +1868,7 @@ fn cmd_executive_mc(o: &Options) -> Result<String, String> {
     let horizons = s.horizons.max(1) as f64;
     let mut out = format!(
         "executive mc {}: {} seeded horizons × {} hyperperiod(s), {} task(s)\n\
-         miss ratio = {:.4} (sd {:.4})  E(horizon) = {:.0} (sd {:.0})\n\
+         miss ratio = {:.4} (sd {:.4})  E(horizon) = {} (sd {})\n\
          jobs/horizon = {:.1}  faults/horizon = {:.2}  rollbacks/horizon = {:.2}\n\
          checkpoints/horizon: SCP={:.1} CCP={:.1} CSCP={:.1}\n",
         report.spec.name,
@@ -1850,8 +1877,8 @@ fn cmd_executive_mc(o: &Options) -> Result<String, String> {
         report.spec.tasks.len(),
         s.mean_miss_ratio(),
         sd(&s.miss_ratio),
-        s.mean_energy(),
-        sd(&s.energy),
+        Energy(s.mean_energy()),
+        Energy(sd(&s.energy)),
         s.jobs as f64 / horizons,
         s.horizon_faults.mean(),
         s.horizon_rollbacks.mean(),
@@ -1868,12 +1895,12 @@ fn cmd_executive_mc(o: &Options) -> Result<String, String> {
         .zip(&report.policy_names)
     {
         out.push_str(&format!(
-            "  {:<20} {:<6} {:>6} jobs  {:>4} misses  E={:<12.0} faults={:<6} worst R={:.0}\n",
+            "  {:<20} {:<6} {:>6} jobs  {:>4} misses  E={:<12} faults={:<6} worst R={:.0}\n",
             task.name,
             policy,
             agg.jobs,
             agg.deadline_misses,
-            agg.energy,
+            Energy(agg.energy),
             agg.faults,
             agg.worst_response,
         ));
@@ -1908,9 +1935,10 @@ fn cmd_executive_sweep(o: &Options) -> Result<String, String> {
 
 /// `eacp serve`: run one stateless block server for the remote fleet.
 ///
-/// Accepts framed `run_block` requests (spec + canonical block range),
-/// executes them in-process and streams the block `Summary` back. Serves
-/// until the process is killed; the driver's lease retry absorbs that.
+/// Accepts framed `run_block` requests (spec + a replication range and
+/// its canonical block size), executes them in-process and sends one
+/// `Summary` per block back. Serves until the process is killed; the
+/// client's lease retry absorbs that.
 ///
 /// # Errors
 ///
@@ -1975,6 +2003,18 @@ mod tests {
         assert!(o.trace);
         assert_eq!(o.lambda, 1.4e-3); // default retained
         assert!(o.has("--scheme") && o.has("--trace") && !o.has("--lambda"));
+    }
+
+    #[test]
+    fn energies_print_whole_below_the_threshold_and_scientific_above() {
+        assert_eq!(Energy(39_123.6).to_string(), format!("{:.0}", 39_123.6));
+        assert_eq!(format!("{:>12}|", Energy(149_458.0)), "      149458|");
+        assert_eq!(format!("{:<10}|", Energy(-0.4)), "-0        |");
+        assert_eq!(Energy(999_999_999_999_999.0).to_string(), "999999999999999");
+        assert_eq!(Energy(1e15).to_string(), "1.000000e15");
+        assert_eq!(Energy(-2.5e300).to_string(), "-2.500000e300");
+        assert_eq!(Energy(f64::INFINITY).to_string(), "inf");
+        assert_eq!(Energy(f64::NAN).to_string(), "NaN");
     }
 
     #[test]

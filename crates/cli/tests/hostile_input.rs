@@ -385,5 +385,26 @@ fn astronomically_long_operations_end_at_the_op_budget() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(stdout.contains("\"anomalies\": 1"), "{stdout}");
+    // The text report prints the runaway energy in scientific notation,
+    // not as a 300-digit integer.
+    let out = Command::new(env!("CARGO_BIN_EXE_eacp"))
+        .args(["mc", "--spec"])
+        .arg(&path)
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("anomalies = 1"), "{stdout}");
+    assert!(
+        stdout.contains("e300") || stdout.contains("e301"),
+        "{stdout}"
+    );
+    for line in stdout.lines() {
+        assert!(line.len() <= 80, "{} chars: {line}", line.len());
+    }
     remove(&path);
 }

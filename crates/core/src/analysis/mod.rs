@@ -3,8 +3,10 @@
 //! Every display equation in the available paper text is corrupted by PDF
 //! extraction; the formulas here were re-derived from first principles and
 //! validated against the limiting cases the paper states in prose and
-//! against Monte-Carlo simulation (see `DESIGN.md` §2 and the
-//! `analysis_vs_simulation` integration tests).
+//! against Monte-Carlo simulation (`crates/exec/tests/analytic_conformance.rs`).
+//! Energies assume the paper's unstated supply voltages are `V² = 2` at
+//! `f1` and `V² = 4` at `f2` (`eacp_energy::DvsConfig::paper_default`);
+//! calibrating them against the paper's tables is open (ROADMAP item 1).
 
 mod dvs;
 mod intervals;

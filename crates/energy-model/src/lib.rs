@@ -6,12 +6,16 @@
 //! and the number of computation cycles over all the segments of the task",
 //! over both processors of the DMR pair.
 //!
-//! The paper does not state the absolute supply voltages. Calibrating
-//! against the energy scales it reports (≈39k for an all-slow run of a
-//! `U = 0.76` task, ≈149k for the all-fast variant — see `DESIGN.md` §2.4)
-//! gives per-processor `V² = 2` at `f1` and `V² = 4` at `f2`
-//! (`V1 ≈ 1.41 V`, `V2 = 2.0 V`). [`DvsConfig::paper_default`] encodes
-//! exactly that; everything is configurable for sensitivity studies.
+//! The paper does not state the absolute supply voltages. This crate
+//! assumes per-processor `V² = 2` at `f1` and `V² = 4` at `f2`
+//! (`V1 ≈ 1.41 V`, `V2 = 2.0 V`), read off the energy scales the paper
+//! reports: ≈39k for an all-slow run of a `U = 0.76` task and ≈149k for
+//! the all-fast variant, about 3.8× as much. [`DvsConfig::paper_default`]
+//! encodes exactly that; everything is configurable for sensitivity
+//! studies. The assumption is not fitted: the f2-baseline tables (2 and
+//! 4) read 2.0–2.5% above the paper's energies, which suggests `V² = 4`
+//! is about 2% high. Fitting both levels to the paper's tables is open
+//! (ROADMAP item 1).
 //!
 //! # Examples
 //!

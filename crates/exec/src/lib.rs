@@ -19,8 +19,9 @@
 //!   same canonical blocks through a [`WorkQueue`] drained by a worker
 //!   pool with lease retry — bit-identical results again, plus the
 //!   [`Worker`] seam the remote transport plugs into:
-//!   [`RemoteWorker`] ships leased blocks to `eacp serve` endpoints over
-//!   std-only TCP (see the [`remote`] module).
+//!   [`RemoteWorker`] ships each leased run of blocks to an `eacp serve`
+//!   endpoint in one request over std-only TCP (see the [`remote`]
+//!   module).
 //!
 //! On top sits one **cell pipeline** for both workload kinds. A [`Cell`]
 //! is one grid point — a single-task [`ExperimentSpec`] or an EDF
@@ -82,7 +83,7 @@ pub use executive::{run_executive, run_executive_observed};
 pub use executive_mc::{ExecutiveJob, ExecutiveReplicator, ExecutiveSummary, TaskAggregate};
 pub use job::{FaultFactory, Job, PolicyFactory, Replicator};
 pub use queue::{
-    resolve_workers, run_sweep_queued_tiered, BlockAssignment, InProcessWorker, Lease,
+    resolve_workers, run_sweep_queued_tiered, BlockAssignment, BlockBatch, InProcessWorker, Lease,
     NoopQueueObserver, QueueObserver, QueueRunner, QueueStatus, WorkQueue, Worker,
 };
 pub use remote::{serve_blocking, RemoteServer, RemoteWorker};

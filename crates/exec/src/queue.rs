@@ -21,18 +21,26 @@
 //!     an unbounded wait cannot settle, but its assignment still moves);
 //!     a late settle from the original holder is ignored — deterministic
 //!     re-execution makes the duplicate result bit-identical anyway.
-//! * **[`Worker`]** — *where* one assignment executes. The in-process
-//!   implementation ([`InProcessWorker`]) runs the block on the calling
-//!   thread; the networked [`RemoteWorker`](crate::remote::RemoteWorker)
-//!   ships the job's spec + the block range to an `eacp serve` process
-//!   and plugs in without touching any call site.
+//! * **[`Worker`]** — *where* one lease executes. A lease is a
+//!   [`BlockBatch`]: a run of consecutive canonical blocks, answered with
+//!   one partial [`Summary`] per block. The in-process implementation
+//!   ([`InProcessWorker`]) runs the blocks on the calling thread; the
+//!   networked [`RemoteWorker`](crate::remote::RemoteWorker) ships the
+//!   job's spec and the whole run to an `eacp serve` process in one
+//!   request and plugs in without touching any call site.
 //! * **[`QueueRunner`]** — the [`Runner`] built from the two: it splits a
 //!   job into the same fixed-size canonical blocks as [`LocalRunner`],
-//!   queues them, drains the queue with a worker pool, and merges the
-//!   partial [`Summary`]s in ascending block order. Because a failed lease
-//!   discards its partial wholesale and the re-run is deterministic
-//!   (per-replication seeding), the merged result is **bit-identical to
-//!   [`LocalRunner`] for any worker count and any failure/retry schedule**.
+//!   groups consecutive blocks into batches by one fixed rule
+//!   (about four leases per pool worker, for a worker that
+//!   [serves batches](Worker::serves_batches); one block per lease
+//!   otherwise), queues the batches, drains the queue with a worker
+//!   pool, and merges the per-block partials in ascending block order. The batch length only decides how many blocks
+//!   travel together; the merge sees the same blocks in the same order
+//!   whatever it is. Because a failed lease discards its partials
+//!   wholesale — a batch is retried as a unit — and the re-run is
+//!   deterministic (per-replication seeding), the merged result is
+//!   **bit-identical to [`LocalRunner`] for any worker count and any
+//!   failure/retry schedule**.
 //! * **[`QueueObserver`]** — live scheduler telemetry: every lease, retry
 //!   and completion, each with a [`QueueStatus`] snapshot (queue depth,
 //!   outstanding leases, completions, retries).
@@ -47,7 +55,7 @@
 use crate::cell::run_point_tiered;
 use crate::job::Job;
 use crate::runner::Runner;
-use crate::runner::{canonical_block_size, merge_blocks, run_block, run_sequential_observed};
+use crate::runner::{lease_batches, merge_blocks, run_block, run_sequential_observed};
 use crate::shard::{GridReport, PointReport, ShardId};
 use eacp_sim::{NoopObserver, Observer, Summary};
 use eacp_spec::{SpecError, SweepSpec};
@@ -561,8 +569,8 @@ impl<T: Clone> WorkQueue<T> {
     }
 }
 
-/// One contiguous replication block of a job — the unit of work a
-/// [`QueueRunner`] leases to its pool.
+/// One contiguous replication block of a job — one canonical reduction
+/// unit, whose partial [`Summary`] the merge folds in ascending order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockAssignment {
     /// Canonical block index (ascending merge order).
@@ -573,18 +581,69 @@ pub struct BlockAssignment {
     pub hi: u64,
 }
 
-/// Executes one leased block of a job — the remote-execution seam.
+/// A run of consecutive canonical blocks — the unit of work a
+/// [`QueueRunner`] leases to its pool, retried as a unit.
 ///
-/// [`InProcessWorker`] runs the block on the calling thread. The networked
+/// The run covers replications `[lo, hi)` in blocks of `size`: block
+/// `first` starts at `lo`, and every block but the job's last holds
+/// exactly `size` replications.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockBatch {
+    /// Position of the batch in the job's lease order.
+    pub index: u64,
+    /// Canonical index of the first block.
+    pub first: u64,
+    /// First replication of the run (inclusive).
+    pub lo: u64,
+    /// End of the run (exclusive).
+    pub hi: u64,
+    /// The canonical block size.
+    pub size: u64,
+}
+
+impl BlockBatch {
+    /// The one-block batch of `assignment`.
+    pub fn single(assignment: BlockAssignment) -> Self {
+        Self {
+            index: assignment.block,
+            first: assignment.block,
+            lo: assignment.lo,
+            hi: assignment.hi,
+            size: (assignment.hi - assignment.lo).max(1),
+        }
+    }
+
+    /// Number of blocks in the run.
+    pub fn block_count(&self) -> u64 {
+        (self.hi - self.lo).div_ceil(self.size)
+    }
+
+    /// The run's canonical blocks, in ascending order.
+    pub fn blocks(&self) -> impl Iterator<Item = BlockAssignment> {
+        let batch = *self;
+        (0..batch.block_count()).map(move |i| {
+            let lo = batch.lo + i * batch.size;
+            BlockAssignment {
+                block: batch.first + i,
+                lo,
+                hi: lo.saturating_add(batch.size).min(batch.hi),
+            }
+        })
+    }
+}
+
+/// Executes leased blocks of a job — the remote-execution seam.
+///
+/// [`InProcessWorker`] runs the blocks on the calling thread. The networked
 /// [`RemoteWorker`](crate::remote::RemoteWorker) implements the same trait
-/// by shipping the job's spec and the block's replication range to an
-/// `eacp serve` process and deserializing the partial [`Summary`] that
-/// comes back; per-replication seeding guarantees the partial is identical
-/// wherever it ran, so swapping implementations never changes results. The
-/// seam covers the fast path ([`Runner::run`] / [`QueueRunner::run_with`])
-/// only: [`Runner::run_observed`] streams per-replication events and
-/// therefore always executes sequentially in-process, bypassing the
-/// worker.
+/// by shipping the job's spec and a batch's replication range to an `eacp
+/// serve` process and deserializing the per-block partial [`Summary`]s
+/// that come back; per-replication seeding guarantees each partial is
+/// identical wherever it ran, so swapping implementations never changes
+/// results. The seam covers the fast path ([`Runner::run`] /
+/// [`QueueRunner::run_with`]) only: [`Runner::run_observed`] streams
+/// per-replication events and therefore always executes sequentially
+/// in-process, bypassing the worker.
 pub trait Worker: Send + Sync {
     /// Short implementation name for logs and errors.
     fn name(&self) -> &'static str;
@@ -593,14 +652,43 @@ pub trait Worker: Send + Sync {
     /// partial summary. `attempt` is the lease's 1-based attempt number —
     /// implementations may route retries differently (the remote worker
     /// rotates endpoints and falls back in-process on the final attempt).
-    /// An `Err` counts as a failed lease: the block is re-queued and
-    /// retried from scratch.
+    /// An `Err` fails the lease holding the block: its batch is re-queued
+    /// and retried from scratch.
     fn run_assignment(
         &self,
         job: &Job,
         assignment: BlockAssignment,
         attempt: u32,
     ) -> Result<Summary, SpecError>;
+
+    /// Runs every block of `batch` and returns their partial summaries in
+    /// block order — what [`QueueRunner`] calls once per lease. An `Err`
+    /// fails the whole lease: the batch is re-queued and retried as a
+    /// unit.
+    ///
+    /// The default runs [`Worker::run_assignment`] once per block and
+    /// stops at the first error. [`RemoteWorker`](crate::remote::RemoteWorker)
+    /// overrides it with one request per batch.
+    fn run_blocks(
+        &self,
+        job: &Job,
+        batch: BlockBatch,
+        attempt: u32,
+    ) -> Result<Vec<Summary>, SpecError> {
+        batch
+            .blocks()
+            .map(|assignment| self.run_assignment(job, assignment, attempt))
+            .collect()
+    }
+
+    /// Whether [`Worker::run_blocks`] serves a whole batch in one call,
+    /// cheaper than block by block. [`QueueRunner`] leases runs of blocks
+    /// only to such a worker; any other gets one block per lease, because
+    /// a batch would save it nothing and only coarsen its retries and its
+    /// load balance. The default is `false`.
+    fn serves_batches(&self) -> bool {
+        false
+    }
 }
 
 /// The local [`Worker`]: runs the block on the leasing thread.
@@ -627,13 +715,15 @@ impl Worker for InProcessWorker {
     }
 }
 
-/// Work-queue [`Runner`]: canonical blocks leased to a worker pool.
+/// Work-queue [`Runner`]: runs of canonical blocks leased to a worker
+/// pool.
 ///
 /// Results are bit-identical to [`crate::LocalRunner`] for any worker
-/// count because both runners split the job with
-/// the same replication-count-only block rule and merge partials in
-/// ascending block order; the queue schedule (which worker ran which
-/// block, in what order, with how many retries) is forgotten at the merge.
+/// count because both runners split the job with the same
+/// replication-count-only block rule and merge per-block partials in
+/// ascending block order; the queue schedule (how blocks were batched,
+/// which worker ran which batch, in what order, with how many retries) is
+/// forgotten at the merge.
 pub struct QueueRunner<W: Worker = InProcessWorker> {
     workers: usize,
     block_size: u64,
@@ -689,29 +779,23 @@ impl<W: Worker> QueueRunner<W> {
         self
     }
 
-    fn pool_size(&self, blocks: u64) -> usize {
-        resolve_workers(self.workers).clamp(1, blocks.max(1) as usize)
-    }
-
-    /// [`Runner::run`] with scheduler telemetry streamed into `obs`.
+    /// [`Runner::run`] with scheduler telemetry streamed into `obs`: one
+    /// lease (and one [`QueueObserver::on_lease`]) per [`BlockBatch`].
     pub fn run_with(&self, job: &Job, obs: &dyn QueueObserver) -> Result<Summary, SpecError> {
-        let reps = job.replications();
-        let block = canonical_block_size(self.block_size, reps);
-        let n_blocks = reps.div_ceil(block);
-        let assignments = (0..n_blocks).map(|b| BlockAssignment {
-            block: b,
-            lo: b * block,
-            hi: ((b + 1) * block).min(reps),
-        });
-        let mut queue = WorkQueue::new(assignments).with_max_attempts(self.max_attempts);
+        let (pool, batches) = lease_batches(
+            job.replications(),
+            self.block_size,
+            self.workers,
+            self.worker.serves_batches(),
+        );
+        let mut queue = WorkQueue::new(batches).with_max_attempts(self.max_attempts);
         if let Some(timeout) = self.lease_timeout {
             queue = queue.with_lease_timeout(timeout);
         }
-        let partials = queue.drain(self.pool_size(n_blocks), obs, |_worker, lease| {
-            self.worker
-                .run_assignment(job, *lease.item(), lease.attempt())
+        let partials = queue.drain(pool, obs, |_worker, lease| {
+            self.worker.run_blocks(job, *lease.item(), lease.attempt())
         })?;
-        Ok(merge_blocks(partials))
+        Ok(merge_blocks(partials.into_iter().flatten()))
     }
 }
 
@@ -848,14 +932,16 @@ mod tests {
         }
     }
 
-    /// Fails the first `fail_first_attempts` leases of every block whose
-    /// index is in `blocks` — lease abandonment mid-block, deterministic.
+    /// Fails the first `fail_first_attempts` leases of every batch whose
+    /// first block's index is in `blocks` — lease abandonment mid-batch,
+    /// deterministic. Leases one block at a time unless [`Self::batched`].
     // A test double counting attempts by block id; never iterated, so
     // hash order is irrelevant (see clippy.toml on R1 scope).
     #[allow(clippy::disallowed_types)]
     struct FlakyWorker {
         blocks: Vec<u64>,
         fail_first_attempts: u32,
+        batched: bool,
         attempts: StdMutex<std::collections::HashMap<u64, u32>>,
     }
 
@@ -864,8 +950,15 @@ mod tests {
             Self {
                 blocks,
                 fail_first_attempts,
+                batched: false,
                 attempts: StdMutex::new(Default::default()),
             }
+        }
+
+        /// The same worker, leased runs of blocks.
+        fn batched(mut self) -> Self {
+            self.batched = true;
+            self
         }
     }
 
@@ -879,19 +972,30 @@ mod tests {
             assignment: BlockAssignment,
             attempt: u32,
         ) -> Result<Summary, SpecError> {
+            InProcessWorker.run_assignment(job, assignment, attempt)
+        }
+        fn run_blocks(
+            &self,
+            job: &Job,
+            batch: BlockBatch,
+            attempt: u32,
+        ) -> Result<Vec<Summary>, SpecError> {
             let seen = {
                 let mut seen = self.attempts.lock().unwrap();
-                let n = seen.entry(assignment.block).or_insert(0);
+                let n = seen.entry(batch.first).or_insert(0);
                 *n += 1;
                 *n
             };
-            if self.blocks.contains(&assignment.block) && seen <= self.fail_first_attempts {
+            if self.blocks.contains(&batch.first) && seen <= self.fail_first_attempts {
                 return Err(SpecError::invalid(format!(
-                    "injected lease failure (block {}, attempt {seen})",
-                    assignment.block
+                    "injected lease failure (batch at block {}, attempt {seen})",
+                    batch.first
                 )));
             }
-            InProcessWorker.run_assignment(job, assignment, attempt)
+            InProcessWorker.run_blocks(job, batch, attempt)
+        }
+        fn serves_batches(&self) -> bool {
+            self.batched
         }
     }
 
@@ -925,6 +1029,25 @@ mod tests {
             19 + 7,
             "every retry re-leases"
         );
+    }
+
+    #[test]
+    fn failed_batches_are_retried_as_a_unit() {
+        let job = Job::from_spec(&spec(300)).unwrap();
+        let reference = LocalRunner::new(1).run(&job).unwrap();
+        let obs = CountingQueueObserver::default();
+        // 19 blocks of 16, leased to 4 workers in 10 batches of 2 (the
+        // last holds block 18 alone); fail the first two attempts of
+        // three batches.
+        let flaky = FlakyWorker::failing(vec![0, 8, 18], 2).batched();
+        let queued = QueueRunner::new(4)
+            .with_worker(flaky)
+            .run_with(&job, &obs)
+            .unwrap();
+        assert_eq!(reference, queued);
+        assert_eq!(obs.retries.load(Ordering::Relaxed), 6);
+        assert_eq!(obs.completions.load(Ordering::Relaxed), 10);
+        assert_eq!(obs.leases.load(Ordering::Relaxed), 10 + 6);
     }
 
     #[test]

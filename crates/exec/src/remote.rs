@@ -10,40 +10,50 @@
 //!   non-UTF-8 frames are [`SpecError`]s, never panics; the oversized check
 //!   runs *before* the payload allocation, so a hostile length prefix
 //!   cannot balloon memory.
-//! * **Protocol** — version-tagged request/response objects in the
-//!   workspace's hand-rolled JSON. A request is `ping` or `run_block`: a
-//!   `[lo, hi)` replication range plus, optionally, the job's
-//!   [`ExperimentSpec`]. A connection is a conversation: the server keeps
-//!   the job built from the last spec it received on that connection (a
-//!   [`Session`]), and a `run_block` without a spec runs against it. A
-//!   spec-less request on a connection that has loaded no job — or to a
-//!   server that predates the optional spec — is an error response, never
-//!   a wrong result. A response carries the partial [`Summary`] in the
-//!   lossless raw-parts encoding from `eacp_spec::report`, or an error
-//!   string. [`answer_request`] answers one request statelessly.
+//! * **Protocol** (version [`PROTOCOL_VERSION`], 2) — version-tagged
+//!   request/response objects in the workspace's hand-rolled JSON. A
+//!   request is `ping` or `run_block`. A `run_block` names a `[lo, hi)`
+//!   replication range, the canonical `block` size that splits it, and,
+//!   optionally, the job's [`ExperimentSpec`]; a lease of several
+//!   consecutive canonical blocks is one request. A connection is a
+//!   conversation: the server keeps the job built from the last spec it
+//!   received on that connection (a [`Session`]), and a `run_block`
+//!   without a spec runs against it. A spec-less request on a connection
+//!   that has loaded no job is an error response, never a wrong result.
+//!   The reply carries `summaries`: one partial [`Summary`] per
+//!   `block`-sized chunk of `[lo, hi)`, in order, each in the lossless
+//!   raw-parts encoding from `eacp_spec::report` — or an error string. A
+//!   request is bounded: a range wider than [`MAX_REQUEST_REPLICATIONS`],
+//!   more chunks than [`MAX_REQUEST_BLOCKS`] or `block: 0` is an error
+//!   response, and the connection keeps serving. `ping` is answered at
+//!   any version, so a readiness probe need not track the protocol.
+//!   [`answer_request`] answers one request statelessly.
 //! * **[`RemoteServer`]** — the `eacp serve` loop: accept, read requests,
 //!   run each block with the same [`run_block`] the local runners use,
 //!   reply. One thread per connection, sequential requests within it,
 //!   `TCP_NODELAY` on. Shutdown lets in-flight answers finish, then closes
 //!   every kept-alive connection.
 //! * **[`RemoteWorker`]** — the client side of the [`Worker`] seam. It
-//!   keeps connections alive in a per-endpoint pool: each leased block
-//!   checks a connection out, sends the spec only when that connection
-//!   does not already carry it, and returns the connection only after a
-//!   fully validated reply. Failures rotate through the configured
-//!   endpoints with a short backoff; if every endpoint fails the lease
-//!   fails, and the work queue re-leases the block — on the final attempt
-//!   the worker runs the block **in-process** instead
-//!   ([`RemoteWorker::with_fallback_attempt`]), so a fully dead fleet
-//!   degrades to local execution rather than a failed run.
+//!   keeps connections alive in a per-endpoint pool: each lease — a run
+//!   of canonical blocks — checks a connection out, sends the spec only
+//!   when that connection does not already carry it, and returns the
+//!   connection only after a fully validated reply: one summary per
+//!   block, each covering its block's replications. Failures rotate
+//!   through the configured endpoints with a short backoff; if every
+//!   endpoint fails the lease fails, and the work queue re-leases the
+//!   batch — on the final attempt the worker runs its blocks
+//!   **in-process** instead ([`RemoteWorker::with_fallback_attempt`]), so
+//!   a fully dead fleet degrades to local execution rather than a failed
+//!   run.
 //!
 //! Determinism is inherited, not negotiated: per-replication seeding makes
-//! a block's partial summary bit-identical wherever it executes, so N
-//! servers × M workers — under any failure/retry/fallback schedule —
-//! merge to exactly the [`crate::LocalRunner`] summary.
+//! a block's partial summary bit-identical wherever it executes, and the
+//! reply keeps the blocks apart, so N servers × M workers — under any
+//! batch length and any failure/retry/fallback schedule — merge to exactly
+//! the [`crate::LocalRunner`] summary.
 
 use crate::job::Job;
-use crate::queue::{BlockAssignment, InProcessWorker, Worker};
+use crate::queue::{BlockAssignment, BlockBatch, InProcessWorker, Worker};
 use crate::runner::run_block;
 use eacp_sim::{NoopObserver, Summary};
 use eacp_spec::{ExperimentSpec, FromJson, Json, QueueSpec, SpecError, ToJson};
@@ -56,14 +66,25 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Wire protocol version; bumped on any incompatible frame/JSON change.
-/// The optional `run_block` spec is compatible: a full request is still a
-/// version-1 request.
-pub const PROTOCOL_VERSION: u64 = 1;
+/// Version 2 added the `run_block` request's `block` size and replaced the
+/// reply's single `summary` by a `summaries` list, one per block. `ping`
+/// is answered at any version.
+pub const PROTOCOL_VERSION: u64 = 2;
 
 /// Hard cap on a single frame's payload. Large enough for any spec or
-/// summary this workspace produces, small enough that a corrupt or
-/// hostile length prefix cannot exhaust memory.
+/// reply this workspace produces, small enough that a corrupt or hostile
+/// length prefix cannot exhaust memory.
 pub const MAX_FRAME_BYTES: usize = 8 * 1024 * 1024;
+
+/// Most replications one `run_block` request may cover, so one request
+/// cannot hold a server thread for an unbounded time. Above the largest
+/// canonical block (8,192 replications), so any single block fits.
+pub const MAX_REQUEST_REPLICATIONS: u64 = 1 << 20;
+
+/// Most blocks (reply summaries) one `run_block` request may ask for. A
+/// summary encodes in about 1.1 KiB, so a full reply stays under a fifth
+/// of [`MAX_FRAME_BYTES`].
+pub const MAX_REQUEST_BLOCKS: u64 = 1024;
 
 /// Locks `m`, recovering from poisoning: every critical section in this
 /// module is a single push, pop, insert, remove or replace, so the data is
@@ -139,12 +160,14 @@ fn versioned(fields: Vec<(&'static str, Json)>) -> Json {
     Json::obj(all)
 }
 
-/// A `run_block` request for `[lo, hi)`, carrying `spec_text` — an encoded
-/// [`ExperimentSpec`], embedded verbatim — or, without it, running against
-/// the job the connection already holds.
-fn block_request(spec_text: Option<&str>, lo: u64, hi: u64) -> String {
-    let mut request =
-        format!("{{\"v\": {PROTOCOL_VERSION}, \"op\": \"run_block\", \"lo\": {lo}, \"hi\": {hi}");
+/// A `run_block` request for `[lo, hi)` in blocks of `block`, carrying
+/// `spec_text` — an encoded [`ExperimentSpec`], embedded verbatim — or,
+/// without it, running against the job the connection already holds.
+fn block_request(spec_text: Option<&str>, lo: u64, hi: u64, block: u64) -> String {
+    let mut request = format!(
+        "{{\"v\": {PROTOCOL_VERSION}, \"op\": \"run_block\", \"lo\": {lo}, \"hi\": {hi}, \
+         \"block\": {block}"
+    );
     if let Some(spec) = spec_text {
         request.push_str(", \"spec\": ");
         request.push_str(spec);
@@ -153,10 +176,17 @@ fn block_request(spec_text: Option<&str>, lo: u64, hi: u64) -> String {
     request
 }
 
-/// Serializes a full `run_block` request for `[lo, hi)` of `spec` — the
-/// first request of a job on a connection.
+/// Serializes a full `run_block` request for `[lo, hi)` of `spec` as one
+/// block — the first request of a job on a connection.
 pub fn run_block_request(spec: &ExperimentSpec, lo: u64, hi: u64) -> String {
-    block_request(Some(&spec.to_json().pretty()), lo, hi)
+    run_blocks_request(spec, lo, hi, hi.saturating_sub(lo).max(1))
+}
+
+/// Serializes a full `run_block` request for `[lo, hi)` of `spec` in
+/// chunks of `block` replications: the reply carries one summary per
+/// chunk.
+pub fn run_blocks_request(spec: &ExperimentSpec, lo: u64, hi: u64, block: u64) -> String {
+    block_request(Some(&spec.to_json().pretty()), lo, hi, block)
 }
 
 /// Serializes a `ping` request.
@@ -193,41 +223,85 @@ impl Session {
     fn answer_inner(&mut self, text: &str) -> Result<String, SpecError> {
         let json = Json::parse(text)?;
         let v = json.req("v")?.as_u64()?;
+        let op = json.req("op")?.as_str()?;
+        // A ping carries nothing version-dependent: readiness probes
+        // written against any version keep working.
+        if op == "ping" {
+            return Ok(versioned(vec![("ok", true.into())]).pretty());
+        }
         if v != PROTOCOL_VERSION {
             return Err(SpecError::invalid(format!(
                 "unsupported protocol version {v} (this server speaks {PROTOCOL_VERSION})"
             )));
         }
-        match json.req("op")?.as_str()? {
-            "ping" => Ok(versioned(vec![("ok", true.into())]).pretty()),
-            "run_block" => {
-                if let Some(spec) = json.get("spec") {
-                    // Cleared first: a spec that fails to build must not
-                    // leave the previous job behind for spec-less requests.
-                    self.job = None;
-                    self.job = Some(Job::from_spec(&ExperimentSpec::from_json(spec)?)?);
-                }
-                let job = self.job.as_ref().ok_or_else(|| {
-                    SpecError::invalid(
-                        "run_block without a spec on a connection that holds no job \
-                         (send the spec first)",
-                    )
-                })?;
-                let lo = json.req("lo")?.as_u64()?;
-                let hi = json.req("hi")?.as_u64()?;
-                let reps = job.replications();
-                if lo > hi || hi > reps {
-                    return Err(SpecError::invalid(format!(
-                        "block range [{lo}, {hi}) is out of bounds for {reps} replications"
-                    )));
-                }
-                let summary = run_block(job, lo, hi, &mut NoopObserver);
-                Ok(versioned(vec![("summary", summary.to_json())]).pretty())
-            }
+        match op {
+            "run_block" => self.answer_run_block(&json),
             other => Err(SpecError::invalid(format!(
                 "unknown op {other:?} (expected ping or run_block)"
             ))),
         }
+    }
+
+    /// Answers a `run_block`: one summary per `block`-sized chunk of
+    /// `[lo, hi)`, after checking the range against the job and the
+    /// request caps.
+    fn answer_run_block(&mut self, json: &Json) -> Result<String, SpecError> {
+        if let Some(spec) = json.get("spec") {
+            // Cleared first: a spec that fails to build must not leave
+            // the previous job behind for spec-less requests.
+            self.job = None;
+            self.job = Some(Job::from_spec(&ExperimentSpec::from_json(spec)?)?);
+        }
+        let job = self.job.as_ref().ok_or_else(|| {
+            SpecError::invalid(
+                "run_block without a spec on a connection that holds no job \
+                 (send the spec first)",
+            )
+        })?;
+        let lo = json.req("lo")?.as_u64()?;
+        let hi = json.req("hi")?.as_u64()?;
+        let block = json.req("block")?.as_u64()?;
+        let reps = job.replications();
+        if lo > hi || hi > reps {
+            return Err(SpecError::invalid(format!(
+                "block range [{lo}, {hi}) is out of bounds for {reps} replications"
+            )));
+        }
+        if block == 0 {
+            return Err(SpecError::invalid("run_block with block size 0"));
+        }
+        if hi - lo > MAX_REQUEST_REPLICATIONS {
+            return Err(SpecError::invalid(format!(
+                "run_block over {} replications exceeds the \
+                 {MAX_REQUEST_REPLICATIONS}-replication request cap",
+                hi - lo
+            )));
+        }
+        let batch = BlockBatch {
+            index: 0,
+            first: 0,
+            lo,
+            hi,
+            size: block,
+        };
+        if batch.block_count() > MAX_REQUEST_BLOCKS {
+            return Err(SpecError::invalid(format!(
+                "run_block of {} blocks exceeds the {MAX_REQUEST_BLOCKS}-block request cap",
+                batch.block_count()
+            )));
+        }
+        // Encoded one summary at a time, so a long batch never holds more
+        // than one summary's JSON tree.
+        let mut reply = format!("{{\"v\": {PROTOCOL_VERSION}, \"summaries\": [");
+        for (i, b) in batch.blocks().enumerate() {
+            if i > 0 {
+                reply.push_str(", ");
+            }
+            let summary = run_block(job, b.lo, b.hi, &mut NoopObserver);
+            reply.push_str(&summary.to_json().pretty());
+        }
+        reply.push_str("]}");
+        Ok(reply)
     }
 }
 
@@ -457,11 +531,17 @@ impl Conn {
         })
     }
 
-    /// Sends one `run_block` — with the spec only if this connection does
-    /// not carry it yet — and validates the reply.
-    fn exchange(&mut self, spec: &Arc<str>, a: BlockAssignment) -> Result<Summary, Failure> {
+    /// Sends one `run_block` for `batch` — with the spec only if this
+    /// connection does not carry it yet — and validates the reply: one
+    /// summary per block, each covering its block's replications.
+    fn exchange(&mut self, spec: &Arc<str>, batch: BlockBatch) -> Result<Vec<Summary>, Failure> {
         let carried = self.spec.as_deref() == Some(&**spec);
-        let request = block_request((!carried).then_some(&**spec), a.lo, a.hi);
+        let request = block_request(
+            (!carried).then_some(&**spec),
+            batch.lo,
+            batch.hi,
+            batch.size,
+        );
         let frame = encode_frame(&request).map_err(|e| Failure::new("write", e))?;
         self.reader
             .get_mut()
@@ -487,28 +567,46 @@ impl Conn {
             let detail = error.as_str().unwrap_or("malformed error response");
             return Err(Failure::new("decode", format!("server reported: {detail}")));
         }
-        let summary = json
-            .req("summary")
-            .and_then(Summary::from_json)
+        let encoded = json
+            .req("summaries")
+            .and_then(Json::as_array)
             .map_err(|e| Failure::new("decode", e))?;
-        let expected = a.hi - a.lo;
-        if summary.replications != expected {
+        if encoded.len() as u64 != batch.block_count() {
             return Err(Failure::new(
                 "decode",
                 format!(
-                    "summary covers {} replications, expected {expected}",
-                    summary.replications
+                    "reply carries {} summaries, expected {}",
+                    encoded.len(),
+                    batch.block_count()
                 ),
             ));
         }
+        let summaries = encoded
+            .iter()
+            .zip(batch.blocks())
+            .map(|(json, block)| {
+                let summary = Summary::from_json(json).map_err(|e| Failure::new("decode", e))?;
+                let expected = block.hi - block.lo;
+                if summary.replications != expected {
+                    return Err(Failure::new(
+                        "decode",
+                        format!(
+                            "summary of block {} covers {} replications, expected {expected}",
+                            block.block, summary.replications
+                        ),
+                    ));
+                }
+                Ok(summary)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         self.spec = Some(Arc::clone(spec));
-        Ok(summary)
+        Ok(summaries)
     }
 }
 
-/// The networked [`Worker`]: ships each leased block to one of a set of
-/// `eacp serve` endpoints over kept-alive connections and deserializes
-/// the partial [`Summary`].
+/// The networked [`Worker`]: ships each leased run of blocks to one of a
+/// set of `eacp serve` endpoints over kept-alive connections, in one
+/// request, and deserializes the per-block partial [`Summary`]s.
 ///
 /// **Connections.** The worker keeps an idle pool of connections per
 /// endpoint. A transport try checks one out (dialing when the pool is
@@ -527,20 +625,25 @@ impl Conn {
 /// Failure handling is layered:
 ///
 /// 1. **Within a lease attempt** — the worker tries every endpoint once,
-///    starting from a rotation determined by `(block, attempt)` so load
+///    starting from a rotation determined by `(batch, attempt)` so load
 ///    spreads and retries start elsewhere, with a short backoff between
 ///    tries. Any response is better than none: server-reported errors and
 ///    transport errors both advance the rotation.
 /// 2. **Across lease attempts** — if all endpoints fail, the lease fails
 ///    with a provenance error naming the last endpoint, the phase
 ///    (resolve/connect/write/read/decode) and the attempt/try numbers; the
-///    work queue re-leases the block to a (possibly different) pool
+///    work queue re-leases the batch to a (possibly different) pool
 ///    worker, which tries a different rotation.
-/// 3. **Final attempt** — at `with_fallback_attempt(n)` the block runs
+/// 3. **Final attempt** — at `with_fallback_attempt(n)` the batch runs
 ///    in-process instead, so the run completes (bit-identically) even with
 ///    every endpoint dead; the queue's lease deadline
-///    ([`RemoteWorker::lease_timeout`]) bounds how long a wedged transport
-///    can hold a block before a peer reclaims it.
+///    ([`RemoteWorker::lease_timeout`]) bounds how long a wedged
+///    transport can hold a batch before a peer reclaims it.
+///
+/// The per-operation timeout covers a whole reply, whatever its batch
+/// length: the batch rule caps a batch at the replications of the largest
+/// canonical block, so a batched reply takes no longer than the largest
+/// one-block reply.
 pub struct RemoteWorker {
     endpoints: Vec<String>,
     timeout: Duration,
@@ -574,7 +677,7 @@ impl RemoteWorker {
             .with_fallback_attempt(queue.max_attempts.max(1))
     }
 
-    /// Runs blocks in-process from lease attempt `attempt` on (instead of
+    /// Runs batches in-process from lease attempt `attempt` on (instead of
     /// failing the run once retry budgets are exhausted). 0 disables.
     pub fn with_fallback_attempt(mut self, attempt: u32) -> Self {
         self.fallback_attempt = attempt;
@@ -614,25 +717,26 @@ impl RemoteWorker {
         text
     }
 
-    fn request_summary(
+    fn request_summaries(
         &self,
         index: usize,
         spec: &Arc<str>,
-        assignment: BlockAssignment,
+        batch: BlockBatch,
         attempt: u32,
         this_try: usize,
-    ) -> Result<Summary, SpecError> {
+    ) -> Result<Vec<Summary>, SpecError> {
         let endpoint = &self.endpoints[index];
         // Every failure names where, when and at which phase it happened:
         // the endpoint, the lease attempt, the transport try, and the
         // protocol phase — `fleet-smoke` triage depends on this.
         let at = |phase: &str, detail: String| {
             SpecError::Io(format!(
-                "remote endpoint {endpoint}: {phase} failed for block {} [{}, {}) \
+                "remote endpoint {endpoint}: {phase} failed for blocks {}..{} [{}, {}) \
                  on lease attempt {attempt}, transport try {this_try}/{}: {detail}",
-                assignment.block,
-                assignment.lo,
-                assignment.hi,
+                batch.first,
+                batch.first + batch.block_count(),
+                batch.lo,
+                batch.hi,
                 self.endpoints.len()
             ))
         };
@@ -643,16 +747,16 @@ impl RemoteWorker {
             Some(conn) => conn,
             None => dial()?,
         };
-        let reply = match conn.exchange(spec, assignment) {
+        let reply = match conn.exchange(spec, batch) {
             Err(failure) if reused && failure.stale => {
                 conn = dial()?;
-                conn.exchange(spec, assignment)
+                conn.exchange(spec, batch)
             }
             reply => reply,
         };
-        let summary = reply.map_err(|f| at(f.phase, f.detail))?;
+        let summaries = reply.map_err(|f| at(f.phase, f.detail))?;
         lock(&self.idle[index]).push(conn);
-        Ok(summary)
+        Ok(summaries)
     }
 }
 
@@ -661,16 +765,27 @@ impl Worker for RemoteWorker {
         "remote"
     }
 
+    /// One block is a one-block batch: the same request, the same checks.
     fn run_assignment(
         &self,
         job: &Job,
         assignment: BlockAssignment,
         attempt: u32,
     ) -> Result<Summary, SpecError> {
+        let mut summaries = self.run_blocks(job, BlockBatch::single(assignment), attempt)?;
+        Ok(summaries.pop().unwrap_or_else(Summary::empty))
+    }
+
+    fn run_blocks(
+        &self,
+        job: &Job,
+        batch: BlockBatch,
+        attempt: u32,
+    ) -> Result<Vec<Summary>, SpecError> {
         if self.endpoints.is_empty()
             || (self.fallback_attempt != 0 && attempt >= self.fallback_attempt)
         {
-            return InProcessWorker.run_assignment(job, assignment, attempt);
+            return InProcessWorker.run_blocks(job, batch, attempt);
         }
         let spec = job.spec().ok_or_else(|| {
             SpecError::invalid(
@@ -680,18 +795,23 @@ impl Worker for RemoteWorker {
         })?;
         let spec = self.wire_spec(spec);
         let n = self.endpoints.len();
-        let start = (assignment.block as usize).wrapping_add(attempt as usize - 1) % n;
+        let start = (batch.index as usize).wrapping_add(attempt as usize - 1) % n;
         let mut last_error = None;
         for t in 0..n {
             if t > 0 {
                 std::thread::sleep(backoff(t));
             }
-            match self.request_summary((start + t) % n, &spec, assignment, attempt, t + 1) {
-                Ok(summary) => return Ok(summary),
+            match self.request_summaries((start + t) % n, &spec, batch, attempt, t + 1) {
+                Ok(summaries) => return Ok(summaries),
                 Err(e) => last_error = Some(e),
             }
         }
         Err(last_error.unwrap_or_else(|| SpecError::Io("remote worker has no endpoints".into())))
+    }
+
+    /// A batch is one request: its round trip is paid once per lease.
+    fn serves_batches(&self) -> bool {
+        !self.endpoints.is_empty()
     }
 }
 
@@ -759,8 +879,41 @@ mod tests {
         let expected = run_block(&job, 16, 48, &mut NoopObserver);
         let response = answer_request(&run_block_request(&spec, 16, 48));
         let json = Json::parse(&response).unwrap();
-        let summary = Summary::from_json(json.req("summary").unwrap()).unwrap();
+        let summaries = json.req("summaries").unwrap().as_array().unwrap();
+        assert_eq!(summaries.len(), 1, "{response}");
+        let summary = Summary::from_json(&summaries[0]).unwrap();
         assert_eq!(summary, expected, "lossless summary transport");
+    }
+
+    #[test]
+    fn ping_is_answered_at_any_version_and_run_block_only_at_this_one() {
+        for v in [1, PROTOCOL_VERSION, 99] {
+            let text = answer_request(&format!("{{\"v\": {v}, \"op\": \"ping\"}}"));
+            let json = Json::parse(&text).unwrap();
+            assert!(json.req("ok").unwrap().as_bool().unwrap(), "v{v}: {text}");
+        }
+        let request = run_block_request(&spec(8), 0, 8).replacen(
+            &format!("\"v\": {PROTOCOL_VERSION}"),
+            "\"v\": 1",
+            1,
+        );
+        let text = answer_request(&request);
+        assert!(text.contains("unsupported protocol version 1"), "{text}");
+    }
+
+    #[test]
+    fn a_full_reply_stays_well_under_the_frame_cap() {
+        // The most chunks a request may ask for: the largest replies a
+        // valid request can produce, with one-replication chunks and with
+        // chunks wide enough for every counter to take several digits.
+        for block in [1, 16] {
+            let reps = MAX_REQUEST_BLOCKS * block;
+            let reply = answer_request(&run_blocks_request(&spec(reps), 0, reps, block));
+            let json = Json::parse(&reply).unwrap();
+            let summaries = json.req("summaries").unwrap().as_array().unwrap();
+            assert_eq!(summaries.len() as u64, MAX_REQUEST_BLOCKS);
+            assert!(reply.len() < MAX_FRAME_BYTES / 5, "{} bytes", reply.len());
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! threads, or the sequential observed path.
 
 use crate::job::Job;
+use crate::queue::BlockBatch;
 use eacp_sim::{Observer, Summary};
 use eacp_spec::SpecError;
 
@@ -101,6 +102,12 @@ impl LocalRunner {
     }
 }
 
+/// The largest block [`canonical_block_size`] derives, and the most
+/// replications a lease of several blocks may carry: a batched request
+/// then never holds a worker longer than the largest single block would,
+/// so per-request timeouts keep their meaning.
+pub(crate) const MAX_CANONICAL_BLOCK: u64 = 8192;
+
 /// The canonical reduction block size for a job of `replications`
 /// (`override_size` wins when positive).
 ///
@@ -115,8 +122,65 @@ pub(crate) fn canonical_block_size(override_size: u64, replications: u64) -> u64
     } else {
         // ~64 blocks for large jobs (ample parallelism), bounded below
         // so tiny jobs don't degenerate into per-replication merges.
-        replications.div_ceil(64).clamp(16, 8192)
+        replications.div_ceil(64).clamp(16, MAX_CANONICAL_BLOCK)
     }
+}
+
+/// How many consecutive canonical blocks one lease covers when `n_blocks`
+/// blocks of `block` replications go to a pool of `pool` workers.
+///
+/// About four leases per worker: enough to balance a pool whose workers
+/// run at different speeds, few enough that a lease's round trip is paid
+/// once per run of blocks rather than once per block. A batch carries at
+/// most [`MAX_CANONICAL_BLOCK`] replications and
+/// [`MAX_REQUEST_BLOCKS`] blocks, and always at least one block. Results
+/// never depend on it: every batch is answered block by block, and the
+/// merge folds the same blocks in the same order whatever the batch
+/// length.
+///
+/// [`MAX_REQUEST_BLOCKS`]: crate::remote::MAX_REQUEST_BLOCKS
+pub(crate) fn batch_len(n_blocks: u64, block: u64, pool: usize) -> u64 {
+    let leases = 4u64.saturating_mul(pool.max(1) as u64);
+    n_blocks
+        .div_ceil(leases)
+        .min(crate::remote::MAX_REQUEST_BLOCKS)
+        .min(MAX_CANONICAL_BLOCK / block.max(1))
+        .max(1)
+}
+
+/// The lease plan of a job of `replications` on a pool of `workers` (0 =
+/// available parallelism): the pool size — never more workers than
+/// canonical blocks — and the job's canonical blocks grouped into
+/// consecutive [`BlockBatch`]es, in block order: by [`batch_len`] when
+/// `batched`, one block each otherwise. The one place the queued runners
+/// lay out their leases.
+pub(crate) fn lease_batches(
+    replications: u64,
+    block_size_override: u64,
+    workers: usize,
+    batched: bool,
+) -> (usize, Vec<BlockBatch>) {
+    let block = canonical_block_size(block_size_override, replications);
+    let n_blocks = replications.div_ceil(block);
+    let pool = crate::queue::resolve_workers(workers).clamp(1, n_blocks.max(1) as usize);
+    let len = if batched {
+        batch_len(n_blocks, block, pool)
+    } else {
+        1
+    };
+    let batches = (0..n_blocks.div_ceil(len))
+        .map(|index| {
+            let first = index * len;
+            BlockBatch {
+                index,
+                first,
+                lo: first * block,
+                hi: (first + len).saturating_mul(block).min(replications),
+                size: block,
+            }
+        })
+        .collect();
+    (pool, batches)
 }
 
 /// Reduces one block of replications sequentially.
@@ -135,10 +199,10 @@ pub(crate) fn run_block<O: Observer + ?Sized>(job: &Job, lo: u64, hi: u64, obs: 
 }
 
 /// Merges per-block partials in ascending block order.
-pub(crate) fn merge_blocks(blocks: Vec<Summary>) -> Summary {
+pub(crate) fn merge_blocks(blocks: impl IntoIterator<Item = Summary>) -> Summary {
     let mut total = Summary::empty();
-    for partial in &blocks {
-        total.merge(partial);
+    for partial in blocks {
+        total.merge(&partial);
     }
     total
 }
@@ -276,6 +340,42 @@ mod tests {
             LocalRunner::new(0).with_block_size(64).effective_block(10),
             64
         );
+    }
+
+    #[test]
+    fn lease_batches_tile_the_canonical_blocks_in_order() {
+        use crate::remote::MAX_REQUEST_BLOCKS;
+        // About four leases per worker, never past a request's caps.
+        assert_eq!(batch_len(63, 32, 2), 8);
+        assert_eq!(batch_len(7, 8, 1), 2);
+        assert_eq!(batch_len(7, 8, 2), 1);
+        assert_eq!(batch_len(0, 16, 1), 1);
+        assert_eq!(batch_len(1 << 40, 1, 1), MAX_REQUEST_BLOCKS);
+        assert_eq!(batch_len(1 << 20, 64, 1), MAX_CANONICAL_BLOCK / 64);
+        assert_eq!(batch_len(1 << 20, MAX_CANONICAL_BLOCK, 1), 1);
+        assert_eq!(batch_len(4, u64::MAX, 1), 1, "one block always fits");
+        for batched in [false, true] {
+            for (reps, workers) in [(0, 1), (10, 4), (2_000, 2), (2_017, 3), (100_000, 1)] {
+                let (pool, batches) = lease_batches(reps, 0, workers, batched);
+                let block = canonical_block_size(0, reps);
+                assert_eq!(pool, workers.min(reps.div_ceil(block).max(1) as usize));
+                let blocks: Vec<_> = batches.iter().flat_map(BlockBatch::blocks).collect();
+                assert_eq!(blocks.len() as u64, reps.div_ceil(block), "reps {reps}");
+                for (b, a) in blocks.iter().enumerate() {
+                    let b = b as u64;
+                    assert_eq!((a.block, a.lo), (b, b * block));
+                    assert_eq!(a.hi, (a.lo + block).min(reps));
+                }
+                for (i, batch) in batches.iter().enumerate() {
+                    assert_eq!(batch.index, i as u64);
+                    assert!(batch.block_count() <= batches[0].block_count());
+                    assert!(batch.hi - batch.lo <= MAX_CANONICAL_BLOCK);
+                    if !batched {
+                        assert_eq!(batch.block_count(), 1);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

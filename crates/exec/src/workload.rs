@@ -26,8 +26,8 @@
 //! [`Workload::Rep`] driver, and the per-block partials merge in
 //! ascending block order.
 
-use crate::queue::{BlockAssignment, QueueObserver, WorkQueue};
-use crate::runner::canonical_block_size;
+use crate::queue::{QueueObserver, WorkQueue};
+use crate::runner::{canonical_block_size, lease_batches};
 use eacp_sim::{NoopObserver, Summary};
 use eacp_spec::SpecError;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -206,8 +206,9 @@ pub fn run_workload_local<W: Workload>(
 }
 
 /// The canonical work-queue reduction of any [`Workload`]: the same fixed
-/// blocks leased to a worker pool through a [`WorkQueue`] (with lease
-/// retry), partials merged in ascending block order. Bit-identical to
+/// blocks leased one per lease to a worker pool through a [`WorkQueue`]
+/// (with lease retry), partials merged in ascending block order.
+/// Bit-identical to
 /// [`run_workload_local`] for any worker count and any failure/retry
 /// schedule, because a failed lease discards its partial wholesale and the
 /// re-run is deterministic.
@@ -224,25 +225,19 @@ pub fn run_workload_queued<W: Workload>(
     block_size_override: u64,
     obs: &dyn QueueObserver,
 ) -> Result<W::Acc, SpecError> {
-    let reps = workload.replications();
-    let block = canonical_block_size(block_size_override, reps);
-    let n_blocks = reps.div_ceil(block);
-    let assignments = (0..n_blocks).map(|b| BlockAssignment {
-        block: b,
-        lo: b * block,
-        hi: ((b + 1) * block).min(reps),
-    });
-    let queue = WorkQueue::new(assignments).with_max_attempts(max_attempts);
-    let pool = crate::queue::resolve_workers(workers).clamp(1, n_blocks.max(1) as usize);
+    // In-process leases gain nothing from batching: one block each.
+    let (pool, batches) =
+        lease_batches(workload.replications(), block_size_override, workers, false);
+    let queue = WorkQueue::new(batches).with_max_attempts(max_attempts);
     let partials = queue.drain(pool, obs, |_worker, lease| {
-        Ok(run_workload_block(
-            workload,
-            lease.item().lo,
-            lease.item().hi,
-        ))
+        Ok(lease
+            .item()
+            .blocks()
+            .map(|block| run_workload_block(workload, block.lo, block.hi))
+            .collect::<Vec<_>>())
     })?;
     let mut total = workload.empty_acc();
-    for partial in &partials {
+    for partial in partials.iter().flatten() {
         W::merge_acc(&mut total, partial);
     }
     Ok(total)

@@ -2,10 +2,12 @@
 //!
 //! * N servers × M workers produce a `Summary` bit-identical to the
 //!   sequential `LocalRunner` — the determinism contract the whole
-//!   transport rides on.
+//!   transport rides on — whatever the number of blocks a lease covers.
+//! * A lease of several blocks is one `run_block` request.
 //! * Dead endpoints (connection refused), black holes (accepts, never
 //!   replies) and a server killed mid-lease are all absorbed by endpoint
-//!   rotation, the lease retry budget and the in-process fallback.
+//!   rotation, the lease retry budget and the in-process fallback, on
+//!   one-block and multi-block leases alike.
 //! * Transport errors carry full provenance: endpoint, lease attempt,
 //!   transport try, and protocol phase.
 //! * Connections are kept alive: at most one per pool worker and
@@ -70,6 +72,95 @@ fn two_servers_times_1_4_and_16_workers_match_local_runner() {
             .unwrap();
         assert_eq!(fleet, reference, "2 servers x {workers} workers");
     }
+}
+
+/// Counts leases; a lease is one batch of consecutive canonical blocks.
+#[derive(Default)]
+struct LeaseCount(AtomicU64);
+
+impl QueueObserver for LeaseCount {
+    fn on_lease(&self, _worker: usize, _index: usize, _attempt: u32, _status: QueueStatus) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn batches_of_one_two_and_more_blocks_match_local_runner() {
+    let s1 = RemoteServer::bind("127.0.0.1:0").unwrap();
+    let s2 = RemoteServer::bind("127.0.0.1:0").unwrap();
+    let endpoints = vec![s1.endpoint().to_owned(), s2.endpoint().to_owned()];
+    let mut lengths = Vec::new();
+    // 200 reps: 13 blocks of 16; 640: 40 of 16; 2017: 64 of 32, the last
+    // holding one replication.
+    for (reps, block) in [(200u64, 16u64), (640, 16), (2017, 32)] {
+        let job = Job::from_spec(&spec(reps, reps)).unwrap();
+        let reference = LocalRunner::new(1).run(&job).unwrap();
+        let blocks = reps.div_ceil(block);
+        for workers in [1usize, 2, 4, 16] {
+            let leases = LeaseCount::default();
+            let fleet = fleet_runner(endpoints.clone(), workers, 5_000, 3)
+                .run_with(&job, &leases)
+                .unwrap();
+            assert_eq!(fleet, reference, "{reps} reps x {workers} workers");
+            // About four leases per pool worker.
+            let pool = (workers as u64).min(blocks);
+            let len = blocks.div_ceil(4 * pool);
+            assert_eq!(leases.0.load(Ordering::SeqCst), blocks.div_ceil(len));
+            lengths.push(len);
+        }
+    }
+    assert!(lengths.contains(&1) && lengths.contains(&2), "{lengths:?}");
+    assert!(lengths.iter().any(|&len| len > 2), "{lengths:?}");
+}
+
+#[test]
+fn one_run_block_request_per_batch_not_per_block() {
+    let server = RemoteServer::bind("127.0.0.1:0").unwrap();
+    let proxy = CountingProxy::new(server.endpoint());
+    // 1024 replications = 64 canonical blocks of 16; 2 workers lease them
+    // in 8 batches of 8.
+    let job = Job::from_spec(&spec(1024, 19)).unwrap();
+    let reference = LocalRunner::new(1).run(&job).unwrap();
+    let leases = LeaseCount::default();
+    let runner = fleet_runner(vec![proxy.endpoint.clone()], 2, 5_000, 3);
+    assert_eq!(runner.run_with(&job, &leases).unwrap(), reference);
+    let leases = leases.0.load(Ordering::SeqCst);
+    assert_eq!(leases, 8);
+    assert_eq!(proxy.run_block_requests(), leases as usize);
+}
+
+#[test]
+fn failure_schedules_on_multi_block_batches_match_local_runner() {
+    // One worker leases 100 replications (7 blocks of 16) in 4 batches,
+    // 3 of them 2 blocks long.
+    let job = Job::from_spec(&spec(100, 29)).unwrap();
+    let reference = LocalRunner::new(1).run(&job).unwrap();
+    // A server killed mid-lease, then refusing connections.
+    let live = RemoteServer::bind("127.0.0.1:0").unwrap();
+    let killer = TcpListener::bind("127.0.0.1:0").unwrap();
+    let killer_endpoint = killer.local_addr().unwrap().to_string();
+    let kill = std::thread::spawn(move || {
+        if let Ok((mut conn, _)) = killer.accept() {
+            let mut buf = [0u8; 4096];
+            let _ = conn.read(&mut buf);
+        }
+    });
+    let endpoints = vec![killer_endpoint, live.endpoint().to_owned()];
+    let fleet = fleet_runner(endpoints, 1, 2_000, 3).run(&job).unwrap();
+    assert_eq!(fleet, reference, "mid-lease kill");
+    kill.join().unwrap();
+    // A black hole: the first attempt times out, the second runs
+    // in-process.
+    let hole = TcpListener::bind("127.0.0.1:0").unwrap();
+    let endpoint = hole.local_addr().unwrap().to_string();
+    let fleet = fleet_runner(vec![endpoint], 1, 100, 2).run(&job).unwrap();
+    assert_eq!(fleet, reference, "black hole");
+    drop(hole);
+    // No live server at all.
+    let fleet = fleet_runner(vec![closed_port(), closed_port()], 1, 300, 2)
+        .run(&job)
+        .unwrap();
+    assert_eq!(fleet, reference, "dead fleet");
 }
 
 #[test]
@@ -192,10 +283,12 @@ fn remote_sweep_matches_sequential_sweep() {
 }
 
 /// A TCP forwarder in front of one server that counts the connections it
-/// accepts — the number of connections the client opened.
+/// accepts — the number of connections the client opened — and the
+/// `run_block` request frames it forwards.
 struct CountingProxy {
     endpoint: String,
     accepted: Arc<AtomicUsize>,
+    run_blocks: Arc<AtomicUsize>,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
 }
@@ -205,9 +298,15 @@ impl CountingProxy {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let endpoint = listener.local_addr().unwrap().to_string();
         let accepted = Arc::new(AtomicUsize::new(0));
+        let run_blocks = Arc::new(AtomicUsize::new(0));
         let stop = Arc::new(AtomicBool::new(false));
         let accept = {
-            let (accepted, stop, upstream) = (accepted.clone(), stop.clone(), upstream.to_owned());
+            let (accepted, run_blocks, stop, upstream) = (
+                accepted.clone(),
+                run_blocks.clone(),
+                stop.clone(),
+                upstream.to_owned(),
+            );
             std::thread::spawn(move || {
                 let mut pipes = Vec::new();
                 for client in listener.incoming() {
@@ -217,9 +316,10 @@ impl CountingProxy {
                     accepted.fetch_add(1, Ordering::SeqCst);
                     let client = client.unwrap();
                     let server = TcpStream::connect(&upstream).unwrap();
-                    pipes.push(pipe(
+                    pipes.push(pipe_requests(
                         client.try_clone().unwrap(),
                         server.try_clone().unwrap(),
+                        run_blocks.clone(),
                     ));
                     pipes.push(pipe(server, client));
                 }
@@ -231,6 +331,7 @@ impl CountingProxy {
         Self {
             endpoint,
             accepted,
+            run_blocks,
             stop,
             accept: Some(accept),
         }
@@ -239,6 +340,31 @@ impl CountingProxy {
     fn accepted(&self) -> usize {
         self.accepted.load(Ordering::SeqCst)
     }
+
+    fn run_block_requests(&self) -> usize {
+        self.run_blocks.load(Ordering::SeqCst)
+    }
+}
+
+/// Forwards request frames from `from` to `to` one by one, counting the
+/// `run_block` ones, until EOF; then passes the close on.
+fn pipe_requests(
+    from: TcpStream,
+    mut to: TcpStream,
+    run_blocks: Arc<AtomicUsize>,
+) -> JoinHandle<()> {
+    std::thread::spawn(move || {
+        let mut reader = BufReader::new(from);
+        while let Ok(Some(frame)) = read_frame(&mut reader) {
+            if frame.contains("\"op\": \"run_block\"") {
+                run_blocks.fetch_add(1, Ordering::SeqCst);
+            }
+            if write_frame(&mut to, &frame).is_err() {
+                break;
+            }
+        }
+        let _ = to.shutdown(Shutdown::Write);
+    })
 }
 
 /// Copies `from` to `to` until EOF, then passes the close on.

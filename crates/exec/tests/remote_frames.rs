@@ -1,13 +1,15 @@
 //! Property and adversarial tests of the remote frame codec and protocol:
 //! round-trip fidelity for arbitrary payload streams, the R4 contract that
 //! corrupt, truncated or oversized input is always a `SpecError`, never a
-//! panic or an unbounded allocation, and the per-connection job cache —
-//! a spec-less `run_block` runs against the spec most recently loaded on
-//! its connection, or is an error response.
+//! panic or an unbounded allocation, the per-connection job cache — a
+//! spec-less `run_block` runs against the spec most recently loaded on
+//! its connection, or is an error response — and multi-block replies: one
+//! summary per `block`-sized chunk, each equal to that chunk run
+//! in-process, within the request caps.
 
 use eacp_exec::remote::{
-    answer_request, ping_request, read_frame, run_block_request, write_frame, Session,
-    MAX_FRAME_BYTES,
+    answer_request, ping_request, read_frame, run_block_request, run_blocks_request, write_frame,
+    Session, MAX_FRAME_BYTES, MAX_REQUEST_BLOCKS, MAX_REQUEST_REPLICATIONS, PROTOCOL_VERSION,
 };
 use eacp_exec::{BlockAssignment, InProcessWorker, Job, RemoteServer, Summary, Worker};
 use eacp_spec::{ExperimentSpec, FromJson, Json, McSpec};
@@ -27,8 +29,22 @@ fn spec(reps: u64, seed: u64) -> ExperimentSpec {
 }
 
 /// A `run_block` request without a spec.
-fn spec_less_request(lo: u64, hi: u64) -> String {
-    format!("{{\"v\": 1, \"op\": \"run_block\", \"lo\": {lo}, \"hi\": {hi}}}")
+fn spec_less_request(lo: u64, hi: u64, block: u64) -> String {
+    format!(
+        "{{\"v\": {PROTOCOL_VERSION}, \"op\": \"run_block\", \"lo\": {lo}, \"hi\": {hi}, \
+         \"block\": {block}}}"
+    )
+}
+
+/// The summaries of a reply, or `None` for an error response.
+fn summaries(reply: &str) -> Option<Vec<Summary>> {
+    let json = Json::parse(reply).unwrap();
+    let list = json.get("summaries")?.as_array().unwrap();
+    Some(
+        list.iter()
+            .map(|s| Summary::from_json(s).unwrap())
+            .collect(),
+    )
 }
 
 /// One request of a connection's conversation.
@@ -150,27 +166,29 @@ proptest! {
                 Request::Full(_, lo, hi) => {
                     loaded = None;
                     let text = format!(
-                        "{{\"v\": 1, \"op\": \"run_block\", \"lo\": {lo}, \"hi\": {hi}, \
-                         \"spec\": {{\"name\": \"broken\"}}}}"
+                        "{{\"v\": {PROTOCOL_VERSION}, \"op\": \"run_block\", \"lo\": {lo}, \
+                         \"hi\": {hi}, \"block\": 1, \"spec\": {{\"name\": \"broken\"}}}}"
                     );
                     (text, None)
                 }
-                Request::SpecLess(lo, hi) => (spec_less_request(lo, hi), Some((lo, hi))),
+                Request::SpecLess(lo, hi) => {
+                    (spec_less_request(lo, hi, hi.saturating_sub(lo).max(1)), Some((lo, hi)))
+                }
                 Request::Garbage(ref text) => (text.clone(), None),
             };
-            let response = Json::parse(&session.answer(&text)).unwrap();
+            let reply = session.answer(&text);
+            // A one-block request: one summary, or none for an empty range.
             let expected = match (loaded, range) {
                 (Some(i), Some((lo, hi))) if lo <= hi && hi <= specs[i].mc.replications => {
                     let block = BlockAssignment { block: 0, lo, hi };
-                    Some(InProcessWorker.run_assignment(&jobs[i], block, 1).unwrap())
+                    let summary = InProcessWorker.run_assignment(&jobs[i], block, 1).unwrap();
+                    Some(if lo < hi { vec![summary] } else { Vec::new() })
                 }
                 _ => None,
             };
-            match (response.get("summary"), expected) {
-                (Some(summary), Some(expected)) => {
-                    prop_assert_eq!(Summary::from_json(summary).unwrap(), expected);
-                }
-                (None, None) => prop_assert!(response.get("error").is_some()),
+            match (summaries(&reply), expected) {
+                (Some(got), Some(expected)) => prop_assert_eq!(got, expected),
+                (None, None) => prop_assert!(Json::parse(&reply).unwrap().get("error").is_some()),
                 (got, want) => prop_assert!(
                     false,
                     "{:?} answered {:?}, expected {:?}",
@@ -183,14 +201,98 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// For any `[lo, hi)` and `block`, a session answers one summary per
+    /// `block`-sized chunk of the range, in order, and each equals that
+    /// chunk run in-process.
+    #[test]
+    fn session_summaries_equal_each_canonical_chunk(
+        lo in 0u64..40,
+        len in 0u64..=40,
+        block in 1u64..=48,
+    ) {
+        let spec = spec(40, 23);
+        let job = Job::from_spec(&spec).unwrap();
+        let hi = (lo + len).min(40);
+        let got = summaries(&Session::default().answer(&run_blocks_request(&spec, lo, hi, block)))
+            .expect("an in-range request is answered");
+        let chunks: Vec<(u64, u64)> = (lo..hi)
+            .step_by(block as usize)
+            .map(|a| (a, (a + block).min(hi)))
+            .collect();
+        prop_assert_eq!(got.len(), chunks.len());
+        for (i, (summary, &(a, b))) in got.iter().zip(&chunks).enumerate() {
+            let chunk = BlockAssignment { block: i as u64, lo: a, hi: b };
+            prop_assert_eq!(summary, &InProcessWorker.run_assignment(&job, chunk, 1).unwrap());
+        }
+    }
+}
+
+#[test]
+fn oversized_ranges_chunk_floods_and_block_zero_are_error_responses() {
+    let server = RemoteServer::bind("127.0.0.1:0").unwrap();
+    let stream = TcpStream::connect(server.endpoint()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut writer = &stream;
+    let mut reader = BufReader::new(&stream);
+    let mut exchange = |request: String| {
+        write_frame(&mut writer, &request).unwrap();
+        read_frame(&mut reader).unwrap().unwrap()
+    };
+    // A job just past the replication cap; nothing here runs it whole.
+    let spec = spec(MAX_REQUEST_REPLICATIONS + 1, 31);
+    let error = |reply: &str| {
+        let json = Json::parse(reply).unwrap();
+        json.req("error").unwrap().as_str().unwrap().to_owned()
+    };
+    let wide = error(&exchange(run_blocks_request(
+        &spec,
+        0,
+        MAX_REQUEST_REPLICATIONS + 1,
+        4096,
+    )));
+    assert!(wide.contains("replication request cap"), "{wide}");
+    // A hostile chunk size: more summaries than a reply may carry.
+    let flood = error(&exchange(run_blocks_request(
+        &spec,
+        0,
+        MAX_REQUEST_BLOCKS + 1,
+        1,
+    )));
+    assert!(flood.contains("block request cap"), "{flood}");
+    let zero = error(&exchange(run_blocks_request(&spec, 0, 8, 0)));
+    assert!(zero.contains("block size 0"), "{zero}");
+    // The connection keeps serving, with the job it loaded.
+    let job = Job::from_spec(&spec).unwrap();
+    let got = summaries(&exchange(spec_less_request(0, 8, 4))).unwrap();
+    let want: Vec<Summary> = [(0, 4), (4, 8)]
+        .iter()
+        .enumerate()
+        .map(|(i, &(lo, hi))| {
+            let chunk = BlockAssignment {
+                block: i as u64,
+                lo,
+                hi,
+            };
+            InProcessWorker.run_assignment(&job, chunk, 1).unwrap()
+        })
+        .collect();
+    assert_eq!(got, want);
+    server.shutdown();
+}
+
 #[test]
 fn spec_less_run_block_without_a_loaded_job_is_an_error_response() {
     // Stateless: a fresh session holds no job.
-    let text = answer_request(&spec_less_request(0, 4));
+    let text = answer_request(&spec_less_request(0, 4, 4));
     let json = Json::parse(&text).unwrap();
     let error = json.req("error").unwrap().as_str().unwrap();
     assert!(error.contains("spec"), "{error}");
-    assert!(json.get("summary").is_none(), "{text}");
+    assert!(json.get("summaries").is_none(), "{text}");
 
     // On a fresh connection: an error response, and the connection keeps
     // serving.
@@ -201,7 +303,7 @@ fn spec_less_run_block_without_a_loaded_job_is_an_error_response() {
         .unwrap();
     let mut writer = &stream;
     let mut reader = BufReader::new(&stream);
-    write_frame(&mut writer, &spec_less_request(0, 4)).unwrap();
+    write_frame(&mut writer, &spec_less_request(0, 4, 4)).unwrap();
     let reply = read_frame(&mut reader).unwrap().unwrap();
     assert!(
         Json::parse(&reply).unwrap().get("error").is_some(),
@@ -214,9 +316,9 @@ fn spec_less_run_block_without_a_loaded_job_is_an_error_response() {
     let spec = spec(8, 5);
     write_frame(&mut writer, &run_block_request(&spec, 0, 4)).unwrap();
     let full = read_frame(&mut reader).unwrap().unwrap();
-    write_frame(&mut writer, &spec_less_request(0, 4)).unwrap();
+    write_frame(&mut writer, &spec_less_request(0, 4, 4)).unwrap();
     let cached = read_frame(&mut reader).unwrap().unwrap();
-    assert!(full.contains("summary"), "{full}");
+    assert!(full.contains("summaries"), "{full}");
     assert_eq!(full, cached);
     server.shutdown();
 }
