@@ -164,7 +164,7 @@ mod tests {
                 hot: false,
             })
         );
-        assert!(classify("crates/experiments/src/bin/sweep.rs").is_some_and(|c| !c.library));
+        assert!(classify("crates/audit/src/main.rs").is_some_and(|c| !c.library));
         // The remote transport and the cell pipeline (cell trait, grid
         // executor) live in a determinism crate (a fleet or sharded run
         // must be bit-identical to a local one) but are not hot modules:

@@ -16,8 +16,9 @@
 //!   paper-value deltas;
 //! * `analyze` — print the paper's analysis quantities (`I1/I2/I3`,
 //!   thresholds, `num_SCP`/`num_CCP`, `t_est`, chosen speed);
-//! * `table` — regenerate one of the paper's tables, each cell through
-//!   the same store / analytic tier / placement path as `mc`;
+//! * `table` — regenerate one of the paper's tables, its two part
+//!   documents through the same store / analytic tier / placement path
+//!   as `sweep`;
 //! * `feasibility` — checkpoint-aware EDF/RM analysis of a periodic task
 //!   set, with a per-k sensitivity table (spec-driven via
 //!   [`ExecutiveSpec`], or the `--tasks` shorthand);
@@ -56,7 +57,7 @@ use eacp_energy::DvsConfig;
 use eacp_exec::{
     coverage_dir, merge_dir, placement, render_executive_rows, render_rows,
     run_sweep_queued_tiered, run_sweep_tiered, Cell, GridReport, PaperRef, QueueObserver,
-    QueueStatus, ShardId,
+    QueueStatus, Runner, ShardId,
 };
 use eacp_rtsched::feasibility::{
     edf_density, k_fault_wcet, minimum_feasible_speed, rm_response_times,
@@ -96,7 +97,7 @@ USAGE:
   eacp analyze    [--util U] [--lambda L] [--k K] [--deadline D] [--variant scp|ccp]
   eacp table      <1|2|3|4> [--reps N] [--seed N] [--threads N] [--json] [--out DIR]
                   [--queue [--workers N] [--endpoints H:P,... [--timeout-ms T]]]
-                  [--no-analytic] [CACHE]
+                  [--no-analytic] [--emit-spec] [CACHE]
   eacp feasibility [SPEC] [--tasks name:wcet:period[:deadline][,...]] [--util U] [--k K]
                   [--speed F]
   eacp executive  [SPEC] [--tasks ...] [--scheme S] [--util U] [--lambda L] [--k K]
@@ -123,18 +124,21 @@ ANALYTIC SERVE TIER (mc/sweep/table):
   the tier that recorded it.
 
 PAPER TABLES:
-  `eacp table N` regenerates the paper's Table N: every (U, lambda, k)
-  row times the four scheme columns, --reps replications per scheme,
-  row i seeded --seed + i. Each scheme of each row runs as an `mc` cell
-  does: through the store (CACHE), the analytic tier (unless
+  `eacp table N` regenerates the paper's Table N from its two grid
+  documents, specs/tableNa.json and specs/tableNb.json (built in): every
+  (U, lambda, k) row times the four scheme columns, --reps replications
+  per scheme, row i seeded --seed + i. Both run on the grid path `sweep`
+  uses: through the store (CACHE), the analytic tier (unless
   --no-analytic) and --threads or the --queue pool / --endpoints fleet,
   with identical summaries on every path. Text output is the table, its
   error statistics against the paper and the shape-criteria tally (with
   each failing criterion); --json emits every cell's specs and
   summaries; --out DIR writes tableN.txt (the text output), tableN.md
-  and tableN.csv. The table fixes its operating points, so the shape
+  and tableN.csv; --emit-spec prints the cells as `sweep --emit-spec`
+  prints a grid's. The table fixes its operating points, so the shape
   flags (see PARAMETER FLAGS) and --spec, --preset, --shard and --sweep
-  are rejected.
+  are rejected. The ablations are grid documents too: `eacp sweep --spec
+  specs/ablation-*.json --out DIR`, then `eacp csv DIR`.
 
 PERIODIC TASK SETS (feasibility/executive):
   Both subcommands resolve an ExecutiveSpec: --spec file.json loads a
@@ -205,7 +209,9 @@ PARAMETER FLAGS:
   each set one cell parameter, as the grid axis of the same name does. A
   flag the command's cell lacks is an error, never dropped (run/mc:
   --speed, --hyperperiods; feasibility/executive: --deadline). Grids and
-  table fix the shape flags: --scheme and all of these but --seed.
+  table fix the shape flags: --scheme and all of these but --seed. Any
+  flag a command does not read is an error naming the flag and the
+  command.
 
 SCHEMES: poisson | kft | a_d | a_d_s | a_d_c | a_s | a_c | cscp (default a_d_s)
 DEFAULTS: util 0.76, lambda 1.4e-3, k 5, deadline 10000, variant scp";
@@ -585,13 +591,10 @@ fn parameter_flags(o: &Options) -> [(&'static str, Knob); 8] {
 }
 
 /// The first shape flag passed: `--scheme` or a parameter flag other
-/// than `--seed`. A grid's base and axes and a paper table's rows fix
-/// them all, so grids and `table` reject them instead of silently
-/// dropping them.
+/// than `--seed`. A grid's base and axes fix them all, so grids reject
+/// them instead of silently dropping them.
 fn shape_flag(o: &Options) -> Option<&'static str> {
-    std::iter::once("--scheme")
-        .chain(parameter_flags(o).map(|(flag, _)| flag))
-        .find(|&flag| flag != "--seed" && o.has(flag))
+    SHAPE.iter().copied().find(|&flag| o.has(flag))
 }
 
 /// Applies the explicitly passed parameter flags to `cell`.
@@ -1010,44 +1013,22 @@ fn cmd_grid<C: CliCell>(o: &Options, path: &str) -> Result<String, String> {
     let progress = QueueProgress::default();
     let runner = placement(queue.as_ref(), sweep.base.placement().1).map_err(|e| e.to_string())?;
     let fleet = queue.as_ref().map_or(0, |q| q.endpoints.len());
-    let (grid, note) = match &store {
-        // Store-backed sweep: covered cells are served, the rest are
-        // scheduled on the chosen runner and recorded — this is what makes
-        // an interrupted sweep resumable.
-        Some(backend) => {
-            let counters = StoreCounters::new();
-            let grid = run_sweep_cached_tiered(
-                &sweep,
-                shard,
-                runner.as_ref(),
-                backend,
-                cache_mode(o),
-                &counters,
-                !o.no_analytic,
-            );
-            let mut note = format!(
-                ", store: {} served, {} computed",
-                counters.hits(),
-                counters.records()
-            );
-            if counters.quarantined() > 0 {
-                note.push_str(&format!(", {} quarantined", counters.quarantined()));
+    let leased = if store.is_none() && fleet == 0 {
+        C::run_point_leased(&sweep, shard, o, &progress)
+    } else {
+        None
+    };
+    let (grid, note) = match leased {
+        Some(grid) => (grid, format!(", queued: {}", progress.render(o.workers))),
+        None => {
+            let (grid, note) = run_grid_cells(o, &sweep, shard, runner.as_ref(), store.as_ref());
+            // Remote fleet: each grid point's canonical blocks fan out
+            // across the endpoints through the fleet point-runner.
+            match store {
+                None if fleet > 0 => (grid, format!(", fleet: {fleet} endpoint(s)")),
+                _ => (grid, note),
             }
-            (grid, note)
         }
-        // Remote fleet: each grid point's canonical blocks fan out across
-        // the endpoints through the fleet point-runner.
-        None if fleet > 0 => (
-            run_sweep_tiered(&sweep, shard, runner.as_ref(), !o.no_analytic),
-            format!(", fleet: {fleet} endpoint(s)"),
-        ),
-        None => match C::run_point_leased(&sweep, shard, o, &progress) {
-            Some(grid) => (grid, format!(", queued: {}", progress.render(o.workers))),
-            None => (
-                run_sweep_tiered(&sweep, shard, runner.as_ref(), !o.no_analytic),
-                String::new(),
-            ),
-        },
     };
     let grid = grid.map_err(|e| e.to_string())?;
     if !o.out.is_empty() {
@@ -1070,6 +1051,45 @@ fn cmd_grid<C: CliCell>(o: &Options, path: &str) -> Result<String, String> {
         format!(", shard {s}: {} points", grid.points.len())
     });
     Ok(C::table(&grid, &format!("{shard_note}{note}")))
+}
+
+/// Runs a grid, or one shard of it, on `runner`: through the store when
+/// one is configured — covered cells are served, the rest are computed and
+/// recorded, which is what makes an interrupted sweep resumable — else
+/// directly. The note counts what the store served and computed.
+fn run_grid_cells<C: CliCell>(
+    o: &Options,
+    grid: &Grid<C>,
+    shard: Option<ShardId>,
+    runner: &dyn Runner,
+    store: Option<&FsBackend>,
+) -> (Result<GridReport<C>, eacp_spec::SpecError>, String) {
+    let analytic = !o.no_analytic;
+    let Some(backend) = store else {
+        return (
+            run_sweep_tiered(grid, shard, runner, analytic),
+            String::new(),
+        );
+    };
+    let counters = StoreCounters::new();
+    let report = run_sweep_cached_tiered(
+        grid,
+        shard,
+        runner,
+        backend,
+        cache_mode(o),
+        &counters,
+        analytic,
+    );
+    let mut note = format!(
+        ", store: {} served, {} computed",
+        counters.hits(),
+        counters.records()
+    );
+    if counters.quarantined() > 0 {
+        note.push_str(&format!(", {} quarantined", counters.quarantined()));
+    }
+    (report, note)
 }
 
 /// Work-queue telemetry accumulated across the pool's threads; rendered
@@ -1528,21 +1548,13 @@ pub fn cmd_analyze(o: &Options) -> Result<String, String> {
     ))
 }
 
-/// `eacp table`: regenerate one paper table. Every scheme of every cell
-/// goes through [`run_cell`] — the store, analytic tier and placement
-/// path `mc` uses — so `--store`, `--queue`/`--endpoints` and `--threads`
-/// apply to tables as they do to single cells.
+/// `eacp table`: regenerate one paper table. Its two part documents
+/// ([`eacp_experiments::table_grids`]) run on the grid path `eacp sweep`
+/// uses ([`run_grid_cells`]), so `--store`, `--queue`/`--endpoints`,
+/// `--threads` and `--no-analytic` apply to tables as to any grid; the
+/// reports are regrouped into rows only for the renderers.
 pub fn cmd_table(o: &Options) -> Result<String, String> {
-    use eacp_experiments::{compare, render, shape, TableId};
-    let document_flag = ["--spec", "--preset", "--shard", "--sweep"]
-        .into_iter()
-        .find(|&flag| o.has(flag));
-    if let Some(flag) = shape_flag(o).or(document_flag) {
-        return Err(format!(
-            "table: {flag} cannot reshape a paper table — run other operating \
-             points with `eacp mc` or `eacp sweep`"
-        ));
-    }
+    use eacp_experiments::{compare, render, shape, table_grids, TableId, TableResult};
     let which = o
         .positional
         .first()
@@ -1554,19 +1566,34 @@ pub fn cmd_table(o: &Options) -> Result<String, String> {
         "4" => TableId::Table4,
         other => return Err(format!("unknown table {other:?}")),
     };
-    let mut executor = ExecSpec::paper();
-    if o.queue {
+    let queue = o.queue.then(|| queue_spec_of(o));
+    let grids = table_grids(id).map(|mut grid| {
+        grid.base.mc.replications = o.reps;
+        grid.base.mc.seed = o.seed;
         // Recorded in each cell's spec, as `mc --queue` records it; the
-        // summaries are bit-identical either way.
-        executor = executor.with_queue(queue_spec_of(o));
+        // summaries are bit-identical either way. The local pool size is
+        // an execution choice, not part of the cell, so it stays out.
+        if let Some(q) = &queue {
+            grid.base.set_queue(q.clone());
+        }
+        grid
+    });
+    if o.emit_spec {
+        let parts = grids
+            .iter()
+            .map(Grid::expand)
+            .collect::<Result<Vec<_>, _>>();
+        let cells = parts.map_err(|e| e.to_string())?.into_iter().flatten();
+        return Ok(Json::Array(cells.map(|cell| cell.to_json()).collect()).pretty());
     }
-    let result = eacp_experiments::run_table(id, o.reps, o.seed, &executor, |spec| {
-        // The local pool size is an execution choice, not part of the
-        // cell: it changes no summary bit and stays out of the report.
-        let mut spec = spec.clone();
-        spec.mc.threads = o.threads;
-        run_cell(o, &spec).map(|(summary, _, _)| summary)
-    })?;
+    let runner = placement(queue.as_ref(), o.threads).map_err(|e| e.to_string())?;
+    let store = resolve_store(o)?;
+    let reports = grids
+        .iter()
+        .map(|grid| run_grid_cells(o, grid, None, runner.as_ref(), store.as_ref()).0)
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| e.to_string())?;
+    let result = TableResult::from_reports(id, &reports);
     if o.json && o.out.is_empty() {
         return Ok(render::to_json(&result));
     }
@@ -1957,7 +1984,53 @@ pub fn cmd_serve(o: &Options) -> Result<String, String> {
     Ok(String::new())
 }
 
-/// Dispatches a full command line (without the program name).
+// Flag groups. A command lists the groups it reads; the groups' order is
+// the order in which an unread flag is looked for.
+const SHAPE: &[&str] = &[
+    "--scheme",
+    "--util",
+    "--deadline",
+    "--variant",
+    "--lambda",
+    "--k",
+    "--speed",
+    "--hyperperiods",
+];
+const SEED: &[&str] = &["--seed"];
+const SPEC: &[&str] = &["--spec"];
+const PRESET: &[&str] = &["--preset"];
+const TASKS: &[&str] = &["--tasks"];
+const MC: &[&str] = &["--reps", "--threads"];
+const QUEUE: &[&str] = &["--queue", "--workers", "--endpoints", "--timeout-ms"];
+const STORE: &[&str] = &["--store", "--no-cache"];
+const REFRESH: &[&str] = &["--refresh"];
+const ANALYTIC: &[&str] = &["--no-analytic"];
+const SHARD: &[&str] = &["--shard"];
+const JSON: &[&str] = &["--json"];
+const OUT: &[&str] = &["--out"];
+const EMIT: &[&str] = &["--emit-spec"];
+const TRACE: &[&str] = &["--trace"];
+const MODES: &[&str] = &["--mc", "--sweep"];
+const LISTEN: &[&str] = &["--listen"];
+const RETENTION: &[&str] = &["--max-entries", "--max-bytes", "--sample"];
+const ANALYZE: &[&str] = &["--util", "--deadline", "--variant", "--lambda", "--k"];
+const FLAG_GROUPS: &[&[&str]] = &[
+    SHAPE, SEED, SPEC, PRESET, TASKS, MC, QUEUE, STORE, REFRESH, ANALYTIC, SHARD, JSON, OUT, EMIT,
+    TRACE, MODES, LISTEN, RETENTION,
+];
+
+/// The first flag passed that none of `reads` holds, in [`FLAG_GROUPS`]
+/// order.
+fn unread_flag(o: &Options, reads: &[&[&str]]) -> Option<&'static str> {
+    FLAG_GROUPS
+        .iter()
+        .flat_map(|group| group.iter().copied())
+        .find(|&flag| o.has(flag) && !reads.iter().any(|group| group.contains(&flag)))
+}
+
+/// Dispatches a full command line (without the program name). A flag the
+/// command does not read is an error naming the flag and the command,
+/// never silently dropped.
 ///
 /// # Errors
 ///
@@ -1966,24 +2039,54 @@ pub fn dispatch(args: Vec<String>) -> Result<String, String> {
     let Some(cmd) = args.first().cloned() else {
         return Ok(USAGE.to_owned());
     };
-    let rest = args.into_iter().skip(1);
-    match cmd.as_str() {
-        "run" => cmd_run(&parse_options(rest)?),
-        "mc" => cmd_mc(&parse_options(rest)?),
-        "sweep" => cmd_sweep(&parse_options(rest)?),
-        "serve" => cmd_serve(&parse_options(rest)?),
-        "merge" => cmd_merge(&parse_options(rest)?),
-        "queue" => cmd_queue(&parse_options(rest)?),
-        "store" => cmd_store(&parse_options(rest)?),
-        "csv" => cmd_csv(&parse_options(rest)?),
-        "analyze" => cmd_analyze(&parse_options(rest)?),
-        "table" => cmd_table(&parse_options(rest)?),
-        "feasibility" => cmd_feasibility(&parse_options(rest)?),
-        "executive" => cmd_executive(&parse_options(rest)?),
-        "presets" => Ok(cmd_presets()),
-        "--help" | "-h" | "help" => Ok(USAGE.to_owned()),
-        other => Err(format!("unknown command {other:?}\n{USAGE}")),
+    let (run, reads): (fn(&Options) -> Result<String, String>, &[&[&str]]) = match cmd.as_str() {
+        "run" => (
+            cmd_run,
+            &[
+                SHAPE, SEED, SPEC, PRESET, MC, QUEUE, STORE, REFRESH, EMIT, TRACE,
+            ],
+        ),
+        "mc" => (
+            cmd_mc,
+            &[
+                SHAPE, SEED, SPEC, PRESET, MC, QUEUE, STORE, REFRESH, ANALYTIC, JSON, EMIT,
+            ],
+        ),
+        "sweep" => (
+            cmd_sweep,
+            &[
+                SHAPE, SEED, SPEC, MC, QUEUE, STORE, REFRESH, ANALYTIC, SHARD, JSON, OUT, EMIT,
+            ],
+        ),
+        "serve" => (cmd_serve, &[LISTEN]),
+        "merge" => (cmd_merge, &[OUT]),
+        "queue" => (cmd_queue, &[]),
+        "store" => (cmd_store, &[SHAPE, SEED, SPEC, MC, STORE, RETENTION]),
+        "csv" => (cmd_csv, &[OUT]),
+        "analyze" => (cmd_analyze, &[ANALYZE]),
+        "table" => (
+            cmd_table,
+            &[SEED, MC, QUEUE, STORE, REFRESH, ANALYTIC, JSON, OUT, EMIT],
+        ),
+        "feasibility" => (cmd_feasibility, &[SHAPE, SEED, SPEC, PRESET, TASKS, EMIT]),
+        "executive" => (
+            cmd_executive,
+            &[
+                SHAPE, SEED, SPEC, PRESET, TASKS, MC, QUEUE, STORE, REFRESH, SHARD, JSON, OUT,
+                EMIT, MODES,
+            ],
+        ),
+        "presets" => (|_| Ok(cmd_presets()), &[]),
+        "--help" | "-h" | "help" => return Ok(USAGE.to_owned()),
+        other => return Err(format!("unknown command {other:?}\n{USAGE}")),
+    };
+    let o = parse_options(args.into_iter().skip(1))?;
+    if let Some(flag) = unread_flag(&o, reads) {
+        return Err(format!(
+            "{cmd}: {flag} does not apply to this command (see `eacp --help`)"
+        ));
     }
+    run(&o)
 }
 
 #[cfg(test)]
@@ -2003,6 +2106,20 @@ mod tests {
         assert!(o.trace);
         assert_eq!(o.lambda, 1.4e-3); // default retained
         assert!(o.has("--scheme") && o.has("--trace") && !o.has("--lambda"));
+    }
+
+    #[test]
+    fn every_flag_belongs_to_a_group() {
+        // A flag outside every group would never be checked against the
+        // command reading it: each one the usage text names must be in one.
+        for word in USAGE.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+            if word.starts_with("--") && word.len() > 2 && word != "--help" {
+                assert!(
+                    FLAG_GROUPS.iter().any(|group| group.contains(&word)),
+                    "{word} is in no flag group"
+                );
+            }
+        }
     }
 
     #[test]

@@ -284,3 +284,51 @@ fn parameter_flag_overrides_are_pinned_by_digest() {
         assert_eq!(sha256_hex(&stdout_of(args)), digest, "{args:?} drifted");
     }
 }
+
+/// The ablation documents, pinned by the digests of `eacp sweep --spec
+/// specs/ablation-K.json --emit-spec`: the whole output (`| sha256sum`),
+/// and the output without its `name` lines (`| grep -v '^    "name": ' |
+/// sed '${/^$/d}' | sha256sum`, which also drops the final empty line).
+/// The second digest is the one the retired ablation binary's spec
+/// output had at its defaults (2,000 replications, seed 77): the documents
+/// reproduce its points, names aside. Point names are distinct within each
+/// document.
+#[test]
+fn ablation_documents_are_pinned_by_digest() {
+    for (kind, full, unnamed) in [
+        (
+            "store-compare-ratio",
+            "4f6250d1419a6c5803f67fd6727712a03bb946509fd26b31560b1931dd4963c7",
+            "7cb8d4151d7e7cf789cfd955aca374e62b2907d10e286664f8cb41e6c584e298",
+        ),
+        (
+            "lambda",
+            "e02395f96e6fb394db3bd8e066ceb2293f5340ce54a79688783cc1a7fb9c54ba",
+            "10f7d64b551465b7e23f4f583e099d1505e58fba9a877ec8e7cfc6261829918a",
+        ),
+        (
+            "optimizer",
+            "09413ebf9a083c5cc8b9a1c2e6826519cbc76d7ad9769af0f36ca99ce98e304c",
+            "142c77604fe3594a765a8903be46e2eef89d37a9106eff647244b3fe8221f7b9",
+        ),
+        (
+            "no-dvs",
+            "1ba307966ecafed032361af0a0e38dc3c160ade9dee5cc9b684eb76f5622dd3f",
+            "e129bca0d857b43f948055068c8cc0aa26d4b95fb7fd2fbdee54ca91f7284cb5",
+        ),
+    ] {
+        let doc = spec(&format!("ablation-{kind}.json"));
+        let out = stdout_of(&["sweep", "--spec", &doc, "--emit-spec"]);
+        assert_eq!(sha256_hex(&out), full, "{kind}: emitted points drifted");
+        let (names, rest): (Vec<&str>, Vec<&str>) = out
+            .trim_end()
+            .lines()
+            .partition(|line| line.starts_with("    \"name\": "));
+        let unnamed_text: String = rest.iter().map(|line| format!("{line}\n")).collect();
+        assert_eq!(sha256_hex(&unnamed_text), unnamed, "{kind}: points drifted");
+        let mut distinct = names.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), names.len(), "{kind}: point names collide");
+    }
+}

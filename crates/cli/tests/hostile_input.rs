@@ -408,3 +408,122 @@ fn astronomically_long_operations_end_at_the_op_budget() {
     }
     remove(&path);
 }
+
+/// A flag the command never reads is a usage error naming the flag and
+/// the command, never silently dropped (each of these once ran, exit 0).
+#[test]
+fn flags_a_command_never_reads_are_usage_errors() {
+    let sweep = format!(
+        "{}/../../specs/table1a-sweep.json",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let cases: &[(&[&str], &str)] = &[
+        (&["mc", "--trace"], "--trace"),
+        (&["sweep", "--spec", &sweep, "--trace"], "--trace"),
+        (&["table", "1", "--trace"], "--trace"),
+        (&["mc", "--listen", "1.2.3.4:5"], "--listen"),
+        (&["mc", "--tasks", "a:1:10"], "--tasks"),
+        (&["sweep", "--spec", &sweep, "--tasks", "a:1:10"], "--tasks"),
+        (&["table", "1", "--tasks", "a:1:10"], "--tasks"),
+        (&["presets", "--json"], "--json"),
+    ];
+    for &(args, flag) in cases {
+        // `--emit-spec` keeps a regression from running a whole table.
+        let mut args = args.to_vec();
+        args.push("--emit-spec");
+        let stderr = assert_usage_error(&args, &format!("{args:?}"));
+        let command = args[0];
+        assert!(
+            stderr.starts_with(&format!("eacp: {command}: {flag} ")),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+/// A grid document over a shipped sweep file's base with `axes`.
+fn grid_with_axes(base_file: &str, axes: &str) -> String {
+    let path = format!("{}/../../specs/{base_file}", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(path).unwrap();
+    let base = &text[text.find('{').unwrap() + 1..text.find("\"axes\"").unwrap()];
+    format!("{{{base}\"axes\": [{axes}]}}")
+}
+
+/// Malformed points axes and policy values are one-line typed errors with
+/// exit 2, never a panic or a silently empty grid.
+#[test]
+fn malformed_points_and_policy_grids_are_usage_errors() {
+    let cases: &[(&str, &[&str], &str, &str)] = &[
+        (
+            "table1a-sweep.json",
+            &["sweep", "--spec"],
+            r#"{"points": []}"#,
+            "is empty",
+        ),
+        (
+            "table1a-sweep.json",
+            &["sweep", "--spec"],
+            r#"{"points": [[0.76]]}"#,
+            "object of knob assignments",
+        ),
+        (
+            "table1a-sweep.json",
+            &["sweep", "--spec"],
+            r#"{"points": [{"utilization": 0.76, "alpha": 1}]}"#,
+            "\"alpha\"",
+        ),
+        (
+            "table1a-sweep.json",
+            &["sweep", "--spec"],
+            r#"{"points": [{"lambda": 1e-3, "lambda": 2e-3}]}"#,
+            "twice",
+        ),
+        (
+            "table1a-sweep.json",
+            &["sweep", "--spec"],
+            r#"{"points": [{"speed": 2}]}"#,
+            "\"speed\"",
+        ),
+        (
+            "table1a-sweep.json",
+            &["sweep", "--spec"],
+            r#"{"points": [{"k": 2, "seed_offset": 1, "seed_offset": 2}]}"#,
+            "twice",
+        ),
+        (
+            "table1a-sweep.json",
+            &["sweep", "--spec"],
+            r#"{"points": [{"seed_offset": 1}]}"#,
+            "at least one knob",
+        ),
+        (
+            "table1a-sweep.json",
+            &["sweep", "--spec"],
+            r#"{"points": [{"policy": {"kind": "nope"}}]}"#,
+            "nope",
+        ),
+        (
+            "avionics-trio-sweep.json",
+            &["executive", "--sweep"],
+            r#"{"policy": [{"kind": "a_d", "lambda": 1e-3, "k": 2}]}"#,
+            "\"policy\"",
+        ),
+        (
+            "avionics-trio-sweep.json",
+            &["executive", "--sweep"],
+            r#"{"points": [{"k": 2, "policy": {"kind": "a_d", "lambda": 1e-3, "k": 2}}]}"#,
+            "\"policy\"",
+        ),
+    ];
+    for (i, &(base_file, command, axes, expect)) in cases.iter().enumerate() {
+        let path = temp_file(
+            &format!("points-{i}.json"),
+            &grid_with_axes(base_file, axes),
+        );
+        let path_str = path.display().to_string();
+        let mut args = command.to_vec();
+        args.extend([path_str.as_str(), "--emit-spec"]);
+        let stderr = assert_usage_error(&args, axes);
+        assert!(stderr.contains(expect), "{axes}: {stderr}");
+        remove(&path);
+    }
+}

@@ -1,34 +1,41 @@
 //! The acceptance criterion of the spec redesign: one JSON
 //! `ExperimentSpec` file reproduces a paper table cell through **both**
-//! the CLI and the experiments runner, with identical `Summary` numbers
+//! the CLI and the table's grid document, with identical summary numbers
 //! for the same seed.
 
-use eacp_experiments::{cell_experiment, run_table, table_config, TableId};
-use eacp_spec::{ExecSpec, ExperimentSpec, Json, PaperScheme};
+use eacp_experiments::{table_grids, TableId};
+use eacp_spec::{ExecSpec, ExperimentSpec, Json, PaperScheme, SummaryReport};
+
+/// Table 1(a)'s first row under the proposed scheme (grid point 3), at
+/// `reps` replications from `seed`.
+fn first_proposed_cell(reps: u64, seed: u64) -> ExperimentSpec {
+    let [mut grid, _] = table_grids(TableId::Table1);
+    grid.base.mc.replications = reps;
+    grid.base.mc.seed = seed;
+    grid.expand().unwrap().swap_remove(3)
+}
 
 #[test]
 fn one_spec_file_reproduces_a_table_cell_through_cli_and_runner() {
     let reps = 80;
     let seed = 7;
-    let config = table_config(TableId::Table1);
-    let cell = config.cells[0]; // U = 0.76, λ = 1.4e-3, k = 5
 
-    // The table runner's own result for the proposed scheme...
-    let table = run_table(TableId::Table1, reps, seed, &ExecSpec::paper(), |spec| {
-        eacp_exec::run(spec).map(|(summary, _)| summary)
-    })
-    .unwrap();
-    let runner_result = table.cells[0].scheme(PaperScheme::Proposed);
+    // The table's own result for the proposed scheme, U = 0.76,
+    // λ = 1.4e-3, k = 5...
+    let [mut grid, _] = table_grids(TableId::Table1);
+    grid.base.mc.replications = reps;
+    grid.base.mc.seed = seed;
+    let table = eacp_exec::run_sweep(&grid, None, 0).unwrap();
+    let runner_result = &table.points[3].report;
 
-    // ...and the spec document describing exactly that scheme/cell.
-    let spec = cell_experiment(
-        &config,
-        &cell,
-        PaperScheme::Proposed,
-        reps,
-        seed,
-        &ExecSpec::paper(),
-    );
+    // ...is the paper cell, named after its table part.
+    let spec = first_proposed_cell(reps, seed);
+    let mut paper = eacp_spec::paper_cell(1, 0.76, 1.4e-3, 5, PaperScheme::Proposed).unwrap();
+    paper.name = "table1a-u0.76-l0.0014-k5-a_d_s".into();
+    paper.mc.replications = reps;
+    paper.mc.seed = seed;
+    paper.executor = ExecSpec::paper();
+    assert_eq!(spec, paper);
     assert_eq!(spec, runner_result.spec);
 
     // Written to a JSON file and fed to the CLI...
@@ -58,7 +65,7 @@ fn one_spec_file_reproduces_a_table_cell_through_cli_and_runner() {
     );
     assert_eq!(
         summary.req("p_timely").unwrap().as_f64().unwrap(),
-        runner_result.summary.p_timely()
+        runner_result.summary.p_timely
     );
     assert_eq!(
         summary
@@ -68,7 +75,7 @@ fn one_spec_file_reproduces_a_table_cell_through_cli_and_runner() {
             .unwrap()
             .as_f64()
             .unwrap(),
-        runner_result.summary.energy_timely.mean()
+        runner_result.summary.energy_timely.mean
     );
     assert_eq!(
         summary
@@ -78,7 +85,7 @@ fn one_spec_file_reproduces_a_table_cell_through_cli_and_runner() {
             .unwrap()
             .as_f64()
             .unwrap(),
-        runner_result.summary.faults.mean()
+        runner_result.summary.faults.mean
     );
 
     // The report embeds the spec; it must be the exact document we wrote.
@@ -88,23 +95,14 @@ fn one_spec_file_reproduces_a_table_cell_through_cli_and_runner() {
 
     // And running the embedded spec directly is still bit-identical.
     let (direct, _) = eacp_exec::run(&embedded).unwrap();
-    assert_eq!(direct, runner_result.summary);
+    assert_eq!(SummaryReport::from_summary(&direct), runner_result.summary);
 }
 
 #[test]
 fn cli_flags_desugar_to_the_same_cell_spec() {
     // `eacp mc` flags for Table 1(a)'s first cell must desugar into the
-    // same experiment the harness builds, modulo the experiment name.
-    let config = table_config(TableId::Table1);
-    let cell = config.cells[0];
-    let harness_spec = cell_experiment(
-        &config,
-        &cell,
-        PaperScheme::Proposed,
-        2_000,
-        2006,
-        &ExecSpec::paper(),
-    );
+    // same experiment the table document holds, modulo the experiment name.
+    let harness_spec = first_proposed_cell(2_000, 2006);
 
     let emitted = eacp_cli::dispatch(vec![
         "mc".into(),

@@ -1,10 +1,10 @@
-//! `eacp table` runs every cell through the CLI's cell path — store,
-//! analytic tier and runner placement — so the cache, scheduling and
-//! output flags that `eacp mc` honours apply to tables too, and none of
-//! them moves a summary bit.
+//! `eacp table` runs its two committed part documents on the grid path
+//! `eacp sweep` uses — store, analytic tier and runner placement — so the
+//! cache, scheduling and output flags that `eacp sweep` honours apply to
+//! tables too, and none of them moves a summary bit.
 
 use eacp_cli::dispatch;
-use eacp_spec::Json;
+use eacp_spec::{ExecSpec, Json, McSpec, PaperScheme, QueueSpec, ToJson};
 
 fn eacp(args: &[&str]) -> Result<String, String> {
     dispatch(args.iter().map(|s| (*s).to_owned()).collect())
@@ -166,4 +166,93 @@ fn table_rejects_flags_that_would_reshape_its_cells() {
     .unwrap_err();
     assert!(err.contains("--scheme"), "{err}");
     assert!(!dir.exists());
+}
+
+/// Every scheme of every row of Table `table`, as `eacp_spec::paper_cell`
+/// describes it, named and seeded as the table runs it: row `i` (part (a)
+/// first) is seeded `seed + i` for all four schemes.
+fn paper_cells(table: u32, reps: u64, seed: u64, queue: Option<&QueueSpec>) -> Vec<Json> {
+    let f1_baselines = eacp_spec::paper_table(table).unwrap().baseline_speed == 0;
+    let part_b_us: &[f64] = if f1_baselines {
+        &[0.92, 0.95, 1.00]
+    } else {
+        &[0.92, 0.95]
+    };
+    let parts = [
+        ("a", 5, &[0.76, 0.78, 0.80, 0.82][..], [1.4e-3, 1.6e-3]),
+        ("b", 1, part_b_us, [1.0e-4, 2.0e-4]),
+    ];
+    let mut cells = Vec::new();
+    let mut row = 0;
+    for (part, k, us, lambdas) in parts {
+        for &u in us {
+            for lambda in lambdas {
+                for scheme in PaperScheme::ALL {
+                    let mut spec = eacp_spec::paper_cell(table, u, lambda, k, scheme).unwrap();
+                    spec.name = format!(
+                        "table{table}{part}-u{u}-l{lambda}-k{k}-{}",
+                        spec.policy.tag()
+                    );
+                    spec.mc = McSpec {
+                        replications: reps,
+                        seed: seed + row,
+                        threads: 0,
+                    };
+                    spec.executor = ExecSpec::paper();
+                    spec.executor.queue = queue.cloned();
+                    cells.push(spec.to_json());
+                }
+                row += 1;
+            }
+        }
+    }
+    cells
+}
+
+#[test]
+fn table_emit_spec_is_the_paper_cells() {
+    // `--emit-spec` prints the cells of the committed part documents
+    // (`specs/tableNa.json`, `specs/tableNb.json`), as `sweep --emit-spec`
+    // prints a grid's: `--reps` and `--seed` applied, `--queue` recorded.
+    for table in 1..=4 {
+        let n = table.to_string();
+        let emitted = eacp(&["table", &n, "--reps", "20", "--seed", "5", "--emit-spec"]).unwrap();
+        assert_eq!(
+            emitted,
+            Json::Array(paper_cells(table, 20, 5, None)).pretty(),
+            "table {table}"
+        );
+    }
+    let queue = QueueSpec {
+        workers: 2,
+        ..Default::default()
+    };
+    let emitted = eacp(&["table", "2", "--emit-spec", "--queue", "--workers", "2"]).unwrap();
+    assert_eq!(
+        emitted,
+        Json::Array(paper_cells(2, 2_000, 2006, Some(&queue))).pretty()
+    );
+}
+
+#[test]
+fn table_part_documents_run_through_sweep() {
+    // The committed part documents are ordinary grids: `sweep --spec`
+    // reports the cells `table --json` prints, in row order.
+    let spec = |name: &str| format!("{}/../../specs/{name}", env!("CARGO_MANIFEST_DIR"));
+    let table = schemes(&table2(&["--no-cache"]));
+    let mut swept = Vec::new();
+    for part in ["table2a.json", "table2b.json"] {
+        let out = eacp(&["sweep", "--spec", &spec(part), "--reps", "20", "--json"]).unwrap();
+        for report in Json::parse(&out).unwrap().as_array().unwrap() {
+            swept.push((
+                report.req("spec").unwrap().clone(),
+                report.req("summary").unwrap().clone(),
+            ));
+        }
+    }
+    assert_eq!(swept.len(), table.len());
+    for ((spec, summary), (want_spec, want_summary)) in swept.iter().zip(&table) {
+        assert_eq!(spec.pretty(), want_spec.pretty());
+        assert_eq!(summary.pretty(), want_summary.pretty());
+    }
 }

@@ -13,6 +13,11 @@
 //!   endorsed.
 //! * Grids too large to count or allocate are errors, and a grid with no
 //!   axes expands to its base.
+//! * Generated grid documents — knob axes and points axes, with `policy`
+//!   values and seed offsets — round-trip through their JSON codec and
+//!   expand to one cell per point.
+
+use eacp_spec::{CostsSpec, Point, PolicySpec};
 
 use eacp_exec::{coverage_dir, merge_dir, run_sweep, Cell, GridReport};
 use eacp_spec::{
@@ -22,7 +27,8 @@ use eacp_spec::{
 use proptest::Strategy;
 use std::path::PathBuf;
 
-/// A cell kind under test: a 4-point grid of two two-valued axes.
+/// A cell kind under test: a 4-point grid of a two-point points axis and
+/// a two-valued knob axis.
 trait Fixture: Cell {
     const TAG: &'static str;
     fn grid() -> Grid<Self>;
@@ -39,10 +45,19 @@ impl Fixture for ExperimentSpec {
             seed: 3,
             threads: 1,
         };
+        // The policy has no `k` for the k axis to overwrite, so every
+        // digit of the points axis reaches the expanded cells.
+        let poisson = PolicySpec::Poisson {
+            lambda: 1.0e-4,
+            speed: 0,
+        };
         Grid {
             base,
             axes: vec![
-                Axis::new(Knob::Lambda, [1.0e-4, 1.4e-3]),
+                Axis::points([
+                    Point::new([Knob::Lambda(1.0e-4), Knob::Policy(poisson)]),
+                    Point::new([Knob::Lambda(1.4e-3)]).with_seed_offset(9),
+                ]),
                 Axis::new(Knob::K, [1, 5]),
             ],
         }
@@ -67,7 +82,10 @@ impl Fixture for ExecutiveSpec {
         Grid {
             base,
             axes: vec![
-                Axis::new(Knob::Lambda, [2e-4, 1e-3]),
+                Axis::points([
+                    Point::new([Knob::Lambda(2e-4)]),
+                    Point::new([Knob::Lambda(1e-3), Knob::Utilization(0.5)]).with_seed_offset(4),
+                ]),
                 Axis::new(Knob::K, [1, 3]),
             ],
         }
@@ -349,4 +367,105 @@ fn a_grid_without_axes_is_its_base<C: Fixture>() {
 fn grids_without_axes_are_their_base() {
     a_grid_without_axes_is_its_base::<ExperimentSpec>();
     a_grid_without_axes_is_its_base::<ExecutiveSpec>();
+}
+
+/// One generated knob value: a fraction, a small count and a scheme.
+type Draw = (f64, u32, usize);
+
+fn draw(rng: &mut proptest::TestRng) -> Draw {
+    (0.0f64..1.0, 1u32..8, 0usize..8).sample(rng)
+}
+
+fn costs(n: u32) -> CostsSpec {
+    if n.is_multiple_of(2) {
+        CostsSpec::PaperCcp
+    } else {
+        CostsSpec::Explicit {
+            store: f64::from(n),
+            compare: 22.0 - f64::from(n),
+            rollback: 0.0,
+        }
+    }
+}
+
+fn policy((x, n, tag): Draw) -> PolicySpec {
+    let tags = [
+        "poisson", "kft", "a_d", "a_d_s", "a_d_c", "a_s", "a_c", "cscp",
+    ];
+    PolicySpec::from_tag(tags[tag], 1e-4 + 2e-3 * x, n, n as usize % 2).unwrap()
+}
+
+/// An experiment knob of kind `kind` (one of every kind a single-task
+/// grid accepts, `policy` included).
+fn knob(kind: u8, d: Draw) -> Knob {
+    let (x, n, _) = d;
+    match kind {
+        0 => Knob::Utilization(0.5 + 0.4 * x),
+        1 => Knob::Lambda(1e-4 + 2e-3 * x),
+        2 => Knob::K(n),
+        3 => Knob::Costs(costs(n)),
+        4 => Knob::Seed(u64::from(n) * 1_000),
+        _ => Knob::Policy(policy(d)),
+    }
+}
+
+/// A knob axis of `len` values of one kind.
+fn knob_axis(rng: &mut proptest::TestRng, len: usize) -> Axis {
+    let kind = (0u8..6).sample(rng);
+    let draws: Vec<Draw> = (0..len).map(|_| draw(rng)).collect();
+    let d = draws.iter().copied();
+    match kind {
+        0 => Axis::new(Knob::Utilization, d.map(|(x, ..)| 0.5 + 0.4 * x)),
+        1 => Axis::new(Knob::Lambda, d.map(|(x, ..)| 1e-4 + 2e-3 * x)),
+        2 => Axis::new(Knob::K, d.map(|(_, n, _)| n)),
+        3 => Axis::new(Knob::Costs, d.map(|(_, n, _)| costs(n))),
+        4 => Axis::new(Knob::Seed, d.map(|(_, n, _)| u64::from(n) * 1_000)),
+        _ => Axis::new(Knob::Policy, d.map(policy)),
+    }
+}
+
+/// A points-axis point: one to three knobs of distinct kinds, and a seed
+/// offset half the time.
+fn point(rng: &mut proptest::TestRng) -> Point {
+    let mut knobs: Vec<Knob> = Vec::new();
+    for _ in 0..(1usize..4).sample(rng) {
+        let k = knob((0u8..6).sample(rng), draw(rng));
+        if knobs.iter().all(|have| have.kind() != k.kind()) {
+            knobs.push(k);
+        }
+    }
+    let (offset, with_offset) = (0u64..100, 0u8..2).sample(rng);
+    let point = Point::new(knobs);
+    if with_offset == 1 {
+        point.with_seed_offset(offset)
+    } else {
+        point
+    }
+}
+
+#[test]
+fn generated_points_and_policy_grids_round_trip_and_expand() {
+    let base = ExperimentSpec::grid().base;
+    proptest::test_runner::run_cases(256, "generated_points_grids", |rng| {
+        let mut axes = Vec::new();
+        for _ in 0..(1usize..4).sample(rng) {
+            let (points_axis, len) = (0u8..2, 1usize..4).sample(rng);
+            axes.push(if points_axis == 1 {
+                Axis::points((0..len).map(|_| point(rng)).collect::<Vec<_>>())
+            } else {
+                knob_axis(rng, len)
+            });
+        }
+        let grid = SweepSpec {
+            base: base.clone(),
+            axes,
+        };
+        let text = grid.to_json_string();
+        let back = SweepSpec::from_json_str(&text).unwrap_or_else(|e| panic!("{e}:\n{text}"));
+        assert_eq!(back, grid, "{text}");
+        assert_eq!(back.to_json_string(), text);
+        let cells = grid.expand().unwrap_or_else(|e| panic!("{e}:\n{text}"));
+        assert_eq!(cells.len(), grid.len().unwrap());
+        assert_eq!(back.expand().unwrap(), cells);
+    });
 }

@@ -40,12 +40,12 @@ pub fn compare_with_paper(result: &TableResult) -> Vec<SchemeErrors> {
                 let Some(paper) = cell.paper else { continue };
                 let s = cell.scheme(scheme);
                 name = s.name();
-                let (pm, pp) = (s.summary.p_timely(), paper.p_of(scheme));
+                let (pm, pp) = (s.summary.p_timely, paper.p_of(scheme));
                 p_abs.push(pm - pp);
                 if worst.is_none_or(|(_, _, wm, wp)| (pm - pp).abs() > (wm - wp).abs()) {
                     worst = Some((cell.spec.utilization, cell.spec.lambda, pm, pp));
                 }
-                let (em, ep) = (s.summary.mean_energy_timely(), paper.e_of(scheme));
+                let (em, ep) = (s.summary.energy_timely.mean, paper.e_of(scheme));
                 match (em.is_nan(), ep.is_nan()) {
                     (true, true) => nan_agree += 1,
                     (false, false) => e_rel.push((em - ep) / ep),
@@ -101,13 +101,13 @@ pub fn render_comparison(result: &TableResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{direct, run_table};
+    use crate::runner::run_local;
     use crate::tables::TableId;
     use eacp_spec::ExecSpec;
 
     #[test]
     fn comparison_reports_tight_errors_on_table1() {
-        let result = run_table(TableId::Table1, 800, 2006, &ExecSpec::paper(), direct).unwrap();
+        let result = run_local(TableId::Table1, 800, 2006, &ExecSpec::paper());
         let errors = compare_with_paper(&result);
         assert_eq!(errors.len(), 4);
         for e in &errors {
@@ -138,7 +138,7 @@ mod tests {
 
     #[test]
     fn render_contains_all_schemes() {
-        let result = run_table(TableId::Table1, 60, 1, &ExecSpec::paper(), direct).unwrap();
+        let result = run_local(TableId::Table1, 60, 1, &ExecSpec::paper());
         let report = render_comparison(&result);
         for name in ["Poisson", "k-f-t", "A_D", "A_D_S"] {
             assert!(report.contains(name), "missing {name} in:\n{report}");

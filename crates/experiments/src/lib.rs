@@ -12,20 +12,27 @@
 //! * **Table 3** — CCP cost variant (`ts = 20, tcp = 2`), baselines at `f1`;
 //! * **Table 4** — CCP cost variant, baselines at `f2`.
 //!
-//! A cell's experiment is [`eacp_spec::paper_cell`], and what sets each
-//! table apart is [`eacp_spec::PAPER_TABLES`]. Here, [`tables::table_config`]
-//! adds each table's `(U, λ, k)` rows, [`paper`] the values transcribed
-//! from the paper, [`runner`] the table runner (the caller supplies the
-//! Monte-Carlo), [`render`] the side-by-side formatting, [`compare`] the
-//! error statistics and [`shape`] the qualitative claims ("who wins, by
-//! roughly what factor") that a successful reproduction must satisfy.
+//! A table's cells are two committed grid documents, one per part
+//! (`specs/table{N}{a,b}.json`, embedded by [`tables::table_grids`]),
+//! whose points are exactly the [`eacp_spec::paper_cell`] specs; what sets
+//! each table apart is [`eacp_spec::PAPER_TABLES`]. Here,
+//! [`tables::table_config`] reads each table's `(U, λ, k)` rows off its
+//! documents, [`paper`] holds the values transcribed from the paper,
+//! [`runner`] regroups the documents' grid reports into rows, [`render`]
+//! does the side-by-side formatting, [`compare`] the error statistics and
+//! [`shape`] the qualitative claims ("who wins, by roughly what factor")
+//! that a successful reproduction must satisfy.
 //!
-//! Regenerate a table — through the result store, the analytic tier and
-//! the queue/fleet placement, like any `eacp mc` cell — with:
+//! Regenerate a table — on the grid path `eacp sweep` uses, through the
+//! result store, the analytic tier and the queue/fleet placement — with:
 //!
 //! ```text
 //! eacp table N [--reps 10000] [--store DIR] [--queue --workers W] [--out DIR]
 //! ```
+//!
+//! The ablations beyond the tables are grid documents too
+//! (`specs/ablation-*.json`), run with `eacp sweep --spec` and rendered
+//! with `eacp csv`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,5 +44,5 @@ pub mod runner;
 pub mod shape;
 pub mod tables;
 
-pub use runner::{cell_experiment, run_table, CellResult, SchemeResult, TableResult};
-pub use tables::{table_config, CellSpec, TableConfig, TableId, TablePart};
+pub use runner::{CellResult, SchemeResult, TableResult};
+pub use tables::{table_config, table_grids, CellSpec, TableConfig, TableId, TablePart};

@@ -72,11 +72,11 @@ pub fn to_text(result: &TableResult) -> String {
                     .unwrap_or((f64::NAN, f64::NAN));
                 pline.push_str(&format!(
                     "{:<24} ",
-                    format!("{} ({})", fmt_p(s.summary.p_timely()), fmt_p(pp))
+                    format!("{} ({})", fmt_p(s.summary.p_timely), fmt_p(pp))
                 ));
                 eline.push_str(&format!(
                     "{:<24} ",
-                    format!("{} ({})", fmt_e(s.summary.mean_energy_timely()), fmt_e(pe))
+                    format!("{} ({})", fmt_e(s.summary.energy_timely.mean), fmt_e(pe))
                 ));
             }
             out.push_str(pline.trim_end());
@@ -127,12 +127,12 @@ pub fn to_markdown(result: &TableResult) -> String {
                     let s = cell.scheme(scheme);
                     let (meas, pap) = if metric == "P" {
                         (
-                            fmt_p(s.summary.p_timely()),
+                            fmt_p(s.summary.p_timely),
                             cell.paper.map(|p| fmt_p(p.p_of(scheme))),
                         )
                     } else {
                         (
-                            fmt_e(s.summary.mean_energy_timely()),
+                            fmt_e(s.summary.energy_timely.mean),
                             cell.paper.map(|p| fmt_e(p.e_of(scheme))),
                         )
                     };
@@ -161,7 +161,7 @@ pub fn to_csv(result: &TableResult) -> String {
     for cell in &result.cells {
         for scheme in PaperScheme::ALL {
             let s = cell.scheme(scheme);
-            let (lo, hi) = s.summary.p_timely_ci(1.96);
+            let (lo, hi) = s.summary.p_timely_ci95;
             let (pp, pe) = cell
                 .paper
                 .map(|p| (p.p_of(scheme), p.e_of(scheme)))
@@ -174,16 +174,16 @@ pub fn to_csv(result: &TableResult) -> String {
                 cell.spec.utilization,
                 cell.spec.lambda,
                 s.name(),
-                s.summary.p_timely(),
+                s.summary.p_timely,
                 lo,
                 hi,
-                s.summary.mean_energy_timely(),
-                s.summary.energy_all.mean(),
-                s.summary.finish_timely.mean(),
-                s.summary.faults.mean(),
-                s.summary.rollbacks.mean(),
-                s.summary.checkpoints.mean(),
-                s.summary.fast_fraction.mean(),
+                s.summary.energy_timely.mean,
+                s.summary.energy_all.mean,
+                s.summary.finish_timely.mean,
+                s.summary.faults.mean,
+                s.summary.rollbacks.mean,
+                s.summary.checkpoints.mean,
+                s.summary.fast_fraction.mean,
                 pp,
                 pe,
             ));
@@ -210,7 +210,7 @@ pub fn to_json(result: &TableResult) -> String {
                     Json::obj([
                         ("scheme", s.name().into()),
                         ("spec", s.spec.to_json()),
-                        ("summary", s.summary_report().to_json()),
+                        ("summary", s.summary.to_json()),
                     ])
                 })
                 .collect();
@@ -244,12 +244,12 @@ pub fn to_json(result: &TableResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{direct, run_table};
+    use crate::runner::run_local;
     use crate::tables::TableId;
     use eacp_spec::ExecSpec;
 
     fn small_table() -> TableResult {
-        run_table(TableId::Table1, 30, 7, &ExecSpec::default(), direct).unwrap()
+        run_local(TableId::Table1, 30, 7, &ExecSpec::default())
     }
 
     #[test]

@@ -1,18 +1,17 @@
-//! The paper's tables, run cell by cell.
+//! The paper's tables, regrouped from grid reports.
 //!
-//! A table cell is described once, by [`eacp_spec::paper_cell`];
-//! [`cell_experiment`] only adds what a table run decides — the
-//! part-lettered name, the replication block and the executor. The
-//! Monte-Carlo itself is the caller's: [`run_table`] hands every scheme's
-//! [`ExperimentSpec`] to a `compute` closure, which is how `eacp table`
-//! runs each cell through the same store / analytic-tier / placement path
-//! as `eacp mc`. The same spec, serialized to JSON and fed to
-//! `eacp mc --spec`, reproduces any cell of any table bit for bit.
+//! A table runs as its two part documents
+//! ([`table_grids`](crate::tables::table_grids)) through the
+//! grid path `eacp sweep` uses — the store, the analytic tier and the
+//! runner placement included. [`TableResult::from_reports`] only regroups
+//! the resulting [`GridReport`]s into rows of four schemes for the
+//! renderers. Every scheme result embeds the spec of its grid point, which
+//! `eacp mc --spec` reproduces bit for bit.
 
 use crate::paper::{paper_cell, PaperCell};
 use crate::tables::{table_config, CellSpec, TableConfig, TableId};
-use eacp_sim::Summary;
-use eacp_spec::{ExecSpec, ExperimentSpec, McSpec, PaperScheme, SummaryReport};
+use eacp_exec::GridReport;
+use eacp_spec::{ExperimentSpec, PaperScheme, SummaryReport};
 
 /// Result of one scheme at one operating point.
 #[derive(Debug, Clone)]
@@ -20,7 +19,7 @@ pub struct SchemeResult {
     /// Which scheme.
     pub scheme: PaperScheme,
     /// Monte-Carlo aggregate.
-    pub summary: Summary,
+    pub summary: SummaryReport,
     /// The spec that produced `summary` (serialize it to reproduce the
     /// number outside this harness).
     pub spec: ExperimentSpec,
@@ -30,11 +29,6 @@ impl SchemeResult {
     /// Display name ("Poisson", "k-f-t", "A_D", "A_D_S"/"A_D_C").
     pub fn name(&self) -> &'static str {
         self.spec.policy.policy_name()
-    }
-
-    /// The serializable mirror of [`Self::summary`].
-    pub fn summary_report(&self) -> SummaryReport {
-        SummaryReport::from_summary(&self.summary)
     }
 }
 
@@ -55,8 +49,8 @@ impl CellResult {
         self.schemes
             .iter()
             .find(|s| s.scheme == id)
-            // audit:allow(panic): run_table iterates PaperScheme::ALL, so
-            // every id is present by construction.
+            // audit:allow(panic): every row of a table document lists the
+            // four schemes, pinned by the document tests.
             .expect("all schemes are always run")
     }
 }
@@ -74,183 +68,97 @@ pub struct TableResult {
     pub replications: u64,
 }
 
-/// The complete experiment description for one scheme at one cell:
-/// [`eacp_spec::paper_cell`] with the part-lettered name
-/// (`table1a-u0.76-l0.0014-k5-a_d_s`), `replications` seeded from `seed`,
-/// and `executor`.
-pub fn cell_experiment(
-    config: &TableConfig,
-    cell: &CellSpec,
-    scheme: PaperScheme,
-    replications: u64,
-    seed: u64,
-    executor: &ExecSpec,
-) -> ExperimentSpec {
-    let table = config.id.number();
-    let mut spec = eacp_spec::paper_cell(table, cell.utilization, cell.lambda, cell.k, scheme)
-        // audit:allow(panic): the table grids are compiled-in constants
-        // exercised by every experiments test; an invalid one is a bug here.
-        .expect("table cells are valid paper cells");
-    spec.name = format!(
-        "table{table}{}-u{}-l{}-k{}-{}",
-        cell.part,
-        cell.utilization,
-        cell.lambda,
-        cell.k,
-        spec.policy.tag()
-    );
-    spec.mc = McSpec {
-        replications,
-        seed,
-        threads: 0,
-    };
-    spec.executor = executor.clone();
-    spec
+impl TableResult {
+    /// Regroups the full-grid reports of a table's part documents, (a)
+    /// then (b) as [`table_grids`](crate::tables::table_grids) lists them,
+    /// into rows of the four schemes in [`PaperScheme::ALL`] order.
+    pub fn from_reports(id: TableId, parts: &[GridReport]) -> Self {
+        let config = table_config(id);
+        let reports: Vec<_> = parts
+            .iter()
+            .flat_map(|grid| grid.points.iter().map(|p| &p.report))
+            .collect();
+        debug_assert!(reports.iter().all(|r| r.summary.anomalies == 0));
+        let cells = config
+            .cells
+            .iter()
+            .zip(reports.chunks(PaperScheme::ALL.len()))
+            .map(|(cell, row)| CellResult {
+                spec: *cell,
+                schemes: PaperScheme::ALL
+                    .iter()
+                    .zip(row)
+                    .map(|(&scheme, report)| SchemeResult {
+                        scheme,
+                        summary: report.summary.clone(),
+                        spec: report.spec.clone(),
+                    })
+                    .collect(),
+                paper: paper_cell(id, cell.part, cell.utilization, cell.lambda),
+            })
+            .collect();
+        let replications = parts
+            .first()
+            .map_or(0, |grid| grid.sweep.base.mc.replications);
+        TableResult {
+            id,
+            config,
+            cells,
+            replications,
+        }
+    }
 }
 
-/// Regenerates one full table: every scheme of every cell, in table
-/// order, at `replications` per scheme (the paper uses 10,000; lower
-/// counts are useful for quick looks and CI).
-///
-/// Cell `i` is seeded `seed + i` for all four schemes, so the schemes of
-/// a row face the same fault streams. `compute` turns each scheme's spec
-/// into its summary; it is called once per scheme per cell, in order.
-///
-/// # Errors
-///
-/// The first error `compute` returns.
-pub fn run_table<E>(
+/// One table at `replications` per scheme from `seed`, on `executor`, run
+/// in-process through the grid path.
+#[cfg(test)]
+pub(crate) fn run_local(
     id: TableId,
     replications: u64,
     seed: u64,
-    executor: &ExecSpec,
-    mut compute: impl FnMut(&ExperimentSpec) -> Result<Summary, E>,
-) -> Result<TableResult, E> {
-    let config = table_config(id);
-    let mut cells = Vec::with_capacity(config.cells.len());
-    for (i, cell) in config.cells.iter().enumerate() {
-        let seed = seed.wrapping_add(i as u64);
-        let mut schemes = Vec::with_capacity(PaperScheme::ALL.len());
-        for scheme in PaperScheme::ALL {
-            let spec = cell_experiment(&config, cell, scheme, replications, seed, executor);
-            let summary = compute(&spec)?;
-            debug_assert_eq!(summary.anomalies, 0, "policy anomaly in {scheme:?}");
-            schemes.push(SchemeResult {
-                scheme,
-                summary,
-                spec,
-            });
-        }
-        cells.push(CellResult {
-            spec: *cell,
-            schemes,
-            paper: paper_cell(id, cell.part, cell.utilization, cell.lambda),
-        });
-    }
-    Ok(TableResult {
-        id,
-        config,
-        cells,
-        replications,
-    })
-}
-
-/// A `compute` for [`run_table`] that runs each spec directly, without a
-/// store.
-#[cfg(test)]
-pub(crate) fn direct(spec: &ExperimentSpec) -> Result<Summary, eacp_spec::SpecError> {
-    eacp_exec::run(spec).map(|(summary, _)| summary)
+    executor: &eacp_spec::ExecSpec,
+) -> TableResult {
+    let reports = crate::tables::table_grids(id).map(|mut grid| {
+        grid.base.mc.replications = replications;
+        grid.base.mc.seed = seed;
+        grid.base.executor = executor.clone();
+        eacp_exec::run_sweep(&grid, None, 0).unwrap()
+    });
+    TableResult::from_reports(id, &reports)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tables::TablePart;
+    use crate::tables::{table_grids, TablePart};
     use eacp_sim::Policy;
+    use eacp_spec::{ExecSpec, ToJson};
 
     #[test]
     fn cell_scenario_scales_work_with_util_speed() {
-        let work = |id, cell: usize| {
-            let config = table_config(id);
-            let spec = cell_experiment(
-                &config,
-                &config.cells[cell],
-                PaperScheme::Poisson,
-                1,
-                0,
-                &ExecSpec::paper(),
-            );
+        let work = |id| {
+            let [a, _] = table_grids(id);
+            let spec = &a.expand().unwrap()[0];
             spec.scenario.build().unwrap().task.work_cycles
         };
-        assert_eq!(work(TableId::Table1, 0), 7600.0);
-        assert_eq!(work(TableId::Table2, 0), 15_200.0);
+        assert_eq!(work(TableId::Table1), 7600.0);
+        assert_eq!(work(TableId::Table2), 15_200.0);
     }
 
     #[test]
     fn policies_have_expected_names() {
-        let cfg = table_config(TableId::Table3);
-        let name = |scheme| {
-            let spec = cell_experiment(&cfg, &cfg.cells[0], scheme, 1, 0, &ExecSpec::paper());
-            spec.policy.build().unwrap().name().to_owned()
-        };
-        assert_eq!(name(PaperScheme::Poisson), "Poisson");
-        assert_eq!(name(PaperScheme::KFaultTolerant), "k-f-t");
-        assert_eq!(name(PaperScheme::AdtDvs), "A_D");
-        assert_eq!(name(PaperScheme::Proposed), "A_D_C");
-    }
-
-    #[test]
-    fn cell_experiment_is_the_paper_cell_with_name_mc_and_executor() {
-        let executor = ExecSpec::default().with_queue(eacp_spec::QueueSpec {
-            workers: 2,
-            ..Default::default()
-        });
-        for id in TableId::ALL {
-            let config = table_config(id);
-            for cell in &config.cells {
-                for scheme in PaperScheme::ALL {
-                    let built = cell_experiment(&config, cell, scheme, 321, 9, &executor);
-                    let mut expected = eacp_spec::paper_cell(
-                        id.number(),
-                        cell.utilization,
-                        cell.lambda,
-                        cell.k,
-                        scheme,
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        built.name,
-                        format!(
-                            "table{}{}-u{}-l{}-k{}-{}",
-                            id.number(),
-                            cell.part,
-                            cell.utilization,
-                            cell.lambda,
-                            cell.k,
-                            expected.policy.tag()
-                        )
-                    );
-                    assert_eq!(
-                        built.mc,
-                        McSpec {
-                            replications: 321,
-                            seed: 9,
-                            threads: 0
-                        }
-                    );
-                    assert_eq!(built.executor, executor);
-                    expected.name = built.name.clone();
-                    expected.mc = built.mc;
-                    expected.executor = executor.clone();
-                    assert_eq!(built, expected, "{id} {scheme:?}");
-                }
-            }
-        }
+        let [a, _] = table_grids(TableId::Table3);
+        let cells = a.expand().unwrap();
+        let names: Vec<String> = cells[..4]
+            .iter()
+            .map(|spec| spec.policy.build().unwrap().name().to_owned())
+            .collect();
+        assert_eq!(names, ["Poisson", "k-f-t", "A_D", "A_D_C"]);
     }
 
     #[test]
     fn smoke_cell_runs_all_schemes() {
-        let table = run_table(TableId::Table1, 60, 1, &ExecSpec::default(), direct).unwrap();
+        let table = run_local(TableId::Table1, 60, 1, &ExecSpec::default());
         let cell = &table.cells[0]; // U = 0.76, λ = 1.4e-3, k = 5
         assert_eq!(cell.schemes.len(), 4);
         assert!(cell.paper.is_some());
@@ -260,8 +168,8 @@ mod tests {
         }
         // Coarse shape even at 60 reps: adaptive schemes nearly always
         // finish, baselines rarely do at this operating point.
-        let p_prop = cell.scheme(PaperScheme::Proposed).summary.p_timely();
-        let p_poisson = cell.scheme(PaperScheme::Poisson).summary.p_timely();
+        let p_prop = cell.scheme(PaperScheme::Proposed).summary.p_timely;
+        let p_poisson = cell.scheme(PaperScheme::Poisson).summary.p_timely;
         assert!(p_prop > 0.9, "P(A_D_S) = {p_prop}");
         assert!(p_poisson < 0.5, "P(Poisson) = {p_poisson}");
     }
@@ -269,23 +177,40 @@ mod tests {
     #[test]
     fn impossible_utilization_gives_zero_p_and_nan_e() {
         // U = 1.00, k = 1 (Table 1(b)): the baselines can never finish by D.
-        let table = run_table(TableId::Table1, 40, 2, &ExecSpec::default(), direct).unwrap();
+        let table = run_local(TableId::Table1, 40, 2, &ExecSpec::default());
         let cell = table
             .cells
             .iter()
             .find(|c| c.spec.part == TablePart::B && (c.spec.utilization - 1.0).abs() < 1e-9)
             .unwrap();
         let poisson = &cell.scheme(PaperScheme::Poisson).summary;
-        assert_eq!(poisson.p_timely(), 0.0);
-        assert!(poisson.mean_energy_timely().is_nan());
+        assert_eq!(poisson.p_timely, 0.0);
+        assert!(poisson.energy_timely.mean.is_nan());
     }
 
     #[test]
     fn scheme_result_report_matches_summary() {
-        let table = run_table(TableId::Table1, 30, 1, &ExecSpec::default(), direct).unwrap();
-        let s = table.cells[0].scheme(PaperScheme::Proposed);
-        let report = s.summary_report();
-        assert_eq!(report.replications, 30);
-        assert_eq!(report.p_timely, s.summary.p_timely());
+        // Each scheme result is its grid point's report: the summary and
+        // spec of point `4 * row + scheme`, row `i` seeded `seed + i`.
+        let [mut a, _] = table_grids(TableId::Table1);
+        a.base.mc.replications = 30;
+        a.base.mc.seed = 1;
+        let grid = eacp_exec::run_sweep(&a, None, 0).unwrap();
+        let table = TableResult::from_reports(TableId::Table1, std::slice::from_ref(&grid));
+        assert_eq!(table.cells.len(), 8);
+        assert_eq!(table.replications, 30);
+        for (i, cell) in table.cells.iter().enumerate() {
+            for (j, s) in cell.schemes.iter().enumerate() {
+                let report = &grid.points[4 * i + j].report;
+                // (NaN energies make the reports compare by their bytes.)
+                assert_eq!(
+                    s.summary.to_json().pretty(),
+                    report.summary.to_json().pretty()
+                );
+                assert_eq!(s.spec, report.spec);
+                assert_eq!(s.spec.mc.seed, 1 + i as u64);
+                assert_eq!(s.summary.replications, 30);
+            }
+        }
     }
 }

@@ -32,18 +32,16 @@ pub fn check_table(result: &TableResult) -> Vec<ShapeFinding> {
     for cell in &result.cells {
         let u = cell.spec.utilization;
         let l = cell.spec.lambda;
-        let p_poisson = cell.scheme(PaperScheme::Poisson).summary.p_timely();
-        let p_kft = cell.scheme(PaperScheme::KFaultTolerant).summary.p_timely();
-        let p_ad = cell.scheme(PaperScheme::AdtDvs).summary.p_timely();
-        let p_prop = cell.scheme(PaperScheme::Proposed).summary.p_timely();
-        let e_ad = cell
-            .scheme(PaperScheme::AdtDvs)
-            .summary
-            .mean_energy_timely();
+        let p_poisson = cell.scheme(PaperScheme::Poisson).summary.p_timely;
+        let p_kft = cell.scheme(PaperScheme::KFaultTolerant).summary.p_timely;
+        let p_ad = cell.scheme(PaperScheme::AdtDvs).summary.p_timely;
+        let p_prop = cell.scheme(PaperScheme::Proposed).summary.p_timely;
+        let e_ad = cell.scheme(PaperScheme::AdtDvs).summary.energy_timely.mean;
         let e_prop = cell
             .scheme(PaperScheme::Proposed)
             .summary
-            .mean_energy_timely();
+            .energy_timely
+            .mean;
 
         // (i) The proposed scheme never loses to A_D on timely completion
         // (small Monte-Carlo tolerance).
@@ -77,10 +75,7 @@ pub fn check_table(result: &TableResult) -> Vec<ShapeFinding> {
 
         if baselines_slow && cell.spec.part == TablePart::B && (u - 1.0).abs() < 1e-9 {
             // (iv) At U = 1.00 the static baselines can never finish.
-            let e_poisson = cell
-                .scheme(PaperScheme::Poisson)
-                .summary
-                .mean_energy_timely();
+            let e_poisson = cell.scheme(PaperScheme::Poisson).summary.energy_timely.mean;
             findings.push(ShapeFinding {
                 criterion: "u1-baselines-impossible",
                 detail: format!("{id} λ={l:.1e}: Poisson P={p_poisson:.4} E={e_poisson}"),
@@ -107,7 +102,7 @@ pub fn check_table(result: &TableResult) -> Vec<ShapeFinding> {
         .iter()
         .find(|c| c.spec.part == TablePart::A && (c.spec.utilization - 0.76).abs() < 1e-9)
     {
-        let e_all = cell.scheme(PaperScheme::Poisson).summary.energy_all.mean();
+        let e_all = cell.scheme(PaperScheme::Poisson).summary.energy_all.mean;
         let n = 0.76 * result.config.paper.util_speed * PAPER_DEADLINE;
         let vsq = if baselines_slow { 2.0 } else { 4.0 };
         let floor = 2.0 * vsq * n;
@@ -130,13 +125,13 @@ pub fn tally(findings: &[ShapeFinding]) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{direct, run_table};
+    use crate::runner::run_local;
     use eacp_spec::ExecSpec;
 
     #[test]
     fn shape_holds_on_reduced_table1() {
         // 250 replications are enough for every qualitative criterion.
-        let result = run_table(TableId::Table1, 250, 3, &ExecSpec::default(), direct).unwrap();
+        let result = run_local(TableId::Table1, 250, 3, &ExecSpec::default());
         let findings = check_table(&result);
         let (passed, failed) = tally(&findings);
         let failures: Vec<_> = findings

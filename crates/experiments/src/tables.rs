@@ -1,10 +1,13 @@
 //! The rows of the paper's four evaluation tables. What distinguishes one
 //! table from another (costs, baseline speed, utilization speed, proposed
-//! scheme) is [`eacp_spec::PAPER_TABLES`]; this module adds the `(U, λ, k)`
-//! grid of each.
+//! scheme) is [`eacp_spec::PAPER_TABLES`]. The cells themselves are grid
+//! documents, one per table part, committed as `specs/table{N}{a,b}.json`
+//! and embedded here at build time: a points axis whose every point is one
+//! scheme at one `(U, λ, k)` row, seeded `seed + row` for all four schemes
+//! of the row, and named `table{N}{part}-u{U}-l{λ}-k{k}-{scheme tag}`.
 
 use eacp_sim::CheckpointCosts;
-use eacp_spec::{paper_table, PaperTable, PolicySpec};
+use eacp_spec::{paper_table, Knob, PaperScheme, PaperTable, PolicySpec, SweepSpec};
 
 /// One of the paper's four evaluation tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -105,37 +108,56 @@ impl TableConfig {
     }
 }
 
-/// Part (a) grid: `k = 5`, `U ∈ {0.76..0.82}`, `λ ∈ {1.4, 1.6}·10⁻³`.
-fn part_a_cells() -> Vec<CellSpec> {
-    let mut cells = Vec::new();
-    for &u in &[0.76, 0.78, 0.80, 0.82] {
-        for &l in &[1.4e-3, 1.6e-3] {
-            cells.push(CellSpec {
-                part: TablePart::A,
-                utilization: u,
-                lambda: l,
-                k: 5,
-            });
-        }
+/// The committed grid document of one table part (`specs/table2a.json`
+/// for Table 2, part (a)).
+fn table_document(id: TableId, part: TablePart) -> &'static str {
+    match (id, part) {
+        (TableId::Table1, TablePart::A) => include_str!("../../../specs/table1a.json"),
+        (TableId::Table1, TablePart::B) => include_str!("../../../specs/table1b.json"),
+        (TableId::Table2, TablePart::A) => include_str!("../../../specs/table2a.json"),
+        (TableId::Table2, TablePart::B) => include_str!("../../../specs/table2b.json"),
+        (TableId::Table3, TablePart::A) => include_str!("../../../specs/table3a.json"),
+        (TableId::Table3, TablePart::B) => include_str!("../../../specs/table3b.json"),
+        (TableId::Table4, TablePart::A) => include_str!("../../../specs/table4a.json"),
+        (TableId::Table4, TablePart::B) => include_str!("../../../specs/table4b.json"),
     }
-    cells
 }
 
-/// Part (b) grid: `k = 1`, `λ ∈ {1, 2}·10⁻⁴`; the `U` list depends on the
-/// table (`U = 1.00` rows exist only for the `f1`-baseline tables).
-fn part_b_cells(us: &[f64]) -> Vec<CellSpec> {
-    let mut cells = Vec::new();
-    for &u in us {
-        for &l in &[1.0e-4, 2.0e-4] {
-            cells.push(CellSpec {
-                part: TablePart::B,
-                utilization: u,
-                lambda: l,
-                k: 1,
-            });
-        }
-    }
-    cells
+/// The grids of a table's two parts, (a) then (b), as committed: 2,000
+/// replications per scheme from seed 2006, on the paper's executor.
+pub fn table_grids(id: TableId) -> [SweepSpec; 2] {
+    [TablePart::A, TablePart::B].map(|part| {
+        SweepSpec::from_json_str(table_document(id, part))
+            // audit:allow(panic): the documents are compiled in, and every
+            // one is parsed and compared with `paper_cell` by the tests.
+            .expect("committed table documents parse")
+    })
+}
+
+/// The rows of one part's grid: every point sets `U`, `λ` and `k`, and
+/// each row is [`PaperScheme::ALL`]`.len()` consecutive points.
+fn rows(grid: &SweepSpec, part: TablePart) -> Vec<CellSpec> {
+    let points = grid.axes.first().map_or(&[][..], |axis| axis.values());
+    points
+        .chunks(PaperScheme::ALL.len())
+        .map(|row| {
+            let mut cell = CellSpec {
+                part,
+                utilization: f64::NAN,
+                lambda: f64::NAN,
+                k: 0,
+            };
+            for knob in row[0].knobs() {
+                match *knob {
+                    Knob::Utilization(u) => cell.utilization = u,
+                    Knob::Lambda(l) => cell.lambda = l,
+                    Knob::K(k) => cell.k = k,
+                    _ => {}
+                }
+            }
+            cell
+        })
+        .collect()
 }
 
 /// The exact configuration of one of the paper's tables.
@@ -155,14 +177,9 @@ pub fn table_config(id: TableId) -> TableConfig {
     let paper = paper_table(id.number()).expect("TableId numbers are paper tables");
     // audit:allow(panic): the paper cost variants are valid constants.
     let costs = paper.costs.build().expect("paper cost variants are valid");
-    // `U = 1.00` rows exist only for the `f1`-baseline tables.
-    let part_b_us: &[f64] = if paper.baseline_speed == 0 {
-        &[0.92, 0.95, 1.00]
-    } else {
-        &[0.92, 0.95]
-    };
-    let mut cells = part_a_cells();
-    cells.extend(part_b_cells(part_b_us));
+    let [a, b] = table_grids(id);
+    let mut cells = rows(&a, TablePart::A);
+    cells.extend(rows(&b, TablePart::B));
     TableConfig {
         id,
         paper,

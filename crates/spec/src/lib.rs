@@ -91,4 +91,4 @@ pub use presets::{
     PaperScheme, PaperTable, PAPER_DEADLINE, PAPER_TABLES,
 };
 pub use report::{RunReport, ServeTier, StatsReport, SummaryReport};
-pub use sweep::{Axis, ExecutiveSweepSpec, Grid, GridCell, Knob, KnobKind, SweepSpec};
+pub use sweep::{Axis, ExecutiveSweepSpec, Grid, GridCell, Knob, KnobKind, Point, SweepSpec};

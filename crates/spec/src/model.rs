@@ -628,7 +628,7 @@ impl OptimizerSpec {
         }
     }
 
-    fn tag(self) -> &'static str {
+    pub(crate) fn tag(self) -> &'static str {
         match self {
             OptimizerSpec::PaperClosedForm => "paper-closed-form",
             OptimizerSpec::ExactRecursion => "exact-recursion",
@@ -890,6 +890,20 @@ impl PolicySpec {
         })
     }
 
+    /// The sub-checkpoint count optimizer, where the scheme has one.
+    pub fn optimizer(&self) -> Option<OptimizerSpec> {
+        match *self {
+            PolicySpec::AdtDvs { optimizer, .. }
+            | PolicySpec::DvsScp { optimizer, .. }
+            | PolicySpec::DvsCcp { optimizer, .. }
+            | PolicySpec::Scp { optimizer, .. }
+            | PolicySpec::Ccp { optimizer, .. } => Some(optimizer),
+            PolicySpec::Poisson { .. }
+            | PolicySpec::KFaultTolerant { .. }
+            | PolicySpec::Cscp { .. } => None,
+        }
+    }
+
     /// The fault-tolerance target `k`, where the scheme has one.
     pub fn k(&self) -> Option<u32> {
         match *self {
@@ -959,6 +973,18 @@ impl PolicySpec {
             PolicySpec::Poisson { .. } => {}
         }
         self
+    }
+}
+
+/// The paper's proposal at its nominal operating point: `A_D_S` at
+/// `λ = 1.4e-3`, `k = 5` (Table 1(a), first row).
+impl Default for PolicySpec {
+    fn default() -> Self {
+        PolicySpec::DvsScp {
+            lambda: 1.4e-3,
+            k: 5,
+            optimizer: OptimizerSpec::default(),
+        }
     }
 }
 
@@ -1402,11 +1428,7 @@ impl ExperimentSpec {
             name: "paper-nominal".to_owned(),
             scenario: ScenarioSpec::paper_nominal(),
             faults: FaultSpec::Poisson { lambda: 1.4e-3 },
-            policy: PolicySpec::DvsScp {
-                lambda: 1.4e-3,
-                k: 5,
-                optimizer: OptimizerSpec::default(),
-            },
+            policy: PolicySpec::default(),
             mc: McSpec::default(),
             executor: ExecSpec::paper(),
         }

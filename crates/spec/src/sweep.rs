@@ -1,26 +1,30 @@
 //! Sweep grids: a base cell plus axes of variation, expanding into the
-//! cartesian product of concrete cells — for both workload kinds.
+//! product of their values — for both workload kinds.
 //!
 //! A grid is written once, as [`Grid<C>`], over any cell kind that
 //! implements the per-kind hook [`GridCell`]: [`SweepSpec`] grids vary a
 //! single-task [`ExperimentSpec`], [`ExecutiveSweepSpec`] grids an EDF
-//! [`ExecutiveSpec`]. Every cell parameter is one [`Knob`] value; an
-//! [`Axis`] is one knob kind and its list of values. [`GridCell::set`]
-//! writes one knob into a cell, and it is the only place a parameter is
-//! set: grid expansion calls it for every axis value, and the CLI calls it
-//! for every parameter flag (`--util`, `--lambda`, ...), so an axis and
-//! the matching flag always mean the same thing.
+//! [`ExecutiveSpec`]. Every cell parameter is one [`Knob`] value. An
+//! [`Axis`] lists [`Point`]s: a knob axis (`{"lambda": [1e-4, 2e-4]}`)
+//! sets one knob kind per point, a points axis (`{"points": [{...}]}`)
+//! sets an ordered list of knobs per point — the form for point sets that
+//! are not products, such as the paper's tables. [`GridCell::set`] writes
+//! one knob into a cell, and it is the only place a parameter is set:
+//! grid expansion calls it for every knob of every point, and the CLI
+//! calls it for every parameter flag (`--util`, `--lambda`, ...), so an
+//! axis and the matching flag always mean the same thing.
 //!
 //! `spec + seed = identical results` extends to grids: the expansion order
 //! is deterministic (axes in declaration order, values in listed order) and
-//! each point derives a distinct seed from the base seed and its grid
-//! index, so a grid can be sharded across machines by index range and
-//! re-assembled without collisions.
+//! each point derives its seed from the base seed — `base + grid index`,
+//! or `base + offset` for a point that carries a seed offset — so a grid
+//! can be sharded across machines by index range and re-assembled without
+//! collisions.
 
 use crate::error::SpecError;
 use crate::executive::ExecutiveSpec;
 use crate::json::{FromJson, Json, ToJson};
-use crate::model::{CostsSpec, ExperimentSpec, FaultSpec, WorkSpec};
+use crate::model::{CostsSpec, ExperimentSpec, FaultSpec, OptimizerSpec, PolicySpec, WorkSpec};
 
 /// Which cell parameter a [`Knob`] sets; an axis varies one kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,6 +45,8 @@ pub enum KnobKind {
     Hyperperiods,
     /// Base seed.
     Seed,
+    /// Checkpointing policy.
+    Policy,
 }
 
 impl KnobKind {
@@ -55,6 +61,7 @@ impl KnobKind {
             KnobKind::Speed => "speed",
             KnobKind::Hyperperiods => "hyperperiods",
             KnobKind::Seed => "seed",
+            KnobKind::Policy => "policy",
         }
     }
 }
@@ -82,6 +89,9 @@ pub enum Knob {
     Hyperperiods(u32),
     /// Base seed (for variance studies).
     Seed(u64),
+    /// The whole policy of a single-task experiment, its rate and `k`
+    /// included.
+    Policy(PolicySpec),
 }
 
 impl Knob {
@@ -96,12 +106,14 @@ impl Knob {
             Knob::Speed(_) => KnobKind::Speed,
             Knob::Hyperperiods(_) => KnobKind::Hyperperiods,
             Knob::Seed(_) => KnobKind::Seed,
+            Knob::Policy(_) => KnobKind::Policy,
         }
     }
 
     /// The grid-point name suffix for this value: `u0.76`, `l0.0014`,
-    /// `k5`, `scp`/`ccp`/`ts5-tcp17`, `h2`, `s1` (`d…` and `f…` for the
-    /// kinds no grid varies).
+    /// `k5`, `scp`/`ccp`/`ts5-tcp17`, `h2`, `s1`, a policy's tag (`a_d_s`,
+    /// `a_d_s-exact-recursion` off the paper's optimizer), and `d…` and
+    /// `f…` for the kinds no grid varies.
     pub fn label(&self) -> String {
         match *self {
             Knob::Utilization(u) => format!("u{u}"),
@@ -116,6 +128,10 @@ impl Knob {
             Knob::Speed(f) => format!("f{f}"),
             Knob::Hyperperiods(h) => format!("h{h}"),
             Knob::Seed(s) => format!("s{s}"),
+            Knob::Policy(p) => match p.optimizer() {
+                Some(o) if o != OptimizerSpec::default() => format!("{}-{}", p.tag(), o.tag()),
+                _ => p.tag().to_owned(),
+            },
         }
     }
 
@@ -125,6 +141,7 @@ impl Knob {
             Knob::Costs(c) => c.to_json(),
             Knob::K(x) | Knob::Hyperperiods(x) => x.into(),
             Knob::Seed(x) => x.into(),
+            Knob::Policy(p) => p.to_json(),
         }
     }
 
@@ -138,17 +155,125 @@ impl Knob {
             KnobKind::Speed => Knob::Speed(value.as_f64()?),
             KnobKind::Hyperperiods => Knob::Hyperperiods(value.as_u32()?),
             KnobKind::Seed => Knob::Seed(value.as_u64()?),
+            KnobKind::Policy => Knob::Policy(PolicySpec::from_json(value)?),
         })
     }
 }
 
-/// One axis of variation: one knob kind and its values, in order.
+/// The key of a points-axis point's seed offset.
+const SEED_OFFSET: &str = "seed_offset";
+
+/// The knob kind `key` names among `accepted`; an unknown key is an error
+/// naming `what` it was read as and listing the accepted keys and `also`.
+fn knob_kind(
+    key: &str,
+    accepted: &[KnobKind],
+    what: &'static str,
+    also: &str,
+) -> Result<KnobKind, SpecError> {
+    accepted
+        .iter()
+        .copied()
+        .find(|k| k.key() == key)
+        .ok_or_else(|| {
+            let keys: Vec<&str> = accepted.iter().map(|k| k.key()).collect();
+            SpecError::unknown_kind(what, key, format!("{}, {also}", keys.join(", ")))
+        })
+}
+
+/// One value of an [`Axis`]: knob assignments applied in order, and
+/// optionally the point's seed as an offset from the base seed.
 ///
-/// JSON shape: a single-key object, e.g. `{"lambda": [1e-4, 2e-4]}`.
+/// JSON shape in a points axis: `{"utilization": 0.76, "lambda": 0.0014,
+/// "seed_offset": 3}`. The point's label joins its knobs' labels
+/// (`u0.76-l0.0014`); the offset is not labelled.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Point {
+    knobs: Vec<Knob>,
+    seed_offset: Option<u64>,
+}
+
+impl Point {
+    /// The point setting `knobs`, in order.
+    pub fn new(knobs: impl IntoIterator<Item = Knob>) -> Self {
+        Self {
+            knobs: knobs.into_iter().collect(),
+            seed_offset: None,
+        }
+    }
+
+    /// The point seeded `base seed + offset` instead of `base seed + grid
+    /// index`.
+    pub fn with_seed_offset(mut self, offset: u64) -> Self {
+        self.seed_offset = Some(offset);
+        self
+    }
+
+    /// The knobs this point sets, in order.
+    pub fn knobs(&self) -> &[Knob] {
+        &self.knobs
+    }
+
+    fn label(&self) -> String {
+        let labels: Vec<String> = self.knobs.iter().map(Knob::label).collect();
+        labels.join("-")
+    }
+
+    /// Reads a points-axis point whose knob keys must be among `accepted`.
+    fn parse(json: &Json, accepted: &[KnobKind]) -> Result<Self, SpecError> {
+        let Json::Object(fields) = json else {
+            return Err(SpecError::invalid(
+                "a grid point is an object of knob assignments, e.g. \
+                 {\"utilization\": 0.76, \"lambda\": 0.0014}",
+            ));
+        };
+        let mut point = Point::new([]);
+        for (key, value) in fields {
+            let duplicate = if key == SEED_OFFSET {
+                point.seed_offset.replace(value.as_u64()?).is_some()
+            } else {
+                let kind = knob_kind(key, accepted, "grid point key", SEED_OFFSET)?;
+                let duplicate = point.knobs.iter().any(|k| k.kind() == kind);
+                point.knobs.push(Knob::parse(kind, value)?);
+                duplicate
+            };
+            if duplicate {
+                return Err(SpecError::invalid(format!("grid point sets {key:?} twice")));
+            }
+        }
+        if point.knobs.is_empty() {
+            return Err(SpecError::invalid(
+                "a grid point must set at least one knob",
+            ));
+        }
+        Ok(point)
+    }
+}
+
+impl ToJson for Point {
+    fn to_json(&self) -> Json {
+        let mut fields: Vec<(&'static str, Json)> = self
+            .knobs
+            .iter()
+            .map(|k| (k.kind().key(), k.value_json()))
+            .collect();
+        if let Some(offset) = self.seed_offset {
+            fields.push((SEED_OFFSET, offset.into()));
+        }
+        Json::obj(fields)
+    }
+}
+
+/// One axis of variation: its points, in order.
+///
+/// JSON shape: a single-key object — a knob axis, e.g. `{"lambda": [1e-4,
+/// 2e-4]}`, whose points each set that one knob, or a points axis,
+/// `{"points": [{"utilization": 0.76, "lambda": 0.0014}, ...]}`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Axis {
-    kind: KnobKind,
-    values: Vec<Knob>,
+    /// The knob every point sets, or `None` for a points axis.
+    kind: Option<KnobKind>,
+    values: Vec<Point>,
 }
 
 impl Axis {
@@ -157,12 +282,25 @@ impl Axis {
     /// `knob` itself, so an empty axis still knows what it varies.
     pub fn new<T: Default>(knob: fn(T) -> Knob, values: impl IntoIterator<Item = T>) -> Self {
         Self {
-            kind: knob(T::default()).kind(),
-            values: values.into_iter().map(knob).collect(),
+            kind: Some(knob(T::default()).kind()),
+            values: values.into_iter().map(|v| Point::new([knob(v)])).collect(),
         }
     }
 
-    /// Reads an axis whose key must be one of `accepted`.
+    /// The points axis over `points`, in order.
+    pub fn points(points: impl IntoIterator<Item = Point>) -> Self {
+        Self {
+            kind: None,
+            values: points.into_iter().collect(),
+        }
+    }
+
+    /// The axis's points, in order.
+    pub fn values(&self) -> &[Point] {
+        &self.values
+    }
+
+    /// Reads an axis whose knob keys must be among `accepted`.
     fn parse(json: &Json, accepted: &[KnobKind]) -> Result<Self, SpecError> {
         let fields = match json {
             Json::Object(fields) if fields.len() == 1 => fields,
@@ -173,32 +311,48 @@ impl Axis {
             }
         };
         let (key, value) = &fields[0];
-        let Some(&kind) = accepted.iter().find(|k| k.key() == key) else {
-            let keys: Vec<&str> = accepted.iter().map(|k| k.key()).collect();
-            return Err(SpecError::unknown_kind(
-                "sweep axis",
-                key.as_str(),
-                keys.join(", "),
-            ));
+        let values = value.as_array()?;
+        let axis = if key == "points" {
+            Self::points(
+                values
+                    .iter()
+                    .map(|v| Point::parse(v, accepted))
+                    .collect::<Result<Vec<_>, _>>()?,
+            )
+        } else {
+            let kind = knob_kind(key, accepted, "sweep axis", "points")?;
+            Self {
+                kind: Some(kind),
+                values: values
+                    .iter()
+                    .map(|v| Ok(Point::new([Knob::parse(kind, v)?])))
+                    .collect::<Result<Vec<_>, SpecError>>()?,
+            }
         };
-        let values = value
-            .as_array()?
-            .iter()
-            .map(|v| Knob::parse(kind, v))
-            .collect::<Result<Vec<_>, _>>()?;
-        if values.is_empty() {
+        if axis.values.is_empty() {
             return Err(SpecError::invalid(format!("sweep axis {key:?} is empty")));
         }
-        Ok(Self { kind, values })
+        Ok(axis)
     }
 }
 
 impl ToJson for Axis {
     fn to_json(&self) -> Json {
-        Json::obj([(
-            self.kind.key(),
-            Json::Array(self.values.iter().map(Knob::value_json).collect()),
-        )])
+        match self.kind {
+            Some(kind) => Json::obj([(
+                kind.key(),
+                Json::Array(
+                    self.values
+                        .iter()
+                        .map(|p| p.knobs[0].value_json())
+                        .collect(),
+                ),
+            )]),
+            None => Json::obj([(
+                "points",
+                Json::Array(self.values.iter().map(ToJson::to_json).collect()),
+            )]),
+        }
     }
 }
 
@@ -208,8 +362,8 @@ pub trait GridCell: Clone + PartialEq + std::fmt::Debug + ToJson + FromJson {
     /// `"executive sweep"`).
     const KIND: &'static str;
 
-    /// The knob kinds this kind's grid documents accept as axes, in the
-    /// order an unknown-key error lists them.
+    /// The knob kinds this kind's grid documents accept, as axes and as
+    /// point keys, in the order an unknown-key error lists them.
     const AXES: &'static [KnobKind];
 
     /// The cell's name.
@@ -275,6 +429,7 @@ impl GridCell for ExperimentSpec {
         KnobKind::K,
         KnobKind::Costs,
         KnobKind::Seed,
+        KnobKind::Policy,
     ];
 
     fn name(&self) -> &str {
@@ -311,6 +466,7 @@ impl GridCell for ExperimentSpec {
             }
             Knob::K(k) => self.policy = self.policy.with_k(k),
             Knob::Seed(seed) => self.mc.seed = seed,
+            Knob::Policy(policy) => self.policy = policy,
             Knob::Speed(_) | Knob::Hyperperiods(_) => {
                 return Err(no_such_parameter(knob, "a single-task experiment"))
             }
@@ -379,6 +535,12 @@ impl GridCell for ExecutiveSpec {
                     "an executive workload (each task has its own)",
                 ))
             }
+            Knob::Policy(_) => {
+                return Err(no_such_parameter(
+                    knob,
+                    "an executive workload (its base assigns one per task)",
+                ))
+            }
         }
         Ok(())
     }
@@ -438,11 +600,12 @@ impl<C: GridCell> Grid<C> {
     /// Expands the grid into concrete cells, outermost axis slowest. A
     /// grid with no axes is its base, as one point.
     ///
-    /// Each point gets a derived name (`base-u0.78-l0.0014`) and, unless a
-    /// seed axis overrides it, a per-point seed `base seed + index`, so
-    /// grids shard reproducibly. (Paper tables offset per row instead —
-    /// all four schemes of row `i` share `seed + i` — which is why they
-    /// are not grid documents.)
+    /// Each point applies the knobs of its value on every axis, in axis
+    /// order, and gets a derived name (`base-u0.78-l0.0014`). Its seed is
+    /// `base seed + offset` when a value carries a seed offset (offsets on
+    /// several axes add up), else the seed knob's value when one is set,
+    /// else `base seed + index`, so grids shard reproducibly. (The paper's
+    /// tables seed row `i` at `seed + i` for all four schemes: offsets.)
     ///
     /// # Errors
     ///
@@ -458,23 +621,33 @@ impl<C: GridCell> Grid<C> {
         out.try_reserve_exact(total).map_err(|e| {
             SpecError::invalid(format!("a grid of {total} points cannot be allocated: {e}"))
         })?;
-        let derive_seed = !self.axes.iter().any(|a| a.kind == KnobKind::Seed);
+        let base_seed = self.base.seed();
         for flat in 0..total {
             let mut cell = self.base.clone();
             let mut name = self.base.name().to_owned();
+            let mut offset: Option<u64> = None;
+            let mut seeded = false;
             // Decompose the flat index, outermost axis slowest.
             let mut rem = flat;
             let mut stride = total;
             for axis in &self.axes {
                 stride /= axis.values.len();
-                let knob = axis.values[rem / stride];
+                let point = &axis.values[rem / stride];
                 rem %= stride;
-                cell.set(knob)?;
+                for &knob in &point.knobs {
+                    cell.set(knob)?;
+                    seeded |= knob.kind() == KnobKind::Seed;
+                }
+                if let Some(o) = point.seed_offset {
+                    offset = Some(offset.unwrap_or(0).wrapping_add(o));
+                }
                 name.push('-');
-                name.push_str(&knob.label());
+                name.push_str(&point.label());
             }
-            if derive_seed {
-                cell.set(Knob::Seed(self.base.seed().wrapping_add(flat as u64)))?;
+            match offset {
+                Some(o) => cell.set(Knob::Seed(base_seed.wrapping_add(o)))?,
+                None if !seeded => cell.set(Knob::Seed(base_seed.wrapping_add(flat as u64)))?,
+                None => {}
             }
             cell.rename(name);
             cell.check_point()

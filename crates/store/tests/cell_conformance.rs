@@ -408,3 +408,65 @@ for_both_kinds!(
     coverage_lists_missing_and_duplicated_points,
     corrupt_documents_name_the_file,
 );
+
+/// A paper table part document — `specs/table2a.json` at 20 replications:
+/// one points axis of 32 cells, four schemes per row and row `i` seeded
+/// `seed + i` — honors the same contracts byte for byte.
+mod table_document {
+    use super::*;
+
+    fn grid() -> SweepSpec {
+        let path = format!("{}/../../specs/table2a.json", env!("CARGO_MANIFEST_DIR"));
+        let mut grid = SweepSpec::load(std::path::Path::new(&path)).unwrap();
+        grid.base.mc.replications = 20;
+        grid
+    }
+
+    #[test]
+    fn shards_merge_byte_identically() {
+        let sweep = grid();
+        let dir = std::env::temp_dir().join(format!(
+            "eacp-conformance-table2a-merge-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let full = run_sweep(&sweep, None, 1).unwrap();
+        assert_eq!(full.points.len(), 32);
+        for i in 0..3 {
+            run_sweep(&sweep, shard(i, 3), 1)
+                .unwrap()
+                .save(&dir)
+                .unwrap();
+        }
+        let merged = merge_dir::<ExperimentSpec>(&dir).unwrap();
+        assert_eq!(pretty(&merged), pretty(&full));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn store_is_byte_identical_cold_warm_and_plain() {
+        let sweep = grid();
+        let runner = LocalRunner::new(1);
+        let store = MemBackend::new();
+        let counters = StoreCounters::new();
+        let cached = || {
+            run_sweep_cached_tiered(
+                &sweep,
+                None,
+                &runner,
+                &store,
+                CacheMode::ReadWrite,
+                &counters,
+                true,
+            )
+            .unwrap()
+        };
+        let plain = run_sweep_tiered(&sweep, None, &runner, true).unwrap();
+        let cold = cached();
+        assert_eq!((counters.hits(), counters.records()), (0, 32));
+        let warm = cached();
+        assert_eq!(counters.hits(), 32);
+        assert_eq!(pretty(&cold), pretty(&plain));
+        assert_eq!(pretty(&warm), pretty(&plain));
+    }
+}
