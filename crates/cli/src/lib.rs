@@ -189,14 +189,16 @@ QUEUED EXECUTION AND THE REMOTE FLEET:
   (--workers N, 0 = auto) with lease retry; results are bit-identical to
   the default runner for any worker count. On `mc` the queue config is
   recorded in the effective spec (see --emit-spec). With --endpoints
-  H:P,... each lease, a run of consecutive blocks, is shipped over TCP
-  to `eacp serve` processes in one request instead of executing
-  in-process (--timeout-ms caps each request, default 10000). Dead or
-  wedged servers fail the lease; the retry budget re-leases to
+  H:P,... each lease, a run of consecutive blocks of one cell, is
+  shipped over TCP to `eacp serve` processes in one request instead of
+  executing in-process (--timeout-ms caps each request, default 10000);
+  `sweep` and `table` lease every cell of the grid from one queue. Dead
+  or wedged servers fail the lease; the retry budget re-leases to
   surviving endpoints and the final attempt always runs in-process, so
-  a fleet run completes — bit-identical — even with every server down. `eacp serve --listen HOST:PORT` runs one
-  stateless block server (start several, list them all in --endpoints;
-  the merged summary is byte-identical to an unqueued run).
+  a fleet run completes — bit-identical — even with every server down.
+  `eacp serve --listen HOST:PORT` runs one stateless block server (start
+  several, list them all in --endpoints; the merged summary is
+  byte-identical to an unqueued run).
 
 SPEC selection (run/mc):
   --spec file.json   load an ExperimentSpec document
@@ -1021,13 +1023,16 @@ fn cmd_grid<C: CliCell>(o: &Options, path: &str) -> Result<String, String> {
     let (grid, note) = match leased {
         Some(grid) => (grid, format!(", queued: {}", progress.render(o.workers))),
         None => {
-            let (grid, note) = run_grid_cells(o, &sweep, shard, runner.as_ref(), store.as_ref());
-            // Remote fleet: each grid point's canonical blocks fan out
-            // across the endpoints through the fleet point-runner.
-            match store {
-                None if fleet > 0 => (grid, format!(", fleet: {fleet} endpoint(s)")),
-                _ => (grid, note),
-            }
+            let counters = StoreCounters::new();
+            let grid = run_grid_cells(o, &sweep, shard, runner.as_ref(), store.as_ref(), &counters);
+            let note = match store {
+                Some(_) => format!(", {}", store_tally(&counters)),
+                // Remote fleet: the grid's canonical blocks fan out across
+                // the endpoints from one lease queue.
+                None if fleet > 0 => format!(", fleet: {fleet} endpoint(s)"),
+                None => String::new(),
+            };
+            (grid, note)
         }
     };
     let grid = grid.map_err(|e| e.to_string())?;
@@ -1056,40 +1061,42 @@ fn cmd_grid<C: CliCell>(o: &Options, path: &str) -> Result<String, String> {
 /// Runs a grid, or one shard of it, on `runner`: through the store when
 /// one is configured — covered cells are served, the rest are computed and
 /// recorded, which is what makes an interrupted sweep resumable — else
-/// directly. The note counts what the store served and computed.
+/// directly. `counters` count what the store served and computed.
 fn run_grid_cells<C: CliCell>(
     o: &Options,
     grid: &Grid<C>,
     shard: Option<ShardId>,
     runner: &dyn Runner,
     store: Option<&FsBackend>,
-) -> (Result<GridReport<C>, eacp_spec::SpecError>, String) {
+    counters: &StoreCounters,
+) -> Result<GridReport<C>, eacp_spec::SpecError> {
     let analytic = !o.no_analytic;
-    let Some(backend) = store else {
-        return (
-            run_sweep_tiered(grid, shard, runner, analytic),
-            String::new(),
-        );
-    };
-    let counters = StoreCounters::new();
-    let report = run_sweep_cached_tiered(
-        grid,
-        shard,
-        runner,
-        backend,
-        cache_mode(o),
-        &counters,
-        analytic,
-    );
+    match store {
+        Some(backend) => run_sweep_cached_tiered(
+            grid,
+            shard,
+            runner,
+            backend,
+            cache_mode(o),
+            counters,
+            analytic,
+        ),
+        None => run_sweep_tiered(grid, shard, runner, analytic),
+    }
+}
+
+/// What a store-backed grid run served and computed:
+/// `store: N served, M computed`, and any entries quarantined.
+fn store_tally(counters: &StoreCounters) -> String {
     let mut note = format!(
-        ", store: {} served, {} computed",
+        "store: {} served, {} computed",
         counters.hits(),
         counters.records()
     );
     if counters.quarantined() > 0 {
         note.push_str(&format!(", {} quarantined", counters.quarantined()));
     }
-    (report, note)
+    note
 }
 
 /// Work-queue telemetry accumulated across the pool's threads; rendered
@@ -1588,11 +1595,18 @@ pub fn cmd_table(o: &Options) -> Result<String, String> {
     }
     let runner = placement(queue.as_ref(), o.threads).map_err(|e| e.to_string())?;
     let store = resolve_store(o)?;
+    let counters = StoreCounters::new();
     let reports = grids
         .iter()
-        .map(|grid| run_grid_cells(o, grid, None, runner.as_ref(), store.as_ref()).0)
+        .map(|grid| run_grid_cells(o, grid, None, runner.as_ref(), store.as_ref(), &counters))
         .collect::<Result<Vec<_>, _>>()
         .map_err(|e| e.to_string())?;
+    // Both parts' cells in one tally; kept out of the written files, which
+    // are the same whether the store served or computed.
+    let note = match store {
+        Some(_) => format!("{}\n", store_tally(&counters)),
+        None => String::new(),
+    };
     let result = TableResult::from_reports(id, &reports);
     if o.json && o.out.is_empty() {
         return Ok(render::to_json(&result));
@@ -1609,7 +1623,7 @@ pub fn cmd_table(o: &Options) -> Result<String, String> {
         text.push_str(&format!("  FAIL {}: {}\n", f.criterion, f.detail));
     }
     if o.out.is_empty() {
-        return Ok(text);
+        return Ok(text + &note);
     }
     let dir = std::path::Path::new(&o.out);
     std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
@@ -1622,7 +1636,10 @@ pub fn cmd_table(o: &Options) -> Result<String, String> {
         let path = base.with_extension(ext);
         std::fs::write(&path, body).map_err(|e| format!("{}: {e}", path.display()))?;
     }
-    Ok(format!("wrote {}.{{txt,md,csv}}\n{tally}", base.display()))
+    Ok(format!(
+        "wrote {}.{{txt,md,csv}}\n{tally}{note}",
+        base.display()
+    ))
 }
 
 /// Parses `name:wcet:period[:deadline]` task lists into a [`TaskSetSpec`].
@@ -2040,11 +2057,10 @@ pub fn dispatch(args: Vec<String>) -> Result<String, String> {
         return Ok(USAGE.to_owned());
     };
     let (run, reads): (fn(&Options) -> Result<String, String>, &[&[&str]]) = match cmd.as_str() {
+        // One seeded execution: no replications to count, thread or queue.
         "run" => (
             cmd_run,
-            &[
-                SHAPE, SEED, SPEC, PRESET, MC, QUEUE, STORE, REFRESH, EMIT, TRACE,
-            ],
+            &[SHAPE, SEED, SPEC, PRESET, STORE, REFRESH, EMIT, TRACE],
         ),
         "mc" => (
             cmd_mc,

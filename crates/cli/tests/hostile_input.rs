@@ -426,6 +426,10 @@ fn flags_a_command_never_reads_are_usage_errors() {
         (&["sweep", "--spec", &sweep, "--tasks", "a:1:10"], "--tasks"),
         (&["table", "1", "--tasks", "a:1:10"], "--tasks"),
         (&["presets", "--json"], "--json"),
+        // One seeded execution has no replications, threads or queue.
+        (&["run", "--reps", "7"], "--reps"),
+        (&["run", "--threads", "4"], "--threads"),
+        (&["run", "--queue", "--workers", "2"], "--queue"),
     ];
     for &(args, flag) in cases {
         // `--emit-spec` keeps a regression from running a whole table.

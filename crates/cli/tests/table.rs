@@ -71,6 +71,26 @@ fn table_store_and_tier_flags_give_identical_bytes() {
 }
 
 #[test]
+fn table_text_tallies_what_the_store_served_and_computed() {
+    let dir = scratch("tally");
+    let store = dir.to_str().unwrap();
+    let run = || eacp(&["table", "2", "--reps", "20", "--store", store]).unwrap();
+    // 32 cells in part a, 16 in part b.
+    let cold = run();
+    assert!(cold.ends_with("store: 0 served, 48 computed\n"), "{cold}");
+    let warm = run();
+    assert!(warm.ends_with("store: 48 served, 0 computed\n"), "{warm}");
+    // The table itself is the same either way.
+    let table = |text: &str| text.lines().count();
+    assert_eq!(table(&cold), table(&warm));
+    assert_eq!(
+        cold.replace("0 served, 48 computed", ""),
+        warm.replace("48 served, 0 computed", "")
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn table_cell_specs_reproduce_through_mc() {
     // Each embedded spec is a complete document: read back by `mc --spec`,
     // it reports the summary the table printed for it.

@@ -22,6 +22,7 @@ use crate::job::Job;
 use crate::queue::QueueRunner;
 use crate::remote::RemoteWorker;
 use crate::runner::{LocalRunner, Runner};
+use crate::shard::PointReport;
 use eacp_sim::Summary;
 use eacp_spec::{
     ExecutiveSpec, ExperimentSpec, FromJson, GridCell, Json, QueueSpec, RunReport, ServeTier,
@@ -63,6 +64,32 @@ pub trait Cell: GridCell {
         analytic: bool,
     ) -> Result<(Self::Summary, ServeTier), SpecError>;
 
+    /// The point reports of the cells `range` of a grid's expansion
+    /// `cells`, computed on `runner`, in order — what a grid run calls once
+    /// for all its cells. The default computes them one after another
+    /// ([`run_point_tiered`]); single-task cells answer their analytic
+    /// cells first and hand every other cell's job to [`Runner::run_jobs`]
+    /// in one call.
+    ///
+    /// # Errors
+    ///
+    /// A cell that fails, named by its grid index, or a runner failure.
+    fn compute_grid(
+        cells: &[Self],
+        range: std::ops::Range<usize>,
+        runner: &dyn Runner,
+        analytic: bool,
+    ) -> Result<Vec<PointReport<Self>>, SpecError> {
+        range
+            .map(|index| {
+                let cell = &cells[index];
+                let report = run_point_tiered(runner, cell, analytic)
+                    .map_err(|e| point_error(index, cell, e))?;
+                Ok(PointReport { index, report })
+            })
+            .collect()
+    }
+
     /// The report of this cell holding `summary`. A pure function of its
     /// arguments, so a served summary reports byte-identically to a
     /// computed one.
@@ -95,6 +122,11 @@ pub fn placement(queue: Option<&QueueSpec>, threads: usize) -> Result<Box<dyn Ru
     Ok(Box::new(
         runner.with_worker(worker).with_lease_timeout(lease_timeout),
     ))
+}
+
+/// A grid cell's failure, naming its grid index and name.
+pub(crate) fn point_error<C: GridCell>(index: usize, cell: &C, e: SpecError) -> SpecError {
+    SpecError::invalid(format!("grid point {index} ({}): {e}", cell.name()))
 }
 
 /// Computes one cell on `runner` and wraps it as the cell's report — the
@@ -165,6 +197,47 @@ impl Cell for ExperimentSpec {
                 None => (runner.run(&job)?, ServeTier::Mc),
             },
         )
+    }
+
+    fn compute_grid(
+        cells: &[Self],
+        range: std::ops::Range<usize>,
+        runner: &dyn Runner,
+        analytic: bool,
+    ) -> Result<Vec<PointReport<Self>>, SpecError> {
+        let mut served = Vec::with_capacity(range.len());
+        let mut jobs = Vec::new();
+        for index in range.clone() {
+            let cell = &cells[index];
+            let job = Job::from_spec(cell).map_err(|e| point_error(index, cell, e))?;
+            match analytic.then(|| crate::serve_closed_form(&job)).flatten() {
+                Some(summary) => served.push(Some(summary)),
+                None => {
+                    served.push(None);
+                    jobs.push(job);
+                }
+            }
+        }
+        let mut computed = runner
+            .run_jobs(&jobs)
+            .map_err(|e| {
+                SpecError::invalid(format!("grid points {}..{}: {e}", range.start, range.end))
+            })?
+            .into_iter();
+        range
+            .zip(served)
+            .map(|(index, summary)| {
+                let (summary, tier) = match summary {
+                    Some(summary) => (summary, ServeTier::Analytic),
+                    None => computed
+                        .next()
+                        .map(|summary| (summary, ServeTier::Mc))
+                        .ok_or_else(|| SpecError::invalid("runner returned too few summaries"))?,
+                };
+                let report = cells[index].report(&summary, tier);
+                Ok(PointReport { index, report })
+            })
+            .collect()
     }
 
     fn report(&self, summary: &Summary, served: ServeTier) -> RunReport {

@@ -29,14 +29,16 @@
 //!   job's spec and the whole run to an `eacp serve` process in one
 //!   request and plugs in without touching any call site.
 //! * **[`QueueRunner`]** — the [`Runner`] built from the two: it splits a
-//!   job into the same fixed-size canonical blocks as [`LocalRunner`],
-//!   groups consecutive blocks into batches by one fixed rule
-//!   (about four leases per pool worker, for a worker that
+//!   job — or every job of a grid ([`Runner::run_jobs`]) — into the same
+//!   fixed-size canonical blocks as [`LocalRunner`], groups each job's
+//!   consecutive blocks into batches by one fixed rule (about four leases
+//!   per pool worker over the grid's blocks, for a worker that
 //!   [serves batches](Worker::serves_batches); one block per lease
-//!   otherwise), queues the batches, drains the queue with a worker
-//!   pool, and merges the per-block partials in ascending block order. The batch length only decides how many blocks
-//!   travel together; the merge sees the same blocks in the same order
-//!   whatever it is. Because a failed lease discards its partials
+//!   otherwise), queues every batch on one queue, drains it with a worker
+//!   pool, and merges each job's per-block partials in ascending block
+//!   order. The batch length only decides how many blocks travel
+//!   together; the merge sees the same blocks in the same order whatever
+//!   it is. Because a failed lease discards its partials
 //!   wholesale — a batch is retried as a unit — and the re-run is
 //!   deterministic (per-replication seeding), the merged result is
 //!   **bit-identical to [`LocalRunner`] for any worker count and any
@@ -55,7 +57,7 @@
 use crate::cell::run_point_tiered;
 use crate::job::Job;
 use crate::runner::Runner;
-use crate::runner::{lease_batches, merge_blocks, run_block, run_sequential_observed};
+use crate::runner::{lease_batches, run_block, run_sequential_observed};
 use crate::shard::{GridReport, PointReport, ShardId};
 use eacp_sim::{NoopObserver, Observer, Summary};
 use eacp_spec::{SpecError, SweepSpec};
@@ -581,7 +583,7 @@ pub struct BlockAssignment {
     pub hi: u64,
 }
 
-/// A run of consecutive canonical blocks — the unit of work a
+/// A run of consecutive canonical blocks of one job — the unit of work a
 /// [`QueueRunner`] leases to its pool, retried as a unit.
 ///
 /// The run covers replications `[lo, hi)` in blocks of `size`: block
@@ -589,7 +591,8 @@ pub struct BlockAssignment {
 /// exactly `size` replications.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockBatch {
-    /// Position of the batch in the job's lease order.
+    /// Position of the batch in the lease order of the run (of the whole
+    /// grid, when a runner leases several jobs from one queue).
     pub index: u64,
     /// Canonical index of the first block.
     pub first: u64,
@@ -780,22 +783,50 @@ impl<W: Worker> QueueRunner<W> {
     }
 
     /// [`Runner::run`] with scheduler telemetry streamed into `obs`: one
-    /// lease (and one [`QueueObserver::on_lease`]) per [`BlockBatch`].
+    /// lease (and one [`QueueObserver::on_lease`]) per [`BlockBatch`]. The
+    /// one-job case of the grid queue [`Runner::run_jobs`] drains.
     pub fn run_with(&self, job: &Job, obs: &dyn QueueObserver) -> Result<Summary, SpecError> {
+        let mut summaries = self.run_jobs_with(std::slice::from_ref(job), obs)?;
+        Ok(summaries.pop().unwrap_or_else(Summary::empty))
+    }
+
+    /// [`Runner::run_jobs`] with scheduler telemetry streamed into `obs`:
+    /// every job's canonical blocks go on one [`WorkQueue`], batched over
+    /// the grid's total block count ([`lease_batches`]) and never across a
+    /// job, and one pool drains it with no barrier between jobs. Each
+    /// job's partials merge in ascending block order, so every summary is
+    /// bit-identical to [`Runner::run`] of its job. Fails when a batch
+    /// exhausts its attempt budget (the queue is poisoned).
+    fn run_jobs_with(
+        &self,
+        jobs: &[Job],
+        obs: &dyn QueueObserver,
+    ) -> Result<Vec<Summary>, SpecError> {
+        let replications: Vec<u64> = jobs.iter().map(Job::replications).collect();
         let (pool, batches) = lease_batches(
-            job.replications(),
+            &replications,
             self.block_size,
             self.workers,
             self.worker.serves_batches(),
         );
-        let mut queue = WorkQueue::new(batches).with_max_attempts(self.max_attempts);
+        let mut queue =
+            WorkQueue::new(batches.iter().copied()).with_max_attempts(self.max_attempts);
         if let Some(timeout) = self.lease_timeout {
             queue = queue.with_lease_timeout(timeout);
         }
         let partials = queue.drain(pool, obs, |_worker, lease| {
-            self.worker.run_blocks(job, *lease.item(), lease.attempt())
+            let (job, batch) = *lease.item();
+            self.worker.run_blocks(&jobs[job], batch, lease.attempt())
         })?;
-        Ok(merge_blocks(partials.into_iter().flatten()))
+        // Batches come back in lease order: job by job, each job's blocks
+        // ascending — the canonical merge order.
+        let mut totals: Vec<Summary> = jobs.iter().map(|_| Summary::empty()).collect();
+        for (&(job, _), partials) in batches.iter().zip(partials) {
+            for partial in &partials {
+                totals[job].merge(partial);
+            }
+        }
+        Ok(totals)
     }
 }
 
@@ -806,6 +837,12 @@ impl<W: Worker> Runner for QueueRunner<W> {
 
     fn run(&self, job: &Job) -> Result<Summary, SpecError> {
         self.run_with(job, &NoopQueueObserver)
+    }
+
+    /// One queue for the whole grid: every job's blocks are leased from
+    /// it, batched over the grid's total block count.
+    fn run_jobs(&self, jobs: &[Job]) -> Result<Vec<Summary>, SpecError> {
+        self.run_jobs_with(jobs, &NoopQueueObserver)
     }
 
     /// Note: a shared replication observer imposes an ordering, so this

@@ -10,7 +10,7 @@
 //!   non-UTF-8 frames are [`SpecError`]s, never panics; the oversized check
 //!   runs *before* the payload allocation, so a hostile length prefix
 //!   cannot balloon memory.
-//! * **Protocol** (version [`PROTOCOL_VERSION`], 2) — version-tagged
+//! * **Protocol** (version [`PROTOCOL_VERSION`], 3) — version-tagged
 //!   request/response objects in the workspace's hand-rolled JSON. A
 //!   request is `ping` or `run_block`. A `run_block` names a `[lo, hi)`
 //!   replication range, the canonical `block` size that splits it, and,
@@ -20,9 +20,18 @@
 //!   received on that connection (a [`Session`]), and a `run_block`
 //!   without a spec runs against it. A spec-less request on a connection
 //!   that has loaded no job is an error response, never a wrong result.
-//!   The reply carries `summaries`: one partial [`Summary`] per
-//!   `block`-sized chunk of `[lo, hi)`, in order, each in the lossless
-//!   raw-parts encoding from `eacp_spec::report` — or an error string. A
+//!   The reply is `{"v": 3, "summaries": [...]}` with one partial
+//!   [`Summary`] per `block`-sized chunk of `[lo, hi)`, in order — or
+//!   `{"v": 3, "error": "..."}`. Each summary is one compact array of its
+//!   raw parts ([`eacp_spec::report::write_summary_parts`]): the five
+//!   counts `replications, timely, completed, aborted, anomalies`, then
+//!   the seven accumulators `energy_timely, energy_all, finish_timely,
+//!   faults, rollbacks, checkpoints, fast_fraction`, each as `[count,
+//!   mean, m2, min, max]`. Floats are written losslessly (`{:?}`, `null`
+//!   for NaN, `±1e999` for infinities), so a decoded summary is bit-identical
+//!   to the computed one. [`decode_reply`] is the one decoder: it checks
+//!   the array shapes and that each summary covers its block's
+//!   replications, and any other reply is a typed error. A
 //!   request is bounded: a range wider than [`MAX_REQUEST_REPLICATIONS`],
 //!   more chunks than [`MAX_REQUEST_BLOCKS`] or `block: 0` is an error
 //!   response, and the connection keeps serving. `ping` is answered at
@@ -56,6 +65,7 @@ use crate::job::Job;
 use crate::queue::{BlockAssignment, BlockBatch, InProcessWorker, Worker};
 use crate::runner::run_block;
 use eacp_sim::{NoopObserver, Summary};
+use eacp_spec::report::{summary_from_parts, write_summary_parts};
 use eacp_spec::{ExperimentSpec, FromJson, Json, QueueSpec, SpecError, ToJson};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
@@ -67,9 +77,10 @@ use std::time::Duration;
 
 /// Wire protocol version; bumped on any incompatible frame/JSON change.
 /// Version 2 added the `run_block` request's `block` size and replaced the
-/// reply's single `summary` by a `summaries` list, one per block. `ping`
-/// is answered at any version.
-pub const PROTOCOL_VERSION: u64 = 2;
+/// reply's single `summary` by a `summaries` list, one per block; version
+/// 3 writes each summary as one compact array of raw parts instead of an
+/// object. `ping` is answered at any version.
+pub const PROTOCOL_VERSION: u64 = 3;
 
 /// Hard cap on a single frame's payload. Large enough for any spec or
 /// reply this workspace produces, small enough that a corrupt or hostile
@@ -82,8 +93,8 @@ pub const MAX_FRAME_BYTES: usize = 8 * 1024 * 1024;
 pub const MAX_REQUEST_REPLICATIONS: u64 = 1 << 20;
 
 /// Most blocks (reply summaries) one `run_block` request may ask for. A
-/// summary encodes in about 1.1 KiB, so a full reply stays under a fifth
-/// of [`MAX_FRAME_BYTES`].
+/// summary encodes in well under 1 KiB, so a full reply stays under a
+/// tenth of [`MAX_FRAME_BYTES`].
 pub const MAX_REQUEST_BLOCKS: u64 = 1024;
 
 /// Locks `m`, recovering from poisoning: every critical section in this
@@ -200,6 +211,50 @@ pub fn answer_request(text: &str) -> String {
     Session::default().answer(text)
 }
 
+/// Decodes the reply to a `run_block` request for `batch`: one summary per
+/// block of the batch, in order, each covering exactly its block's
+/// replications.
+///
+/// # Errors
+///
+/// An error reply (`server reported: ...`), and every malformed one: text
+/// that is not JSON or is cut short, a missing `summaries` list, the wrong
+/// number of summaries or of raw parts in one, a non-number or a negative
+/// count where a number belongs, and a summary whose replications differ
+/// from its block's.
+pub fn decode_reply(text: &str, batch: BlockBatch) -> Result<Vec<Summary>, SpecError> {
+    let json = Json::parse(text)?;
+    if let Some(error) = json.get("error") {
+        let detail = error.as_str().unwrap_or("malformed error response");
+        return Err(SpecError::invalid(format!("server reported: {detail}")));
+    }
+    let encoded = json.req("summaries")?.as_array()?;
+    if encoded.len() as u64 != batch.block_count() {
+        return Err(SpecError::invalid(format!(
+            "reply carries {} summaries, expected {}",
+            encoded.len(),
+            batch.block_count()
+        )));
+    }
+    encoded
+        .iter()
+        .zip(batch.blocks())
+        .map(|(parts, block)| {
+            let summary = summary_from_parts(parts).map_err(|e| {
+                SpecError::invalid(format!("summary of block {}: {e}", block.block))
+            })?;
+            let expected = block.hi - block.lo;
+            if summary.replications != expected {
+                return Err(SpecError::invalid(format!(
+                    "summary of block {} covers {} replications, expected {expected}",
+                    block.block, summary.replications
+                )));
+            }
+            Ok(summary)
+        })
+        .collect()
+}
+
 /// The server's side of one connection: the job built from the last spec
 /// the client sent, which spec-less `run_block` requests run against.
 #[derive(Default)]
@@ -290,15 +345,16 @@ impl Session {
                 batch.block_count()
             )));
         }
-        // Encoded one summary at a time, so a long batch never holds more
-        // than one summary's JSON tree.
-        let mut reply = format!("{{\"v\": {PROTOCOL_VERSION}, \"summaries\": [");
+        // Written one summary at a time, straight into a reply sized for
+        // the whole batch up front (a summary takes about 460 bytes).
+        let mut reply = String::with_capacity(32 + 512 * batch.block_count() as usize);
+        reply.push_str(&format!("{{\"v\": {PROTOCOL_VERSION}, \"summaries\": ["));
         for (i, b) in batch.blocks().enumerate() {
             if i > 0 {
-                reply.push_str(", ");
+                reply.push(',');
             }
             let summary = run_block(job, b.lo, b.hi, &mut NoopObserver);
-            reply.push_str(&summary.to_json().pretty());
+            write_summary_parts(&mut reply, &summary);
         }
         reply.push_str("]}");
         Ok(reply)
@@ -562,43 +618,7 @@ impl Conn {
         let text = read_frame(&mut self.reader)
             .map_err(|e| Failure::new("read", e))?
             .ok_or_else(|| Failure::new("read", "server closed the connection without replying"))?;
-        let json = Json::parse(&text).map_err(|e| Failure::new("decode", e))?;
-        if let Some(error) = json.get("error") {
-            let detail = error.as_str().unwrap_or("malformed error response");
-            return Err(Failure::new("decode", format!("server reported: {detail}")));
-        }
-        let encoded = json
-            .req("summaries")
-            .and_then(Json::as_array)
-            .map_err(|e| Failure::new("decode", e))?;
-        if encoded.len() as u64 != batch.block_count() {
-            return Err(Failure::new(
-                "decode",
-                format!(
-                    "reply carries {} summaries, expected {}",
-                    encoded.len(),
-                    batch.block_count()
-                ),
-            ));
-        }
-        let summaries = encoded
-            .iter()
-            .zip(batch.blocks())
-            .map(|(json, block)| {
-                let summary = Summary::from_json(json).map_err(|e| Failure::new("decode", e))?;
-                let expected = block.hi - block.lo;
-                if summary.replications != expected {
-                    return Err(Failure::new(
-                        "decode",
-                        format!(
-                            "summary of block {} covers {} replications, expected {expected}",
-                            block.block, summary.replications
-                        ),
-                    ));
-                }
-                Ok(summary)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        let summaries = decode_reply(&text, batch).map_err(|e| Failure::new("decode", e))?;
         self.spec = Some(Arc::clone(spec));
         Ok(summaries)
     }
@@ -878,27 +898,36 @@ mod tests {
         let job = Job::from_spec(&spec).unwrap();
         let expected = run_block(&job, 16, 48, &mut NoopObserver);
         let response = answer_request(&run_block_request(&spec, 16, 48));
-        let json = Json::parse(&response).unwrap();
-        let summaries = json.req("summaries").unwrap().as_array().unwrap();
-        assert_eq!(summaries.len(), 1, "{response}");
-        let summary = Summary::from_json(&summaries[0]).unwrap();
-        assert_eq!(summary, expected, "lossless summary transport");
+        let batch = BlockBatch {
+            index: 0,
+            first: 0,
+            lo: 16,
+            hi: 48,
+            size: 32,
+        };
+        let summaries = decode_reply(&response, batch).unwrap();
+        assert_eq!(summaries, [expected], "lossless summary transport");
     }
 
     #[test]
     fn ping_is_answered_at_any_version_and_run_block_only_at_this_one() {
-        for v in [1, PROTOCOL_VERSION, 99] {
+        for v in [1, 2, PROTOCOL_VERSION, 99] {
             let text = answer_request(&format!("{{\"v\": {v}, \"op\": \"ping\"}}"));
             let json = Json::parse(&text).unwrap();
             assert!(json.req("ok").unwrap().as_bool().unwrap(), "v{v}: {text}");
         }
-        let request = run_block_request(&spec(8), 0, 8).replacen(
-            &format!("\"v\": {PROTOCOL_VERSION}"),
-            "\"v\": 1",
-            1,
-        );
-        let text = answer_request(&request);
-        assert!(text.contains("unsupported protocol version 1"), "{text}");
+        for v in [1, 2] {
+            let request = run_block_request(&spec(8), 0, 8).replacen(
+                &format!("\"v\": {PROTOCOL_VERSION}"),
+                &format!("\"v\": {v}"),
+                1,
+            );
+            let text = answer_request(&request);
+            assert!(
+                text.contains(&format!("unsupported protocol version {v}")),
+                "{text}"
+            );
+        }
     }
 
     #[test]
@@ -912,7 +941,7 @@ mod tests {
             let json = Json::parse(&reply).unwrap();
             let summaries = json.req("summaries").unwrap().as_array().unwrap();
             assert_eq!(summaries.len() as u64, MAX_REQUEST_BLOCKS);
-            assert!(reply.len() < MAX_FRAME_BYTES / 5, "{} bytes", reply.len());
+            assert!(reply.len() < MAX_FRAME_BYTES / 10, "{} bytes", reply.len());
         }
     }
 

@@ -29,6 +29,17 @@ pub trait Runner {
     /// Runs the whole job on the fast (unobserved) path.
     fn run(&self, job: &Job) -> Result<Summary, SpecError>;
 
+    /// Runs every job of a grid on the fast path and returns their
+    /// summaries in job order, each bit-identical to [`Runner::run`] of
+    /// that job.
+    ///
+    /// The default runs the jobs one after another. A runner that can
+    /// overlap them overrides it: [`crate::QueueRunner`] leases the whole
+    /// grid's canonical blocks from one queue.
+    fn run_jobs(&self, jobs: &[Job]) -> Result<Vec<Summary>, SpecError> {
+        jobs.iter().map(|job| self.run(job)).collect()
+    }
+
     /// Runs the whole job, streaming every replication bracket and engine
     /// event into `obs`.
     ///
@@ -126,17 +137,19 @@ pub(crate) fn canonical_block_size(override_size: u64, replications: u64) -> u64
     }
 }
 
-/// How many consecutive canonical blocks one lease covers when `n_blocks`
-/// blocks of `block` replications go to a pool of `pool` workers.
+/// How many consecutive canonical blocks one lease covers when a grid of
+/// `n_blocks` canonical blocks in all goes to a pool of `pool` workers,
+/// for a cell whose blocks hold `block` replications.
 ///
-/// About four leases per worker: enough to balance a pool whose workers
-/// run at different speeds, few enough that a lease's round trip is paid
-/// once per run of blocks rather than once per block. A batch carries at
-/// most [`MAX_CANONICAL_BLOCK`] replications and
-/// [`MAX_REQUEST_BLOCKS`] blocks, and always at least one block. Results
-/// never depend on it: every batch is answered block by block, and the
-/// merge folds the same blocks in the same order whatever the batch
-/// length.
+/// About four leases per worker, counted over the whole grid's blocks
+/// rather than one cell's: enough to balance a pool whose workers run at
+/// different speeds, few enough that a lease's round trip is paid once per
+/// run of blocks rather than once per block. A batch carries at most
+/// [`MAX_CANONICAL_BLOCK`] replications and [`MAX_REQUEST_BLOCKS`] blocks,
+/// and always at least one block; [`lease_batches`] cuts each cell's run
+/// separately, so a batch never crosses a cell. Results never depend on
+/// it: every batch is answered block by block, and the merge folds the
+/// same blocks in the same order whatever the batch length.
 ///
 /// [`MAX_REQUEST_BLOCKS`]: crate::remote::MAX_REQUEST_BLOCKS
 pub(crate) fn batch_len(n_blocks: u64, block: u64, pool: usize) -> u64 {
@@ -148,38 +161,54 @@ pub(crate) fn batch_len(n_blocks: u64, block: u64, pool: usize) -> u64 {
         .max(1)
 }
 
-/// The lease plan of a job of `replications` on a pool of `workers` (0 =
-/// available parallelism): the pool size — never more workers than
-/// canonical blocks — and the job's canonical blocks grouped into
-/// consecutive [`BlockBatch`]es, in block order: by [`batch_len`] when
-/// `batched`, one block each otherwise. The one place the queued runners
-/// lay out their leases.
+/// The lease plan of a grid of jobs, one entry of `replications` per job,
+/// on a pool of `workers` (0 = available parallelism): the pool size —
+/// never more workers than canonical blocks in the grid — and every job's
+/// canonical blocks grouped into consecutive [`BlockBatch`]es, each tagged
+/// with its job's position, job by job and in block order. Batches hold
+/// [`batch_len`] blocks of the grid's total when `batched`, one block each
+/// otherwise, and never cross a job, so a one-job grid is laid out as that
+/// job alone. The one place the queued runners lay out their leases.
+// audit:setup: per-run lease planning — one batch list per grid, built
+// before any replication runs.
 pub(crate) fn lease_batches(
-    replications: u64,
+    replications: &[u64],
     block_size_override: u64,
     workers: usize,
     batched: bool,
-) -> (usize, Vec<BlockBatch>) {
-    let block = canonical_block_size(block_size_override, replications);
-    let n_blocks = replications.div_ceil(block);
-    let pool = crate::queue::resolve_workers(workers).clamp(1, n_blocks.max(1) as usize);
-    let len = if batched {
-        batch_len(n_blocks, block, pool)
-    } else {
-        1
-    };
-    let batches = (0..n_blocks.div_ceil(len))
-        .map(|index| {
-            let first = index * len;
-            BlockBatch {
-                index,
-                first,
-                lo: first * block,
-                hi: (first + len).saturating_mul(block).min(replications),
-                size: block,
-            }
+) -> (usize, Vec<(usize, BlockBatch)>) {
+    let blocks: Vec<(u64, u64)> = replications
+        .iter()
+        .map(|&reps| {
+            let block = canonical_block_size(block_size_override, reps);
+            (block, reps.div_ceil(block))
         })
         .collect();
+    let total = blocks
+        .iter()
+        .fold(0u64, |sum, &(_, n)| sum.saturating_add(n));
+    let pool = crate::queue::resolve_workers(workers)
+        .clamp(1, usize::try_from(total.max(1)).unwrap_or(usize::MAX));
+    let mut batches = Vec::new();
+    for (job, (&reps, &(block, n_blocks))) in replications.iter().zip(&blocks).enumerate() {
+        let len = if batched {
+            batch_len(total, block, pool)
+        } else {
+            1
+        };
+        let mut first = 0;
+        while first < n_blocks {
+            let batch = BlockBatch {
+                index: batches.len() as u64,
+                first,
+                lo: first * block,
+                hi: (first + len).saturating_mul(block).min(reps),
+                size: block,
+            };
+            batches.push((job, batch));
+            first += len;
+        }
+    }
     (pool, batches)
 }
 
@@ -356,26 +385,92 @@ mod tests {
         assert_eq!(batch_len(4, u64::MAX, 1), 1, "one block always fits");
         for batched in [false, true] {
             for (reps, workers) in [(0, 1), (10, 4), (2_000, 2), (2_017, 3), (100_000, 1)] {
-                let (pool, batches) = lease_batches(reps, 0, workers, batched);
+                let (pool, batches) = lease_batches(&[reps], 0, workers, batched);
                 let block = canonical_block_size(0, reps);
-                assert_eq!(pool, workers.min(reps.div_ceil(block).max(1) as usize));
-                let blocks: Vec<_> = batches.iter().flat_map(BlockBatch::blocks).collect();
-                assert_eq!(blocks.len() as u64, reps.div_ceil(block), "reps {reps}");
-                for (b, a) in blocks.iter().enumerate() {
-                    let b = b as u64;
-                    assert_eq!((a.block, a.lo), (b, b * block));
-                    assert_eq!(a.hi, (a.lo + block).min(reps));
-                }
-                for (i, batch) in batches.iter().enumerate() {
-                    assert_eq!(batch.index, i as u64);
-                    assert!(batch.block_count() <= batches[0].block_count());
-                    assert!(batch.hi - batch.lo <= MAX_CANONICAL_BLOCK);
-                    if !batched {
-                        assert_eq!(batch.block_count(), 1);
+                let n_blocks = reps.div_ceil(block);
+                assert_eq!(pool, workers.min(n_blocks.max(1) as usize));
+                // The one-job layout: runs of `batch_len` blocks over the
+                // job's own block count.
+                let len = if batched {
+                    batch_len(n_blocks, block, pool)
+                } else {
+                    1
+                };
+                let expected: Vec<_> = (0..n_blocks.div_ceil(len))
+                    .map(|index| {
+                        let first = index * len;
+                        let batch = BlockBatch {
+                            index,
+                            first,
+                            lo: first * block,
+                            hi: ((first + len) * block).min(reps),
+                            size: block,
+                        };
+                        (0, batch)
+                    })
+                    .collect();
+                assert_eq!(batches, expected, "reps {reps}, batched {batched}");
+            }
+        }
+    }
+
+    #[test]
+    fn grid_leases_tile_each_cell_in_order_and_never_cross_one() {
+        use crate::remote::MAX_REQUEST_BLOCKS;
+        let grids: [&[u64]; 5] = [
+            &[2_000; 12],
+            &[1_024; 4],
+            &[0, 10, 2_017, 100_000, 2_000],
+            &[600_000, 16],
+            &[40; 3],
+        ];
+        for replications in grids {
+            for workers in [1usize, 2, 3, 16] {
+                for batched in [false, true] {
+                    let (pool, batches) = lease_batches(replications, 0, workers, batched);
+                    let total: u64 = replications
+                        .iter()
+                        .map(|&reps| reps.div_ceil(canonical_block_size(0, reps)))
+                        .sum();
+                    assert_eq!(pool, workers.min(total.max(1) as usize));
+                    for (i, &(job, batch)) in batches.iter().enumerate() {
+                        assert_eq!(batch.index, i as u64, "grid lease order");
+                        assert!(batch.hi <= replications[job], "inside its own cell");
+                        assert!(batch.hi - batch.lo <= MAX_CANONICAL_BLOCK);
+                        assert!(batch.block_count() <= MAX_REQUEST_BLOCKS);
+                        let len = if batched {
+                            batch_len(total, batch.size, pool)
+                        } else {
+                            1
+                        };
+                        assert!(batch.block_count() <= len);
+                    }
+                    // Job by job, each job's batches tile its canonical
+                    // blocks in ascending order.
+                    assert!(batches.windows(2).all(|w| w[0].0 <= w[1].0));
+                    for (job, &reps) in replications.iter().enumerate() {
+                        let block = canonical_block_size(0, reps);
+                        let blocks: Vec<_> = batches
+                            .iter()
+                            .filter(|(j, _)| *j == job)
+                            .flat_map(|(_, batch)| batch.blocks())
+                            .collect();
+                        assert_eq!(blocks.len() as u64, reps.div_ceil(block));
+                        for (b, a) in blocks.iter().enumerate() {
+                            let b = b as u64;
+                            assert_eq!((a.block, a.lo), (b, b * block));
+                            assert_eq!(a.hi, (a.lo + block).min(reps));
+                        }
                     }
                 }
             }
         }
+        // Twelve cells of 2,000 replications (63 blocks of 32 each) on two
+        // workers: one lease per cell, where each cell alone would take
+        // eight. Four cells of 1,024 (64 blocks of 16): two per cell.
+        assert_eq!(lease_batches(&[2_000; 12], 0, 2, true).1.len(), 12);
+        assert_eq!(lease_batches(&[2_000], 0, 2, true).1.len(), 8);
+        assert_eq!(lease_batches(&[1_024; 4], 0, 2, true).1.len(), 8);
     }
 
     #[test]

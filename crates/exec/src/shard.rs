@@ -25,9 +25,10 @@
 //! [`SweepSpec`]: eacp_spec::SweepSpec
 //! [`ExecutiveSweepSpec`]: eacp_spec::ExecutiveSweepSpec
 
-use crate::cell::{run_point_tiered, Cell};
+use crate::cell::{point_error, Cell};
 use crate::runner::{LocalRunner, Runner};
 use eacp_spec::{ExperimentSpec, FromJson, Grid, Json, SpecError, ToJson};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// One shard of a sweep: `index` of `count`.
@@ -240,8 +241,9 @@ impl<C: Cell> FromJson for GridReport<C> {
 /// Expands a sweep and produces the selected shard's document (or, with
 /// `shard = None`, the whole grid's), computing each point with `point`.
 ///
-/// This is the one grid loop: the plain executor below and the result
-/// store's cache-or-compute sweep differ only in `point`.
+/// The plain executor below and the result store's cache-or-compute sweep
+/// share the one grid loop ([`grid_report`]); the store computes point by
+/// point, so each cell is recorded before the next starts.
 ///
 /// # Errors
 ///
@@ -251,20 +253,29 @@ pub fn run_grid<C: Cell>(
     shard: Option<ShardId>,
     mut point: impl FnMut(&C) -> Result<C::Report, SpecError>,
 ) -> Result<GridReport<C>, SpecError> {
+    grid_report(sweep, shard, |cells, range| {
+        range
+            .map(|index| {
+                let cell = &cells[index];
+                let report = point(cell).map_err(|e| point_error(index, cell, e))?;
+                Ok(PointReport { index, report })
+            })
+            .collect()
+    })
+}
+
+/// Expands a sweep, selects the shard's index range and assembles the
+/// document from the `points` of the expansion's cells in that range, in
+/// order.
+fn grid_report<C: Cell>(
+    sweep: &Grid<C>,
+    shard: Option<ShardId>,
+    points: impl FnOnce(&[C], Range<usize>) -> Result<Vec<PointReport<C>>, SpecError>,
+) -> Result<GridReport<C>, SpecError> {
     let cells = sweep.expand()?;
     let total = cells.len();
-    let range = match shard {
-        Some(s) => s.range(total),
-        None => 0..total,
-    };
-    let mut points = Vec::with_capacity(range.len());
-    for index in range {
-        let cell = &cells[index];
-        let report = point(cell).map_err(|e| {
-            SpecError::invalid(format!("grid point {index} ({}): {e}", cell.name()))
-        })?;
-        points.push(PointReport { index, report });
-    }
+    let range = shard.map_or(0..total, |s| s.range(total));
+    let points = points(&cells, range)?;
     Ok(GridReport {
         sweep: sweep.clone(),
         total_points: total,
@@ -292,14 +303,19 @@ pub fn run_sweep<C: Cell>(
 /// Replication-invariant single-task points — `λ = 0` corners of a
 /// fault-rate axis, deterministic-schedule cells — are answered
 /// analytically and marked `served: analytic` in their point reports.
+///
+/// The shard's cells are computed in one call ([`Cell::compute_grid`]):
+/// single-task grids answer their analytic cells first and hand every
+/// other cell to [`Runner::run_jobs`] at once, so a work-queue runner
+/// leases the whole grid from one queue.
 pub fn run_sweep_tiered<C: Cell>(
     sweep: &Grid<C>,
     shard: Option<ShardId>,
     runner: &dyn Runner,
     analytic: bool,
 ) -> Result<GridReport<C>, SpecError> {
-    run_grid(sweep, shard, |cell| {
-        run_point_tiered(runner, cell, analytic)
+    grid_report(sweep, shard, |cells, range| {
+        C::compute_grid(cells, range, runner, analytic)
     })
 }
 

@@ -226,12 +226,17 @@ pub fn run_workload_queued<W: Workload>(
     obs: &dyn QueueObserver,
 ) -> Result<W::Acc, SpecError> {
     // In-process leases gain nothing from batching: one block each.
-    let (pool, batches) =
-        lease_batches(workload.replications(), block_size_override, workers, false);
+    let (pool, batches) = lease_batches(
+        &[workload.replications()],
+        block_size_override,
+        workers,
+        false,
+    );
     let queue = WorkQueue::new(batches).with_max_attempts(max_attempts);
     let partials = queue.drain(pool, obs, |_worker, lease| {
         Ok(lease
             .item()
+            .1
             .blocks()
             .map(|block| run_workload_block(workload, block.lo, block.hi))
             .collect::<Vec<_>>())

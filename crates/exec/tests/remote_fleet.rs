@@ -3,7 +3,10 @@
 //! * N servers × M workers produce a `Summary` bit-identical to the
 //!   sequential `LocalRunner` — the determinism contract the whole
 //!   transport rides on — whatever the number of blocks a lease covers.
-//! * A lease of several blocks is one `run_block` request.
+//! * A lease of several blocks is one `run_block` request, and a grid's
+//!   cells are leased from one queue, in batches sized over the whole
+//!   grid: a grid run equals the sequential local sweep, with seed axes,
+//!   analytic cells, shards and a server killed mid-grid.
 //! * Dead endpoints (connection refused), black holes (accepts, never
 //!   replies) and a server killed mid-lease are all absorbed by endpoint
 //!   rotation, the lease retry budget and the in-process fallback, on
@@ -17,6 +20,7 @@
 use eacp_exec::remote::{read_frame, write_frame};
 use eacp_exec::{
     Job, LocalRunner, QueueObserver, QueueRunner, QueueStatus, RemoteServer, RemoteWorker, Runner,
+    ShardId,
 };
 use eacp_spec::{Axis, ExperimentSpec, Knob, McSpec, QueueSpec, SweepSpec};
 use std::io::{BufReader, Read};
@@ -282,6 +286,78 @@ fn remote_sweep_matches_sequential_sweep() {
     assert_eq!(remote, sequential, "grid bytes are location-independent");
 }
 
+/// The sweep over `base` with `axes`.
+fn grid(base: ExperimentSpec, axes: Vec<Axis>) -> SweepSpec {
+    SweepSpec { base, axes }
+}
+
+#[test]
+fn a_grid_is_leased_from_one_queue_in_grid_wide_batches() {
+    let server = RemoteServer::bind("127.0.0.1:0").unwrap();
+    let proxy = CountingProxy::new(server.endpoint());
+    // Four cells of 1,024 replications: 256 canonical blocks of 16. Two
+    // workers lease them in 8 batches of 32 blocks, two per cell; leased
+    // cell by cell, each cell took 8.
+    let sweep = grid(
+        spec(1024, 19),
+        vec![
+            Axis::new(Knob::Lambda, vec![1.0e-4, 1.4e-3]),
+            Axis::new(Knob::K, vec![1, 5]),
+        ],
+    );
+    let sequential = eacp_exec::run_sweep(&sweep, None, 1).unwrap();
+    let runner = fleet_runner(vec![proxy.endpoint.clone()], 2, 5_000, 3);
+    let fleet = eacp_exec::run_sweep_tiered(&sweep, None, &runner, true).unwrap();
+    assert_eq!(fleet, sequential);
+    assert_eq!(proxy.run_block_requests(), 8);
+}
+
+#[test]
+fn fleet_grids_with_seeds_analytic_cells_shards_and_a_killed_server_match_the_local_sweep() {
+    // Eight cells, two of them λ = 0 (served analytically), over a seed
+    // axis.
+    let sweep = grid(
+        spec(200, 3),
+        vec![
+            Axis::new(Knob::Lambda, vec![0.0, 1.4e-3]),
+            Axis::new(Knob::K, vec![1, 5]),
+            Axis::new(Knob::Seed, vec![3, 8]),
+        ],
+    );
+    let analytic = eacp_exec::run_sweep(&sweep, None, 1).unwrap();
+    let served: Vec<_> = analytic
+        .points
+        .iter()
+        .map(|p| p.report.served.as_str())
+        .collect();
+    assert_eq!(served.iter().filter(|&&s| s == "analytic").count(), 4);
+    let s1 = RemoteServer::bind("127.0.0.1:0").unwrap();
+    let s2 = RemoteServer::bind("127.0.0.1:0").unwrap();
+    for shard in [None, Some(ShardId::new(1, 3).unwrap())] {
+        let sequential = eacp_exec::run_sweep(&sweep, shard, 1).unwrap();
+        for workers in [1usize, 4] {
+            let endpoints = vec![s1.endpoint().to_owned(), s2.endpoint().to_owned()];
+            let runner = fleet_runner(endpoints, workers, 5_000, 3);
+            let fleet = eacp_exec::run_sweep_tiered(&sweep, shard, &runner, true).unwrap();
+            assert_eq!(
+                fleet, sequential,
+                "{shard:?}, 2 servers x {workers} workers"
+            );
+            // The same grid with one server killed after its first
+            // request.
+            let dying = CountingProxy::dying_after(s1.endpoint(), 1);
+            let endpoints = vec![dying.endpoint.clone(), s2.endpoint().to_owned()];
+            let runner = fleet_runner(endpoints, workers, 5_000, 3);
+            let fleet = eacp_exec::run_sweep_tiered(&sweep, shard, &runner, true).unwrap();
+            assert_eq!(
+                fleet, sequential,
+                "{shard:?}, killed server, {workers} workers"
+            );
+            assert!(dying.run_block_requests() >= 2, "the server died mid-grid");
+        }
+    }
+}
+
 /// A TCP forwarder in front of one server that counts the connections it
 /// accepts — the number of connections the client opened — and the
 /// `run_block` request frames it forwards.
@@ -295,11 +371,19 @@ struct CountingProxy {
 
 impl CountingProxy {
     fn new(upstream: &str) -> Self {
+        Self::dying_after(upstream, usize::MAX)
+    }
+
+    /// A proxy that forwards `requests` `run_block` requests, then dies
+    /// like a killed server: the next request gets no reply, and every
+    /// later connection is closed at once.
+    fn dying_after(upstream: &str, requests: usize) -> Self {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let endpoint = listener.local_addr().unwrap().to_string();
         let accepted = Arc::new(AtomicUsize::new(0));
         let run_blocks = Arc::new(AtomicUsize::new(0));
         let stop = Arc::new(AtomicBool::new(false));
+        let dead = Arc::new(AtomicBool::new(false));
         let accept = {
             let (accepted, run_blocks, stop, upstream) = (
                 accepted.clone(),
@@ -315,11 +399,19 @@ impl CountingProxy {
                     }
                     accepted.fetch_add(1, Ordering::SeqCst);
                     let client = client.unwrap();
+                    if dead.load(Ordering::SeqCst) {
+                        continue;
+                    }
                     let server = TcpStream::connect(&upstream).unwrap();
+                    let counter = RequestCounter {
+                        run_blocks: run_blocks.clone(),
+                        dead: dead.clone(),
+                        die_after: requests,
+                    };
                     pipes.push(pipe_requests(
                         client.try_clone().unwrap(),
                         server.try_clone().unwrap(),
-                        run_blocks.clone(),
+                        counter,
                     ));
                     pipes.push(pipe(server, client));
                 }
@@ -346,20 +438,26 @@ impl CountingProxy {
     }
 }
 
-/// Forwards request frames from `from` to `to` one by one, counting the
-/// `run_block` ones, until EOF; then passes the close on.
-fn pipe_requests(
-    from: TcpStream,
-    mut to: TcpStream,
+/// Counts a proxy's `run_block` requests and kills it past `die_after`.
+struct RequestCounter {
     run_blocks: Arc<AtomicUsize>,
-) -> JoinHandle<()> {
+    dead: Arc<AtomicBool>,
+    die_after: usize,
+}
+
+/// Forwards request frames from `from` to `to` one by one, counting the
+/// `run_block` ones, until EOF or the proxy dies; then passes the close
+/// on.
+fn pipe_requests(from: TcpStream, mut to: TcpStream, counter: RequestCounter) -> JoinHandle<()> {
     std::thread::spawn(move || {
         let mut reader = BufReader::new(from);
         while let Ok(Some(frame)) = read_frame(&mut reader) {
-            if frame.contains("\"op\": \"run_block\"") {
-                run_blocks.fetch_add(1, Ordering::SeqCst);
+            if frame.contains("\"op\": \"run_block\"")
+                && counter.run_blocks.fetch_add(1, Ordering::SeqCst) >= counter.die_after
+            {
+                counter.dead.store(true, Ordering::SeqCst);
             }
-            if write_frame(&mut to, &frame).is_err() {
+            if counter.dead.load(Ordering::SeqCst) || write_frame(&mut to, &frame).is_err() {
                 break;
             }
         }

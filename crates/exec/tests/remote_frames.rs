@@ -3,16 +3,18 @@
 //! corrupt, truncated or oversized input is always a `SpecError`, never a
 //! panic or an unbounded allocation, the per-connection job cache — a
 //! spec-less `run_block` runs against the spec most recently loaded on
-//! its connection, or is an error response — and multi-block replies: one
+//! its connection, or is an error response — multi-block replies: one
 //! summary per `block`-sized chunk, each equal to that chunk run
-//! in-process, within the request caps.
+//! in-process, within the request caps — and the protocol v3 reply
+//! decoder, which turns every malformed reply into a typed error.
 
 use eacp_exec::remote::{
-    answer_request, ping_request, read_frame, run_block_request, run_blocks_request, write_frame,
-    Session, MAX_FRAME_BYTES, MAX_REQUEST_BLOCKS, MAX_REQUEST_REPLICATIONS, PROTOCOL_VERSION,
+    answer_request, decode_reply, ping_request, read_frame, run_block_request, run_blocks_request,
+    write_frame, Session, MAX_FRAME_BYTES, MAX_REQUEST_BLOCKS, MAX_REQUEST_REPLICATIONS,
+    PROTOCOL_VERSION,
 };
-use eacp_exec::{BlockAssignment, InProcessWorker, Job, RemoteServer, Summary, Worker};
-use eacp_spec::{ExperimentSpec, FromJson, Json, McSpec};
+use eacp_exec::{BlockAssignment, BlockBatch, InProcessWorker, Job, RemoteServer, Summary, Worker};
+use eacp_spec::{ExperimentSpec, Json, McSpec, ToJson};
 use proptest::prelude::*;
 use std::io::BufReader;
 use std::net::TcpStream;
@@ -36,15 +38,25 @@ fn spec_less_request(lo: u64, hi: u64, block: u64) -> String {
     )
 }
 
-/// The summaries of a reply, or `None` for an error response.
-fn summaries(reply: &str) -> Option<Vec<Summary>> {
+/// The batch a request for `[lo, hi)` in blocks of `block` asks for.
+fn batch(lo: u64, hi: u64, block: u64) -> BlockBatch {
+    BlockBatch {
+        index: 0,
+        first: 0,
+        lo,
+        hi,
+        size: block,
+    }
+}
+
+/// The summaries of the reply to a request for `[lo, hi)` in blocks of
+/// `block`, read by the transport's own decoder, or `None` for an error
+/// response.
+fn summaries(reply: &str, lo: u64, hi: u64, block: u64) -> Option<Vec<Summary>> {
     let json = Json::parse(reply).unwrap();
-    let list = json.get("summaries")?.as_array().unwrap();
-    Some(
-        list.iter()
-            .map(|s| Summary::from_json(s).unwrap())
-            .collect(),
-    )
+    json.get("error")
+        .is_none()
+        .then(|| decode_reply(reply, batch(lo, hi, block)).expect("a well-formed v3 reply"))
 }
 
 /// One request of a connection's conversation.
@@ -158,7 +170,7 @@ proptest! {
         let mut session = Session::default();
         let mut loaded: Option<usize> = None;
         for request in &requests {
-            let (text, range) = match *request {
+            let (text, range): (String, Option<(u64, u64)>) = match *request {
                 Request::Full(i, lo, hi) if i < specs.len() => {
                     loaded = Some(i);
                     (run_block_request(&specs[i], lo, hi), Some((lo, hi)))
@@ -186,7 +198,8 @@ proptest! {
                 }
                 _ => None,
             };
-            match (summaries(&reply), expected) {
+            let (lo, hi) = range.unwrap_or((0, 0));
+            match (summaries(&reply, lo, hi, hi.saturating_sub(lo).max(1)), expected) {
                 (Some(got), Some(expected)) => prop_assert_eq!(got, expected),
                 (None, None) => prop_assert!(Json::parse(&reply).unwrap().get("error").is_some()),
                 (got, want) => prop_assert!(
@@ -216,8 +229,8 @@ proptest! {
         let spec = spec(40, 23);
         let job = Job::from_spec(&spec).unwrap();
         let hi = (lo + len).min(40);
-        let got = summaries(&Session::default().answer(&run_blocks_request(&spec, lo, hi, block)))
-            .expect("an in-range request is answered");
+        let reply = Session::default().answer(&run_blocks_request(&spec, lo, hi, block));
+        let got = summaries(&reply, lo, hi, block).expect("an in-range request is answered");
         let chunks: Vec<(u64, u64)> = (lo..hi)
             .step_by(block as usize)
             .map(|a| (a, (a + block).min(hi)))
@@ -268,7 +281,7 @@ fn oversized_ranges_chunk_floods_and_block_zero_are_error_responses() {
     assert!(zero.contains("block size 0"), "{zero}");
     // The connection keeps serving, with the job it loaded.
     let job = Job::from_spec(&spec).unwrap();
-    let got = summaries(&exchange(spec_less_request(0, 8, 4))).unwrap();
+    let got = summaries(&exchange(spec_less_request(0, 8, 4)), 0, 8, 4).unwrap();
     let want: Vec<Summary> = [(0, 4), (4, 8)]
         .iter()
         .enumerate()
@@ -370,4 +383,137 @@ fn deeply_nested_frame_is_an_error_response_and_the_server_keeps_serving() {
     // The process survived: a fresh connection still gets its pong.
     eacp_exec::remote::ping(server.endpoint(), Duration::from_secs(5)).unwrap();
     server.shutdown();
+}
+
+/// A good two-block reply with `edit` applied to its `summaries` list,
+/// re-encoded.
+fn tampered(good: &str, edit: impl FnOnce(&mut Vec<Json>)) -> String {
+    let mut json = Json::parse(good).unwrap();
+    let Json::Object(fields) = &mut json else {
+        panic!("a reply is an object: {good}")
+    };
+    let (_, Json::Array(list)) = fields.iter_mut().find(|(k, _)| k == "summaries").unwrap() else {
+        panic!("summaries is a list: {good}")
+    };
+    edit(list);
+    json.pretty()
+}
+
+/// The raw parts of summary `i`.
+fn parts(list: &mut [Json], i: usize) -> &mut Vec<Json> {
+    match &mut list[i] {
+        Json::Array(parts) => parts,
+        other => panic!("a summary is an array: {other:?}"),
+    }
+}
+
+/// Every malformed reply to a `run_block` is a typed decode error naming
+/// what is wrong — never a panic, and never summaries.
+#[test]
+fn malformed_v3_replies_are_typed_decode_errors() {
+    let spec = spec(8, 3);
+    let two = batch(0, 8, 4);
+    let good = answer_request(&run_blocks_request(&spec, 0, 8, 4));
+    let job = Job::from_spec(&spec).unwrap();
+    let want: Vec<Summary> = [(0, 4), (4, 8)]
+        .iter()
+        .enumerate()
+        .map(|(i, &(lo, hi))| {
+            let chunk = BlockAssignment {
+                block: i as u64,
+                lo,
+                hi,
+            };
+            InProcessWorker.run_assignment(&job, chunk, 1).unwrap()
+        })
+        .collect();
+    assert_eq!(decode_reply(&good, two).unwrap(), want);
+    // Whitespace is free: the same reply pretty-printed decodes alike.
+    assert_eq!(decode_reply(&tampered(&good, |_| ()), two).unwrap(), want);
+
+    // A truncated reply, cut anywhere.
+    for cut in 0..good.len() {
+        let err = decode_reply(&good[..cut], two).unwrap_err().to_string();
+        assert!(!err.is_empty(), "cut at {cut}");
+    }
+    let expect = |reply: String, needle: &str| {
+        let err = decode_reply(&reply, two).unwrap_err().to_string();
+        assert!(
+            err.contains(needle),
+            "{needle:?} not in {err:?} for {reply}"
+        );
+    };
+    // The wrong number of entries: of summaries, of a summary's raw parts
+    // and of an accumulator's.
+    expect(
+        tampered(&good, |l| drop(l.pop())),
+        "carries 1 summaries, expected 2",
+    );
+    expect(
+        tampered(&good, |l| l.push(l[0].clone())),
+        "carries 3 summaries",
+    );
+    expect(tampered(&good, |l| drop(parts(l, 1).pop())), "12 raw parts");
+    expect(
+        tampered(&good, |l| parts(l, 0).push(Json::Int(0))),
+        "12 raw parts",
+    );
+    expect(
+        tampered(&good, |l| match &mut parts(l, 0)[7] {
+            Json::Array(stats) => drop(stats.pop()),
+            other => panic!("an accumulator is an array: {other:?}"),
+        }),
+        "5 raw parts",
+    );
+    // A non-number where a number belongs: a count, and a float.
+    expect(
+        tampered(&good, |l| parts(l, 0)[2] = Json::from("8")),
+        "expected unsigned integer",
+    );
+    expect(
+        tampered(&good, |l| match &mut parts(l, 1)[5] {
+            Json::Array(stats) => stats[1] = Json::Bool(true),
+            other => panic!("an accumulator is an array: {other:?}"),
+        }),
+        "expected number",
+    );
+    // A negative count, and a fractional one.
+    expect(
+        tampered(&good, |l| parts(l, 0)[1] = Json::Int(-1)),
+        "out of u64 range",
+    );
+    expect(
+        tampered(&good, |l| parts(l, 1)[0] = Json::Float(4.0)),
+        "expected unsigned integer",
+    );
+    // A summary whose replications disagree with its block.
+    expect(
+        tampered(&good, |l| parts(l, 1)[0] = Json::Int(5)),
+        "block 1 covers 5 replications, expected 4",
+    );
+    // The wrong shape altogether: a protocol v2 object summary, no list.
+    expect(
+        tampered(&good, |l| l[0] = want[0].to_json()),
+        "expected array",
+    );
+    expect(format!("{{\"v\": {PROTOCOL_VERSION}}}"), "summaries");
+    expect("[]".to_owned(), "summaries");
+}
+
+/// A protocol v2 `run_block` gets a typed version error, which the
+/// decoder reports as the server's.
+#[test]
+fn a_v2_run_block_is_a_typed_version_error() {
+    let v2 = run_blocks_request(&spec(8, 3), 0, 8, 4).replacen(
+        &format!("\"v\": {PROTOCOL_VERSION}"),
+        "\"v\": 2",
+        1,
+    );
+    let reply = answer_request(&v2);
+    let err = decode_reply(&reply, batch(0, 8, 4))
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("server reported: "), "{err}");
+    assert!(err.contains("unsupported protocol version 2"), "{err}");
+    assert!(err.contains(&format!("speaks {PROTOCOL_VERSION}")), "{err}");
 }

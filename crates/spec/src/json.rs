@@ -284,7 +284,7 @@ fn push_indent(out: &mut String, n: usize) {
 
 /// Shortest representation that parses back to the same f64 (Rust's `{:?}`),
 /// with JSON-isms for the values JSON cannot express.
-fn write_float(out: &mut String, x: f64) {
+pub(crate) fn write_float(out: &mut String, x: f64) {
     if x.is_nan() {
         // JSON has no NaN; the spec layer writes null and readers of report
         // documents treat null as NaN (the paper's empty table cells).

@@ -185,6 +185,109 @@ impl FromJson for Summary {
     }
 }
 
+/// How many raw parts the compact [`Summary`] form holds: five counts,
+/// then seven accumulators.
+const SUMMARY_PARTS: usize = 12;
+
+/// How many raw parts one accumulator holds: `count, mean, m2, min, max`.
+const STATS_PARTS: usize = 5;
+
+/// Appends the compact form of `summary` to `out`: one JSON array of its
+/// raw parts, written without whitespace — the five counts
+/// (`replications, timely, completed, aborted, anomalies`), then each of
+/// the seven accumulators in field order (`energy_timely, energy_all,
+/// finish_timely, faults, rollbacks, checkpoints, fast_fraction`) as
+/// `[count, mean, m2, min, max]`. Floats use the document writer's
+/// lossless form (`{:?}`, `null` for NaN, `±1e999` for infinities), so
+/// [`summary_from_parts`] reads back a bit-identical summary. The remote
+/// transport's reply carries one per block.
+pub fn write_summary_parts(out: &mut String, summary: &Summary) {
+    use std::fmt::Write as _;
+    let counts = [
+        summary.replications,
+        summary.timely,
+        summary.completed,
+        summary.aborted,
+        summary.anomalies,
+    ];
+    out.push('[');
+    for count in counts {
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{count},");
+    }
+    for (i, stats) in summary_stats(summary).into_iter().enumerate() {
+        let (count, mean, m2, min, max) = stats.raw_parts();
+        out.push_str(if i == 0 { "[" } else { ",[" });
+        let _ = write!(out, "{count}");
+        for x in [mean, m2, min, max] {
+            out.push(',');
+            crate::json::write_float(out, x);
+        }
+        out.push(']');
+    }
+    out.push(']');
+}
+
+/// The seven accumulators of `summary`, in field order.
+fn summary_stats(s: &Summary) -> [&OnlineStats; 7] {
+    [
+        &s.energy_timely,
+        &s.energy_all,
+        &s.finish_timely,
+        &s.faults,
+        &s.rollbacks,
+        &s.checkpoints,
+        &s.fast_fraction,
+    ]
+}
+
+/// Reads the compact form [`write_summary_parts`] writes.
+///
+/// # Errors
+///
+/// Anything but an array of five unsigned counts and seven
+/// five-part accumulators (an unsigned count, then four numbers or
+/// `null`) is a [`SpecError`] saying what is wrong.
+pub fn summary_from_parts(json: &Json) -> Result<Summary, SpecError> {
+    let parts = json.as_array()?;
+    if parts.len() != SUMMARY_PARTS {
+        return Err(SpecError::invalid(format!(
+            "a summary is {SUMMARY_PARTS} raw parts (5 counts, 7 accumulators), got {}",
+            parts.len()
+        )));
+    }
+    let stats = |json: &Json| -> Result<OnlineStats, SpecError> {
+        let raw = json.as_array()?;
+        if raw.len() != STATS_PARTS {
+            return Err(SpecError::invalid(format!(
+                "an accumulator is {STATS_PARTS} raw parts (count, mean, m2, min, max), got {}",
+                raw.len()
+            )));
+        }
+        Ok(OnlineStats::from_raw_parts(
+            raw[0].as_u64()?,
+            raw[1].as_f64()?,
+            raw[2].as_f64()?,
+            raw[3].as_f64()?,
+            raw[4].as_f64()?,
+        ))
+    };
+    Ok(Summary {
+        replications: parts[0].as_u64()?,
+        timely: parts[1].as_u64()?,
+        completed: parts[2].as_u64()?,
+        aborted: parts[3].as_u64()?,
+        anomalies: parts[4].as_u64()?,
+        energy_timely: stats(&parts[5])?,
+        energy_all: stats(&parts[6])?,
+        finish_timely: stats(&parts[7])?,
+        faults: stats(&parts[8])?,
+        rollbacks: stats(&parts[9])?,
+        checkpoints: stats(&parts[10])?,
+        fast_fraction: stats(&parts[11])?,
+    })
+}
+
 /// The serializable mirror of a Monte-Carlo [`Summary`].
 ///
 /// `p_timely` and the 95% Wilson interval are derived quantities, embedded
@@ -441,6 +544,58 @@ mod tests {
         // which canonicalizes NaN to null.
         assert_eq!(json.pretty(), back.to_json().pretty());
         assert_eq!(report.summary.timely, back.timely);
+    }
+
+    /// A summary equal to `s` bit for bit, NaN payloads included.
+    fn same_bits(a: &Summary, b: &Summary) -> bool {
+        let bits = |s: &Summary| {
+            let mut bits = vec![
+                s.replications,
+                s.timely,
+                s.completed,
+                s.aborted,
+                s.anomalies,
+            ];
+            for stats in summary_stats(s) {
+                let (count, mean, m2, min, max) = stats.raw_parts();
+                bits.push(count);
+                bits.extend([mean, m2, min, max].map(f64::to_bits));
+            }
+            bits
+        };
+        bits(a) == bits(b)
+    }
+
+    #[test]
+    fn compact_summary_parts_round_trip_bit_for_bit() {
+        let mut summary = Summary::empty();
+        let spec = small_spec();
+        let scenario = spec.scenario.build().unwrap();
+        let executor = Executor::new(&scenario);
+        for rep in 0..40 {
+            let mut policy = spec.policy.build().unwrap();
+            let mut faults = spec.faults.build(replication_seed(7, rep)).unwrap();
+            summary.absorb(&executor.run(&mut policy, &mut faults));
+        }
+        // Every float the writer special-cases: NaN, infinities (an empty
+        // accumulator's min and max), negative zero and extremes.
+        let odd = OnlineStats::from_raw_parts(3, -0.0, f64::NAN, f64::MIN_POSITIVE, f64::MAX);
+        let mut extremes = summary.clone();
+        extremes.faults = odd;
+        for s in [Summary::empty(), summary, extremes] {
+            let mut text = String::new();
+            write_summary_parts(&mut text, &s);
+            assert!(!text.contains(' ') && !text.contains('\n'), "{text}");
+            let back = summary_from_parts(&Json::parse(&text).unwrap()).unwrap();
+            assert!(same_bits(&back, &s), "{text}");
+        }
+        let mut text = String::new();
+        write_summary_parts(&mut text, &Summary::empty());
+        assert_eq!(
+            text.matches("[0,0.0,0.0,1e999,-1e999]").count(),
+            7,
+            "{text}"
+        );
     }
 
     #[test]
