@@ -332,3 +332,81 @@ fn ablation_documents_are_pinned_by_digest() {
         assert_eq!(distinct.len(), names.len(), "{kind}: point names collide");
     }
 }
+
+/// Path of a committed golden artifact under `tests/golden/`.
+fn golden(name: &str) -> String {
+    format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Every file under `dir`, as (path relative to `dir`, bytes), sorted.
+fn files_under(dir: &std::path::Path) -> Vec<(std::path::PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    let mut pending = vec![dir.to_path_buf()];
+    while let Some(d) = pending.pop() {
+        for entry in std::fs::read_dir(&d).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                pending.push(path);
+            } else {
+                let bytes = std::fs::read(&path).unwrap();
+                files.push((path.strip_prefix(dir).unwrap().to_path_buf(), bytes));
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+/// A store written by an earlier build, over the three cells of
+/// `golden/store-grid.json`: an ordinary cell, a λ = 0 cell the analytic
+/// tier served (its entry carries `"served"`), and a P = 0 cell whose
+/// timely-energy statistics report as `null`. This build must serve all
+/// three, prove them by recomputation, print the pinned report bytes
+/// (`eacp sweep --spec golden/store-grid.json --json`, also committed as
+/// `golden/store-grid-sweep.json`), and write the same entry bytes into a
+/// fresh store. A one-byte drift in the entry writer fails here, as it
+/// would fail `eacp store verify` on every existing store.
+#[test]
+fn a_store_written_by_an_earlier_build_is_served_verified_and_rerecorded() {
+    let fixture = std::path::PathBuf::from(golden("store"));
+    let grid = golden("store-grid.json");
+    let dir = std::env::temp_dir().join(format!("eacp-golden-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let served = dir.join("served");
+    for (rel, bytes) in files_under(&fixture) {
+        let path = served.join(rel);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, bytes).unwrap();
+    }
+    let served = served.display().to_string();
+
+    let text = stdout_of(&["sweep", "--spec", &grid, "--store", &served]);
+    assert!(text.contains("store: 3 served, 0 computed"), "{text}");
+    let json = stdout_of(&["sweep", "--spec", &grid, "--store", &served, "--json"]);
+    assert_golden(
+        &json,
+        &std::fs::read_to_string(golden("store-grid-sweep.json")).unwrap(),
+        "sweep --spec golden/store-grid.json --json, served",
+    );
+    assert_eq!(
+        sha256_hex(&json),
+        "fe654afd0b7ce1e7b398a2ba60e285d9b659fbd6ce60c1505f2c6aff6ed583ae",
+        "served sweep --json drifted"
+    );
+    let verified = stdout_of(&["store", "verify", "--store", &served]);
+    assert!(verified.contains("verified 3 of 3 entries"), "{verified}");
+    assert_eq!(
+        files_under(std::path::Path::new(&served)),
+        files_under(&fixture)
+    );
+
+    let fresh = dir.join("fresh").display().to_string();
+    let text = stdout_of(&["sweep", "--spec", &grid, "--store", &fresh]);
+    assert!(text.contains("store: 0 served, 3 computed"), "{text}");
+    let fresh_cells = std::path::Path::new(&fresh).join("cells");
+    assert_eq!(
+        files_under(&fresh_cells),
+        files_under(&fixture.join("cells"))
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -169,3 +169,22 @@ proptest! {
         prop_assert!(seen.len() >= PolicySpec::TAGS.len());
     }
 }
+
+/// Addresses pinned across builds: every stored entry sits under its
+/// spec's hash, so a drift in the canonical text orphans existing stores.
+#[test]
+fn spec_addresses_are_pinned() {
+    assert_eq!(
+        spec_hash(&ExperimentSpec::paper_nominal()).to_string(),
+        "c659193fc84c7b96b17cdaf7c4a3448b78ddd81fff9973d821abcd94d7c6f4e9"
+    );
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../specs/avionics-trio.json"
+    );
+    let executive = eacp_spec::ExecutiveSpec::load(std::path::Path::new(path)).unwrap();
+    assert_eq!(
+        executive.cell_id().spec_hash.to_string(),
+        "9235fa984bdc5af9726de1a33a27254674226790ce94a66053d615dfade97f13"
+    );
+}
