@@ -65,7 +65,7 @@ use eacp_rtsched::feasibility::{
 use eacp_rtsched::TaskSet;
 use eacp_sim::{Executor, Policy, TraceRecorder};
 use eacp_spec::{
-    executive_preset, executive_preset_names, preset, preset_names, CostsSpec, ExecSpec,
+    executive_preset, executive_preset_names, json, preset, preset_names, CostsSpec, ExecSpec,
     ExecutiveMcSpec, ExecutiveSpec, ExperimentSpec, FaultSpec, FromJson, Grid, GridCell, Json,
     Knob, McSpec, PaperScheme, PeriodicTaskSpec, PolicyAssignment, PolicySpec, RunReport,
     ScenarioSpec, SweepSpec, TaskSetSpec, ToJson, WorkSpec, PAPER_DEADLINE, PAPER_TABLES,
@@ -849,7 +849,7 @@ pub fn cmd_mc(o: &Options) -> Result<String, String> {
     if o.json {
         // The report document is byte-identical on hit and miss; cache
         // telemetry stays out of it.
-        return Ok(report.to_json().pretty());
+        return Ok(report.to_json_string());
     }
     let (lo, hi) = summary.p_timely_ci(1.96);
     Ok(format!(
@@ -1008,8 +1008,7 @@ fn cmd_grid<C: CliCell>(o: &Options, path: &str) -> Result<String, String> {
             }
         }
         let range = shard.map_or(0..cells.len(), |s| s.range(cells.len()));
-        let docs: Vec<Json> = cells[range].iter().map(ToJson::to_json).collect();
-        return Ok(Json::Array(docs).pretty());
+        return Ok(cells[range].to_json_string());
     }
     let store = resolve_store(o)?;
     let progress = QueueProgress::default();
@@ -1049,8 +1048,9 @@ fn cmd_grid<C: CliCell>(o: &Options, path: &str) -> Result<String, String> {
         ));
     }
     if o.json {
-        let docs: Vec<Json> = grid.points.iter().map(|p| p.report.to_json()).collect();
-        return Ok(Json::Array(docs).pretty());
+        return Ok(json::pretty(|w| {
+            w.array(|w| grid.points.iter().for_each(|p| p.report.write_json(w)));
+        }));
     }
     let shard_note = shard.map_or_else(String::new, |s| {
         format!(", shard {s}: {} points", grid.points.len())
@@ -1340,7 +1340,7 @@ pub fn cmd_merge(o: &Options) -> Result<String, String> {
 /// A merged grid document and its point count.
 fn merged<C: Cell>(dir: &std::path::Path) -> Result<(String, usize), eacp_spec::SpecError> {
     let grid = merge_dir::<C>(dir)?;
-    Ok((grid.to_json().pretty(), grid.points.len()))
+    Ok((grid.to_json_string(), grid.points.len()))
 }
 
 /// `eacp csv`: render a directory of report documents (grid/shard files
@@ -1591,7 +1591,9 @@ pub fn cmd_table(o: &Options) -> Result<String, String> {
             .map(Grid::expand)
             .collect::<Result<Vec<_>, _>>();
         let cells = parts.map_err(|e| e.to_string())?.into_iter().flatten();
-        return Ok(Json::Array(cells.map(|cell| cell.to_json()).collect()).pretty());
+        return Ok(json::pretty(|w| {
+            w.array(|w| cells.for_each(|cell| cell.write_json(w)))
+        }));
     }
     let runner = placement(queue.as_ref(), o.threads).map_err(|e| e.to_string())?;
     let store = resolve_store(o)?;
@@ -1905,7 +1907,7 @@ fn cmd_executive_mc(o: &Options) -> Result<String, String> {
     let (_, report, note) = run_cell(o, &spec)?;
     if o.json {
         // Byte-identical on hit and miss; cache telemetry stays out.
-        return Ok(report.to_json().pretty());
+        return Ok(report.to_json_string());
     }
     let s = &report.summary;
     let sd = |stats: &eacp_numerics::OnlineStats| stats.population_variance().sqrt();
@@ -2045,6 +2047,10 @@ fn unread_flag(o: &Options, reads: &[&[&str]]) -> Option<&'static str> {
         .find(|&flag| o.has(flag) && !reads.iter().any(|group| group.contains(&flag)))
 }
 
+/// One subcommand: its parsed options in, its stdout text or a
+/// user-facing error out.
+type Command = fn(&Options) -> Result<String, String>;
+
 /// Dispatches a full command line (without the program name). A flag the
 /// command does not read is an error naming the flag and the command,
 /// never silently dropped.
@@ -2056,7 +2062,7 @@ pub fn dispatch(args: Vec<String>) -> Result<String, String> {
     let Some(cmd) = args.first().cloned() else {
         return Ok(USAGE.to_owned());
     };
-    let (run, reads): (fn(&Options) -> Result<String, String>, &[&[&str]]) = match cmd.as_str() {
+    let (run, reads): (Command, &[&[&str]]) = match cmd.as_str() {
         // One seeded execution: no replications to count, thread or queue.
         "run" => (
             cmd_run,

@@ -3,7 +3,7 @@
 
 use std::process::Command;
 
-use eacp_spec::{CostsSpec, ExecutiveSpec, ExperimentSpec, PolicyAssignment, PolicySpec};
+use eacp_spec::{CostsSpec, ExecutiveSpec, ExperimentSpec, PolicyAssignment, PolicySpec, ToJson};
 
 /// A file in a directory of its own, removed by [`remove`].
 fn temp_file(name: &str, contents: &str) -> std::path::PathBuf {
@@ -126,6 +126,49 @@ fn assert_usage_error(args: &[&str], what: &str) -> String {
         out.stdout.len()
     );
     stderr
+}
+
+/// A key set twice in one object once ran the last value silently
+/// (`"replications": 20000, "replications": 7` ran 7, and `--emit-spec`
+/// dropped the first): each is now a parse error naming the key and where
+/// it repeats, for `mc`, `--emit-spec` and `sweep` alike.
+#[test]
+fn repeated_keys_in_a_spec_file_are_usage_errors() {
+    let text = emitted(&["mc", "--reps", "20000"]);
+    let doubled = text.replacen(
+        "\"replications\": 20000,",
+        "\"replications\": 20000,\n    \"replications\": 7,",
+        1,
+    );
+    assert_ne!(doubled, text);
+    let path = temp_file("repeated-key.json", &doubled);
+    let path_str = path.display().to_string();
+    for args in [
+        &["mc", "--spec", &path_str][..],
+        &["mc", "--spec", &path_str, "--emit-spec"],
+    ] {
+        let stderr = assert_usage_error(args, "repeated replications");
+        assert!(
+            stderr.contains("duplicate key \"replications\"") && stderr.contains("line "),
+            "{stderr}"
+        );
+    }
+    remove(&path);
+    let grid = temp_file(
+        "repeated-axis-key.json",
+        &grid_with_axes("table1a-sweep.json", r#"[{"k": [3], "k": [5]}]"#),
+    );
+    let stderr = assert_usage_error(
+        &[
+            "sweep",
+            "--spec",
+            &grid.display().to_string(),
+            "--emit-spec",
+        ],
+        "repeated axis key",
+    );
+    assert!(stderr.contains("duplicate key \"k\""), "{stderr}");
+    remove(&grid);
 }
 
 /// A grid document over a shipped sweep file's base whose axes are

@@ -4,7 +4,7 @@
 //! queue config round-trips through `--emit-spec`, and corrupt shard
 //! documents are clear errors naming the offending file.
 
-use eacp_spec::{Axis, ExperimentSpec, Knob, McSpec, SweepSpec};
+use eacp_spec::{Axis, ExperimentSpec, Knob, McSpec, SweepSpec, ToJson};
 use std::path::PathBuf;
 
 fn args(parts: &[&str]) -> Vec<String> {

@@ -5,7 +5,7 @@
 //! shard; bad `--shard` arguments are clear errors; and `eacp csv` renders
 //! the merged directory with paper-value deltas.
 
-use eacp_spec::{Axis, ExperimentSpec, Knob, McSpec, SweepSpec};
+use eacp_spec::{Axis, ExperimentSpec, Knob, McSpec, SweepSpec, ToJson};
 use std::path::PathBuf;
 
 fn args(parts: &[&str]) -> Vec<String> {

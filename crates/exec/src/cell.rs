@@ -25,8 +25,8 @@ use crate::runner::{LocalRunner, Runner};
 use crate::shard::PointReport;
 use eacp_sim::Summary;
 use eacp_spec::{
-    ExecutiveSpec, ExperimentSpec, FromJson, GridCell, Json, QueueSpec, RunReport, ServeTier,
-    SpecError, SummaryReport, ToJson,
+    ExecutiveSpec, ExperimentSpec, FromJson, GridCell, Json, JsonWriter, QueueSpec, RunReport,
+    ServeTier, SpecError, SummaryReport, ToJson,
 };
 
 /// One grid cell of a workload kind. See the module docs.
@@ -272,20 +272,12 @@ pub struct ExecutiveMcReport {
 }
 
 impl ToJson for ExecutiveMcReport {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("spec", self.spec.to_json()),
-            (
-                "policy_names",
-                Json::Array(
-                    self.policy_names
-                        .iter()
-                        .map(|n| Json::from(n.as_str()))
-                        .collect(),
-                ),
-            ),
-            ("summary", self.summary.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.field("spec", &self.spec);
+            w.field("policy_names", &self.policy_names);
+            w.field("summary", &self.summary);
+        });
     }
 }
 

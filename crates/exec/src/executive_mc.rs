@@ -35,7 +35,7 @@ use eacp_rtsched::TaskSet;
 use eacp_sim::{
     replication_seed, CheckpointCosts, ExecutorOptions, NoopObserver, Policy, Scenario,
 };
-use eacp_spec::{CheckpointTotals, ExecutiveSpec, FromJson, Json, SpecError, ToJson};
+use eacp_spec::{CheckpointTotals, ExecutiveSpec, FromJson, Json, JsonWriter, SpecError, ToJson};
 
 /// Per-task aggregates over every job of every horizon.
 #[derive(Debug, Clone, PartialEq)]
@@ -236,38 +236,16 @@ impl ExecutiveSummary {
     }
 }
 
-/// Lossless [`OnlineStats`] snapshot (raw accumulator state).
-fn stats_to_json(s: &OnlineStats) -> Json {
-    let (count, mean, m2, min, max) = s.raw_parts();
-    Json::obj([
-        ("count", count.into()),
-        ("mean", mean.into()),
-        ("m2", m2.into()),
-        ("min", min.into()),
-        ("max", max.into()),
-    ])
-}
-
-fn stats_from_json(json: &Json) -> Result<OnlineStats, SpecError> {
-    Ok(OnlineStats::from_raw_parts(
-        json.req("count")?.as_u64()?,
-        json.req("mean")?.as_f64()?,
-        json.req("m2")?.as_f64()?,
-        json.req("min")?.as_f64()?,
-        json.req("max")?.as_f64()?,
-    ))
-}
-
 impl ToJson for TaskAggregate {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("jobs", self.jobs.into()),
-            ("deadline_misses", self.deadline_misses.into()),
-            ("faults", self.faults.into()),
-            ("rollbacks", self.rollbacks.into()),
-            ("energy", self.energy.into()),
-            ("worst_response", self.worst_response.into()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.field("jobs", &self.jobs);
+            w.field("deadline_misses", &self.deadline_misses);
+            w.field("faults", &self.faults);
+            w.field("rollbacks", &self.rollbacks);
+            w.field("energy", &self.energy);
+            w.field("worst_response", &self.worst_response);
+        });
     }
 }
 
@@ -285,24 +263,22 @@ impl FromJson for TaskAggregate {
 }
 
 impl ToJson for ExecutiveSummary {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("horizons", self.horizons.into()),
-            ("jobs", self.jobs.into()),
-            ("deadline_misses", self.deadline_misses.into()),
-            ("faults", self.faults.into()),
-            ("rollbacks", self.rollbacks.into()),
-            ("checkpoints", self.checkpoints.to_json()),
-            ("total_energy", self.total_energy.into()),
-            ("miss_ratio", stats_to_json(&self.miss_ratio)),
-            ("energy", stats_to_json(&self.energy)),
-            ("horizon_faults", stats_to_json(&self.horizon_faults)),
-            ("horizon_rollbacks", stats_to_json(&self.horizon_rollbacks)),
-            (
-                "tasks",
-                Json::Array(self.per_task.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.field("horizons", &self.horizons);
+            w.field("jobs", &self.jobs);
+            w.field("deadline_misses", &self.deadline_misses);
+            w.field("faults", &self.faults);
+            w.field("rollbacks", &self.rollbacks);
+            w.field("checkpoints", &self.checkpoints);
+            w.field("total_energy", &self.total_energy);
+            // Lossless raw accumulator state, as `OnlineStats` writes it.
+            w.field("miss_ratio", &self.miss_ratio);
+            w.field("energy", &self.energy);
+            w.field("horizon_faults", &self.horizon_faults);
+            w.field("horizon_rollbacks", &self.horizon_rollbacks);
+            w.field("tasks", &self.per_task);
+        });
     }
 }
 
@@ -316,10 +292,10 @@ impl FromJson for ExecutiveSummary {
             rollbacks: json.req("rollbacks")?.as_u64()?,
             checkpoints: CheckpointTotals::from_json(json.req("checkpoints")?)?,
             total_energy: json.req("total_energy")?.as_f64()?,
-            miss_ratio: stats_from_json(json.req("miss_ratio")?)?,
-            energy: stats_from_json(json.req("energy")?)?,
-            horizon_faults: stats_from_json(json.req("horizon_faults")?)?,
-            horizon_rollbacks: stats_from_json(json.req("horizon_rollbacks")?)?,
+            miss_ratio: OnlineStats::from_json(json.req("miss_ratio")?)?,
+            energy: OnlineStats::from_json(json.req("energy")?)?,
+            horizon_faults: OnlineStats::from_json(json.req("horizon_faults")?)?,
+            horizon_rollbacks: OnlineStats::from_json(json.req("horizon_rollbacks")?)?,
             per_task: json
                 .req("tasks")?
                 .as_array()?

@@ -197,7 +197,7 @@ pub fn run_block_request(spec: &ExperimentSpec, lo: u64, hi: u64) -> String {
 /// chunks of `block` replications: the reply carries one summary per
 /// chunk.
 pub fn run_blocks_request(spec: &ExperimentSpec, lo: u64, hi: u64, block: u64) -> String {
-    block_request(Some(&spec.to_json().pretty()), lo, hi, block)
+    block_request(Some(&spec.to_json_string()), lo, hi, block)
 }
 
 /// Serializes a `ping` request.
@@ -732,7 +732,7 @@ impl RemoteWorker {
         }
         let mut wire = spec.clone();
         wire.executor.queue = None;
-        let text: Arc<str> = wire.to_json().pretty().into();
+        let text: Arc<str> = wire.to_json_string().into();
         *memo = Some((spec.clone(), Arc::clone(&text)));
         text
     }

@@ -27,7 +27,7 @@
 
 use crate::cell::{point_error, Cell};
 use crate::runner::{LocalRunner, Runner};
-use eacp_spec::{ExperimentSpec, FromJson, Grid, Json, SpecError, ToJson};
+use eacp_spec::{ExperimentSpec, FromJson, Grid, Json, JsonWriter, SpecError, ToJson};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
@@ -95,10 +95,6 @@ impl ShardId {
         lo..hi
     }
 
-    pub(crate) fn to_json(self) -> Json {
-        Json::obj([("index", self.index.into()), ("count", self.count.into())])
-    }
-
     pub(crate) fn from_json(json: &Json) -> Result<Self, SpecError> {
         Self::new(json.req("index")?.as_u64()?, json.req("count")?.as_u64()?)
     }
@@ -163,7 +159,7 @@ impl<C: Cell> GridReport<C> {
         std::fs::create_dir_all(dir)
             .map_err(|e| SpecError::Io(format!("{}: {e}", dir.display())))?;
         let path = dir.join(self.file_name());
-        std::fs::write(&path, self.to_json().pretty())
+        std::fs::write(&path, self.to_json_string())
             .map_err(|e| SpecError::Io(format!("{}: {e}", path.display())))?;
         Ok(path)
     }
@@ -194,24 +190,27 @@ impl<C: Cell> GridReport<C> {
 }
 
 impl<C: Cell> ToJson for GridReport<C> {
-    fn to_json(&self) -> Json {
-        let mut fields: Vec<(&'static str, Json)> = vec![
-            ("sweep", self.sweep.to_json()),
-            ("total_points", self.total_points.into()),
-        ];
-        if let Some(shard) = self.shard {
-            fields.push(("shard", shard.to_json()));
-        }
-        fields.push((
-            "points",
-            Json::Array(
-                self.points
-                    .iter()
-                    .map(|p| Json::obj([("index", p.index.into()), ("report", p.report.to_json())]))
-                    .collect(),
-            ),
-        ));
-        Json::obj(fields)
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.field("sweep", &self.sweep);
+            w.field("total_points", &self.total_points);
+            if let Some(shard) = &self.shard {
+                w.key("shard");
+                w.object(|w| {
+                    w.field("index", &shard.index);
+                    w.field("count", &shard.count);
+                });
+            }
+            w.key("points");
+            w.array(|w| {
+                for point in &self.points {
+                    w.object(|w| {
+                        w.field("index", &point.index);
+                        w.field("report", &point.report);
+                    });
+                }
+            });
+        });
     }
 }
 
@@ -453,11 +452,11 @@ fn load_sweep_docs<C: Cell>(dir: &Path) -> Result<SweepDocs<C>, SpecError> {
     }
 
     let (first_path, first) = &docs[0];
-    let sweep_fingerprint = first.sweep.to_json().pretty();
+    let sweep_fingerprint = first.sweep.to_json_string();
     let total = first.total_points;
     let mut shard_count: Option<u64> = None;
     for (path, doc) in &docs {
-        if doc.sweep.to_json().pretty() != sweep_fingerprint {
+        if doc.sweep.to_json_string() != sweep_fingerprint {
             return Err(SpecError::invalid(format!(
                 "{}: sweep spec differs from {} — these shards are not from \
                  the same sweep",

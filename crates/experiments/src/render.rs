@@ -198,47 +198,44 @@ pub fn to_csv(result: &TableResult) -> String {
 /// machine-readable counterpart of [`to_text`] — the report schema sweeps,
 /// dashboards and CI gates consume.
 pub fn to_json(result: &TableResult) -> String {
-    use eacp_spec::{Json, ToJson};
-    let cells = result
-        .cells
-        .iter()
-        .map(|cell| {
-            let schemes = cell
-                .schemes
-                .iter()
-                .map(|s| {
-                    Json::obj([
-                        ("scheme", s.name().into()),
-                        ("spec", s.spec.to_json()),
-                        ("summary", s.summary.to_json()),
-                    ])
-                })
-                .collect();
-            let mut fields = vec![
-                ("part".to_owned(), Json::Str(cell.spec.part.to_string())),
-                ("utilization".to_owned(), Json::Float(cell.spec.utilization)),
-                ("lambda".to_owned(), Json::Float(cell.spec.lambda)),
-                ("k".to_owned(), Json::Int(cell.spec.k as i128)),
-                ("schemes".to_owned(), Json::Array(schemes)),
-            ];
-            if let Some(p) = cell.paper {
-                let paper = Json::Array(
-                    PaperScheme::ALL
-                        .iter()
-                        .map(|&id| Json::obj([("p", p.p_of(id).into()), ("e", p.e_of(id).into())]))
-                        .collect(),
-                );
-                fields.push(("paper".to_owned(), paper));
-            }
-            Json::Object(fields)
-        })
-        .collect();
-    Json::obj([
-        ("table", result.id.number().into()),
-        ("replications", result.replications.into()),
-        ("cells", Json::Array(cells)),
-    ])
-    .pretty()
+    eacp_spec::json::pretty(|w| {
+        w.object(|w| {
+            w.field("table", &result.id.number());
+            w.field("replications", &result.replications);
+            w.key("cells");
+            w.array(|w| {
+                for cell in &result.cells {
+                    w.object(|w| {
+                        w.field("part", &cell.spec.part.to_string());
+                        w.field("utilization", &cell.spec.utilization);
+                        w.field("lambda", &cell.spec.lambda);
+                        w.field("k", &cell.spec.k);
+                        w.key("schemes");
+                        w.array(|w| {
+                            for s in &cell.schemes {
+                                w.object(|w| {
+                                    w.field("scheme", s.name());
+                                    w.field("spec", &s.spec);
+                                    w.field("summary", &s.summary);
+                                });
+                            }
+                        });
+                        if let Some(p) = cell.paper {
+                            w.key("paper");
+                            w.array(|w| {
+                                for id in PaperScheme::ALL {
+                                    w.object(|w| {
+                                        w.field("p", &p.p_of(id));
+                                        w.field("e", &p.e_of(id));
+                                    });
+                                }
+                            });
+                        }
+                    });
+                }
+            });
+        });
+    })
 }
 
 #[cfg(test)]

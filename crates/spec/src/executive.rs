@@ -25,7 +25,7 @@
 //! report. Execution lives in `eacp-exec` (`eacp_exec::run_executive`).
 
 use crate::error::SpecError;
-use crate::json::{FromJson, Json, ToJson};
+use crate::json::{FromJson, Json, JsonWriter, ToJson};
 use crate::model::{CostsSpec, DvsSpec, FaultSpec, PolicySpec, QueueSpec};
 use eacp_rtsched::{PeriodicTask, TaskSet};
 
@@ -87,13 +87,13 @@ impl PeriodicTaskSpec {
 }
 
 impl ToJson for PeriodicTaskSpec {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", self.name.as_str().into()),
-            ("wcet", self.wcet.into()),
-            ("period", self.period.into()),
-            ("deadline", self.deadline.into()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.field("name", &self.name);
+            w.field("wcet", &self.wcet);
+            w.field("period", &self.period);
+            w.field("deadline", &self.deadline);
+        });
     }
 }
 
@@ -158,8 +158,8 @@ impl TaskSetSpec {
 }
 
 impl ToJson for TaskSetSpec {
-    fn to_json(&self) -> Json {
-        Json::Array(self.tasks.iter().map(ToJson::to_json).collect())
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        self.tasks.write_json(w);
     }
 }
 
@@ -248,10 +248,10 @@ impl PolicyAssignment {
 }
 
 impl ToJson for PolicyAssignment {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
         match self {
-            PolicyAssignment::Shared(p) => p.to_json(),
-            PolicyAssignment::PerTask(ps) => Json::Array(ps.iter().map(ToJson::to_json).collect()),
+            PolicyAssignment::Shared(p) => p.write_json(w),
+            PolicyAssignment::PerTask(ps) => ps.write_json(w),
         }
     }
 }
@@ -322,15 +322,14 @@ impl ExecutiveMcSpec {
 }
 
 impl ToJson for ExecutiveMcSpec {
-    fn to_json(&self) -> Json {
-        let mut fields: Vec<(&'static str, Json)> = vec![
-            ("replications", self.replications.into()),
-            ("threads", self.threads.into()),
-        ];
-        if let Some(q) = &self.queue {
-            fields.push(("queue", q.to_json()));
-        }
-        Json::obj(fields)
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.field("replications", &self.replications);
+            w.field("threads", &self.threads);
+            if let Some(q) = &self.queue {
+                w.field("queue", q);
+            }
+        });
     }
 }
 
@@ -411,11 +410,6 @@ impl ExecutiveSpec {
         Self::from_json(&Json::parse(text)?)
     }
 
-    /// Serializes the spec as pretty-printed JSON.
-    pub fn to_json_string(&self) -> String {
-        self.to_json().pretty()
-    }
-
     /// Reads a spec file.
     pub fn load(path: &std::path::Path) -> Result<Self, SpecError> {
         let text = std::fs::read_to_string(path)
@@ -465,25 +459,24 @@ fn default_policy(lambda: f64, k: u32) -> PolicySpec {
 }
 
 impl ToJson for ExecutiveSpec {
-    fn to_json(&self) -> Json {
-        let mut fields: Vec<(&'static str, Json)> = vec![
-            ("name", self.name.as_str().into()),
-            ("tasks", self.tasks.to_json()),
-            ("costs", self.costs.to_json()),
-            ("dvs", self.dvs.to_json()),
-            ("faults", self.faults.to_json()),
-            ("policy", self.policy.to_json()),
-            ("k", self.k.into()),
-            ("speed", self.speed.into()),
-            ("hyperperiods", self.hyperperiods.into()),
-            ("seed", self.seed.into()),
-        ];
-        // Emitted only when present, so pre-Monte-Carlo documents (and the
-        // checked-in presets) round-trip byte-identically.
-        if let Some(mc) = &self.mc {
-            fields.push(("mc", mc.to_json()));
-        }
-        Json::obj(fields)
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.field("name", &self.name);
+            w.field("tasks", &self.tasks);
+            w.field("costs", &self.costs);
+            w.field("dvs", &self.dvs);
+            w.field("faults", &self.faults);
+            w.field("policy", &self.policy);
+            w.field("k", &self.k);
+            w.field("speed", &self.speed);
+            w.field("hyperperiods", &self.hyperperiods);
+            w.field("seed", &self.seed);
+            // Emitted only when present, so pre-Monte-Carlo documents (and
+            // the checked-in presets) round-trip byte-identically.
+            if let Some(mc) = &self.mc {
+                w.field("mc", mc);
+            }
+        });
     }
 }
 
@@ -552,13 +545,13 @@ impl CheckpointTotals {
 }
 
 impl ToJson for CheckpointTotals {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("store", self.store.into()),
-            ("compare", self.compare.into()),
-            ("compare_store", self.compare_store.into()),
-            ("total", self.total().into()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.field("store", &self.store);
+            w.field("compare", &self.compare);
+            w.field("compare_store", &self.compare_store);
+            w.field("total", &self.total());
+        });
     }
 }
 
@@ -594,17 +587,17 @@ pub struct TaskReport {
 }
 
 impl ToJson for TaskReport {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", self.name.as_str().into()),
-            ("jobs", self.jobs.into()),
-            ("deadline_misses", self.deadline_misses.into()),
-            ("energy", self.energy.into()),
-            ("faults", self.faults.into()),
-            ("rollbacks", self.rollbacks.into()),
-            ("checkpoints", self.checkpoints.to_json()),
-            ("worst_response", self.worst_response.into()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.field("name", &self.name);
+            w.field("jobs", &self.jobs);
+            w.field("deadline_misses", &self.deadline_misses);
+            w.field("energy", &self.energy);
+            w.field("faults", &self.faults);
+            w.field("rollbacks", &self.rollbacks);
+            w.field("checkpoints", &self.checkpoints);
+            w.field("worst_response", &self.worst_response);
+        });
     }
 }
 
@@ -647,18 +640,18 @@ pub struct ExecutiveSummaryReport {
 }
 
 impl ToJson for ExecutiveSummaryReport {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("hyperperiod", self.hyperperiod.into()),
-            ("horizon", self.horizon.into()),
-            ("jobs", self.jobs.into()),
-            ("deadline_misses", self.deadline_misses.into()),
-            ("miss_ratio", self.miss_ratio.into()),
-            ("total_energy", self.total_energy.into()),
-            ("faults", self.faults.into()),
-            ("rollbacks", self.rollbacks.into()),
-            ("checkpoints", self.checkpoints.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.field("hyperperiod", &self.hyperperiod);
+            w.field("horizon", &self.horizon);
+            w.field("jobs", &self.jobs);
+            w.field("deadline_misses", &self.deadline_misses);
+            w.field("miss_ratio", &self.miss_ratio);
+            w.field("total_energy", &self.total_energy);
+            w.field("faults", &self.faults);
+            w.field("rollbacks", &self.rollbacks);
+            w.field("checkpoints", &self.checkpoints);
+        });
     }
 }
 
@@ -699,32 +692,16 @@ impl ExecutiveRunReport {
     pub fn from_json_str(text: &str) -> Result<Self, SpecError> {
         Self::from_json(&Json::parse(text)?)
     }
-
-    /// Serializes the report as pretty-printed JSON.
-    pub fn to_json_string(&self) -> String {
-        self.to_json().pretty()
-    }
 }
 
 impl ToJson for ExecutiveRunReport {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("spec", self.spec.to_json()),
-            (
-                "policy",
-                Json::Array(
-                    self.policy_names
-                        .iter()
-                        .map(|n| n.as_str().into())
-                        .collect(),
-                ),
-            ),
-            ("summary", self.summary.to_json()),
-            (
-                "tasks",
-                Json::Array(self.tasks.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.field("spec", &self.spec);
+            w.field("policy", &self.policy_names);
+            w.field("summary", &self.summary);
+            w.field("tasks", &self.tasks);
+        });
     }
 }
 

@@ -1,4 +1,4 @@
-//! A minimal, dependency-free JSON document model.
+//! A minimal, dependency-free JSON document model, writer and parser.
 //!
 //! The build environment of this repository cannot reach crates.io, so the
 //! spec layer carries its own JSON reader/writer instead of `serde_json`.
@@ -9,16 +9,47 @@
 //! sites.
 //!
 //! Numbers round-trip exactly: floats are written with Rust's
-//! shortest-round-trip formatting and integers are kept in a separate
-//! lossless variant, which is what makes "serialize → deserialize → run"
-//! bit-identical for every spec in this workspace.
+//! shortest-round-trip formatting (`{:?}`; `null` for NaN, `±1e999` for
+//! the infinities) and read back with `str::parse::<f64>`, and integers
+//! are kept in a separate lossless variant, which is what makes
+//! "serialize → deserialize → run" bit-identical for every spec in this
+//! workspace.
 //!
-//! The writer formats numbers **in place**: floats (`{:?}`) and integers
-//! go straight into the output buffer through `fmt::Write`, strings that
-//! need no escaping are copied in one piece, and indentation is sliced
-//! from a static run of spaces — no intermediate `String` per value. The
-//! parser copies string contents as runs between quotes, backslashes and
-//! control bytes.
+//! # Writing
+//!
+//! A type describes its document once, in [`ToJson::write_json`], as a
+//! sequence of calls on a [`JsonWriter`]: open an object, write each field,
+//! close it. The writer has two sinks behind one concrete type:
+//!
+//! * the **text sink** appends the pretty form (two-space indentation,
+//!   `"key": value`, `[]`/`{}` for empty containers) straight into a
+//!   `String` — what [`ToJson::to_json_string`] returns, and what every
+//!   report, grid document, emitted spec and store entry is written with;
+//! * the **tree sink** assembles a [`Json`] value — what
+//!   [`ToJson::to_json`] returns, for callers that edit or inspect a
+//!   document before writing it.
+//!
+//! [`Json`] itself implements [`ToJson`] by walking its tree, so
+//! [`Json::pretty`] and the text sink are one formatter and give the same
+//! bytes for the same document. The text sink formats numbers in place
+//! (`fmt::Write` into the output), copies strings that need no escaping in
+//! one piece, and slices indentation from a static run of spaces: it makes
+//! no allocation of its own beyond growing the output.
+//!
+//! # Parsing
+//!
+//! [`Json::parse`] is the only parser. It gathers the children of every
+//! open array and object on two stacks reused for the whole document and
+//! moves each finished container's children into a `Vec` of exactly their
+//! number, so a container costs one allocation; a string without escapes
+//! is copied out of the input in one exact-size allocation.
+//!
+//! A key repeated within one object is a parse error naming the key, line
+//! and column: a document that says two things about one field has no
+//! single meaning, and silently keeping either would run something other
+//! than what was written. Objects of up to 16 members look for a repeat by
+//! scanning their keys; larger ones keep a sorted set of them, so an object
+//! of `n` keys costs `O(n log n)` rather than `O(n²)`.
 //!
 //! The parser caps nesting at [`MAX_DEPTH`] arrays/objects. Deeper input
 //! is rejected with a parse error (line and column) instead of recursing
@@ -26,10 +57,16 @@
 //! than about ten levels.
 
 use crate::error::SpecError;
+use std::borrow::Cow;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// The deepest array/object nesting [`Json::parse`] accepts.
 pub const MAX_DEPTH: usize = 128;
+
+/// Objects with more members than this find repeated keys in a sorted set
+/// instead of by a scan.
+const SCANNED_MEMBERS: usize = 16;
 
 /// A JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,16 +87,337 @@ pub enum Json {
     Object(Vec<(String, Json)>),
 }
 
-/// Types that can serialize themselves into a [`Json`] document.
+/// Types that can serialize themselves as a JSON document.
 pub trait ToJson {
-    /// Serializes `self`.
-    fn to_json(&self) -> Json;
+    /// Describes `self` to `w`: one value, usually an object written field
+    /// by field.
+    fn write_json(&self, w: &mut JsonWriter<'_>);
+
+    /// The document as a tree.
+    fn to_json(&self) -> Json {
+        let mut tree = TreeSink::default();
+        self.write_json(&mut JsonWriter {
+            sink: Sink::Tree(&mut tree),
+        });
+        tree.root.unwrap_or(Json::Null)
+    }
+
+    /// The document pretty-printed with two-space indentation and a
+    /// trailing newline — the bytes `self.to_json().pretty()` gives,
+    /// written without building the tree.
+    fn to_json_string(&self) -> String {
+        pretty(|w| self.write_json(w))
+    }
 }
 
 /// Types that can deserialize themselves from a [`Json`] document.
 pub trait FromJson: Sized {
     /// Deserializes a value, validating as it goes.
     fn from_json(json: &Json) -> Result<Self, SpecError>;
+}
+
+/// The pretty text of whatever `body` writes (one value), with the
+/// trailing newline: how a document that is not one [`ToJson`] value,
+/// such as an array of reports, is written without a tree.
+pub fn pretty(body: impl FnOnce(&mut JsonWriter<'_>)) -> String {
+    let mut out = String::with_capacity(1024);
+    let mut w = JsonWriter {
+        sink: Sink::Text(TextSink {
+            out: &mut out,
+            depth: 0,
+            empty: false,
+            keyed: false,
+        }),
+    };
+    body(&mut w);
+    out.push('\n');
+    out
+}
+
+/// The one JSON writer: every [`ToJson`] impl describes its document
+/// through it, and its sink either appends pretty text or builds a [`Json`]
+/// tree (see the module docs).
+///
+/// A value is a scalar call ([`JsonWriter::float`], [`JsonWriter::str`],
+/// ...), a container ([`JsonWriter::object`], [`JsonWriter::array`]) or
+/// another [`ToJson`] value's `write_json`. Inside an object each value is
+/// preceded by its [`JsonWriter::key`]; [`JsonWriter::field`] writes both.
+pub struct JsonWriter<'a> {
+    sink: Sink<'a>,
+}
+
+enum Sink<'a> {
+    Text(TextSink<'a>),
+    Tree(&'a mut TreeSink),
+}
+
+/// Pretty text appended to a caller's buffer.
+struct TextSink<'a> {
+    out: &'a mut String,
+    /// Containers open around the next value.
+    depth: usize,
+    /// The innermost open container has no member yet.
+    empty: bool,
+    /// A key was just written: its value follows on the same line.
+    keyed: bool,
+}
+
+impl TextSink<'_> {
+    /// What precedes a value: nothing after a key or at the top level,
+    /// otherwise the separator, a newline and the indentation.
+    fn member(&mut self) {
+        if self.keyed {
+            self.keyed = false;
+        } else if self.depth > 0 {
+            self.out.push_str(if self.empty { "\n" } else { ",\n" });
+            self.empty = false;
+            push_indent(self.out, self.depth);
+        }
+    }
+
+    fn open(&mut self, bracket: char) {
+        self.member();
+        self.out.push(bracket);
+        self.depth += 1;
+        self.empty = true;
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        if !self.empty {
+            self.out.push('\n');
+            push_indent(self.out, self.depth);
+        }
+        self.out.push(bracket);
+        self.empty = false;
+    }
+}
+
+/// A tree under construction: the open containers, innermost last.
+#[derive(Default)]
+struct TreeSink {
+    open: Vec<Frame>,
+    root: Option<Json>,
+}
+
+/// An open container of a [`TreeSink`].
+enum Frame {
+    Array(Vec<Json>),
+    /// Members so far; the last one's value is a placeholder from its key
+    /// until the value is written.
+    Object(Vec<(String, Json)>),
+}
+
+impl TreeSink {
+    /// Places a finished value into the innermost open container.
+    fn put(&mut self, value: Json) {
+        match self.open.last_mut() {
+            None => self.root = Some(value),
+            Some(Frame::Array(items)) => items.push(value),
+            Some(Frame::Object(fields)) => match fields.last_mut() {
+                Some((_, slot)) => *slot = value,
+                None => debug_assert!(false, "an object member written without its key"),
+            },
+        }
+    }
+}
+
+impl JsonWriter<'_> {
+    /// `null`.
+    pub fn null(&mut self) {
+        match &mut self.sink {
+            Sink::Text(t) => {
+                t.member();
+                t.out.push_str("null");
+            }
+            Sink::Tree(t) => t.put(Json::Null),
+        }
+    }
+
+    /// `true` / `false`.
+    pub fn bool(&mut self, b: bool) {
+        match &mut self.sink {
+            Sink::Text(t) => {
+                t.member();
+                t.out.push_str(if b { "true" } else { "false" });
+            }
+            Sink::Tree(t) => t.put(Json::Bool(b)),
+        }
+    }
+
+    /// A float, written losslessly (see [`Json::Float`]).
+    pub fn float(&mut self, x: f64) {
+        match &mut self.sink {
+            Sink::Text(t) => {
+                t.member();
+                write_float(t.out, x);
+            }
+            Sink::Tree(t) => t.put(Json::Float(x)),
+        }
+    }
+
+    /// An unsigned integer.
+    pub fn uint(&mut self, x: u64) {
+        match &mut self.sink {
+            Sink::Text(t) => {
+                t.member();
+                // Writing into a `String` cannot fail.
+                let _ = write!(t.out, "{x}");
+            }
+            Sink::Tree(t) => t.put(Json::Int(i128::from(x))),
+        }
+    }
+
+    /// An integer of the lossless [`Json::Int`] range.
+    pub fn int(&mut self, i: i128) {
+        match &mut self.sink {
+            Sink::Text(t) => {
+                t.member();
+                write_int(t.out, i);
+            }
+            Sink::Tree(t) => t.put(Json::Int(i)),
+        }
+    }
+
+    /// A string.
+    pub fn str(&mut self, s: &str) {
+        match &mut self.sink {
+            Sink::Text(t) => {
+                t.member();
+                write_string(t.out, s);
+            }
+            Sink::Tree(t) => t.put(Json::Str(s.to_owned())),
+        }
+    }
+
+    /// The key of the next value, inside an object.
+    pub fn key(&mut self, key: &str) {
+        match &mut self.sink {
+            Sink::Text(t) => {
+                t.member();
+                write_string(t.out, key);
+                t.out.push_str(": ");
+                t.keyed = true;
+            }
+            Sink::Tree(t) => match t.open.last_mut() {
+                Some(Frame::Object(fields)) => fields.push((key.to_owned(), Json::Null)),
+                _ => debug_assert!(false, "a key written outside an object"),
+            },
+        }
+    }
+
+    /// One object member: `key`, then `value`.
+    pub fn field<T: ToJson + ?Sized>(&mut self, key: &str, value: &T) {
+        self.key(key);
+        value.write_json(self);
+    }
+
+    /// An object whose members `body` writes.
+    pub fn object(&mut self, body: impl FnOnce(&mut Self)) {
+        self.open('{', Frame::Object(Vec::new()));
+        body(self);
+        self.close('}');
+    }
+
+    /// An array whose items `body` writes.
+    pub fn array(&mut self, body: impl FnOnce(&mut Self)) {
+        self.open('[', Frame::Array(Vec::new()));
+        body(self);
+        self.close(']');
+    }
+
+    fn open(&mut self, bracket: char, frame: Frame) {
+        match &mut self.sink {
+            Sink::Text(t) => t.open(bracket),
+            Sink::Tree(t) => t.open.push(frame),
+        }
+    }
+
+    fn close(&mut self, bracket: char) {
+        match &mut self.sink {
+            Sink::Text(t) => t.close(bracket),
+            Sink::Tree(t) => match t.open.pop() {
+                Some(Frame::Array(items)) => t.put(Json::Array(items)),
+                Some(Frame::Object(fields)) => t.put(Json::Object(fields)),
+                None => debug_assert!(false, "a container closed that was never opened"),
+            },
+        }
+    }
+}
+
+/// A tree writes itself node by node, which makes [`Json::pretty`] the
+/// text sink's output for the same document.
+impl ToJson for Json {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        match self {
+            Json::Null => w.null(),
+            Json::Bool(b) => w.bool(*b),
+            Json::Float(x) => w.float(*x),
+            Json::Int(i) => w.int(*i),
+            Json::Str(s) => w.str(s),
+            Json::Array(items) => w.array(|w| items.iter().for_each(|item| item.write_json(w))),
+            Json::Object(fields) => w.object(|w| {
+                for (k, v) in fields {
+                    w.field(k, v);
+                }
+            }),
+        }
+    }
+}
+
+impl ToJson for f64 {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.float(*self);
+    }
+}
+
+impl ToJson for u64 {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.uint(*self);
+    }
+}
+
+impl ToJson for u32 {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.uint(u64::from(*self));
+    }
+}
+
+impl ToJson for usize {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.uint(*self as u64);
+    }
+}
+
+impl ToJson for bool {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.bool(*self);
+    }
+}
+
+impl ToJson for str {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.str(self);
+    }
+}
+
+impl ToJson for String {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.str(self);
+    }
+}
+
+/// A slice is an array of its items.
+impl<T: ToJson> ToJson for [T] {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.array(|w| self.iter().for_each(|item| item.write_json(w)));
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        self.as_slice().write_json(w);
+    }
 }
 
 impl Json {
@@ -70,6 +428,8 @@ impl Json {
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
+            items: Vec::new(),
+            members: Vec::new(),
         };
         p.skip_ws();
         let v = p.value()?;
@@ -82,58 +442,7 @@ impl Json {
 
     /// Pretty-prints with two-space indentation and a trailing newline.
     pub fn pretty(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Float(x) => write_float(out, *x),
-            Json::Int(i) => write_int(out, *i),
-            Json::Str(s) => write_string(out, s),
-            Json::Array(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    item.write(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push(']');
-            }
-            Json::Object(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    write_string(out, k);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push('}');
-            }
-        }
+        self.to_json_string()
     }
 
     /// The value of `key` in an object.
@@ -148,6 +457,18 @@ impl Json {
     pub fn req(&self, key: &str) -> Result<&Json, SpecError> {
         self.get(key)
             .ok_or_else(|| SpecError::missing_field(key, self.type_name()))
+    }
+
+    /// Moves a required object field's value out, leaving `null` in its
+    /// place: how a reader keeps a large sub-document without copying it.
+    pub fn take(&mut self, key: &str) -> Result<Json, SpecError> {
+        let in_type = self.type_name();
+        let slot = match self {
+            Json::Object(fields) => fields.iter_mut().find(|(k, _)| k == key),
+            _ => None,
+        };
+        slot.map(|(_, v)| std::mem::replace(v, Json::Null))
+            .ok_or_else(|| SpecError::missing_field(key, in_type))
     }
 
     /// The numeric value, accepting either numeric variant. `null` reads
@@ -343,12 +664,20 @@ struct Parser<'a> {
     pos: usize,
     /// Arrays/objects currently open around `pos`.
     depth: usize,
+    /// The items of every open array, innermost array's last.
+    items: Vec<Json>,
+    /// The members of every open object, innermost object's last.
+    members: Vec<(String, Json)>,
 }
 
 impl<'a> Parser<'a> {
     fn err(&self, msg: &str) -> SpecError {
-        // Convert byte offset to line/column for a useful message.
-        let consumed = &self.bytes[..self.pos.min(self.bytes.len())];
+        self.err_at(self.pos, msg)
+    }
+
+    /// A parse error at byte offset `pos`, with its line and column.
+    fn err_at(&self, pos: usize, msg: &str) -> SpecError {
+        let consumed = &self.bytes[..pos.min(self.bytes.len())];
         let line = consumed.iter().filter(|&&b| b == b'\n').count() + 1;
         let col = consumed.len()
             - consumed
@@ -408,7 +737,7 @@ impl<'a> Parser<'a> {
         match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
@@ -420,27 +749,45 @@ impl<'a> Parser<'a> {
     fn object(&mut self) -> Result<Json, SpecError> {
         self.descend()?;
         self.expect_byte(b'{')?;
-        let mut fields = Vec::new();
+        let start = self.members.len();
+        // Every key of the object, once it outgrows a scan for repeats.
+        let mut keys: Option<BTreeSet<Cow<'a, str>>> = None;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
             self.depth -= 1;
-            return Ok(Json::Object(fields));
+            return Ok(Json::Object(Vec::new()));
         }
         loop {
             self.skip_ws();
+            let at = self.pos;
             let key = self.string()?;
+            let members = &self.members[start..];
+            let repeated = if members.len() < SCANNED_MEMBERS {
+                members.iter().any(|(k, _)| *k == key)
+            } else {
+                let keys = keys.get_or_insert_with(|| {
+                    members.iter().map(|(k, _)| Cow::Owned(k.clone())).collect()
+                });
+                !keys.insert(key.clone())
+            };
+            if repeated {
+                return Err(self.err_at(
+                    at,
+                    &format!("duplicate key {key:?}: one object sets it twice"),
+                ));
+            }
             self.skip_ws();
             self.expect_byte(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            fields.push((key, value));
+            self.members.push((key.into_owned(), value));
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
                 Some(b'}') => {
                     self.depth -= 1;
-                    return Ok(Json::Object(fields));
+                    return Ok(Json::Object(self.members.drain(start..).collect()));
                 }
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
@@ -450,33 +797,36 @@ impl<'a> Parser<'a> {
     fn array(&mut self) -> Result<Json, SpecError> {
         self.descend()?;
         self.expect_byte(b'[')?;
-        let mut items = Vec::new();
+        let start = self.items.len();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
             self.depth -= 1;
-            return Ok(Json::Array(items));
+            return Ok(Json::Array(Vec::new()));
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            let item = self.value()?;
+            self.items.push(item);
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
                 Some(b']') => {
                     self.depth -= 1;
-                    return Ok(Json::Array(items));
+                    return Ok(Json::Array(self.items.drain(start..).collect()));
                 }
                 _ => return Err(self.err("expected ',' or ']' in array")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, SpecError> {
+    /// A string's contents: borrowed from the input when it has no escape,
+    /// so the caller's copy is one exact-size allocation.
+    fn string(&mut self) -> Result<Cow<'a, str>, SpecError> {
         self.expect_byte(b'"')?;
         let mut s = String::new();
         loop {
-            // Copy everything up to the next quote, backslash or control
+            // Take everything up to the next quote, backslash or control
             // byte as one run. Those stop bytes are ASCII, so the run ends
             // on a char boundary of the (already valid UTF-8) input.
             let run = self.pos;
@@ -485,42 +835,46 @@ impl<'a> Parser<'a> {
                 .iter()
                 .position(|&b| needs_escape(b))
                 .unwrap_or(rest.len());
-            if self.pos > run {
-                let chunk = self
-                    .text
-                    .get(run..self.pos)
-                    .ok_or_else(|| self.err("invalid UTF-8 in string"))?;
-                s.push_str(chunk);
-            }
+            let chunk = self
+                .text
+                .get(run..self.pos)
+                .ok_or_else(|| self.err("invalid UTF-8 in string"))?;
             match self.bump() {
                 None => return Err(self.err("unterminated string")),
-                Some(b'"') => return Ok(s),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => s.push('"'),
-                    Some(b'\\') => s.push('\\'),
-                    Some(b'/') => s.push('/'),
-                    Some(b'n') => s.push('\n'),
-                    Some(b'r') => s.push('\r'),
-                    Some(b't') => s.push('\t'),
-                    Some(b'b') => s.push('\u{8}'),
-                    Some(b'f') => s.push('\u{c}'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self
-                                .bump()
-                                .and_then(|b| (b as char).to_digit(16))
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            code = code * 16 + d;
+                Some(b'"') if s.is_empty() => return Ok(Cow::Borrowed(chunk)),
+                Some(b'"') => {
+                    s.push_str(chunk);
+                    return Ok(Cow::Owned(s));
+                }
+                Some(b'\\') => {
+                    s.push_str(chunk);
+                    match self.bump() {
+                        Some(b'"') => s.push('"'),
+                        Some(b'\\') => s.push('\\'),
+                        Some(b'/') => s.push('/'),
+                        Some(b'n') => s.push('\n'),
+                        Some(b'r') => s.push('\r'),
+                        Some(b't') => s.push('\t'),
+                        Some(b'b') => s.push('\u{8}'),
+                        Some(b'f') => s.push('\u{c}'),
+                        Some(b'u') => {
+                            let mut code = 0u32;
+                            for _ in 0..4 {
+                                let d = self
+                                    .bump()
+                                    .and_then(|b| (b as char).to_digit(16))
+                                    .ok_or_else(|| self.err("bad \\u escape"))?;
+                                code = code * 16 + d;
+                            }
+                            // Surrogate pairs are not needed by spec files;
+                            // reject them rather than mis-decode.
+                            let c = char::from_u32(code)
+                                .ok_or_else(|| self.err("unsupported \\u escape (surrogate)"))?;
+                            s.push(c);
                         }
-                        // Surrogate pairs are not needed by spec files;
-                        // reject them rather than mis-decode.
-                        let c = char::from_u32(code)
-                            .ok_or_else(|| self.err("unsupported \\u escape (surrogate)"))?;
-                        s.push(c);
+                        _ => return Err(self.err("bad escape sequence")),
                     }
-                    _ => return Err(self.err("bad escape sequence")),
-                },
+                }
                 Some(_) => return Err(self.err("control character in string")),
             }
         }

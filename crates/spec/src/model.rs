@@ -11,7 +11,7 @@
 //! trait-object path is needed.
 
 use crate::error::SpecError;
-use crate::json::{FromJson, Json, ToJson};
+use crate::json::{FromJson, Json, JsonWriter, ToJson};
 use eacp_core::analysis::OptimizeMethod;
 use eacp_core::policies::{Adaptive, KFaultTolerant, PoissonArrival, PolicyKind};
 use eacp_energy::{DvsConfig, SpeedLevel};
@@ -98,27 +98,27 @@ impl WorkSpec {
 }
 
 impl ToJson for WorkSpec {
-    fn to_json(&self) -> Json {
-        match *self {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| match self {
             WorkSpec::Utilization {
                 utilization,
                 speed,
                 deadline,
-            } => Json::obj([
-                ("kind", "utilization".into()),
-                ("utilization", utilization.into()),
-                ("speed", speed.into()),
-                ("deadline", deadline.into()),
-            ]),
+            } => {
+                w.field("kind", "utilization");
+                w.field("utilization", utilization);
+                w.field("speed", speed);
+                w.field("deadline", deadline);
+            }
             WorkSpec::Cycles {
                 work_cycles,
                 deadline,
-            } => Json::obj([
-                ("kind", "cycles".into()),
-                ("work_cycles", work_cycles.into()),
-                ("deadline", deadline.into()),
-            ]),
-        }
+            } => {
+                w.field("kind", "cycles");
+                w.field("work_cycles", work_cycles);
+                w.field("deadline", deadline);
+            }
+        });
     }
 }
 
@@ -189,21 +189,21 @@ impl CostsSpec {
 }
 
 impl ToJson for CostsSpec {
-    fn to_json(&self) -> Json {
-        match *self {
-            CostsSpec::PaperScp => Json::obj([("kind", "paper-scp".into())]),
-            CostsSpec::PaperCcp => Json::obj([("kind", "paper-ccp".into())]),
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| match self {
+            CostsSpec::PaperScp => w.field("kind", "paper-scp"),
+            CostsSpec::PaperCcp => w.field("kind", "paper-ccp"),
             CostsSpec::Explicit {
                 store,
                 compare,
                 rollback,
-            } => Json::obj([
-                ("kind", "explicit".into()),
-                ("store", store.into()),
-                ("compare", compare.into()),
-                ("rollback", rollback.into()),
-            ]),
-        }
+            } => {
+                w.field("kind", "explicit");
+                w.field("store", store);
+                w.field("compare", compare);
+                w.field("rollback", rollback);
+            }
+        });
     }
 }
 
@@ -277,29 +277,27 @@ impl DvsSpec {
 }
 
 impl ToJson for DvsSpec {
-    fn to_json(&self) -> Json {
-        match self {
-            DvsSpec::PaperDefault => Json::obj([("kind", "paper-default".into())]),
-            DvsSpec::TwoSpeed { v1, v2 } => Json::obj([
-                ("kind", "two-speed".into()),
-                ("v1", (*v1).into()),
-                ("v2", (*v2).into()),
-            ]),
-            DvsSpec::Levels { levels } => Json::obj([
-                ("kind", "levels".into()),
-                (
-                    "levels",
-                    Json::Array(
-                        levels
-                            .iter()
-                            .map(|&(f, v)| {
-                                Json::obj([("frequency", f.into()), ("voltage", v.into())])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        }
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| match self {
+            DvsSpec::PaperDefault => w.field("kind", "paper-default"),
+            DvsSpec::TwoSpeed { v1, v2 } => {
+                w.field("kind", "two-speed");
+                w.field("v1", v1);
+                w.field("v2", v2);
+            }
+            DvsSpec::Levels { levels } => {
+                w.field("kind", "levels");
+                w.key("levels");
+                w.array(|w| {
+                    for (f, v) in levels {
+                        w.object(|w| {
+                            w.field("frequency", f);
+                            w.field("voltage", v);
+                        });
+                    }
+                });
+            }
+        });
     }
 }
 
@@ -371,13 +369,13 @@ impl ScenarioSpec {
 }
 
 impl ToJson for ScenarioSpec {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("work", self.work.to_json()),
-            ("costs", self.costs.to_json()),
-            ("dvs", self.dvs.to_json()),
-            ("processors", self.processors.into()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.field("work", &self.work);
+            w.field("costs", &self.costs);
+            w.field("dvs", &self.dvs);
+            w.field("processors", &self.processors);
+        });
     }
 }
 
@@ -514,49 +512,47 @@ impl FaultSpec {
 }
 
 impl ToJson for FaultSpec {
-    fn to_json(&self) -> Json {
-        match self {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| match self {
             FaultSpec::Poisson { lambda } => {
-                Json::obj([("kind", "poisson".into()), ("lambda", (*lambda).into())])
+                w.field("kind", "poisson");
+                w.field("lambda", lambda);
             }
-            FaultSpec::Deterministic { times } => Json::obj([
-                ("kind", "deterministic".into()),
-                (
-                    "times",
-                    Json::Array(times.iter().map(|&t| t.into()).collect()),
-                ),
-            ]),
-            FaultSpec::Weibull { shape, scale } => Json::obj([
-                ("kind", "weibull".into()),
-                ("shape", (*shape).into()),
-                ("scale", (*scale).into()),
-            ]),
+            FaultSpec::Deterministic { times } => {
+                w.field("kind", "deterministic");
+                w.field("times", times);
+            }
+            FaultSpec::Weibull { shape, scale } => {
+                w.field("kind", "weibull");
+                w.field("shape", shape);
+                w.field("scale", scale);
+            }
             FaultSpec::Burst {
                 quiet_rate,
                 burst_rate,
                 mean_quiet_dwell,
                 mean_burst_dwell,
-            } => Json::obj([
-                ("kind", "burst".into()),
-                ("quiet_rate", (*quiet_rate).into()),
-                ("burst_rate", (*burst_rate).into()),
-                ("mean_quiet_dwell", (*mean_quiet_dwell).into()),
-                ("mean_burst_dwell", (*mean_burst_dwell).into()),
-            ]),
-            FaultSpec::Phased { phases, repeat } => Json::obj([
-                ("kind", "phased".into()),
-                (
-                    "phases",
-                    Json::Array(
-                        phases
-                            .iter()
-                            .map(|&(d, r)| Json::Array(vec![d.into(), r.into()]))
-                            .collect(),
-                    ),
-                ),
-                ("repeat", (*repeat).into()),
-            ]),
-        }
+            } => {
+                w.field("kind", "burst");
+                w.field("quiet_rate", quiet_rate);
+                w.field("burst_rate", burst_rate);
+                w.field("mean_quiet_dwell", mean_quiet_dwell);
+                w.field("mean_burst_dwell", mean_burst_dwell);
+            }
+            FaultSpec::Phased { phases, repeat } => {
+                w.field("kind", "phased");
+                w.key("phases");
+                w.array(|w| {
+                    for &(duration, rate) in phases {
+                        w.array(|w| {
+                            w.float(duration);
+                            w.float(rate);
+                        });
+                    }
+                });
+                w.field("repeat", repeat);
+            }
+        });
     }
 }
 
@@ -989,60 +985,61 @@ impl Default for PolicySpec {
 }
 
 impl ToJson for PolicySpec {
-    fn to_json(&self) -> Json {
-        let mut fields: Vec<(&'static str, Json)> = vec![("kind", self.tag().into())];
-        match *self {
-            PolicySpec::Poisson { lambda, speed } => {
-                fields.push(("lambda", lambda.into()));
-                fields.push(("speed", speed.into()));
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.field("kind", self.tag());
+            match self {
+                PolicySpec::Poisson { lambda, speed } => {
+                    w.field("lambda", lambda);
+                    w.field("speed", speed);
+                }
+                PolicySpec::KFaultTolerant { k, speed } => {
+                    w.field("k", k);
+                    w.field("speed", speed);
+                }
+                PolicySpec::AdtDvs {
+                    lambda,
+                    k,
+                    optimizer,
+                }
+                | PolicySpec::DvsScp {
+                    lambda,
+                    k,
+                    optimizer,
+                }
+                | PolicySpec::DvsCcp {
+                    lambda,
+                    k,
+                    optimizer,
+                } => {
+                    w.field("lambda", lambda);
+                    w.field("k", k);
+                    w.field("optimizer", optimizer.tag());
+                }
+                PolicySpec::Scp {
+                    lambda,
+                    k,
+                    speed,
+                    optimizer,
+                }
+                | PolicySpec::Ccp {
+                    lambda,
+                    k,
+                    speed,
+                    optimizer,
+                } => {
+                    w.field("lambda", lambda);
+                    w.field("k", k);
+                    w.field("speed", speed);
+                    w.field("optimizer", optimizer.tag());
+                }
+                PolicySpec::Cscp { lambda, k, speed } => {
+                    w.field("lambda", lambda);
+                    w.field("k", k);
+                    w.field("speed", speed);
+                }
             }
-            PolicySpec::KFaultTolerant { k, speed } => {
-                fields.push(("k", k.into()));
-                fields.push(("speed", speed.into()));
-            }
-            PolicySpec::AdtDvs {
-                lambda,
-                k,
-                optimizer,
-            }
-            | PolicySpec::DvsScp {
-                lambda,
-                k,
-                optimizer,
-            }
-            | PolicySpec::DvsCcp {
-                lambda,
-                k,
-                optimizer,
-            } => {
-                fields.push(("lambda", lambda.into()));
-                fields.push(("k", k.into()));
-                fields.push(("optimizer", optimizer.tag().into()));
-            }
-            PolicySpec::Scp {
-                lambda,
-                k,
-                speed,
-                optimizer,
-            }
-            | PolicySpec::Ccp {
-                lambda,
-                k,
-                speed,
-                optimizer,
-            } => {
-                fields.push(("lambda", lambda.into()));
-                fields.push(("k", k.into()));
-                fields.push(("speed", speed.into()));
-                fields.push(("optimizer", optimizer.tag().into()));
-            }
-            PolicySpec::Cscp { lambda, k, speed } => {
-                fields.push(("lambda", lambda.into()));
-                fields.push(("k", k.into()));
-                fields.push(("speed", speed.into()));
-            }
-        }
-        Json::obj(fields)
+        });
     }
 }
 
@@ -1142,12 +1139,12 @@ impl McSpec {
 }
 
 impl ToJson for McSpec {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("replications", self.replications.into()),
-            ("seed", self.seed.into()),
-            ("threads", self.threads.into()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.field("replications", &self.replications);
+            w.field("seed", &self.seed);
+            w.field("threads", &self.threads);
+        });
     }
 }
 
@@ -1244,29 +1241,20 @@ impl QueueSpec {
 }
 
 impl ToJson for QueueSpec {
-    fn to_json(&self) -> Json {
-        let mut fields: Vec<(&'static str, Json)> = vec![
-            ("workers", self.workers.into()),
-            ("max_attempts", self.max_attempts.into()),
-        ];
-        // The remote fields are emitted only when they depart from the
-        // in-process defaults, so documents written before the remote
-        // transport existed round-trip byte-identically.
-        if !self.endpoints.is_empty() {
-            fields.push((
-                "endpoints",
-                Json::Array(
-                    self.endpoints
-                        .iter()
-                        .map(|e| Json::Str(e.clone()))
-                        .collect(),
-                ),
-            ));
-        }
-        if self.timeout_ms != DEFAULT_REMOTE_TIMEOUT_MS {
-            fields.push(("timeout_ms", self.timeout_ms.into()));
-        }
-        Json::obj(fields)
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.field("workers", &self.workers);
+            w.field("max_attempts", &self.max_attempts);
+            // The remote fields are emitted only when they depart from the
+            // in-process defaults, so documents written before the remote
+            // transport existed round-trip byte-identically.
+            if !self.endpoints.is_empty() {
+                w.field("endpoints", &self.endpoints);
+            }
+            if self.timeout_ms != DEFAULT_REMOTE_TIMEOUT_MS {
+                w.field("timeout_ms", &self.timeout_ms);
+            }
+        });
     }
 }
 
@@ -1362,19 +1350,18 @@ impl ExecSpec {
 }
 
 impl ToJson for ExecSpec {
-    fn to_json(&self) -> Json {
-        let mut fields: Vec<(&'static str, Json)> = vec![
-            ("faults_during_overhead", self.faults_during_overhead.into()),
-            ("stop_at_deadline", self.stop_at_deadline.into()),
-            ("max_operations", self.max_operations.into()),
-            ("max_stalled_rounds", self.max_stalled_rounds.into()),
-        ];
-        // Emitted only when present, so documents written before the queue
-        // scheduler existed round-trip byte-identically.
-        if let Some(queue) = &self.queue {
-            fields.push(("queue", queue.to_json()));
-        }
-        Json::obj(fields)
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.field("faults_during_overhead", &self.faults_during_overhead);
+            w.field("stop_at_deadline", &self.stop_at_deadline);
+            w.field("max_operations", &self.max_operations);
+            w.field("max_stalled_rounds", &self.max_stalled_rounds);
+            // Emitted only when present, so documents written before the
+            // queue scheduler existed round-trip byte-identically.
+            if let Some(queue) = &self.queue {
+                w.field("queue", queue);
+            }
+        });
     }
 }
 
@@ -1439,11 +1426,6 @@ impl ExperimentSpec {
         Self::from_json(&Json::parse(text)?)
     }
 
-    /// Serializes the spec as pretty-printed JSON.
-    pub fn to_json_string(&self) -> String {
-        self.to_json().pretty()
-    }
-
     /// Reads a spec file.
     pub fn load(path: &std::path::Path) -> Result<Self, SpecError> {
         let text = std::fs::read_to_string(path)
@@ -1470,15 +1452,15 @@ impl ExperimentSpec {
 }
 
 impl ToJson for ExperimentSpec {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", self.name.as_str().into()),
-            ("scenario", self.scenario.to_json()),
-            ("faults", self.faults.to_json()),
-            ("policy", self.policy.to_json()),
-            ("mc", self.mc.to_json()),
-            ("executor", self.executor.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.field("name", &self.name);
+            w.field("scenario", &self.scenario);
+            w.field("faults", &self.faults);
+            w.field("policy", &self.policy);
+            w.field("mc", &self.mc);
+            w.field("executor", &self.executor);
+        });
     }
 }
 

@@ -7,7 +7,7 @@
 //! path).
 
 use crate::error::SpecError;
-use crate::json::{FromJson, Json, ToJson};
+use crate::json::{FromJson, Json, JsonWriter, ToJson};
 use crate::model::ExperimentSpec;
 use eacp_numerics::OnlineStats;
 use eacp_sim::Summary;
@@ -92,14 +92,14 @@ impl StatsReport {
 }
 
 impl ToJson for StatsReport {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("count", self.count.into()),
-            ("mean", self.mean.into()),
-            ("variance", self.variance.into()),
-            ("min", self.min.into()),
-            ("max", self.max.into()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.field("count", &self.count);
+            w.field("mean", &self.mean);
+            w.field("variance", &self.variance);
+            w.field("min", &self.min);
+            w.field("max", &self.max);
+        });
     }
 }
 
@@ -121,15 +121,15 @@ impl FromJson for StatsReport {
 /// the result store and the remote execution transport both rely on to
 /// keep a deserialized [`Summary`] byte-identical to the computed one.
 impl ToJson for OnlineStats {
-    fn to_json(&self) -> Json {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
         let (count, mean, m2, min, max) = self.raw_parts();
-        Json::obj([
-            ("count", count.into()),
-            ("mean", mean.into()),
-            ("m2", m2.into()),
-            ("min", min.into()),
-            ("max", max.into()),
-        ])
+        w.object(|w| {
+            w.field("count", &count);
+            w.field("mean", &mean);
+            w.field("m2", &m2);
+            w.field("min", &min);
+            w.field("max", &max);
+        });
     }
 }
 
@@ -148,21 +148,21 @@ impl FromJson for OnlineStats {
 /// Lossless [`Summary`] serialization via [`OnlineStats`] raw parts —
 /// the exact-accumulator dual of the human-facing [`SummaryReport`].
 impl ToJson for Summary {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("replications", self.replications.into()),
-            ("timely", self.timely.into()),
-            ("completed", self.completed.into()),
-            ("aborted", self.aborted.into()),
-            ("anomalies", self.anomalies.into()),
-            ("energy_timely", self.energy_timely.to_json()),
-            ("energy_all", self.energy_all.to_json()),
-            ("finish_timely", self.finish_timely.to_json()),
-            ("faults", self.faults.to_json()),
-            ("rollbacks", self.rollbacks.to_json()),
-            ("checkpoints", self.checkpoints.to_json()),
-            ("fast_fraction", self.fast_fraction.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.field("replications", &self.replications);
+            w.field("timely", &self.timely);
+            w.field("completed", &self.completed);
+            w.field("aborted", &self.aborted);
+            w.field("anomalies", &self.anomalies);
+            w.field("energy_timely", &self.energy_timely);
+            w.field("energy_all", &self.energy_all);
+            w.field("finish_timely", &self.finish_timely);
+            w.field("faults", &self.faults);
+            w.field("rollbacks", &self.rollbacks);
+            w.field("checkpoints", &self.checkpoints);
+            w.field("fast_fraction", &self.fast_fraction);
+        });
     }
 }
 
@@ -348,29 +348,24 @@ impl SummaryReport {
 }
 
 impl ToJson for SummaryReport {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("replications", self.replications.into()),
-            ("timely", self.timely.into()),
-            ("completed", self.completed.into()),
-            ("aborted", self.aborted.into()),
-            ("anomalies", self.anomalies.into()),
-            ("p_timely", self.p_timely.into()),
-            (
-                "p_timely_ci95",
-                Json::Array(vec![
-                    self.p_timely_ci95.0.into(),
-                    self.p_timely_ci95.1.into(),
-                ]),
-            ),
-            ("energy_timely", self.energy_timely.to_json()),
-            ("energy_all", self.energy_all.to_json()),
-            ("finish_timely", self.finish_timely.to_json()),
-            ("faults", self.faults.to_json()),
-            ("rollbacks", self.rollbacks.to_json()),
-            ("checkpoints", self.checkpoints.to_json()),
-            ("fast_fraction", self.fast_fraction.to_json()),
-        ])
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        let (lo, hi) = self.p_timely_ci95;
+        w.object(|w| {
+            w.field("replications", &self.replications);
+            w.field("timely", &self.timely);
+            w.field("completed", &self.completed);
+            w.field("aborted", &self.aborted);
+            w.field("anomalies", &self.anomalies);
+            w.field("p_timely", &self.p_timely);
+            w.field("p_timely_ci95", &[lo, hi][..]);
+            w.field("energy_timely", &self.energy_timely);
+            w.field("energy_all", &self.energy_all);
+            w.field("finish_timely", &self.finish_timely);
+            w.field("faults", &self.faults);
+            w.field("rollbacks", &self.rollbacks);
+            w.field("checkpoints", &self.checkpoints);
+            w.field("fast_fraction", &self.fast_fraction);
+        });
     }
 }
 
@@ -453,18 +448,17 @@ impl RunReport {
 }
 
 impl ToJson for RunReport {
-    fn to_json(&self) -> Json {
-        let mut fields: Vec<(&'static str, Json)> = vec![
-            ("spec", self.spec.to_json()),
-            ("policy", self.policy_name.as_str().into()),
-        ];
-        // Emitted only for analytic results: Monte-Carlo documents keep
-        // their historical bytes (and store cells their addresses).
-        if self.served != ServeTier::Mc {
-            fields.push(("served", self.served.as_str().into()));
-        }
-        fields.push(("summary", self.summary.to_json()));
-        Json::obj(fields)
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.field("spec", &self.spec);
+            w.field("policy", &self.policy_name);
+            // Emitted only for analytic results: Monte-Carlo documents keep
+            // their historical bytes (and store cells their addresses).
+            if self.served != ServeTier::Mc {
+                w.field("served", self.served.as_str());
+            }
+            w.field("summary", &self.summary);
+        });
     }
 }
 

@@ -23,7 +23,7 @@
 
 use crate::error::SpecError;
 use crate::executive::ExecutiveSpec;
-use crate::json::{FromJson, Json, ToJson};
+use crate::json::{FromJson, Json, JsonWriter, ToJson};
 use crate::model::{CostsSpec, ExperimentSpec, FaultSpec, OptimizerSpec, PolicySpec, WorkSpec};
 
 /// Which cell parameter a [`Knob`] sets; an axis varies one kind.
@@ -135,13 +135,16 @@ impl Knob {
         }
     }
 
-    fn value_json(&self) -> Json {
-        match *self {
-            Knob::Utilization(x) | Knob::Deadline(x) | Knob::Lambda(x) | Knob::Speed(x) => x.into(),
-            Knob::Costs(c) => c.to_json(),
-            Knob::K(x) | Knob::Hyperperiods(x) => x.into(),
-            Knob::Seed(x) => x.into(),
-            Knob::Policy(p) => p.to_json(),
+    /// Writes the value this knob sets (an axis entry or a point member).
+    fn write_value(&self, w: &mut JsonWriter<'_>) {
+        match self {
+            Knob::Utilization(x) | Knob::Deadline(x) | Knob::Lambda(x) | Knob::Speed(x) => {
+                w.float(*x);
+            }
+            Knob::Costs(c) => c.write_json(w),
+            Knob::K(x) | Knob::Hyperperiods(x) => w.uint(u64::from(*x)),
+            Knob::Seed(x) => w.uint(*x),
+            Knob::Policy(p) => p.write_json(w),
         }
     }
 
@@ -251,16 +254,16 @@ impl Point {
 }
 
 impl ToJson for Point {
-    fn to_json(&self) -> Json {
-        let mut fields: Vec<(&'static str, Json)> = self
-            .knobs
-            .iter()
-            .map(|k| (k.kind().key(), k.value_json()))
-            .collect();
-        if let Some(offset) = self.seed_offset {
-            fields.push((SEED_OFFSET, offset.into()));
-        }
-        Json::obj(fields)
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            for knob in &self.knobs {
+                w.key(knob.kind().key());
+                knob.write_value(w);
+            }
+            if let Some(offset) = &self.seed_offset {
+                w.field(SEED_OFFSET, offset);
+            }
+        });
     }
 }
 
@@ -337,22 +340,18 @@ impl Axis {
 }
 
 impl ToJson for Axis {
-    fn to_json(&self) -> Json {
-        match self.kind {
-            Some(kind) => Json::obj([(
-                kind.key(),
-                Json::Array(
-                    self.values
-                        .iter()
-                        .map(|p| p.knobs[0].value_json())
-                        .collect(),
-                ),
-            )]),
-            None => Json::obj([(
-                "points",
-                Json::Array(self.values.iter().map(ToJson::to_json).collect()),
-            )]),
-        }
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| match self.kind {
+            Some(kind) => {
+                w.key(kind.key());
+                w.array(|w| {
+                    for point in &self.values {
+                        point.knobs[0].write_value(w);
+                    }
+                });
+            }
+            None => w.field("points", &self.values),
+        });
     }
 }
 
@@ -662,11 +661,6 @@ impl<C: GridCell> Grid<C> {
         Self::from_json(&Json::parse(text)?)
     }
 
-    /// Serializes as pretty-printed JSON.
-    pub fn to_json_string(&self) -> String {
-        self.to_json().pretty()
-    }
-
     /// Reads a grid file.
     pub fn load(path: &std::path::Path) -> Result<Self, SpecError> {
         let text = std::fs::read_to_string(path)
@@ -676,14 +670,11 @@ impl<C: GridCell> Grid<C> {
 }
 
 impl<C: GridCell> ToJson for Grid<C> {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("base", self.base.to_json()),
-            (
-                "axes",
-                Json::Array(self.axes.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.object(|w| {
+            w.field("base", &self.base);
+            w.field("axes", &self.axes);
+        });
     }
 }
 

@@ -7,13 +7,22 @@
 //! * `parse(pretty(doc)) == doc` (bit-for-bit on floats, NaN reading back
 //!   as `null`), and `pretty` is idempotent.
 //! * The in-place writer is byte-identical to the `format!`-based renderer
-//!   it replaced, kept below as [`reference_pretty`].
+//!   it replaced, kept below as [`reference_pretty`]: for any tree, and for
+//!   the text every serialized type writes without one, which also reads
+//!   back to the value that wrote it.
+//! * A key repeated within one object is a parse error naming the key,
+//!   line and column, found without a quadratic scan however many keys an
+//!   object has.
 
+use eacp_numerics::OnlineStats;
+use eacp_sim::{RunOutcome, Summary};
 use eacp_spec::json::MAX_DEPTH;
 use eacp_spec::{
-    ExecutiveRunReport, ExecutiveSpec, ExecutiveSweepSpec, ExperimentSpec, FromJson, Json,
-    SweepSpec,
+    ExecutiveMcSpec, ExecutiveRunReport, ExecutiveSpec, ExecutiveSweepSpec, ExperimentSpec,
+    FromJson, Json, PolicyAssignment, QueueSpec, RunReport, ServeTier, StatsReport, SummaryReport,
+    SweepSpec, ToJson,
 };
+use eacp_store::{CellEntry, CellId, CellPayload, SpecHash};
 use proptest::prelude::*;
 use proptest::TestRng;
 use rand::Rng;
@@ -190,11 +199,18 @@ fn doc(rng: &mut TestRng, depth: u32) -> Json {
         3 => Json::Int(int(rng)),
         4 => Json::Str(string(rng)),
         5 | 6 => Json::Array((0..below(rng, 5)).map(|_| doc(rng, depth - 1)).collect()),
-        _ => Json::Object(
-            (0..below(rng, 5))
-                .map(|_| (string(rng), doc(rng, depth - 1)))
-                .collect(),
-        ),
+        _ => {
+            let mut fields: Vec<(String, Json)> = Vec::new();
+            for _ in 0..below(rng, 5) {
+                let (key, value) = (string(rng), doc(rng, depth - 1));
+                // A repeated key does not parse, so an object keeps the
+                // first of each.
+                if fields.iter().all(|(k, _)| *k != key) {
+                    fields.push((key, value));
+                }
+            }
+            Json::Object(fields)
+        }
     }
 }
 
@@ -206,6 +222,205 @@ impl Strategy for Docs {
     fn sample(&self, rng: &mut TestRng) -> Json {
         doc(rng, self.0)
     }
+}
+
+/// A strategy drawing values with a generator function.
+struct With<F>(F);
+
+impl<T, F: Fn(&mut TestRng) -> T> Strategy for With<F> {
+    type Value = T;
+    fn sample(&self, rng: &mut TestRng) -> T {
+        (self.0)(rng)
+    }
+}
+
+/// A count: small, or one of the extremes.
+fn count(rng: &mut TestRng) -> u64 {
+    match below(rng, 4) {
+        0 => u64::MAX,
+        1 => 0,
+        2 => rng.gen(),
+        _ => below(rng, 1_000),
+    }
+}
+
+/// A float that reads back bit for bit (no NaN: a spec field holding NaN
+/// would not compare equal to itself).
+fn finite_or_infinite(rng: &mut TestRng) -> f64 {
+    let x = float(rng);
+    if x.is_nan() {
+        f64::NEG_INFINITY
+    } else {
+        x
+    }
+}
+
+fn experiment_spec(rng: &mut TestRng) -> ExperimentSpec {
+    let names = eacp_spec::preset_names();
+    let mut spec = eacp_spec::preset(pick(rng, &names)).unwrap();
+    spec.name = string(rng);
+    spec.mc.replications = count(rng);
+    spec.mc.seed = count(rng);
+    if let eacp_spec::FaultSpec::Poisson { lambda } = &mut spec.faults {
+        *lambda = finite_or_infinite(rng);
+    }
+    if below(rng, 2) == 0 {
+        spec.executor.queue = Some(QueueSpec {
+            endpoints: (0..below(rng, 3)).map(|_| string(rng)).collect(),
+            timeout_ms: count(rng),
+            ..QueueSpec::default()
+        });
+    }
+    spec
+}
+
+fn executive_spec(rng: &mut TestRng) -> ExecutiveSpec {
+    let names = eacp_spec::executive_preset_names();
+    let mut spec = eacp_spec::executive_preset(pick(rng, &names)).unwrap();
+    spec.name = string(rng);
+    for task in &mut spec.tasks.tasks {
+        task.name = string(rng);
+        task.wcet = finite_or_infinite(rng);
+        task.deadline = count(rng);
+    }
+    spec.speed = finite_or_infinite(rng);
+    spec.seed = count(rng);
+    if let PolicyAssignment::Shared(p) = spec.policy {
+        if below(rng, 2) == 0 {
+            spec.policy = PolicyAssignment::PerTask(vec![p; spec.tasks.tasks.len()]);
+        }
+    }
+    spec.mc = match below(rng, 3) {
+        0 => None,
+        1 => Some(ExecutiveMcSpec::default()),
+        _ => Some(ExecutiveMcSpec {
+            replications: count(rng),
+            threads: below(rng, 8) as usize,
+            queue: Some(QueueSpec::default()),
+        }),
+    };
+    spec
+}
+
+fn stats(rng: &mut TestRng) -> OnlineStats {
+    OnlineStats::from_raw_parts(count(rng), float(rng), float(rng), float(rng), float(rng))
+}
+
+fn summary(rng: &mut TestRng) -> Summary {
+    Summary {
+        replications: count(rng),
+        timely: count(rng),
+        completed: count(rng),
+        aborted: count(rng),
+        anomalies: count(rng),
+        energy_timely: stats(rng),
+        energy_all: stats(rng),
+        finish_timely: stats(rng),
+        faults: stats(rng),
+        rollbacks: stats(rng),
+        checkpoints: stats(rng),
+        fast_fraction: stats(rng),
+    }
+}
+
+fn stats_report(rng: &mut TestRng) -> StatsReport {
+    StatsReport {
+        count: count(rng),
+        mean: float(rng),
+        variance: float(rng),
+        min: float(rng),
+        max: float(rng),
+    }
+}
+
+fn summary_report(rng: &mut TestRng) -> SummaryReport {
+    SummaryReport {
+        replications: count(rng),
+        timely: count(rng),
+        completed: count(rng),
+        aborted: count(rng),
+        anomalies: count(rng),
+        p_timely: float(rng),
+        p_timely_ci95: (float(rng), float(rng)),
+        energy_timely: stats_report(rng),
+        energy_all: stats_report(rng),
+        finish_timely: stats_report(rng),
+        faults: stats_report(rng),
+        rollbacks: stats_report(rng),
+        checkpoints: stats_report(rng),
+        fast_fraction: stats_report(rng),
+    }
+}
+
+fn tier(rng: &mut TestRng) -> ServeTier {
+    pick(rng, &[ServeTier::Mc, ServeTier::Analytic])
+}
+
+fn run_report(rng: &mut TestRng) -> RunReport {
+    RunReport {
+        spec: experiment_spec(rng),
+        policy_name: string(rng),
+        summary: summary_report(rng),
+        served: tier(rng),
+        source: None,
+    }
+}
+
+fn outcome(rng: &mut TestRng) -> RunOutcome {
+    RunOutcome {
+        completed: below(rng, 2) == 0,
+        timely: below(rng, 2) == 0,
+        finish_time: float(rng),
+        energy: float(rng),
+        faults: rng.gen(),
+        rollbacks: rng.gen(),
+        store_checkpoints: rng.gen(),
+        compare_checkpoints: rng.gen(),
+        compare_store_checkpoints: rng.gen(),
+        segments: u32::MAX,
+        speed_switches: count(rng),
+        cycles_at_fastest: float(rng),
+        total_cycles: float(rng),
+        aborted: below(rng, 2) == 0,
+        anomaly: None,
+    }
+}
+
+fn cell_entry(rng: &mut TestRng) -> CellEntry {
+    let mut hash = [0u8; 32];
+    hash.iter_mut().for_each(|b| *b = below(rng, 256) as u8);
+    CellEntry {
+        cell: CellId {
+            spec_hash: SpecHash(hash),
+            seed: count(rng),
+            replications: count(rng),
+        },
+        policy: string(rng),
+        spec: experiment_spec(rng).to_json(),
+        payload: if below(rng, 2) == 0 {
+            CellPayload::Summary(summary(rng))
+        } else {
+            CellPayload::Outcome(outcome(rng))
+        },
+        served: tier(rng),
+        source: None,
+    }
+}
+
+/// What every serialized type must do: its text is the reference
+/// rendering of its tree, and reads back to a value that writes the same
+/// tree, floats compared bit for bit (NaN as `null`).
+fn writes_its_tree_and_reads_back<T: ToJson + FromJson>(x: &T) -> T {
+    let text = x.to_json_string();
+    let tree = x.to_json();
+    assert_eq!(text, reference_pretty(&tree));
+    let back = T::from_json(&Json::parse(&text).unwrap()).unwrap();
+    assert!(
+        identical(&written(&back.to_json()), &written(&tree)),
+        "{text} read back differently"
+    );
+    assert_eq!(back.to_json_string(), text);
+    back
 }
 
 /// `doc` as it reads back: NaN is written as `null`.
@@ -292,6 +507,31 @@ proptest! {
     }
 
     #[test]
+    fn specs_of_both_kinds_write_the_reference_text_and_read_back(
+        experiment in With(experiment_spec),
+        executive in With(executive_spec),
+    ) {
+        prop_assert_eq!(writes_its_tree_and_reads_back(&experiment), experiment);
+        prop_assert_eq!(writes_its_tree_and_reads_back(&executive), executive);
+    }
+
+    #[test]
+    fn summaries_and_reports_write_the_reference_text_and_read_back(
+        summary in With(summary),
+        report in With(summary_report),
+        run in With(run_report),
+        entry in With(cell_entry),
+    ) {
+        writes_its_tree_and_reads_back(&summary);
+        writes_its_tree_and_reads_back(&report);
+        let back = writes_its_tree_and_reads_back(&run);
+        prop_assert_eq!(back.served, run.served);
+        let back = writes_its_tree_and_reads_back(&entry);
+        prop_assert_eq!(back.cell, entry.cell);
+        prop_assert_eq!(back.served, entry.served);
+    }
+
+    #[test]
     fn arbitrary_bytes_never_panic_the_parser(
         bytes in proptest::collection::vec(0u8..=255, 0..256),
     ) {
@@ -373,4 +613,69 @@ fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
     assert_eq!(Json::parse(&text).unwrap(), doc);
     let deeper = Json::Array(vec![doc]).pretty();
     assert!(Json::parse(&deeper).is_err());
+}
+
+#[test]
+fn repeated_keys_are_errors_naming_the_key_line_and_column() {
+    for (text, key, at) in [
+        (r#"{"a": 1, "a": 2}"#, "\"a\"", "line 1, column 10"),
+        (
+            "{\n  \"a\": {\"b\": [], \"b\": []}\n}",
+            "\"b\"",
+            "line 2, column 18",
+        ),
+        (
+            r#"[{"k": 1}, {"k": 2, "x": 0, "k": 3}]"#,
+            "\"k\"",
+            "line 1, column 29",
+        ),
+        // Escapes are compared after decoding.
+        (r#"{"a\u0062": 1, "ab": 2}"#, "\"ab\"", "line 1, column 16"),
+    ] {
+        let err = Json::parse(text).unwrap_err();
+        assert!(
+            matches!(err, eacp_spec::SpecError::Parse(_)),
+            "{text}: {err:?}"
+        );
+        let msg = err.to_string();
+        assert!(
+            msg.contains("duplicate key") && msg.contains(key),
+            "{text}: {msg}"
+        );
+        assert!(msg.contains(at), "{text}: {msg}");
+    }
+    // The same key in different objects is not a repeat.
+    assert!(Json::parse(r#"{"a": {"a": 1}, "b": [{"a": 2}, {"a": 3}]}"#).is_ok());
+}
+
+#[test]
+fn repeated_keys_are_found_in_objects_of_any_size() {
+    let keys = 500_000;
+    let object = |repeat: Option<usize>| {
+        let mut text = String::from("{");
+        for i in 0..keys {
+            let key = repeat.filter(|_| i == keys - 1).unwrap_or(i);
+            text.push_str(&format!(
+                "{}\"k{key}\": {i}",
+                if i == 0 { "" } else { ", " }
+            ));
+        }
+        text.push('}');
+        text
+    };
+    let distinct = Json::parse(&object(None)).unwrap();
+    assert_eq!(distinct.get("k499999"), Some(&Json::Int(499_999)));
+    for repeat in [0, 17, keys / 2] {
+        let err = Json::parse(&object(Some(repeat))).unwrap_err().to_string();
+        assert!(err.contains(&format!("\"k{repeat}\"")), "{err}");
+    }
+    // Below and across the size where the scan gives way to a hash set.
+    for n in 1..40 {
+        for repeat in 0..n {
+            let mut text: Vec<String> = (0..n).map(|i| format!("\"k{i}\": 0")).collect();
+            text.push(format!("\"k{repeat}\": 1"));
+            let err = Json::parse(&format!("{{{}}}", text.join(", "))).unwrap_err();
+            assert!(err.to_string().contains(&format!("\"k{repeat}\"")), "{err}");
+        }
+    }
 }

@@ -4,7 +4,7 @@
 //! policy is labelled by its tag, with the optimizer where it is not the
 //! paper's.
 
-use eacp_spec::{Axis, ExperimentSpec, Knob, OptimizerSpec, Point, PolicySpec, SweepSpec};
+use eacp_spec::{Axis, ExperimentSpec, Knob, OptimizerSpec, Point, PolicySpec, SweepSpec, ToJson};
 
 #[test]
 fn points_axes_apply_knobs_in_order_and_seed_by_offset() {

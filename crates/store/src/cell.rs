@@ -32,7 +32,7 @@ use crate::hash::SpecHash;
 use eacp_exec::{Cell, ExecutiveSummary};
 use eacp_sim::{RunOutcome, Summary};
 use eacp_spec::{
-    ExecutiveSpec, ExperimentSpec, FromJson, Json, Knob, ServeTier, SpecError, ToJson,
+    ExecutiveSpec, ExperimentSpec, FromJson, Json, JsonWriter, Knob, ServeTier, SpecError, ToJson,
 };
 use std::path::PathBuf;
 
@@ -359,45 +359,16 @@ impl CellEntry {
         Ok(())
     }
 
-    /// The canonical serialized bytes of this entry — exactly what a
-    /// backend persists, and what `eacp store verify` compares against a
-    /// recomputation.
-    pub fn canonical_text(&self) -> String {
-        self.to_json().pretty()
+    /// Reads a parsed entry document, moving its embedded spec out of
+    /// `json` instead of copying it: how a store hit decodes an entry.
+    pub fn from_document(mut json: Json) -> Result<Self, SpecError> {
+        let spec = json.take("spec");
+        Self::read(&json, spec)
     }
-}
 
-impl ToJson for CellEntry {
-    fn to_json(&self) -> Json {
-        let (kind, payload) = match &self.payload {
-            CellPayload::Summary(s) => ("summary", s.to_json()),
-            CellPayload::Outcome(o) => ("outcome", outcome_to_json(o)),
-            // ExecutiveSummary's own ToJson is already lossless (raw
-            // accumulator state), so the entry embeds it verbatim.
-            CellPayload::Executive(s) => ("executive", s.to_json()),
-        };
-        let mut fields: Vec<(&'static str, Json)> = vec![
-            ("spec_hash", self.cell.spec_hash.to_string().into()),
-            ("seed", self.cell.seed.into()),
-            ("replications", self.cell.replications.into()),
-            ("policy", self.policy.as_str().into()),
-        ];
-        // Emitted only for analytic cells: Monte-Carlo entries keep their
-        // historical canonical bytes.
-        if self.served != ServeTier::Mc {
-            fields.push(("served", self.served.as_str().into()));
-        }
-        fields.extend([
-            ("spec", self.spec.clone()),
-            ("kind", kind.into()),
-            ("payload", payload),
-        ]);
-        Json::obj(fields)
-    }
-}
-
-impl FromJson for CellEntry {
-    fn from_json(json: &Json) -> Result<Self, SpecError> {
+    /// Reads every field of an entry document but its spec, which the
+    /// caller has taken out of it (or failed to).
+    fn read(json: &Json, spec: Result<Json, SpecError>) -> Result<Self, SpecError> {
         let cell = CellId {
             spec_hash: SpecHash::from_hex(json.req("spec_hash")?.as_str()?)?,
             seed: json.req("seed")?.as_u64()?,
@@ -419,7 +390,7 @@ impl FromJson for CellEntry {
         Ok(Self {
             cell,
             policy: json.req("policy")?.as_str()?.to_owned(),
-            spec: json.req("spec")?.clone(),
+            spec: spec?,
             payload,
             served: match json.get("served") {
                 None => ServeTier::Mc,
@@ -427,6 +398,50 @@ impl FromJson for CellEntry {
             },
             source: None,
         })
+    }
+
+    /// The canonical serialized bytes of this entry — exactly what a
+    /// backend persists, and what `eacp store verify` compares against a
+    /// recomputation.
+    pub fn canonical_text(&self) -> String {
+        self.to_json_string()
+    }
+}
+
+impl ToJson for CellEntry {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        let kind = match &self.payload {
+            CellPayload::Summary(_) => "summary",
+            CellPayload::Outcome(_) => "outcome",
+            CellPayload::Executive(_) => "executive",
+        };
+        w.object(|w| {
+            w.field("spec_hash", &self.cell.spec_hash.to_string());
+            w.field("seed", &self.cell.seed);
+            w.field("replications", &self.cell.replications);
+            w.field("policy", &self.policy);
+            // Emitted only for analytic cells: Monte-Carlo entries keep
+            // their historical canonical bytes.
+            if self.served != ServeTier::Mc {
+                w.field("served", self.served.as_str());
+            }
+            w.field("spec", &self.spec);
+            w.field("kind", kind);
+            w.key("payload");
+            match &self.payload {
+                CellPayload::Summary(s) => s.write_json(w),
+                CellPayload::Outcome(o) => write_outcome(w, o),
+                // ExecutiveSummary's own ToJson is already lossless (raw
+                // accumulator state), so the entry embeds it verbatim.
+                CellPayload::Executive(s) => s.write_json(w),
+            }
+        });
+    }
+}
+
+impl FromJson for CellEntry {
+    fn from_json(json: &Json) -> Result<Self, SpecError> {
+        Self::read(json, json.req("spec").cloned())
     }
 }
 
@@ -437,26 +452,23 @@ impl FromJson for CellEntry {
 /// Anomalous runs are never recorded (they indicate policy bugs, and the
 /// store must not launder one into a cache hit), so the serialized outcome
 /// has no anomaly field and deserialization always yields `anomaly: None`.
-fn outcome_to_json(o: &RunOutcome) -> Json {
-    Json::obj([
-        ("completed", o.completed.into()),
-        ("timely", o.timely.into()),
-        ("finish_time", o.finish_time.into()),
-        ("energy", o.energy.into()),
-        ("faults", o.faults.into()),
-        ("rollbacks", o.rollbacks.into()),
-        ("store_checkpoints", o.store_checkpoints.into()),
-        ("compare_checkpoints", o.compare_checkpoints.into()),
-        (
-            "compare_store_checkpoints",
-            o.compare_store_checkpoints.into(),
-        ),
-        ("segments", o.segments.into()),
-        ("speed_switches", o.speed_switches.into()),
-        ("cycles_at_fastest", o.cycles_at_fastest.into()),
-        ("total_cycles", o.total_cycles.into()),
-        ("aborted", o.aborted.into()),
-    ])
+fn write_outcome(w: &mut JsonWriter<'_>, o: &RunOutcome) {
+    w.object(|w| {
+        w.field("completed", &o.completed);
+        w.field("timely", &o.timely);
+        w.field("finish_time", &o.finish_time);
+        w.field("energy", &o.energy);
+        w.field("faults", &o.faults);
+        w.field("rollbacks", &o.rollbacks);
+        w.field("store_checkpoints", &o.store_checkpoints);
+        w.field("compare_checkpoints", &o.compare_checkpoints);
+        w.field("compare_store_checkpoints", &o.compare_store_checkpoints);
+        w.field("segments", &o.segments);
+        w.field("speed_switches", &o.speed_switches);
+        w.field("cycles_at_fastest", &o.cycles_at_fastest);
+        w.field("total_cycles", &o.total_cycles);
+        w.field("aborted", &o.aborted);
+    });
 }
 
 fn outcome_from_json(json: &Json) -> Result<RunOutcome, SpecError> {

@@ -15,7 +15,7 @@ use eacp::core::analysis::{
 };
 use eacp::faults::PoissonProcess;
 use eacp::sim::Executor;
-use eacp::spec::{paper_cell, PaperScheme, PolicySpec, ScenarioSpec};
+use eacp::spec::{paper_cell, PaperScheme, PolicySpec, ScenarioSpec, ToJson};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -5,7 +5,7 @@
 use eacp::sim::Policy;
 use eacp::spec::{
     paper_cell, preset, preset_names, Axis, ExperimentSpec, FaultSpec, Knob, McSpec, PaperScheme,
-    PolicySpec, SweepSpec,
+    PolicySpec, SweepSpec, ToJson,
 };
 
 fn small(mut spec: ExperimentSpec) -> ExperimentSpec {
