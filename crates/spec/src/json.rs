@@ -193,30 +193,37 @@ impl TextSink<'_> {
     }
 }
 
-/// A tree under construction: the open containers, innermost last.
+/// A tree under construction. Like the parser, it gathers the children
+/// of every open container on two shared stacks and moves them into an
+/// exact-size `Vec` when the container closes.
 #[derive(Default)]
 struct TreeSink {
-    open: Vec<Frame>,
+    /// The open containers, innermost last.
+    open: Vec<Open>,
+    /// The items of every open array, innermost array's last.
+    items: Vec<Json>,
+    /// The members of every open object, innermost object's last; the
+    /// newest member's value is a placeholder from its key until the value
+    /// is written.
+    members: Vec<(String, Json)>,
     root: Option<Json>,
 }
 
-/// An open container of a [`TreeSink`].
-enum Frame {
-    Array(Vec<Json>),
-    /// Members so far; the last one's value is a placeholder from its key
-    /// until the value is written.
-    Object(Vec<(String, Json)>),
+/// An open container of a [`TreeSink`], with where its children start.
+enum Open {
+    Array(usize),
+    Object(usize),
 }
 
 impl TreeSink {
     /// Places a finished value into the innermost open container.
     fn put(&mut self, value: Json) {
-        match self.open.last_mut() {
+        match self.open.last() {
             None => self.root = Some(value),
-            Some(Frame::Array(items)) => items.push(value),
-            Some(Frame::Object(fields)) => match fields.last_mut() {
-                Some((_, slot)) => *slot = value,
-                None => debug_assert!(false, "an object member written without its key"),
+            Some(Open::Array(_)) => self.items.push(value),
+            Some(Open::Object(start)) => match self.members.get_mut(*start..) {
+                Some([.., (_, slot)]) => *slot = value,
+                _ => debug_assert!(false, "an object member written without its key"),
             },
         }
     }
@@ -299,8 +306,8 @@ impl JsonWriter<'_> {
                 t.out.push_str(": ");
                 t.keyed = true;
             }
-            Sink::Tree(t) => match t.open.last_mut() {
-                Some(Frame::Object(fields)) => fields.push((key.to_owned(), Json::Null)),
+            Sink::Tree(t) => match t.open.last() {
+                Some(Open::Object(_)) => t.members.push((key.to_owned(), Json::Null)),
                 _ => debug_assert!(false, "a key written outside an object"),
             },
         }
@@ -314,31 +321,36 @@ impl JsonWriter<'_> {
 
     /// An object whose members `body` writes.
     pub fn object(&mut self, body: impl FnOnce(&mut Self)) {
-        self.open('{', Frame::Object(Vec::new()));
+        match &mut self.sink {
+            Sink::Text(t) => t.open('{'),
+            Sink::Tree(t) => t.open.push(Open::Object(t.members.len())),
+        }
         body(self);
         self.close('}');
     }
 
     /// An array whose items `body` writes.
     pub fn array(&mut self, body: impl FnOnce(&mut Self)) {
-        self.open('[', Frame::Array(Vec::new()));
+        match &mut self.sink {
+            Sink::Text(t) => t.open('['),
+            Sink::Tree(t) => t.open.push(Open::Array(t.items.len())),
+        }
         body(self);
         self.close(']');
-    }
-
-    fn open(&mut self, bracket: char, frame: Frame) {
-        match &mut self.sink {
-            Sink::Text(t) => t.open(bracket),
-            Sink::Tree(t) => t.open.push(frame),
-        }
     }
 
     fn close(&mut self, bracket: char) {
         match &mut self.sink {
             Sink::Text(t) => t.close(bracket),
             Sink::Tree(t) => match t.open.pop() {
-                Some(Frame::Array(items)) => t.put(Json::Array(items)),
-                Some(Frame::Object(fields)) => t.put(Json::Object(fields)),
+                Some(Open::Array(start)) => {
+                    let items = t.items.drain(start..).collect();
+                    t.put(Json::Array(items));
+                }
+                Some(Open::Object(start)) => {
+                    let members = t.members.drain(start..).collect();
+                    t.put(Json::Object(members));
+                }
                 None => debug_assert!(false, "a container closed that was never opened"),
             },
         }

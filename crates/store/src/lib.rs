@@ -15,6 +15,17 @@
 //! persists one JSON file per cell with atomic write-rename and
 //! quarantine-on-corruption; [`MemBackend`] is the in-memory reference.
 //!
+//! A **hit** costs one file read and one parse. The backend reads the
+//! entry's bytes, [`eacp_spec::Json::parse`] builds its document (one
+//! allocation per array or object, one per string without escapes), and
+//! [`CellEntry::from_document`] moves the embedded canonical spec out of
+//! that document instead of copying it. [`CellEntry::validate`] re-hashes
+//! the spec, which the thread's digest memo turns into a string compare
+//! against the text the lookup just hashed, and the caller rebuilds the
+//! report from the lossless payload. Reports and entries are written by
+//! the spec layer's streaming writer straight into their output text, so
+//! neither a hit nor a put builds a document tree to print.
+//!
 //! Every entry point is written once over [`StoreCell`] — the store's
 //! extension of the execution layer's `Cell` — so single-task and
 //! executive cells share one pipeline. Each kind's [`StoreCell`] impl is
