@@ -55,9 +55,8 @@ use eacp_core::analysis::{
 };
 use eacp_energy::DvsConfig;
 use eacp_exec::{
-    coverage_dir, merge_dir, placement, render_executive_rows, render_rows,
-    run_sweep_queued_tiered, run_sweep_tiered, Cell, GridReport, PaperRef, QueueObserver,
-    QueueStatus, Runner, ShardId,
+    coverage_dir, merge_dir, placement, render_executive_rows, render_rows, run_sweep_tiered, Cell,
+    GridReport, NoopQueueObserver, PaperRef, QueueObserver, QueueStatus, Runner, ShardId,
 };
 use eacp_rtsched::feasibility::{
     edf_density, k_fault_wcet, minimum_feasible_speed, rm_response_times,
@@ -68,13 +67,14 @@ use eacp_spec::{
     executive_preset, executive_preset_names, json, preset, preset_names, CostsSpec, ExecSpec,
     ExecutiveMcSpec, ExecutiveSpec, ExperimentSpec, FaultSpec, FromJson, Grid, GridCell, Json,
     Knob, McSpec, PaperScheme, PeriodicTaskSpec, PolicyAssignment, PolicySpec, RunReport,
-    ScenarioSpec, SweepSpec, TaskSetSpec, ToJson, WorkSpec, PAPER_DEADLINE, PAPER_TABLES,
+    ScenarioSpec, TaskSetSpec, ToJson, WorkSpec, PAPER_DEADLINE, PAPER_TABLES,
 };
 use eacp_store::{
     run_cached_single, run_cached_tiered, run_sweep_cached_tiered, store_coverage, verify_store,
     CacheMode, CacheOutcome, FsBackend, NoopStoreObserver, RetentionPolicy, StoreBackend,
     StoreCell, StoreCounters, StoreCoverage, STORE_ENV_VAR,
 };
+use std::sync::Arc;
 
 /// Usage text for `--help`.
 pub const USAGE: &str = "\
@@ -177,8 +177,9 @@ RESULT STORE:
   keyed by a stable hash of the canonical spec (minus name, Monte-Carlo
   block and queue scheduling) plus (seed, replications). With --store DIR
   (or $EACP_STORE), `run`/`mc`/`table` serve hits byte-identical to
-  recomputation and record misses; `sweep --store` is resumable — kill
-  it anywhere, rerun, and only uncovered grid cells are computed.
+  recomputation and record misses; `sweep --store` records each cell as
+  it finishes and is resumable — kill it anywhere, rerun, and every
+  finished cell is served and only the rest are computed.
   Corrupt entries are quarantined and recomputed, never served. `eacp
   store status` reports health (add --spec sweep.json for grid
   coverage), `gc` applies a retention policy, `verify` recomputes sampled
@@ -191,9 +192,11 @@ QUEUED EXECUTION AND THE REMOTE FLEET:
   recorded in the effective spec (see --emit-spec). With --endpoints
   H:P,... each lease, a run of consecutive blocks of one cell, is
   shipped over TCP to `eacp serve` processes in one request instead of
-  executing in-process (--timeout-ms caps each request, default 10000);
-  `sweep` and `table` lease every cell of the grid from one queue. Dead
-  or wedged servers fail the lease; the retry budget re-leases to
+  executing in-process (--timeout-ms caps each request, default 10000).
+  `sweep` and `table` lease blocks of the whole grid from one queue
+  (`executive --sweep` one cell at a time), with or without a store or
+  endpoints; without either, a grid's text notes the leases and retries.
+  Dead or wedged servers fail the lease; the retry budget re-leases to
   surviving endpoints and the final attempt always runs in-process, so
   a fleet run completes — bit-identical — even with every server down.
   `eacp serve --listen HOST:PORT` runs one stateless block server (start
@@ -767,15 +770,7 @@ pub fn cmd_run(o: &Options) -> Result<String, String> {
     // show the fault kind instead of a confusing NaN.
     let faults_desc = match spec.faults.nominal_lambda() {
         Some(lambda) => format!("λ={lambda:e}"),
-        None => format!(
-            "faults={}",
-            spec.faults
-                .to_json()
-                .req("kind")
-                .ok()
-                .and_then(|k| k.as_str().ok().map(str::to_owned))
-                .unwrap_or_else(|| "?".to_owned())
-        ),
+        None => format!("faults={}", spec.faults.kind()),
     };
     let mut s = format!(
         "scheme={} N={:.0} D={:.0} {} k={}\n\
@@ -886,17 +881,6 @@ trait CliCell: StoreCell {
     /// The grid command, as error messages name it.
     const COMMAND: &'static str;
 
-    /// The point-leased queue fork that `--queue` without a store or
-    /// endpoints takes, for kinds that have one (`None` otherwise).
-    fn run_point_leased(
-        _grid: &Grid<Self>,
-        _shard: Option<ShardId>,
-        _o: &Options,
-        _progress: &QueueProgress,
-    ) -> Option<Result<GridReport<Self>, eacp_spec::SpecError>> {
-        None
-    }
-
     /// The text view: a header ending in `(… each{suffix})` and one line
     /// per point.
     fn table(grid: &GridReport<Self>, suffix: &str) -> String;
@@ -904,24 +888,6 @@ trait CliCell: StoreCell {
 
 impl CliCell for ExperimentSpec {
     const COMMAND: &'static str = "sweep";
-
-    fn run_point_leased(
-        grid: &SweepSpec,
-        shard: Option<ShardId>,
-        o: &Options,
-        progress: &QueueProgress,
-    ) -> Option<Result<GridReport, eacp_spec::SpecError>> {
-        o.queue.then(|| {
-            run_sweep_queued_tiered(
-                grid,
-                shard,
-                o.workers,
-                eacp_exec::queue::DEFAULT_MAX_ATTEMPTS,
-                progress,
-                !o.no_analytic,
-            )
-        })
-    }
 
     fn table(grid: &GridReport, suffix: &str) -> String {
         let reps = grid.sweep.base.replications();
@@ -1011,30 +977,21 @@ fn cmd_grid<C: CliCell>(o: &Options, path: &str) -> Result<String, String> {
         return Ok(cells[range].to_json_string());
     }
     let store = resolve_store(o)?;
-    let progress = QueueProgress::default();
-    let runner = placement(queue.as_ref(), sweep.base.placement().1).map_err(|e| e.to_string())?;
+    let progress = Arc::new(QueueProgress::default());
+    let runner = placement(queue.as_ref(), sweep.base.placement().1, progress.clone())
+        .map_err(|e| e.to_string())?;
+    let counters = StoreCounters::new();
+    let grid = run_grid_cells(o, &sweep, shard, runner.as_ref(), store.as_ref(), &counters)
+        .map_err(|e| e.to_string())?;
     let fleet = queue.as_ref().map_or(0, |q| q.endpoints.len());
-    let leased = if store.is_none() && fleet == 0 {
-        C::run_point_leased(&sweep, shard, o, &progress)
-    } else {
-        None
+    let note = match store {
+        Some(_) => format!(", {}", store_tally(&counters)),
+        // Remote fleet: the grid's canonical blocks fan out across the
+        // endpoints from one lease queue.
+        None if fleet > 0 => format!(", fleet: {fleet} endpoint(s)"),
+        None if o.queue => format!(", queued: {}", progress.render(o.workers)),
+        None => String::new(),
     };
-    let (grid, note) = match leased {
-        Some(grid) => (grid, format!(", queued: {}", progress.render(o.workers))),
-        None => {
-            let counters = StoreCounters::new();
-            let grid = run_grid_cells(o, &sweep, shard, runner.as_ref(), store.as_ref(), &counters);
-            let note = match store {
-                Some(_) => format!(", {}", store_tally(&counters)),
-                // Remote fleet: the grid's canonical blocks fan out across
-                // the endpoints from one lease queue.
-                None if fleet > 0 => format!(", fleet: {fleet} endpoint(s)"),
-                None => String::new(),
-            };
-            (grid, note)
-        }
-    };
-    let grid = grid.map_err(|e| e.to_string())?;
     if !o.out.is_empty() {
         let path = grid
             .save(std::path::Path::new(&o.out))
@@ -1099,13 +1056,13 @@ fn store_tally(counters: &StoreCounters) -> String {
     note
 }
 
-/// Work-queue telemetry accumulated across the pool's threads; rendered
-/// as a one-line note in `eacp sweep --queue` output.
+/// Work-queue telemetry of the runner that ran a grid, accumulated across
+/// its pool's threads; rendered as a one-line note in `eacp sweep
+/// --queue` output. A lease is one run of canonical blocks.
 #[derive(Default)]
 struct QueueProgress {
     leases: std::sync::atomic::AtomicU64,
     retries: std::sync::atomic::AtomicU64,
-    completed: std::sync::atomic::AtomicU64,
 }
 
 impl QueueProgress {
@@ -1117,8 +1074,7 @@ impl QueueProgress {
             format!("{workers}-worker pool")
         };
         format!(
-            "{} assignments drained by {pool} ({} leases, {} retries)",
-            self.completed.load(Ordering::Relaxed),
+            "{pool} ({} leases, {} retries)",
             self.leases.load(Ordering::Relaxed),
             self.retries.load(Ordering::Relaxed),
         )
@@ -1129,12 +1085,6 @@ impl QueueObserver for QueueProgress {
     fn on_lease(&self, _worker: usize, _index: usize, _attempt: u32, _status: QueueStatus) {
         self.leases
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-    fn on_complete(&self, _worker: usize, _index: usize, status: QueueStatus) {
-        self.completed.fetch_max(
-            status.completed as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
     }
     fn on_retry(
         &self,
@@ -1478,18 +1428,11 @@ pub fn cmd_presets() -> String {
         // audit:allow(panic): `preset_names()` and `preset()` are backed by
         // the same static table, so lookup of a listed name cannot fail.
         let spec = preset(name).expect("every listed preset exists");
-        let fault_kind = spec
-            .faults
-            .to_json()
-            .req("kind")
-            .ok()
-            .and_then(|k| k.as_str().ok().map(str::to_owned))
-            .unwrap_or_else(|| "?".to_owned());
         out.push_str(&format!(
             "  {:<22} scheme={:<8} faults={}\n",
             name,
             spec.policy.tag(),
-            fault_kind,
+            spec.faults.kind(),
         ));
     }
     out.push_str("periodic workloads (eacp executive|feasibility --preset NAME):\n");
@@ -1595,7 +1538,8 @@ pub fn cmd_table(o: &Options) -> Result<String, String> {
             w.array(|w| cells.for_each(|cell| cell.write_json(w)))
         }));
     }
-    let runner = placement(queue.as_ref(), o.threads).map_err(|e| e.to_string())?;
+    let runner = placement(queue.as_ref(), o.threads, Arc::new(NoopQueueObserver))
+        .map_err(|e| e.to_string())?;
     let store = resolve_store(o)?;
     let counters = StoreCounters::new();
     let reports = grids

@@ -357,6 +357,42 @@ fn files_under(dir: &std::path::Path) -> Vec<(std::path::PathBuf, Vec<u8>)> {
     files
 }
 
+/// A `points` axis that lists one point twice expands to two equal cells
+/// under one store key. A cold store computes the cell once and serves
+/// the repeat, and every run prints the storeless report bytes:
+/// `eacp sweep --spec D --reps 20 --json --no-cache | sha256sum`, with D
+/// the base of `specs/table1a-sweep.json` and the axis below.
+#[test]
+fn a_repeated_grid_cell_is_computed_once_and_served_to_its_repeat() {
+    let (doc, out) = grid_file(
+        "repeat",
+        "table1a-sweep.json",
+        r#"[{"points": [{"utilization": 0.8, "k": 3, "seed_offset": 0},
+                        {"utilization": 0.8, "k": 3, "seed_offset": 0}]}]"#,
+    );
+    let sweep = |extra: &[&str]| {
+        let mut args = vec!["sweep", "--spec", &doc, "--reps", "20"];
+        args.extend_from_slice(extra);
+        stdout_of(&args)
+    };
+    let plain = sweep(&["--json", "--no-cache"]);
+    assert_eq!(
+        sha256_hex(&plain),
+        "7b103983bd3ff46ca08acf88ed21cf9dcb3b8ea99e97ada533d2ff4784b5947d",
+        "repeated-cell sweep --json drifted"
+    );
+    let (text_store, json_store) = (format!("{out}/text"), format!("{out}/json"));
+    let cold = sweep(&["--store", &text_store]);
+    assert!(cold.contains("store: 1 served, 1 computed"), "{cold}");
+    let warm = sweep(&["--store", &text_store]);
+    assert!(warm.contains("store: 2 served, 0 computed"), "{warm}");
+    assert_eq!(sweep(&["--store", &json_store, "--json"]), plain, "cold");
+    assert_eq!(sweep(&["--store", &json_store, "--json"]), plain, "warm");
+    let status = stdout_of(&["store", "status", "--store", &json_store]);
+    assert!(status.contains("entries: 1 "), "{status}");
+    std::fs::remove_dir_all(std::path::Path::new(&doc).parent().unwrap()).unwrap();
+}
+
 /// A store written by an earlier build, over the three cells of
 /// `golden/store-grid.json`: an ordinary cell, a λ = 0 cell the analytic
 /// tier served (its entry carries `"served"`), and a P = 0 cell whose

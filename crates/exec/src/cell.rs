@@ -14,23 +14,26 @@
 //! store's cache-or-compute path (`eacp-store`). A new workload kind costs
 //! one impl of [`GridCell`] and one of this trait.
 //!
-//! [`placement`] is the one place a runner is built from a spec's queue
-//! section.
+//! [`Cell::compute_grid`] is the one way cells are computed, a whole grid
+//! or one cell alone: single-task grids hand every Monte-Carlo cell to
+//! one [`Runner::run_jobs`] call, and its completion hook lets the store
+//! record each cell as soon as it is final. [`placement`] is the one place
+//! a runner is built from a spec's queue section.
 
 use crate::executive_mc::{ExecutiveJob, ExecutiveSummary};
 use crate::job::Job;
-use crate::queue::QueueRunner;
+use crate::queue::{NoopQueueObserver, QueueObserver, QueueRunner};
 use crate::remote::RemoteWorker;
 use crate::runner::{LocalRunner, Runner};
-use crate::shard::PointReport;
 use eacp_sim::Summary;
 use eacp_spec::{
     ExecutiveSpec, ExperimentSpec, FromJson, GridCell, Json, JsonWriter, QueueSpec, RunReport,
     ServeTier, SpecError, SummaryReport, ToJson,
 };
+use std::sync::Arc;
 
 /// One grid cell of a workload kind. See the module docs.
-pub trait Cell: GridCell {
+pub trait Cell: GridCell + Sync {
     /// The exact, mergeable Monte-Carlo aggregate.
     type Summary: Clone + PartialEq + std::fmt::Debug;
     /// The serializable per-cell report.
@@ -51,9 +54,10 @@ pub trait Cell: GridCell {
     /// where given (the CLI's `--reps` and `--threads`).
     fn set_mc(&mut self, replications: Option<u64>, threads: Option<usize>);
 
-    /// Computes the cell on `runner`. With `analytic`, kinds that have a
-    /// closed-form tier answer replication-invariant cells through it;
-    /// the returned tier says which path produced the summary.
+    /// Computes the cell on `runner`: the one-cell grid of
+    /// [`Cell::compute_grid`]. With `analytic`, kinds that have a
+    /// closed-form tier answer replication-invariant cells through it; the
+    /// returned tier says which path produced the summary.
     ///
     /// # Errors
     ///
@@ -62,33 +66,38 @@ pub trait Cell: GridCell {
         &self,
         runner: &dyn Runner,
         analytic: bool,
-    ) -> Result<(Self::Summary, ServeTier), SpecError>;
+    ) -> Result<(Self::Summary, ServeTier), SpecError> {
+        Self::compute_grid(
+            std::slice::from_ref(self),
+            &[0],
+            runner,
+            analytic,
+            &|_, _, _| Ok(()),
+        )?
+        .pop()
+        .ok_or_else(|| SpecError::invalid("runner returned no summary"))
+    }
 
-    /// The point reports of the cells `range` of a grid's expansion
-    /// `cells`, computed on `runner`, in order — what a grid run calls once
-    /// for all its cells. The default computes them one after another
-    /// ([`run_point_tiered`]); single-task cells answer their analytic
-    /// cells first and hand every other cell's job to [`Runner::run_jobs`]
-    /// in one call.
+    /// Computes the cells `points` of a grid's expansion `cells` on
+    /// `runner`, returning their summaries and serving tiers in `points`
+    /// order — the one way a cell is computed, alone or in a grid. `done`
+    /// is called once per cell, with the cell's position in `points`, as
+    /// soon as its summary is final; a `done` error fails the run.
+    /// Single-task cells answer their analytic cells first and hand every
+    /// other cell's job to [`Runner::run_jobs`] in one call, so a
+    /// work-queue runner leases the whole grid from one queue.
     ///
     /// # Errors
     ///
-    /// A cell that fails, named by its grid index, or a runner failure.
+    /// A cell that fails, named by its grid index, a runner failure, or a
+    /// `done` error.
     fn compute_grid(
         cells: &[Self],
-        range: std::ops::Range<usize>,
+        points: &[usize],
         runner: &dyn Runner,
         analytic: bool,
-    ) -> Result<Vec<PointReport<Self>>, SpecError> {
-        range
-            .map(|index| {
-                let cell = &cells[index];
-                let report = run_point_tiered(runner, cell, analytic)
-                    .map_err(|e| point_error(index, cell, e))?;
-                Ok(PointReport { index, report })
-            })
-            .collect()
-    }
+        done: &CellDone<'_, Self>,
+    ) -> Result<Vec<(Self::Summary, ServeTier)>, SpecError>;
 
     /// The report of this cell holding `summary`. A pure function of its
     /// arguments, so a served summary reports byte-identically to a
@@ -99,21 +108,34 @@ pub trait Cell: GridCell {
     fn of_report(report: &Self::Report) -> &Self;
 }
 
+/// The per-cell completion hook of [`Cell::compute_grid`]: the cell's
+/// position among the cells computed, its final summary and the tier that
+/// served it. Called from any thread, in any cell order.
+pub type CellDone<'a, C> =
+    dyn Fn(usize, &<C as Cell>::Summary, ServeTier) -> Result<(), SpecError> + Sync + 'a;
+
 /// Builds the runner a queue section asks for: the local runner with
 /// `threads` workers when there is none, the work-queue runner otherwise,
-/// and — with endpoints — the remote fleet (leased blocks ship to `eacp
-/// serve` processes, wedged leases are reclaimed on a deadline, and the
-/// final attempt falls back in-process). Every choice is bit-identical.
+/// reporting its leases, retries and completions to `observer`, and —
+/// with endpoints — the remote fleet (leased blocks ship to `eacp serve`
+/// processes, wedged leases are reclaimed on a deadline, and the final
+/// attempt falls back in-process). Every choice is bit-identical.
 ///
 /// # Errors
 ///
 /// An invalid queue section.
-pub fn placement(queue: Option<&QueueSpec>, threads: usize) -> Result<Box<dyn Runner>, SpecError> {
+pub fn placement(
+    queue: Option<&QueueSpec>,
+    threads: usize,
+    observer: Arc<dyn QueueObserver>,
+) -> Result<Box<dyn Runner>, SpecError> {
     let Some(q) = queue else {
         return Ok(Box::new(LocalRunner::new(threads)));
     };
     q.validate()?;
-    let runner = QueueRunner::new(q.workers).with_max_attempts(q.max_attempts);
+    let runner = QueueRunner::new(q.workers)
+        .with_max_attempts(q.max_attempts)
+        .with_observer(observer);
     if q.endpoints.is_empty() {
         return Ok(Box::new(runner));
     }
@@ -154,7 +176,7 @@ pub fn run_point_tiered<C: Cell>(
 /// An invalid spec or queue section, or a runner failure.
 pub fn run_tiered<C: Cell>(cell: &C, analytic: bool) -> Result<(C::Summary, C::Report), SpecError> {
     let (queue, threads) = cell.placement();
-    let runner = placement(queue, threads)?;
+    let runner = placement(queue, threads, Arc::new(NoopQueueObserver))?;
     let (summary, served) = cell.compute(runner.as_ref(), analytic)?;
     let report = cell.report(&summary, served);
     Ok((summary, report))
@@ -185,57 +207,43 @@ impl Cell for ExperimentSpec {
         }
     }
 
-    fn compute(
-        &self,
-        runner: &dyn Runner,
-        analytic: bool,
-    ) -> Result<(Summary, ServeTier), SpecError> {
-        let job = Job::from_spec(self)?;
-        Ok(
-            match analytic.then(|| crate::serve_closed_form(&job)).flatten() {
-                Some(summary) => (summary, ServeTier::Analytic),
-                None => (runner.run(&job)?, ServeTier::Mc),
-            },
-        )
-    }
-
     fn compute_grid(
         cells: &[Self],
-        range: std::ops::Range<usize>,
+        points: &[usize],
         runner: &dyn Runner,
         analytic: bool,
-    ) -> Result<Vec<PointReport<Self>>, SpecError> {
-        let mut served = Vec::with_capacity(range.len());
-        let mut jobs = Vec::new();
-        for index in range.clone() {
+        done: &CellDone<'_, Self>,
+    ) -> Result<Vec<(Summary, ServeTier)>, SpecError> {
+        let mut served = Vec::with_capacity(points.len());
+        let (mut jobs, mut job_positions) = (Vec::new(), Vec::new());
+        for (position, &index) in points.iter().enumerate() {
             let cell = &cells[index];
             let job = Job::from_spec(cell).map_err(|e| point_error(index, cell, e))?;
             match analytic.then(|| crate::serve_closed_form(&job)).flatten() {
-                Some(summary) => served.push(Some(summary)),
+                Some(summary) => {
+                    done(position, &summary, ServeTier::Analytic)?;
+                    served.push(Some((summary, ServeTier::Analytic)));
+                }
                 None => {
                     served.push(None);
                     jobs.push(job);
+                    job_positions.push(position);
                 }
             }
         }
         let mut computed = runner
-            .run_jobs(&jobs)
-            .map_err(|e| {
-                SpecError::invalid(format!("grid points {}..{}: {e}", range.start, range.end))
+            .run_jobs(&jobs, &|job, summary| {
+                done(job_positions[job], summary, ServeTier::Mc)
             })?
             .into_iter();
-        range
-            .zip(served)
-            .map(|(index, summary)| {
-                let (summary, tier) = match summary {
-                    Some(summary) => (summary, ServeTier::Analytic),
-                    None => computed
-                        .next()
-                        .map(|summary| (summary, ServeTier::Mc))
-                        .ok_or_else(|| SpecError::invalid("runner returned too few summaries"))?,
-                };
-                let report = cells[index].report(&summary, tier);
-                Ok(PointReport { index, report })
+        served
+            .into_iter()
+            .map(|served| match served {
+                Some(served) => Ok(served),
+                None => computed
+                    .next()
+                    .map(|summary| (summary, ServeTier::Mc))
+                    .ok_or_else(|| SpecError::invalid("runner returned too few summaries")),
             })
             .collect()
     }
@@ -339,13 +347,25 @@ impl Cell for ExecutiveSpec {
         self.mc = Some(mc);
     }
 
-    fn compute(
-        &self,
+    /// One cell after another, each on [`Runner::run_executive`].
+    fn compute_grid(
+        cells: &[Self],
+        points: &[usize],
         runner: &dyn Runner,
         _analytic: bool,
-    ) -> Result<(ExecutiveSummary, ServeTier), SpecError> {
-        let job = ExecutiveJob::from_spec(self)?;
-        Ok((runner.run_executive(&job)?, ServeTier::Mc))
+        done: &CellDone<'_, Self>,
+    ) -> Result<Vec<(ExecutiveSummary, ServeTier)>, SpecError> {
+        points
+            .iter()
+            .enumerate()
+            .map(|(position, &index)| {
+                let cell = &cells[index];
+                let job = ExecutiveJob::from_spec(cell).map_err(|e| point_error(index, cell, e))?;
+                let summary = runner.run_executive(&job)?;
+                done(position, &summary, ServeTier::Mc)?;
+                Ok((summary, ServeTier::Mc))
+            })
+            .collect()
     }
 
     fn report(&self, summary: &ExecutiveSummary, _served: ServeTier) -> ExecutiveMcReport {
@@ -365,23 +385,27 @@ impl Cell for ExecutiveSpec {
 mod tests {
     use super::*;
 
+    fn noop() -> Arc<dyn QueueObserver> {
+        Arc::new(NoopQueueObserver)
+    }
+
     #[test]
     fn placement_follows_the_queue_section() {
-        assert_eq!(placement(None, 3).unwrap().name(), "local");
+        assert_eq!(placement(None, 3, noop()).unwrap().name(), "local");
         let queue = QueueSpec {
             workers: 2,
             ..Default::default()
         };
-        assert_eq!(placement(Some(&queue), 0).unwrap().name(), "queue");
+        assert_eq!(placement(Some(&queue), 0, noop()).unwrap().name(), "queue");
         let fleet = QueueSpec {
             endpoints: vec!["127.0.0.1:9".into()],
             ..queue.clone()
         };
-        assert_eq!(placement(Some(&fleet), 0).unwrap().name(), "queue");
+        assert_eq!(placement(Some(&fleet), 0, noop()).unwrap().name(), "queue");
         let invalid = QueueSpec {
             max_attempts: 0,
             ..queue
         };
-        assert!(placement(Some(&invalid), 0).is_err());
+        assert!(placement(Some(&invalid), 0, noop()).is_err());
     }
 }

@@ -77,19 +77,19 @@ pub mod shard;
 pub mod workload;
 
 pub use analytic::serve_closed_form;
-pub use cell::{placement, run_point_tiered, run_tiered, Cell, ExecutiveMcReport};
+pub use cell::{placement, run_point_tiered, run_tiered, Cell, CellDone, ExecutiveMcReport};
 pub use csv::{render_executive_rows, render_rows, PaperRef, CSV_HEADER, EXECUTIVE_CSV_HEADER};
 pub use executive::{run_executive, run_executive_observed};
 pub use executive_mc::{ExecutiveJob, ExecutiveReplicator, ExecutiveSummary, TaskAggregate};
 pub use job::{FaultFactory, Job, PolicyFactory, Replicator};
 pub use queue::{
-    resolve_workers, run_sweep_queued_tiered, BlockAssignment, BlockBatch, InProcessWorker, Lease,
-    NoopQueueObserver, QueueObserver, QueueRunner, QueueStatus, WorkQueue, Worker,
+    resolve_workers, BlockAssignment, BlockBatch, InProcessWorker, Lease, NoopQueueObserver,
+    QueueObserver, QueueRunner, QueueStatus, WorkQueue, Worker,
 };
 pub use remote::{serve_blocking, RemoteServer, RemoteWorker};
-pub use runner::{LocalRunner, Runner};
+pub use runner::{JobDone, LocalRunner, Runner};
 pub use shard::{
-    coverage_dir, list_report_files, merge_dir, run_grid, run_sweep, run_sweep_tiered, DocCoverage,
+    coverage_dir, list_report_files, merge_dir, run_sweep, run_sweep_tiered, DocCoverage,
     GridReport, PointReport, ShardId, SweepCoverage,
 };
 pub use workload::{run_workload_local, run_workload_queued, Replicate, Workload};

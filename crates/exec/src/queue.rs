@@ -43,26 +43,25 @@
 //!   deterministic (per-replication seeding), the merged result is
 //!   **bit-identical to [`LocalRunner`] for any worker count and any
 //!   failure/retry schedule**.
+//!   Each job's summary is final when its last batch merges; the runner
+//!   hands it to [`Runner::run_jobs`]'s completion hook right then, so a
+//!   grid's cells are recorded as they finish, in any order.
 //! * **[`QueueObserver`]** — live scheduler telemetry: every lease, retry
 //!   and completion, each with a [`QueueStatus`] snapshot (queue depth,
 //!   outstanding leases, completions, retries).
 //!
-//! Sweep-level scheduling sits on the same queue:
-//! [`run_sweep_queued_tiered`] leases whole grid points to the pool,
-//! producing a [`GridReport`] byte-identical to the sequential
-//! [`crate::run_sweep`].
+//! A grid runs on the same queue: [`crate::run_sweep_tiered`] hands every
+//! cell's job to [`Runner::run_jobs`], so `--queue` leases blocks of the
+//! whole grid, with or without a result store.
 //!
 //! [`LocalRunner`]: crate::LocalRunner
 
-use crate::cell::run_point_tiered;
 use crate::job::Job;
-use crate::runner::Runner;
-use crate::runner::{lease_batches, run_block, run_sequential_observed};
-use crate::shard::{GridReport, PointReport, ShardId};
+use crate::runner::{lease_batches, run_block, run_sequential_observed, JobDone, Runner};
 use eacp_sim::{NoopObserver, Observer, Summary};
-use eacp_spec::{SpecError, SweepSpec};
+use eacp_spec::SpecError;
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 // Lease deadlines are the one place the scheduler reads a clock. They
@@ -163,7 +162,7 @@ pub struct QueueStatus {
 /// Callbacks take `&self` because they are invoked concurrently from every
 /// worker thread; implementations use interior mutability (atomics, a
 /// mutex) for anything they accumulate.
-pub trait QueueObserver: Sync {
+pub trait QueueObserver: Send + Sync {
     /// Worker `worker` leased assignment `index` (attempt `attempt`).
     fn on_lease(&self, worker: usize, index: usize, attempt: u32, status: QueueStatus) {
         let _ = (worker, index, attempt, status);
@@ -227,8 +226,9 @@ struct QueueState<T> {
 /// A queue of indexed work assignments with lease/complete/fail semantics.
 ///
 /// The queue itself is execution-agnostic: items are whatever a scheduler
-/// leases out — replication blocks for [`QueueRunner`], grid-point indices
-/// for [`run_sweep_queued_tiered`]. Blocking [`lease`](WorkQueue::lease) calls
+/// leases out — runs of replication blocks for [`QueueRunner`], executive
+/// horizon blocks for [`crate::run_workload_queued`]. Blocking
+/// [`lease`](WorkQueue::lease) calls
 /// wake when work reappears (a failed lease re-queued) or when the queue
 /// drains or is poisoned.
 pub struct WorkQueue<T> {
@@ -294,11 +294,8 @@ impl<T: Clone> WorkQueue<T> {
     }
 
     /// Locks the queue state.
-    fn locked(&self) -> std::sync::MutexGuard<'_, QueueState<T>> {
-        // audit:allow(panic): a poisoned lock means a peer worker already
-        // panicked mid-update; queue accounting is unrecoverable then, and
-        // `drain` re-raises the original panic from its join.
-        self.state.lock().expect("queue lock poisoned")
+    fn locked(&self) -> MutexGuard<'_, QueueState<T>> {
+        locked(&self.state)
     }
 
     /// A snapshot of the queue accounting.
@@ -571,6 +568,14 @@ impl<T: Clone> WorkQueue<T> {
     }
 }
 
+/// Locks scheduler state shared by a drain's workers.
+fn locked<S>(state: &Mutex<S>) -> MutexGuard<'_, S> {
+    // audit:allow(panic): a poisoned lock means a peer worker already
+    // panicked mid-update; the state is unrecoverable then, and `drain`
+    // re-raises the original panic from its join.
+    state.lock().expect("queue lock poisoned")
+}
+
 /// One contiguous replication block of a job — one canonical reduction
 /// unit, whose partial [`Summary`] the merge folds in ascending order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -732,6 +737,7 @@ pub struct QueueRunner<W: Worker = InProcessWorker> {
     block_size: u64,
     max_attempts: u32,
     lease_timeout: Option<Duration>,
+    observer: Arc<dyn QueueObserver>,
     worker: W,
 }
 
@@ -744,6 +750,7 @@ impl QueueRunner<InProcessWorker> {
             block_size: 0,
             max_attempts: DEFAULT_MAX_ATTEMPTS,
             lease_timeout: None,
+            observer: Arc::new(NoopQueueObserver),
             worker: InProcessWorker,
         }
     }
@@ -758,6 +765,7 @@ impl<W: Worker> QueueRunner<W> {
             block_size: self.block_size,
             max_attempts: self.max_attempts,
             lease_timeout: self.lease_timeout,
+            observer: self.observer,
             worker,
         }
     }
@@ -782,25 +790,35 @@ impl<W: Worker> QueueRunner<W> {
         self
     }
 
+    /// Streams the scheduler telemetry of every [`Runner`] call into
+    /// `observer` (by default, nowhere).
+    pub fn with_observer(mut self, observer: Arc<dyn QueueObserver>) -> Self {
+        self.observer = observer;
+        self
+    }
+
     /// [`Runner::run`] with scheduler telemetry streamed into `obs`: one
     /// lease (and one [`QueueObserver::on_lease`]) per [`BlockBatch`]. The
     /// one-job case of the grid queue [`Runner::run_jobs`] drains.
     pub fn run_with(&self, job: &Job, obs: &dyn QueueObserver) -> Result<Summary, SpecError> {
-        let mut summaries = self.run_jobs_with(std::slice::from_ref(job), obs)?;
+        let mut summaries = self.run_jobs_with(std::slice::from_ref(job), obs, &|_, _| Ok(()))?;
         Ok(summaries.pop().unwrap_or_else(Summary::empty))
     }
 
     /// [`Runner::run_jobs`] with scheduler telemetry streamed into `obs`:
     /// every job's canonical blocks go on one [`WorkQueue`], batched over
     /// the grid's total block count ([`lease_batches`]) and never across a
-    /// job, and one pool drains it with no barrier between jobs. Each
-    /// job's partials merge in ascending block order, so every summary is
-    /// bit-identical to [`Runner::run`] of its job. Fails when a batch
-    /// exhausts its attempt budget (the queue is poisoned).
+    /// job, and one pool drains it with no barrier between jobs. A job's
+    /// partials merge in ascending block order as soon as its last batch
+    /// lands, so every summary is bit-identical to [`Runner::run`] of its
+    /// job, and `done` sees it then, on the thread that landed the batch.
+    /// Fails when a batch exhausts its attempt budget (the queue is
+    /// poisoned) or, once the queue has drained, when `done` failed.
     fn run_jobs_with(
         &self,
         jobs: &[Job],
         obs: &dyn QueueObserver,
+        done: &JobDone<'_>,
     ) -> Result<Vec<Summary>, SpecError> {
         let replications: Vec<u64> = jobs.iter().map(Job::replications).collect();
         let (pool, batches) = lease_batches(
@@ -814,19 +832,92 @@ impl<W: Worker> QueueRunner<W> {
         if let Some(timeout) = self.lease_timeout {
             queue = queue.with_lease_timeout(timeout);
         }
-        let partials = queue.drain(pool, obs, |_worker, lease| {
+        let hook_error = Mutex::new(None);
+        let finish = |job: usize, summary: &Summary| {
+            if let Err(e) = done(job, summary) {
+                locked(&hook_error).get_or_insert(e);
+            }
+        };
+        let merge = GridMerge::new(jobs.len(), &batches);
+        // A job with no replications has no batch: it is final already.
+        for job in (0..jobs.len()).filter(|&job| merge.pending[job] == 0) {
+            finish(job, &Summary::empty());
+        }
+        let merge = Mutex::new(merge);
+        queue.drain(pool, obs, |_worker, lease| {
             let (job, batch) = *lease.item();
-            self.worker.run_blocks(&jobs[job], batch, lease.attempt())
+            let partials = self.worker.run_blocks(&jobs[job], batch, lease.attempt())?;
+            let merged = locked(&merge).land(lease.index(), partials);
+            if let Some((job, summary)) = merged {
+                finish(job, &summary);
+            }
+            Ok(())
         })?;
-        // Batches come back in lease order: job by job, each job's blocks
-        // ascending — the canonical merge order.
-        let mut totals: Vec<Summary> = jobs.iter().map(|_| Summary::empty()).collect();
-        for (&(job, _), partials) in batches.iter().zip(partials) {
-            for partial in &partials {
-                totals[job].merge(partial);
+        if let Some(e) = locked(&hook_error).take() {
+            return Err(e);
+        }
+        let totals = std::mem::take(&mut locked(&merge).totals);
+        Ok(totals)
+    }
+}
+
+/// The merge state of a grid drain: a landed batch's partials wait in its
+/// lease-order slot until its job's last batch lands; then the job's slots
+/// fold in ascending block order and are freed.
+struct GridMerge {
+    /// Per batch, in lease order: its job and, until that job merges, its
+    /// partials.
+    slots: Vec<(usize, Option<Vec<Summary>>)>,
+    /// Per job: batches still to land.
+    pending: Vec<usize>,
+    /// Per job: the merged summary (empty until the job is final).
+    totals: Vec<Summary>,
+}
+
+impl GridMerge {
+    fn new(jobs: usize, batches: &[(usize, BlockBatch)]) -> Self {
+        let mut pending = vec![0; jobs];
+        for &(job, _) in batches {
+            pending[job] += 1;
+        }
+        Self {
+            slots: batches.iter().map(|&(job, _)| (job, None)).collect(),
+            pending,
+            totals: vec![Summary::empty(); jobs],
+        }
+    }
+
+    /// Lands the partials of the batch at lease position `position`,
+    /// returning its job and the job's summary when this was the job's
+    /// last batch. A batch that lands twice (an expired lease settled late;
+    /// its result is bit-identical) counts once.
+    fn land(&mut self, position: usize, partials: Vec<Summary>) -> Option<(usize, Summary)> {
+        let (job, slot) = &mut self.slots[position];
+        let job = *job;
+        if self.pending[job] == 0 || slot.is_some() {
+            return None;
+        }
+        *slot = Some(partials);
+        self.pending[job] -= 1;
+        if self.pending[job] > 0 {
+            return None;
+        }
+        // Batches never cross a job, so the job's slots are the run around
+        // `position`.
+        let first = self.slots[..position]
+            .iter()
+            .rposition(|&(j, _)| j != job)
+            .map_or(0, |other| other + 1);
+        let total = &mut self.totals[job];
+        for (_, slot) in self.slots[first..]
+            .iter_mut()
+            .take_while(|(j, _)| *j == job)
+        {
+            for partial in slot.take().into_iter().flatten() {
+                total.merge(&partial);
             }
         }
-        Ok(totals)
+        Some((job, total.clone()))
     }
 }
 
@@ -836,13 +927,14 @@ impl<W: Worker> Runner for QueueRunner<W> {
     }
 
     fn run(&self, job: &Job) -> Result<Summary, SpecError> {
-        self.run_with(job, &NoopQueueObserver)
+        self.run_with(job, self.observer.as_ref())
     }
 
     /// One queue for the whole grid: every job's blocks are leased from
-    /// it, batched over the grid's total block count.
-    fn run_jobs(&self, jobs: &[Job]) -> Result<Vec<Summary>, SpecError> {
-        self.run_jobs_with(jobs, &NoopQueueObserver)
+    /// it, batched over the grid's total block count, and `done` sees
+    /// each job when its last batch merges.
+    fn run_jobs(&self, jobs: &[Job], done: &JobDone<'_>) -> Result<Vec<Summary>, SpecError> {
+        self.run_jobs_with(jobs, self.observer.as_ref(), done)
     }
 
     /// Note: a shared replication observer imposes an ordering, so this
@@ -869,7 +961,7 @@ impl<W: Worker> Runner for QueueRunner<W> {
             self.workers,
             self.max_attempts,
             self.block_size,
-            &NoopQueueObserver,
+            self.observer.as_ref(),
         )
     }
 }
@@ -885,56 +977,11 @@ pub fn resolve_workers(workers: usize) -> usize {
     }
 }
 
-/// Expands a sweep and drains the selected shard's grid points through a
-/// work-queue worker pool (`workers = 0` for available parallelism),
-/// producing a report byte-identical to the sequential
-/// [`crate::run_sweep`].
-///
-/// Each leased point runs on a single-threaded [`crate::LocalRunner`];
-/// thread-count invariance of the canonical reduction makes the per-point
-/// reports — and therefore the assembled [`GridReport`] — independent of
-/// the pool size, the lease schedule and any retries.
-///
-/// `analytic = false` (the CLI's `--no-analytic`) disables the
-/// closed-form serve tier.
-pub fn run_sweep_queued_tiered(
-    sweep: &SweepSpec,
-    shard: Option<ShardId>,
-    workers: usize,
-    max_attempts: u32,
-    obs: &dyn QueueObserver,
-    analytic: bool,
-) -> Result<GridReport, SpecError> {
-    let specs = sweep.expand()?;
-    let total = specs.len();
-    let range = match shard {
-        Some(s) => s.range(total),
-        None => 0..total,
-    };
-    let indices: Vec<usize> = range.collect();
-    let queue = WorkQueue::new(indices).with_max_attempts(max_attempts);
-    let runner = crate::LocalRunner::new(1);
-    let points = queue.drain(resolve_workers(workers), obs, |_worker, lease| {
-        let index = *lease.item();
-        let spec = &specs[index];
-        let report = run_point_tiered(&runner, spec, analytic)
-            .map_err(|e| SpecError::invalid(format!("grid point {index} ({}): {e}", spec.name)))?;
-        Ok(PointReport { index, report })
-    })?;
-    Ok(GridReport {
-        sweep: sweep.clone(),
-        total_points: total,
-        shard,
-        points,
-        source: None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runner::LocalRunner;
-    use eacp_spec::{Axis, ExperimentSpec, Knob, McSpec, ToJson};
+    use eacp_spec::{Axis, ExperimentSpec, Knob, McSpec, SweepSpec, ToJson};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex as StdMutex;
 
@@ -1295,19 +1342,54 @@ mod tests {
                 Axis::new(Knob::K, vec![1, 5]),
             ],
         };
+        let queued = |shard, workers| {
+            let runner = QueueRunner::new(workers).with_max_attempts(3);
+            crate::run_sweep_tiered(&sweep, shard, &runner, true).unwrap()
+        };
         let sequential = crate::run_sweep(&sweep, None, 1).unwrap();
         for workers in [1usize, 3] {
-            let queued =
-                run_sweep_queued_tiered(&sweep, None, workers, 3, &NoopQueueObserver, true)
-                    .unwrap();
+            let queued = queued(None, workers);
             assert_eq!(queued, sequential, "workers = {workers}");
             assert_eq!(queued.to_json().pretty(), sequential.to_json().pretty());
         }
         // Sharded queued runs cover exactly the shard's range.
-        let shard = ShardId::new(1, 3).unwrap();
-        let queued =
-            run_sweep_queued_tiered(&sweep, Some(shard), 2, 3, &NoopQueueObserver, true).unwrap();
-        let sequential = crate::run_sweep(&sweep, Some(shard), 1).unwrap();
-        assert_eq!(queued, sequential);
+        let shard = Some(crate::ShardId::new(1, 3).unwrap());
+        assert_eq!(
+            queued(shard, 2),
+            crate::run_sweep(&sweep, shard, 1).unwrap()
+        );
+    }
+
+    #[test]
+    fn a_poisoned_grid_never_finishes_the_failing_job() {
+        // Jobs of 40, 200 and 40 replications: 3, 13 and 3 blocks of 16,
+        // so block 12 is in the middle job only, and it always fails.
+        let jobs = [40, 200, 40].map(|reps| Job::from_spec(&spec(reps)).unwrap());
+        for workers in [1usize, 2, 3] {
+            let finished = StdMutex::new(Vec::new());
+            let err = QueueRunner::new(workers)
+                .with_worker(FlakyWorker::failing(vec![12], u32::MAX))
+                .with_max_attempts(2)
+                .run_jobs(&jobs, &|job, summary| {
+                    let local = LocalRunner::new(1).run(&jobs[job]).unwrap();
+                    finished.lock().unwrap().push((job, *summary == local));
+                    Ok(())
+                })
+                .unwrap_err();
+            assert!(err.to_string().contains("after 2 attempts"), "{err}");
+            let mut seen = finished.into_inner().unwrap();
+            seen.sort_unstable();
+            // At most once per job, never the failing one, always final.
+            assert!(seen.windows(2).all(|w| w[0].0 < w[1].0), "{seen:?}");
+            assert!(
+                seen.iter().all(|&(job, exact)| job != 1 && exact),
+                "{seen:?}"
+            );
+            if workers == 1 {
+                // One worker leases in order: block 12's retry goes to the
+                // back, behind the last job, which therefore finishes.
+                assert_eq!(seen, vec![(0, true), (2, true)]);
+            }
+        }
     }
 }

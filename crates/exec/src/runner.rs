@@ -16,6 +16,11 @@ use crate::queue::BlockBatch;
 use eacp_sim::{Observer, Summary};
 use eacp_spec::SpecError;
 
+/// The per-job completion hook of [`Runner::run_jobs`]: the job's index
+/// and its final summary. Runners may call it from any thread, in any job
+/// order.
+pub type JobDone<'a> = dyn Fn(usize, &Summary) -> Result<(), SpecError> + Sync + 'a;
+
 /// Executes a [`Job`] into a [`Summary`].
 ///
 /// Implementations decide *where* replications run (local threads today;
@@ -33,11 +38,24 @@ pub trait Runner {
     /// summaries in job order, each bit-identical to [`Runner::run`] of
     /// that job.
     ///
-    /// The default runs the jobs one after another. A runner that can
-    /// overlap them overrides it: [`crate::QueueRunner`] leases the whole
-    /// grid's canonical blocks from one queue.
-    fn run_jobs(&self, jobs: &[Job]) -> Result<Vec<Summary>, SpecError> {
-        jobs.iter().map(|job| self.run(job)).collect()
+    /// `done` is called exactly once per job, with the job's index and its
+    /// final summary, as soon as that summary is final: a caller records
+    /// each finished job without waiting for the grid. A `done` error
+    /// fails the run.
+    ///
+    /// The default runs the jobs one after another and calls `done` after
+    /// each. A runner that can overlap them overrides it:
+    /// [`crate::QueueRunner`] leases the whole grid's canonical blocks
+    /// from one queue and calls `done` when a job's last batch merges.
+    fn run_jobs(&self, jobs: &[Job], done: &JobDone<'_>) -> Result<Vec<Summary>, SpecError> {
+        jobs.iter()
+            .enumerate()
+            .map(|(index, job)| {
+                let summary = self.run(job)?;
+                done(index, &summary)?;
+                Ok(summary)
+            })
+            .collect()
     }
 
     /// Runs the whole job, streaming every replication bracket and engine

@@ -22,13 +22,17 @@
 //! a grid point is duplicated, or a point's embedded spec does not match
 //! the sweep it claims to belong to.
 //!
+//! A shard's cells are computed in one [`Cell::compute_grid`] call, on any
+//! runner and with or without a result store: [`GridReport::build`] is the
+//! one grid loop, shared by [`run_sweep_tiered`] and the store's
+//! cache-or-compute sweep.
+//!
 //! [`SweepSpec`]: eacp_spec::SweepSpec
 //! [`ExecutiveSweepSpec`]: eacp_spec::ExecutiveSweepSpec
 
-use crate::cell::{point_error, Cell};
+use crate::cell::Cell;
 use crate::runner::{LocalRunner, Runner};
 use eacp_spec::{ExperimentSpec, FromJson, Grid, Json, JsonWriter, SpecError, ToJson};
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// One shard of a sweep: `index` of `count`.
@@ -144,6 +148,30 @@ impl<C: Cell> PartialEq for GridReport<C> {
 }
 
 impl<C: Cell> GridReport<C> {
+    /// Expands `sweep` and builds the document of `shard` (the whole grid
+    /// when `None`) from the `points` of the expansion's cells at the
+    /// shard's grid indices, ascending.
+    ///
+    /// # Errors
+    ///
+    /// An expansion failure, or whatever `points` returns.
+    pub fn build(
+        sweep: &Grid<C>,
+        shard: Option<ShardId>,
+        points: impl FnOnce(&[C], &[usize]) -> Result<Vec<PointReport<C>>, SpecError>,
+    ) -> Result<Self, SpecError> {
+        let cells = sweep.expand()?;
+        let total = cells.len();
+        let indices: Vec<usize> = shard.map_or(0..total, |s| s.range(total)).collect();
+        Ok(Self {
+            sweep: sweep.clone(),
+            total_points: total,
+            shard,
+            points: points(&cells, &indices)?,
+            source: None,
+        })
+    }
+
     /// The canonical file name: `grid.json` for a full grid,
     /// `shard-I-of-N.json` for one shard.
     pub fn file_name(&self) -> String {
@@ -237,53 +265,6 @@ impl<C: Cell> FromJson for GridReport<C> {
     }
 }
 
-/// Expands a sweep and produces the selected shard's document (or, with
-/// `shard = None`, the whole grid's), computing each point with `point`.
-///
-/// The plain executor below and the result store's cache-or-compute sweep
-/// share the one grid loop ([`grid_report`]); the store computes point by
-/// point, so each cell is recorded before the next starts.
-///
-/// # Errors
-///
-/// Per-point failures are wrapped with the grid index and point name.
-pub fn run_grid<C: Cell>(
-    sweep: &Grid<C>,
-    shard: Option<ShardId>,
-    mut point: impl FnMut(&C) -> Result<C::Report, SpecError>,
-) -> Result<GridReport<C>, SpecError> {
-    grid_report(sweep, shard, |cells, range| {
-        range
-            .map(|index| {
-                let cell = &cells[index];
-                let report = point(cell).map_err(|e| point_error(index, cell, e))?;
-                Ok(PointReport { index, report })
-            })
-            .collect()
-    })
-}
-
-/// Expands a sweep, selects the shard's index range and assembles the
-/// document from the `points` of the expansion's cells in that range, in
-/// order.
-fn grid_report<C: Cell>(
-    sweep: &Grid<C>,
-    shard: Option<ShardId>,
-    points: impl FnOnce(&[C], Range<usize>) -> Result<Vec<PointReport<C>>, SpecError>,
-) -> Result<GridReport<C>, SpecError> {
-    let cells = sweep.expand()?;
-    let total = cells.len();
-    let range = shard.map_or(0..total, |s| s.range(total));
-    let points = points(&cells, range)?;
-    Ok(GridReport {
-        sweep: sweep.clone(),
-        total_points: total,
-        shard,
-        points,
-        source: None,
-    })
-}
-
 /// Runs a sweep shard on a [`LocalRunner`] with `threads` workers.
 pub fn run_sweep<C: Cell>(
     sweep: &Grid<C>,
@@ -313,8 +294,16 @@ pub fn run_sweep_tiered<C: Cell>(
     runner: &dyn Runner,
     analytic: bool,
 ) -> Result<GridReport<C>, SpecError> {
-    grid_report(sweep, shard, |cells, range| {
-        C::compute_grid(cells, range, runner, analytic)
+    GridReport::build(sweep, shard, |cells, points| {
+        let summaries = C::compute_grid(cells, points, runner, analytic, &|_, _, _| Ok(()))?;
+        Ok(points
+            .iter()
+            .zip(summaries)
+            .map(|(&index, (summary, served))| PointReport {
+                index,
+                report: cells[index].report(&summary, served),
+            })
+            .collect())
     })
 }
 

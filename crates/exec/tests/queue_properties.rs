@@ -1,19 +1,22 @@
 //! Property tests of the work-queue scheduler's determinism contract:
 //! for any worker count and any injected lease-failure pattern (workers
 //! abandoning assignments mid-block), `QueueRunner` produces a `Summary`
-//! bit-identical to the sequential `LocalRunner::new(1)`.
+//! bit-identical to the sequential `LocalRunner::new(1)`, and a grid's
+//! completion hook sees each job once, with that summary.
 
 // Test doubles key attempt counts by block id and never iterate the map,
 // so hash order is irrelevant (see clippy.toml on R1 scope).
 #![allow(clippy::disallowed_types)]
 
 use eacp_exec::{
-    BlockAssignment, InProcessWorker, Job, LocalRunner, QueueRunner, Runner, Summary, Worker,
+    BlockAssignment, InProcessWorker, Job, LocalRunner, QueueObserver, QueueRunner, QueueStatus,
+    Runner, Summary, Worker,
 };
 use eacp_spec::{ExperimentSpec, McSpec, SpecError};
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 fn job(reps: u64, seed: u64) -> Job {
     let mut spec = ExperimentSpec::paper_nominal();
@@ -110,4 +113,63 @@ proptest! {
         let queued = QueueRunner::new(workers).run(&job).unwrap();
         prop_assert_eq!(&queued, &local, "reps={} workers={} threads={}", reps, workers, threads);
     }
+
+    /// A grid's jobs on one queue, any failed-lease pattern: the completion
+    /// hook sees every job exactly once, with its final summary.
+    #[test]
+    fn every_job_of_a_grid_reaches_the_hook_once_with_its_final_summary(
+        workers in 1usize..=8,
+        fail_mask in 0u64..256,
+        reps in proptest::collection::vec(1u64..60, 1..5),
+    ) {
+        let jobs: Vec<Job> = reps.iter().enumerate().map(|(i, &r)| job(r, i as u64)).collect();
+        let finished = Mutex::new(Vec::new());
+        let summaries = QueueRunner::new(workers)
+            .with_block_size(8)
+            .with_max_attempts(2)
+            .with_worker(FlakyWorker::new(fail_mask, 1))
+            .run_jobs(&jobs, &|job, summary| {
+                finished.lock().unwrap().push((job, summary.clone()));
+                Ok(())
+            })
+            .unwrap();
+        let mut finished = finished.into_inner().unwrap();
+        finished.sort_by_key(|(job, _)| *job);
+        prop_assert_eq!(finished.iter().map(|f| f.0).collect::<Vec<_>>(), (0..jobs.len()).collect::<Vec<_>>());
+        for (job, summary) in finished {
+            let local = LocalRunner::new(1).with_block_size(8).run(&jobs[job]).unwrap();
+            prop_assert_eq!(&summary, &local, "job {}", job);
+            prop_assert_eq!(&summaries[job], &local, "job {}", job);
+        }
+    }
+}
+
+/// Counts retries across the pool.
+#[derive(Default)]
+struct Retries(AtomicU64);
+
+impl QueueObserver for Retries {
+    fn on_retry(&self, _w: usize, _i: usize, _a: u32, _e: &SpecError, _s: QueueStatus) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// A failing completion hook fails the run once the queue drains; it is
+/// never retried as a failed lease.
+#[test]
+fn a_hook_error_fails_the_run_without_retrying_a_lease() {
+    let jobs: Vec<Job> = (0..3).map(|seed| job(40, seed)).collect();
+    let retries = Arc::new(Retries::default());
+    let err = QueueRunner::new(2)
+        .with_observer(retries.clone())
+        .run_jobs(&jobs, &|job, _| match job {
+            1 => Err(SpecError::invalid("store full")),
+            _ => Ok(()),
+        })
+        .unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        SpecError::invalid("store full").to_string()
+    );
+    assert_eq!(retries.0.load(Ordering::Relaxed), 0);
 }

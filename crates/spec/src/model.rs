@@ -509,48 +509,53 @@ impl FaultSpec {
             _ => None,
         }
     }
+
+    /// The process's `"kind"` tag, as its JSON document names it.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            FaultSpec::Poisson { .. } => "poisson",
+            FaultSpec::Deterministic { .. } => "deterministic",
+            FaultSpec::Weibull { .. } => "weibull",
+            FaultSpec::Burst { .. } => "burst",
+            FaultSpec::Phased { .. } => "phased",
+        }
+    }
 }
 
 impl ToJson for FaultSpec {
     fn write_json(&self, w: &mut JsonWriter<'_>) {
-        w.object(|w| match self {
-            FaultSpec::Poisson { lambda } => {
-                w.field("kind", "poisson");
-                w.field("lambda", lambda);
-            }
-            FaultSpec::Deterministic { times } => {
-                w.field("kind", "deterministic");
-                w.field("times", times);
-            }
-            FaultSpec::Weibull { shape, scale } => {
-                w.field("kind", "weibull");
-                w.field("shape", shape);
-                w.field("scale", scale);
-            }
-            FaultSpec::Burst {
-                quiet_rate,
-                burst_rate,
-                mean_quiet_dwell,
-                mean_burst_dwell,
-            } => {
-                w.field("kind", "burst");
-                w.field("quiet_rate", quiet_rate);
-                w.field("burst_rate", burst_rate);
-                w.field("mean_quiet_dwell", mean_quiet_dwell);
-                w.field("mean_burst_dwell", mean_burst_dwell);
-            }
-            FaultSpec::Phased { phases, repeat } => {
-                w.field("kind", "phased");
-                w.key("phases");
-                w.array(|w| {
-                    for &(duration, rate) in phases {
-                        w.array(|w| {
-                            w.float(duration);
-                            w.float(rate);
-                        });
-                    }
-                });
-                w.field("repeat", repeat);
+        w.object(|w| {
+            w.field("kind", self.kind());
+            match self {
+                FaultSpec::Poisson { lambda } => w.field("lambda", lambda),
+                FaultSpec::Deterministic { times } => w.field("times", times),
+                FaultSpec::Weibull { shape, scale } => {
+                    w.field("shape", shape);
+                    w.field("scale", scale);
+                }
+                FaultSpec::Burst {
+                    quiet_rate,
+                    burst_rate,
+                    mean_quiet_dwell,
+                    mean_burst_dwell,
+                } => {
+                    w.field("quiet_rate", quiet_rate);
+                    w.field("burst_rate", burst_rate);
+                    w.field("mean_quiet_dwell", mean_quiet_dwell);
+                    w.field("mean_burst_dwell", mean_burst_dwell);
+                }
+                FaultSpec::Phased { phases, repeat } => {
+                    w.key("phases");
+                    w.array(|w| {
+                        for &(duration, rate) in phases {
+                            w.array(|w| {
+                                w.float(duration);
+                                w.float(rate);
+                            });
+                        }
+                    });
+                    w.field("repeat", repeat);
+                }
             }
         });
     }

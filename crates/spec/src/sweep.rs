@@ -404,10 +404,7 @@ fn set_poisson_rate(faults: &mut FaultSpec, lambda: f64) -> Result<(), SpecError
         }
         other => Err(SpecError::invalid(format!(
             "lambda needs a Poisson fault process, not a {} one",
-            other
-                .to_json()
-                .req("kind")
-                .map_or("?", |k| k.as_str().unwrap_or("?"))
+            other.kind()
         ))),
     }
 }

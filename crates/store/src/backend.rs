@@ -84,7 +84,7 @@ pub struct EvictionReport {
 ///
 /// All methods take `&self`: backends are internally synchronized so one
 /// store can serve concurrent sweep workers.
-pub trait StoreBackend {
+pub trait StoreBackend: Sync {
     /// Looks a cell up, validating integrity on the way out.
     fn get(&self, id: &CellId) -> Result<Lookup, SpecError>;
 

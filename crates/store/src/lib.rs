@@ -39,10 +39,17 @@
 //!   `eacp executive --mc`);
 //! * [`run_cached_single`] — the same for one raw-seed execution
 //!   (`eacp run`), keyed with the `replications == 0` sentinel;
-//! * [`run_sweep_cached_tiered`] — a resumable sweep: only uncovered grid
-//!   cells are scheduled onto the runner; [`store_coverage`] reports which;
+//! * [`run_sweep_cached_tiered`] — a resumable sweep: every uncovered grid
+//!   cell goes to the runner in one call and is recorded as soon as it is
+//!   final; [`store_coverage`] reports which cells are covered;
 //! * [`verify_store`] / [`verify_cell`] — recompute stored cells and fail
 //!   on any byte mismatch.
+//!
+//! The one-cell and the grid entry points share one routine: it looks
+//! every cell up once, turns each hit into its report on the spot, hands
+//! the misses to one `Cell::compute_grid` call whose completion hook
+//! records each finished cell, and computes a cell repeated within a grid
+//! once.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,9 +68,10 @@ pub use hash::{sha256, spec_hash, SpecHash};
 pub use observe::{NoopStoreObserver, StoreCounters, StoreObserver};
 pub use sweep::{run_sweep_cached_tiered, store_coverage, StoreCoverage};
 
-use eacp_exec::{LocalRunner, Runner};
+use eacp_exec::{LocalRunner, NoopQueueObserver, Runner};
 use eacp_sim::RunOutcome;
 use eacp_spec::{ExecutiveSpec, ExperimentSpec, ServeTier, SpecError};
+use std::sync::Arc;
 
 /// How the cache participates in a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,7 +146,7 @@ pub fn run_cached_tiered<C: StoreCell>(
     analytic: bool,
 ) -> Result<CachedRun<C>, SpecError> {
     let (queue, threads) = cell.placement();
-    let runner = eacp_exec::placement(queue, threads)?;
+    let runner = eacp_exec::placement(queue, threads, Arc::new(NoopQueueObserver))?;
     run_cached_with_tiered(cell, runner.as_ref(), store, mode, observer, analytic)
 }
 
@@ -164,27 +172,98 @@ pub fn run_cached_with_tiered<C: StoreCell>(
     observer: &dyn StoreObserver,
     analytic: bool,
 ) -> Result<CachedRun<C>, SpecError> {
-    let id = cell.cell_id();
-    if let Some(entry) = replay(store, &id, mode, observer)? {
-        let summary = entry.summary_of::<C>()?.clone();
-        return Ok(CachedRun {
-            id,
-            report: cell.report(&summary, entry.served),
-            summary,
-            source: entry.source,
-            cache: CacheOutcome::Hit,
+    let store = (store, mode, observer);
+    cache_or_compute(
+        std::slice::from_ref(cell),
+        &[0],
+        runner,
+        store,
+        analytic,
+        |_, run| run,
+    )?
+    .pop()
+    .ok_or_else(|| SpecError::invalid("cache-or-compute returned no cell"))
+}
+
+/// Cache-or-compute for the cells `points` of a grid's expansion `cells`:
+/// the one routine behind every store-backed run, one cell or a whole
+/// grid. Each cell is looked up once and a hit is handed to `keep` on the
+/// spot, so its decoded entry is gone before the next lookup. Every miss
+/// goes to one [`Cell::compute_grid`] call, whose completion hook records
+/// each cell as soon as its summary is final: a run killed midway leaves
+/// every finished cell in the store, in whatever order the runner
+/// finished them. A miss repeated in `points` is computed once and served
+/// to its repeats. Returns what `keep` made of each cell (given its grid
+/// index), in `points` order.
+///
+/// [`Cell::compute_grid`]: eacp_exec::Cell::compute_grid
+pub(crate) fn cache_or_compute<C: StoreCell, T>(
+    cells: &[C],
+    points: &[usize],
+    runner: &dyn Runner,
+    (store, mode, observer): (&dyn StoreBackend, CacheMode, &dyn StoreObserver),
+    analytic: bool,
+    keep: impl Fn(usize, CachedRun<C>) -> T,
+) -> Result<Vec<T>, SpecError> {
+    /// A point: what `keep` made of a hit, or the grid index, miss number
+    /// and outcome of a computed cell.
+    enum Slot<T> {
+        Served(T),
+        Computed(usize, usize, CacheOutcome),
+    }
+    let run = |index: usize, id, summary: C::Summary, served, source, cache| {
+        let report = cells[index].report(&summary, served);
+        keep(
+            index,
+            CachedRun {
+                id,
+                summary,
+                report,
+                source,
+                cache,
+            },
+        )
+    };
+    let mut slots = Vec::with_capacity(points.len());
+    let (mut misses, mut miss_ids) = (Vec::new(), Vec::new());
+    let mut first_miss = std::collections::BTreeMap::new();
+    for &index in points {
+        let id = cells[index].cell_id();
+        slots.push(if let Some(&miss) = first_miss.get(&id) {
+            observer.on_hit(&id);
+            Slot::Computed(index, miss, CacheOutcome::Hit)
+        } else if let Some(entry) = replay(store, &id, mode, observer)? {
+            let summary = entry.summary_of::<C>()?.clone();
+            Slot::Served(run(
+                index,
+                id,
+                summary,
+                entry.served,
+                entry.source,
+                CacheOutcome::Hit,
+            ))
+        } else {
+            first_miss.insert(id, misses.len());
+            misses.push(index);
+            miss_ids.push(id);
+            Slot::Computed(index, misses.len() - 1, CacheOutcome::computed(mode))
         });
     }
-    let (summary, served) = cell.compute(runner, analytic)?;
-    store.put(&CellEntry::record(cell, id, &summary, served))?;
-    observer.on_record(&id);
-    Ok(CachedRun {
-        id,
-        report: cell.report(&summary, served),
-        summary,
-        source: None,
-        cache: CacheOutcome::computed(mode),
-    })
+    let record = |miss: usize, summary: &C::Summary, served: ServeTier| {
+        let (cell, id) = (&cells[misses[miss]], miss_ids[miss]);
+        store.put(&CellEntry::record(cell, id, summary, served))?;
+        observer.on_record(&id);
+        Ok(())
+    };
+    let computed = C::compute_grid(cells, &misses, runner, analytic, &record)?;
+    let resolve = |slot| match slot {
+        Slot::Served(kept) => kept,
+        Slot::Computed(index, miss, cache) => {
+            let (summary, served) = computed[miss].clone();
+            run(index, miss_ids[miss], summary, served, None, cache)
+        }
+    };
+    Ok(slots.into_iter().map(resolve).collect())
 }
 
 /// The replay half of cache-or-compute: the intact entry under `id`, when

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// All methods take `&self` (sweeps may consult the store from worker
 /// threads) and default to no-ops, so an implementation only overrides
 /// what it measures.
-pub trait StoreObserver {
+pub trait StoreObserver: Sync {
     /// A cell was served from the store.
     fn on_hit(&self, id: &CellId) {
         let _ = id;

@@ -1,20 +1,22 @@
 //! Store-backed sweeps: serve finished grid cells, schedule only the rest.
 //!
 //! A sweep expansion derives each grid point's spec (and per-point seed)
-//! deterministically from the grid index, so every point *is* a cell. A
-//! store-backed sweep is therefore resumable for free: kill it anywhere,
-//! rerun with the same store, and the finished prefix is served as cache
-//! hits while only the uncovered cells go through the runner. The
-//! resulting [`GridReport`] is byte-identical to an uninterrupted run —
-//! hits reconstruct the exact summary from the lossless entry payload.
+//! deterministically from the grid index, so every point *is* a cell,
+//! content-addressed. A store-backed sweep records each cell as soon as
+//! its summary is final, in whatever order the runner finishes them, so
+//! it is resumable for free: kill it anywhere, rerun with the same store,
+//! and every finished cell is served as a cache hit while only the
+//! uncovered cells go through the runner. The resulting [`GridReport`] is
+//! byte-identical to an uninterrupted run — hits reconstruct the exact
+//! summary from the lossless entry payload.
 //! Both workload kinds share this module: it takes any [`Grid`] of
 //! [`StoreCell`]s.
 
 use crate::backend::{Lookup, StoreBackend};
 use crate::cell::StoreCell;
 use crate::observe::StoreObserver;
-use crate::{run_cached_with_tiered, CacheMode};
-use eacp_exec::{run_grid, GridReport, Runner, ShardId};
+use crate::{cache_or_compute, CacheMode, CachedRun};
+use eacp_exec::{GridReport, PointReport, Runner, ShardId};
 use eacp_spec::{Grid, SpecError};
 
 /// How much of a sweep's grid the store already covers — the store-side
@@ -81,8 +83,13 @@ pub fn run_sweep_cached_tiered<C: StoreCell>(
     observer: &dyn StoreObserver,
     analytic: bool,
 ) -> Result<GridReport<C>, SpecError> {
-    run_grid(sweep, shard, |cell| {
-        run_cached_with_tiered(cell, runner, store, mode, observer, analytic).map(|run| run.report)
+    GridReport::build(sweep, shard, |cells, points| {
+        let store = (store, mode, observer);
+        let point = |index, run: CachedRun<C>| PointReport {
+            index,
+            report: run.report,
+        };
+        cache_or_compute(cells, points, runner, store, analytic, point)
     })
 }
 

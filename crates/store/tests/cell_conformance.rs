@@ -7,14 +7,16 @@
 //! * a store-backed sweep is byte-identical cold, warm and without a
 //!   store, and `store verify` re-proves (and catches tampering in) every
 //!   recorded cell;
-//! * a sweep resumed after shard 0 of 2 equals an uninterrupted run;
+//! * a sweep resumed after shard 0 of 2, or after a run killed mid-grid,
+//!   equals an uninterrupted run;
 //! * coverage reports missing and duplicated points without failing;
 //! * truncated, lying-`total_points` and wrong-type documents fail with
 //!   the offending file named.
 
 use eacp_exec::{
-    coverage_dir, merge_dir, run_sweep, run_sweep_tiered, run_tiered, Cell, GridReport,
-    LocalRunner, ShardId,
+    coverage_dir, merge_dir, run_sweep, run_sweep_tiered, run_tiered, BlockAssignment, BlockBatch,
+    Cell, ExecutiveJob, ExecutiveSummary, GridReport, InProcessWorker, Job, LocalRunner, Observer,
+    QueueRunner, Runner, ShardId, Summary, Worker,
 };
 use eacp_spec::{
     Axis, ExecutiveMcSpec, ExecutiveSpec, ExecutiveSweepSpec, ExperimentSpec, FaultSpec, FromJson,
@@ -27,6 +29,8 @@ use eacp_store::{
     StoreCounters,
 };
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// A cell kind under test: a 4-point grid named "grid".
 trait Fixture: StoreCell {
@@ -293,6 +297,78 @@ fn resume_after_shard_zero_equals_uninterrupted<S: Fixture>() {
     assert!(store_coverage(&store, &sweep).unwrap().complete());
 }
 
+/// A runner that fails its `fail_at`-th job (0-based), as a process killed
+/// mid-grid would: the jobs before it finish, none after it start.
+struct KilledAt {
+    fail_at: usize,
+    calls: AtomicUsize,
+}
+
+impl KilledAt {
+    fn call(&self) -> Result<(), SpecError> {
+        if self.calls.fetch_add(1, Ordering::SeqCst) == self.fail_at {
+            return Err(SpecError::invalid("killed mid-grid"));
+        }
+        Ok(())
+    }
+}
+
+impl Runner for KilledAt {
+    fn name(&self) -> &'static str {
+        "killed"
+    }
+    fn run(&self, job: &Job) -> Result<Summary, SpecError> {
+        self.call()?;
+        LocalRunner::new(1).run(job)
+    }
+    fn run_observed(&self, job: &Job, obs: &mut dyn Observer) -> Result<Summary, SpecError> {
+        self.call()?;
+        LocalRunner::new(1).run_observed(job, obs)
+    }
+    fn run_executive(&self, job: &ExecutiveJob) -> Result<ExecutiveSummary, SpecError> {
+        self.call()?;
+        LocalRunner::new(1).run_executive(job)
+    }
+}
+
+fn a_grid_killed_mid_run_resumes_from_every_finished_cell<S: Fixture>() {
+    const FINISHED: usize = 2;
+    let sweep = S::grid(5);
+    let store = MemBackend::new();
+    let cached = |runner: &dyn Runner, counters: &StoreCounters| {
+        run_sweep_cached_tiered(
+            &sweep,
+            None,
+            runner,
+            &store,
+            CacheMode::ReadWrite,
+            counters,
+            true,
+        )
+    };
+    let killed = KilledAt {
+        fail_at: FINISHED,
+        calls: AtomicUsize::new(0),
+    };
+    let err = cached(&killed, &StoreCounters::new()).unwrap_err();
+    assert!(err.to_string().contains("killed mid-grid"), "{err}");
+    // The store holds exactly the cells that finished before the kill.
+    let cells = sweep.expand().unwrap();
+    let mut finished: Vec<_> = cells[..FINISHED].iter().map(StoreCell::cell_id).collect();
+    finished.sort_unstable();
+    assert_eq!(store.list().unwrap(), finished);
+
+    // A rerun serves them and computes the rest, byte-identical to an
+    // uninterrupted run.
+    let runner = LocalRunner::new(1);
+    let counters = StoreCounters::new();
+    let resumed = cached(&runner, &counters).unwrap();
+    assert_eq!(counters.hits(), FINISHED as u64);
+    assert_eq!(counters.records(), (cells.len() - FINISHED) as u64);
+    let plain = run_sweep_tiered(&sweep, None, &runner, true).unwrap();
+    assert_eq!(pretty(&resumed), pretty(&plain));
+}
+
 fn coverage_lists_missing_and_duplicated_points<S: Fixture>() {
     let sweep = S::grid(5);
     let base = scratch::<S>("coverage");
@@ -405,9 +481,73 @@ for_both_kinds!(
     shards_merge_byte_identically,
     store_is_byte_identical_cold_warm_and_plain,
     resume_after_shard_zero_equals_uninterrupted,
+    a_grid_killed_mid_run_resumes_from_every_finished_cell,
     coverage_lists_missing_and_duplicated_points,
     corrupt_documents_name_the_file,
 );
+
+/// A worker that serves batches in-process and counts them: one count per
+/// lease, as `remote_fleet.rs` counts `run_block` requests.
+struct CountingWorker(Arc<AtomicUsize>);
+
+impl Worker for CountingWorker {
+    fn name(&self) -> &'static str {
+        "counting"
+    }
+    fn run_assignment(
+        &self,
+        job: &Job,
+        assignment: BlockAssignment,
+        attempt: u32,
+    ) -> Result<Summary, SpecError> {
+        InProcessWorker.run_assignment(job, assignment, attempt)
+    }
+    fn run_blocks(
+        &self,
+        job: &Job,
+        batch: BlockBatch,
+        attempt: u32,
+    ) -> Result<Vec<Summary>, SpecError> {
+        self.0.fetch_add(1, Ordering::SeqCst);
+        InProcessWorker.run_blocks(job, batch, attempt)
+    }
+    fn serves_batches(&self) -> bool {
+        true
+    }
+}
+
+/// A store-backed grid leases its misses from one queue in grid-wide
+/// batches, exactly as the storeless grid does; a warm rerun leases
+/// nothing.
+#[test]
+fn a_store_backed_grid_leases_the_whole_grid_from_one_queue() {
+    let mut sweep = ExperimentSpec::grid(5);
+    sweep.base.mc.replications = 1024;
+    let leases = Arc::new(AtomicUsize::new(0));
+    let runner = || QueueRunner::new(2).with_worker(CountingWorker(leases.clone()));
+    let plain = run_sweep_tiered(&sweep, None, &runner(), true).unwrap();
+    let storeless = leases.swap(0, Ordering::SeqCst);
+    // Four cells of 1,024 replications: 256 blocks of 16, leased in 8
+    // batches of 32 (cell by cell, each cell alone would take 8).
+    assert_eq!(storeless, 8);
+    let store = MemBackend::new();
+    let cached = || {
+        run_sweep_cached_tiered(
+            &sweep,
+            None,
+            &runner(),
+            &store,
+            CacheMode::ReadWrite,
+            &NoopStoreObserver,
+            true,
+        )
+        .unwrap()
+    };
+    assert_eq!(pretty(&cached()), pretty(&plain));
+    assert_eq!(leases.swap(0, Ordering::SeqCst), storeless, "cold");
+    assert_eq!(pretty(&cached()), pretty(&plain));
+    assert_eq!(leases.load(Ordering::SeqCst), 0, "warm");
+}
 
 /// A paper table part document — `specs/table2a.json` at 20 replications:
 /// one points axis of 32 cells, four schemes per row and row `i` seeded
