@@ -35,7 +35,9 @@ use eacp_rtsched::TaskSet;
 use eacp_sim::{
     replication_seed, CheckpointCosts, ExecutorOptions, NoopObserver, Policy, Scenario,
 };
-use eacp_spec::{CheckpointTotals, ExecutiveSpec, FromJson, Json, JsonWriter, SpecError, ToJson};
+use eacp_spec::{
+    CheckpointTotals, ExecutiveSpec, FromJson, Json, JsonReader, JsonWriter, SpecError, ToJson,
+};
 
 /// Per-task aggregates over every job of every horizon.
 #[derive(Debug, Clone, PartialEq)]
@@ -251,14 +253,32 @@ impl ToJson for TaskAggregate {
 
 impl FromJson for TaskAggregate {
     fn from_json(json: &Json) -> Result<Self, SpecError> {
-        Ok(Self {
-            jobs: json.req("jobs")?.as_u64()?,
-            deadline_misses: json.req("deadline_misses")?.as_u64()?,
-            faults: json.req("faults")?.as_u64()?,
-            rollbacks: json.req("rollbacks")?.as_u64()?,
-            energy: json.req("energy")?.as_f64()?,
-            worst_response: json.req("worst_response")?.as_f64()?,
+        JsonReader::tree(json).read()
+    }
+
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, SpecError> {
+        const FIELDS: [&str; 6] = [
+            "jobs",
+            "deadline_misses",
+            "faults",
+            "rollbacks",
+            "energy",
+            "worst_response",
+        ];
+        let mut t = Self::empty();
+        r.object(&FIELDS, &mut |r, i| {
+            match i {
+                0 => t.jobs = r.u64()?,
+                1 => t.deadline_misses = r.u64()?,
+                2 => t.faults = r.u64()?,
+                3 => t.rollbacks = r.u64()?,
+                4 => t.energy = r.f64()?,
+                _ => t.worst_response = r.f64()?,
+            }
+            Ok(())
         })
+        .check()?;
+        Ok(t)
     }
 }
 
@@ -284,25 +304,44 @@ impl ToJson for ExecutiveSummary {
 
 impl FromJson for ExecutiveSummary {
     fn from_json(json: &Json) -> Result<Self, SpecError> {
-        Ok(Self {
-            horizons: json.req("horizons")?.as_u64()?,
-            jobs: json.req("jobs")?.as_u64()?,
-            deadline_misses: json.req("deadline_misses")?.as_u64()?,
-            faults: json.req("faults")?.as_u64()?,
-            rollbacks: json.req("rollbacks")?.as_u64()?,
-            checkpoints: CheckpointTotals::from_json(json.req("checkpoints")?)?,
-            total_energy: json.req("total_energy")?.as_f64()?,
-            miss_ratio: OnlineStats::from_json(json.req("miss_ratio")?)?,
-            energy: OnlineStats::from_json(json.req("energy")?)?,
-            horizon_faults: OnlineStats::from_json(json.req("horizon_faults")?)?,
-            horizon_rollbacks: OnlineStats::from_json(json.req("horizon_rollbacks")?)?,
-            per_task: json
-                .req("tasks")?
-                .as_array()?
-                .iter()
-                .map(TaskAggregate::from_json)
-                .collect::<Result<_, _>>()?,
+        JsonReader::tree(json).read()
+    }
+
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, SpecError> {
+        const FIELDS: [&str; 12] = [
+            "horizons",
+            "jobs",
+            "deadline_misses",
+            "faults",
+            "rollbacks",
+            "checkpoints",
+            "total_energy",
+            "miss_ratio",
+            "energy",
+            "horizon_faults",
+            "horizon_rollbacks",
+            "tasks",
+        ];
+        let mut s = Self::empty(0);
+        r.object(&FIELDS, &mut |r, i| {
+            match i {
+                0 => s.horizons = r.u64()?,
+                1 => s.jobs = r.u64()?,
+                2 => s.deadline_misses = r.u64()?,
+                3 => s.faults = r.u64()?,
+                4 => s.rollbacks = r.u64()?,
+                5 => s.checkpoints = CheckpointTotals::read_json(r)?,
+                6 => s.total_energy = r.f64()?,
+                7 => s.miss_ratio = OnlineStats::read_json(r)?,
+                8 => s.energy = OnlineStats::read_json(r)?,
+                9 => s.horizon_faults = OnlineStats::read_json(r)?,
+                10 => s.horizon_rollbacks = OnlineStats::read_json(r)?,
+                _ => s.per_task = r.list(TaskAggregate::read_json)?,
+            }
+            Ok(())
         })
+        .check()?;
+        Ok(s)
     }
 }
 

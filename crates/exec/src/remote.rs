@@ -29,7 +29,9 @@
 //!   faults, rollbacks, checkpoints, fast_fraction`, each as `[count,
 //!   mean, m2, min, max]`. Floats are written losslessly (`{:?}`, `null`
 //!   for NaN, `±1e999` for infinities), so a decoded summary is bit-identical
-//!   to the computed one. [`decode_reply`] is the one decoder: it checks
+//!   to the computed one. [`decode_reply`] is the one decoder: it reads
+//!   the reply's text one summary at a time through a
+//!   [`eacp_spec::JsonReader`], without a tree of the whole reply, checks
 //!   the array shapes and that each summary covers its block's
 //!   replications, and any other reply is a typed error. A
 //!   request is bounded: a range wider than [`MAX_REQUEST_REPLICATIONS`],
@@ -65,8 +67,8 @@ use crate::job::Job;
 use crate::queue::{BlockAssignment, BlockBatch, InProcessWorker, Worker};
 use crate::runner::run_block;
 use eacp_sim::{NoopObserver, Summary};
-use eacp_spec::report::{summary_from_parts, write_summary_parts};
-use eacp_spec::{ExperimentSpec, FromJson, Json, QueueSpec, SpecError, ToJson};
+use eacp_spec::report::{read_summary_parts, write_summary_parts};
+use eacp_spec::{ExperimentSpec, FromJson, Json, JsonReader, QueueSpec, SpecError, ToJson};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
@@ -223,36 +225,58 @@ pub fn answer_request(text: &str) -> String {
 /// count where a number belongs, and a summary whose replications differ
 /// from its block's.
 pub fn decode_reply(text: &str, batch: BlockBatch) -> Result<Vec<Summary>, SpecError> {
-    let json = Json::parse(text)?;
-    if let Some(error) = json.get("error") {
-        let detail = error.as_str().unwrap_or("malformed error response");
-        return Err(SpecError::invalid(format!("server reported: {detail}")));
-    }
-    let encoded = json.req("summaries")?.as_array()?;
-    if encoded.len() as u64 != batch.block_count() {
+    // Read one summary at a time, into the list this returns: the reply is
+    // never held as a tree. Errors keep the order a whole-reply check
+    // gives them: malformed text, an error reply, the summary count, then
+    // the first block in order that does not decode or cover its block.
+    JsonReader::text(text).document(|r| {
+        let mut error = None;
+        let mut blocks = batch.blocks();
+        let (mut summaries, mut count, mut fault) = (Vec::new(), 0, Ok(()));
+        let reply = r.object(&["summaries", "error"], &mut |r, field| {
+            if field == 1 {
+                error = Some(r.shallow()?);
+                return Ok(());
+            }
+            (count, fault) = r.array(&mut |r, _| {
+                let summary = read_summary_parts(r);
+                if let Some(block) = blocks.next() {
+                    summaries.push(check_block(summary, block)?);
+                }
+                Ok(())
+            })?;
+            Ok(())
+        });
+        if let Some(error) = error {
+            let detail = error.as_str().unwrap_or("malformed error response");
+            return Err(SpecError::invalid(format!("server reported: {detail}")));
+        }
+        reply.check_required(1)?;
+        if count as u64 != batch.block_count() {
+            return Err(SpecError::invalid(format!(
+                "reply carries {count} summaries, expected {}",
+                batch.block_count()
+            )));
+        }
+        fault.map(|()| summaries)
+    })?
+}
+
+/// One decoded block summary of a reply, checked against its block.
+fn check_block(
+    summary: Result<Summary, SpecError>,
+    block: BlockAssignment,
+) -> Result<Summary, SpecError> {
+    let summary = summary
+        .map_err(|e| SpecError::invalid(format!("summary of block {}: {e}", block.block)))?;
+    let expected = block.hi - block.lo;
+    if summary.replications != expected {
         return Err(SpecError::invalid(format!(
-            "reply carries {} summaries, expected {}",
-            encoded.len(),
-            batch.block_count()
+            "summary of block {} covers {} replications, expected {expected}",
+            block.block, summary.replications
         )));
     }
-    encoded
-        .iter()
-        .zip(batch.blocks())
-        .map(|(parts, block)| {
-            let summary = summary_from_parts(parts).map_err(|e| {
-                SpecError::invalid(format!("summary of block {}: {e}", block.block))
-            })?;
-            let expected = block.hi - block.lo;
-            if summary.replications != expected {
-                return Err(SpecError::invalid(format!(
-                    "summary of block {} covers {} replications, expected {expected}",
-                    block.block, summary.replications
-                )));
-            }
-            Ok(summary)
-        })
-        .collect()
+    Ok(summary)
 }
 
 /// The server's side of one connection: the job built from the last spec

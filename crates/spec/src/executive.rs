@@ -25,7 +25,7 @@
 //! report. Execution lives in `eacp-exec` (`eacp_exec::run_executive`).
 
 use crate::error::SpecError;
-use crate::json::{FromJson, Json, JsonWriter, ToJson};
+use crate::json::{FromJson, Json, JsonReader, JsonWriter, ToJson};
 use crate::model::{CostsSpec, DvsSpec, FaultSpec, PolicySpec, QueueSpec};
 use eacp_rtsched::{PeriodicTask, TaskSet};
 
@@ -557,10 +557,21 @@ impl ToJson for CheckpointTotals {
 
 impl FromJson for CheckpointTotals {
     fn from_json(json: &Json) -> Result<Self, SpecError> {
+        JsonReader::tree(json).read()
+    }
+
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, SpecError> {
+        let mut counts = [0; 3];
+        r.object(&["store", "compare", "compare_store"], &mut |r, i| {
+            counts[i] = r.u64()?;
+            Ok(())
+        })
+        .check()?;
+        let [store, compare, compare_store] = counts;
         Ok(Self {
-            store: json.req("store")?.as_u64()?,
-            compare: json.req("compare")?.as_u64()?,
-            compare_store: json.req("compare_store")?.as_u64()?,
+            store,
+            compare,
+            compare_store,
         })
     }
 }

@@ -1,4 +1,5 @@
-//! A minimal, dependency-free JSON document model, writer and parser.
+//! A minimal, dependency-free JSON document model, writer, reader and
+//! parser.
 //!
 //! The build environment of this repository cannot reach crates.io, so the
 //! spec layer carries its own JSON reader/writer instead of `serde_json`.
@@ -36,13 +37,43 @@
 //! one piece, and slices indentation from a static run of spaces: it makes
 //! no allocation of its own beyond growing the output.
 //!
+//! [`pretty_omitting`] is the text sink with a member filter: it leaves
+//! out the members at the dotted key paths it is given (`"name"`,
+//! `"executor.queue"`), which is how the result store writes a spec's
+//! canonical text without the fields that cannot change a result.
+//! [`JsonWriter::pretty`] writes a value given as its pretty text,
+//! indented to where it lands.
+//!
+//! # Reading
+//!
+//! A type decodes its document once, in [`FromJson::read_json`], as calls
+//! on a [`JsonReader`]: [`JsonReader::object`] hands it each member it
+//! names, in whatever order they come, to decode in place (unknown members
+//! are skipped), and the [`Members`] it returns then checks them in field
+//! order. The reader has two sources behind one concrete type: text, read
+//! token by token, and a [`Json`] tree, for callers that hold one.
+//! `from_json` of such a type is `JsonReader::tree(json).read()`, so text
+//! and trees go through the one body and give the same value and the same
+//! error. Types without a body read their value as a tree and decode that.
+//!
+//! The reader raises the errors the tree path raises, each in one place:
+//! a missing member ([`Members::check`], the text [`Json::req`] gives), a
+//! type mismatch and a number out of range (the [`Json`] accessors, on the
+//! scalar read), and from text the parser's own errors — a repeated key
+//! with its line and column, nesting past [`MAX_DEPTH`], truncation,
+//! trailing characters. A syntax error anywhere in the text wins over any
+//! decoding error, as it does when the text is parsed first: the read goes
+//! on past a value that does not decode, and [`JsonReader::document`]
+//! reports the syntax error first.
+//!
 //! # Parsing
 //!
-//! [`Json::parse`] is the only parser. It gathers the children of every
-//! open array and object on two stacks reused for the whole document and
-//! moves each finished container's children into a `Vec` of exactly their
-//! number, so a container costs one allocation; a string without escapes
-//! is copied out of the input in one exact-size allocation.
+//! [`Json::parse`] builds a tree from the same tokenizer the reader uses.
+//! It gathers the children of every open array and object on two stacks
+//! reused for the whole document and moves each finished container's
+//! children into a `Vec` of exactly their number, so a container costs one
+//! allocation; a string without escapes is copied out of the input in one
+//! exact-size allocation.
 //!
 //! A key repeated within one object is a parse error naming the key, line
 //! and column: a document that says two things about one field has no
@@ -51,17 +82,18 @@
 //! scanning their keys; larger ones keep a sorted set of them, so an object
 //! of `n` keys costs `O(n log n)` rather than `O(n²)`.
 //!
-//! The parser caps nesting at [`MAX_DEPTH`] arrays/objects. Deeper input
-//! is rejected with a parse error (line and column) instead of recursing
-//! until the stack overflows; nothing this workspace writes nests deeper
-//! than about ten levels.
+//! The tokenizer caps nesting at [`MAX_DEPTH`] arrays/objects. Deeper
+//! input is rejected with a parse error (line and column) instead of
+//! recursing until the stack overflows; nothing this workspace writes nests
+//! deeper than about ten levels.
 
 use crate::error::SpecError;
 use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-/// The deepest array/object nesting [`Json::parse`] accepts.
+/// The deepest array/object nesting [`Json::parse`] and [`JsonReader`]
+/// accept.
 pub const MAX_DEPTH: usize = 128;
 
 /// Objects with more members than this find repeated keys in a sorted set
@@ -114,12 +146,28 @@ pub trait ToJson {
 pub trait FromJson: Sized {
     /// Deserializes a value, validating as it goes.
     fn from_json(json: &Json) -> Result<Self, SpecError>;
+
+    /// Reads the reader's next value. A type decoded on a hot path
+    /// overrides this with its one decoding body and defines `from_json`
+    /// through it (`JsonReader::tree(json).read()`), so text and trees
+    /// decode alike; the default reads the value as a tree and hands it to
+    /// `from_json`.
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, SpecError> {
+        Self::from_json(&r.value()?)
+    }
 }
 
 /// The pretty text of whatever `body` writes (one value), with the
 /// trailing newline: how a document that is not one [`ToJson`] value,
 /// such as an array of reports, is written without a tree.
 pub fn pretty(body: impl FnOnce(&mut JsonWriter<'_>)) -> String {
+    pretty_omitting(&[], body)
+}
+
+/// [`pretty`] without the members at `omit`, each a dotted path of keys
+/// from the document's root (`"name"`, `"executor.queue"`): the text of
+/// the document with those members removed, written without a tree.
+pub fn pretty_omitting(omit: &[&str], body: impl FnOnce(&mut JsonWriter<'_>)) -> String {
     let mut out = String::with_capacity(1024);
     let mut w = JsonWriter {
         sink: Sink::Text(TextSink {
@@ -127,6 +175,12 @@ pub fn pretty(body: impl FnOnce(&mut JsonWriter<'_>)) -> String {
             depth: 0,
             empty: false,
             keyed: false,
+            omit: (!omit.is_empty()).then(|| Omit {
+                paths: omit,
+                path: String::new(),
+                marks: Vec::new(),
+                muted: None,
+            }),
         }),
     };
     body(&mut w);
@@ -160,9 +214,60 @@ struct TextSink<'a> {
     empty: bool,
     /// A key was just written: its value follows on the same line.
     keyed: bool,
+    /// The members left out, when there are any.
+    omit: Option<Omit<'a>>,
+}
+
+/// The members a text sink leaves out, and where the writer is relative
+/// to them.
+struct Omit<'a> {
+    /// Dotted key paths from the document's root.
+    paths: &'a [&'a str],
+    /// The dotted key path of the member being written.
+    path: String,
+    /// For each open container, the length of `path` at the container's
+    /// own path.
+    marks: Vec<usize>,
+    /// While a left-out member's value is written: the depth of the
+    /// object holding it.
+    muted: Option<usize>,
 }
 
 impl TextSink<'_> {
+    /// Whether a scalar about to be written is left out, with the
+    /// left-out member ending when the scalar is its whole value.
+    fn omits_scalar(&mut self) -> bool {
+        let Some(omit) = &mut self.omit else {
+            return false;
+        };
+        let Some(at) = omit.muted else {
+            return false;
+        };
+        if self.depth == at {
+            omit.muted = None;
+        }
+        true
+    }
+
+    /// Whether the member `key` opens is left out.
+    fn omits_member(&mut self, key: &str) -> bool {
+        let Some(omit) = &mut self.omit else {
+            return false;
+        };
+        if omit.muted.is_some() {
+            return true;
+        }
+        omit.path.truncate(omit.marks.last().copied().unwrap_or(0));
+        if !omit.path.is_empty() {
+            omit.path.push('.');
+        }
+        omit.path.push_str(key);
+        if omit.paths.contains(&omit.path.as_str()) {
+            omit.muted = Some(self.depth);
+        }
+        omit.muted.is_some()
+    }
+
     /// What precedes a value: nothing after a key or at the top level,
     /// otherwise the separator, a newline and the indentation.
     fn member(&mut self) {
@@ -176,6 +281,13 @@ impl TextSink<'_> {
     }
 
     fn open(&mut self, bracket: char) {
+        if let Some(omit) = &mut self.omit {
+            if omit.muted.is_some() {
+                self.depth += 1;
+                return;
+            }
+            omit.marks.push(omit.path.len());
+        }
         self.member();
         self.out.push(bracket);
         self.depth += 1;
@@ -184,6 +296,16 @@ impl TextSink<'_> {
 
     fn close(&mut self, bracket: char) {
         self.depth -= 1;
+        if let Some(omit) = &mut self.omit {
+            if let Some(at) = omit.muted {
+                if self.depth == at {
+                    omit.muted = None;
+                }
+                return;
+            }
+            omit.marks.pop();
+            omit.path.truncate(omit.marks.last().copied().unwrap_or(0));
+        }
         if !self.empty {
             self.out.push('\n');
             push_indent(self.out, self.depth);
@@ -234,6 +356,9 @@ impl JsonWriter<'_> {
     pub fn null(&mut self) {
         match &mut self.sink {
             Sink::Text(t) => {
+                if t.omits_scalar() {
+                    return;
+                }
                 t.member();
                 t.out.push_str("null");
             }
@@ -245,6 +370,9 @@ impl JsonWriter<'_> {
     pub fn bool(&mut self, b: bool) {
         match &mut self.sink {
             Sink::Text(t) => {
+                if t.omits_scalar() {
+                    return;
+                }
                 t.member();
                 t.out.push_str(if b { "true" } else { "false" });
             }
@@ -256,6 +384,9 @@ impl JsonWriter<'_> {
     pub fn float(&mut self, x: f64) {
         match &mut self.sink {
             Sink::Text(t) => {
+                if t.omits_scalar() {
+                    return;
+                }
                 t.member();
                 write_float(t.out, x);
             }
@@ -267,6 +398,9 @@ impl JsonWriter<'_> {
     pub fn uint(&mut self, x: u64) {
         match &mut self.sink {
             Sink::Text(t) => {
+                if t.omits_scalar() {
+                    return;
+                }
                 t.member();
                 // Writing into a `String` cannot fail.
                 let _ = write!(t.out, "{x}");
@@ -279,6 +413,9 @@ impl JsonWriter<'_> {
     pub fn int(&mut self, i: i128) {
         match &mut self.sink {
             Sink::Text(t) => {
+                if t.omits_scalar() {
+                    return;
+                }
                 t.member();
                 write_int(t.out, i);
             }
@@ -290,6 +427,9 @@ impl JsonWriter<'_> {
     pub fn str(&mut self, s: &str) {
         match &mut self.sink {
             Sink::Text(t) => {
+                if t.omits_scalar() {
+                    return;
+                }
                 t.member();
                 write_string(t.out, s);
             }
@@ -301,6 +441,9 @@ impl JsonWriter<'_> {
     pub fn key(&mut self, key: &str) {
         match &mut self.sink {
             Sink::Text(t) => {
+                if t.omits_member(key) {
+                    return;
+                }
                 t.member();
                 write_string(t.out, key);
                 t.out.push_str(": ");
@@ -310,6 +453,30 @@ impl JsonWriter<'_> {
                 Some(Open::Object(_)) => t.members.push((key.to_owned(), Json::Null)),
                 _ => debug_assert!(false, "a key written outside an object"),
             },
+        }
+    }
+
+    /// A value given as the pretty text [`Json::pretty`] prints for it (a
+    /// trailing newline is dropped): the text sink indents it to where it
+    /// lands, the tree sink parses it back (text that does not parse is
+    /// written as `null`).
+    pub fn pretty(&mut self, text: &str) {
+        let text = text.strip_suffix('\n').unwrap_or(text);
+        match &mut self.sink {
+            Sink::Text(t) => {
+                if t.omits_scalar() {
+                    return;
+                }
+                t.member();
+                for (i, line) in text.split('\n').enumerate() {
+                    if i > 0 {
+                        t.out.push('\n');
+                        push_indent(t.out, t.depth);
+                    }
+                    t.out.push_str(line);
+                }
+            }
+            Sink::Tree(t) => t.put(Json::parse(text).unwrap_or(Json::Null)),
         }
     }
 
@@ -435,21 +602,11 @@ impl<T: ToJson> ToJson for Vec<T> {
 impl Json {
     /// Parses a JSON text.
     pub fn parse(text: &str) -> Result<Json, SpecError> {
-        let mut p = Parser {
-            text,
-            bytes: text.as_bytes(),
-            pos: 0,
-            depth: 0,
-            items: Vec::new(),
-            members: Vec::new(),
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after JSON document"));
-        }
-        Ok(v)
+        let mut lex = Lexer::new(text);
+        lex.skip_ws();
+        let value = TreeBuilder::new(&mut lex).value()?;
+        lex.finish()?;
+        Ok(value)
     }
 
     /// Pretty-prints with two-space indentation and a trailing newline.
@@ -469,18 +626,6 @@ impl Json {
     pub fn req(&self, key: &str) -> Result<&Json, SpecError> {
         self.get(key)
             .ok_or_else(|| SpecError::missing_field(key, self.type_name()))
-    }
-
-    /// Moves a required object field's value out, leaving `null` in its
-    /// place: how a reader keeps a large sub-document without copying it.
-    pub fn take(&mut self, key: &str) -> Result<Json, SpecError> {
-        let in_type = self.type_name();
-        let slot = match self {
-            Json::Object(fields) => fields.iter_mut().find(|(k, _)| k == key),
-            _ => None,
-        };
-        slot.map(|(_, v)| std::mem::replace(v, Json::Null))
-            .ok_or_else(|| SpecError::missing_field(key, in_type))
     }
 
     /// The numeric value, accepting either numeric variant. `null` reads
@@ -670,19 +815,38 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-struct Parser<'a> {
+/// The one JSON tokenizer: positions, whitespace, scalars, container
+/// brackets, the depth cap and repeated keys. [`Json::parse`] builds a tree
+/// from its tokens, and a [`JsonReader`] over text decodes from them.
+struct Lexer<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays/objects currently open around `pos`.
     depth: usize,
-    /// The items of every open array, innermost array's last.
-    items: Vec<Json>,
-    /// The members of every open object, innermost object's last.
-    members: Vec<(String, Json)>,
+    /// The keys of every open object, innermost object's last.
+    keys: Vec<Cow<'a, str>>,
 }
 
-impl<'a> Parser<'a> {
+/// An object a [`Lexer`] is inside: where its keys start on the key stack
+/// and, once it outgrows a scan for repeats, the set of them.
+struct OpenObject<'a> {
+    start: usize,
+    set: Option<BTreeSet<Cow<'a, str>>>,
+    first: bool,
+}
+
+impl<'a> Lexer<'a> {
+    fn new(text: &'a str) -> Self {
+        Self {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+            keys: Vec::new(),
+        }
+    }
+
     fn err(&self, msg: &str) -> SpecError {
         self.err_at(self.pos, msg)
     }
@@ -718,6 +882,15 @@ impl<'a> Parser<'a> {
             .unwrap_or(rest.len());
     }
 
+    /// The end of a document: nothing but whitespace may follow its value.
+    fn finish(&mut self) -> Result<(), SpecError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after JSON document"));
+        }
+        Ok(())
+    }
+
     fn expect_byte(&mut self, b: u8) -> Result<(), SpecError> {
         if self.peek() == Some(b) {
             self.pos += 1;
@@ -736,19 +909,102 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, SpecError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected '{lit}'")))
-        }
+    /// Opens the object at `pos`.
+    fn open_object(&mut self) -> Result<OpenObject<'a>, SpecError> {
+        self.descend()?;
+        self.expect_byte(b'{')?;
+        self.skip_ws();
+        Ok(OpenObject {
+            start: self.keys.len(),
+            set: None,
+            first: true,
+        })
     }
 
-    fn value(&mut self) -> Result<Json, SpecError> {
+    /// The next member's key, with the `:` after it consumed, or `None`
+    /// once `object` closes. A key the object already has is an error at
+    /// the repeat.
+    fn next_key(&mut self, object: &mut OpenObject<'a>) -> Result<Option<Cow<'a, str>>, SpecError> {
+        if std::mem::take(&mut object.first) {
+            if self.peek() == Some(b'}') {
+                self.pos += 1;
+                self.depth -= 1;
+                return Ok(None);
+            }
+        } else {
+            self.skip_ws();
+            match self.bump() {
+                Some(b',') => {}
+                Some(b'}') => {
+                    self.depth -= 1;
+                    self.keys.truncate(object.start);
+                    return Ok(None);
+                }
+                _ => return Err(self.err("expected ',' or '}' in object")),
+            }
+        }
+        self.skip_ws();
+        let at = self.pos;
+        let key = self.string()?;
+        let keys = &self.keys[object.start..];
+        let repeated = match &mut object.set {
+            None if keys.len() < SCANNED_MEMBERS => {
+                let repeated = keys.contains(&key);
+                self.keys.push(key.clone());
+                repeated
+            }
+            set => {
+                let set = set.get_or_insert_with(|| self.keys.drain(object.start..).collect());
+                !set.insert(key.clone())
+            }
+        };
+        if repeated {
+            return Err(self.err_at(
+                at,
+                &format!("duplicate key {key:?}: one object sets it twice"),
+            ));
+        }
+        self.skip_ws();
+        self.expect_byte(b':')?;
+        self.skip_ws();
+        Ok(Some(key))
+    }
+
+    /// Opens the array at `pos`.
+    fn open_array(&mut self) -> Result<(), SpecError> {
+        self.descend()?;
+        self.expect_byte(b'[')?;
+        self.skip_ws();
+        Ok(())
+    }
+
+    /// Whether the open array has another item (at `pos`); `first` is set
+    /// before its first item is asked for.
+    fn next_item(&mut self, first: &mut bool) -> Result<bool, SpecError> {
+        if std::mem::take(first) {
+            if self.peek() == Some(b']') {
+                self.pos += 1;
+                self.depth -= 1;
+                return Ok(false);
+            }
+        } else {
+            self.skip_ws();
+            match self.bump() {
+                Some(b',') => {}
+                Some(b']') => {
+                    self.depth -= 1;
+                    return Ok(false);
+                }
+                _ => return Err(self.err("expected ',' or ']' in array")),
+            }
+        }
+        self.skip_ws();
+        Ok(true)
+    }
+
+    /// The value at `pos` when it is a scalar.
+    fn scalar(&mut self) -> Result<Json, SpecError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
             Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -758,77 +1014,35 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, SpecError> {
-        self.descend()?;
-        self.expect_byte(b'{')?;
-        let start = self.members.len();
-        // Every key of the object, once it outgrows a scan for repeats.
-        let mut keys: Option<BTreeSet<Cow<'a, str>>> = None;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Json::Object(Vec::new()));
-        }
-        loop {
-            self.skip_ws();
-            let at = self.pos;
-            let key = self.string()?;
-            let members = &self.members[start..];
-            let repeated = if members.len() < SCANNED_MEMBERS {
-                members.iter().any(|(k, _)| *k == key)
-            } else {
-                let keys = keys.get_or_insert_with(|| {
-                    members.iter().map(|(k, _)| Cow::Owned(k.clone())).collect()
-                });
-                !keys.insert(key.clone())
-            };
-            if repeated {
-                return Err(self.err_at(
-                    at,
-                    &format!("duplicate key {key:?}: one object sets it twice"),
-                ));
-            }
-            self.skip_ws();
-            self.expect_byte(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            self.members.push((key.into_owned(), value));
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => {
-                    self.depth -= 1;
-                    return Ok(Json::Object(self.members.drain(start..).collect()));
+    /// The value at `pos`, with any container read through and returned
+    /// empty: all a reader of a scalar needs to name what it found.
+    fn shallow(&mut self) -> Result<Json, SpecError> {
+        match self.peek() {
+            Some(b'{') => {
+                let mut object = self.open_object()?;
+                while self.next_key(&mut object)?.is_some() {
+                    self.shallow()?;
                 }
-                _ => return Err(self.err("expected ',' or '}' in object")),
+                Ok(Json::Object(Vec::new()))
             }
+            Some(b'[') => {
+                self.open_array()?;
+                let mut first = true;
+                while self.next_item(&mut first)? {
+                    self.shallow()?;
+                }
+                Ok(Json::Array(Vec::new()))
+            }
+            _ => self.scalar(),
         }
     }
 
-    fn array(&mut self) -> Result<Json, SpecError> {
-        self.descend()?;
-        self.expect_byte(b'[')?;
-        let start = self.items.len();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Json::Array(Vec::new()));
-        }
-        loop {
-            self.skip_ws();
-            let item = self.value()?;
-            self.items.push(item);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => {
-                    self.depth -= 1;
-                    return Ok(Json::Array(self.items.drain(start..).collect()));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
+    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, SpecError> {
+        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(value)
+        } else {
+            Err(self.err(&format!("expected '{lit}'")))
         }
     }
 
@@ -939,6 +1153,484 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// Builds a [`Json`] tree from a [`Lexer`]'s tokens. It gathers the
+/// children of every open container on two stacks and moves each finished
+/// container's into an exact-size `Vec`.
+struct TreeBuilder<'l, 'a> {
+    lex: &'l mut Lexer<'a>,
+    /// The items of every open array, innermost array's last.
+    items: Vec<Json>,
+    /// The members of every open object, innermost object's last.
+    members: Vec<(String, Json)>,
+}
+
+impl<'l, 'a> TreeBuilder<'l, 'a> {
+    fn new(lex: &'l mut Lexer<'a>) -> Self {
+        Self {
+            lex,
+            items: Vec::new(),
+            members: Vec::new(),
+        }
+    }
+
+    fn value(&mut self) -> Result<Json, SpecError> {
+        match self.lex.peek() {
+            Some(b'{') => {
+                let mut object = self.lex.open_object()?;
+                let start = self.members.len();
+                while let Some(key) = self.lex.next_key(&mut object)? {
+                    let value = self.value()?;
+                    self.members.push((key.into_owned(), value));
+                }
+                Ok(Json::Object(self.members.drain(start..).collect()))
+            }
+            Some(b'[') => {
+                self.lex.open_array()?;
+                let start = self.items.len();
+                let mut first = true;
+                while self.lex.next_item(&mut first)? {
+                    let item = self.value()?;
+                    self.items.push(item);
+                }
+                Ok(Json::Array(self.items.drain(start..).collect()))
+            }
+            _ => self.lex.scalar(),
+        }
+    }
+}
+
+/// What a [`JsonReader`] reads from.
+enum Source<'a> {
+    /// JSON text, read token by token.
+    Text(Lexer<'a>),
+    /// A tree; the value the next read takes (`None` once taken).
+    Tree(Option<&'a Json>),
+}
+
+/// The one JSON reader, the mirror of [`JsonWriter`]: a [`FromJson`] body
+/// reads its value through it from either source, text or a tree (see the
+/// module docs).
+///
+/// Each read takes one value. A value that does not decode (a missing
+/// member, a wrong type, a number out of range) is the read's `Err`, and
+/// the reader reads on. Malformed text ends the read at the first fault;
+/// [`JsonReader::document`] reports that fault over anything the body
+/// found, as parsing the text first would have.
+pub struct JsonReader<'a> {
+    source: Source<'a>,
+    /// The first syntax error of a text source.
+    failed: Option<SpecError>,
+}
+
+/// What a [`JsonReader::object`] read found: which members came, and the
+/// first, in field order, whose value did not decode.
+#[derive(Debug)]
+pub struct Members<'f> {
+    fields: &'f [&'f str],
+    /// The JSON type of the value read (`"object"`, unless it was not one).
+    in_type: &'static str,
+    /// Bit `i` is set once `fields[i]` was read.
+    seen: u64,
+    fault: Option<(usize, SpecError)>,
+}
+
+impl Members<'_> {
+    /// Records that `fields[i]` was read, and whether it decoded.
+    pub fn record(&mut self, i: usize, read: Result<(), SpecError>) {
+        self.seen |= bit(i);
+        if let Err(e) = read {
+            if self.fault.as_ref().is_none_or(|(at, _)| i < *at) {
+                self.fault = Some((i, e));
+            }
+        }
+    }
+
+    fn has(&self, i: usize) -> bool {
+        self.seen & bit(i) != 0
+    }
+
+    /// The error decoding a tree field by field gives, with every field
+    /// required: [`Members::check_required`] over all of them.
+    pub fn check(self) -> Result<(), SpecError> {
+        let all = self.fields.len();
+        self.check_required(all)
+    }
+
+    /// The error decoding a tree field by field gives: in field order, the
+    /// first field whose value did not decode, or that is missing and
+    /// among the first `required` (the error [`Json::req`] gives).
+    pub fn check_required(self, required: usize) -> Result<(), SpecError> {
+        let missing = (0..required.min(self.fields.len())).find(|&i| !self.has(i));
+        match (missing, self.fault) {
+            (Some(i), fault) if fault.as_ref().is_none_or(|(at, _)| i < *at) => {
+                Err(SpecError::missing_field(self.fields[i], self.in_type))
+            }
+            (_, Some((_, e))) => Err(e),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// The [`Members::seen`] bit of field `i` (fields past 64 are not
+/// tracked).
+fn bit(i: usize) -> u64 {
+    u32::try_from(i)
+        .ok()
+        .and_then(|i| 1u64.checked_shl(i))
+        .unwrap_or(0)
+}
+
+impl<'a> JsonReader<'a> {
+    /// A reader of JSON text.
+    pub fn text(text: &'a str) -> Self {
+        Self {
+            source: Source::Text(Lexer::new(text)),
+            failed: None,
+        }
+    }
+
+    /// A reader of a tree, for callers that hold one.
+    pub fn tree(json: &'a Json) -> Self {
+        Self {
+            source: Source::Tree(Some(json)),
+            failed: None,
+        }
+    }
+
+    /// Reads the source as one document of `T`, flattening
+    /// [`JsonReader::document`]'s two errors into one.
+    pub fn read<T: FromJson>(self) -> Result<T, SpecError> {
+        self.document(T::read_json)?
+    }
+
+    /// Reads the source as one document whose value `body` reads. The
+    /// outer error is what [`Json::parse`] raises for the text: a syntax
+    /// error anywhere, or trailing characters. It wins over `body`'s
+    /// result, which is the inner one.
+    pub fn document<T>(
+        mut self,
+        body: impl FnOnce(&mut Self) -> Result<T, SpecError>,
+    ) -> Result<Result<T, SpecError>, SpecError> {
+        if let Source::Text(lex) = &mut self.source {
+            lex.skip_ws();
+        }
+        let value = body(&mut self);
+        self.finish().map(|()| value)
+    }
+
+    /// The end of a document: its syntax error, if it has one.
+    fn finish(self) -> Result<(), SpecError> {
+        match (self.source, self.failed) {
+            (_, Some(syntax)) => Err(syntax),
+            (Source::Text(mut lex), None) => lex.finish(),
+            (Source::Tree(_), None) => Ok(()),
+        }
+    }
+
+    /// The lexer of a text source still reading, or the error that stands
+    /// in for its syntax error once it has one. `None` for a tree.
+    fn lexer(&mut self) -> Option<Result<&mut Lexer<'a>, SpecError>> {
+        match &mut self.source {
+            Source::Tree(_) => None,
+            Source::Text(_) if self.failed.is_some() => Some(Err(stand_in())),
+            Source::Text(lex) => Some(Ok(lex)),
+        }
+    }
+
+    /// Keeps a text source's first syntax error; what the read returns
+    /// instead only has to fail.
+    fn syntax<T>(&mut self, read: Result<T, SpecError>) -> Result<T, SpecError> {
+        read.map_err(|e| {
+            self.failed.get_or_insert(e);
+            stand_in()
+        })
+    }
+
+    /// The next value, with any container read through and left empty:
+    /// scalars whole, and for a container just enough to name its type.
+    pub fn shallow(&mut self) -> Result<Json, SpecError> {
+        match self.lexer() {
+            None => Ok(match self.take_tree() {
+                Some(Json::Array(_)) => Json::Array(Vec::new()),
+                Some(Json::Object(_)) => Json::Object(Vec::new()),
+                Some(scalar) => scalar.clone(),
+                None => Json::Null,
+            }),
+            Some(lex) => {
+                let read = lex.and_then(Lexer::shallow);
+                self.syntax(read)
+            }
+        }
+    }
+
+    /// Reads past the next value.
+    pub fn skip(&mut self) {
+        let _ = self.shallow();
+    }
+
+    /// The next value as a tree.
+    pub fn value(&mut self) -> Result<Json, SpecError> {
+        match self.lexer() {
+            None => Ok(self.take_tree().cloned().unwrap_or(Json::Null)),
+            Some(lex) => {
+                let read = lex.and_then(|lex| TreeBuilder::new(lex).value());
+                self.syntax(read)
+            }
+        }
+    }
+
+    /// An unsigned integer, as [`Json::as_u64`] reads it.
+    pub fn u64(&mut self) -> Result<u64, SpecError> {
+        self.shallow()?.as_u64()
+    }
+
+    /// A `u32`, as [`Json::as_u32`] reads it.
+    pub fn u32(&mut self) -> Result<u32, SpecError> {
+        self.shallow()?.as_u32()
+    }
+
+    /// A number, as [`Json::as_f64`] reads it (`null` is NaN).
+    pub fn f64(&mut self) -> Result<f64, SpecError> {
+        self.shallow()?.as_f64()
+    }
+
+    /// A boolean.
+    pub fn bool(&mut self) -> Result<bool, SpecError> {
+        self.shallow()?.as_bool()
+    }
+
+    /// A string.
+    pub fn string(&mut self) -> Result<String, SpecError> {
+        match self.shallow()? {
+            Json::Str(s) => Ok(s),
+            other => Err(SpecError::type_mismatch("string", other.type_name())),
+        }
+    }
+
+    /// The next value's pretty text, as [`Json::pretty`] prints it.
+    ///
+    /// `known` is the pretty text of some document that parses (or
+    /// empty). When the next bytes of a text source are `known` indented
+    /// to the value's depth — how the text sink writes a member whose
+    /// pretty text is `known` — the value is that document, found by
+    /// comparing bytes without reading it token by token. Any other value
+    /// is read as a tree and printed.
+    pub fn pretty(&mut self, known: &str) -> Result<String, SpecError> {
+        let lex = match self.lexer() {
+            None => {
+                return Ok(self
+                    .take_tree()
+                    .map_or_else(|| Json::Null.pretty(), Json::pretty))
+            }
+            Some(lex) => lex?,
+        };
+        match embedded(&lex.bytes[lex.pos..], known, lex.depth) {
+            Some(len) => {
+                lex.pos += len;
+                Ok(known.to_owned())
+            }
+            None => self.value().map(|tree| tree.pretty()),
+        }
+    }
+
+    /// Reads an object: `member(reader, i)` reads the value of each member
+    /// whose key is `fields[i]` (exactly one value; at most 64 fields) and
+    /// says whether it decoded; members under other keys are skipped. A
+    /// key read twice is a syntax error in text; a tree keeps the first,
+    /// as [`Json::get`] does. The result tells which members came and what
+    /// a missing one is reported against, including when the value was
+    /// not an object at all.
+    pub fn object<'f>(
+        &mut self,
+        fields: &'f [&'f str],
+        member: &mut dyn FnMut(&mut Self, usize) -> Result<(), SpecError>,
+    ) -> Members<'f> {
+        let mut members = Members {
+            fields,
+            in_type: "object",
+            seen: 0,
+            fault: None,
+        };
+        if let Source::Tree(next) = &mut self.source {
+            let pairs = match next.take() {
+                Some(Json::Object(pairs)) => pairs,
+                other => {
+                    members.in_type = other.map_or("null", Json::type_name);
+                    return members;
+                }
+            };
+            for (key, value) in pairs {
+                match fields.iter().position(|f| f == key) {
+                    Some(i) if !members.has(i) => {
+                        self.source = Source::Tree(Some(value));
+                        let read = member(self, i);
+                        members.record(i, read);
+                    }
+                    _ => {}
+                }
+            }
+            return members;
+        }
+        let mut object = match self.shallow_unless(b'{') {
+            Ok(Some(in_type)) => {
+                members.in_type = in_type;
+                None
+            }
+            Ok(None) => match self.lexer() {
+                Some(Ok(lex)) => {
+                    let opened = lex.open_object();
+                    self.syntax(opened).ok()
+                }
+                _ => None,
+            },
+            Err(_) => None,
+        };
+        while let Some(open) = &mut object {
+            let key = match self.lexer() {
+                Some(Ok(lex)) => lex.next_key(open),
+                _ => break,
+            };
+            match self.syntax(key) {
+                Ok(Some(key)) => match fields.iter().position(|f| *f == key) {
+                    Some(i) => {
+                        let read = member(self, i);
+                        members.record(i, read);
+                    }
+                    None => self.skip(),
+                },
+                _ => break,
+            }
+        }
+        members
+    }
+
+    /// For a text source: when the next value is not a container opened
+    /// by `bracket`, reads past it and gives its type name; `None` when it
+    /// is one (left unread).
+    fn shallow_unless(&mut self, bracket: u8) -> Result<Option<&'static str>, SpecError> {
+        match self.lexer() {
+            Some(Ok(lex)) if lex.peek() == Some(bracket) => Ok(None),
+            Some(Ok(lex)) => {
+                let read = lex.shallow();
+                self.syntax(read).map(|value| Some(value.type_name()))
+            }
+            _ => Err(stand_in()),
+        }
+    }
+
+    /// Reads an array: `item(reader, i)` reads the `i`-th item (exactly
+    /// one value) and says whether it decoded. Returns how many items
+    /// there were and the first item, in order, that did not decode; a
+    /// value that is not an array is read past and is the error
+    /// [`Json::as_array`] gives.
+    pub fn array(
+        &mut self,
+        item: &mut dyn FnMut(&mut Self, usize) -> Result<(), SpecError>,
+    ) -> Result<(usize, Result<(), SpecError>), SpecError> {
+        let mut fault = Ok(());
+        let mut keep = |read: Result<(), SpecError>| {
+            if let (Err(e), Ok(())) = (read, &fault) {
+                fault = Err(e);
+            }
+        };
+        if let Source::Tree(next) = &mut self.source {
+            let items = match next.take() {
+                Some(Json::Array(items)) => items,
+                other => {
+                    let found = other.map_or("null", Json::type_name);
+                    return Err(SpecError::type_mismatch("array", found));
+                }
+            };
+            for (i, value) in items.iter().enumerate() {
+                self.source = Source::Tree(Some(value));
+                keep(item(self, i));
+            }
+            return Ok((items.len(), fault));
+        }
+        if let Some(found) = self.shallow_unless(b'[')? {
+            return Err(SpecError::type_mismatch("array", found));
+        }
+        let opened = match self.lexer() {
+            Some(Ok(lex)) => lex.open_array(),
+            _ => return Err(stand_in()),
+        };
+        self.syntax(opened)?;
+        let (mut count, mut first) = (0, true);
+        loop {
+            let next = match self.lexer() {
+                Some(Ok(lex)) => lex.next_item(&mut first),
+                _ => return Err(stand_in()),
+            };
+            if !self.syntax(next)? {
+                return Ok((count, fault));
+            }
+            keep(item(self, count));
+            count += 1;
+        }
+    }
+
+    /// Reads an array of `T`s, each item by `item`: the first item that
+    /// does not decode is the error, as collecting decoded items is.
+    pub fn list<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, SpecError>,
+    ) -> Result<Vec<T>, SpecError> {
+        let mut items = Vec::new();
+        let (_, read) = self.array(&mut |r, _| {
+            items.push(item(r)?);
+            Ok(())
+        })?;
+        read.map(|()| items)
+    }
+
+    /// Takes the tree source's next value.
+    fn take_tree(&mut self) -> Option<&'a Json> {
+        match &mut self.source {
+            Source::Tree(next) => next.take(),
+            Source::Text(_) => None,
+        }
+    }
+}
+
+/// What a read returns once its text source has a syntax error: the
+/// document's error is reported instead, so this only has to fail.
+fn stand_in() -> SpecError {
+    SpecError::parse("the document did not parse")
+}
+
+/// How many bytes of `rest` are `known` — the pretty text of a container
+/// that parses, with its trailing newline — with every line after the
+/// first indented by `depth` more levels: `None` unless `rest` starts so.
+/// A container's text ends at its closing bracket, so those bytes are
+/// exactly the value the tokenizer would read there; `None` too when the
+/// container would nest past [`MAX_DEPTH`] at `depth`, bounded by the
+/// deepest indentation of `known`.
+fn embedded(rest: &[u8], known: &str, depth: usize) -> Option<usize> {
+    let known = known.strip_suffix('\n')?;
+    if !known.starts_with(['{', '[']) {
+        return None;
+    }
+    let (pad, mut at, mut deepest) = (2 * depth, 0, 0);
+    for (i, line) in known.split('\n').enumerate() {
+        if i > 0 {
+            let newline = rest.get(at..at + 1 + pad)?;
+            if newline[0] != b'\n' || newline[1..].iter().any(|&b| b != b' ') {
+                return None;
+            }
+            at += 1 + pad;
+            deepest = deepest.max(line.len() - line.trim_start_matches(' ').len());
+        }
+        if !rest.get(at..)?.starts_with(line.as_bytes()) {
+            return None;
+        }
+        at += line.len();
+    }
+    // A line indented `2k` lies inside `k` containers, and a container
+    // nests at most one level past its members' lines: at most
+    // `deepest / 2 + 1` levels open here.
+    (depth + deepest / 2 < MAX_DEPTH).then_some(at)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1022,6 +1714,130 @@ mod tests {
         assert_eq!(v.as_str().unwrap(), "λ ≈ 1.4×10⁻³");
         let round = Json::parse(v.pretty().trim()).unwrap();
         assert_eq!(round, v);
+    }
+
+    #[test]
+    fn omitted_members_leave_the_text_a_tree_edit_would() {
+        let doc = Json::parse(
+            r#"{"a": 1, "b": {"c": [1, {"c": 2}], "d": 3}, "e": [{"f": 1}], "g": {"c": 4}}"#,
+        )
+        .unwrap();
+        let text = pretty_omitting(&["a", "b.c", "e", "g.c"], |w| doc.write_json(w));
+        let edited = Json::parse(r#"{"b": {"d": 3}, "g": {}}"#).unwrap();
+        assert_eq!(text, edited.pretty());
+        // The last member, and every member.
+        let text = pretty_omitting(&["g"], |w| doc.write_json(w));
+        assert!(text.ends_with("  ]\n}\n"), "{text}");
+        let all = pretty_omitting(&["a", "b", "e", "g"], |w| doc.write_json(w));
+        assert_eq!(all, "{}\n");
+    }
+
+    #[test]
+    fn pretty_text_embeds_at_any_depth_and_reads_back_by_bytes() {
+        let inner = Json::parse(r#"{"x": [1, 2], "y": {"z": null}}"#).unwrap();
+        let known = inner.pretty();
+        let outer = pretty(|w| {
+            w.object(|w| {
+                w.key("list");
+                w.array(|w| w.pretty(&known));
+                w.key("spec");
+                w.pretty(&known);
+            })
+        });
+        let nested = Json::obj([
+            ("list", Json::Array(vec![inner.clone()])),
+            ("spec", inner.clone()),
+        ]);
+        assert_eq!(outer, nested.pretty());
+        // Read back: byte-equal text is `known` itself; anything else is
+        // parsed and printed.
+        for (text, expect) in [
+            (outer.as_str(), known.clone()),
+            (
+                r#"{"list": [], "spec": {"y": {"z": null}, "x": [1, 2]}}"#,
+                {
+                    Json::parse(r#"{"y": {"z": null}, "x": [1, 2]}"#)
+                        .unwrap()
+                        .pretty()
+                },
+            ),
+        ] {
+            let spec = JsonReader::text(text)
+                .document(|r| {
+                    let mut spec = None;
+                    r.object(&["spec"], &mut |r, _| {
+                        spec = Some(r.pretty(&known)?);
+                        Ok(())
+                    })
+                    .check()?;
+                    Ok(spec)
+                })
+                .unwrap()
+                .unwrap();
+            assert_eq!(spec.as_deref(), Some(expect.as_str()));
+        }
+    }
+
+    #[test]
+    fn the_reader_reports_what_parsing_then_decoding_reports() {
+        let read = |text: &str| {
+            JsonReader::text(text).document(|r| {
+                let (mut a, mut b) = (0, 0.0);
+                r.object(&["a", "b"], &mut |r, i| {
+                    match i {
+                        0 => a = r.u64()?,
+                        _ => b = r.f64()?,
+                    }
+                    Ok(())
+                })
+                .check()?;
+                Ok((a, b))
+            })
+        };
+        assert_eq!(read(r#"{"b": 2.5, "z": [{}], "a": 7}"#), Ok(Ok((7, 2.5))));
+        // Decoding errors in field order, whatever the member order.
+        let err = read(r#"{"b": "x"}"#).unwrap().unwrap_err().to_string();
+        assert!(
+            err.contains("missing field \"a\" (in a JSON object)"),
+            "{err}"
+        );
+        let err = read(r#"{"b": "x", "a": -1}"#).unwrap().unwrap_err();
+        assert!(err.to_string().contains("out of u64 range"), "{err}");
+        let err = read("[1]").unwrap().unwrap_err().to_string();
+        assert!(err.contains("(in a JSON array)"), "{err}");
+        // A syntax error anywhere wins, as parsing first makes it.
+        for text in [
+            r#"{"a": "x", "b": 1, "b": 2}"#,
+            r#"{"a": "x", "z": 1, "z": 2}"#,
+            r#"{"a": "x", "b": 1} x"#,
+            r#"{"a": "x", "b": [1"#,
+        ] {
+            let err = read(text).unwrap_err();
+            assert_eq!(Err(err), Json::parse(text).map(drop), "{text}");
+        }
+        let deep = format!(r#"{{"a": 1, "z": {}}}"#, "[".repeat(MAX_DEPTH));
+        let err = read(&deep).unwrap_err().to_string();
+        assert!(err.contains("deeper than"), "{err}");
+        // A tree keeps the first of a repeated key, as `get` does.
+        let tree = Json::Object(vec![
+            ("a".into(), Json::Int(1)),
+            ("a".into(), Json::Int(2)),
+            ("b".into(), Json::Null),
+        ]);
+        let mut a = Json::Null;
+        JsonReader::tree(&tree)
+            .document(|r| {
+                r.object(&["a", "b"], &mut |r, i| {
+                    if i == 0 {
+                        a = r.shallow()?;
+                    }
+                    Ok(())
+                })
+                .check()
+            })
+            .unwrap()
+            .unwrap();
+        assert_eq!(a, Json::Int(1));
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub use executive::{
     CheckpointTotals, ExecutiveMcSpec, ExecutiveRunReport, ExecutiveSpec, ExecutiveSummaryReport,
     PeriodicTaskSpec, PolicyAssignment, TaskReport, TaskSetSpec,
 };
-pub use json::{FromJson, Json, JsonWriter, ToJson};
+pub use json::{FromJson, Json, JsonReader, JsonWriter, Members, ToJson};
 pub use model::{
     CostsSpec, DvsSpec, ExecSpec, ExperimentSpec, FaultSpec, McSpec, OptimizerSpec, PolicySpec,
     QueueSpec, ScenarioSpec, WorkSpec, DEFAULT_REMOTE_TIMEOUT_MS,

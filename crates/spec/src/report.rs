@@ -7,7 +7,7 @@
 //! path).
 
 use crate::error::SpecError;
-use crate::json::{FromJson, Json, JsonWriter, ToJson};
+use crate::json::{FromJson, Json, JsonReader, JsonWriter, ToJson};
 use crate::model::ExperimentSpec;
 use eacp_numerics::OnlineStats;
 use eacp_sim::Summary;
@@ -135,13 +135,21 @@ impl ToJson for OnlineStats {
 
 impl FromJson for OnlineStats {
     fn from_json(json: &Json) -> Result<Self, SpecError> {
-        Ok(OnlineStats::from_raw_parts(
-            json.req("count")?.as_u64()?,
-            json.req("mean")?.as_f64()?,
-            json.req("m2")?.as_f64()?,
-            json.req("min")?.as_f64()?,
-            json.req("max")?.as_f64()?,
-        ))
+        JsonReader::tree(json).read()
+    }
+
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, SpecError> {
+        let (mut count, mut floats) = (0, [0.0; 4]);
+        r.object(&["count", "mean", "m2", "min", "max"], &mut |r, i| {
+            match i {
+                0 => count = r.u64()?,
+                _ => floats[i - 1] = r.f64()?,
+            }
+            Ok(())
+        })
+        .check()?;
+        let [mean, m2, min, max] = floats;
+        Ok(OnlineStats::from_raw_parts(count, mean, m2, min, max))
     }
 }
 
@@ -168,20 +176,38 @@ impl ToJson for Summary {
 
 impl FromJson for Summary {
     fn from_json(json: &Json) -> Result<Self, SpecError> {
-        Ok(Summary {
-            replications: json.req("replications")?.as_u64()?,
-            timely: json.req("timely")?.as_u64()?,
-            completed: json.req("completed")?.as_u64()?,
-            aborted: json.req("aborted")?.as_u64()?,
-            anomalies: json.req("anomalies")?.as_u64()?,
-            energy_timely: OnlineStats::from_json(json.req("energy_timely")?)?,
-            energy_all: OnlineStats::from_json(json.req("energy_all")?)?,
-            finish_timely: OnlineStats::from_json(json.req("finish_timely")?)?,
-            faults: OnlineStats::from_json(json.req("faults")?)?,
-            rollbacks: OnlineStats::from_json(json.req("rollbacks")?)?,
-            checkpoints: OnlineStats::from_json(json.req("checkpoints")?)?,
-            fast_fraction: OnlineStats::from_json(json.req("fast_fraction")?)?,
+        JsonReader::tree(json).read()
+    }
+
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, SpecError> {
+        const FIELDS: [&str; 12] = [
+            "replications",
+            "timely",
+            "completed",
+            "aborted",
+            "anomalies",
+            "energy_timely",
+            "energy_all",
+            "finish_timely",
+            "faults",
+            "rollbacks",
+            "checkpoints",
+            "fast_fraction",
+        ];
+        let mut s = Summary::empty();
+        r.object(&FIELDS, &mut |r, i| {
+            match i {
+                0 => s.replications = r.u64()?,
+                1 => s.timely = r.u64()?,
+                2 => s.completed = r.u64()?,
+                3 => s.aborted = r.u64()?,
+                4 => s.anomalies = r.u64()?,
+                _ => *summary_stats_mut(&mut s)[i - 5] = OnlineStats::read_json(r)?,
+            }
+            Ok(())
         })
+        .check()?;
+        Ok(s)
     }
 }
 
@@ -241,51 +267,78 @@ fn summary_stats(s: &Summary) -> [&OnlineStats; 7] {
     ]
 }
 
-/// Reads the compact form [`write_summary_parts`] writes.
+/// The seven accumulators of `summary`, in field order, to fill in.
+fn summary_stats_mut(s: &mut Summary) -> [&mut OnlineStats; 7] {
+    [
+        &mut s.energy_timely,
+        &mut s.energy_all,
+        &mut s.finish_timely,
+        &mut s.faults,
+        &mut s.rollbacks,
+        &mut s.checkpoints,
+        &mut s.fast_fraction,
+    ]
+}
+
+/// Reads the compact form [`write_summary_parts`] writes, from a tree.
+///
+/// # Errors
+///
+/// Those of [`read_summary_parts`].
+pub fn summary_from_parts(json: &Json) -> Result<Summary, SpecError> {
+    JsonReader::tree(json).document(read_summary_parts)?
+}
+
+/// Reads the compact form [`write_summary_parts`] writes: the one body
+/// behind [`summary_from_parts`] and the remote transport's streamed
+/// replies.
 ///
 /// # Errors
 ///
 /// Anything but an array of five unsigned counts and seven
 /// five-part accumulators (an unsigned count, then four numbers or
 /// `null`) is a [`SpecError`] saying what is wrong.
-pub fn summary_from_parts(json: &Json) -> Result<Summary, SpecError> {
-    let parts = json.as_array()?;
-    if parts.len() != SUMMARY_PARTS {
+pub fn read_summary_parts(r: &mut JsonReader<'_>) -> Result<Summary, SpecError> {
+    let mut s = Summary::empty();
+    let (parts, read) = r.array(&mut |r, i| {
+        match i {
+            0 => s.replications = r.u64()?,
+            1 => s.timely = r.u64()?,
+            2 => s.completed = r.u64()?,
+            3 => s.aborted = r.u64()?,
+            4 => s.anomalies = r.u64()?,
+            5..SUMMARY_PARTS => *summary_stats_mut(&mut s)[i - 5] = read_stats_parts(r)?,
+            _ => r.skip(),
+        }
+        Ok(())
+    })?;
+    if parts != SUMMARY_PARTS {
         return Err(SpecError::invalid(format!(
-            "a summary is {SUMMARY_PARTS} raw parts (5 counts, 7 accumulators), got {}",
-            parts.len()
+            "a summary is {SUMMARY_PARTS} raw parts (5 counts, 7 accumulators), got {parts}"
         )));
     }
-    let stats = |json: &Json| -> Result<OnlineStats, SpecError> {
-        let raw = json.as_array()?;
-        if raw.len() != STATS_PARTS {
-            return Err(SpecError::invalid(format!(
-                "an accumulator is {STATS_PARTS} raw parts (count, mean, m2, min, max), got {}",
-                raw.len()
-            )));
+    read.map(|()| s)
+}
+
+/// One accumulator of the compact form: `[count, mean, m2, min, max]`.
+fn read_stats_parts(r: &mut JsonReader<'_>) -> Result<OnlineStats, SpecError> {
+    let (mut count, mut floats) = (0, [0.0; 4]);
+    let (parts, read) = r.array(&mut |r, i| {
+        match i {
+            0 => count = r.u64()?,
+            1..STATS_PARTS => floats[i - 1] = r.f64()?,
+            _ => r.skip(),
         }
-        Ok(OnlineStats::from_raw_parts(
-            raw[0].as_u64()?,
-            raw[1].as_f64()?,
-            raw[2].as_f64()?,
-            raw[3].as_f64()?,
-            raw[4].as_f64()?,
-        ))
-    };
-    Ok(Summary {
-        replications: parts[0].as_u64()?,
-        timely: parts[1].as_u64()?,
-        completed: parts[2].as_u64()?,
-        aborted: parts[3].as_u64()?,
-        anomalies: parts[4].as_u64()?,
-        energy_timely: stats(&parts[5])?,
-        energy_all: stats(&parts[6])?,
-        finish_timely: stats(&parts[7])?,
-        faults: stats(&parts[8])?,
-        rollbacks: stats(&parts[9])?,
-        checkpoints: stats(&parts[10])?,
-        fast_fraction: stats(&parts[11])?,
-    })
+        Ok(())
+    })?;
+    if parts != STATS_PARTS {
+        return Err(SpecError::invalid(format!(
+            "an accumulator is {STATS_PARTS} raw parts (count, mean, m2, min, max), got {parts}"
+        )));
+    }
+    read?;
+    let [mean, m2, min, max] = floats;
+    Ok(OnlineStats::from_raw_parts(count, mean, m2, min, max))
 }
 
 /// The serializable mirror of a Monte-Carlo [`Summary`].

@@ -13,16 +13,28 @@
 //! * A key repeated within one object is a parse error naming the key,
 //!   line and column, found without a quadratic scan however many keys an
 //!   object has.
+//! * `JsonReader` decodes `OnlineStats`, `Summary`, `ExecutiveSummary` and
+//!   `CellEntry` (all three payloads, both serve tiers) from text and from
+//!   a tree to the same value, bit for bit, as the tree decoders it
+//!   replaced (kept below as `ref_*`), whatever the member order, unknown
+//!   members or key escapes; on hostile documents — repeated keys, known
+//!   or unknown, missing members, wrong types, truncation, trailing bytes,
+//!   nesting past the cap — both sources give the error text that parsing
+//!   and then tree-decoding gives.
+//! * The store's canonical cell-spec text, written by the text sink's
+//!   member filter, is the stripped tree's pretty text, kept below as
+//!   `reference_cell_spec_text`.
 
+use eacp_exec::{ExecutiveSummary, TaskAggregate};
 use eacp_numerics::OnlineStats;
 use eacp_sim::{RunOutcome, Summary};
 use eacp_spec::json::MAX_DEPTH;
 use eacp_spec::{
-    ExecutiveMcSpec, ExecutiveRunReport, ExecutiveSpec, ExecutiveSweepSpec, ExperimentSpec,
-    FromJson, Json, PolicyAssignment, QueueSpec, RunReport, ServeTier, StatsReport, SummaryReport,
-    SweepSpec, ToJson,
+    CheckpointTotals, ExecutiveMcSpec, ExecutiveRunReport, ExecutiveSpec, ExecutiveSweepSpec,
+    ExperimentSpec, FromJson, Json, JsonReader, PolicyAssignment, QueueSpec, RunReport, ServeTier,
+    SpecError, StatsReport, SummaryReport, SweepSpec, ToJson,
 };
-use eacp_store::{CellEntry, CellId, CellPayload, SpecHash};
+use eacp_store::{CellEntry, CellId, CellPayload, SpecHash, StoreCell};
 use proptest::prelude::*;
 use proptest::TestRng;
 use rand::Rng;
@@ -386,9 +398,57 @@ fn outcome(rng: &mut TestRng) -> RunOutcome {
     }
 }
 
+fn executive_summary(rng: &mut TestRng) -> ExecutiveSummary {
+    // Checkpoint counts stay small: their document carries their sum.
+    let small = |rng: &mut TestRng| below(rng, 1 << 40);
+    ExecutiveSummary {
+        horizons: count(rng),
+        jobs: count(rng),
+        deadline_misses: count(rng),
+        faults: count(rng),
+        rollbacks: count(rng),
+        checkpoints: CheckpointTotals {
+            store: small(rng),
+            compare: small(rng),
+            compare_store: small(rng),
+        },
+        total_energy: float(rng),
+        miss_ratio: stats(rng),
+        energy: stats(rng),
+        horizon_faults: stats(rng),
+        horizon_rollbacks: stats(rng),
+        per_task: (0..below(rng, 4))
+            .map(|_| TaskAggregate {
+                jobs: count(rng),
+                deadline_misses: count(rng),
+                faults: count(rng),
+                rollbacks: count(rng),
+                energy: float(rng),
+                worst_response: float(rng),
+            })
+            .collect(),
+    }
+}
+
+/// An entry of any payload and tier, embedding a canonical spec text of
+/// its payload's kind.
 fn cell_entry(rng: &mut TestRng) -> CellEntry {
     let mut hash = [0u8; 32];
     hash.iter_mut().for_each(|b| *b = below(rng, 256) as u8);
+    let (spec, payload) = match below(rng, 3) {
+        0 => (
+            experiment_spec(rng).cell_spec_text(),
+            CellPayload::Summary(summary(rng)),
+        ),
+        1 => (
+            experiment_spec(rng).cell_spec_text(),
+            CellPayload::Outcome(outcome(rng)),
+        ),
+        _ => (
+            executive_spec(rng).cell_spec_text(),
+            CellPayload::Executive(executive_summary(rng)),
+        ),
+    };
     CellEntry {
         cell: CellId {
             spec_hash: SpecHash(hash),
@@ -396,12 +456,8 @@ fn cell_entry(rng: &mut TestRng) -> CellEntry {
             replications: count(rng),
         },
         policy: string(rng),
-        spec: experiment_spec(rng).to_json(),
-        payload: if below(rng, 2) == 0 {
-            CellPayload::Summary(summary(rng))
-        } else {
-            CellPayload::Outcome(outcome(rng))
-        },
+        spec,
+        payload,
         served: tier(rng),
         source: None,
     }
@@ -454,6 +510,401 @@ fn identical(a: &Json, b: &Json) -> bool {
         }
         _ => a == b,
     }
+}
+
+// ---------------------------------------------------------------------------
+// The tree decoders `JsonReader` replaced, kept as the oracle.
+
+fn ref_stats(json: &Json) -> Result<OnlineStats, SpecError> {
+    Ok(OnlineStats::from_raw_parts(
+        json.req("count")?.as_u64()?,
+        json.req("mean")?.as_f64()?,
+        json.req("m2")?.as_f64()?,
+        json.req("min")?.as_f64()?,
+        json.req("max")?.as_f64()?,
+    ))
+}
+
+fn ref_summary(json: &Json) -> Result<Summary, SpecError> {
+    Ok(Summary {
+        replications: json.req("replications")?.as_u64()?,
+        timely: json.req("timely")?.as_u64()?,
+        completed: json.req("completed")?.as_u64()?,
+        aborted: json.req("aborted")?.as_u64()?,
+        anomalies: json.req("anomalies")?.as_u64()?,
+        energy_timely: ref_stats(json.req("energy_timely")?)?,
+        energy_all: ref_stats(json.req("energy_all")?)?,
+        finish_timely: ref_stats(json.req("finish_timely")?)?,
+        faults: ref_stats(json.req("faults")?)?,
+        rollbacks: ref_stats(json.req("rollbacks")?)?,
+        checkpoints: ref_stats(json.req("checkpoints")?)?,
+        fast_fraction: ref_stats(json.req("fast_fraction")?)?,
+    })
+}
+
+fn ref_task(json: &Json) -> Result<TaskAggregate, SpecError> {
+    Ok(TaskAggregate {
+        jobs: json.req("jobs")?.as_u64()?,
+        deadline_misses: json.req("deadline_misses")?.as_u64()?,
+        faults: json.req("faults")?.as_u64()?,
+        rollbacks: json.req("rollbacks")?.as_u64()?,
+        energy: json.req("energy")?.as_f64()?,
+        worst_response: json.req("worst_response")?.as_f64()?,
+    })
+}
+
+fn ref_checkpoints(json: &Json) -> Result<CheckpointTotals, SpecError> {
+    Ok(CheckpointTotals {
+        store: json.req("store")?.as_u64()?,
+        compare: json.req("compare")?.as_u64()?,
+        compare_store: json.req("compare_store")?.as_u64()?,
+    })
+}
+
+fn ref_executive(json: &Json) -> Result<ExecutiveSummary, SpecError> {
+    Ok(ExecutiveSummary {
+        horizons: json.req("horizons")?.as_u64()?,
+        jobs: json.req("jobs")?.as_u64()?,
+        deadline_misses: json.req("deadline_misses")?.as_u64()?,
+        faults: json.req("faults")?.as_u64()?,
+        rollbacks: json.req("rollbacks")?.as_u64()?,
+        checkpoints: ref_checkpoints(json.req("checkpoints")?)?,
+        total_energy: json.req("total_energy")?.as_f64()?,
+        miss_ratio: ref_stats(json.req("miss_ratio")?)?,
+        energy: ref_stats(json.req("energy")?)?,
+        horizon_faults: ref_stats(json.req("horizon_faults")?)?,
+        horizon_rollbacks: ref_stats(json.req("horizon_rollbacks")?)?,
+        per_task: json
+            .req("tasks")?
+            .as_array()?
+            .iter()
+            .map(ref_task)
+            .collect::<Result<_, _>>()?,
+    })
+}
+
+fn ref_outcome(json: &Json) -> Result<RunOutcome, SpecError> {
+    Ok(RunOutcome {
+        completed: json.req("completed")?.as_bool()?,
+        timely: json.req("timely")?.as_bool()?,
+        finish_time: json.req("finish_time")?.as_f64()?,
+        energy: json.req("energy")?.as_f64()?,
+        faults: json.req("faults")?.as_u32()?,
+        rollbacks: json.req("rollbacks")?.as_u32()?,
+        store_checkpoints: json.req("store_checkpoints")?.as_u32()?,
+        compare_checkpoints: json.req("compare_checkpoints")?.as_u32()?,
+        compare_store_checkpoints: json.req("compare_store_checkpoints")?.as_u32()?,
+        segments: json.req("segments")?.as_u32()?,
+        speed_switches: json.req("speed_switches")?.as_u64()?,
+        cycles_at_fastest: json.req("cycles_at_fastest")?.as_f64()?,
+        total_cycles: json.req("total_cycles")?.as_f64()?,
+        aborted: json.req("aborted")?.as_bool()?,
+        anomaly: None,
+    })
+}
+
+/// The entry decoder over a tree; the embedded spec document comes back
+/// as its pretty text, which is what the reader keeps.
+fn ref_entry(json: &Json) -> Result<CellEntry, SpecError> {
+    let spec = json.req("spec").map(Json::pretty);
+    let cell = CellId {
+        spec_hash: SpecHash::from_hex(json.req("spec_hash")?.as_str()?)?,
+        seed: json.req("seed")?.as_u64()?,
+        replications: json.req("replications")?.as_u64()?,
+    };
+    let payload = match json.req("kind")?.as_str()? {
+        "summary" => CellPayload::Summary(ref_summary(json.req("payload")?)?),
+        "outcome" => CellPayload::Outcome(ref_outcome(json.req("payload")?)?),
+        "executive" => CellPayload::Executive(ref_executive(json.req("payload")?)?),
+        other => {
+            return Err(SpecError::invalid(format!(
+                "unknown cell payload kind {other:?} \
+                 (expected summary, outcome or executive)"
+            )))
+        }
+    };
+    Ok(CellEntry {
+        cell,
+        policy: json.req("policy")?.as_str()?.to_owned(),
+        spec: spec?,
+        payload,
+        served: match json.get("served") {
+            None => ServeTier::Mc,
+            Some(s) => ServeTier::parse(s.as_str()?)?,
+        },
+        source: None,
+    })
+}
+
+/// The three decoders of `text` agree: the reader over the text, the
+/// reader over its parsed tree (`from_json`), and parsing then the old
+/// tree decoder — on the same value, floats bit for bit, or on the same
+/// error text.
+fn decoders_agree<T: FromJson + ToJson>(text: &str, reference: fn(&Json) -> Result<T, SpecError>) {
+    let from_text = JsonReader::text(text).read::<T>();
+    let from_tree = Json::parse(text).and_then(|tree| T::from_json(&tree));
+    let oracle = Json::parse(text).and_then(|tree| reference(&tree));
+    let show = |r: &Result<T, SpecError>| match r {
+        Ok(x) => format!("ok {}", x.to_json_string()),
+        Err(e) => format!("error {e}"),
+    };
+    let agree = match (&from_text, &from_tree, &oracle) {
+        (Ok(a), Ok(b), Ok(c)) => {
+            let (a, b, c) = (a.to_json(), b.to_json(), c.to_json());
+            identical(&a, &c) && identical(&b, &c)
+        }
+        (Err(a), Err(b), Err(c)) => {
+            a.to_string() == c.to_string() && b.to_string() == c.to_string()
+        }
+        _ => false,
+    };
+    assert!(
+        agree,
+        "text: {}\ntree: {}\nparse + old decoder: {}\nfor {text}",
+        show(&from_text),
+        show(&from_tree),
+        show(&oracle)
+    );
+}
+
+/// `doc` with the members of every object in a random order and, in some
+/// objects, unknown members mixed in.
+fn reordered(tree: &Json, rng: &mut TestRng) -> Json {
+    match tree {
+        Json::Object(fields) => {
+            let mut fields: Vec<(String, Json)> = fields
+                .iter()
+                .map(|(k, v)| (k.clone(), reordered(v, rng)))
+                .collect();
+            for i in 0..below(rng, 3) {
+                fields.push((format!("unknown_{i}"), doc(rng, 2)));
+            }
+            for i in (1..fields.len()).rev() {
+                fields.swap(i, below(rng, i as u64 + 1) as usize);
+            }
+            Json::Object(fields)
+        }
+        Json::Array(items) => Json::Array(items.iter().map(|v| reordered(v, rng)).collect()),
+        other => other.clone(),
+    }
+}
+
+/// `tree` as compact text whose keys spell some of their characters as
+/// `\u` escapes (`"spec\u005fhash"`).
+fn escaped_keys(tree: &Json, rng: &mut TestRng, out: &mut String) {
+    match tree {
+        Json::Object(fields) => {
+            out.push('{');
+            for (i, (key, value)) in fields.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push('"');
+                for c in key.chars() {
+                    let plain = c > '\u{1f}' && c != '"' && c != '\\';
+                    if c > '\u{ffff}' || (plain && below(rng, 2) == 0) {
+                        out.push(c);
+                    } else {
+                        out.push_str(&format!("\\u{:04x}", c as u32));
+                    }
+                }
+                out.push_str("\":");
+                escaped_keys(value, rng, out);
+            }
+            out.push('}');
+        }
+        Json::Array(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                escaped_keys(item, rng, out);
+            }
+            out.push(']');
+        }
+        scalar => out.push_str(scalar.pretty().trim_end()),
+    }
+}
+
+/// A text of `tree` as another writer might spell it: the canonical
+/// pretty text, or reordered with unknown members, or with escaped keys.
+fn respelled(tree: &Json, rng: &mut TestRng) -> String {
+    let tree = if below(rng, 2) == 0 {
+        tree.clone()
+    } else {
+        reordered(tree, rng)
+    };
+    if below(rng, 2) == 0 {
+        return tree.pretty();
+    }
+    let mut out = String::new();
+    escaped_keys(&tree, rng, &mut out);
+    out
+}
+
+/// How many objects `tree` holds.
+fn objects(tree: &Json) -> usize {
+    match tree {
+        Json::Object(fields) => 1 + fields.iter().map(|(_, v)| objects(v)).sum::<usize>(),
+        Json::Array(items) => items.iter().map(objects).sum(),
+        _ => 0,
+    }
+}
+
+/// The members of the `n`-th object of `tree`, in pre-order.
+fn nth_object<'a>(tree: &'a mut Json, n: &mut usize) -> Option<&'a mut Vec<(String, Json)>> {
+    match tree {
+        Json::Object(fields) => {
+            if *n == 0 {
+                return Some(fields);
+            }
+            *n -= 1;
+            for (_, value) in fields.iter_mut() {
+                if let Some(found) = nth_object(value, n) {
+                    return Some(found);
+                }
+            }
+            None
+        }
+        Json::Array(items) => {
+            for item in items.iter_mut() {
+                if let Some(found) = nth_object(item, n) {
+                    return Some(found);
+                }
+            }
+            None
+        }
+        _ => None,
+    }
+}
+
+/// A value of another JSON type than `value`.
+fn retyped(value: &Json, rng: &mut TestRng) -> Json {
+    let others: Vec<Json> = [
+        Json::Str("8".into()),
+        Json::Bool(true),
+        Json::Array(vec![Json::Int(1)]),
+        Json::Object(vec![("count".into(), Json::Int(1))]),
+        Json::Int(-1),
+        Json::Float(0.5),
+        Json::Null,
+    ]
+    .into_iter()
+    .filter(|other| other.type_name() != value.type_name())
+    .collect();
+    others[below(rng, others.len() as u64) as usize].clone()
+}
+
+/// `tree` damaged one to six times: a member repeated (a known one, or
+/// an unknown one set twice), removed, retyped or nested past the depth
+/// cap, then the text cut short or followed by stray bytes. Half the edits
+/// land in the root object, so that several faults often meet in one
+/// object and the order they are reported in shows.
+fn hostile(tree: &Json, rng: &mut TestRng) -> String {
+    let mut tree = tree.clone();
+    let (mut cut, mut trailing) = (false, None);
+    for _ in 0..1 + below(rng, 6) {
+        let edit = below(rng, 7);
+        let mut n = match below(rng, 2) {
+            0 => 0,
+            _ => below(rng, objects(&tree) as u64) as usize,
+        };
+        let Some(fields) = nth_object(&mut tree, &mut n) else {
+            continue;
+        };
+        let at = |rng: &mut TestRng, len: usize| below(rng, len as u64) as usize;
+        match edit {
+            0 if !fields.is_empty() => {
+                let member = fields[at(rng, fields.len())].clone();
+                let to = at(rng, fields.len() + 1);
+                fields.insert(to, member);
+            }
+            1 => {
+                for _ in 0..2 {
+                    let to = at(rng, fields.len() + 1);
+                    fields.insert(to, ("unknown".into(), doc(rng, 1)));
+                }
+            }
+            2 if !fields.is_empty() => {
+                fields.remove(at(rng, fields.len()));
+            }
+            3 if !fields.is_empty() => {
+                let i = at(rng, fields.len());
+                fields[i].1 = retyped(&fields[i].1, rng);
+            }
+            4 if !fields.is_empty() => {
+                let mut deep = Json::Int(0);
+                for _ in 0..MAX_DEPTH {
+                    deep = Json::Array(vec![deep]);
+                }
+                let i = at(rng, fields.len());
+                fields[i].1 = deep;
+            }
+            5 => cut = true,
+            _ => trailing = Some(pick(rng, &[" x", "1", "{}", ",", "\"", " ]", "\n\n0"])),
+        }
+    }
+    let mut text = tree.pretty();
+    if cut {
+        let mut end = below(rng, text.len() as u64) as usize;
+        while !text.is_char_boundary(end) {
+            end -= 1;
+        }
+        text.truncate(end);
+    }
+    if let Some(bytes) = trailing {
+        text.push_str(bytes);
+    }
+    text
+}
+
+/// `x`'s document, respelled and damaged: every decoder agrees on both.
+fn reads_agree<T: FromJson + ToJson>(
+    x: &T,
+    reference: fn(&Json) -> Result<T, SpecError>,
+    rng: &mut TestRng,
+) {
+    let tree = x.to_json();
+    decoders_agree(&x.to_json_string(), reference);
+    decoders_agree(&respelled(&tree, rng), reference);
+    decoders_agree(&hostile(&tree, rng), reference);
+}
+
+// ---------------------------------------------------------------------------
+// The store's canonical cell-spec text, the way it was made before the text
+// sink had a member filter: the spec's tree, stripped, pretty-printed.
+
+/// `doc` without the object members named in `fields`.
+fn strip(doc: Json, fields: &[&str]) -> Json {
+    match doc {
+        Json::Object(kv) => Json::Object(
+            kv.into_iter()
+                .filter(|(k, _)| !fields.contains(&k.as_str()))
+                .collect(),
+        ),
+        other => other,
+    }
+}
+
+fn reference_experiment_cell_spec_text(spec: &ExperimentSpec) -> String {
+    let doc = match strip(spec.to_json(), &["name", "mc"]) {
+        Json::Object(fields) => Json::Object(
+            fields
+                .into_iter()
+                .map(|(k, v)| match k.as_str() {
+                    "executor" => (k, strip(v, &["queue"])),
+                    _ => (k, v),
+                })
+                .collect(),
+        ),
+        other => other,
+    };
+    doc.pretty()
+}
+
+fn reference_executive_cell_spec_text(spec: &ExecutiveSpec) -> String {
+    strip(spec.to_json(), &["name", "seed", "mc"]).pretty()
 }
 
 // ---------------------------------------------------------------------------
@@ -529,6 +980,41 @@ proptest! {
         let back = writes_its_tree_and_reads_back(&entry);
         prop_assert_eq!(back.cell, entry.cell);
         prop_assert_eq!(back.served, entry.served);
+    }
+
+    #[test]
+    fn the_reader_decodes_text_and_trees_as_the_tree_decoders_did(
+        seed in 0u64..u64::MAX,
+        stats in With(stats),
+        summary in With(summary),
+        executive in With(executive_summary),
+        entry in With(cell_entry),
+    ) {
+        let rng = &mut <TestRng as rand::SeedableRng>::seed_from_u64(seed);
+        reads_agree(&stats, ref_stats, rng);
+        reads_agree(&summary, ref_summary, rng);
+        reads_agree(&executive, ref_executive, rng);
+        // A store hit reads an entry right after hashing the spec it
+        // asked for; the entry's embedded spec may or may not be that.
+        let _ = SpecHash::of(if below(rng, 2) == 0 { &entry.spec } else { "" });
+        reads_agree(&entry, ref_entry, rng);
+    }
+
+    #[test]
+    fn canonical_cell_spec_text_is_the_stripped_tree_printed(
+        experiment in With(experiment_spec),
+        executive in With(executive_spec),
+    ) {
+        let text = experiment.cell_spec_text();
+        prop_assert_eq!(&text, &reference_experiment_cell_spec_text(&experiment));
+        // Scheduling is placement: the queue section never reaches the text.
+        let mut queued = experiment.clone();
+        queued.executor.queue = Some(QueueSpec { workers: 3, ..QueueSpec::default() });
+        prop_assert_eq!(queued.cell_spec_text(), text);
+        prop_assert_eq!(
+            executive.cell_spec_text(),
+            reference_executive_cell_spec_text(&executive)
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! errors.
 
 use crate::cell::{CellEntry, CellId};
-use eacp_spec::{Json, SpecError};
+use eacp_spec::{FromJson, JsonReader, SpecError};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -213,8 +213,10 @@ impl StoreBackend for MemBackend {
 /// Parses and integrity-checks one persisted entry; the error string is the
 /// quarantine detail.
 pub(crate) fn decode(id: &CellId, text: &str) -> Result<CellEntry, String> {
-    let json = Json::parse(text).map_err(|e| format!("malformed entry: {e}"))?;
-    let entry = CellEntry::from_document(json).map_err(|e| format!("invalid entry: {e}"))?;
+    let entry = JsonReader::text(text)
+        .document(CellEntry::read_json)
+        .map_err(|e| format!("malformed entry: {e}"))?
+        .map_err(|e| format!("invalid entry: {e}"))?;
     if entry.cell != *id {
         return Err(format!(
             "entry is filed under cell {id} but claims cell {}",

@@ -7,10 +7,21 @@
 //! way to get a different answer is to ask a different cell.
 //!
 //! [`StoreCell`] is where each workload kind makes its hashing decision:
-//! which fields of its spec are result-neutral and stripped before
-//! hashing, which fields key the cell alongside the hash, and which
+//! which fields of its spec are result-neutral and left out of the hashed
+//! text, which fields key the cell alongside the hash, and which
 //! [`CellPayload`] variant holds its summary. Both kinds' rules live in
 //! this module, next to the key and entry types they feed.
+//!
+//! The canonical cell spec is text, written straight from the spec: the
+//! spec layer's text sink writes the spec's pretty JSON with a member
+//! filter per kind ([`eacp_spec::json::pretty_omitting`]), so no document
+//! tree is built to address a cell. That text is what is hashed, what an
+//! entry embeds (indented one level) and what [`CellEntry::spec`] holds.
+//! Reading an entry back compares the embedded spec's bytes with the text
+//! the lookup just hashed; only an embedded spec that differs from it (an
+//! entry reformatted by hand, or one that belongs to another cell) is
+//! parsed and printed again, so it is served, or quarantined, exactly as
+//! its canonical text says.
 //!
 //! `replications == 0` is the **single-execution sentinel**: `eacp run`
 //! executes one replication directly with the raw base seed (no
@@ -28,11 +39,13 @@
 //! shortest-round-trip float formatting — the property that makes a cache
 //! hit byte-identical to recomputation.
 
-use crate::hash::SpecHash;
+use crate::hash::{with_last_text, SpecHash};
 use eacp_exec::{Cell, ExecutiveSummary};
 use eacp_sim::{RunOutcome, Summary};
+use eacp_spec::json::pretty_omitting;
 use eacp_spec::{
-    ExecutiveSpec, ExperimentSpec, FromJson, Json, JsonWriter, Knob, ServeTier, SpecError, ToJson,
+    ExecutiveSpec, ExperimentSpec, FromJson, Json, JsonReader, JsonWriter, Knob, ServeTier,
+    SpecError, ToJson,
 };
 use std::path::PathBuf;
 
@@ -42,11 +55,12 @@ pub trait StoreCell: Cell {
     /// What this kind's payload is called in wrong-kind errors.
     const PAYLOAD: &'static str;
 
-    /// The canonical cell-spec document: the spec's JSON with every
-    /// result-neutral field removed. This is the exact text that gets
-    /// hashed and the exact text an entry embeds, so a stored document
-    /// always re-hashes to its own address.
-    fn cell_spec_json(&self) -> Json;
+    /// The canonical cell-spec text: the spec's pretty JSON without its
+    /// result-neutral members, written by the text sink's member filter.
+    /// This is the exact text that gets hashed and the exact text an
+    /// entry embeds, so a stored document always re-hashes to its own
+    /// address.
+    fn cell_spec_text(&self) -> String;
 
     /// The entry's `policy` column.
     fn policy_label(&self) -> String;
@@ -57,16 +71,16 @@ pub trait StoreCell: Cell {
     /// This kind's summary in `payload`, if it holds one.
     fn summary_in(payload: &CellPayload) -> Option<&Self::Summary>;
 
-    /// Reconstructs a runnable cell from an entry's canonical document
-    /// plus its key — what `eacp store verify` re-executes. Stripped
-    /// fields take their defaults (`threads = 0`, which cannot change the
+    /// Reconstructs a runnable cell from an entry's canonical text plus
+    /// its key — what `eacp store verify` re-executes. Left-out fields
+    /// take their defaults (`threads = 0`, which cannot change the
     /// result).
     ///
     /// # Errors
     ///
-    /// A canonical document that does not parse as this kind's spec.
+    /// A canonical text that does not parse as this kind's spec.
     fn from_entry(entry: &CellEntry) -> Result<Self, SpecError> {
-        let mut cell = Self::from_json(&entry.spec)?;
+        let mut cell = Self::from_json(&Json::parse(&entry.spec)?)?;
         cell.set(Knob::Seed(entry.cell.seed))?;
         cell.set_mc(Some(entry.cell.replications.max(1)), Some(0));
         Ok(cell)
@@ -75,46 +89,22 @@ pub trait StoreCell: Cell {
     /// The cell a Monte-Carlo run of this spec lands in.
     fn cell_id(&self) -> CellId {
         CellId {
-            spec_hash: SpecHash::of(&self.cell_spec_json()),
+            spec_hash: SpecHash::of(&self.cell_spec_text()),
             seed: self.seed(),
             replications: self.replications(),
         }
     }
 }
 
-/// `doc` without the object fields named in `fields` — the shape of every
-/// kind's strip rule.
-fn strip(doc: Json, fields: &[&str]) -> Json {
-    match doc {
-        Json::Object(kv) => Json::Object(
-            kv.into_iter()
-                .filter(|(k, _)| !fields.contains(&k.as_str()))
-                .collect(),
-        ),
-        other => other,
-    }
-}
-
-/// Single-task cells strip `name` (a human label), `mc` (seed and
+/// Single-task cells leave out `name` (a human label), `mc` (seed and
 /// replications key the cell alongside the hash; the thread count is
 /// proven result-neutral) and `executor.queue` (work-queue scheduling is
 /// proven bit-identical to the local runner — placement, not physics).
 impl StoreCell for ExperimentSpec {
     const PAYLOAD: &'static str = "single-task Monte-Carlo summary";
 
-    fn cell_spec_json(&self) -> Json {
-        match strip(self.to_json(), &["name", "mc"]) {
-            Json::Object(fields) => Json::Object(
-                fields
-                    .into_iter()
-                    .map(|(k, v)| match k.as_str() {
-                        "executor" => (k, strip(v, &["queue"])),
-                        _ => (k, v),
-                    })
-                    .collect(),
-            ),
-            other => other,
-        }
+    fn cell_spec_text(&self) -> String {
+        pretty_omitting(&["name", "mc", "executor.queue"], |w| self.write_json(w))
     }
 
     fn policy_label(&self) -> String {
@@ -133,15 +123,15 @@ impl StoreCell for ExperimentSpec {
     }
 }
 
-/// Executive cells strip `name`, `seed` (keys the cell alongside the
+/// Executive cells leave out `name`, `seed` (keys the cell alongside the
 /// hash, like `mc.seed` for single-task cells) and `mc` (the horizon
 /// count keys the cell; threads and queue scheduling are proven
 /// bit-identical by the canonical-reduction contract).
 impl StoreCell for ExecutiveSpec {
     const PAYLOAD: &'static str = "executive Monte-Carlo summary";
 
-    fn cell_spec_json(&self) -> Json {
-        strip(self.to_json(), &["name", "seed", "mc"])
+    fn cell_spec_text(&self) -> String {
+        pretty_omitting(&["name", "seed", "mc"], |w| self.write_json(w))
     }
 
     /// The per-task names joined with `+`.
@@ -215,10 +205,10 @@ pub struct CellEntry {
     pub cell: CellId,
     /// The `Policy::name()` of the scheme that ran.
     pub policy: String,
-    /// The canonical cell-spec document ([`StoreCell::cell_spec_json`]) — embedded so
-    /// an entry is self-describing and re-verifiable without the original
-    /// spec file.
-    pub spec: Json,
+    /// The canonical cell-spec text ([`StoreCell::cell_spec_text`]) —
+    /// embedded so an entry is self-describing and re-verifiable without
+    /// the original spec file.
+    pub spec: String,
     /// The result.
     pub payload: CellPayload,
     /// Which execution tier produced the payload. `ServeTier::Analytic`
@@ -259,7 +249,7 @@ impl CellEntry {
         Self {
             cell: id,
             policy: cell.policy_label(),
-            spec: cell.cell_spec_json(),
+            spec: cell.cell_spec_text(),
             payload: C::payload(summary),
             served,
             source: None,
@@ -276,7 +266,7 @@ impl CellEntry {
         Self {
             cell: CellId::for_single(spec),
             policy: spec.policy.policy_name().to_owned(),
-            spec: spec.cell_spec_json(),
+            spec: spec.cell_spec_text(),
             payload: CellPayload::Outcome(outcome.clone()),
             served: ServeTier::Mc,
             source: None,
@@ -310,7 +300,9 @@ impl CellEntry {
     /// cell's address, and the payload kind, replication count and anomaly
     /// discipline match the key. Backends run this on every read so a
     /// corrupt or tampered entry surfaces as a quarantine, never as a
-    /// silently wrong cache hit.
+    /// silently wrong cache hit. On a hit the spec is the text the lookup
+    /// just hashed, so the re-hash is a string compare against the digest
+    /// memo.
     pub fn validate(&self) -> Result<(), SpecError> {
         let rehashed = SpecHash::of(&self.spec);
         if rehashed != self.cell.spec_hash {
@@ -359,47 +351,6 @@ impl CellEntry {
         Ok(())
     }
 
-    /// Reads a parsed entry document, moving its embedded spec out of
-    /// `json` instead of copying it: how a store hit decodes an entry.
-    pub fn from_document(mut json: Json) -> Result<Self, SpecError> {
-        let spec = json.take("spec");
-        Self::read(&json, spec)
-    }
-
-    /// Reads every field of an entry document but its spec, which the
-    /// caller has taken out of it (or failed to).
-    fn read(json: &Json, spec: Result<Json, SpecError>) -> Result<Self, SpecError> {
-        let cell = CellId {
-            spec_hash: SpecHash::from_hex(json.req("spec_hash")?.as_str()?)?,
-            seed: json.req("seed")?.as_u64()?,
-            replications: json.req("replications")?.as_u64()?,
-        };
-        let payload = match json.req("kind")?.as_str()? {
-            "summary" => CellPayload::Summary(Summary::from_json(json.req("payload")?)?),
-            "outcome" => CellPayload::Outcome(outcome_from_json(json.req("payload")?)?),
-            "executive" => {
-                CellPayload::Executive(ExecutiveSummary::from_json(json.req("payload")?)?)
-            }
-            other => {
-                return Err(SpecError::invalid(format!(
-                    "unknown cell payload kind {other:?} \
-                     (expected summary, outcome or executive)"
-                )))
-            }
-        };
-        Ok(Self {
-            cell,
-            policy: json.req("policy")?.as_str()?.to_owned(),
-            spec: spec?,
-            payload,
-            served: match json.get("served") {
-                None => ServeTier::Mc,
-                Some(s) => ServeTier::parse(s.as_str()?)?,
-            },
-            source: None,
-        })
-    }
-
     /// The canonical serialized bytes of this entry — exactly what a
     /// backend persists, and what `eacp store verify` compares against a
     /// recomputation.
@@ -410,11 +361,6 @@ impl CellEntry {
 
 impl ToJson for CellEntry {
     fn write_json(&self, w: &mut JsonWriter<'_>) {
-        let kind = match &self.payload {
-            CellPayload::Summary(_) => "summary",
-            CellPayload::Outcome(_) => "outcome",
-            CellPayload::Executive(_) => "executive",
-        };
         w.object(|w| {
             w.field("spec_hash", &self.cell.spec_hash.to_string());
             w.field("seed", &self.cell.seed);
@@ -425,8 +371,9 @@ impl ToJson for CellEntry {
             if self.served != ServeTier::Mc {
                 w.field("served", self.served.as_str());
             }
-            w.field("spec", &self.spec);
-            w.field("kind", kind);
+            w.key("spec");
+            w.pretty(&self.spec);
+            w.field("kind", PayloadKind::of(&self.payload).as_str());
             w.key("payload");
             match &self.payload {
                 CellPayload::Summary(s) => s.write_json(w),
@@ -439,9 +386,111 @@ impl ToJson for CellEntry {
     }
 }
 
+/// An entry's one decoding body, from its file's text (a store hit) or
+/// from a tree. Members are read in any order; the checks run in a fixed
+/// order, so a damaged entry gets the same error from either source.
 impl FromJson for CellEntry {
     fn from_json(json: &Json) -> Result<Self, SpecError> {
-        Self::read(json, json.req("spec").cloned())
+        JsonReader::tree(json).read()
+    }
+
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, SpecError> {
+        // In the order they are checked; `served` alone is optional.
+        const FIELDS: [&str; 8] = [
+            "spec_hash",
+            "seed",
+            "replications",
+            "kind",
+            "payload",
+            "policy",
+            "spec",
+            "served",
+        ];
+        let mut cell = CellId {
+            spec_hash: SpecHash([0; 32]),
+            seed: 0,
+            replications: 0,
+        };
+        let (mut kind, mut payload, mut early_payload) = (None, None, None);
+        let (mut policy, mut spec, mut served) = (String::new(), String::new(), ServeTier::Mc);
+        let mut m = r.object(&FIELDS, &mut |r, i| {
+            match i {
+                0 => cell.spec_hash = SpecHash::from_hex(&r.string()?)?,
+                1 => cell.seed = r.u64()?,
+                2 => cell.replications = r.u64()?,
+                3 => kind = Some(PayloadKind::parse(&r.string()?)?),
+                // The payload is read by its kind; one that comes first is
+                // kept as a tree until the kind is known.
+                4 => match kind {
+                    Some(kind) => payload = Some(kind.read(r)?),
+                    None => early_payload = Some(r.value()?),
+                },
+                5 => policy = r.string()?,
+                6 => spec = with_last_text(|known| r.pretty(known))?,
+                _ => served = ServeTier::parse(&r.string()?)?,
+            }
+            Ok(())
+        });
+        if let (Some(kind), Some(tree)) = (kind, &early_payload) {
+            let read = kind.read(&mut JsonReader::tree(tree));
+            m.record(4, read.map(|read| payload = Some(read)));
+        }
+        m.check_required(7)?;
+        Ok(Self {
+            cell,
+            policy,
+            spec,
+            payload: payload.ok_or_else(|| SpecError::invalid("entry payload unread"))?,
+            served,
+            source: None,
+        })
+    }
+}
+
+/// Which payload an entry holds: its `kind` member.
+#[derive(Debug, Clone, Copy)]
+enum PayloadKind {
+    Summary,
+    Outcome,
+    Executive,
+}
+
+impl PayloadKind {
+    fn of(payload: &CellPayload) -> Self {
+        match payload {
+            CellPayload::Summary(_) => PayloadKind::Summary,
+            CellPayload::Outcome(_) => PayloadKind::Outcome,
+            CellPayload::Executive(_) => PayloadKind::Executive,
+        }
+    }
+
+    fn as_str(self) -> &'static str {
+        match self {
+            PayloadKind::Summary => "summary",
+            PayloadKind::Outcome => "outcome",
+            PayloadKind::Executive => "executive",
+        }
+    }
+
+    fn parse(kind: &str) -> Result<Self, SpecError> {
+        match kind {
+            "summary" => Ok(PayloadKind::Summary),
+            "outcome" => Ok(PayloadKind::Outcome),
+            "executive" => Ok(PayloadKind::Executive),
+            other => Err(SpecError::invalid(format!(
+                "unknown cell payload kind {other:?} \
+                 (expected summary, outcome or executive)"
+            ))),
+        }
+    }
+
+    /// Reads a payload of this kind.
+    fn read(self, r: &mut JsonReader<'_>) -> Result<CellPayload, SpecError> {
+        Ok(match self {
+            PayloadKind::Summary => CellPayload::Summary(Summary::read_json(r)?),
+            PayloadKind::Outcome => CellPayload::Outcome(read_outcome(r)?),
+            PayloadKind::Executive => CellPayload::Executive(ExecutiveSummary::read_json(r)?),
+        })
     }
 }
 
@@ -471,24 +520,61 @@ fn write_outcome(w: &mut JsonWriter<'_>, o: &RunOutcome) {
     });
 }
 
-fn outcome_from_json(json: &Json) -> Result<RunOutcome, SpecError> {
-    Ok(RunOutcome {
-        completed: json.req("completed")?.as_bool()?,
-        timely: json.req("timely")?.as_bool()?,
-        finish_time: json.req("finish_time")?.as_f64()?,
-        energy: json.req("energy")?.as_f64()?,
-        faults: json.req("faults")?.as_u32()?,
-        rollbacks: json.req("rollbacks")?.as_u32()?,
-        store_checkpoints: json.req("store_checkpoints")?.as_u32()?,
-        compare_checkpoints: json.req("compare_checkpoints")?.as_u32()?,
-        compare_store_checkpoints: json.req("compare_store_checkpoints")?.as_u32()?,
-        segments: json.req("segments")?.as_u32()?,
-        speed_switches: json.req("speed_switches")?.as_u64()?,
-        cycles_at_fastest: json.req("cycles_at_fastest")?.as_f64()?,
-        total_cycles: json.req("total_cycles")?.as_f64()?,
-        aborted: json.req("aborted")?.as_bool()?,
+fn read_outcome(r: &mut JsonReader<'_>) -> Result<RunOutcome, SpecError> {
+    const FIELDS: [&str; 14] = [
+        "completed",
+        "timely",
+        "finish_time",
+        "energy",
+        "faults",
+        "rollbacks",
+        "store_checkpoints",
+        "compare_checkpoints",
+        "compare_store_checkpoints",
+        "segments",
+        "speed_switches",
+        "cycles_at_fastest",
+        "total_cycles",
+        "aborted",
+    ];
+    let mut o = RunOutcome {
+        completed: false,
+        timely: false,
+        finish_time: 0.0,
+        energy: 0.0,
+        faults: 0,
+        rollbacks: 0,
+        store_checkpoints: 0,
+        compare_checkpoints: 0,
+        compare_store_checkpoints: 0,
+        segments: 0,
+        speed_switches: 0,
+        cycles_at_fastest: 0.0,
+        total_cycles: 0.0,
+        aborted: false,
         anomaly: None,
+    };
+    r.object(&FIELDS, &mut |r, i| {
+        match i {
+            0 => o.completed = r.bool()?,
+            1 => o.timely = r.bool()?,
+            2 => o.finish_time = r.f64()?,
+            3 => o.energy = r.f64()?,
+            4 => o.faults = r.u32()?,
+            5 => o.rollbacks = r.u32()?,
+            6 => o.store_checkpoints = r.u32()?,
+            7 => o.compare_checkpoints = r.u32()?,
+            8 => o.compare_store_checkpoints = r.u32()?,
+            9 => o.segments = r.u32()?,
+            10 => o.speed_switches = r.u64()?,
+            11 => o.cycles_at_fastest = r.f64()?,
+            12 => o.total_cycles = r.f64()?,
+            _ => o.aborted = r.bool()?,
+        }
+        Ok(())
     })
+    .check()?;
+    Ok(o)
 }
 
 #[cfg(test)]

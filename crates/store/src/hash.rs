@@ -1,21 +1,26 @@
 //! Content addressing for experiment cells.
 //!
 //! A cell's address is the SHA-256 digest of its *canonical cell spec*:
-//! the spec's JSON with everything that cannot change the result removed
-//! (each workload kind's strip rule is its `StoreCell::cell_spec_json`).
+//! the spec's pretty JSON text without the members that cannot change the
+//! result. Each workload kind names those members in its
+//! `StoreCell::cell_spec_text`, and the spec layer's text sink writes the
+//! text straight from the spec, leaving them out as it goes
+//! ([`eacp_spec::json::pretty_omitting`]); no document tree is built and
+//! stripped first.
 //!
-//! Hashing the [`Json::pretty`] text of the stripped document inherits the
-//! spec layer's canonical formatting: shortest-round-trip floats, lossless
-//! integers, fixed key order from the `ToJson` impls. Two specs that parse
-//! to the same document — whatever the key order, whitespace or float
-//! spelling of the *input* text — therefore share an address, and any
-//! semantic change produces a new one.
+//! The text inherits the spec layer's canonical formatting:
+//! shortest-round-trip floats, lossless integers, fixed key order from the
+//! `ToJson` impls — the bytes `Json::pretty` prints for the same document
+//! with those members removed. Two specs that parse to the same document —
+//! whatever the key order, whitespace or float spelling of the *input*
+//! text — therefore share an address, and any semantic change produces a
+//! new one.
 //!
 //! The build environment is offline, so the crate carries its own SHA-256
 //! (FIPS 180-4) rather than depending on a hashing crate.
 
 use crate::cell::StoreCell;
-use eacp_spec::{ExperimentSpec, Json, SpecError};
+use eacp_spec::{ExperimentSpec, SpecError};
 use std::cell::RefCell;
 
 thread_local! {
@@ -28,7 +33,7 @@ thread_local! {
 pub struct SpecHash(pub [u8; 32]);
 
 impl SpecHash {
-    /// The address of a canonical cell-spec document.
+    /// The address of a canonical cell-spec text.
     ///
     /// Each thread remembers the last canonical text it hashed and its
     /// digest. A call whose text is byte-for-byte equal to that text
@@ -39,17 +44,16 @@ impl SpecHash {
     /// right after the lookup hashed the requested one) into a string
     /// compare, while an embedded spec that differs in any byte still
     /// re-hashes to a different address.
-    pub fn of(doc: &Json) -> Self {
-        let text = doc.pretty();
+    pub fn of(text: &str) -> Self {
         LAST_DIGEST.with(|memo| {
             let mut memo = memo.borrow_mut();
             if let Some((last, digest)) = memo.as_ref() {
-                if *last == text {
+                if last == text {
                     return Self(*digest);
                 }
             }
             let digest = sha256(text.as_bytes());
-            *memo = Some((text, digest));
+            *memo = Some((text.to_owned(), digest));
             Self(digest)
         })
     }
@@ -71,6 +75,12 @@ impl SpecHash {
         }
         Ok(Self(out))
     }
+}
+
+/// Calls `f` with the canonical text this thread last hashed (empty before
+/// the first): what a store hit compares its entry's embedded spec with.
+pub(crate) fn with_last_text<T>(f: impl FnOnce(&str) -> T) -> T {
+    LAST_DIGEST.with(|memo| f(memo.borrow().as_ref().map_or("", |(text, _)| text)))
 }
 
 fn hex_digit(b: u8) -> Result<u8, SpecError> {
@@ -99,7 +109,7 @@ impl std::fmt::Display for SpecHash {
 
 /// The content address of an experiment's canonical cell spec.
 pub fn spec_hash(spec: &ExperimentSpec) -> SpecHash {
-    SpecHash::of(&spec.cell_spec_json())
+    SpecHash::of(&spec.cell_spec_text())
 }
 
 /// SHA-256 (FIPS 180-4) of `data`.
@@ -252,9 +262,11 @@ mod tests {
     #[test]
     fn canonical_cell_spec_re_hashes_to_its_own_address() {
         let spec = ExperimentSpec::paper_nominal();
-        let doc = spec.cell_spec_json();
+        let text = spec.cell_spec_text();
+        let doc = eacp_spec::Json::parse(&text).unwrap();
         assert!(doc.get("name").is_none());
         assert!(doc.get("mc").is_none());
-        assert_eq!(SpecHash::of(&doc), spec_hash(&spec));
+        assert_eq!(doc.pretty(), text);
+        assert_eq!(SpecHash::of(&text), spec_hash(&spec));
     }
 }

@@ -3,7 +3,7 @@
 //! The simulator is deterministic: a result is a pure function of the
 //! canonical experiment spec, the Monte-Carlo seed and the replication
 //! count. That triple is a [`CellId`] — the spec part content-addressed by
-//! a SHA-256 [`SpecHash`] over the canonical JSON text — and this crate
+//! a SHA-256 [`SpecHash`] over the canonical spec text — and this crate
 //! caches results by cell so repeated runs, resumed sweeps and CI jobs
 //! serve finished cells from storage instead of recomputing them.
 //!
@@ -15,16 +15,22 @@
 //! persists one JSON file per cell with atomic write-rename and
 //! quarantine-on-corruption; [`MemBackend`] is the in-memory reference.
 //!
-//! A **hit** costs one file read and one parse. The backend reads the
-//! entry's bytes, [`eacp_spec::Json::parse`] builds its document (one
-//! allocation per array or object, one per string without escapes), and
-//! [`CellEntry::from_document`] moves the embedded canonical spec out of
-//! that document instead of copying it. [`CellEntry::validate`] re-hashes
-//! the spec, which the thread's digest memo turns into a string compare
-//! against the text the lookup just hashed, and the caller rebuilds the
+//! A **hit** builds no document tree. The lookup writes the cell's
+//! canonical spec text straight from the spec (the text sink with the
+//! kind's member filter) and hashes it; the thread's digest memo turns
+//! the hash into a string compare when the text is the one it hashed last,
+//! as it is for every cell of a grid that differs only in its seed. The
+//! backend reads the entry's bytes and [`CellEntry`]'s reader body decodes
+//! them in one pass through [`eacp_spec::JsonReader`]: members into slots,
+//! the payload's numbers straight into its accumulators, and the embedded
+//! spec compared byte for byte with the text the lookup just hashed,
+//! indented one level, and kept as that text. [`CellEntry::validate`]'s
+//! re-hash is then a string compare against the memo. Only an embedded
+//! spec that differs from the hashed text is parsed, printed and hashed
+//! again — an entry reformatted by hand is served as before, and one whose
+//! spec belongs to another cell is quarantined. The caller rebuilds the
 //! report from the lossless payload. Reports and entries are written by
-//! the spec layer's streaming writer straight into their output text, so
-//! neither a hit nor a put builds a document tree to print.
+//! the spec layer's streaming writer straight into their output text.
 //!
 //! Every entry point is written once over [`StoreCell`] — the store's
 //! extension of the execution layer's `Cell` — so single-task and

@@ -5,9 +5,11 @@
 //!   back as a quarantine, or as a hit that decodes exactly what the file
 //!   now says. Entries carry no payload checksum, so the one mutation a
 //!   hit can still report is a rewritten number inside the payload.
-//! * `SpecHash::of` remembers the last canonical text it hashed. An entry
-//!   whose embedded spec differs from that text by a single float, or an
-//!   entry filed under another cell, must still be quarantined.
+//! * `SpecHash::of` remembers the last canonical text it hashed, and a hit
+//!   compares its entry's embedded spec with that text. An entry whose
+//!   embedded spec differs from it by a single float, or an entry filed
+//!   under another cell, must still be quarantined; one whose embedded
+//!   spec was only reformatted must still be served.
 //! * A multi-cell sweep with a seed axis, served from an `FsBackend`, is
 //!   byte-identical to the same sweep computed without a store.
 
@@ -162,13 +164,12 @@ fn embedded_spec_one_float_off_the_memoised_text_is_quarantined() {
 
     // The same entry, but its embedded spec's utilization is 0.77: one
     // token of the canonical text changes and its length does not.
-    let mut nudged = small_spec(0.77, 4).cell_spec_json();
-    let original = spec.cell_spec_json();
-    assert_eq!(original.pretty().len(), nudged.pretty().len());
+    let mut nudged = small_spec(0.77, 4).cell_spec_text();
+    let original = spec.cell_spec_text();
+    assert_eq!(original.len(), nudged.len());
     let changed: Vec<_> = original
-        .pretty()
         .lines()
-        .zip(nudged.pretty().lines())
+        .zip(nudged.lines())
         .filter(|(a, b)| a != b)
         .map(|(a, b)| (a.to_owned(), b.to_owned()))
         .collect();
@@ -190,6 +191,60 @@ fn embedded_spec_one_float_off_the_memoised_text_is_quarantined() {
     std::fs::write(&path, entry.canonical_text()).unwrap();
     assert!(matches!(store.get(&id).unwrap(), Lookup::Hit { .. }));
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// An entry whose embedded spec was re-indented by hand (or compacted)
+/// no longer matches the hashed text byte for byte; it is parsed, printed
+/// and re-hashed, and served with its canonical spec, whichever text the
+/// memo holds.
+#[test]
+fn an_entry_with_a_reformatted_embedded_spec_is_served() {
+    let dir = scratch("reindented");
+    let store = FsBackend::open(&dir).unwrap();
+    let spec = small_spec(0.76, 5);
+    let (id, entry, path) = record(&store, &spec);
+    let text = entry.canonical_text();
+    let reindented = text.replace("\n    ", "\n      ");
+    assert_ne!(reindented, text);
+    let compact = Json::parse(&entry.spec).unwrap();
+    let compacted = {
+        let at = text.find("\"spec\": ").unwrap() + "\"spec\": ".len();
+        let end = text.find(",\n  \"kind\"").unwrap();
+        format!("{}{}{}", &text[..at], compact_text(&compact), &text[end..])
+    };
+    for edited in [&reindented, &compacted] {
+        for primed in [&spec.cell_spec_text(), ""] {
+            std::fs::write(&path, edited).unwrap();
+            let _ = SpecHash::of(primed);
+            match store.get(&id).unwrap() {
+                Lookup::Hit { entry: got, text } => {
+                    assert_eq!(&text, edited);
+                    assert_eq!(got, entry);
+                    assert_eq!(got.spec, spec.cell_spec_text());
+                }
+                other => panic!("reformatted entry not served: {other:?}"),
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `doc` on one line, without whitespace.
+fn compact_text(doc: &Json) -> String {
+    match doc {
+        Json::Object(fields) => {
+            let inner: Vec<String> = fields
+                .iter()
+                .map(|(k, v)| format!("{k:?}:{}", compact_text(v)))
+                .collect();
+            format!("{{{}}}", inner.join(","))
+        }
+        Json::Array(items) => {
+            let inner: Vec<String> = items.iter().map(compact_text).collect();
+            format!("[{}]", inner.join(","))
+        }
+        other => other.pretty().trim().to_owned(),
+    }
 }
 
 #[test]

@@ -152,7 +152,7 @@ proptest! {
         for scheme in 0..PolicySpec::TAGS.len() {
             for k in [1u32, 5] {
                 let spec = spec_for(scheme, lambda, k);
-                let doc = spec.cell_spec_json().pretty();
+                let doc = spec.cell_spec_text();
                 let hash = spec_hash(&spec).to_string();
                 if let Some(prior) = seen.get(&hash) {
                     prop_assert_eq!(
