@@ -477,42 +477,52 @@ fn costs_of(o: &Options) -> CostsSpec {
     }
 }
 
-/// Resolves the result store for `run`/`mc`/`sweep`: `--store DIR` wins,
-/// else `$EACP_STORE`, else no store. `--no-cache` disables both.
+/// The store directory: `--store DIR`, else `$EACP_STORE`; `None` when
+/// neither names one or `--no-cache` disables both.
+fn store_dir(o: &Options) -> Option<std::path::PathBuf> {
+    if o.no_cache {
+        return None;
+    }
+    let dir = if o.store.is_empty() {
+        // The CLI is outside the audit's R1 determinism scope: resolving
+        // operator configuration from the environment is its job.
+        #[allow(clippy::disallowed_methods)]
+        std::env::var(STORE_ENV_VAR).unwrap_or_default()
+    } else {
+        o.store.clone()
+    };
+    (!dir.is_empty()).then(|| dir.into())
+}
+
+/// Resolves the result store for `run`/`mc`/`sweep`/`table`, creating a
+/// store directory that does not exist yet.
 ///
 /// # Errors
 ///
 /// Returns a message for an unopenable store directory, or `--refresh`
 /// with no store configured.
 fn resolve_store(o: &Options) -> Result<Option<FsBackend>, String> {
-    let dir = if !o.store.is_empty() {
-        o.store.clone()
-    } else if o.no_cache {
-        String::new()
-    } else {
-        // The CLI is outside the audit's R1 determinism scope: resolving
-        // operator configuration from the environment is its job.
-        #[allow(clippy::disallowed_methods)]
-        std::env::var(STORE_ENV_VAR).unwrap_or_default()
-    };
-    if o.no_cache || dir.is_empty() {
+    let Some(dir) = store_dir(o) else {
         if o.refresh {
             return Err(format!(
                 "--refresh needs a store (--store DIR or ${STORE_ENV_VAR})"
             ));
         }
         return Ok(None);
-    }
-    FsBackend::open(std::path::Path::new(&dir))
-        .map(Some)
-        .map_err(|e| e.to_string())
+    };
+    FsBackend::open(&dir).map(Some).map_err(|e| e.to_string())
 }
 
 /// The store required by `eacp store` subcommands (which make no sense
-/// without one).
+/// without one). They only read or prune a store, so a directory that
+/// does not exist is a mistyped path: an error, and nothing is created.
 fn require_store(o: &Options) -> Result<FsBackend, String> {
-    resolve_store(o)?
-        .ok_or_else(|| format!("store: no store configured (--store DIR or ${STORE_ENV_VAR})"))
+    let dir = store_dir(o)
+        .ok_or_else(|| format!("store: no store configured (--store DIR or ${STORE_ENV_VAR})"))?;
+    if !dir.is_dir() {
+        return Err(format!("store: no store at {}", dir.display()));
+    }
+    FsBackend::open(&dir).map_err(|e| e.to_string())
 }
 
 fn cache_mode(o: &Options) -> CacheMode {

@@ -191,6 +191,8 @@ fn huge_grid(base_file: &str, twos: usize, three: bool) -> String {
 #[test]
 fn grids_too_large_to_expand_are_usage_errors() {
     let store = std::env::temp_dir().join(format!("eacp-hostile-store-{}", std::process::id()));
+    // `store status` needs an existing store to reach the grid check.
+    std::fs::create_dir_all(&store).unwrap();
     let store = store.display().to_string();
     for (kind, base_file, command) in [
         ("experiment", "table1a-sweep.json", &["sweep", "--spec"][..]),
@@ -241,6 +243,59 @@ fn grids_too_large_to_expand_are_usage_errors() {
         remove(&path);
     }
     let _ = std::fs::remove_dir_all(&store);
+}
+
+/// `store status|verify|gc` only read or prune a store: a store directory
+/// that does not exist, from `--store` or `$EACP_STORE`, is a usage error,
+/// and the command creates nothing.
+#[test]
+fn store_subcommands_do_not_create_a_missing_store() {
+    let missing = std::env::temp_dir().join(format!("eacp-no-such-store-{}", std::process::id()));
+    let dir = missing.display().to_string();
+    for sub in ["status", "verify", "gc"] {
+        let stderr = assert_usage_error(&["store", sub, "--store", &dir], sub);
+        assert!(
+            stderr.contains(&format!("no store at {dir}")),
+            "{sub}: {stderr}"
+        );
+        assert!(!missing.exists(), "store {sub} created {dir}");
+        let out = Command::new(env!("CARGO_BIN_EXE_eacp"))
+            .args(["store", sub])
+            .env("EACP_STORE", &missing)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{sub} via $EACP_STORE");
+        assert!(
+            !missing.exists(),
+            "store {sub} created {dir} via $EACP_STORE"
+        );
+    }
+}
+
+/// A grid point that fails its check names its index and name once, in
+/// front of the one error it raised, for both grid kinds.
+#[test]
+fn grid_point_errors_name_the_point_once() {
+    let spec = |name: &str| format!("{}/../../specs/{name}", env!("CARGO_MANIFEST_DIR"));
+    for (command, file, point) in [
+        ("sweep", "table1a-sweep.json", "table1a-grid-u0.76-l0.0014"),
+        (
+            "executive",
+            "avionics-trio-sweep.json",
+            "avionics-trio-l0.0002-h1",
+        ),
+    ] {
+        let flag = if command == "sweep" {
+            "--spec"
+        } else {
+            "--sweep"
+        };
+        let stderr = assert_usage_error(&[command, flag, &spec(file), "--reps", "0"], command);
+        let expect = format!("eacp: grid point 0 ({point}): invalid spec: ");
+        assert!(stderr.starts_with(&expect), "{command}: {stderr}");
+        assert_eq!(stderr.matches("invalid spec").count(), 1, "{stderr}");
+        assert_eq!(stderr.matches("grid point").count(), 1, "{stderr}");
+    }
 }
 
 /// A parameter flag the command's cell has no parameter for, or that a

@@ -209,3 +209,72 @@ fn sweep_with_an_empty_axis_is_a_clear_error() {
 
     std::fs::remove_dir_all(&base).unwrap();
 }
+
+/// `text` rewritten line by line: each line without its indentation,
+/// joined by `sep` (`"\n"` re-indents, `""` compacts onto one line). No
+/// string in these documents holds a newline, so every line break is
+/// whitespace between tokens.
+fn reflowed(text: &str, sep: &str) -> String {
+    text.lines()
+        .map(str::trim_start)
+        .collect::<Vec<_>>()
+        .join(sep)
+}
+
+/// Shard documents written by another tool's formatting — re-indented, or
+/// compacted onto one line — merge to the unsharded grid's bytes and
+/// render the same CSV, for single-task and executive grids alike.
+/// Merging executive shards decodes each point's summary from the parsed
+/// document, through the summary types' reader bodies.
+#[test]
+fn reformatted_shard_documents_merge_like_the_originals() {
+    let base = tmp("reformatted");
+    let _ = std::fs::remove_dir_all(&base);
+    let single = write_sweep(&base);
+    let executive =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../specs/avionics-trio-sweep.json");
+    for (command, flag, spec) in [
+        ("sweep", "--spec", &single),
+        ("executive", "--sweep", &executive),
+    ] {
+        let spec = spec.to_str().unwrap();
+        let run = |extra: &[&str], out: &PathBuf| {
+            let mut parts = vec![command, flag, spec, "--reps", "20"];
+            parts.extend(extra);
+            parts.extend(["--out", out.to_str().unwrap()]);
+            eacp_cli::dispatch(args(&parts)).unwrap();
+        };
+        let full_dir = base.join(format!("{command}-full"));
+        run(&[], &full_dir);
+        let full = std::fs::read_to_string(full_dir.join("grid.json")).unwrap();
+        let shard_dir = base.join(format!("{command}-shards"));
+        for shard in ["0/2", "1/2"] {
+            run(&["--shard", shard], &shard_dir);
+        }
+        let dir = shard_dir.to_str().unwrap();
+        assert_eq!(eacp_cli::dispatch(args(&["merge", dir])).unwrap(), full);
+        let csv = eacp_cli::dispatch(args(&["csv", dir])).unwrap();
+
+        for (style, sep) in [("reindented", "\n"), ("compacted", "")] {
+            let dir = base.join(format!("{command}-{style}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            let mut shards = 0;
+            for entry in std::fs::read_dir(&shard_dir).unwrap() {
+                let path = entry.unwrap().path();
+                let text = std::fs::read_to_string(&path).unwrap();
+                let rewritten = reflowed(&text, sep);
+                assert_ne!(rewritten, text, "{command} {style}");
+                assert_eq!(rewritten.contains('\n'), sep == "\n", "{command} {style}");
+                std::fs::write(dir.join(path.file_name().unwrap()), rewritten).unwrap();
+                shards += 1;
+            }
+            assert_eq!(shards, 2, "{command}");
+            let dir = dir.to_str().unwrap();
+            let merged = eacp_cli::dispatch(args(&["merge", dir])).unwrap();
+            assert_eq!(merged, full, "{command} {style}: merge");
+            let rendered = eacp_cli::dispatch(args(&["csv", dir])).unwrap();
+            assert_eq!(rendered, csv, "{command} {style}: csv");
+        }
+    }
+    std::fs::remove_dir_all(&base).unwrap();
+}

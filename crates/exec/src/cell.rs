@@ -146,11 +146,6 @@ pub fn placement(
     ))
 }
 
-/// A grid cell's failure, naming its grid index and name.
-pub(crate) fn point_error<C: GridCell>(index: usize, cell: &C, e: SpecError) -> SpecError {
-    SpecError::invalid(format!("grid point {index} ({}): {e}", cell.name()))
-}
-
 /// Computes one cell on `runner` and wraps it as the cell's report — the
 /// unit of work of the sweep executors.
 ///
@@ -218,7 +213,8 @@ impl Cell for ExperimentSpec {
         let (mut jobs, mut job_positions) = (Vec::new(), Vec::new());
         for (position, &index) in points.iter().enumerate() {
             let cell = &cells[index];
-            let job = Job::from_spec(cell).map_err(|e| point_error(index, cell, e))?;
+            let job =
+                Job::from_spec(cell).map_err(|e| SpecError::grid_point(index, cell.name(), e))?;
             match analytic.then(|| crate::serve_closed_form(&job)).flatten() {
                 Some(summary) => {
                     done(position, &summary, ServeTier::Analytic)?;
@@ -360,7 +356,8 @@ impl Cell for ExecutiveSpec {
             .enumerate()
             .map(|(position, &index)| {
                 let cell = &cells[index];
-                let job = ExecutiveJob::from_spec(cell).map_err(|e| point_error(index, cell, e))?;
+                let job = ExecutiveJob::from_spec(cell)
+                    .map_err(|e| SpecError::grid_point(index, cell.name(), e))?;
                 let summary = runner.run_executive(&job)?;
                 done(position, &summary, ServeTier::Mc)?;
                 Ok((summary, ServeTier::Mc))

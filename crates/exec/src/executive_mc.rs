@@ -253,7 +253,7 @@ impl ToJson for TaskAggregate {
 
 impl FromJson for TaskAggregate {
     fn from_json(json: &Json) -> Result<Self, SpecError> {
-        JsonReader::tree(json).read()
+        JsonReader::text(&json.pretty()).read()
     }
 
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, SpecError> {
@@ -304,7 +304,7 @@ impl ToJson for ExecutiveSummary {
 
 impl FromJson for ExecutiveSummary {
     fn from_json(json: &Json) -> Result<Self, SpecError> {
-        JsonReader::tree(json).read()
+        JsonReader::text(&json.pretty()).read()
     }
 
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, SpecError> {

@@ -45,6 +45,16 @@ pub enum SpecError {
     },
     /// Reading or writing a spec file failed.
     Io(String),
+    /// One point of a grid failed: the point's error, with its flat index
+    /// and name.
+    GridPoint {
+        /// The point's flat index in the grid.
+        index: usize,
+        /// The point's name.
+        name: String,
+        /// Why the point failed.
+        error: Box<SpecError>,
+    },
 }
 
 impl SpecError {
@@ -79,6 +89,15 @@ impl SpecError {
     pub fn invalid(msg: impl Into<String>) -> Self {
         SpecError::Invalid(msg.into())
     }
+
+    /// `error`, raised by the grid point `index` named `name`.
+    pub fn grid_point(index: usize, name: &str, error: SpecError) -> Self {
+        SpecError::GridPoint {
+            index,
+            name: name.to_owned(),
+            error: Box::new(error),
+        }
+    }
 }
 
 impl std::fmt::Display for SpecError {
@@ -107,6 +126,9 @@ impl std::fmt::Display for SpecError {
                 levels.saturating_sub(1)
             ),
             SpecError::Io(msg) => write!(f, "spec file I/O: {msg}"),
+            SpecError::GridPoint { index, name, error } => {
+                write!(f, "grid point {index} ({name}): {error}")
+            }
         }
     }
 }

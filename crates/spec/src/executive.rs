@@ -557,7 +557,7 @@ impl ToJson for CheckpointTotals {
 
 impl FromJson for CheckpointTotals {
     fn from_json(json: &Json) -> Result<Self, SpecError> {
-        JsonReader::tree(json).read()
+        JsonReader::text(&json.pretty()).read()
     }
 
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, SpecError> {

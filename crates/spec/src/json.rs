@@ -20,25 +20,22 @@
 //!
 //! A type describes its document once, in [`ToJson::write_json`], as a
 //! sequence of calls on a [`JsonWriter`]: open an object, write each field,
-//! close it. The writer has two sinks behind one concrete type:
-//!
-//! * the **text sink** appends the pretty form (two-space indentation,
-//!   `"key": value`, `[]`/`{}` for empty containers) straight into a
-//!   `String` — what [`ToJson::to_json_string`] returns, and what every
-//!   report, grid document, emitted spec and store entry is written with;
-//! * the **tree sink** assembles a [`Json`] value — what
-//!   [`ToJson::to_json`] returns, for callers that edit or inspect a
-//!   document before writing it.
+//! close it. The writer appends the pretty form (two-space indentation,
+//! `"key": value`, `[]`/`{}` for empty containers) straight into a
+//! `String` — what [`ToJson::to_json_string`] returns, and what every
+//! report, grid document, emitted spec and store entry is written with. It
+//! formats numbers in place (`fmt::Write` into the output), copies strings
+//! that need no escaping in one piece, and slices indentation from a static
+//! run of spaces: it makes no allocation of its own beyond growing the
+//! output. [`ToJson::to_json`] is that text parsed back into a [`Json`]
+//! tree, for tests and tools that inspect a document.
 //!
 //! [`Json`] itself implements [`ToJson`] by walking its tree, so
-//! [`Json::pretty`] and the text sink are one formatter and give the same
-//! bytes for the same document. The text sink formats numbers in place
-//! (`fmt::Write` into the output), copies strings that need no escaping in
-//! one piece, and slices indentation from a static run of spaces: it makes
-//! no allocation of its own beyond growing the output.
+//! [`Json::pretty`] and every other document are printed by the one writer
+//! and give the same bytes for the same document.
 //!
-//! [`pretty_omitting`] is the text sink with a member filter: it leaves
-//! out the members at the dotted key paths it is given (`"name"`,
+//! [`pretty_omitting`] is the writer with a member filter: it leaves out
+//! the members at the dotted key paths it is given (`"name"`,
 //! `"executor.queue"`), which is how the result store writes a spec's
 //! canonical text without the fields that cannot change a result.
 //! [`JsonWriter::pretty`] writes a value given as its pretty text,
@@ -50,21 +47,22 @@
 //! on a [`JsonReader`]: [`JsonReader::object`] hands it each member it
 //! names, in whatever order they come, to decode in place (unknown members
 //! are skipped), and the [`Members`] it returns then checks them in field
-//! order. The reader has two sources behind one concrete type: text, read
-//! token by token, and a [`Json`] tree, for callers that hold one.
-//! `from_json` of such a type is `JsonReader::tree(json).read()`, so text
-//! and trees go through the one body and give the same value and the same
-//! error. Types without a body read their value as a tree and decode that.
+//! order. The reader reads JSON text token by token. `from_json` of such a
+//! type prints its tree and reads that text
+//! (`JsonReader::text(&json.pretty()).read()`), so a store entry's text and
+//! a shard document's tree go through the one body and give the same value
+//! and the same error. Types without a body read their value as a tree and
+//! decode that.
 //!
-//! The reader raises the errors the tree path raises, each in one place:
-//! a missing member ([`Members::check`], the text [`Json::req`] gives), a
-//! type mismatch and a number out of range (the [`Json`] accessors, on the
-//! scalar read), and from text the parser's own errors — a repeated key
-//! with its line and column, nesting past [`MAX_DEPTH`], truncation,
-//! trailing characters. A syntax error anywhere in the text wins over any
-//! decoding error, as it does when the text is parsed first: the read goes
-//! on past a value that does not decode, and [`JsonReader::document`]
-//! reports the syntax error first.
+//! The reader raises the errors decoding a parsed tree raises, each in one
+//! place: a missing member ([`Members::check`], the text [`Json::req`]
+//! gives), a type mismatch and a number out of range (the [`Json`]
+//! accessors, on the scalar read), and the parser's own errors — a
+//! repeated key with its line and column, nesting past [`MAX_DEPTH`],
+//! truncation, trailing characters. A syntax error anywhere in the text
+//! wins over any decoding error, as it does when the text is parsed first:
+//! the read goes on past a value that does not decode, and
+//! [`JsonReader::document`] reports the syntax error first.
 //!
 //! # Parsing
 //!
@@ -125,18 +123,18 @@ pub trait ToJson {
     /// by field.
     fn write_json(&self, w: &mut JsonWriter<'_>);
 
-    /// The document as a tree.
+    /// The document as a tree: its text, parsed back. For tests and tools
+    /// that inspect a document; programs write [`ToJson::to_json_string`].
+    /// A NaN reads back as [`Json::Null`], which [`Json::as_f64`] reads as
+    /// NaN.
     fn to_json(&self) -> Json {
-        let mut tree = TreeSink::default();
-        self.write_json(&mut JsonWriter {
-            sink: Sink::Tree(&mut tree),
-        });
-        tree.root.unwrap_or(Json::Null)
+        // audit:allow(panic): the writer writes JSON, and
+        // `JsonWriter::pretty` embeds only spec text that is itself JSON.
+        Json::parse(&self.to_json_string()).expect("the writer writes JSON")
     }
 
     /// The document pretty-printed with two-space indentation and a
-    /// trailing newline — the bytes `self.to_json().pretty()` gives,
-    /// written without building the tree.
+    /// trailing newline, written straight into a `String`.
     fn to_json_string(&self) -> String {
         pretty(|w| self.write_json(w))
     }
@@ -149,9 +147,8 @@ pub trait FromJson: Sized {
 
     /// Reads the reader's next value. A type decoded on a hot path
     /// overrides this with its one decoding body and defines `from_json`
-    /// through it (`JsonReader::tree(json).read()`), so text and trees
-    /// decode alike; the default reads the value as a tree and hands it to
-    /// `from_json`.
+    /// through it (`JsonReader::text(&json.pretty()).read()`); the default
+    /// reads the value as a tree and hands it to `from_json`.
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, SpecError> {
         Self::from_json(&r.value()?)
     }
@@ -159,28 +156,26 @@ pub trait FromJson: Sized {
 
 /// The pretty text of whatever `body` writes (one value), with the
 /// trailing newline: how a document that is not one [`ToJson`] value,
-/// such as an array of reports, is written without a tree.
+/// such as an array of reports, is written.
 pub fn pretty(body: impl FnOnce(&mut JsonWriter<'_>)) -> String {
     pretty_omitting(&[], body)
 }
 
 /// [`pretty`] without the members at `omit`, each a dotted path of keys
 /// from the document's root (`"name"`, `"executor.queue"`): the text of
-/// the document with those members removed, written without a tree.
+/// the document with those members removed.
 pub fn pretty_omitting(omit: &[&str], body: impl FnOnce(&mut JsonWriter<'_>)) -> String {
     let mut out = String::with_capacity(1024);
     let mut w = JsonWriter {
-        sink: Sink::Text(TextSink {
-            out: &mut out,
-            depth: 0,
-            empty: false,
-            keyed: false,
-            omit: (!omit.is_empty()).then(|| Omit {
-                paths: omit,
-                path: String::new(),
-                marks: Vec::new(),
-                muted: None,
-            }),
+        out: &mut out,
+        depth: 0,
+        empty: false,
+        keyed: false,
+        omit: (!omit.is_empty()).then(|| Omit {
+            paths: omit,
+            path: String::new(),
+            marks: Vec::new(),
+            muted: None,
         }),
     };
     body(&mut w);
@@ -189,24 +184,14 @@ pub fn pretty_omitting(omit: &[&str], body: impl FnOnce(&mut JsonWriter<'_>)) ->
 }
 
 /// The one JSON writer: every [`ToJson`] impl describes its document
-/// through it, and its sink either appends pretty text or builds a [`Json`]
-/// tree (see the module docs).
+/// through it, and it appends the pretty text to a caller's buffer (see
+/// the module docs).
 ///
 /// A value is a scalar call ([`JsonWriter::float`], [`JsonWriter::str`],
 /// ...), a container ([`JsonWriter::object`], [`JsonWriter::array`]) or
 /// another [`ToJson`] value's `write_json`. Inside an object each value is
 /// preceded by its [`JsonWriter::key`]; [`JsonWriter::field`] writes both.
 pub struct JsonWriter<'a> {
-    sink: Sink<'a>,
-}
-
-enum Sink<'a> {
-    Text(TextSink<'a>),
-    Tree(&'a mut TreeSink),
-}
-
-/// Pretty text appended to a caller's buffer.
-struct TextSink<'a> {
     out: &'a mut String,
     /// Containers open around the next value.
     depth: usize,
@@ -218,8 +203,8 @@ struct TextSink<'a> {
     omit: Option<Omit<'a>>,
 }
 
-/// The members a text sink leaves out, and where the writer is relative
-/// to them.
+/// The members a writer leaves out, and where the writer is relative to
+/// them.
 struct Omit<'a> {
     /// Dotted key paths from the document's root.
     paths: &'a [&'a str],
@@ -233,19 +218,110 @@ struct Omit<'a> {
     muted: Option<usize>,
 }
 
-impl TextSink<'_> {
-    /// Whether a scalar about to be written is left out, with the
-    /// left-out member ending when the scalar is its whole value.
-    fn omits_scalar(&mut self) -> bool {
-        let Some(omit) = &mut self.omit else {
-            return false;
-        };
-        let Some(at) = omit.muted else {
-            return false;
-        };
-        if self.depth == at {
-            omit.muted = None;
+impl JsonWriter<'_> {
+    /// `null`.
+    pub fn null(&mut self) {
+        if self.scalar() {
+            self.out.push_str("null");
         }
+    }
+
+    /// `true` / `false`.
+    pub fn bool(&mut self, b: bool) {
+        if self.scalar() {
+            self.out.push_str(if b { "true" } else { "false" });
+        }
+    }
+
+    /// A float, written losslessly (see [`Json::Float`]).
+    pub fn float(&mut self, x: f64) {
+        if self.scalar() {
+            write_float(self.out, x);
+        }
+    }
+
+    /// An unsigned integer.
+    pub fn uint(&mut self, x: u64) {
+        if self.scalar() {
+            // Writing into a `String` cannot fail.
+            let _ = write!(self.out, "{x}");
+        }
+    }
+
+    /// An integer of the lossless [`Json::Int`] range.
+    pub fn int(&mut self, i: i128) {
+        if self.scalar() {
+            write_int(self.out, i);
+        }
+    }
+
+    /// A string.
+    pub fn str(&mut self, s: &str) {
+        if self.scalar() {
+            write_string(self.out, s);
+        }
+    }
+
+    /// The key of the next value, inside an object.
+    pub fn key(&mut self, key: &str) {
+        if self.omits_member(key) {
+            return;
+        }
+        self.member();
+        write_string(self.out, key);
+        self.out.push_str(": ");
+        self.keyed = true;
+    }
+
+    /// A value given as the pretty text [`Json::pretty`] prints for it (a
+    /// trailing newline is dropped), indented to where it lands. The text
+    /// must be JSON: it is copied, not checked.
+    pub fn pretty(&mut self, text: &str) {
+        if !self.scalar() {
+            return;
+        }
+        let text = text.strip_suffix('\n').unwrap_or(text);
+        for (i, line) in text.split('\n').enumerate() {
+            if i > 0 {
+                self.out.push('\n');
+                push_indent(self.out, self.depth);
+            }
+            self.out.push_str(line);
+        }
+    }
+
+    /// One object member: `key`, then `value`.
+    pub fn field<T: ToJson + ?Sized>(&mut self, key: &str, value: &T) {
+        self.key(key);
+        value.write_json(self);
+    }
+
+    /// An object whose members `body` writes.
+    pub fn object(&mut self, body: impl FnOnce(&mut Self)) {
+        self.open('{');
+        body(self);
+        self.close('}');
+    }
+
+    /// An array whose items `body` writes.
+    pub fn array(&mut self, body: impl FnOnce(&mut Self)) {
+        self.open('[');
+        body(self);
+        self.close(']');
+    }
+
+    /// Whether a scalar about to be written is kept, with what precedes it
+    /// written; a left-out member ends when the scalar is its whole value.
+    fn scalar(&mut self) -> bool {
+        if let Some(omit) = &mut self.omit {
+            if let Some(at) = omit.muted {
+                if self.depth == at {
+                    omit.muted = None;
+                }
+                return false;
+            }
+        }
+        self.member();
         true
     }
 
@@ -315,217 +391,8 @@ impl TextSink<'_> {
     }
 }
 
-/// A tree under construction. Like the parser, it gathers the children
-/// of every open container on two shared stacks and moves them into an
-/// exact-size `Vec` when the container closes.
-#[derive(Default)]
-struct TreeSink {
-    /// The open containers, innermost last.
-    open: Vec<Open>,
-    /// The items of every open array, innermost array's last.
-    items: Vec<Json>,
-    /// The members of every open object, innermost object's last; the
-    /// newest member's value is a placeholder from its key until the value
-    /// is written.
-    members: Vec<(String, Json)>,
-    root: Option<Json>,
-}
-
-/// An open container of a [`TreeSink`], with where its children start.
-enum Open {
-    Array(usize),
-    Object(usize),
-}
-
-impl TreeSink {
-    /// Places a finished value into the innermost open container.
-    fn put(&mut self, value: Json) {
-        match self.open.last() {
-            None => self.root = Some(value),
-            Some(Open::Array(_)) => self.items.push(value),
-            Some(Open::Object(start)) => match self.members.get_mut(*start..) {
-                Some([.., (_, slot)]) => *slot = value,
-                _ => debug_assert!(false, "an object member written without its key"),
-            },
-        }
-    }
-}
-
-impl JsonWriter<'_> {
-    /// `null`.
-    pub fn null(&mut self) {
-        match &mut self.sink {
-            Sink::Text(t) => {
-                if t.omits_scalar() {
-                    return;
-                }
-                t.member();
-                t.out.push_str("null");
-            }
-            Sink::Tree(t) => t.put(Json::Null),
-        }
-    }
-
-    /// `true` / `false`.
-    pub fn bool(&mut self, b: bool) {
-        match &mut self.sink {
-            Sink::Text(t) => {
-                if t.omits_scalar() {
-                    return;
-                }
-                t.member();
-                t.out.push_str(if b { "true" } else { "false" });
-            }
-            Sink::Tree(t) => t.put(Json::Bool(b)),
-        }
-    }
-
-    /// A float, written losslessly (see [`Json::Float`]).
-    pub fn float(&mut self, x: f64) {
-        match &mut self.sink {
-            Sink::Text(t) => {
-                if t.omits_scalar() {
-                    return;
-                }
-                t.member();
-                write_float(t.out, x);
-            }
-            Sink::Tree(t) => t.put(Json::Float(x)),
-        }
-    }
-
-    /// An unsigned integer.
-    pub fn uint(&mut self, x: u64) {
-        match &mut self.sink {
-            Sink::Text(t) => {
-                if t.omits_scalar() {
-                    return;
-                }
-                t.member();
-                // Writing into a `String` cannot fail.
-                let _ = write!(t.out, "{x}");
-            }
-            Sink::Tree(t) => t.put(Json::Int(i128::from(x))),
-        }
-    }
-
-    /// An integer of the lossless [`Json::Int`] range.
-    pub fn int(&mut self, i: i128) {
-        match &mut self.sink {
-            Sink::Text(t) => {
-                if t.omits_scalar() {
-                    return;
-                }
-                t.member();
-                write_int(t.out, i);
-            }
-            Sink::Tree(t) => t.put(Json::Int(i)),
-        }
-    }
-
-    /// A string.
-    pub fn str(&mut self, s: &str) {
-        match &mut self.sink {
-            Sink::Text(t) => {
-                if t.omits_scalar() {
-                    return;
-                }
-                t.member();
-                write_string(t.out, s);
-            }
-            Sink::Tree(t) => t.put(Json::Str(s.to_owned())),
-        }
-    }
-
-    /// The key of the next value, inside an object.
-    pub fn key(&mut self, key: &str) {
-        match &mut self.sink {
-            Sink::Text(t) => {
-                if t.omits_member(key) {
-                    return;
-                }
-                t.member();
-                write_string(t.out, key);
-                t.out.push_str(": ");
-                t.keyed = true;
-            }
-            Sink::Tree(t) => match t.open.last() {
-                Some(Open::Object(_)) => t.members.push((key.to_owned(), Json::Null)),
-                _ => debug_assert!(false, "a key written outside an object"),
-            },
-        }
-    }
-
-    /// A value given as the pretty text [`Json::pretty`] prints for it (a
-    /// trailing newline is dropped): the text sink indents it to where it
-    /// lands, the tree sink parses it back (text that does not parse is
-    /// written as `null`).
-    pub fn pretty(&mut self, text: &str) {
-        let text = text.strip_suffix('\n').unwrap_or(text);
-        match &mut self.sink {
-            Sink::Text(t) => {
-                if t.omits_scalar() {
-                    return;
-                }
-                t.member();
-                for (i, line) in text.split('\n').enumerate() {
-                    if i > 0 {
-                        t.out.push('\n');
-                        push_indent(t.out, t.depth);
-                    }
-                    t.out.push_str(line);
-                }
-            }
-            Sink::Tree(t) => t.put(Json::parse(text).unwrap_or(Json::Null)),
-        }
-    }
-
-    /// One object member: `key`, then `value`.
-    pub fn field<T: ToJson + ?Sized>(&mut self, key: &str, value: &T) {
-        self.key(key);
-        value.write_json(self);
-    }
-
-    /// An object whose members `body` writes.
-    pub fn object(&mut self, body: impl FnOnce(&mut Self)) {
-        match &mut self.sink {
-            Sink::Text(t) => t.open('{'),
-            Sink::Tree(t) => t.open.push(Open::Object(t.members.len())),
-        }
-        body(self);
-        self.close('}');
-    }
-
-    /// An array whose items `body` writes.
-    pub fn array(&mut self, body: impl FnOnce(&mut Self)) {
-        match &mut self.sink {
-            Sink::Text(t) => t.open('['),
-            Sink::Tree(t) => t.open.push(Open::Array(t.items.len())),
-        }
-        body(self);
-        self.close(']');
-    }
-
-    fn close(&mut self, bracket: char) {
-        match &mut self.sink {
-            Sink::Text(t) => t.close(bracket),
-            Sink::Tree(t) => match t.open.pop() {
-                Some(Open::Array(start)) => {
-                    let items = t.items.drain(start..).collect();
-                    t.put(Json::Array(items));
-                }
-                Some(Open::Object(start)) => {
-                    let members = t.members.drain(start..).collect();
-                    t.put(Json::Object(members));
-                }
-                None => debug_assert!(false, "a container closed that was never opened"),
-            },
-        }
-    }
-}
-
 /// A tree writes itself node by node, which makes [`Json::pretty`] the
-/// text sink's output for the same document.
+/// writer's output for the same document.
 impl ToJson for Json {
     fn write_json(&self, w: &mut JsonWriter<'_>) {
         match self {
@@ -1199,16 +1066,8 @@ impl<'l, 'a> TreeBuilder<'l, 'a> {
     }
 }
 
-/// What a [`JsonReader`] reads from.
-enum Source<'a> {
-    /// JSON text, read token by token.
-    Text(Lexer<'a>),
-    /// A tree; the value the next read takes (`None` once taken).
-    Tree(Option<&'a Json>),
-}
-
 /// The one JSON reader, the mirror of [`JsonWriter`]: a [`FromJson`] body
-/// reads its value through it from either source, text or a tree (see the
+/// reads its value through it from JSON text, token by token (see the
 /// module docs).
 ///
 /// Each read takes one value. A value that does not decode (a missing
@@ -1217,8 +1076,8 @@ enum Source<'a> {
 /// [`JsonReader::document`] reports that fault over anything the body
 /// found, as parsing the text first would have.
 pub struct JsonReader<'a> {
-    source: Source<'a>,
-    /// The first syntax error of a text source.
+    lex: Lexer<'a>,
+    /// The first syntax error.
     failed: Option<SpecError>,
 }
 
@@ -1284,61 +1143,44 @@ impl<'a> JsonReader<'a> {
     /// A reader of JSON text.
     pub fn text(text: &'a str) -> Self {
         Self {
-            source: Source::Text(Lexer::new(text)),
+            lex: Lexer::new(text),
             failed: None,
         }
     }
 
-    /// A reader of a tree, for callers that hold one.
-    pub fn tree(json: &'a Json) -> Self {
-        Self {
-            source: Source::Tree(Some(json)),
-            failed: None,
-        }
-    }
-
-    /// Reads the source as one document of `T`, flattening
+    /// Reads the text as one document of `T`, flattening
     /// [`JsonReader::document`]'s two errors into one.
     pub fn read<T: FromJson>(self) -> Result<T, SpecError> {
         self.document(T::read_json)?
     }
 
-    /// Reads the source as one document whose value `body` reads. The
-    /// outer error is what [`Json::parse`] raises for the text: a syntax
-    /// error anywhere, or trailing characters. It wins over `body`'s
-    /// result, which is the inner one.
+    /// Reads the text as one document whose value `body` reads. The outer
+    /// error is what [`Json::parse`] raises for the text: a syntax error
+    /// anywhere, or trailing characters. It wins over `body`'s result,
+    /// which is the inner one.
     pub fn document<T>(
         mut self,
         body: impl FnOnce(&mut Self) -> Result<T, SpecError>,
     ) -> Result<Result<T, SpecError>, SpecError> {
-        if let Source::Text(lex) = &mut self.source {
-            lex.skip_ws();
-        }
+        self.lex.skip_ws();
         let value = body(&mut self);
-        self.finish().map(|()| value)
-    }
-
-    /// The end of a document: its syntax error, if it has one.
-    fn finish(self) -> Result<(), SpecError> {
-        match (self.source, self.failed) {
-            (_, Some(syntax)) => Err(syntax),
-            (Source::Text(mut lex), None) => lex.finish(),
-            (Source::Tree(_), None) => Ok(()),
+        match self.failed {
+            Some(syntax) => Err(syntax),
+            None => self.lex.finish().map(|()| value),
         }
     }
 
-    /// The lexer of a text source still reading, or the error that stands
-    /// in for its syntax error once it has one. `None` for a tree.
-    fn lexer(&mut self) -> Option<Result<&mut Lexer<'a>, SpecError>> {
-        match &mut self.source {
-            Source::Tree(_) => None,
-            Source::Text(_) if self.failed.is_some() => Some(Err(stand_in())),
-            Source::Text(lex) => Some(Ok(lex)),
+    /// The lexer while it is still reading, or the error that stands in
+    /// for its syntax error once it has one.
+    fn lexer(&mut self) -> Result<&mut Lexer<'a>, SpecError> {
+        match self.failed {
+            Some(_) => Err(stand_in()),
+            None => Ok(&mut self.lex),
         }
     }
 
-    /// Keeps a text source's first syntax error; what the read returns
-    /// instead only has to fail.
+    /// Keeps the first syntax error; what the read returns instead only
+    /// has to fail.
     fn syntax<T>(&mut self, read: Result<T, SpecError>) -> Result<T, SpecError> {
         read.map_err(|e| {
             self.failed.get_or_insert(e);
@@ -1349,18 +1191,8 @@ impl<'a> JsonReader<'a> {
     /// The next value, with any container read through and left empty:
     /// scalars whole, and for a container just enough to name its type.
     pub fn shallow(&mut self) -> Result<Json, SpecError> {
-        match self.lexer() {
-            None => Ok(match self.take_tree() {
-                Some(Json::Array(_)) => Json::Array(Vec::new()),
-                Some(Json::Object(_)) => Json::Object(Vec::new()),
-                Some(scalar) => scalar.clone(),
-                None => Json::Null,
-            }),
-            Some(lex) => {
-                let read = lex.and_then(Lexer::shallow);
-                self.syntax(read)
-            }
-        }
+        let read = self.lexer()?.shallow();
+        self.syntax(read)
     }
 
     /// Reads past the next value.
@@ -1370,13 +1202,8 @@ impl<'a> JsonReader<'a> {
 
     /// The next value as a tree.
     pub fn value(&mut self) -> Result<Json, SpecError> {
-        match self.lexer() {
-            None => Ok(self.take_tree().cloned().unwrap_or(Json::Null)),
-            Some(lex) => {
-                let read = lex.and_then(|lex| TreeBuilder::new(lex).value());
-                self.syntax(read)
-            }
-        }
+        let read = TreeBuilder::new(self.lexer()?).value();
+        self.syntax(read)
     }
 
     /// An unsigned integer, as [`Json::as_u64`] reads it.
@@ -1410,20 +1237,13 @@ impl<'a> JsonReader<'a> {
     /// The next value's pretty text, as [`Json::pretty`] prints it.
     ///
     /// `known` is the pretty text of some document that parses (or
-    /// empty). When the next bytes of a text source are `known` indented
-    /// to the value's depth — how the text sink writes a member whose
-    /// pretty text is `known` — the value is that document, found by
-    /// comparing bytes without reading it token by token. Any other value
-    /// is read as a tree and printed.
+    /// empty). When the next bytes are `known` indented to the value's
+    /// depth — how the writer writes a member whose pretty text is
+    /// `known` — the value is that document, found by comparing bytes
+    /// without reading it token by token. Any other value is read as a
+    /// tree and printed.
     pub fn pretty(&mut self, known: &str) -> Result<String, SpecError> {
-        let lex = match self.lexer() {
-            None => {
-                return Ok(self
-                    .take_tree()
-                    .map_or_else(|| Json::Null.pretty(), Json::pretty))
-            }
-            Some(lex) => lex?,
-        };
+        let lex = self.lexer()?;
         match embedded(&lex.bytes[lex.pos..], known, lex.depth) {
             Some(len) => {
                 lex.pos += len;
@@ -1436,10 +1256,9 @@ impl<'a> JsonReader<'a> {
     /// Reads an object: `member(reader, i)` reads the value of each member
     /// whose key is `fields[i]` (exactly one value; at most 64 fields) and
     /// says whether it decoded; members under other keys are skipped. A
-    /// key read twice is a syntax error in text; a tree keeps the first,
-    /// as [`Json::get`] does. The result tells which members came and what
-    /// a missing one is reported against, including when the value was
-    /// not an object at all.
+    /// key read twice is a syntax error. The result tells which members
+    /// came and what a missing one is reported against, including when
+    /// the value was not an object at all.
     pub fn object<'f>(
         &mut self,
         fields: &'f [&'f str],
@@ -1451,44 +1270,21 @@ impl<'a> JsonReader<'a> {
             seen: 0,
             fault: None,
         };
-        if let Source::Tree(next) = &mut self.source {
-            let pairs = match next.take() {
-                Some(Json::Object(pairs)) => pairs,
-                other => {
-                    members.in_type = other.map_or("null", Json::type_name);
-                    return members;
-                }
-            };
-            for (key, value) in pairs {
-                match fields.iter().position(|f| f == key) {
-                    Some(i) if !members.has(i) => {
-                        self.source = Source::Tree(Some(value));
-                        let read = member(self, i);
-                        members.record(i, read);
-                    }
-                    _ => {}
-                }
-            }
-            return members;
-        }
         let mut object = match self.shallow_unless(b'{') {
             Ok(Some(in_type)) => {
                 members.in_type = in_type;
                 None
             }
-            Ok(None) => match self.lexer() {
-                Some(Ok(lex)) => {
-                    let opened = lex.open_object();
-                    self.syntax(opened).ok()
-                }
-                _ => None,
-            },
+            Ok(None) => {
+                let opened = self.lex.open_object();
+                self.syntax(opened).ok()
+            }
             Err(_) => None,
         };
         while let Some(open) = &mut object {
             let key = match self.lexer() {
-                Some(Ok(lex)) => lex.next_key(open),
-                _ => break,
+                Ok(lex) => lex.next_key(open),
+                Err(_) => break,
             };
             match self.syntax(key) {
                 Ok(Some(key)) => match fields.iter().position(|f| *f == key) {
@@ -1504,18 +1300,14 @@ impl<'a> JsonReader<'a> {
         members
     }
 
-    /// For a text source: when the next value is not a container opened
-    /// by `bracket`, reads past it and gives its type name; `None` when it
-    /// is one (left unread).
+    /// When the next value is not a container opened by `bracket`, reads
+    /// past it and gives its type name; `None` when it is one (left
+    /// unread).
     fn shallow_unless(&mut self, bracket: u8) -> Result<Option<&'static str>, SpecError> {
-        match self.lexer() {
-            Some(Ok(lex)) if lex.peek() == Some(bracket) => Ok(None),
-            Some(Ok(lex)) => {
-                let read = lex.shallow();
-                self.syntax(read).map(|value| Some(value.type_name()))
-            }
-            _ => Err(stand_in()),
+        if self.lexer()?.peek() == Some(bracket) {
+            return Ok(None);
         }
+        self.shallow().map(|value| Some(value.type_name()))
     }
 
     /// Reads an array: `item(reader, i)` reads the `i`-th item (exactly
@@ -1527,44 +1319,20 @@ impl<'a> JsonReader<'a> {
         &mut self,
         item: &mut dyn FnMut(&mut Self, usize) -> Result<(), SpecError>,
     ) -> Result<(usize, Result<(), SpecError>), SpecError> {
-        let mut fault = Ok(());
-        let mut keep = |read: Result<(), SpecError>| {
-            if let (Err(e), Ok(())) = (read, &fault) {
-                fault = Err(e);
-            }
-        };
-        if let Source::Tree(next) = &mut self.source {
-            let items = match next.take() {
-                Some(Json::Array(items)) => items,
-                other => {
-                    let found = other.map_or("null", Json::type_name);
-                    return Err(SpecError::type_mismatch("array", found));
-                }
-            };
-            for (i, value) in items.iter().enumerate() {
-                self.source = Source::Tree(Some(value));
-                keep(item(self, i));
-            }
-            return Ok((items.len(), fault));
-        }
         if let Some(found) = self.shallow_unless(b'[')? {
             return Err(SpecError::type_mismatch("array", found));
         }
-        let opened = match self.lexer() {
-            Some(Ok(lex)) => lex.open_array(),
-            _ => return Err(stand_in()),
-        };
+        let opened = self.lex.open_array();
         self.syntax(opened)?;
-        let (mut count, mut first) = (0, true);
+        let (mut count, mut first, mut fault) = (0, true, Ok(()));
         loop {
-            let next = match self.lexer() {
-                Some(Ok(lex)) => lex.next_item(&mut first),
-                _ => return Err(stand_in()),
-            };
+            let next = self.lexer()?.next_item(&mut first);
             if !self.syntax(next)? {
                 return Ok((count, fault));
             }
-            keep(item(self, count));
+            if let (Err(e), Ok(())) = (item(self, count), &fault) {
+                fault = Err(e);
+            }
             count += 1;
         }
     }
@@ -1582,17 +1350,9 @@ impl<'a> JsonReader<'a> {
         })?;
         read.map(|()| items)
     }
-
-    /// Takes the tree source's next value.
-    fn take_tree(&mut self) -> Option<&'a Json> {
-        match &mut self.source {
-            Source::Tree(next) => next.take(),
-            Source::Text(_) => None,
-        }
-    }
 }
 
-/// What a read returns once its text source has a syntax error: the
+/// What a read returns once the text has a syntax error: the
 /// document's error is reported instead, so this only has to fail.
 fn stand_in() -> SpecError {
     SpecError::parse("the document did not parse")
@@ -1818,26 +1578,19 @@ mod tests {
         let deep = format!(r#"{{"a": 1, "z": {}}}"#, "[".repeat(MAX_DEPTH));
         let err = read(&deep).unwrap_err().to_string();
         assert!(err.contains("deeper than"), "{err}");
-        // A tree keeps the first of a repeated key, as `get` does.
-        let tree = Json::Object(vec![
-            ("a".into(), Json::Int(1)),
-            ("a".into(), Json::Int(2)),
-            ("b".into(), Json::Null),
+        // Only a hand-built tree can repeat a key (`Json::parse` rejects
+        // one). `from_json` of a type with a reader body reads the tree's
+        // printed text, so the repeat is the parse error.
+        let tree = Json::obj([
+            ("count", Json::Int(1)),
+            ("count", Json::Int(2)),
+            ("mean", Json::Null),
+            ("m2", Json::Null),
+            ("min", Json::Null),
+            ("max", Json::Null),
         ]);
-        let mut a = Json::Null;
-        JsonReader::tree(&tree)
-            .document(|r| {
-                r.object(&["a", "b"], &mut |r, i| {
-                    if i == 0 {
-                        a = r.shallow()?;
-                    }
-                    Ok(())
-                })
-                .check()
-            })
-            .unwrap()
-            .unwrap();
-        assert_eq!(a, Json::Int(1));
+        let err = eacp_numerics::OnlineStats::from_json(&tree).unwrap_err();
+        assert!(err.to_string().contains("duplicate key \"count\""), "{err}");
     }
 
     #[test]

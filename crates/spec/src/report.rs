@@ -135,7 +135,7 @@ impl ToJson for OnlineStats {
 
 impl FromJson for OnlineStats {
     fn from_json(json: &Json) -> Result<Self, SpecError> {
-        JsonReader::tree(json).read()
+        JsonReader::text(&json.pretty()).read()
     }
 
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, SpecError> {
@@ -176,7 +176,7 @@ impl ToJson for Summary {
 
 impl FromJson for Summary {
     fn from_json(json: &Json) -> Result<Self, SpecError> {
-        JsonReader::tree(json).read()
+        JsonReader::text(&json.pretty()).read()
     }
 
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, SpecError> {
@@ -225,7 +225,7 @@ const STATS_PARTS: usize = 5;
 /// finish_timely, faults, rollbacks, checkpoints, fast_fraction`) as
 /// `[count, mean, m2, min, max]`. Floats use the document writer's
 /// lossless form (`{:?}`, `null` for NaN, `±1e999` for infinities), so
-/// [`summary_from_parts`] reads back a bit-identical summary. The remote
+/// [`read_summary_parts`] reads back a bit-identical summary. The remote
 /// transport's reply carries one per block.
 pub fn write_summary_parts(out: &mut String, summary: &Summary) {
     use std::fmt::Write as _;
@@ -280,18 +280,8 @@ fn summary_stats_mut(s: &mut Summary) -> [&mut OnlineStats; 7] {
     ]
 }
 
-/// Reads the compact form [`write_summary_parts`] writes, from a tree.
-///
-/// # Errors
-///
-/// Those of [`read_summary_parts`].
-pub fn summary_from_parts(json: &Json) -> Result<Summary, SpecError> {
-    JsonReader::tree(json).document(read_summary_parts)?
-}
-
 /// Reads the compact form [`write_summary_parts`] writes: the one body
-/// behind [`summary_from_parts`] and the remote transport's streamed
-/// replies.
+/// behind the remote transport's streamed replies.
 ///
 /// # Errors
 ///
@@ -633,7 +623,10 @@ mod tests {
             let mut text = String::new();
             write_summary_parts(&mut text, &s);
             assert!(!text.contains(' ') && !text.contains('\n'), "{text}");
-            let back = summary_from_parts(&Json::parse(&text).unwrap()).unwrap();
+            let back = JsonReader::text(&text)
+                .document(read_summary_parts)
+                .unwrap()
+                .unwrap();
             assert!(same_bits(&back, &s), "{text}");
         }
         let mut text = String::new();

@@ -647,7 +647,7 @@ impl<C: GridCell> Grid<C> {
             }
             cell.rename(name);
             cell.check_point()
-                .map_err(|e| SpecError::invalid(format!("grid point {flat}: {e}")))?;
+                .map_err(|e| SpecError::grid_point(flat, cell.name(), e))?;
             out.push(cell);
         }
         Ok(out)

@@ -21,8 +21,8 @@
 //!   or unknown, missing members, wrong types, truncation, trailing bytes,
 //!   nesting past the cap — both sources give the error text that parsing
 //!   and then tree-decoding gives.
-//! * The store's canonical cell-spec text, written by the text sink's
-//!   member filter, is the stripped tree's pretty text, kept below as
+//! * The store's canonical cell-spec text, written by the writer's member
+//!   filter, is the stripped tree's pretty text, kept below as
 //!   `reference_cell_spec_text`.
 
 use eacp_exec::{ExecutiveSummary, TaskAggregate};
@@ -637,9 +637,9 @@ fn ref_entry(json: &Json) -> Result<CellEntry, SpecError> {
 }
 
 /// The three decoders of `text` agree: the reader over the text, the
-/// reader over its parsed tree (`from_json`), and parsing then the old
-/// tree decoder — on the same value, floats bit for bit, or on the same
-/// error text.
+/// reader over its parsed tree's printed text (`from_json`), and parsing
+/// then the old tree decoder — on the same value, floats bit for bit, or
+/// on the same error text.
 fn decoders_agree<T: FromJson + ToJson>(text: &str, reference: fn(&Json) -> Result<T, SpecError>) {
     let from_text = JsonReader::text(text).read::<T>();
     let from_tree = Json::parse(text).and_then(|tree| T::from_json(&tree));

@@ -13,7 +13,7 @@
 //! this module, next to the key and entry types they feed.
 //!
 //! The canonical cell spec is text, written straight from the spec: the
-//! spec layer's text sink writes the spec's pretty JSON with a member
+//! spec layer's writer writes the spec's pretty JSON with a member
 //! filter per kind ([`eacp_spec::json::pretty_omitting`]), so no document
 //! tree is built to address a cell. That text is what is hashed, what an
 //! entry embeds (indented one level) and what [`CellEntry::spec`] holds.
@@ -56,7 +56,7 @@ pub trait StoreCell: Cell {
     const PAYLOAD: &'static str;
 
     /// The canonical cell-spec text: the spec's pretty JSON without its
-    /// result-neutral members, written by the text sink's member filter.
+    /// result-neutral members, written by the writer's member filter.
     /// This is the exact text that gets hashed and the exact text an
     /// entry embeds, so a stored document always re-hashes to its own
     /// address.
@@ -386,12 +386,13 @@ impl ToJson for CellEntry {
     }
 }
 
-/// An entry's one decoding body, from its file's text (a store hit) or
-/// from a tree. Members are read in any order; the checks run in a fixed
-/// order, so a damaged entry gets the same error from either source.
+/// An entry's one decoding body, over its file's text (a store hit) or a
+/// tree's printed text (`from_json`). Members are read in any order; the
+/// checks run in a fixed order, so a damaged entry gets the same error
+/// however its members are ordered.
 impl FromJson for CellEntry {
     fn from_json(json: &Json) -> Result<Self, SpecError> {
-        JsonReader::tree(json).read()
+        JsonReader::text(&json.pretty()).read()
     }
 
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, SpecError> {
@@ -432,7 +433,9 @@ impl FromJson for CellEntry {
             Ok(())
         });
         if let (Some(kind), Some(tree)) = (kind, &early_payload) {
-            let read = kind.read(&mut JsonReader::tree(tree));
+            let read = JsonReader::text(&tree.pretty())
+                .document(|r| kind.read(r))
+                .and_then(|read| read);
             m.record(4, read.map(|read| payload = Some(read)));
         }
         m.check_required(7)?;

@@ -3,7 +3,7 @@
 //! A cell's address is the SHA-256 digest of its *canonical cell spec*:
 //! the spec's pretty JSON text without the members that cannot change the
 //! result. Each workload kind names those members in its
-//! `StoreCell::cell_spec_text`, and the spec layer's text sink writes the
+//! `StoreCell::cell_spec_text`, and the spec layer's writer writes the
 //! text straight from the spec, leaving them out as it goes
 //! ([`eacp_spec::json::pretty_omitting`]); no document tree is built and
 //! stripped first.

@@ -16,7 +16,7 @@
 //! quarantine-on-corruption; [`MemBackend`] is the in-memory reference.
 //!
 //! A **hit** builds no document tree. The lookup writes the cell's
-//! canonical spec text straight from the spec (the text sink with the
+//! canonical spec text straight from the spec (the writer with the
 //! kind's member filter) and hashes it; the thread's digest memo turns
 //! the hash into a string compare when the text is the one it hashed last,
 //! as it is for every cell of a grid that differs only in its seed. The
