@@ -26,22 +26,21 @@
 //!   hyperperiods and emit an [`eacp_spec::ExecutiveRunReport`]; with
 //!   `--mc` run N seeded horizons through the replication engine
 //!   (mergeable [`eacp_exec::ExecutiveSummary`], store-cacheable), and
-//!   with `--sweep grid.json` expand an
-//!   [`ExecutiveSweepSpec`](eacp_spec::ExecutiveSweepSpec) grid with
-//!   the same shard/store workflow as `sweep`;
+//!   with `--sweep grid.json` expand an executive [`Grid`] with the same
+//!   shard/store workflow as `sweep`;
 //! * `store` — inspect (`status`), prune (`gc`) and audit (`verify`) the
 //!   content-addressed result store that `run`/`mc`/`sweep` consult with
 //!   `--store DIR` (or `$EACP_STORE`);
 //! * `presets` — list the named experiment presets.
 //!
 //! Every simulation subcommand is spec-driven: `--spec file.json` loads an
-//! [`ExperimentSpec`] (`sweep` loads a [`SweepSpec`]), `--preset name`
-//! loads a named preset, and bare flags desugar into a spec. Flags given
-//! *alongside* `--spec`/`--preset` override the loaded document, so
-//! `eacp mc --preset table1-a --lambda 2e-3` is the preset at a different
-//! fault rate. `--emit-spec` prints the effective spec instead of running
-//! it — the exact JSON any other consumer (the experiments harness, CI,
-//! a remote executor) reproduces bit for bit.
+//! [`ExperimentSpec`] (`sweep` loads a [`SweepSpec`](eacp_spec::SweepSpec)),
+//! `--preset name` loads a named preset, and bare flags desugar into a
+//! spec. Flags given *alongside* `--spec`/`--preset` override the loaded
+//! document, so `eacp mc --preset table1-a --lambda 2e-3` is the preset
+//! at a different fault rate. `--emit-spec` prints the effective spec
+//! instead of running it — the exact JSON any other consumer (the
+//! experiments harness, CI, a remote executor) reproduces bit for bit.
 //!
 //! The library portion exists so argument parsing and command execution
 //! are unit-testable; `main.rs` is a thin shim.
@@ -1510,7 +1509,7 @@ pub fn cmd_analyze(o: &Options) -> Result<String, String> {
 
 /// `eacp table`: regenerate one paper table. Its two part documents
 /// ([`eacp_experiments::table_grids`]) run on the grid path `eacp sweep`
-/// uses ([`run_grid_cells`]), so `--store`, `--queue`/`--endpoints`,
+/// uses (`run_grid_cells`), so `--store`, `--queue`/`--endpoints`,
 /// `--threads` and `--no-analytic` apply to tables as to any grid; the
 /// reports are regrouped into rows only for the renderers.
 pub fn cmd_table(o: &Options) -> Result<String, String> {
@@ -1787,9 +1786,9 @@ pub fn cmd_feasibility(o: &Options) -> Result<String, String> {
 /// `eacp executive`: simulate the resolved [`ExecutiveSpec`] over N
 /// hyperperiods of non-preemptive EDF and report per-task deadline
 /// misses, energy and checkpoint totals. `--mc` runs N seeded horizons
-/// through the replication engine instead ([`cmd_executive_mc`]);
+/// through the replication engine instead (`cmd_executive_mc`);
 /// `--sweep grid.json` expands an executive sweep document
-/// ([`cmd_executive_sweep`]).
+/// (`cmd_executive_sweep`).
 pub fn cmd_executive(o: &Options) -> Result<String, String> {
     if !o.sweep.is_empty() {
         return cmd_executive_sweep(o);
@@ -1909,10 +1908,9 @@ fn cmd_executive_mc(o: &Options) -> Result<String, String> {
     Ok(out)
 }
 
-/// `eacp executive --sweep grid.json`: expand an
-/// [`ExecutiveSweepSpec`](eacp_spec::ExecutiveSweepSpec) and run every
-/// grid point (or one `--shard i/n` of it) as an executive Monte-Carlo,
-/// through the same grid command as `eacp sweep`.
+/// `eacp executive --sweep grid.json`: expand an executive [`Grid`] and
+/// run every grid point (or one `--shard i/n` of it) as an executive
+/// Monte-Carlo, through the same grid command as `eacp sweep`.
 fn cmd_executive_sweep(o: &Options) -> Result<String, String> {
     if !o.spec.is_empty() || !o.preset.is_empty() || !o.tasks.is_empty() {
         return Err(
@@ -2640,7 +2638,7 @@ mod tests {
     }
 
     fn write_executive_sweep(dir: &std::path::Path) -> std::path::PathBuf {
-        use eacp_spec::{Axis, ExecutiveSweepSpec, Knob};
+        use eacp_spec::{Axis, ExecutiveSpec, Grid, Knob};
         let mut base = executive_preset("avionics-trio").unwrap();
         base.name = "exec-grid".into();
         base.hyperperiods = 2;
@@ -2649,7 +2647,7 @@ mod tests {
             threads: 1,
             queue: None,
         });
-        let sweep = ExecutiveSweepSpec {
+        let sweep = Grid::<ExecutiveSpec> {
             base,
             axes: vec![Axis::new(Knob::Lambda, vec![2.0e-4, 1.0e-3])],
         };

@@ -16,9 +16,10 @@
 //!
 //! [`Cell::compute_grid`] is the one way cells are computed, a whole grid
 //! or one cell alone: single-task grids hand every Monte-Carlo cell to
-//! one [`Runner::run_jobs`] call, and its completion hook lets the store
-//! record each cell as soon as it is final. [`placement`] is the one place
-//! a runner is built from a spec's queue section.
+//! one [`Runner::run_jobs`] call, executive grids every cell to one
+//! [`Runner::run_executive_jobs`] call, and the completion hook lets the
+//! store record each cell as soon as it is final. [`placement`] is the
+//! one place a runner is built from a spec's queue section.
 
 use crate::executive_mc::{ExecutiveJob, ExecutiveSummary};
 use crate::job::Job;
@@ -82,9 +83,11 @@ pub trait Cell: GridCell + Sync {
     /// `runner`, returning their summaries and serving tiers in `points`
     /// order — the one way a cell is computed, alone or in a grid. `done`
     /// is called once per cell, with the cell's position in `points`, as
-    /// soon as its summary is final; a `done` error fails the run.
-    /// Single-task cells answer their analytic cells first and hand every
-    /// other cell's job to [`Runner::run_jobs`] in one call, so a
+    /// soon as its summary is final; a `done` error fails the run. Every
+    /// cell's job is built before any runs, so an invalid cell fails the
+    /// grid first. Single-task cells answer their analytic cells first and
+    /// hand every other cell's job to [`Runner::run_jobs`] in one call,
+    /// executive cells every job to [`Runner::run_executive_jobs`], so a
     /// work-queue runner leases the whole grid from one queue.
     ///
     /// # Errors
@@ -343,7 +346,7 @@ impl Cell for ExecutiveSpec {
         self.mc = Some(mc);
     }
 
-    /// One cell after another, each on [`Runner::run_executive`].
+    /// Every job of the grid in one [`Runner::run_executive_jobs`] call.
     fn compute_grid(
         cells: &[Self],
         points: &[usize],
@@ -351,18 +354,21 @@ impl Cell for ExecutiveSpec {
         _analytic: bool,
         done: &CellDone<'_, Self>,
     ) -> Result<Vec<(ExecutiveSummary, ServeTier)>, SpecError> {
-        points
+        let jobs = points
             .iter()
-            .enumerate()
-            .map(|(position, &index)| {
+            .map(|&index| {
                 let cell = &cells[index];
-                let job = ExecutiveJob::from_spec(cell)
-                    .map_err(|e| SpecError::grid_point(index, cell.name(), e))?;
-                let summary = runner.run_executive(&job)?;
-                done(position, &summary, ServeTier::Mc)?;
-                Ok((summary, ServeTier::Mc))
+                ExecutiveJob::from_spec(cell)
+                    .map_err(|e| SpecError::grid_point(index, cell.name(), e))
             })
-            .collect()
+            .collect::<Result<Vec<_>, _>>()?;
+        let summaries = runner.run_executive_jobs(&jobs, &|position, summary| {
+            done(position, summary, ServeTier::Mc)
+        })?;
+        Ok(summaries
+            .into_iter()
+            .map(|summary| (summary, ServeTier::Mc))
+            .collect())
     }
 
     fn report(&self, summary: &ExecutiveSummary, _served: ServeTier) -> ExecutiveMcReport {

@@ -215,8 +215,8 @@ mod tests {
     #[test]
     fn executive_csv_has_header_and_distribution_columns() {
         use eacp_spec::{
-            Axis, ExecutiveMcSpec, ExecutiveSpec, ExecutiveSweepSpec, FaultSpec, Knob,
-            PolicyAssignment, PolicySpec, TaskSetSpec,
+            Axis, ExecutiveMcSpec, ExecutiveSpec, FaultSpec, Grid, Knob, PolicyAssignment,
+            PolicySpec, TaskSetSpec,
         };
         let mut base = ExecutiveSpec::new(
             "exec-grid",
@@ -231,7 +231,7 @@ mod tests {
             threads: 1,
             queue: None,
         });
-        let sweep = ExecutiveSweepSpec {
+        let sweep = Grid::<ExecutiveSpec> {
             base,
             axes: vec![Axis::new(Knob::Lambda, vec![2e-4, 1e-3])],
         };

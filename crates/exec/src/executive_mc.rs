@@ -32,9 +32,7 @@ use eacp_rtsched::executive::{
     PolicyProvider,
 };
 use eacp_rtsched::TaskSet;
-use eacp_sim::{
-    replication_seed, CheckpointCosts, ExecutorOptions, NoopObserver, Policy, Scenario,
-};
+use eacp_sim::{replication_seed, CheckpointCosts, ExecutorOptions, Observer, Policy, Scenario};
 use eacp_spec::{
     CheckpointTotals, ExecutiveSpec, FromJson, Json, JsonReader, JsonWriter, SpecError, ToJson,
 };
@@ -455,7 +453,12 @@ pub struct ExecutiveReplicator<'w> {
 impl Replicate for ExecutiveReplicator<'_> {
     type Acc = ExecutiveSummary;
 
-    fn run_one(&mut self, replication: u64, acc: &mut ExecutiveSummary) {
+    fn run_one<O: Observer + ?Sized>(
+        &mut self,
+        replication: u64,
+        acc: &mut ExecutiveSummary,
+        obs: &mut O,
+    ) {
         let seed = replication_seed(self.job.base_seed, replication);
         self.faults.reset(seed);
         run_executive_pooled(
@@ -463,7 +466,7 @@ impl Replicate for ExecutiveReplicator<'_> {
             &mut self.scenario,
             &mut self.faults,
             &mut self.policies,
-            &mut NoopObserver,
+            obs,
             &mut self.scratch,
         );
         acc.absorb_horizon(self.scratch.jobs());
@@ -525,7 +528,9 @@ impl Workload for ExecutiveJob {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::{run_workload_local, run_workload_queued};
+    use crate::queue::QueueRunner;
+    use crate::runner::Runner;
+    use crate::workload::run_workload_local;
     use eacp_spec::{ExecutiveMcSpec, FaultSpec, PolicyAssignment, PolicySpec, TaskSetSpec};
 
     fn mc_spec(replications: u64) -> ExecutiveSpec {
@@ -570,8 +575,10 @@ mod tests {
             );
         }
         for workers in [1usize, 3] {
-            let queued =
-                run_workload_queued(&job, workers, 3, 0, &crate::queue::NoopQueueObserver).unwrap();
+            let queued = QueueRunner::new(workers)
+                .with_max_attempts(3)
+                .run_executive(&job)
+                .unwrap();
             assert_eq!(queued, reference, "workers = {workers}");
         }
     }

@@ -92,7 +92,7 @@ pub use shard::{
     coverage_dir, list_report_files, merge_dir, run_sweep, run_sweep_tiered, DocCoverage,
     GridReport, PointReport, ShardId, SweepCoverage,
 };
-pub use workload::{run_workload_local, run_workload_queued, Replicate, Workload};
+pub use workload::{run_workload_local, Replicate, Workload};
 
 // The execution vocabulary lives in `eacp-sim` (the engine emits the
 // events); re-exported here so runner-level code needs one import path.

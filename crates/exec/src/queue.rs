@@ -1,6 +1,7 @@
 //! The work-queue execution scheduler: a [`WorkQueue`] of leasable
 //! assignments drained by a pool of workers, and the [`QueueRunner`] that
-//! puts a [`Job`]'s canonical reduction blocks on that queue.
+//! puts the canonical reduction blocks of a grid of jobs — single-task
+//! [`Job`]s or [`ExecutiveJob`]s — on that queue.
 //!
 //! This is the ROADMAP's batch-execution scheduler. The moving parts:
 //!
@@ -29,7 +30,8 @@
 //!   job's spec and the whole run to an `eacp serve` process in one
 //!   request and plugs in without touching any call site.
 //! * **[`QueueRunner`]** — the [`Runner`] built from the two: it splits a
-//!   job — or every job of a grid ([`Runner::run_jobs`]) — into the same
+//!   job — or every job of a grid ([`Runner::run_jobs`],
+//!   [`Runner::run_executive_jobs`]) — into the same
 //!   fixed-size canonical blocks as [`LocalRunner`], groups each job's
 //!   consecutive blocks into batches by one fixed rule (about four leases
 //!   per pool worker over the grid's blocks, for a worker that
@@ -44,20 +46,25 @@
 //!   **bit-identical to [`LocalRunner`] for any worker count and any
 //!   failure/retry schedule**.
 //!   Each job's summary is final when its last batch merges; the runner
-//!   hands it to [`Runner::run_jobs`]'s completion hook right then, so a
-//!   grid's cells are recorded as they finish, in any order.
+//!   hands it to the grid's completion hook right then, so a grid's cells
+//!   are recorded as they finish, in any order. Both workload kinds share
+//!   this one drain and merge; executive jobs have no [`Worker`] seam and
+//!   run in-process, one block per lease.
 //! * **[`QueueObserver`]** — live scheduler telemetry: every lease, retry
 //!   and completion, each with a [`QueueStatus`] snapshot (queue depth,
 //!   outstanding leases, completions, retries).
 //!
 //! A grid runs on the same queue: [`crate::run_sweep_tiered`] hands every
-//! cell's job to [`Runner::run_jobs`], so `--queue` leases blocks of the
-//! whole grid, with or without a result store.
+//! cell's job to one [`Runner::run_jobs`] (or [`Runner::run_executive_jobs`])
+//! call, so `--queue` leases blocks of the whole grid, with or without a
+//! result store.
 //!
 //! [`LocalRunner`]: crate::LocalRunner
 
+use crate::executive_mc::{ExecutiveJob, ExecutiveSummary};
 use crate::job::Job;
-use crate::runner::{lease_batches, run_block, run_sequential_observed, JobDone, Runner};
+use crate::runner::{lease_batches, JobDone, Runner};
+use crate::workload::{run_workload_block, run_workload_sequential, Workload};
 use eacp_sim::{NoopObserver, Observer, Summary};
 use eacp_spec::SpecError;
 use std::collections::VecDeque;
@@ -226,8 +233,7 @@ struct QueueState<T> {
 /// A queue of indexed work assignments with lease/complete/fail semantics.
 ///
 /// The queue itself is execution-agnostic: items are whatever a scheduler
-/// leases out — runs of replication blocks for [`QueueRunner`], executive
-/// horizon blocks for [`crate::run_workload_queued`]. Blocking
+/// leases out — runs of replication blocks for [`QueueRunner`]. Blocking
 /// [`lease`](WorkQueue::lease) calls
 /// wake when work reappears (a failed lease re-queued) or when the queue
 /// drains or is poisoned.
@@ -714,7 +720,7 @@ impl Worker for InProcessWorker {
         assignment: BlockAssignment,
         _attempt: u32,
     ) -> Result<Summary, SpecError> {
-        Ok(run_block(
+        Ok(run_workload_block(
             job,
             assignment.lo,
             assignment.hi,
@@ -806,50 +812,65 @@ impl<W: Worker> QueueRunner<W> {
     }
 
     /// [`Runner::run_jobs`] with scheduler telemetry streamed into `obs`:
-    /// every job's canonical blocks go on one [`WorkQueue`], batched over
-    /// the grid's total block count ([`lease_batches`]) and never across a
-    /// job, and one pool drains it with no barrier between jobs. A job's
-    /// partials merge in ascending block order as soon as its last batch
-    /// lands, so every summary is bit-identical to [`Runner::run`] of its
-    /// job, and `done` sees it then, on the thread that landed the batch.
-    /// Fails when a batch exhausts its attempt budget (the queue is
-    /// poisoned) or, once the queue has drained, when `done` failed.
+    /// the grid drain with leases served by the [`Worker`].
     fn run_jobs_with(
         &self,
         jobs: &[Job],
         obs: &dyn QueueObserver,
         done: &JobDone<'_>,
     ) -> Result<Vec<Summary>, SpecError> {
-        let replications: Vec<u64> = jobs.iter().map(Job::replications).collect();
-        let (pool, batches) = lease_batches(
-            &replications,
-            self.block_size,
-            self.workers,
+        self.drain_grid(
+            jobs,
             self.worker.serves_batches(),
-        );
+            obs,
+            done,
+            |job, batch, attempt| self.worker.run_blocks(job, batch, attempt),
+        )
+    }
+
+    /// The grid drain of both workload kinds: every job's canonical blocks
+    /// go on one [`WorkQueue`], batched over the grid's total block count
+    /// when `batched` ([`lease_batches`]) and never across a job, and one
+    /// pool drains it with no barrier between jobs, answering each lease
+    /// with `run(job, batch, attempt)` — one partial per block, in block
+    /// order. A job's partials merge in ascending block order as soon as
+    /// its last batch lands, so every result is bit-identical to the
+    /// one-job run, and `done` sees it then, on the thread that landed the
+    /// batch. Fails when a batch exhausts its attempt budget (the queue is
+    /// poisoned) or, once the queue has drained, when `done` failed.
+    fn drain_grid<J: Workload>(
+        &self,
+        jobs: &[J],
+        batched: bool,
+        obs: &dyn QueueObserver,
+        done: &JobDone<'_, J::Acc>,
+        run: impl Fn(&J, BlockBatch, u32) -> Result<Vec<J::Acc>, SpecError> + Sync,
+    ) -> Result<Vec<J::Acc>, SpecError> {
+        let replications: Vec<u64> = jobs.iter().map(J::replications).collect();
+        let (pool, batches) = lease_batches(&replications, self.block_size, self.workers, batched);
         let mut queue =
             WorkQueue::new(batches.iter().copied()).with_max_attempts(self.max_attempts);
         if let Some(timeout) = self.lease_timeout {
             queue = queue.with_lease_timeout(timeout);
         }
         let hook_error = Mutex::new(None);
-        let finish = |job: usize, summary: &Summary| {
-            if let Err(e) = done(job, summary) {
+        let finish = |job: usize, acc: &J::Acc| {
+            if let Err(e) = done(job, acc) {
                 locked(&hook_error).get_or_insert(e);
             }
         };
-        let merge = GridMerge::new(jobs.len(), &batches);
+        let merge = GridMerge::new(jobs, &batches);
         // A job with no replications has no batch: it is final already.
         for job in (0..jobs.len()).filter(|&job| merge.pending[job] == 0) {
-            finish(job, &Summary::empty());
+            finish(job, &merge.totals[job]);
         }
         let merge = Mutex::new(merge);
         queue.drain(pool, obs, |_worker, lease| {
             let (job, batch) = *lease.item();
-            let partials = self.worker.run_blocks(&jobs[job], batch, lease.attempt())?;
+            let partials = run(&jobs[job], batch, lease.attempt())?;
             let merged = locked(&merge).land(lease.index(), partials);
-            if let Some((job, summary)) = merged {
-                finish(job, &summary);
+            if let Some((job, acc)) = merged {
+                finish(job, &acc);
             }
             Ok(())
         })?;
@@ -864,34 +885,35 @@ impl<W: Worker> QueueRunner<W> {
 /// The merge state of a grid drain: a landed batch's partials wait in its
 /// lease-order slot until its job's last batch lands; then the job's slots
 /// fold in ascending block order and are freed.
-struct GridMerge {
+struct GridMerge<J: Workload> {
     /// Per batch, in lease order: its job and, until that job merges, its
     /// partials.
-    slots: Vec<(usize, Option<Vec<Summary>>)>,
+    slots: Vec<(usize, Option<Vec<J::Acc>>)>,
     /// Per job: batches still to land.
     pending: Vec<usize>,
-    /// Per job: the merged summary (empty until the job is final).
-    totals: Vec<Summary>,
+    /// Per job: the merged accumulator (the job's empty one until it is
+    /// final).
+    totals: Vec<J::Acc>,
 }
 
-impl GridMerge {
-    fn new(jobs: usize, batches: &[(usize, BlockBatch)]) -> Self {
-        let mut pending = vec![0; jobs];
+impl<J: Workload> GridMerge<J> {
+    fn new(jobs: &[J], batches: &[(usize, BlockBatch)]) -> Self {
+        let mut pending = vec![0; jobs.len()];
         for &(job, _) in batches {
             pending[job] += 1;
         }
         Self {
             slots: batches.iter().map(|&(job, _)| (job, None)).collect(),
             pending,
-            totals: vec![Summary::empty(); jobs],
+            totals: jobs.iter().map(J::empty_acc).collect(),
         }
     }
 
     /// Lands the partials of the batch at lease position `position`,
-    /// returning its job and the job's summary when this was the job's
-    /// last batch. A batch that lands twice (an expired lease settled late;
-    /// its result is bit-identical) counts once.
-    fn land(&mut self, position: usize, partials: Vec<Summary>) -> Option<(usize, Summary)> {
+    /// returning its job and the job's total when this was the job's last
+    /// batch. A batch that lands twice (an expired lease settled late; its
+    /// result is bit-identical) counts once.
+    fn land(&mut self, position: usize, partials: Vec<J::Acc>) -> Option<(usize, J::Acc)> {
         let (job, slot) = &mut self.slots[position];
         let job = *job;
         if self.pending[job] == 0 || slot.is_some() {
@@ -914,7 +936,7 @@ impl GridMerge {
             .take_while(|(j, _)| *j == job)
         {
             for partial in slot.take().into_iter().flatten() {
-                total.merge(&partial);
+                J::merge_acc(total, &partial);
             }
         }
         Some((job, total.clone()))
@@ -945,23 +967,36 @@ impl<W: Worker> Runner for QueueRunner<W> {
     /// a [`QueueObserver`] for scheduler-level telemetry that keeps the
     /// worker pool.
     fn run_observed(&self, job: &Job, obs: &mut dyn Observer) -> Result<Summary, SpecError> {
-        Ok(run_sequential_observed(job, self.block_size, obs))
+        Ok(run_workload_sequential(job, self.block_size, obs))
     }
 
-    /// Executive workloads lease the same canonical blocks through a
-    /// [`WorkQueue`] ([`crate::workload::run_workload_queued`]): any
-    /// worker count and any failure/retry schedule produces the same
-    /// summary as [`LocalRunner`](crate::LocalRunner), bit for bit.
-    fn run_executive(
+    /// The one-job case of [`Runner::run_executive_jobs`].
+    fn run_executive(&self, job: &ExecutiveJob) -> Result<ExecutiveSummary, SpecError> {
+        let mut summaries = self.run_executive_jobs(std::slice::from_ref(job), &|_, _| Ok(()))?;
+        Ok(summaries.pop().unwrap_or_else(|| job.empty_acc()))
+    }
+
+    /// One queue for the whole executive grid, as [`Runner::run_jobs`]
+    /// drains it. Executive jobs have no [`Worker`] seam: each lease is one
+    /// canonical block, run in-process. Any worker count and any
+    /// failure/retry schedule produces the summaries of
+    /// [`LocalRunner`](crate::LocalRunner), bit for bit.
+    fn run_executive_jobs(
         &self,
-        job: &crate::ExecutiveJob,
-    ) -> Result<crate::ExecutiveSummary, SpecError> {
-        crate::workload::run_workload_queued(
-            job,
-            self.workers,
-            self.max_attempts,
-            self.block_size,
+        jobs: &[ExecutiveJob],
+        done: &JobDone<'_, ExecutiveSummary>,
+    ) -> Result<Vec<ExecutiveSummary>, SpecError> {
+        self.drain_grid(
+            jobs,
+            false,
             self.observer.as_ref(),
+            done,
+            |job, batch, _| {
+                Ok(batch
+                    .blocks()
+                    .map(|block| run_workload_block(job, block.lo, block.hi, &mut NoopObserver))
+                    .collect())
+            },
         )
     }
 }

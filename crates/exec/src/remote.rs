@@ -40,8 +40,8 @@
 //!   any version, so a readiness probe need not track the protocol.
 //!   [`answer_request`] answers one request statelessly.
 //! * **[`RemoteServer`]** — the `eacp serve` loop: accept, read requests,
-//!   run each block with the same [`run_block`] the local runners use,
-//!   reply. One thread per connection, sequential requests within it,
+//!   run each block through the same per-block loop the local runners
+//!   use, reply. One thread per connection, sequential requests within it,
 //!   `TCP_NODELAY` on. Shutdown lets in-flight answers finish, then closes
 //!   every kept-alive connection.
 //! * **[`RemoteWorker`]** — the client side of the [`Worker`] seam. It
@@ -65,7 +65,7 @@
 
 use crate::job::Job;
 use crate::queue::{BlockAssignment, BlockBatch, InProcessWorker, Worker};
-use crate::runner::run_block;
+use crate::workload::run_workload_block;
 use eacp_sim::{NoopObserver, Summary};
 use eacp_spec::report::{read_summary_parts, write_summary_parts};
 use eacp_spec::{ExperimentSpec, FromJson, Json, JsonReader, QueueSpec, SpecError, ToJson};
@@ -377,7 +377,7 @@ impl Session {
             if i > 0 {
                 reply.push(',');
             }
-            let summary = run_block(job, b.lo, b.hi, &mut NoopObserver);
+            let summary = run_workload_block(job, b.lo, b.hi, &mut NoopObserver);
             write_summary_parts(&mut reply, &summary);
         }
         reply.push_str("]}");
@@ -920,7 +920,7 @@ mod tests {
     fn run_block_request_round_trips_a_partial_summary() {
         let spec = spec(64);
         let job = Job::from_spec(&spec).unwrap();
-        let expected = run_block(&job, 16, 48, &mut NoopObserver);
+        let expected = run_workload_block(&job, 16, 48, &mut NoopObserver);
         let response = answer_request(&run_block_request(&spec, 16, 48));
         let batch = BlockBatch {
             index: 0,

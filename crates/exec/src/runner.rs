@@ -3,28 +3,34 @@
 //! # Determinism contract
 //!
 //! A runner's result must be a pure function of the job — never of the
-//! machine it ran on. [`LocalRunner`] achieves this with *canonical block
-//! reduction*: replications are split into fixed-size blocks whose size
-//! depends only on the replication count, each block is reduced
-//! sequentially into a partial [`Summary`], and the partials are merged in
-//! ascending block order. Thread count only changes which worker picks up
-//! which block, so the merged result is bit-identical for 1 thread, 64
-//! threads, or the sequential observed path.
+//! machine it ran on. Every runner reduces a job by *canonical block
+//! reduction* ([`crate::workload`]): replications are split into
+//! fixed-size blocks whose size depends only on the replication count,
+//! each block is reduced sequentially into a partial accumulator, and the
+//! partials are merged in ascending block order. [`LocalRunner`]'s thread
+//! count only changes which thread picks up which block, so the merged
+//! result is bit-identical for 1 thread, 64 threads, or the sequential
+//! observed path.
 
+use crate::executive_mc::{ExecutiveJob, ExecutiveSummary};
 use crate::job::Job;
 use crate::queue::BlockBatch;
+use crate::workload::{run_workload_local, run_workload_sequential};
 use eacp_sim::{Observer, Summary};
 use eacp_spec::SpecError;
 
-/// The per-job completion hook of [`Runner::run_jobs`]: the job's index
-/// and its final summary. Runners may call it from any thread, in any job
-/// order.
-pub type JobDone<'a> = dyn Fn(usize, &Summary) -> Result<(), SpecError> + Sync + 'a;
+/// The per-job completion hook of [`Runner::run_jobs`] (and, with
+/// `A = ExecutiveSummary`, of [`Runner::run_executive_jobs`]): the job's
+/// index and its final accumulator. Runners may call it from any thread,
+/// in any job order.
+pub type JobDone<'a, A = Summary> = dyn Fn(usize, &A) -> Result<(), SpecError> + Sync + 'a;
 
-/// Executes a [`Job`] into a [`Summary`].
+/// Executes a [`Job`] into a [`Summary`], and an [`ExecutiveJob`] into an
+/// [`ExecutiveSummary`].
 ///
-/// Implementations decide *where* replications run (local threads today;
-/// the ROADMAP's batch/remote executors later) but must all preserve the
+/// Implementations decide *where* replications run — local threads
+/// ([`LocalRunner`]), a work queue drained by in-process or remote
+/// workers ([`crate::QueueRunner`]) — but must all preserve the
 /// per-replication seeding contract, so every runner produces the same
 /// per-replication outcomes.
 pub trait Runner {
@@ -48,14 +54,7 @@ pub trait Runner {
     /// [`crate::QueueRunner`] leases the whole grid's canonical blocks
     /// from one queue and calls `done` when a job's last batch merges.
     fn run_jobs(&self, jobs: &[Job], done: &JobDone<'_>) -> Result<Vec<Summary>, SpecError> {
-        jobs.iter()
-            .enumerate()
-            .map(|(index, job)| {
-                let summary = self.run(job)?;
-                done(index, &summary)?;
-                Ok(summary)
-            })
-            .collect()
+        one_by_one(jobs, done, |job| self.run(job))
     }
 
     /// Runs the whole job, streaming every replication bracket and engine
@@ -67,26 +66,57 @@ pub trait Runner {
     fn run_observed(&self, job: &Job, obs: &mut dyn Observer) -> Result<Summary, SpecError>;
 
     /// Runs an executive Monte-Carlo workload: N seeded hyperperiod
-    /// horizons reduced into an [`ExecutiveSummary`]
-    /// ([`crate::ExecutiveSummary`]).
+    /// horizons reduced into an [`ExecutiveSummary`].
     ///
     /// The default is the sequential canonical reduction; implementations
     /// override it to parallelize, and the determinism contract carries
     /// over unchanged — same canonical blocks, same ascending merge, so
     /// the summary is bit-identical on every runner and pool size.
     ///
-    /// [`ExecutiveSummary`]: crate::ExecutiveSummary
-    ///
     /// # Errors
     ///
     /// Scheduling failures only (e.g. a work queue exhausting its retry
     /// budget); the workload itself cannot fail after validation.
-    fn run_executive(
-        &self,
-        job: &crate::ExecutiveJob,
-    ) -> Result<crate::ExecutiveSummary, SpecError> {
-        Ok(crate::workload::run_workload_local(job, 1, 0))
+    fn run_executive(&self, job: &ExecutiveJob) -> Result<ExecutiveSummary, SpecError> {
+        Ok(run_workload_local(job, 1, 0))
     }
+
+    /// The executive twin of [`Runner::run_jobs`]: every job of an
+    /// executive grid, summaries in job order, each bit-identical to
+    /// [`Runner::run_executive`] of that job, and `done` called once per
+    /// job as soon as its summary is final.
+    ///
+    /// The default runs [`Runner::run_executive`] once per job, one after
+    /// another. [`crate::QueueRunner`] overrides it with the grid queue
+    /// [`Runner::run_jobs`] drains.
+    ///
+    /// # Errors
+    ///
+    /// Scheduling failures and `done` errors.
+    fn run_executive_jobs(
+        &self,
+        jobs: &[ExecutiveJob],
+        done: &JobDone<'_, ExecutiveSummary>,
+    ) -> Result<Vec<ExecutiveSummary>, SpecError> {
+        one_by_one(jobs, done, |job| self.run_executive(job))
+    }
+}
+
+/// The default grid loop of both workload kinds: runs the jobs one after
+/// another and calls `done` after each.
+fn one_by_one<J, A>(
+    jobs: &[J],
+    done: &JobDone<'_, A>,
+    run: impl Fn(&J) -> Result<A, SpecError>,
+) -> Result<Vec<A>, SpecError> {
+    jobs.iter()
+        .enumerate()
+        .map(|(index, job)| {
+            let acc = run(job)?;
+            done(index, &acc)?;
+            Ok(acc)
+        })
+        .collect()
 }
 
 /// Multi-threaded in-process runner (std scoped threads, no work queues).
@@ -230,93 +260,27 @@ pub(crate) fn lease_batches(
     (pool, batches)
 }
 
-/// Reduces one block of replications sequentially.
-///
-/// One [`Job::replicator`] serves the whole block: executor, engine
-/// scratch and (for spec jobs) the policy/fault instances are built once
-/// here and reused — reset, not reallocated — for every replication.
-pub(crate) fn run_block<O: Observer + ?Sized>(job: &Job, lo: u64, hi: u64, obs: &mut O) -> Summary {
-    let mut replicator = job.replicator();
-    let mut partial = Summary::empty();
-    for rep in lo..hi {
-        let out = replicator.run_replication(rep, obs);
-        partial.absorb(&out);
-    }
-    partial
-}
-
-/// Merges per-block partials in ascending block order.
-pub(crate) fn merge_blocks(blocks: impl IntoIterator<Item = Summary>) -> Summary {
-    let mut total = Summary::empty();
-    for partial in blocks {
-        total.merge(&partial);
-    }
-    total
-}
-
-/// Runs the whole job sequentially over its canonical blocks, streaming
-/// replication brackets and engine events into `obs`.
-///
-/// This is the shared observed path of every runner: a shared observer
-/// imposes a replication order, so runners fall back to this sequential
-/// schedule — over the same canonical blocks — and the aggregate stays
-/// bit-identical to their parallel fast paths.
-// audit:setup: per-job orchestration — allocates one partial per block,
-// never inside the replication loop (that is `run_block`, which stays
-// under the hot-path allocation rule).
-pub(crate) fn run_sequential_observed<O: Observer + ?Sized>(
-    job: &Job,
-    block_size_override: u64,
-    obs: &mut O,
-) -> Summary {
-    let reps = job.replications();
-    let block = canonical_block_size(block_size_override, reps);
-    let n_blocks = reps.div_ceil(block);
-    let mut partials = Vec::with_capacity(n_blocks as usize);
-    for b in 0..n_blocks {
-        let lo = b * block;
-        let hi = (lo + block).min(reps);
-        partials.push(run_block(job, lo, hi, obs));
-    }
-    merge_blocks(partials)
-}
-
 impl Runner for LocalRunner {
     fn name(&self) -> &'static str {
         "local"
     }
 
-    /// The fast path routes through the generic [`Workload`] reduction
-    /// ([`crate::workload::run_workload_local`]): the [`Job`] impl of the
-    /// trait drives the same pooled [`crate::Replicator`] over the same
-    /// canonical blocks, so this is the pre-refactor reduction verbatim —
-    /// the golden-identity tests pin it bit for bit.
+    /// The generic [`Workload`] reduction ([`run_workload_local`]): the
+    /// [`Job`] impl of the trait drives the pooled [`crate::Replicator`]
+    /// over the canonical blocks; the golden-identity tests pin it bit for
+    /// bit.
     ///
     /// [`Workload`]: crate::workload::Workload
     fn run(&self, job: &Job) -> Result<Summary, SpecError> {
-        Ok(crate::workload::run_workload_local(
-            job,
-            self.threads,
-            self.block_size,
-        ))
+        Ok(run_workload_local(job, self.threads, self.block_size))
     }
 
     fn run_observed(&self, job: &Job, obs: &mut dyn Observer) -> Result<Summary, SpecError> {
-        // A shared observer imposes a replication order; run sequentially
-        // over the same canonical blocks so the aggregate stays
-        // bit-identical to the parallel fast path.
-        Ok(run_sequential_observed(job, self.block_size, obs))
+        Ok(run_workload_sequential(job, self.block_size, obs))
     }
 
-    fn run_executive(
-        &self,
-        job: &crate::ExecutiveJob,
-    ) -> Result<crate::ExecutiveSummary, SpecError> {
-        Ok(crate::workload::run_workload_local(
-            job,
-            self.threads,
-            self.block_size,
-        ))
+    fn run_executive(&self, job: &ExecutiveJob) -> Result<ExecutiveSummary, SpecError> {
+        Ok(run_workload_local(job, self.threads, self.block_size))
     }
 }
 

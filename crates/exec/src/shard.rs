@@ -3,7 +3,7 @@
 //! reassemble the full grid — failing loudly on anything suspicious.
 //!
 //! Written once over [`Cell`] and its [`Grid`], so single-task
-//! [`SweepSpec`] grids and executive [`ExecutiveSweepSpec`] grids share
+//! [`SweepSpec`] grids and executive `Grid<ExecutiveSpec>` grids share
 //! every rule below. A grid's expansion derives each point's seed from
 //! its flat index, so a point produces the same report no matter which
 //! shard (or machine, or runner) computed it. The workflow:
@@ -28,7 +28,6 @@
 //! cache-or-compute sweep.
 //!
 //! [`SweepSpec`]: eacp_spec::SweepSpec
-//! [`ExecutiveSweepSpec`]: eacp_spec::ExecutiveSweepSpec
 
 use crate::cell::Cell;
 use crate::runner::{LocalRunner, Runner};

@@ -1,42 +1,44 @@
 //! The [`Workload`] trait: what a runner actually replicates.
 //!
-//! The execution core used to be welded to one replication unit — a
-//! single-task [`Job`] reduced into a [`Summary`]. This module abstracts
-//! the unit out: a [`Workload`] is anything that can run replication `i`
-//! (seeded by the workspace contract) into a mergeable accumulator, and
-//! the canonical fixed-block reduction — the partition rule that makes
-//! results bit-identical across thread and worker counts — is written
-//! once, generically, in [`run_workload_local`] and
-//! [`run_workload_queued`].
+//! A [`Workload`] is anything that can run replication `i` (seeded by the
+//! workspace contract) into a mergeable accumulator. The canonical
+//! fixed-block reduction — the partition rule that makes results
+//! bit-identical across thread and worker counts — is written once,
+//! generically: `run_workload_block` is the one per-block replication
+//! loop, `run_workload_sequential` folds the blocks in order on one
+//! thread (the observed path of every runner), [`run_workload_local`]
+//! spreads them over a thread pool, and [`crate::QueueRunner`] leases them
+//! from one work queue for a whole grid of either kind.
 //!
 //! Two implementations ship:
 //!
-//! * [`Job`] (accumulator [`Summary`]) — the existing single-task
-//!   replication path. [`crate::LocalRunner::run`] routes through the
-//!   generic reduction, and the golden-identity tests pin it bit-identical
-//!   to the pre-refactor behavior.
+//! * [`Job`] (accumulator [`Summary`]) — one replication is one
+//!   single-task engine run; [`crate::LocalRunner`]'s
+//!   [`run`](crate::Runner::run) routes through the generic reduction.
 //! * [`crate::ExecutiveJob`] (accumulator [`crate::ExecutiveSummary`]) —
 //!   one replication is one seeded EDF-executive hyperperiod horizon.
 //!
 //! # Determinism contract
 //!
 //! The reduction never depends on thread or worker count: blocks are
-//! sized by [`canonical_block_size`] (a function of the replication count
-//! alone), each block is reduced sequentially by a pooled
-//! [`Workload::Rep`] driver, and the per-block partials merge in
+//! sized by a function of the replication count alone
+//! (`canonical_block_size`), each block is reduced sequentially by a
+//! pooled [`Workload::Rep`] driver, and the per-block partials merge in
 //! ascending block order.
+//!
+//! [`Job`]: crate::Job
 
-use crate::queue::{QueueObserver, WorkQueue};
-use crate::runner::{canonical_block_size, lease_batches};
-use eacp_sim::{NoopObserver, Summary};
-use eacp_spec::SpecError;
+use crate::job::Replicator;
+use crate::queue::resolve_workers;
+use crate::runner::canonical_block_size;
+use eacp_sim::{NoopObserver, Observer, Summary};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A replication unit a runner can reduce: build a pooled per-block
 /// driver, run seeded replications through it, merge the partials.
 pub trait Workload: Sync {
     /// The mergeable accumulator replications absorb into.
-    type Acc: Send;
+    type Acc: Send + Clone;
     /// The pooled per-block replication driver — built once per block
     /// ([`Workload::replicator`]), then reset per replication, so the
     /// replication loop itself allocates nothing.
@@ -65,17 +67,18 @@ pub trait Replicate {
     type Acc;
 
     /// Runs replication `replication` under the workspace seeding
-    /// contract and absorbs its outcome into `acc`.
-    fn run_one(&mut self, replication: u64, acc: &mut Self::Acc);
+    /// contract, streaming its engine events into `obs`, and absorbs its
+    /// outcome into `acc`.
+    fn run_one<O: Observer + ?Sized>(&mut self, replication: u64, acc: &mut Self::Acc, obs: &mut O);
 }
 
-/// [`Workload`] for the single-task Monte-Carlo [`Job`]: one replication
-/// is one engine run, accumulated into a [`Summary`]. The pooled driver is
-/// the existing [`crate::Replicator`] — the zero-allocation hot path the
+/// [`Workload`] for the single-task Monte-Carlo [`Job`](crate::Job): one
+/// replication is one engine run, accumulated into a [`Summary`]. The
+/// pooled driver is the [`Replicator`] — the zero-allocation hot path the
 /// `alloc-count` witness pins.
 impl Workload for crate::job::Job {
     type Acc = Summary;
-    type Rep<'w> = JobReplicate<'w>;
+    type Rep<'w> = Replicator<'w>;
 
     fn replications(&self) -> u64 {
         crate::job::Job::replications(self)
@@ -89,57 +92,70 @@ impl Workload for crate::job::Job {
         into.merge(part);
     }
 
-    fn replicator(&self) -> JobReplicate<'_> {
-        JobReplicate(crate::job::Job::replicator(self))
+    fn replicator(&self) -> Replicator<'_> {
+        crate::job::Job::replicator(self)
     }
 }
 
-/// The [`Job`] driver: wraps the pooled [`crate::Replicator`] on the blind
-/// fast path (the observed paths stay on [`crate::Runner::run_observed`]).
-///
-/// [`Job`]: crate::job::Job
-pub struct JobReplicate<'w>(crate::job::Replicator<'w>);
-
-impl Replicate for JobReplicate<'_> {
+/// The [`Replicator`] streams the replication bracket into the observer.
+impl Replicate for Replicator<'_> {
     type Acc = Summary;
 
-    fn run_one(&mut self, replication: u64, acc: &mut Summary) {
-        let out = self.0.run_replication(replication, &mut NoopObserver);
+    fn run_one<O: Observer + ?Sized>(&mut self, replication: u64, acc: &mut Summary, obs: &mut O) {
+        let out = self.run_replication(replication, obs);
         acc.absorb(&out);
     }
 }
 
-/// Reduces one contiguous block `[lo, hi)` of a workload sequentially:
-/// one pooled driver serves the whole block.
+/// Reduces one contiguous block `[lo, hi)` of a workload sequentially,
+/// streaming every replication into `obs`: one pooled driver serves the
+/// whole block. The one per-block replication loop of the crate — local
+/// threads, queue leases and `eacp serve` answers all run their blocks
+/// through it.
 // audit:setup: per-block orchestration — builds the pooled driver and the
 // empty accumulator once; the replication loop itself is `run_one`, which
 // stays under the hot-path allocation rule.
-pub(crate) fn run_workload_block<W: Workload + ?Sized>(workload: &W, lo: u64, hi: u64) -> W::Acc {
+pub(crate) fn run_workload_block<W: Workload + ?Sized, O: Observer + ?Sized>(
+    workload: &W,
+    lo: u64,
+    hi: u64,
+    obs: &mut O,
+) -> W::Acc {
     let mut driver = workload.replicator();
     let mut partial = workload.empty_acc();
     for rep in lo..hi {
-        driver.run_one(rep, &mut partial);
+        driver.run_one(rep, &mut partial, obs);
     }
     partial
 }
 
-/// Resolves a requested thread count (0 = available parallelism), clamped
-/// to the number of blocks.
-fn resolve_threads(threads: usize, blocks: u64) -> usize {
-    let t = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    };
-    t.clamp(1, blocks.max(1) as usize)
+/// Reduces the whole workload on the calling thread: its canonical blocks
+/// in ascending order, each merged as it finishes, every replication
+/// streamed into `obs`. The one-thread path of [`run_workload_local`] and
+/// every runner's [`run_observed`](crate::Runner::run_observed): a shared
+/// observer imposes a replication order, and the same canonical blocks
+/// keep the aggregate bit-identical to the parallel fast paths.
+pub(crate) fn run_workload_sequential<W: Workload + ?Sized, O: Observer + ?Sized>(
+    workload: &W,
+    block_size_override: u64,
+    obs: &mut O,
+) -> W::Acc {
+    let reps = workload.replications();
+    let block = canonical_block_size(block_size_override, reps);
+    let mut total = workload.empty_acc();
+    for b in 0..reps.div_ceil(block) {
+        let lo = b * block;
+        let partial = run_workload_block(workload, lo, (lo + block).min(reps), obs);
+        W::merge_acc(&mut total, &partial);
+    }
+    total
 }
 
 /// The canonical in-process reduction of any [`Workload`]: fixed-size
-/// blocks handed to a work-stealing thread pool, partials merged in
+/// blocks handed to a work-stealing pool of `threads` threads (0 =
+/// available parallelism, never more than the blocks), partials merged in
 /// ascending block order. Bit-identical for any `threads` value —
-/// including the sequential `threads <= 1` path.
+/// including the sequential one-thread path.
 // audit:setup: per-run orchestration — worker vectors and the block index
 // are allocated once per run; the replication loop is `run_workload_block`.
 pub fn run_workload_local<W: Workload>(
@@ -150,16 +166,9 @@ pub fn run_workload_local<W: Workload>(
     let reps = workload.replications();
     let block = canonical_block_size(block_size_override, reps);
     let n_blocks = reps.div_ceil(block);
-    let threads = resolve_threads(threads, n_blocks);
+    let threads = resolve_workers(threads).min(n_blocks.max(1) as usize);
     if threads <= 1 {
-        let mut total = workload.empty_acc();
-        for b in 0..n_blocks {
-            let lo = b * block;
-            let hi = (lo + block).min(reps);
-            let partial = run_workload_block(workload, lo, hi);
-            W::merge_acc(&mut total, &partial);
-        }
-        return total;
+        return run_workload_sequential(workload, block_size_override, &mut NoopObserver);
     }
 
     let next = AtomicU64::new(0);
@@ -177,7 +186,7 @@ pub fn run_workload_local<W: Workload>(
                     }
                     let lo = b * block;
                     let hi = (lo + block).min(reps);
-                    local.push((b, run_workload_block(workload, lo, hi)));
+                    local.push((b, run_workload_block(workload, lo, hi, &mut NoopObserver)));
                 }
                 local
             }));
@@ -205,54 +214,11 @@ pub fn run_workload_local<W: Workload>(
     total
 }
 
-/// The canonical work-queue reduction of any [`Workload`]: the same fixed
-/// blocks leased one per lease to a worker pool through a [`WorkQueue`]
-/// (with lease retry), partials merged in ascending block order.
-/// Bit-identical to
-/// [`run_workload_local`] for any worker count and any failure/retry
-/// schedule, because a failed lease discards its partial wholesale and the
-/// re-run is deterministic.
-///
-/// # Errors
-///
-/// Fails when an assignment exhausts its attempt budget (queue poisoned).
-// audit:setup: per-run orchestration — the queue and result slots are
-// allocated once per run; the replication loop is `run_workload_block`.
-pub fn run_workload_queued<W: Workload>(
-    workload: &W,
-    workers: usize,
-    max_attempts: u32,
-    block_size_override: u64,
-    obs: &dyn QueueObserver,
-) -> Result<W::Acc, SpecError> {
-    // In-process leases gain nothing from batching: one block each.
-    let (pool, batches) = lease_batches(
-        &[workload.replications()],
-        block_size_override,
-        workers,
-        false,
-    );
-    let queue = WorkQueue::new(batches).with_max_attempts(max_attempts);
-    let partials = queue.drain(pool, obs, |_worker, lease| {
-        Ok(lease
-            .item()
-            .1
-            .blocks()
-            .map(|block| run_workload_block(workload, block.lo, block.hi))
-            .collect::<Vec<_>>())
-    })?;
-    let mut total = workload.empty_acc();
-    for partial in partials.iter().flatten() {
-        W::merge_acc(&mut total, partial);
-    }
-    Ok(total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::job::Job;
-    use crate::queue::NoopQueueObserver;
+    use crate::queue::QueueRunner;
     use crate::runner::{LocalRunner, Runner};
     use eacp_spec::{ExperimentSpec, McSpec};
 
@@ -284,7 +250,10 @@ mod tests {
         let job = job(250);
         let reference = run_workload_local(&job, 1, 0);
         for workers in [1usize, 3, 16] {
-            let queued = run_workload_queued(&job, workers, 3, 0, &NoopQueueObserver).unwrap();
+            let queued = QueueRunner::new(workers)
+                .with_max_attempts(3)
+                .run(&job)
+                .unwrap();
             assert_eq!(queued, reference, "workers = {workers}");
         }
     }

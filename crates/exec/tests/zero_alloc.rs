@@ -199,11 +199,11 @@ fn executive_horizons_never_allocate_after_warmup() {
         let mut rep = job.replicator();
         let mut acc = job.empty_acc();
         for r in 0..WARMUP {
-            rep.run_one(r, &mut acc);
+            rep.run_one(r, &mut acc, &mut NoopObserver);
         }
         let before = ALLOCATIONS.load(Ordering::SeqCst);
         for r in WARMUP..WARMUP + MEASURED {
-            rep.run_one(r, &mut acc);
+            rep.run_one(r, &mut acc, &mut NoopObserver);
         }
         let after = ALLOCATIONS.load(Ordering::SeqCst);
         assert_eq!(

@@ -66,7 +66,7 @@ pub struct FaultBatch {
 }
 
 impl FaultBatch {
-    /// A fresh batch with the full [`BATCH_MAX`] capacity reserved, so
+    /// A fresh batch with the full `BATCH_MAX` capacity reserved, so
     /// refills never reallocate.
     // audit:setup: the one-time buffer reservation for the pooled batch.
     pub fn new() -> Self {

@@ -15,7 +15,7 @@
 //! * [`McSpec`] / [`ExecSpec`] — replications, seeding, threads, and
 //!   executor semantics;
 //! * [`Grid`] — grids over utilization, λ, k, costs, hyperperiods and
-//!   seeds, for either cell kind ([`SweepSpec`], [`ExecutiveSweepSpec`]);
+//!   seeds, for either cell kind ([`SweepSpec`], `Grid<ExecutiveSpec>`);
 //!   each parameter is one [`Knob`] that the kind's [`GridCell::set`]
 //!   hook writes, for grid axes and CLI flags alike;
 //! * [`TaskSetSpec`] / [`ExecutiveSpec`] — periodic task sets and the
@@ -91,4 +91,4 @@ pub use presets::{
     PaperScheme, PaperTable, PAPER_DEADLINE, PAPER_TABLES,
 };
 pub use report::{RunReport, ServeTier, StatsReport, SummaryReport};
-pub use sweep::{Axis, ExecutiveSweepSpec, Grid, GridCell, Knob, KnobKind, Point, SweepSpec};
+pub use sweep::{Axis, Grid, GridCell, Knob, KnobKind, Point, SweepSpec};

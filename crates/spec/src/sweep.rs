@@ -3,7 +3,7 @@
 //!
 //! A grid is written once, as [`Grid<C>`], over any cell kind that
 //! implements the per-kind hook [`GridCell`]: [`SweepSpec`] grids vary a
-//! single-task [`ExperimentSpec`], [`ExecutiveSweepSpec`] grids an EDF
+//! single-task [`ExperimentSpec`], `Grid<ExecutiveSpec>` grids an EDF
 //! [`ExecutiveSpec`]. Every cell parameter is one [`Knob`] value. An
 //! [`Axis`] lists [`Point`]s: a knob axis (`{"lambda": [1e-4, 2e-4]}`)
 //! sets one knob kind per point, a points axis (`{"points": [{...}]}`)
@@ -558,9 +558,6 @@ pub struct Grid<C> {
 /// A grid of single-task experiments (`eacp sweep`).
 pub type SweepSpec = Grid<ExperimentSpec>;
 
-/// A grid of executive workloads (`eacp executive --sweep`).
-pub type ExecutiveSweepSpec = Grid<ExecutiveSpec>;
-
 impl<C: GridCell> Grid<C> {
     /// Number of grid points.
     ///
@@ -811,7 +808,7 @@ mod tests {
 
     #[test]
     fn executive_expansion_is_cartesian_and_ordered() {
-        let sweep = ExecutiveSweepSpec {
+        let sweep = Grid::<ExecutiveSpec> {
             base: executive_base(),
             axes: vec![
                 Axis::new(Knob::Hyperperiods, [2, 4]),
@@ -841,7 +838,7 @@ mod tests {
             PolicySpec::from_tag("a_d_s", 5e-4, 2, 0).unwrap(),
             PolicySpec::from_tag("a_d", 5e-4, 2, 0).unwrap(),
         ]);
-        let sweep = ExecutiveSweepSpec {
+        let sweep = Grid::<ExecutiveSpec> {
             base,
             axes: vec![Axis::new(Knob::Lambda, [9e-4])],
         };
@@ -863,7 +860,7 @@ mod tests {
 
     #[test]
     fn executive_utilization_axis_rescales_wcets_to_the_target() {
-        let sweep = ExecutiveSweepSpec {
+        let sweep = Grid::<ExecutiveSpec> {
             base: executive_base(),
             axes: vec![Axis::new(Knob::Utilization, [0.5, 0.9])],
         };
@@ -887,7 +884,7 @@ mod tests {
 
     #[test]
     fn executive_k_axis_updates_feasibility_target_and_policies() {
-        let sweep = ExecutiveSweepSpec {
+        let sweep = Grid::<ExecutiveSpec> {
             base: executive_base(),
             axes: vec![Axis::new(Knob::K, [4])],
         };
@@ -901,7 +898,7 @@ mod tests {
 
     #[test]
     fn executive_seed_axis_takes_precedence_over_derived_seeds() {
-        let sweep = ExecutiveSweepSpec {
+        let sweep = Grid::<ExecutiveSpec> {
             base: executive_base(),
             axes: vec![Axis::new(Knob::Seed, [100, 200])],
         };
@@ -914,7 +911,7 @@ mod tests {
         // Lambda over a non-Poisson base.
         let mut b = executive_base();
         b.faults = FaultSpec::Deterministic { times: vec![] };
-        let sweep = ExecutiveSweepSpec {
+        let sweep = Grid::<ExecutiveSpec> {
             base: b,
             axes: vec![Axis::new(Knob::Lambda, [1e-3])],
         };
@@ -922,7 +919,7 @@ mod tests {
         assert!(err.to_string().contains("Poisson"), "unhelpful: {err}");
 
         // Empty axis.
-        let sweep = ExecutiveSweepSpec {
+        let sweep = Grid::<ExecutiveSpec> {
             base: executive_base(),
             axes: vec![
                 Axis::new(Knob::Hyperperiods, [1]),
@@ -933,7 +930,7 @@ mod tests {
         assert!(err.to_string().contains("axis #1"), "unhelpful: {err}");
 
         // Non-positive utilization target.
-        let sweep = ExecutiveSweepSpec {
+        let sweep = Grid::<ExecutiveSpec> {
             base: executive_base(),
             axes: vec![Axis::new(Knob::Utilization, [0.0])],
         };
@@ -944,7 +941,7 @@ mod tests {
             r#"{{"base": {}, "axes": [{{"costs": []}}]}}"#,
             executive_base().to_json().pretty()
         );
-        let err = ExecutiveSweepSpec::from_json_str(&doc).unwrap_err();
+        let err = Grid::<ExecutiveSpec>::from_json_str(&doc).unwrap_err();
         assert!(err.to_string().contains("hyperperiods"), "unhelpful: {err}");
     }
 
@@ -956,7 +953,7 @@ mod tests {
             threads: 0,
             queue: None,
         });
-        let sweep = ExecutiveSweepSpec {
+        let sweep = Grid::<ExecutiveSpec> {
             base,
             axes: vec![
                 Axis::new(Knob::Hyperperiods, [1, 2]),
@@ -964,7 +961,7 @@ mod tests {
                 Axis::new(Knob::K, [1, 3]),
             ],
         };
-        let back = ExecutiveSweepSpec::from_json_str(&sweep.to_json_string()).unwrap();
+        let back = Grid::<ExecutiveSpec>::from_json_str(&sweep.to_json_string()).unwrap();
         assert_eq!(sweep, back);
         assert_eq!(back.expand().unwrap().len(), 8);
     }

@@ -30,9 +30,9 @@ use eacp_numerics::OnlineStats;
 use eacp_sim::{RunOutcome, Summary};
 use eacp_spec::json::MAX_DEPTH;
 use eacp_spec::{
-    CheckpointTotals, ExecutiveMcSpec, ExecutiveRunReport, ExecutiveSpec, ExecutiveSweepSpec,
-    ExperimentSpec, FromJson, Json, JsonReader, PolicyAssignment, QueueSpec, RunReport, ServeTier,
-    SpecError, StatsReport, SummaryReport, SweepSpec, ToJson,
+    CheckpointTotals, ExecutiveMcSpec, ExecutiveRunReport, ExecutiveSpec, ExperimentSpec, FromJson,
+    Grid, Json, JsonReader, PolicyAssignment, QueueSpec, RunReport, ServeTier, SpecError,
+    StatsReport, SummaryReport, SweepSpec, ToJson,
 };
 use eacp_store::{CellEntry, CellId, CellPayload, SpecHash, StoreCell};
 use proptest::prelude::*;
@@ -937,7 +937,7 @@ fn decode_all(doc: &Json) {
     let _ = ExperimentSpec::from_json(doc);
     let _ = ExecutiveSpec::from_json(doc);
     let _ = SweepSpec::from_json(doc);
-    let _ = ExecutiveSweepSpec::from_json(doc);
+    let _ = Grid::<ExecutiveSpec>::from_json(doc);
     let _ = ExecutiveRunReport::from_json(doc);
 }
 

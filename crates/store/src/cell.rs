@@ -34,10 +34,10 @@
 //! Payload serialization is **lossless**, not the report schema: the
 //! report layer's `StatsReport` stores `variance = m2 / count`, which
 //! cannot reconstruct the accumulator bit-exactly. Entries instead persist
-//! each [`OnlineStats`] via its raw `(count, mean, m2, min, max)` state,
-//! which round-trips bit-for-bit through the spec layer's
-//! shortest-round-trip float formatting — the property that makes a cache
-//! hit byte-identical to recomputation.
+//! each [`OnlineStats`](eacp_numerics::OnlineStats) via its raw `(count,
+//! mean, m2, min, max)` state, which round-trips bit-for-bit through the
+//! spec layer's shortest-round-trip float formatting — the property that
+//! makes a cache hit byte-identical to recomputation.
 
 use crate::hash::{with_last_text, SpecHash};
 use eacp_exec::{Cell, ExecutiveSummary};

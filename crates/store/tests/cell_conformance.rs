@@ -1,5 +1,5 @@
 //! One conformance suite for the cell pipeline, run for both workload
-//! kinds: single-task `SweepSpec` grids and executive `ExecutiveSweepSpec`
+//! kinds: single-task `SweepSpec` grids and executive `Grid<ExecutiveSpec>`
 //! grids go through the same shard / merge / coverage / store code, so
 //! they must honor the same contracts:
 //!
@@ -16,12 +16,11 @@
 use eacp_exec::{
     coverage_dir, merge_dir, run_sweep, run_sweep_tiered, run_tiered, BlockAssignment, BlockBatch,
     Cell, ExecutiveJob, ExecutiveSummary, GridReport, InProcessWorker, Job, LocalRunner, Observer,
-    QueueRunner, Runner, ShardId, Summary, Worker,
+    QueueObserver, QueueRunner, QueueStatus, Runner, ShardId, Summary, Worker,
 };
 use eacp_spec::{
-    Axis, ExecutiveMcSpec, ExecutiveSpec, ExecutiveSweepSpec, ExperimentSpec, FaultSpec, FromJson,
-    Grid, Json, Knob, McSpec, PolicyAssignment, PolicySpec, SpecError, SweepSpec, TaskSetSpec,
-    ToJson,
+    Axis, ExecutiveMcSpec, ExecutiveSpec, ExperimentSpec, FaultSpec, FromJson, Grid, Json, Knob,
+    McSpec, PolicyAssignment, PolicySpec, SpecError, SweepSpec, TaskSetSpec, ToJson,
 };
 use eacp_store::{
     run_cached_with_tiered, run_sweep_cached_tiered, store_coverage, verify_store, CacheMode,
@@ -76,7 +75,7 @@ impl Fixture for ExecutiveSpec {
             threads: 1,
             queue: None,
         });
-        ExecutiveSweepSpec {
+        Grid {
             base,
             axes: vec![
                 Axis::new(Knob::Lambda, vec![2e-4, 1e-3]),
@@ -547,6 +546,55 @@ fn a_store_backed_grid_leases_the_whole_grid_from_one_queue() {
     assert_eq!(leases.swap(0, Ordering::SeqCst), storeless, "cold");
     assert_eq!(pretty(&cached()), pretty(&plain));
     assert_eq!(leases.load(Ordering::SeqCst), 0, "warm");
+}
+
+/// Records the queue size every lease reports.
+#[derive(Default)]
+struct LeaseTotals(std::sync::Mutex<Vec<usize>>);
+
+impl QueueObserver for LeaseTotals {
+    fn on_lease(&self, _worker: usize, _index: usize, _attempt: u32, status: QueueStatus) {
+        self.0.lock().unwrap().push(status.total);
+    }
+}
+
+impl LeaseTotals {
+    fn take(&self) -> Vec<usize> {
+        std::mem::take(&mut *self.0.lock().unwrap())
+    }
+}
+
+/// The executive twin of the test above: an executive grid leases every
+/// cell's blocks from one queue, with or without a store, so every lease
+/// sees the whole grid's block count; a warm rerun leases nothing.
+#[test]
+fn an_executive_grid_leases_the_whole_grid_from_one_queue() {
+    let mut sweep = ExecutiveSpec::grid(5);
+    // Four cells of 40 horizons: three blocks of 16 each, one per lease.
+    sweep.base.set_mc(Some(40), None);
+    const GRID_BLOCKS: usize = 12;
+    let leases = Arc::new(LeaseTotals::default());
+    let runner = || QueueRunner::new(2).with_observer(leases.clone());
+    let plain = run_sweep_tiered(&sweep, None, &runner(), true).unwrap();
+    assert_eq!(pretty(&plain), pretty(&run_sweep(&sweep, None, 1).unwrap()));
+    assert_eq!(leases.take(), vec![GRID_BLOCKS; GRID_BLOCKS], "storeless");
+    let store = MemBackend::new();
+    let cached = || {
+        run_sweep_cached_tiered(
+            &sweep,
+            None,
+            &runner(),
+            &store,
+            CacheMode::ReadWrite,
+            &NoopStoreObserver,
+            true,
+        )
+        .unwrap()
+    };
+    assert_eq!(pretty(&cached()), pretty(&plain));
+    assert_eq!(leases.take(), vec![GRID_BLOCKS; GRID_BLOCKS], "cold");
+    assert_eq!(pretty(&cached()), pretty(&plain));
+    assert_eq!(leases.take(), Vec::<usize>::new(), "warm");
 }
 
 /// A paper table part document — `specs/table2a.json` at 20 replications:
