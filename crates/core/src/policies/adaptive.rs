@@ -228,6 +228,12 @@ impl Adaptive {
     /// from the plan table. Returns `None` when the deadline can no longer
     /// be met.
     fn replan(&mut self, ctx: &PlanContext<'_>, remaining_cycles: f64) -> Option<IntervalPlan> {
+        // Checked on every replan, not once per replication: the costs and
+        // DVS table arrive only with the planning context, and an instance
+        // may plan against another environment without a `reset` in
+        // between (`table_replans_match_the_reference_functions` reuses one
+        // across all its environments, and fails if the table is checked
+        // only once). A profile puts the check at 4–8% of samples.
         self.table.ensure(ctx.costs, ctx.dvs, self.lambda);
         let rd = ctx.time_left();
         let (speed, rt) = if self.dvs_enabled {

@@ -8,7 +8,7 @@ use crate::scenario::Scenario;
 use crate::trace::TraceEvent;
 #[cfg(test)]
 use crate::trace::TraceRecorder;
-use eacp_energy::{EnergyMeter, SpeedLevel};
+use eacp_energy::{Cycles, EnergyMeter, SpeedLevel};
 use eacp_faults::FaultProcess;
 
 /// Tunable executor limits and switches.
@@ -104,6 +104,24 @@ impl LevelTimes {
         } else {
             cycles / frequency
         }
+    }
+}
+
+/// The task position after a step, `p`, clamped to the task's `work`: the
+/// one clamp of every position update.
+///
+/// Bit-identical to `p.min(work)` here, without `f64::min`'s NaN fix-up on
+/// the position's dependency chain: `work` is the task's positive finite
+/// work and `p` a position plus a non-negative count, so neither is NaN
+/// and they cannot be zeros of opposite sign. Both then return `p` when
+/// `p < work` and otherwise the smaller or equal value `work`, which on
+/// equal values has the same bits as `p`.
+#[inline(always)]
+fn clamp_position(p: f64, work: f64) -> f64 {
+    if p < work {
+        p
+    } else {
+        work
     }
 }
 
@@ -411,7 +429,12 @@ impl<'s> Executor<'s> {
                 // mismatch discards the dirty ones, so only the newest
                 // clean snapshot is kept, in a register. That keeps the
                 // loop free of calls that can reallocate, and the run
-                // state (`now`, `pos`, the meter run) in registers.
+                // state (`now`, `pos`, the meter run) in registers. The
+                // window's three recorded counts (segment, sub-checkpoint,
+                // closing CSCP) are checked once, when it is accepted, so
+                // no record in the loop carries a check or its panic edge,
+                // and `clamp_position` keeps `f64::min`'s NaN fix-up off
+                // the `pos` chain.
                 // The guards depend on no fault. They are conservative
                 // (margins of 1e-6 against accumulated rounding of
                 // ~1e-10), so near-boundary windows fall back to the
@@ -442,6 +465,9 @@ impl<'s> Executor<'s> {
                     if fits {
                         let sub_cycles = costs.cycles_of(w.sub_kind);
                         let cscp_cycles = costs.cycles_of(CheckpointKind::CompareStore);
+                        let seg_record = Cycles::new(seg_cycles);
+                        let sub_record = Cycles::new(sub_cycles);
+                        let cscp_record = Cycles::new(cscp_cycles);
                         let sub_stores = w.sub_kind == CheckpointKind::Store;
                         let sub_compares = w.sub_kind.compares();
                         // Position of the newest clean sub-store.
@@ -469,8 +495,8 @@ impl<'s> Executor<'s> {
                                 max_ops,
                                 obs,
                             );
-                            pos = (pos + seg_cycles).min(task.work_cycles);
-                            run.record(seg_cycles);
+                            pos = clamp_position(pos + seg_cycles, task.work_cycles);
+                            run.record(seg_record);
                             ops += 1;
                             let diverged = pending_fault.is_some();
                             obs.on_event(&TraceEvent::Checkpoint {
@@ -492,7 +518,7 @@ impl<'s> Executor<'s> {
                                 obs,
                             );
                             if sub_cycles > 0.0 {
-                                run.record(sub_cycles);
+                                run.record(sub_record);
                             }
                             ops += 1;
                             subs_done += 1;
@@ -536,8 +562,8 @@ impl<'s> Executor<'s> {
                             max_ops,
                             obs,
                         );
-                        pos = (pos + seg_cycles).min(task.work_cycles);
-                        run.record(seg_cycles);
+                        pos = clamp_position(pos + seg_cycles, task.work_cycles);
+                        run.record(seg_record);
                         out.segments += 1;
                         ops += 1;
                         let diverged = pending_fault.is_some();
@@ -560,7 +586,7 @@ impl<'s> Executor<'s> {
                             obs,
                         );
                         if cscp_cycles > 0.0 {
-                            run.record(cscp_cycles);
+                            run.record(cscp_record);
                         }
                         ops += 1;
                         out.compare_store_checkpoints += 1;
@@ -663,8 +689,8 @@ impl<'s> Executor<'s> {
                         obs,
                     );
                     let cycles = dur * level.frequency;
-                    pos = (pos + cycles).min(task.work_cycles);
-                    run.record(cycles);
+                    pos = clamp_position(pos + cycles, task.work_cycles);
+                    run.record(Cycles::new(cycles));
                     out.segments += 1;
                     ops += 1;
                 }
@@ -694,7 +720,7 @@ impl<'s> Executor<'s> {
                     obs,
                 );
                 if op_cycles > 0.0 {
-                    run.record(op_cycles);
+                    run.record(Cycles::new(op_cycles));
                 }
                 ops += 1;
                 match checkpoint {
@@ -757,7 +783,7 @@ impl<'s> Executor<'s> {
                         max_ops,
                         obs,
                     );
-                    run.record(costs.rollback_cycles);
+                    run.record(Cycles::new(costs.rollback_cycles));
                 }
             } else if checkpoint.compares() && !snapshot_diverged && pos >= task.work_cycles - 1e-9
             {
@@ -1161,6 +1187,34 @@ mod tests {
         // Segments: 100 + 30 (clamped); 2 CSCPs.
         assert_eq!(out.segments, 2);
         assert!((out.finish_time - (130.0 + 44.0)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn position_clamp_matches_f64_min_bit_for_bit() {
+        let work = 7600.0_f64;
+        let below = f64::from_bits(work.to_bits() - 1);
+        let above = f64::from_bits(work.to_bits() + 1);
+        let subnormal = f64::from_bits(1);
+        let cases = [
+            (work, work),
+            (below, work),
+            (above, work),
+            (0.0, work),
+            (0.0, 0.0),
+            (subnormal, work),
+            (subnormal, subnormal),
+            (work, subnormal),
+            (1e300, work),
+            (work, 1e300),
+            (1e300, 1e300),
+        ];
+        for (p, w) in cases {
+            assert_eq!(
+                clamp_position(p, w).to_bits(),
+                p.min(w).to_bits(),
+                "clamp_position({p:e}, {w:e})"
+            );
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! # Examples
 //!
 //! ```
-//! use eacp_energy::{DvsConfig, EnergyMeter};
+//! use eacp_energy::{Cycles, DvsConfig, EnergyMeter};
 //!
 //! let dvs = DvsConfig::paper_default();
 //! let mut meter = EnergyMeter::new(2); // DMR: two processors
@@ -33,10 +33,10 @@
 //! // does), bit-identical to the per-record calls above.
 //! let mut batched = EnergyMeter::new(2);
 //! let mut run = batched.begin_run(dvs.level(0));
-//! run.record(1000.0);
+//! run.record(Cycles::new(1000.0));
 //! batched.end_run(run);
 //! let mut run = batched.begin_run(dvs.level(1));
-//! run.record(500.0);
+//! run.record(Cycles::new(500.0));
 //! batched.end_run(run);
 //! assert_eq!(batched.total().to_bits(), meter.total().to_bits());
 //! ```
@@ -189,6 +189,34 @@ impl Default for DvsConfig {
     }
 }
 
+/// A per-processor cycle count, checked once to be non-negative and
+/// finite: the only thing a [`LevelRun`] records.
+///
+/// A caller that records the same count many times (a simulator's
+/// fixed-size segments and checkpoints) checks it once, here, instead of
+/// on every record.
+#[derive(Debug, Clone, Copy)]
+pub struct Cycles(f64);
+
+impl Cycles {
+    /// Checks `cycles` as a count to record.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycles` is negative or not finite.
+    #[inline]
+    pub fn new(cycles: f64) -> Self {
+        // `cycles >= 0.0 && cycles.is_finite()`, written as two float
+        // compares: LLVM turns the `is_finite` form into a bit-level class
+        // test of about twenty integer instructions.
+        assert!(
+            (0.0..=f64::MAX).contains(&cycles),
+            "cycle count must be non-negative and finite"
+        );
+        Self(cycles)
+    }
+}
+
 /// Accumulates energy over task segments: `Σ processors · V² · cycles`.
 ///
 /// Also tracks per-level cycle counts so experiments can report how much of
@@ -236,16 +264,8 @@ pub struct LevelRun {
 
 impl LevelRun {
     /// Records `cycles` executed (per processor) at this run's level.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cycles` is negative or not finite.
     #[inline]
-    pub fn record(&mut self, cycles: f64) {
-        assert!(
-            cycles >= 0.0 && cycles.is_finite(),
-            "cycle count must be non-negative and finite"
-        );
+    pub fn record(&mut self, Cycles(cycles): Cycles) {
         self.total
             .add(self.processors * cycles * self.energy_per_cycle);
         self.cycles += cycles;
@@ -350,7 +370,7 @@ impl EnergyMeter {
     /// Panics if `cycles` is negative or not finite, or a run is open.
     pub fn record_cycles(&mut self, cycles: f64, level: SpeedLevel) {
         let mut run = self.begin_run(level);
-        run.record(cycles);
+        run.record(Cycles::new(cycles));
         self.end_run(run);
     }
 
@@ -488,6 +508,22 @@ mod tests {
     fn meter_rejects_negative_cycles() {
         let mut m = EnergyMeter::new(2);
         m.record_cycles(-1.0, SpeedLevel::new(1.0, 1.0));
+    }
+
+    #[test]
+    fn cycles_reject_negative_and_non_finite_counts() {
+        for bad in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let panic = std::panic::catch_unwind(|| Cycles::new(bad))
+                .expect_err(&format!("Cycles::new({bad}) must panic"));
+            assert_eq!(
+                panic.downcast_ref::<&str>(),
+                Some(&"cycle count must be non-negative and finite"),
+                "Cycles::new({bad})"
+            );
+        }
+        for good in [0.0, -0.0, 5e-324, 22.0, f64::MAX] {
+            assert_eq!(Cycles::new(good).0.to_bits(), good.to_bits());
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! empty runs and revisited levels, with cycle counts spread over many
 //! magnitudes so that any change in addition order shows in the bits.
 
-use eacp_energy::{EnergyMeter, SpeedLevel};
+use eacp_energy::{Cycles, EnergyMeter, SpeedLevel};
 use eacp_numerics::NeumaierSum;
 
 /// The documented accounting, written out directly.
@@ -110,7 +110,7 @@ fn by_runs(processors: u32, epochs: &[Epoch]) -> EnergyMeter {
     for epoch in epochs {
         let mut run = meter.begin_run(epoch.level);
         for &c in &epoch.records {
-            run.record(c);
+            run.record(Cycles::new(c));
         }
         meter.end_run(run);
         if let Some(e) = epoch.switch {
@@ -247,7 +247,7 @@ fn an_open_run_reports_the_running_total() {
     let mut meter = EnergyMeter::new(2);
     meter.record_switch(1.0);
     let mut run = meter.begin_run(level);
-    run.record(10.0);
+    run.record(Cycles::new(10.0));
     let mid_run = run.total();
     meter.end_run(run);
     assert_eq!(mid_run, meter.total());
