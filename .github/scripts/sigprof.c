@@ -1,5 +1,5 @@
 /*
- * A sampling profiler loaded with LD_PRELOAD; profile.py builds and drives it.
+ * A sampling profiler loaded with LD_PRELOAD; sigprof.py builds and drives it.
  *
  *     cc -O2 -shared -fPIC -o sigprof.so sigprof.c
  *     SIGPROF_DIR=DIR LD_PRELOAD=./sigprof.so COMMAND...
@@ -13,7 +13,7 @@
  *
  * The interval asked for is 1 ms, but the kernel checks CPU-time timers at
  * its scheduler tick, so samples arrive at most once per tick: on a host
- * with a 250 Hz tick, one per 4 ms of CPU time. profile.py reports the
+ * with a 250 Hz tick, one per 4 ms of CPU time. sigprof.py reports the
  * interval it observed (CPU time over samples).
  */
 #define _GNU_SOURCE

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Sample where a command spends its CPU time, by inlined frame and source line.
 
-    python3 .github/scripts/profile.py [--top N] -- COMMAND [ARG...]
+    python3 .github/scripts/sigprof.py -- COMMAND [ARG...]
 
 Builds sigprof.c (next to this script) with `cc` into a temporary
 directory, runs COMMAND once with it preloaded, and resolves every sampled
@@ -12,7 +12,8 @@ preload and write their own samples, which are ignored. So run the program
 itself, not a shell around it. COMMAND's standard output is discarded;
 its standard error passes through.
 
-It prints three tables, each as a share of all samples:
+It prints three tables of `TOP` (25) rows, each row as a share of all
+samples:
 
 * inclusive: every function on a sample's inlined chain, once per sample,
   next to its self share (samples whose innermost frame it is). A sample
@@ -44,6 +45,8 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+# Rows per table.
+TOP = 25
 
 
 class ProfileError(Exception):
@@ -67,7 +70,7 @@ class Profile:
             self.lines[(chain[0][1], chain[0][0])] += 1
             self.inclusive.update({function for function, _ in chain})
 
-    def report(self, top, out=sys.stdout):
+    def report(self, out=sys.stdout):
         n = len(self.chains)
         every = 1e3 * self.cpu_s / n if n else float("nan")
         out.write(
@@ -81,14 +84,14 @@ class Profile:
         def pct(count):
             return f"{100.0 * count / n:6.1f}%"
 
-        out.write(f"\ninclusive (inlined frames), top {top}:\n  incl.    self  function\n")
-        for function, count in self.inclusive.most_common(top):
+        out.write(f"\ninclusive (inlined frames), top {TOP}:\n  incl.    self  function\n")
+        for function, count in self.inclusive.most_common(TOP):
             out.write(f"  {pct(count)} {pct(self.self_[function])}  {function}\n")
-        out.write(f"\nself, top {top}:\n")
-        for function, count in self.self_.most_common(top):
+        out.write(f"\nself, top {TOP}:\n")
+        for function, count in self.self_.most_common(TOP):
             out.write(f"  {pct(count)}  {function}\n")
-        out.write(f"\nsource lines (innermost frame), top {top}:\n")
-        for (location, function), count in self.lines.most_common(top):
+        out.write(f"\nsource lines (innermost frame), top {TOP}:\n")
+        for (location, function), count in self.lines.most_common(TOP):
             out.write(f"  {pct(count)}  {location}  {function}\n")
 
 
@@ -252,9 +255,8 @@ def profile(command):
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description=__doc__.split("\n\n")[0],
-        usage="%(prog)s [--top N] -- COMMAND [ARG...]",
+        usage="%(prog)s -- COMMAND [ARG...]",
     )
-    parser.add_argument("--top", type=int, default=25, help="rows per table (default 25)")
     parser.add_argument("command", nargs=argparse.REMAINDER)
     args = parser.parse_args(argv)
     command = args.command[1:] if args.command[:1] == ["--"] else args.command
@@ -263,11 +265,11 @@ def main(argv=None):
     try:
         result = profile(command)
     except (ProfileError, OSError, subprocess.CalledProcessError) as e:
-        print(f"profile: {e}", file=sys.stderr)
+        print(f"sigprof: {e}", file=sys.stderr)
         return 2
-    result.report(args.top)
+    result.report()
     if result.returncode != 0:
-        print(f"profile: {command[0]} exited {result.returncode}", file=sys.stderr)
+        print(f"sigprof: {command[0]} exited {result.returncode}", file=sys.stderr)
         return 1
     return 0
 

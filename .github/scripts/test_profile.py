@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Self-tests of the sampling profiler (profile.py and sigprof.c).
+"""Self-tests of the sampling profiler (sigprof.py and sigprof.c).
 
     cargo build --release
     python3 .github/scripts/test_profile.py
@@ -19,7 +19,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent.parent
 sys.path.insert(0, str(HERE))
 
-import profile  # noqa: E402
+import sigprof  # noqa: E402
 
 EACP = ROOT / "target" / "release" / "eacp"
 ENGINE = "eacp_sim::engine::Executor::run_with_scratch"
@@ -37,7 +37,7 @@ class ParseTests(unittest.TestCase):
             "??\n"
             "??:0\n"
         )
-        chains = profile.parse_addr2line(text)
+        chains = sigprof.parse_addr2line(text)
         self.assertEqual(
             chains[0x1000],
             [
@@ -57,13 +57,13 @@ class ParseTests(unittest.TestCase):
                 "samples 3\n"
                 "55d0a010\n55d0a020\n7ffd1004\n"
             )
-            maps, taken, addresses = profile.read_samples(path)
+            maps, taken, addresses = sigprof.read_samples(path)
         self.assertEqual(taken, 3)
         self.assertEqual(addresses, [0x55D0A010, 0x55D0A020, 0x7FFD1004])
         self.assertEqual(maps[0], (0x55D0A000, 0x55D0B000, 0x2000, "/usr/bin/prog"))
         self.assertEqual(maps[1][3], "[vdso]")
         # A sample outside every mapping, or in one with no file, keeps a label.
-        chains = profile.resolve(maps, [0x1, 0x7FFD1004])
+        chains = sigprof.resolve(maps, [0x1, 0x7FFD1004])
         self.assertEqual(chains, [[("[unmapped]", "??")], [("[vdso]", "??")]])
 
 
@@ -71,7 +71,7 @@ class EndToEndTests(unittest.TestCase):
     def test_the_engine_leads_a_monte_carlo_profile(self):
         if not EACP.exists():
             self.fail(f"{EACP} is missing: run `cargo build --release` first")
-        result = profile.profile(
+        result = sigprof.profile(
             [
                 str(EACP),
                 "mc",
