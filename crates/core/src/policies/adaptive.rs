@@ -233,8 +233,9 @@ impl Adaptive {
         // may plan against another environment without a `reset` in
         // between (`table_replans_match_the_reference_functions` reuses one
         // across all its environments, and fails if the table is checked
-        // only once). A profile puts the check at 4–8% of samples.
-        self.table.ensure(ctx.costs, ctx.dvs, self.lambda);
+        // only once). The check compares the context's one-word
+        // environment identity.
+        self.table.ensure(ctx, self.lambda);
         let rd = ctx.time_left();
         let (speed, rt) = if self.dvs_enabled {
             self.table.choose_speed(remaining_cycles, rd)
@@ -648,11 +649,28 @@ mod tests {
         Some((speed, m, sub_interval, branch))
     }
 
+    /// A planning context at time 0 for `s`'s task, as the executor
+    /// builds it.
+    fn task_start(s: &Scenario) -> PlanContext<'_> {
+        PlanContext {
+            now: 0.0,
+            position_cycles: 0.0,
+            work_cycles: s.task.work_cycles,
+            deadline: s.task.deadline,
+            speed: 0,
+            costs: s.costs(),
+            dvs: s.dvs(),
+            env: s.env(),
+        }
+    }
+
     /// Table-based replans pick the speed, subdivision and interval bits
     /// the reference functions pick, over random remaining work, slack,
     /// fault budgets, rates, costs and DVS tables — with the plan table
     /// and its memo warm across inputs of one environment, and rebuilt
-    /// when the environment changes under a reused instance.
+    /// when the environment changes under a reused instance. Each
+    /// environment is one scenario whose task is rewritten per sample,
+    /// as the executive rewrites its template per job.
     #[test]
     fn table_replans_match_the_reference_functions() {
         use eacp_energy::SpeedLevel;
@@ -680,7 +698,6 @@ mod tests {
             } else {
                 uni(&mut rng, 0.0, 10.0)
             };
-            let costs = CheckpointCosts::new(store, compare, rollback);
             let n_levels = pick(&mut rng, 3) as usize + 1;
             let mut f = uni(&mut rng, 0.5, 2.0);
             let mut levels = Vec::new();
@@ -688,7 +705,12 @@ mod tests {
                 levels.push(SpeedLevel::new(f, uni(&mut rng, 0.8, 2.5)));
                 f *= uni(&mut rng, 1.1, 2.5);
             }
-            let dvs = DvsConfig::new(levels);
+            let mut scenario = Scenario::new(
+                TaskSpec::new(1.0, 1.0),
+                CheckpointCosts::new(store, compare, rollback),
+                DvsConfig::new(levels),
+            );
+            let (costs, dvs) = (*scenario.costs(), scenario.dvs().clone());
             let lambda = match env % 10 {
                 0 => 0.0,
                 1 => uni(&mut rng, 0.05, 0.5),
@@ -727,15 +749,8 @@ mod tests {
                     3.0 * rc / dvs.level(0).frequency,
                 );
                 p.rf = f64::from(pick(&mut rng, k + 1));
-                let ctx = PlanContext {
-                    now: 0.0,
-                    position_cycles: 0.0,
-                    work_cycles: rc,
-                    deadline: rd,
-                    speed: 0,
-                    costs: &costs,
-                    dvs: &dvs,
-                };
+                scenario.task = TaskSpec::new(rc, rd);
+                let ctx = task_start(&scenario);
                 reused.rf = p.rf.min(5.0);
                 let want = reference_replan(&reused, &ctx, rc);
                 let got = reused.replan(&ctx, rc);
@@ -775,17 +790,8 @@ mod tests {
 
     #[test]
     fn changing_the_optimizer_forgets_memoized_subdivisions() {
-        let costs = CheckpointCosts::paper_scp_variant();
-        let dvs = DvsConfig::paper_default();
-        let ctx = PlanContext {
-            now: 0.0,
-            position_cycles: 0.0,
-            work_cycles: 7_600.0,
-            deadline: 10_000.0,
-            speed: 0,
-            costs: &costs,
-            dvs: &dvs,
-        };
+        let s = scenario(0.76, 10_000.0);
+        let ctx = task_start(&s);
         let mut warm = Adaptive::dvs_scp(0.02, 5);
         warm.replan(&ctx, 7_600.0);
         warm.replan(&ctx, 7_600.0);
@@ -798,6 +804,42 @@ mod tests {
             (want.1, want.2.to_bits())
         );
         assert_eq!(exact.plan_cache_stats(), (1, 2), "the memo was recomputed");
+    }
+
+    #[test]
+    fn another_scenario_with_equal_contents_rebuilds_the_table() {
+        let (a, b) = (scenario(0.76, 10_000.0), scenario(0.76, 10_000.0));
+        assert_eq!(a, b);
+        let mut p = Adaptive::dvs_scp(0.02, 5);
+        for (s, stats) in [(&a, (0, 1)), (&a, (1, 1)), (&b, (1, 2)), (&b, (2, 2))] {
+            let ctx = task_start(s);
+            let got = p.replan(&ctx, 7_600.0).unwrap();
+            let want = reference_replan(&p, &ctx, 7_600.0).unwrap();
+            assert_eq!(
+                (got.speed, got.m, got.sub_interval.to_bits()),
+                (want.0, want.1, want.2.to_bits())
+            );
+            assert_eq!(want.3, IntervalBranch::Poisson, "the memoized I1 split");
+            assert_eq!(p.plan_cache_stats(), stats, "b's identity forgets a's memo");
+        }
+    }
+
+    /// A context that keeps a scenario's identity but carries other
+    /// costs breaks [`PlanContext::env`]'s contract; debug builds catch
+    /// it on the replan that would serve the stale table.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "changed its costs or frequencies")]
+    fn a_forged_environment_identity_panics_in_debug_builds() {
+        let s = scenario(0.76, 10_000.0);
+        let mut p = Adaptive::dvs_scp(0.02, 5);
+        p.replan(&task_start(&s), 7_600.0);
+        let other = CheckpointCosts::paper_ccp_variant();
+        let forged = PlanContext {
+            costs: &other,
+            ..task_start(&s)
+        };
+        p.replan(&forged, 7_600.0);
     }
 
     #[test]

@@ -14,11 +14,17 @@
 //! reference functions in [`crate::analysis`] evaluate, on the same
 //! operands, and the per-replan remainder keeps their operation order;
 //! a unit test of the adaptive policy checks table-based replans against
-//! the reference functions over random inputs. The table is re-checked
-//! on every replan by exact equality of the checkpoint costs and the
-//! level frequencies (voltages do not enter planning), so an instance
-//! reused against a different scenario rebuilds it rather than serving
-//! a stale plan.
+//! the reference functions over random inputs.
+//!
+//! **Environment identity.** The table records the planning-environment
+//! identity it was built for ([`PlanContext::env`], minted per
+//! [`Scenario`](eacp_sim::Scenario)) and rebuilds when a replan's
+//! context carries another, so an instance reused against a different
+//! scenario never serves a stale plan, and a replan checks one word. A
+//! scenario's costs and DVS table are read-only, so one identity always
+//! names the same costs and frequencies (voltages do not enter
+//! planning). Debug builds re-check that by exact equality on every
+//! replan that keeps the table.
 //!
 //! Per the audit rules the table is built in a setup function and only
 //! read afterwards (R3): a replication never allocates here.
@@ -29,7 +35,7 @@ use crate::analysis::{
 };
 use crate::policies::SubCheckpointKind;
 use eacp_energy::DvsConfig;
-use eacp_sim::CheckpointCosts;
+use eacp_sim::{CheckpointCosts, PlanContext};
 
 /// Planning constants of one speed level.
 #[derive(Debug, Clone, Copy)]
@@ -95,13 +101,16 @@ impl LevelPlan {
     /// The Fig. 4 interval at this level: `checkpoint_interval` with
     /// `c = C`.
     pub(crate) fn interval(&self, rd: f64, rt: f64, rf: f64, lambda: f64) -> f64 {
+        // The reference's `x > 0.0 && x.is_finite()` checks, written as
+        // two float compares: LLVM turns the `is_finite` form into a
+        // bit-level class test.
         assert!(
-            rt > 0.0 && rt.is_finite(),
+            rt > 0.0 && rt <= f64::MAX,
             "remaining time must be positive and finite"
         );
         let c = self.c;
         assert!(
-            c > 0.0 && c.is_finite(),
+            c > 0.0 && c <= f64::MAX,
             "checkpoint cost must be positive and finite"
         );
         let poisson_threshold = if lambda <= 0.0 {
@@ -131,8 +140,11 @@ impl LevelPlan {
 /// environment. See the [module docs](self).
 #[derive(Debug, Clone)]
 pub(crate) struct PlanTable {
+    /// The [`PlanContext::env`] the table was built for; 0, which no
+    /// scenario carries, before the first build.
+    env: u64,
     /// Bits of the store, compare and rollback cycles the table was
-    /// built for.
+    /// built for (debug builds check them against each replan's costs).
     costs: [u64; 3],
     /// `c = ts + tcp` of those costs.
     c_cycles: f64,
@@ -147,6 +159,7 @@ impl PlanTable {
     // once per environment in `rebuild`.
     pub(crate) fn new() -> Self {
         Self {
+            env: 0,
             costs: [0; 3],
             c_cycles: 0.0,
             levels: Vec::new(),
@@ -155,26 +168,45 @@ impl PlanTable {
         }
     }
 
-    /// Makes the table match `costs` and `dvs`, rebuilding it (and
-    /// forgetting its memos) when either differs from the environment it
-    /// was built for.
+    /// Makes the table match `ctx`'s planning environment, rebuilding it
+    /// (and forgetting its memos) when `ctx.env` differs from the
+    /// identity it was built for.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, panics if `ctx` carries the table's identity but
+    /// other costs or frequencies: a context that breaks
+    /// [`PlanContext::env`]'s contract.
     #[inline]
-    pub(crate) fn ensure(&mut self, costs: &CheckpointCosts, dvs: &DvsConfig, lambda: f64) {
-        let same = self.costs == cost_bits(costs)
+    pub(crate) fn ensure(&mut self, ctx: &PlanContext<'_>, lambda: f64) {
+        if self.env != ctx.env {
+            self.rebuild(ctx, lambda);
+        } else {
+            debug_assert!(
+                self.built_for(ctx.costs, ctx.dvs),
+                "planning environment {} changed its costs or frequencies",
+                ctx.env
+            );
+        }
+    }
+
+    /// Whether the table was built for exactly `costs` and `dvs`'
+    /// frequencies.
+    fn built_for(&self, costs: &CheckpointCosts, dvs: &DvsConfig) -> bool {
+        self.costs == cost_bits(costs)
             && self.levels.len() == dvs.len()
             && self
                 .levels
                 .iter()
                 .zip(dvs.levels())
-                .all(|(l, d)| l.f.to_bits() == d.frequency.to_bits());
-        if !same {
-            self.rebuild(costs, dvs, lambda);
-        }
+                .all(|(l, d)| l.f.to_bits() == d.frequency.to_bits())
     }
 
     // audit:setup: runs once per planning environment; later replans of
     // the same environment only read the table.
-    fn rebuild(&mut self, costs: &CheckpointCosts, dvs: &DvsConfig, lambda: f64) {
+    fn rebuild(&mut self, ctx: &PlanContext<'_>, lambda: f64) {
+        let (costs, dvs) = (ctx.costs, ctx.dvs);
+        self.env = ctx.env;
         self.costs = cost_bits(costs);
         self.c_cycles = costs.cscp_cycles();
         self.levels.clear();
@@ -195,12 +227,14 @@ impl PlanTable {
     /// the fastest, with `Rt = rc/f` at that level.
     #[inline]
     pub(crate) fn choose_speed(&self, rc: f64, rd: f64) -> (usize, f64) {
+        // The reference's checks in two float compares each (see
+        // `LevelPlan::interval`).
         assert!(
-            rc >= 0.0 && rc.is_finite(),
+            (0.0..=f64::MAX).contains(&rc),
             "remaining cycles must be non-negative and finite"
         );
         assert!(
-            self.c_cycles > 0.0 && self.c_cycles.is_finite(),
+            self.c_cycles > 0.0 && self.c_cycles <= f64::MAX,
             "checkpoint cycles must be positive"
         );
         let mut rt = f64::NAN;
@@ -269,4 +303,85 @@ fn cost_bits(costs: &CheckpointCosts) -> [u64; 3] {
         costs.compare_cycles.to_bits(),
         costs.rollback_cycles.to_bits(),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::analysis::{checkpoint_interval, choose_speed, IntervalInputs};
+    use eacp_sim::{Scenario, TaskSpec};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    fn panics(run: &dyn Fn()) -> bool {
+        catch_unwind(AssertUnwindSafe(run)).is_err()
+    }
+
+    /// The table's argument checks panic on exactly the inputs the
+    /// reference functions' `is_finite` checks reject.
+    #[test]
+    fn checks_reject_what_the_reference_functions_reject() {
+        let lambda = 1e-3;
+        for costs in [
+            CheckpointCosts::paper_scp_variant(),
+            // `c = ts + tcp` overflows to +inf.
+            CheckpointCosts::new(1e308, 1e308, 0.0),
+            // `c` is finite in cycles; `c/f` overflows at slow levels.
+            CheckpointCosts::new(1.0, f64::MAX, 0.0),
+        ] {
+            let s = Scenario::new(TaskSpec::new(1.0, 1.0), costs, DvsConfig::paper_default());
+            let ctx = PlanContext {
+                now: 0.0,
+                position_cycles: 0.0,
+                work_cycles: 1.0,
+                deadline: 1.0,
+                speed: 0,
+                costs: s.costs(),
+                dvs: s.dvs(),
+                env: s.env(),
+            };
+            let mut table = PlanTable::new();
+            table.ensure(&ctx, lambda);
+            let c_cycles = costs.cscp_cycles();
+            for x in [
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                -1.0,
+                -5e-324,
+                -0.0,
+                0.0,
+                5e-324,
+                1.0,
+                f64::MAX,
+            ] {
+                assert_eq!(
+                    panics(&|| {
+                        table.choose_speed(x, 1e4);
+                    }),
+                    panics(&|| {
+                        choose_speed(x, 1e4, c_cycles, lambda, s.dvs());
+                    }),
+                    "choose_speed: rc = {x:?}, c = {c_cycles:?}"
+                );
+                for (speed, level) in s.dvs().levels().iter().enumerate() {
+                    let c = c_cycles / level.frequency;
+                    assert_eq!(
+                        panics(&|| {
+                            table.level(speed).interval(1e4, x, 2.0, lambda);
+                        }),
+                        panics(&|| {
+                            checkpoint_interval(IntervalInputs {
+                                rd: 1e4,
+                                rt: x,
+                                c,
+                                rf: 2.0,
+                                lambda,
+                            });
+                        }),
+                        "interval: rt = {x:?}, c = {c:?}"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -125,6 +125,14 @@ fn clamp_position(p: f64, work: f64) -> f64 {
     }
 }
 
+/// Whether a directive's `compute_time` is finite and non-negative
+/// (`-0.0` included). `!t.is_finite() || t < 0.0` is the same predicate,
+/// but compiles to an integer class test; the range is two compares.
+#[inline]
+fn valid_compute_time(t: f64) -> bool {
+    (0.0..=f64::MAX).contains(&t)
+}
+
 /// A stored snapshot: a rollback target.
 #[derive(Debug, Clone, Copy)]
 struct StorePoint {
@@ -247,8 +255,9 @@ impl<'s> Executor<'s> {
     {
         let scenario = self.scenario;
         let task = scenario.task;
-        let costs: &CheckpointCosts = &scenario.costs;
-        let dvs = &scenario.dvs;
+        let costs: &CheckpointCosts = scenario.costs();
+        let dvs = scenario.dvs();
+        let env = scenario.env();
         let deadline = task.deadline;
 
         let meter = &mut scratch.meter;
@@ -311,6 +320,7 @@ impl<'s> Executor<'s> {
             speed,
             costs,
             dvs,
+            env,
         };
 
         // Advances wall-clock time by `dt`, consuming fault arrivals that
@@ -631,7 +641,7 @@ impl<'s> Executor<'s> {
                     out.anomaly = Some(Anomaly::InvalidSpeed);
                     break 'rounds;
                 }
-                if !compute_time.is_finite() || compute_time < 0.0 {
+                if !valid_compute_time(compute_time) {
                     out.anomaly = Some(Anomaly::InvalidComputeTime);
                     break 'rounds;
                 }
@@ -888,6 +898,24 @@ mod tests {
             CheckpointCosts::paper_scp_variant(),
             DvsConfig::paper_default(),
         )
+    }
+
+    #[test]
+    fn compute_time_check_is_finite_and_non_negative() {
+        for t in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -1.0,
+            -5e-324,
+            -0.0,
+            0.0,
+            5e-324,
+            f64::MAX,
+        ] {
+            let invalid = !t.is_finite() || t < 0.0;
+            assert_eq!(valid_compute_time(t), !invalid, "{t:?}");
+        }
     }
 
     #[test]

@@ -33,6 +33,17 @@ impl CheckpointKind {
 
 /// Read-only view of the execution state offered to a [`Policy`] at each
 /// planning point.
+///
+/// [`PlanContext::env`] names the planning environment — the costs and
+/// speed levels — so a policy may key per-environment constants on it:
+/// two contexts with the same `env` carry equal [`PlanContext::costs`]
+/// and [`PlanContext::dvs`]. The executor sets it from
+/// [`Scenario::env`](crate::Scenario::env), which stays sound because a
+/// scenario's costs and DVS table are read-only. A context built by hand
+/// must keep that contract, for instance by taking all three from one
+/// [`Scenario`](crate::Scenario); under a broken one a policy may plan
+/// with another environment's constants (the adaptive schemes' plan
+/// table checks it in debug builds only).
 #[derive(Debug, Clone, Copy)]
 pub struct PlanContext<'a> {
     /// Current wall-clock time.
@@ -50,6 +61,9 @@ pub struct PlanContext<'a> {
     pub costs: &'a CheckpointCosts,
     /// Speed levels available to [`Directive::run`].
     pub dvs: &'a DvsConfig,
+    /// Identity of the planning environment (`costs` and `dvs`): see
+    /// the [type docs](PlanContext).
+    pub env: u64,
 }
 
 impl PlanContext<'_> {
@@ -230,16 +244,20 @@ mod tests {
 
     #[test]
     fn context_arithmetic() {
-        let costs = CheckpointCosts::paper_scp_variant();
-        let dvs = DvsConfig::paper_default();
+        let s = crate::Scenario::new(
+            crate::TaskSpec::new(1000.0, 900.0),
+            CheckpointCosts::paper_scp_variant(),
+            DvsConfig::paper_default(),
+        );
         let ctx = PlanContext {
             now: 100.0,
             position_cycles: 300.0,
             work_cycles: 1000.0,
             deadline: 900.0,
             speed: 0,
-            costs: &costs,
-            dvs: &dvs,
+            costs: s.costs(),
+            dvs: s.dvs(),
+            env: s.env(),
         };
         assert_eq!(ctx.remaining_cycles(), 700.0);
         assert_eq!(ctx.time_left(), 800.0);

@@ -51,12 +51,12 @@ proptest! {
         let mut p = FixedCscp { interval, speed };
         let out = Executor::new(&s).run(&mut p, &mut DeterministicFaults::none());
         prop_assert!(out.completed && out.timely);
-        let f = s.dvs.level(speed).frequency;
+        let f = s.dvs().level(speed).frequency;
         let n_chk = (work / (interval * f)).ceil().max(1.0);
         let expected_time = work / f + n_chk * (ts + tcp) / f;
         prop_assert!((out.finish_time - expected_time).abs() < 1e-6,
             "finish {} vs expected {expected_time}", out.finish_time);
-        let vsq = s.dvs.level(speed).voltage.powi(2);
+        let vsq = s.dvs().level(speed).voltage.powi(2);
         let expected_energy = 2.0 * vsq * (work + n_chk * (ts + tcp));
         prop_assert!((out.energy - expected_energy).abs() / expected_energy < 1e-9);
     }

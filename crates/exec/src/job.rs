@@ -87,7 +87,7 @@ impl Job {
         }
         // Validate once; replication loops can then expect success.
         let policy_name = spec.policy.build()?.name().to_owned();
-        spec.policy.check_speed(scenario.dvs.len())?;
+        spec.policy.check_speed(scenario.dvs().len())?;
         spec.faults.build(0)?;
         Ok(Self {
             name: spec.name.clone(),
@@ -125,7 +125,7 @@ impl Job {
         policy_spec.build()?;
         fault_spec.build(0)?;
         let scenario = spec.scenario.build()?;
-        policy_spec.check_speed(scenario.dvs.len())?;
+        policy_spec.check_speed(scenario.dvs().len())?;
         Self::from_parts(
             spec.name.clone(),
             scenario,

@@ -243,7 +243,7 @@ fn window_path_matches_general_path_for_every_scheme_and_fault_process() {
 fn window_path_matches_general_path_across_three_speed_levels() {
     let base = ExperimentSpec::paper_nominal();
     let built = base.scenario.build().unwrap();
-    let scenario = Scenario::new(built.task, built.costs, three_level_dvs());
+    let scenario = Scenario::new(built.task, *built.costs(), three_level_dvs());
     let options = ExecutorOptions {
         faults_during_overhead: true,
         ..base.executor.build().unwrap()
@@ -272,7 +272,7 @@ fn fault_dense_windows_end_at_mismatches_like_the_general_path() {
         ("explicit", CheckpointCosts::new(6.0, 9.0, 4.0)),
     ];
     let dvs_tables = [
-        ("two-level", built.dvs.clone()),
+        ("two-level", built.dvs().clone()),
         ("three-level", three_level_dvs()),
     ];
     // Windows a mismatch ended, for the SCP and the CCP schemes.

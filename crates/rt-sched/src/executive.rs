@@ -279,7 +279,7 @@ pub fn run_executive_pooled<FP, O>(
 {
     assert!(params.hyperperiods > 0, "at least one hyperperiod");
     debug_assert!(
-        scenario.costs == params.costs && scenario.dvs == params.dvs,
+        *scenario.costs() == params.costs && *scenario.dvs() == params.dvs,
         "scenario template disagrees with the executive params"
     );
     let horizon = (params.set.hyperperiod() * params.hyperperiods as u64) as f64;
@@ -638,6 +638,40 @@ mod tests {
                 .zip(reference.jobs.iter())
                 .all(|(a, b)| a.energy.to_bits() == b.energy.to_bits()
                     && a.finished.to_bits() == b.finished.to_bits()));
+        }
+    }
+
+    #[test]
+    fn pooled_policies_keep_their_plan_tables_across_jobs() {
+        // The template keeps one planning-environment identity across the
+        // jobs it is rewritten for, so a policy reset per job keeps its
+        // plan table and memoized I1 split: only each task's first job
+        // computes the split (rf = 0 and ample slack put every
+        // task-start replan on the Poisson branch).
+        struct ResetPerJob(Vec<Adaptive>);
+        impl PolicyProvider for ResetPerJob {
+            fn policy_for_job(&mut self, task: usize) -> &mut dyn Policy {
+                self.0[task].reset();
+                &mut self.0[task]
+            }
+        }
+        let set = light_set();
+        let params = params(&set, 4);
+        let mut scenario = scenario_template(&params);
+        let mut provider = ResetPerJob(vec![Adaptive::dvs_scp(2e-3, 0); 2]);
+        let mut scratch = ExecutiveScratch::new();
+        run_executive_pooled(
+            &params,
+            &mut scenario,
+            &mut DeterministicFaults::none(),
+            &mut provider,
+            &mut NoopObserver,
+            &mut scratch,
+        );
+        for (task, policy) in provider.0.iter().enumerate() {
+            let jobs = scratch.jobs().iter().filter(|j| j.task == task).count() as u64;
+            assert!(jobs > 1, "task {task}: {jobs} jobs");
+            assert_eq!(policy.plan_cache_stats(), (jobs - 1, 1), "task {task}");
         }
     }
 

@@ -1449,7 +1449,7 @@ impl ExperimentSpec {
         let scenario = self.scenario.build()?;
         self.faults.build(0)?;
         self.policy.build()?;
-        self.policy.check_speed(scenario.dvs.len())?;
+        self.policy.check_speed(scenario.dvs().len())?;
         self.mc.validate()?;
         self.executor.build()?;
         Ok(())
@@ -1516,7 +1516,7 @@ mod tests {
         let s = ScenarioSpec::paper_nominal().build().unwrap();
         assert_eq!(s.task.work_cycles, 7600.0);
         assert_eq!(s.task.deadline, 10_000.0);
-        assert_eq!(s.costs.cscp_cycles(), 22.0);
+        assert_eq!(s.costs().cscp_cycles(), 22.0);
         assert_eq!(s.processors, 2);
     }
 
