@@ -12,8 +12,8 @@
 //! * `queue` — `queue status DIR` inspects a result-collection directory:
 //!   which grid points the present shard documents cover, which are still
 //!   owed, whether the directory is ready to merge;
-//! * `csv` — render a directory of report documents as a CSV matrix with
-//!   paper-value deltas;
+//! * `csv` — render a directory of report documents as a CSV matrix, with
+//!   paper-value deltas for cells of the paper's tables;
 //! * `analyze` — print the paper's analysis quantities (`I1/I2/I3`,
 //!   thresholds, `num_SCP`/`num_CCP`, `t_est`, chosen speed);
 //! * `table` — regenerate one of the paper's tables, its two part
@@ -55,7 +55,7 @@ use eacp_core::analysis::{
 use eacp_energy::DvsConfig;
 use eacp_exec::{
     coverage_dir, merge_dir, placement, render_executive_rows, render_rows, run_sweep_tiered, Cell,
-    GridReport, NoopQueueObserver, PaperRef, QueueObserver, QueueStatus, Runner, ShardId,
+    GridReport, NoopQueueObserver, QueueObserver, QueueStatus, Runner, ShardId,
 };
 use eacp_rtsched::feasibility::{
     edf_density, k_fault_wcet, minimum_feasible_speed, rm_response_times,
@@ -65,14 +65,15 @@ use eacp_sim::{Executor, Policy, TraceRecorder};
 use eacp_spec::{
     executive_preset, executive_preset_names, json, preset, preset_names, CostsSpec, ExecSpec,
     ExecutiveMcSpec, ExecutiveSpec, ExperimentSpec, FaultSpec, FromJson, Grid, GridCell, Json,
-    Knob, McSpec, PaperScheme, PeriodicTaskSpec, PolicyAssignment, PolicySpec, RunReport,
-    ScenarioSpec, TaskSetSpec, ToJson, WorkSpec, PAPER_DEADLINE, PAPER_TABLES,
+    Knob, McSpec, PeriodicTaskSpec, PolicyAssignment, PolicySpec, RunReport, ScenarioSpec,
+    TaskSetSpec, ToJson, WorkSpec,
 };
 use eacp_store::{
     run_cached_single, run_cached_tiered, run_sweep_cached_tiered, store_coverage, verify_store,
     CacheMode, CacheOutcome, FsBackend, NoopStoreObserver, RetentionPolicy, StoreBackend,
     StoreCell, StoreCounters, StoreCoverage, STORE_ENV_VAR,
 };
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Usage text for `--help`.
@@ -169,7 +170,8 @@ SHARDED SWEEPS:
   fails on missing, duplicate or spec-mismatched points. `eacp queue
   status DIR` shows how far the collection has progressed (covered /
   missing / duplicated points) without failing. `eacp csv DIR` renders
-  report documents as CSV with paper-value deltas.
+  report documents as CSV, with paper-value deltas for cells of the
+  paper's tables.
 
 RESULT STORE:
   A store is a content-addressed cache of finished cells: each result is
@@ -1303,8 +1305,11 @@ fn merged<C: Cell>(dir: &std::path::Path) -> Result<(String, usize), eacp_spec::
 }
 
 /// `eacp csv`: render a directory of report documents (grid/shard files
-/// from `sweep --out`, or standalone `mc --json` reports) as a CSV matrix
-/// with paper-value deltas.
+/// from `sweep --out`, or standalone `mc --json` reports) as a CSV matrix.
+/// A report whose cell address ([`eacp_store::spec_hash`]: the spec less
+/// its name, `mc` and `executor.queue`) is a cell of the paper's tables
+/// ([`eacp_experiments::paper::cells`]) gets the paper's values and the
+/// deltas.
 pub fn cmd_csv(o: &Options) -> Result<String, String> {
     let dir = o
         .positional
@@ -1316,7 +1321,13 @@ pub fn cmd_csv(o: &Options) -> Result<String, String> {
         (render_executive_rows(&rows), rows.len())
     } else {
         let rows = load_report_rows::<ExperimentSpec>(dir)?;
-        (render_rows(&rows, &paper_ref_of), rows.len())
+        let mut paper = BTreeMap::new();
+        for (spec, values) in eacp_experiments::paper::cells() {
+            paper.insert(eacp_store::spec_hash(&spec), values);
+        }
+        let paper_ref =
+            |report: &RunReport| paper.get(&eacp_store::spec_hash(&report.spec)).copied();
+        (render_rows(&rows, &paper_ref), rows.len())
     };
     if o.out.is_empty() {
         return Ok(csv);
@@ -1389,45 +1400,6 @@ fn load_report_rows<C: Cell>(dir: &std::path::Path) -> Result<ReportRows<C>, Str
     let mut rows: ReportRows<C> = indexed.into_iter().map(|(i, r)| (Some(i), r)).collect();
     rows.extend(loose.into_iter().map(|r| (None, r)));
     Ok(rows)
-}
-
-/// The paper's reference values for a report's operating point, where the
-/// report matches a transcribed table cell (paper deadline, DMR, a paper
-/// table's cost variant and utilization speed, a tabulated `(U, λ)` row,
-/// and a scheme column of that table).
-fn paper_ref_of(report: &RunReport) -> Option<PaperRef> {
-    use eacp_experiments::{TableId, TablePart};
-    let spec = &report.spec;
-    let (util, util_speed, deadline) = match spec.scenario.work {
-        WorkSpec::Utilization {
-            utilization,
-            speed,
-            deadline,
-        } => (utilization, speed, deadline),
-        WorkSpec::Cycles { .. } => return None,
-    };
-    if deadline != PAPER_DEADLINE || spec.scenario.processors != 2 {
-        return None;
-    }
-    let lambda = spec.faults.nominal_lambda()?;
-    let index = PAPER_TABLES
-        .iter()
-        .position(|t| t.costs == spec.scenario.costs && t.util_speed == util_speed)?;
-    let scheme = match spec.policy.tag() {
-        "poisson" => PaperScheme::Poisson,
-        "kft" => PaperScheme::KFaultTolerant,
-        "a_d" => PaperScheme::AdtDvs,
-        tag if tag == PAPER_TABLES[index].proposed_tag => PaperScheme::Proposed,
-        _ => return None,
-    };
-    [TablePart::A, TablePart::B].iter().find_map(|&part| {
-        eacp_experiments::paper::paper_cell(TableId::ALL[index], part, util, lambda).map(|cell| {
-            PaperRef {
-                p: cell.p_of(scheme),
-                e: cell.e_of(scheme),
-            }
-        })
-    })
 }
 
 /// `eacp presets`: list the named presets.

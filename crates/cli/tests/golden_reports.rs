@@ -285,6 +285,71 @@ fn parameter_flag_overrides_are_pinned_by_digest() {
     }
 }
 
+/// The table presets, pinned by the digests of `eacp mc --preset
+/// tableN-P --emit-spec | sha256sum`: each is the proposed scheme at the
+/// first row of its table part.
+#[test]
+fn table_presets_are_pinned_by_digest() {
+    for (name, digest) in [
+        (
+            "table1-a",
+            "585a2d8db1c56811f1a18cf76caa751ac81d930f48d31246526167ed2182297f",
+        ),
+        (
+            "table1-b",
+            "b737d805641388d2ac01624d8ccb08efdd5125b2cc66f1d5591bba071584b31a",
+        ),
+        (
+            "table2-a",
+            "3c4f40cfe1b72a35dfe79e0ccd4b0a844e19ad384582a34a7488080aefffa4ea",
+        ),
+        (
+            "table2-b",
+            "b9f93647758a31d57968678cf1558f379887bfb7d5c016af40c18f246f65d7b7",
+        ),
+        (
+            "table3-a",
+            "857fec14da75c501e89fdcc7348a78020f4e8af4e010ed3763355332d2de6617",
+        ),
+        (
+            "table3-b",
+            "f6991fa6620e70e3c421a9d1ae97c6f790fa43950044ce3f9e8dd1510842af26",
+        ),
+        (
+            "table4-a",
+            "33a13a4f5e89dbb1c9c95eb7f03128b20271b37ae117591c1c0690f92753880f",
+        ),
+        (
+            "table4-b",
+            "027b563b83129a000c931a94a38a61a40e932327d0f7de54479f7248e940d6c0",
+        ),
+    ] {
+        let out = stdout_of(&["mc", "--preset", name, "--emit-spec"]);
+        assert_eq!(sha256_hex(&out), digest, "{name}: emitted spec drifted");
+    }
+}
+
+/// The CSV of a table part document's shards, paper columns included:
+/// `eacp sweep --spec specs/table2a.json --reps 20 --shard I/2 --out D`
+/// for I = 0, 1, then `eacp csv D | sha256sum`.
+#[test]
+fn table_document_csv_is_pinned_by_digest() {
+    let dir = std::env::temp_dir().join(format!("eacp-golden-csv-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = dir.display().to_string();
+    let doc = spec("table2a.json");
+    for shard in ["0/2", "1/2"] {
+        let args = ["sweep", "--spec", &doc, "--reps", "20", "--shard", shard];
+        stdout_of(&[&args[..], &["--out", &out]].concat());
+    }
+    assert_eq!(
+        sha256_hex(&stdout_of(&["csv", &out])),
+        "41d31b8e1142571526d7027b9008c7af1a81512ae0bf65a132da1241967cb554",
+        "csv of specs/table2a.json shards drifted"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The ablation documents, pinned by the digests of `eacp sweep --spec
 /// specs/ablation-K.json --emit-spec`: the whole output (`| sha256sum`),
 /// and the output without its `name` lines (`| grep -v '^    "name": ' |

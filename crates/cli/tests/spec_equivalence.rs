@@ -4,7 +4,10 @@
 //! for the same seed.
 
 use eacp_experiments::{table_grids, TableId};
-use eacp_spec::{ExecSpec, ExperimentSpec, Json, PaperScheme, SummaryReport};
+use eacp_spec::{
+    CostsSpec, DvsSpec, ExecSpec, ExperimentSpec, FaultSpec, Json, McSpec, PolicySpec,
+    ScenarioSpec, SummaryReport, WorkSpec, PAPER_DEADLINE,
+};
 
 /// Table 1(a)'s first row under the proposed scheme (grid point 3), at
 /// `reps` replications from `seed`.
@@ -28,13 +31,31 @@ fn one_spec_file_reproduces_a_table_cell_through_cli_and_runner() {
     let table = eacp_exec::run_sweep(&grid, None, 0).unwrap();
     let runner_result = &table.points[3].report;
 
-    // ...is the paper cell, named after its table part.
+    // ...is the paper cell, named after its table part: the SCP costs,
+    // utilization quoted at f1 and the A_D_S proposal of Table 1, as the
+    // paper describes it.
     let spec = first_proposed_cell(reps, seed);
-    let mut paper = eacp_spec::paper_cell(1, 0.76, 1.4e-3, 5, PaperScheme::Proposed).unwrap();
-    paper.name = "table1a-u0.76-l0.0014-k5-a_d_s".into();
-    paper.mc.replications = reps;
-    paper.mc.seed = seed;
-    paper.executor = ExecSpec::paper();
+    let paper = ExperimentSpec {
+        name: "table1a-u0.76-l0.0014-k5-a_d_s".into(),
+        scenario: ScenarioSpec {
+            work: WorkSpec::Utilization {
+                utilization: 0.76,
+                speed: 1.0,
+                deadline: PAPER_DEADLINE,
+            },
+            costs: CostsSpec::PaperScp,
+            dvs: DvsSpec::PaperDefault,
+            processors: 2,
+        },
+        faults: FaultSpec::Poisson { lambda: 1.4e-3 },
+        policy: PolicySpec::from_tag("a_d_s", 1.4e-3, 5, 0).unwrap(),
+        mc: McSpec {
+            replications: reps,
+            seed,
+            threads: 0,
+        },
+        executor: ExecSpec::paper(),
+    };
     assert_eq!(spec, paper);
     assert_eq!(spec, runner_result.spec);
 

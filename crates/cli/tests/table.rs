@@ -4,7 +4,10 @@
 //! tables too, and none of them moves a summary bit.
 
 use eacp_cli::dispatch;
-use eacp_spec::{ExecSpec, Json, McSpec, PaperScheme, QueueSpec, ToJson};
+use eacp_spec::{
+    CostsSpec, DvsSpec, ExecSpec, ExperimentSpec, FaultSpec, Json, McSpec, PolicySpec, QueueSpec,
+    ScenarioSpec, ToJson, WorkSpec, PAPER_DEADLINE,
+};
 
 fn eacp(args: &[&str]) -> Result<String, String> {
     dispatch(args.iter().map(|s| (*s).to_owned()).collect())
@@ -188,11 +191,58 @@ fn table_rejects_flags_that_would_reshape_its_cells() {
     assert!(!dir.exists());
 }
 
-/// Every scheme of every row of Table `table`, as `eacp_spec::paper_cell`
+/// What sets each of the paper's tables apart, transcribed from the paper
+/// rather than read off the committed documents: the checkpoint cost
+/// variant, the DVS level the static baselines are pinned to, the speed
+/// the utilization is quoted at, and the proposed scheme's tag.
+const TABLE_PARAMETERS: [(CostsSpec, usize, f64, &str); 4] = [
+    (CostsSpec::PaperScp, 0, 1.0, "a_d_s"),
+    (CostsSpec::PaperScp, 1, 2.0, "a_d_s"),
+    (CostsSpec::PaperCcp, 0, 1.0, "a_d_c"),
+    (CostsSpec::PaperCcp, 1, 2.0, "a_d_c"),
+];
+
+/// One cell of Table `table` (1-based): the scheme tagged `tag` at `(U,
+/// λ, k)`, with the baselines pinned to the table's baseline speed and
+/// the task scaled by its utilization speed, on the paper's executor.
+fn table_cell(table: u32, u: f64, lambda: f64, k: u32, tag: &str) -> ExperimentSpec {
+    let (costs, baseline_speed, util_speed, _) = TABLE_PARAMETERS[table as usize - 1];
+    let policy = match tag {
+        "poisson" => PolicySpec::Poisson {
+            lambda,
+            speed: baseline_speed,
+        },
+        "kft" => PolicySpec::KFaultTolerant {
+            k,
+            speed: baseline_speed,
+        },
+        _ => PolicySpec::from_tag(tag, lambda, k, 0).unwrap(),
+    };
+    ExperimentSpec {
+        name: String::new(),
+        scenario: ScenarioSpec {
+            work: WorkSpec::Utilization {
+                utilization: u,
+                speed: util_speed,
+                deadline: PAPER_DEADLINE,
+            },
+            costs,
+            dvs: DvsSpec::PaperDefault,
+            processors: 2,
+        },
+        faults: FaultSpec::Poisson { lambda },
+        policy,
+        mc: McSpec::default(),
+        executor: ExecSpec::paper(),
+    }
+}
+
+/// Every scheme of every row of Table `table`, as [`table_cell`]
 /// describes it, named and seeded as the table runs it: row `i` (part (a)
 /// first) is seeded `seed + i` for all four schemes.
-fn paper_cells(table: u32, reps: u64, seed: u64, queue: Option<&QueueSpec>) -> Vec<Json> {
-    let f1_baselines = eacp_spec::paper_table(table).unwrap().baseline_speed == 0;
+fn table_cells(table: u32, reps: u64, seed: u64, queue: Option<&QueueSpec>) -> Vec<Json> {
+    let (_, baseline_speed, _, proposed) = TABLE_PARAMETERS[table as usize - 1];
+    let f1_baselines = baseline_speed == 0;
     let part_b_us: &[f64] = if f1_baselines {
         &[0.92, 0.95, 1.00]
     } else {
@@ -207,8 +257,8 @@ fn paper_cells(table: u32, reps: u64, seed: u64, queue: Option<&QueueSpec>) -> V
     for (part, k, us, lambdas) in parts {
         for &u in us {
             for lambda in lambdas {
-                for scheme in PaperScheme::ALL {
-                    let mut spec = eacp_spec::paper_cell(table, u, lambda, k, scheme).unwrap();
+                for scheme in ["poisson", "kft", "a_d", proposed] {
+                    let mut spec = table_cell(table, u, lambda, k, scheme);
                     spec.name = format!(
                         "table{table}{part}-u{u}-l{lambda}-k{k}-{}",
                         spec.policy.tag()
@@ -218,7 +268,6 @@ fn paper_cells(table: u32, reps: u64, seed: u64, queue: Option<&QueueSpec>) -> V
                         seed: seed + row,
                         threads: 0,
                     };
-                    spec.executor = ExecSpec::paper();
                     spec.executor.queue = queue.cloned();
                     cells.push(spec.to_json());
                 }
@@ -239,7 +288,7 @@ fn table_emit_spec_is_the_paper_cells() {
         let emitted = eacp(&["table", &n, "--reps", "20", "--seed", "5", "--emit-spec"]).unwrap();
         assert_eq!(
             emitted,
-            Json::Array(paper_cells(table, 20, 5, None)).pretty(),
+            Json::Array(table_cells(table, 20, 5, None)).pretty(),
             "table {table}"
         );
     }
@@ -250,7 +299,7 @@ fn table_emit_spec_is_the_paper_cells() {
     let emitted = eacp(&["table", "2", "--emit-spec", "--queue", "--workers", "2"]).unwrap();
     assert_eq!(
         emitted,
-        Json::Array(paper_cells(2, 2_000, 2006, Some(&queue))).pretty()
+        Json::Array(table_cells(2, 2_000, 2006, Some(&queue))).pretty()
     );
 }
 
@@ -275,4 +324,56 @@ fn table_part_documents_run_through_sweep() {
         assert_eq!(spec.pretty(), want_spec.pretty());
         assert_eq!(summary.pretty(), want_summary.pretty());
     }
+}
+
+/// The `paper_p` column of every data row of `eacp csv DIR`.
+fn csv_paper_p(dir: &std::path::Path) -> Vec<String> {
+    let csv = eacp(&["csv", dir.to_str().unwrap()]).unwrap();
+    let mut lines = csv.lines();
+    let header: Vec<&str> = lines.next().unwrap().split(',').collect();
+    let column = header.iter().position(|c| *c == "paper_p").unwrap();
+    lines
+        .map(|line| line.split(',').nth(column).unwrap().to_owned())
+        .collect()
+}
+
+#[test]
+fn csv_gives_paper_values_exactly_to_cells_of_the_paper_tables() {
+    // A report carries the paper's P/E when its cell address is a table
+    // cell's, and only then: ablation points that share a table cell's
+    // operating point but not its executor or optimizer get none.
+    let spec = |name: &str| format!("{}/../../specs/{name}", env!("CARGO_MANIFEST_DIR"));
+    let dir = scratch("csv-identity");
+    let swept = |doc: &str| {
+        let out = dir.join(doc);
+        let args = ["sweep", "--spec", &spec(doc), "--reps", "20", "--out"];
+        eacp(&[&args[..], &[out.to_str().unwrap()]].concat()).unwrap();
+        csv_paper_p(&out)
+    };
+    for doc in [
+        "ablation-no-dvs.json",
+        "ablation-lambda.json",
+        "ablation-optimizer.json",
+    ] {
+        let paper_p = swept(doc);
+        assert!(!paper_p.is_empty(), "{doc}");
+        assert!(paper_p.iter().all(String::is_empty), "{doc}: {paper_p:?}");
+    }
+    let paper_p = swept("table1a-sweep.json");
+    assert_eq!(paper_p.len(), 8);
+    assert!(paper_p.iter().all(|p| !p.is_empty()), "{paper_p:?}");
+
+    // A loose report of a table preset is a table cell too.
+    let loose = dir.join("loose");
+    std::fs::create_dir_all(&loose).unwrap();
+    let report = eacp(&["mc", "--preset", "table2-b", "--reps", "20", "--json"]).unwrap();
+    std::fs::write(loose.join("table2-b.json"), report).unwrap();
+    assert_eq!(csv_paper_p(&loose), ["0.7776"]);
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // The 208 table cells have 208 distinct addresses.
+    let addresses: std::collections::BTreeSet<_> = eacp_experiments::paper::cells()
+        .map(|(spec, _)| eacp_store::spec_hash(&spec))
+        .collect();
+    assert_eq!(addresses.len(), 208);
 }

@@ -42,6 +42,14 @@ pub struct RenewalParams {
     pub lambda: f64,
 }
 
+/// Whether a time is finite and non-negative (`-0.0` included).
+/// `v >= 0.0 && v.is_finite()` is the same predicate, but compiles to an
+/// integer class test; the range is two compares.
+#[inline]
+fn valid_time(v: f64) -> bool {
+    (0.0..=f64::MAX).contains(&v)
+}
+
 impl RenewalParams {
     /// Creates parameters.
     ///
@@ -55,10 +63,7 @@ impl RenewalParams {
             ("compare_time", compare_time),
             ("rollback_time", rollback_time),
         ] {
-            assert!(
-                v >= 0.0 && v.is_finite(),
-                "{name} must be non-negative and finite"
-            );
+            assert!(valid_time(v), "{name} must be non-negative and finite");
         }
         assert!(
             lambda >= 0.0 && !lambda.is_nan(),
@@ -331,6 +336,23 @@ mod tests {
 
     fn scp_params(lambda: f64) -> RenewalParams {
         RenewalParams::new(2.0, 20.0, 0.0, lambda)
+    }
+
+    #[test]
+    fn time_check_is_finite_and_non_negative() {
+        for v in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -1.0,
+            -5e-324,
+            -0.0,
+            0.0,
+            5e-324,
+            f64::MAX,
+        ] {
+            assert_eq!(valid_time(v), v >= 0.0 && v.is_finite(), "{v:?}");
+        }
     }
 
     fn ccp_params(lambda: f64) -> RenewalParams {

@@ -1,11 +1,11 @@
 //! CSV renderers over report rows, one per workload kind.
 //!
 //! Single-task rows: scheme, `P` with its 95% Wilson interval, `E`, and —
-//! where a paper-value lookup recognizes the operating point — the
-//! paper's `P`/`E` and the measured-minus-paper deltas. The lookup is
-//! injected as a closure so this crate stays independent of
-//! `eacp-experiments` (which owns the transcribed paper tables); the CLI
-//! wires the two together. Executive rows carry per-point counters plus
+//! for cells of the paper's tables — the paper's `P`/`E` and the
+//! measured-minus-paper deltas. The lookup is injected as a closure so
+//! this crate stays independent of `eacp-experiments` (which owns the
+//! transcribed paper values) and of the store (whose cell address the CLI
+//! matches reports by); the CLI wires them together. Executive rows carry per-point counters plus
 //! the miss-ratio and energy distribution columns.
 //!
 //! A row is `(grid index, report)`; standalone reports have no index and
@@ -65,8 +65,8 @@ fn row(index: Option<usize>, report: &RunReport, paper: Option<PaperRef>) -> Str
 }
 
 /// Renders single-task report rows as a CSV matrix. `paper` maps a
-/// report to the paper's reference values where the operating point
-/// matches a transcribed table cell.
+/// report to the paper's reference values where it is a cell of the
+/// paper's tables.
 pub fn render_rows(
     rows: &[(Option<usize>, RunReport)],
     paper: &dyn Fn(&RunReport) -> Option<PaperRef>,

@@ -2,8 +2,8 @@
 //! reported values: per-scheme error statistics and the worst cells.
 
 use crate::runner::TableResult;
+use crate::tables::PaperScheme;
 use eacp_numerics::OnlineStats;
-use eacp_spec::PaperScheme;
 
 /// Error statistics of one scheme's column across a table.
 #[derive(Debug, Clone)]
@@ -12,7 +12,7 @@ pub struct SchemeErrors {
     pub scheme: PaperScheme,
     /// Scheme display name.
     pub name: &'static str,
-    /// Absolute error on `P` (measured − paper) over cells with paper data.
+    /// Absolute error on `P` (measured − paper) over the table's cells.
     pub p_abs_error: OnlineStats,
     /// Relative error on `E` over cells where both energies are finite.
     pub e_rel_error: OnlineStats,
@@ -37,15 +37,14 @@ pub fn compare_with_paper(result: &TableResult) -> Vec<SchemeErrors> {
             let mut worst: Option<(f64, f64, f64, f64)> = None;
             let mut name = "";
             for cell in &result.cells {
-                let Some(paper) = cell.paper else { continue };
                 let s = cell.scheme(scheme);
                 name = s.name();
-                let (pm, pp) = (s.summary.p_timely, paper.p_of(scheme));
+                let (pm, pp) = (s.summary.p_timely, s.paper.p);
                 p_abs.push(pm - pp);
                 if worst.is_none_or(|(_, _, wm, wp)| (pm - pp).abs() > (wm - wp).abs()) {
                     worst = Some((cell.spec.utilization, cell.spec.lambda, pm, pp));
                 }
-                let (em, ep) = (s.summary.energy_timely.mean, paper.e_of(scheme));
+                let (em, ep) = (s.summary.energy_timely.mean, s.paper.e);
                 match (em.is_nan(), ep.is_nan()) {
                     (true, true) => nan_agree += 1,
                     (false, false) => e_rel.push((em - ep) / ep),

@@ -13,15 +13,17 @@
 //! * **Table 4** — CCP cost variant, baselines at `f2`.
 //!
 //! A table's cells are two committed grid documents, one per part
-//! (`specs/table{N}{a,b}.json`, embedded by [`tables::table_grids`]),
-//! whose points are exactly the [`eacp_spec::paper_cell`] specs; what sets
-//! each table apart is [`eacp_spec::PAPER_TABLES`]. Here,
-//! [`tables::table_config`] reads each table's `(U, λ, k)` rows off its
-//! documents, [`paper`] holds the values transcribed from the paper,
-//! [`runner`] regroups the documents' grid reports into rows, [`render`]
-//! does the side-by-side formatting, [`compare`] the error statistics and
-//! [`shape`] the qualitative claims ("who wins, by roughly what factor")
-//! that a successful reproduction must satisfy.
+//! (`specs/table{N}{a,b}.json`, embedded by [`eacp_spec::table_document`]
+//! and parsed by [`tables::table_grids`]): the only definition of the
+//! paper's cells. Here, [`tables::table_config`] reads each table's
+//! parameters and `(U, λ, k)` rows off its documents, [`paper`] holds the
+//! values transcribed from the paper, in document row order, and pairs
+//! them with the documents' cells ([`paper::cells`], which `eacp csv`
+//! matches reports against by cell address), [`runner`] regroups the
+//! documents' grid reports into rows, [`render`] does the side-by-side
+//! formatting, [`compare`] the error statistics and [`shape`] the
+//! qualitative claims ("who wins, by roughly what factor") that a
+//! successful reproduction must satisfy.
 //!
 //! Regenerate a table — on the grid path `eacp sweep` uses, through the
 //! result store, the analytic tier and the queue/fleet placement — with:
@@ -45,4 +47,6 @@ pub mod shape;
 pub mod tables;
 
 pub use runner::{CellResult, SchemeResult, TableResult};
-pub use tables::{table_config, table_grids, CellSpec, TableConfig, TableId, TablePart};
+pub use tables::{
+    table_config, table_grids, CellSpec, PaperScheme, TableConfig, TableId, TablePart,
+};

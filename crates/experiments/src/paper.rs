@@ -1,34 +1,14 @@
 //! The paper's reported numbers, transcribed from Tables 1–4.
 //!
-//! Each row is `(U, λ, [P, E] × {Poisson, k-f-t, A_D, proposed})`. The
-//! `NaN` energies reproduce the paper's own `NaN` cells (no timely run to
-//! average over).
+//! Each row is `(U, λ, [P, E] × {Poisson, k-f-t, A_D, proposed})`, in the
+//! order of its table part document's rows: the values pair with the
+//! documents' cells by position ([`cells`]), and a test checks every
+//! row's `(U, λ)` against its document row. The `NaN` energies reproduce
+//! the paper's own `NaN` cells (no timely run to average over).
 
-use crate::tables::{TableId, TablePart};
-use eacp_spec::PaperScheme;
-
-/// Paper-reported `(P, E)` for all four schemes at one operating point.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PaperCell {
-    /// Probability of timely completion per scheme, in
-    /// [`PaperScheme::ALL`] column order.
-    pub p: [f64; 4],
-    /// Mean energy per scheme (same order); `NaN` where the paper prints
-    /// `NaN`.
-    pub e: [f64; 4],
-}
-
-impl PaperCell {
-    /// `P` for one scheme.
-    pub fn p_of(&self, scheme: PaperScheme) -> f64 {
-        self.p[scheme as usize]
-    }
-
-    /// `E` for one scheme.
-    pub fn e_of(&self, scheme: PaperScheme) -> f64 {
-        self.e[scheme as usize]
-    }
-}
+use crate::tables::{table_grids, TableId, TablePart};
+use eacp_exec::PaperRef;
+use eacp_spec::ExperimentSpec;
 
 type Row = (f64, f64, [f64; 8]);
 
@@ -131,66 +111,101 @@ fn rows_of(table: TableId, part: TablePart) -> &'static [Row] {
     }
 }
 
-/// Looks up the paper's reported values for an operating point.
-///
-/// Returns `None` for `(U, λ)` combinations the paper does not report.
+/// The paper's values for each row of a table, part (a) then part (b) as
+/// [`table_config`](crate::table_config) lists the rows, each in
+/// [`PaperScheme::ALL`](crate::PaperScheme::ALL) column order.
+pub(crate) fn table_rows(table: TableId) -> impl Iterator<Item = [PaperRef; 4]> {
+    [TablePart::A, TablePart::B]
+        .into_iter()
+        .flat_map(move |part| rows_of(table, part))
+        .map(|(_, _, v)| {
+            std::array::from_fn(|i| PaperRef {
+                p: v[2 * i],
+                e: v[2 * i + 1],
+            })
+        })
+}
+
+/// Every cell of the paper's four tables, as its part document expands
+/// it (2,000 replications from seed 2006), with the paper's values for it:
+/// 208 pairs, Table 1 (a) first.
 ///
 /// # Examples
 ///
 /// ```
-/// use eacp_experiments::paper::paper_cell;
-/// use eacp_experiments::{TableId, TablePart};
-/// use eacp_spec::PaperScheme;
-///
-/// let c = paper_cell(TableId::Table1, TablePart::A, 0.76, 1.4e-3).unwrap();
-/// assert_eq!(c.p_of(PaperScheme::Proposed), 0.9999);
-/// assert_eq!(c.e_of(PaperScheme::Poisson), 39015.0);
+/// let (spec, paper) = eacp_experiments::paper::cells().nth(3).unwrap();
+/// assert_eq!(spec.name, "table1a-u0.76-l0.0014-k5-a_d_s");
+/// assert_eq!((paper.p, paper.e), (0.9999, 52863.0));
 /// ```
-pub fn paper_cell(table: TableId, part: TablePart, u: f64, lambda: f64) -> Option<PaperCell> {
-    rows_of(table, part)
-        .iter()
-        .find(|(ru, rl, _)| (ru - u).abs() < 1e-9 && (rl - lambda).abs() < 1e-12)
-        .map(|(_, _, v)| PaperCell {
-            p: [v[0], v[2], v[4], v[6]],
-            e: [v[1], v[3], v[5], v[7]],
-        })
+pub fn cells() -> impl Iterator<Item = (ExperimentSpec, PaperRef)> {
+    TableId::ALL.into_iter().flat_map(|id| {
+        let specs = table_grids(id).into_iter().flat_map(|grid| {
+            grid.expand()
+                // audit:allow(panic): the committed documents expand; the
+                // tests expand every one.
+                .expect("committed table documents expand")
+        });
+        specs.zip(table_rows(id).flatten())
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tables::table_config;
+    use crate::PaperScheme;
+
+    /// The row of `table`'s part with the given `(U, λ)`.
+    fn row(table: TableId, part: TablePart, u: f64, lambda: f64) -> [f64; 8] {
+        let (_, _, v) = rows_of(table, part)
+            .iter()
+            .find(|(ru, rl, _)| *ru == u && *rl == lambda)
+            .unwrap();
+        *v
+    }
 
     #[test]
     fn every_configured_cell_has_paper_data() {
+        // Row by row, the data lists the documents' `(U, λ)`, exactly.
         for id in TableId::ALL {
             let cfg = table_config(id);
-            for cell in &cfg.cells {
-                assert!(
-                    paper_cell(id, cell.part, cell.utilization, cell.lambda).is_some(),
-                    "{id}({}) missing U={} λ={}",
-                    cell.part,
-                    cell.utilization,
-                    cell.lambda
-                );
+            for part in [TablePart::A, TablePart::B] {
+                let data = rows_of(id, part);
+                assert_eq!(data.len(), cfg.part_cells(part).count(), "{id}({part})");
+                for ((u, lambda, _), cell) in data.iter().zip(cfg.part_cells(part)) {
+                    assert_eq!(
+                        (*u, *lambda),
+                        (cell.utilization, cell.lambda),
+                        "{id}({part})"
+                    );
+                }
             }
         }
     }
 
     #[test]
-    fn unknown_cell_returns_none() {
-        assert!(paper_cell(TableId::Table1, TablePart::A, 0.5, 1e-3).is_none());
+    fn cells_pair_every_document_point_with_its_column() {
+        let cells: Vec<_> = cells().collect();
+        assert_eq!(cells.len(), 208);
+        let names: Vec<_> = PaperScheme::ALL
+            .iter()
+            .map(|&s| cells[s as usize].0.policy.policy_name())
+            .collect();
+        assert_eq!(names, ["Poisson", "k-f-t", "A_D", "A_D_S"]);
+        // Table 4 (b)'s last row is the last cell.
+        let (spec, paper) = cells.last().unwrap();
+        assert_eq!(spec.name, "table4b-u0.95-l0.0002-k1-a_d_c");
+        assert_eq!((paper.p, paper.e), (0.2850, 155597.0));
     }
 
     #[test]
     fn nan_cells_only_at_full_utilization() {
         for id in [TableId::Table1, TableId::Table3] {
             for lambda in [1.0e-4, 2.0e-4] {
-                let c = paper_cell(id, TablePart::B, 1.00, lambda).unwrap();
-                assert!(c.e_of(PaperScheme::Poisson).is_nan());
-                assert!(c.e_of(PaperScheme::KFaultTolerant).is_nan());
-                assert_eq!(c.p_of(PaperScheme::Poisson), 0.0);
-                assert!(!c.e_of(PaperScheme::AdtDvs).is_nan());
+                let v = row(id, TablePart::B, 1.00, lambda);
+                assert!(v[1].is_nan() && v[3].is_nan()); // Poisson, k-f-t E
+                assert_eq!(v[0], 0.0); // Poisson P
+                assert!(!v[5].is_nan()); // A_D E
             }
         }
     }
@@ -216,9 +231,9 @@ mod tests {
         // paper's own scales that the assumed V² = 2 at f1 and V² = 4 at
         // f2 (`DvsConfig::paper_default`) reproduce; fitting them to the
         // tables is open (ROADMAP item 1).
-        let f1 = paper_cell(TableId::Table1, TablePart::A, 0.76, 1.4e-3).unwrap();
-        let f2 = paper_cell(TableId::Table2, TablePart::A, 0.76, 1.4e-3).unwrap();
-        let ratio = f2.e_of(PaperScheme::Poisson) / f1.e_of(PaperScheme::Poisson);
+        let f1 = row(TableId::Table1, TablePart::A, 0.76, 1.4e-3);
+        let f2 = row(TableId::Table2, TablePart::A, 0.76, 1.4e-3);
+        let ratio = f2[1] / f1[1]; // Poisson E
         assert!((3.5..4.2).contains(&ratio), "ratio = {ratio}");
     }
 }

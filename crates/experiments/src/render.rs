@@ -2,8 +2,7 @@
 //! paper's numbers), Markdown, and CSV.
 
 use crate::runner::TableResult;
-use crate::tables::TablePart;
-use eacp_spec::PaperScheme;
+use crate::tables::{PaperScheme, TablePart};
 
 fn fmt_p(p: f64) -> String {
     if p.is_nan() {
@@ -29,10 +28,10 @@ pub fn to_text(result: &TableResult) -> String {
     out.push_str(&format!(
         "{} — {} variant (ts={}, tcp={}), baselines at f{}, {} replications/cell\n",
         result.id,
-        cfg.proposed_name(),
+        cfg.proposed_name,
         cfg.costs.store_cycles,
         cfg.costs.compare_cycles,
-        cfg.paper.baseline_speed + 1,
+        cfg.baseline_speed + 1,
         result.replications,
     ));
     for part in [TablePart::A, TablePart::B] {
@@ -48,13 +47,7 @@ pub fn to_text(result: &TableResult) -> String {
         out.push_str(&format!("\n({part}) k = {k}   [measured (paper)]\n"));
         out.push_str(&format!(
             "{:<6} {:<9} {:<3} {:<24} {:<24} {:<24} {:<24}\n",
-            "U",
-            "lambda",
-            "",
-            "Poisson",
-            "k-f-t",
-            "A_D",
-            cfg.proposed_name()
+            "U", "lambda", "", "Poisson", "k-f-t", "A_D", cfg.proposed_name
         ));
         for cell in rows {
             let mut pline = format!(
@@ -66,17 +59,17 @@ pub fn to_text(result: &TableResult) -> String {
             let mut eline = format!("{:<6} {:<9} {:<3} ", "", "", "E");
             for scheme in PaperScheme::ALL {
                 let s = cell.scheme(scheme);
-                let (pp, pe) = cell
-                    .paper
-                    .map(|p| (p.p_of(scheme), p.e_of(scheme)))
-                    .unwrap_or((f64::NAN, f64::NAN));
                 pline.push_str(&format!(
                     "{:<24} ",
-                    format!("{} ({})", fmt_p(s.summary.p_timely), fmt_p(pp))
+                    format!("{} ({})", fmt_p(s.summary.p_timely), fmt_p(s.paper.p))
                 ));
                 eline.push_str(&format!(
                     "{:<24} ",
-                    format!("{} ({})", fmt_e(s.summary.energy_timely.mean), fmt_e(pe))
+                    format!(
+                        "{} ({})",
+                        fmt_e(s.summary.energy_timely.mean),
+                        fmt_e(s.paper.e)
+                    )
                 ));
             }
             out.push_str(pline.trim_end());
@@ -94,10 +87,10 @@ pub fn to_markdown(result: &TableResult) -> String {
     let mut out = format!(
         "### {} — {} variant (ts={}, tcp={}), baselines at f{}\n\n",
         result.id,
-        cfg.proposed_name(),
+        cfg.proposed_name,
         cfg.costs.store_cycles,
         cfg.costs.compare_cycles,
-        cfg.paper.baseline_speed + 1
+        cfg.baseline_speed + 1
     );
     for part in [TablePart::A, TablePart::B] {
         let rows: Vec<_> = result
@@ -111,7 +104,7 @@ pub fn to_markdown(result: &TableResult) -> String {
         out.push_str(&format!("**({part}) k = {}**\n\n", rows[0].spec.k));
         out.push_str(&format!(
             "| U | λ | | Poisson | k-f-t | A_D | {} |\n|---|---|---|---|---|---|---|\n",
-            cfg.proposed_name()
+            cfg.proposed_name
         ));
         for cell in rows {
             for metric in ["P", "E"] {
@@ -126,20 +119,11 @@ pub fn to_markdown(result: &TableResult) -> String {
                 for scheme in PaperScheme::ALL {
                     let s = cell.scheme(scheme);
                     let (meas, pap) = if metric == "P" {
-                        (
-                            fmt_p(s.summary.p_timely),
-                            cell.paper.map(|p| fmt_p(p.p_of(scheme))),
-                        )
+                        (fmt_p(s.summary.p_timely), fmt_p(s.paper.p))
                     } else {
-                        (
-                            fmt_e(s.summary.energy_timely.mean),
-                            cell.paper.map(|p| fmt_e(p.e_of(scheme))),
-                        )
+                        (fmt_e(s.summary.energy_timely.mean), fmt_e(s.paper.e))
                     };
-                    match pap {
-                        Some(p) => line.push_str(&format!(" {meas} ({p}) |")),
-                        None => line.push_str(&format!(" {meas} |")),
-                    }
+                    line.push_str(&format!(" {meas} ({pap}) |"));
                 }
                 out.push_str(&line);
                 out.push('\n');
@@ -162,10 +146,6 @@ pub fn to_csv(result: &TableResult) -> String {
         for scheme in PaperScheme::ALL {
             let s = cell.scheme(scheme);
             let (lo, hi) = s.summary.p_timely_ci95;
-            let (pp, pe) = cell
-                .paper
-                .map(|p| (p.p_of(scheme), p.e_of(scheme)))
-                .unwrap_or((f64::NAN, f64::NAN));
             out.push_str(&format!(
                 "{},{},{},{},{:e},{},{:.6},{:.6},{:.6},{:.2},{:.2},{:.2},{:.4},{:.4},{:.2},{:.5},{:.4},{:.1}\n",
                 result.id.number(),
@@ -184,8 +164,8 @@ pub fn to_csv(result: &TableResult) -> String {
                 s.summary.rollbacks.mean,
                 s.summary.checkpoints.mean,
                 s.summary.fast_fraction.mean,
-                pp,
-                pe,
+                s.paper.p,
+                s.paper.e,
             ));
         }
     }
@@ -220,17 +200,15 @@ pub fn to_json(result: &TableResult) -> String {
                                 });
                             }
                         });
-                        if let Some(p) = cell.paper {
-                            w.key("paper");
-                            w.array(|w| {
-                                for id in PaperScheme::ALL {
-                                    w.object(|w| {
-                                        w.field("p", &p.p_of(id));
-                                        w.field("e", &p.e_of(id));
-                                    });
-                                }
-                            });
-                        }
+                        w.key("paper");
+                        w.array(|w| {
+                            for s in &cell.schemes {
+                                w.object(|w| {
+                                    w.field("p", &s.paper.p);
+                                    w.field("e", &s.paper.e);
+                                });
+                            }
+                        });
                     });
                 }
             });

@@ -5,13 +5,13 @@
 //! grid path `eacp sweep` uses — the store, the analytic tier and the
 //! runner placement included. [`TableResult::from_reports`] only regroups
 //! the resulting [`GridReport`]s into rows of four schemes for the
-//! renderers. Every scheme result embeds the spec of its grid point, which
-//! `eacp mc --spec` reproduces bit for bit.
+//! renderers, and pairs each with the paper's values by position. Every
+//! scheme result embeds the spec of its grid point, which `eacp mc
+//! --spec` reproduces bit for bit.
 
-use crate::paper::{paper_cell, PaperCell};
-use crate::tables::{table_config, CellSpec, TableConfig, TableId};
-use eacp_exec::GridReport;
-use eacp_spec::{ExperimentSpec, PaperScheme, SummaryReport};
+use crate::tables::{table_config, CellSpec, PaperScheme, TableConfig, TableId};
+use eacp_exec::{GridReport, PaperRef};
+use eacp_spec::{ExperimentSpec, SummaryReport};
 
 /// Result of one scheme at one operating point.
 #[derive(Debug, Clone)]
@@ -23,6 +23,9 @@ pub struct SchemeResult {
     /// The spec that produced `summary` (serialize it to reproduce the
     /// number outside this harness).
     pub spec: ExperimentSpec,
+    /// The paper's reported values for this scheme at this operating
+    /// point.
+    pub paper: PaperRef,
 }
 
 impl SchemeResult {
@@ -32,15 +35,13 @@ impl SchemeResult {
     }
 }
 
-/// All four schemes at one operating point, plus the paper's numbers.
+/// All four schemes at one operating point.
 #[derive(Debug, Clone)]
 pub struct CellResult {
     /// The operating point.
     pub spec: CellSpec,
     /// Results in [`PaperScheme::ALL`] column order.
     pub schemes: Vec<SchemeResult>,
-    /// The paper's reported values for this cell, when available.
-    pub paper: Option<PaperCell>,
 }
 
 impl CellResult {
@@ -71,7 +72,8 @@ pub struct TableResult {
 impl TableResult {
     /// Regroups the full-grid reports of a table's part documents, (a)
     /// then (b) as [`table_grids`](crate::tables::table_grids) lists them,
-    /// into rows of the four schemes in [`PaperScheme::ALL`] order.
+    /// into rows of the four schemes in [`PaperScheme::ALL`] order, each
+    /// with the paper's values of its row and column.
     pub fn from_reports(id: TableId, parts: &[GridReport]) -> Self {
         let config = table_config(id);
         let reports: Vec<_> = parts
@@ -83,18 +85,20 @@ impl TableResult {
             .cells
             .iter()
             .zip(reports.chunks(PaperScheme::ALL.len()))
-            .map(|(cell, row)| CellResult {
+            .zip(crate::paper::table_rows(id))
+            .map(|((cell, row), paper)| CellResult {
                 spec: *cell,
                 schemes: PaperScheme::ALL
                     .iter()
                     .zip(row)
-                    .map(|(&scheme, report)| SchemeResult {
+                    .zip(paper)
+                    .map(|((&scheme, report), paper)| SchemeResult {
                         scheme,
                         summary: report.summary.clone(),
                         spec: report.spec.clone(),
+                        paper,
                     })
                     .collect(),
-                paper: paper_cell(id, cell.part, cell.utilization, cell.lambda),
             })
             .collect();
         let replications = parts
@@ -161,7 +165,7 @@ mod tests {
         let table = run_local(TableId::Table1, 60, 1, &ExecSpec::default());
         let cell = &table.cells[0]; // U = 0.76, λ = 1.4e-3, k = 5
         assert_eq!(cell.schemes.len(), 4);
-        assert!(cell.paper.is_some());
+        assert_eq!(cell.scheme(PaperScheme::Poisson).paper.p, 0.1185);
         for s in &cell.schemes {
             assert_eq!(s.summary.replications, 60);
             assert_eq!(s.summary.anomalies, 0, "{}", s.name());

@@ -9,8 +9,8 @@
 //! them.
 
 use crate::runner::TableResult;
-use crate::tables::{TableId, TablePart};
-use eacp_spec::{PaperScheme, PAPER_DEADLINE};
+use crate::tables::{PaperScheme, TableId, TablePart};
+use eacp_spec::PAPER_DEADLINE;
 
 /// Outcome of one shape criterion.
 #[derive(Debug, Clone)]
@@ -103,7 +103,7 @@ pub fn check_table(result: &TableResult) -> Vec<ShapeFinding> {
         .find(|c| c.spec.part == TablePart::A && (c.spec.utilization - 0.76).abs() < 1e-9)
     {
         let e_all = cell.scheme(PaperScheme::Poisson).summary.energy_all.mean;
-        let n = 0.76 * result.config.paper.util_speed * PAPER_DEADLINE;
+        let n = 0.76 * result.config.util_speed * PAPER_DEADLINE;
         let vsq = if baselines_slow { 2.0 } else { 4.0 };
         let floor = 2.0 * vsq * n;
         findings.push(ShapeFinding {

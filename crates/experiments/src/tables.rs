@@ -1,13 +1,39 @@
-//! The rows of the paper's four evaluation tables. What distinguishes one
-//! table from another (costs, baseline speed, utilization speed, proposed
-//! scheme) is [`eacp_spec::PAPER_TABLES`]. The cells themselves are grid
+//! The rows of the paper's four evaluation tables. The cells are grid
 //! documents, one per table part, committed as `specs/table{N}{a,b}.json`
-//! and embedded here at build time: a points axis whose every point is one
-//! scheme at one `(U, λ, k)` row, seeded `seed + row` for all four schemes
-//! of the row, and named `table{N}{part}-u{U}-l{λ}-k{k}-{scheme tag}`.
+//! and embedded at build time ([`eacp_spec::table_document`]): a points
+//! axis whose every point is one scheme at one `(U, λ, k)` row, seeded
+//! `seed + row` for all four schemes of the row, and named
+//! `table{N}{part}-u{U}-l{λ}-k{k}-{scheme tag}`. What sets one table
+//! apart from another (costs, baseline speed, utilization speed, proposed
+//! scheme) is read off those documents too ([`table_config`]).
 
 use eacp_sim::CheckpointCosts;
-use eacp_spec::{paper_table, Knob, PaperScheme, PaperTable, PolicySpec, SweepSpec};
+use eacp_spec::{Knob, PolicySpec, SweepSpec, WorkSpec};
+
+/// Scheme column of a paper table. Variants are declared in the tables'
+/// column order, so `scheme as usize` is the column index, and a row's
+/// points in a table document list the schemes in this order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PaperScheme {
+    /// Poisson-arrival baseline.
+    Poisson,
+    /// k-fault-tolerant baseline.
+    KFaultTolerant,
+    /// `A_D` (ADT_DVS, DATE'03).
+    AdtDvs,
+    /// The table's proposed scheme (`A_D_S` for Tables 1–2, `A_D_C` for 3–4).
+    Proposed,
+}
+
+impl PaperScheme {
+    /// Every column, in table order.
+    pub const ALL: [PaperScheme; 4] = [
+        PaperScheme::Poisson,
+        PaperScheme::KFaultTolerant,
+        PaperScheme::AdtDvs,
+        PaperScheme::Proposed,
+    ];
+}
 
 /// One of the paper's four evaluation tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -79,47 +105,28 @@ pub struct CellSpec {
     pub k: u32,
 }
 
-/// Full parameterization of one table.
+/// Full parameterization of one table, as its documents set it.
 #[derive(Debug, Clone)]
 pub struct TableConfig {
     /// Which table this is.
     pub id: TableId,
-    /// The table's entry in [`eacp_spec::PAPER_TABLES`].
-    pub paper: PaperTable,
-    /// `paper.costs` in cycles (`ts`, `tcp`, `tr`).
+    /// Checkpoint costs in cycles (`ts`, `tcp`, `tr`): SCP (`ts = 2, tcp =
+    /// 20`) for Tables 1–2, CCP (`ts = 20, tcp = 2`) for Tables 3–4.
     pub costs: CheckpointCosts,
+    /// The speed the utilization is quoted at (`N = U · util_speed · D`).
+    pub util_speed: f64,
+    /// DVS level the static baselines are pinned to (0 = `f1`, 1 = `f2`).
+    pub baseline_speed: usize,
+    /// Scheme name of the proposed column ("A_D_S" or "A_D_C").
+    pub proposed_name: &'static str,
     /// All rows, part (a) followed by part (b).
     pub cells: Vec<CellSpec>,
 }
 
 impl TableConfig {
-    /// Scheme name of the proposed column ("A_D_S" or "A_D_C").
-    pub fn proposed_name(&self) -> &'static str {
-        PolicySpec::from_tag(self.paper.proposed_tag, 0.0, 0, 0)
-            // audit:allow(panic): `PAPER_TABLES` holds only known tags,
-            // pinned by the spec crate's tests.
-            .expect("paper tables name known schemes")
-            .policy_name()
-    }
-
     /// Rows belonging to one part.
     pub fn part_cells(&self, part: TablePart) -> impl Iterator<Item = &CellSpec> {
         self.cells.iter().filter(move |c| c.part == part)
-    }
-}
-
-/// The committed grid document of one table part (`specs/table2a.json`
-/// for Table 2, part (a)).
-fn table_document(id: TableId, part: TablePart) -> &'static str {
-    match (id, part) {
-        (TableId::Table1, TablePart::A) => include_str!("../../../specs/table1a.json"),
-        (TableId::Table1, TablePart::B) => include_str!("../../../specs/table1b.json"),
-        (TableId::Table2, TablePart::A) => include_str!("../../../specs/table2a.json"),
-        (TableId::Table2, TablePart::B) => include_str!("../../../specs/table2b.json"),
-        (TableId::Table3, TablePart::A) => include_str!("../../../specs/table3a.json"),
-        (TableId::Table3, TablePart::B) => include_str!("../../../specs/table3b.json"),
-        (TableId::Table4, TablePart::A) => include_str!("../../../specs/table4a.json"),
-        (TableId::Table4, TablePart::B) => include_str!("../../../specs/table4b.json"),
     }
 }
 
@@ -127,18 +134,24 @@ fn table_document(id: TableId, part: TablePart) -> &'static str {
 /// replications per scheme from seed 2006, on the paper's executor.
 pub fn table_grids(id: TableId) -> [SweepSpec; 2] {
     [TablePart::A, TablePart::B].map(|part| {
-        SweepSpec::from_json_str(table_document(id, part))
-            // audit:allow(panic): the documents are compiled in, and every
-            // one is parsed and compared with `paper_cell` by the tests.
+        eacp_spec::table_document(&format!("table{}{part}", id.number()))
+            .and_then(|doc| SweepSpec::from_json_str(doc).ok())
+            // audit:allow(panic): every table part has a compiled-in
+            // document, and the tests parse and expand each one.
             .expect("committed table documents parse")
     })
 }
 
-/// The rows of one part's grid: every point sets `U`, `λ` and `k`, and
-/// each row is [`PaperScheme::ALL`]`.len()` consecutive points.
+/// The points of a part's grid: every point sets `U`, `λ`, `k` and a
+/// policy, and each row is [`PaperScheme::ALL`]`.len()` consecutive
+/// points.
+fn points(grid: &SweepSpec) -> &[eacp_spec::Point] {
+    grid.axes.first().map_or(&[][..], |axis| axis.values())
+}
+
+/// The rows of one part's grid.
 fn rows(grid: &SweepSpec, part: TablePart) -> Vec<CellSpec> {
-    let points = grid.axes.first().map_or(&[][..], |axis| axis.values());
-    points
+    points(grid)
         .chunks(PaperScheme::ALL.len())
         .map(|row| {
             let mut cell = CellSpec {
@@ -160,7 +173,22 @@ fn rows(grid: &SweepSpec, part: TablePart) -> Vec<CellSpec> {
         .collect()
 }
 
-/// The exact configuration of one of the paper's tables.
+/// The policy of the first row's `scheme` column in a part's grid.
+fn column_policy(grid: &SweepSpec, scheme: PaperScheme) -> Option<PolicySpec> {
+    points(grid)
+        .get(scheme as usize)?
+        .knobs()
+        .iter()
+        .find_map(|knob| match *knob {
+            Knob::Policy(policy) => Some(policy),
+            _ => None,
+        })
+}
+
+/// The exact configuration of one of the paper's tables, read off its
+/// part documents: the costs and the utilization speed from the base
+/// scenario, the baseline speed from the Poisson column's policy and the
+/// proposed scheme from the fourth column's.
 ///
 /// # Examples
 ///
@@ -168,24 +196,35 @@ fn rows(grid: &SweepSpec, part: TablePart) -> Vec<CellSpec> {
 /// use eacp_experiments::{table_config, TableId};
 /// let t1 = table_config(TableId::Table1);
 /// assert_eq!(t1.costs.store_cycles, 2.0);
-/// assert_eq!(t1.paper.baseline_speed, 0);
-/// assert_eq!(t1.proposed_name(), "A_D_S");
+/// assert_eq!(t1.baseline_speed, 0);
+/// assert_eq!(t1.proposed_name, "A_D_S");
 /// assert_eq!(t1.cells.len(), 14);
 /// ```
 pub fn table_config(id: TableId) -> TableConfig {
-    // audit:allow(panic): `TableId::number` is 1..=4 by construction.
-    let paper = paper_table(id.number()).expect("TableId numbers are paper tables");
-    // audit:allow(panic): the paper cost variants are valid constants.
-    let costs = paper.costs.build().expect("paper cost variants are valid");
     let [a, b] = table_grids(id);
     let mut cells = rows(&a, TablePart::A);
     cells.extend(rows(&b, TablePart::B));
-    TableConfig {
+    // audit:allow(panic): the documents quote a utilization under a paper
+    // cost variant, and each row lists a speed-pinned Poisson column first
+    // and the proposed scheme fourth; the tests read every table's.
+    config(id, &a, cells).expect("table documents set every table parameter")
+}
+
+/// Table `id` with rows `cells` and the parameters its part (a) `grid`
+/// sets, or `None` where the grid leaves one out.
+fn config(id: TableId, grid: &SweepSpec, cells: Vec<CellSpec>) -> Option<TableConfig> {
+    let scenario = &grid.base.scenario;
+    let WorkSpec::Utilization { speed, .. } = scenario.work else {
+        return None;
+    };
+    Some(TableConfig {
         id,
-        paper,
-        costs,
+        costs: scenario.costs.build().ok()?,
+        util_speed: speed,
+        baseline_speed: column_policy(grid, PaperScheme::Poisson)?.speed()?,
+        proposed_name: column_policy(grid, PaperScheme::Proposed)?.policy_name(),
         cells,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -212,10 +251,15 @@ mod tests {
 
     #[test]
     fn baselines_pinned_to_correct_speed() {
-        assert_eq!(table_config(TableId::Table1).paper.baseline_speed, 0);
-        assert_eq!(table_config(TableId::Table2).paper.baseline_speed, 1);
-        assert_eq!(table_config(TableId::Table2).paper.util_speed, 2.0);
-        assert_eq!(table_config(TableId::Table3).paper.util_speed, 1.0);
+        for (id, baseline, util_speed) in [
+            (TableId::Table1, 0, 1.0),
+            (TableId::Table2, 1, 2.0),
+            (TableId::Table3, 0, 1.0),
+            (TableId::Table4, 1, 2.0),
+        ] {
+            assert_eq!(table_config(id).baseline_speed, baseline, "{id}");
+            assert_eq!(table_config(id).util_speed, util_speed, "{id}");
+        }
     }
 
     #[test]
@@ -236,7 +280,7 @@ mod tests {
 
     #[test]
     fn proposed_names() {
-        assert_eq!(table_config(TableId::Table2).proposed_name(), "A_D_S");
-        assert_eq!(table_config(TableId::Table4).proposed_name(), "A_D_C");
+        assert_eq!(table_config(TableId::Table2).proposed_name, "A_D_S");
+        assert_eq!(table_config(TableId::Table4).proposed_name, "A_D_C");
     }
 }

@@ -87,8 +87,7 @@ pub use model::{
     QueueSpec, ScenarioSpec, WorkSpec, DEFAULT_REMOTE_TIMEOUT_MS,
 };
 pub use presets::{
-    executive_preset, executive_preset_names, paper_cell, paper_table, preset, preset_names,
-    PaperScheme, PaperTable, PAPER_DEADLINE, PAPER_TABLES,
+    executive_preset, executive_preset_names, preset, preset_names, table_document, PAPER_DEADLINE,
 };
 pub use report::{RunReport, ServeTier, StatsReport, SummaryReport};
 pub use sweep::{Axis, Grid, GridCell, Knob, KnobKind, Point, SweepSpec};

@@ -4,149 +4,41 @@
 //! Preset names are stable identifiers — CLI (`eacp mc --preset ...`),
 //! docs and CI all refer to them. Two families exist:
 //!
-//! * **Paper cells** — `table{1..4}-{a,b}` anchors (the first row of each
-//!   table part, proposed-scheme column), plus the programmatic
-//!   [`paper_cell`] covering every `(table, U, λ, scheme)` combination.
+//! * **Paper cells** — `table{1..4}-{a,b}`: the proposed-scheme cell of
+//!   the first row of a table part, read off that part's committed grid
+//!   document ([`table_document`]). The documents are the only
+//!   definition of the paper's cells; this module parses one only when
+//!   such a preset is asked for.
 //! * **Workloads** — `satellite-telemetry`, `battery-budget`,
 //!   `high-fault-burst`: scenarios beyond the paper's tables exercising
 //!   the burst/phased fault models and non-paper operating points.
 
-use crate::error::SpecError;
 use crate::executive::{ExecutiveSpec, PolicyAssignment, TaskSetSpec};
 use crate::model::{
     CostsSpec, DvsSpec, ExecSpec, ExperimentSpec, FaultSpec, McSpec, PolicySpec, ScenarioSpec,
     WorkSpec,
 };
+use crate::sweep::SweepSpec;
 
 /// The paper's deadline (`D = 10000` normalized time units).
 pub const PAPER_DEADLINE: f64 = 10_000.0;
 
-/// Scheme column of a paper table. Variants are declared in the tables'
-/// column order, so `scheme as usize` is the column index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PaperScheme {
-    /// Poisson-arrival baseline.
-    Poisson,
-    /// k-fault-tolerant baseline.
-    KFaultTolerant,
-    /// `A_D` (ADT_DVS, DATE'03).
-    AdtDvs,
-    /// The table's proposed scheme (`A_D_S` for Tables 1–2, `A_D_C` for 3–4).
-    Proposed,
-}
-
-impl PaperScheme {
-    /// Every column, in table order.
-    pub const ALL: [PaperScheme; 4] = [
-        PaperScheme::Poisson,
-        PaperScheme::KFaultTolerant,
-        PaperScheme::AdtDvs,
-        PaperScheme::Proposed,
-    ];
-}
-
-/// What sets one of the paper's four tables apart from the others.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PaperTable {
-    /// Checkpoint cost variant: SCP (`ts = 2, tcp = 20`) for Tables 1–2,
-    /// CCP (`ts = 20, tcp = 2`) for Tables 3–4.
-    pub costs: CostsSpec,
-    /// DVS level the static baselines are pinned to (0 = `f1`, 1 = `f2`).
-    pub baseline_speed: usize,
-    /// The speed the utilization is quoted at (`N = U · util_speed · D`).
-    pub util_speed: f64,
-    /// Policy tag of the proposed column (`a_d_s` or `a_d_c`).
-    pub proposed_tag: &'static str,
-}
-
-/// Tables 1–4, in order: the only per-table parameterization in the
-/// workspace.
-pub const PAPER_TABLES: [PaperTable; 4] = [
-    PaperTable {
-        costs: CostsSpec::PaperScp,
-        baseline_speed: 0,
-        util_speed: 1.0,
-        proposed_tag: "a_d_s",
-    },
-    PaperTable {
-        costs: CostsSpec::PaperScp,
-        baseline_speed: 1,
-        util_speed: 2.0,
-        proposed_tag: "a_d_s",
-    },
-    PaperTable {
-        costs: CostsSpec::PaperCcp,
-        baseline_speed: 0,
-        util_speed: 1.0,
-        proposed_tag: "a_d_c",
-    },
-    PaperTable {
-        costs: CostsSpec::PaperCcp,
-        baseline_speed: 1,
-        util_speed: 2.0,
-        proposed_tag: "a_d_c",
-    },
-];
-
-/// The parameterization of table `table` (1-based).
-///
-/// # Errors
-///
-/// A table number outside `1..=4`.
-pub fn paper_table(table: u32) -> Result<PaperTable, SpecError> {
-    table
-        .checked_sub(1)
-        .and_then(|i| PAPER_TABLES.get(i as usize))
-        .copied()
-        .ok_or_else(|| SpecError::invalid(format!("paper table must be 1..=4, got {table}")))
-}
-
-/// Builds the spec for one cell of one of the paper's four tables.
-///
-/// `table` is the 1-based table number ([`paper_table`]). Baseline schemes
-/// are pinned to the table's baseline speed (`f1` for Tables 1/3, `f2`
-/// for 2/4) and the task is scaled by the table's utilization speed.
-pub fn paper_cell(
-    table: u32,
-    utilization: f64,
-    lambda: f64,
-    k: u32,
-    scheme: PaperScheme,
-) -> Result<ExperimentSpec, SpecError> {
-    let params = paper_table(table)?;
-    let policy = match scheme {
-        PaperScheme::Poisson => PolicySpec::Poisson {
-            lambda,
-            speed: params.baseline_speed,
-        },
-        PaperScheme::KFaultTolerant => PolicySpec::KFaultTolerant {
-            k,
-            speed: params.baseline_speed,
-        },
-        PaperScheme::AdtDvs => PolicySpec::from_tag("a_d", lambda, k, 0)?,
-        PaperScheme::Proposed => PolicySpec::from_tag(params.proposed_tag, lambda, k, 0)?,
-    };
-    Ok(ExperimentSpec {
-        name: format!(
-            "table{table}-u{utilization}-l{lambda}-k{k}-{}",
-            policy.tag()
-        ),
-        scenario: ScenarioSpec {
-            work: WorkSpec::Utilization {
-                utilization,
-                speed: params.util_speed,
-                deadline: PAPER_DEADLINE,
-            },
-            costs: params.costs,
-            dvs: DvsSpec::PaperDefault,
-            processors: 2,
-        },
-        faults: FaultSpec::Poisson { lambda },
-        policy,
-        mc: McSpec::default(),
-        // The paper's renewal analysis exposes only useful computation to
-        // faults; the tables are regenerated under the same semantics.
-        executor: ExecSpec::paper(),
+/// The committed grid document of one part of a paper table, by file
+/// stem (`table2a` for `specs/table2a.json`), or `None` for any other
+/// name. Each is a points axis whose every point is one scheme at one
+/// `(U, λ, k)` row; together they are the only definition of the paper's
+/// cells. This is the one place the documents are compiled in.
+pub fn table_document(name: &str) -> Option<&'static str> {
+    Some(match name {
+        "table1a" => include_str!("../../../specs/table1a.json"),
+        "table1b" => include_str!("../../../specs/table1b.json"),
+        "table2a" => include_str!("../../../specs/table2a.json"),
+        "table2b" => include_str!("../../../specs/table2b.json"),
+        "table3a" => include_str!("../../../specs/table3a.json"),
+        "table3b" => include_str!("../../../specs/table3b.json"),
+        "table4a" => include_str!("../../../specs/table4a.json"),
+        "table4b" => include_str!("../../../specs/table4b.json"),
+        _ => return None,
     })
 }
 
@@ -230,27 +122,18 @@ fn workload(name: &str) -> Option<ExperimentSpec> {
 ///
 /// Table anchors are named `table{1..4}-a` (part (a) first row: `U = 0.76`,
 /// `λ = 1.4e-3`, `k = 5`) and `table{1..4}-b` (part (b) first row:
-/// `U = 0.92`, `λ = 1e-4`, `k = 1`), both with the proposed scheme.
+/// `U = 0.92`, `λ = 1e-4`, `k = 1`), both with the proposed scheme: point
+/// 3 of the part's document, renamed and with the default `mc`.
 pub fn preset(name: &str) -> Option<ExperimentSpec> {
     if let Some(w) = workload(name) {
         return Some(w);
     }
-    let (table, part) = match name.strip_prefix("table") {
-        Some(rest) => {
-            let (num, part) = rest.split_once('-')?;
-            (num.parse::<u32>().ok()?, part)
-        }
-        None => return None,
-    };
-    if !(1..=4).contains(&table) {
-        return None;
-    }
-    let mut spec = match part {
-        "a" => paper_cell(table, 0.76, 1.4e-3, 5, PaperScheme::Proposed).ok()?,
-        "b" => paper_cell(table, 0.92, 1.0e-4, 1, PaperScheme::Proposed).ok()?,
-        _ => return None,
-    };
+    let (table, part) = name.strip_prefix("table")?.split_once('-')?;
+    let table: u32 = table.parse().ok()?;
+    let grid = SweepSpec::from_json_str(table_document(&format!("table{table}{part}"))?).ok()?;
+    let mut spec = grid.expand().ok()?.into_iter().nth(3)?;
     spec.name = name.to_owned();
+    spec.mc = McSpec::default();
     Some(spec)
 }
 
@@ -369,10 +252,16 @@ mod tests {
         }
     }
 
+    /// Point `i` of the committed document `name`, as its grid expands.
+    fn document_point(name: &str, i: usize) -> ExperimentSpec {
+        let grid = SweepSpec::from_json_str(table_document(name).unwrap()).unwrap();
+        grid.expand().unwrap().swap_remove(i)
+    }
+
     #[test]
     fn paper_cell_matches_table_parameterization() {
         // Table 2 quotes utilization at f2 and pins baselines to f2.
-        let spec = paper_cell(2, 0.76, 1.4e-3, 5, PaperScheme::Poisson).unwrap();
+        let spec = document_point("table2a", 0);
         match spec.scenario.work {
             WorkSpec::Utilization { speed, .. } => assert_eq!(speed, 2.0),
             ref other => panic!("unexpected {other:?}"),
@@ -384,17 +273,19 @@ mod tests {
                 speed: 1
             }
         );
-        // Table 3 is the CCP variant with an A_D_C proposal.
-        let spec = paper_cell(3, 0.8, 1.6e-3, 5, PaperScheme::Proposed).unwrap();
+        // Table 3 is the CCP variant with an A_D_C proposal (U = 0.8,
+        // λ = 1.6e-3: row 5).
+        let spec = document_point("table3a", 4 * 5 + 3);
         assert_eq!(spec.scenario.costs, CostsSpec::PaperCcp);
         assert_eq!(spec.policy.tag(), "a_d_c");
-        assert!(paper_cell(5, 0.76, 1e-3, 5, PaperScheme::Proposed).is_err());
-        assert!(paper_cell(0, 0.76, 1e-3, 5, PaperScheme::Proposed).is_err());
+        assert!(table_document("table5a").is_none());
+        assert!(table_document("table0a").is_none());
     }
 
     #[test]
     fn proposed_scheme_lambda_tracks_cell() {
-        let spec = paper_cell(1, 0.78, 1.6e-3, 5, PaperScheme::Proposed).unwrap();
+        // Table 1(a), U = 0.78, λ = 1.6e-3: row 3.
+        let spec = document_point("table1a", 4 * 3 + 3);
         match spec.policy {
             PolicySpec::DvsScp { lambda, k, .. } => {
                 assert_eq!(lambda, 1.6e-3);

@@ -15,7 +15,7 @@ use eacp::core::analysis::{
 };
 use eacp::faults::PoissonProcess;
 use eacp::sim::Executor;
-use eacp::spec::{paper_cell, PaperScheme, PolicySpec, ScenarioSpec, ToJson};
+use eacp::spec::{PolicySpec, ScenarioSpec, ToJson};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -73,25 +73,23 @@ fn main() {
     }
 
     println!("\n== Monte-Carlo (2000 replications, like a paper table cell) ==");
-    let schemes = [
-        (PaperScheme::Poisson, "0.1185", "39015"),
-        (PaperScheme::AdtDvs, "0.9991", "57564"),
-        (PaperScheme::Proposed, "0.9999", "52863"),
-    ];
     let mut last_spec_json = String::new();
-    for (scheme, paper_p, paper_e) in schemes {
+    // Table 1(a)'s first row, as its committed document describes it, with
+    // the paper's values; the k-f-t column is left out.
+    let row = eacp::experiments::paper::cells().take(4);
+    for (mut spec, paper) in row.filter(|(spec, _)| spec.policy.tag() != "kft") {
         // One declarative document describes the whole cell...
-        let mut spec =
-            paper_cell(1, 0.76, lambda, k, scheme).expect("table 1 cell specs are valid");
         spec.mc.seed = 42;
         // ...and running it is one call.
         let (summary, report) = eacp::exec::run(&spec).expect("valid experiment spec");
         let (lo, hi) = summary.p_timely_ci(1.96);
         println!(
-            "{:<8} P = {:.4} [{lo:.4}, {hi:.4}]   E = {:>8.0}   (paper: P = {paper_p}, E = {paper_e})",
+            "{:<8} P = {:.4} [{lo:.4}, {hi:.4}]   E = {:>8.0}   (paper: P = {:.4}, E = {:.0})",
             report.policy_name,
             summary.p_timely(),
             summary.mean_energy_timely(),
+            paper.p,
+            paper.e,
         );
         last_spec_json = spec.to_json_string();
     }

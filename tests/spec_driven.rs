@@ -2,10 +2,11 @@
 //! round-tripping, scheme coverage, and the determinism contract
 //! `spec + seed = identical results` (including thread-count invariance).
 
+use eacp::experiments::{table_grids, TableId};
 use eacp::sim::Policy;
 use eacp::spec::{
-    paper_cell, preset, preset_names, Axis, ExperimentSpec, FaultSpec, Knob, McSpec, PaperScheme,
-    PolicySpec, SweepSpec, ToJson,
+    preset, preset_names, Axis, ExperimentSpec, FaultSpec, Knob, McSpec, PolicySpec, SweepSpec,
+    ToJson,
 };
 
 fn small(mut spec: ExperimentSpec) -> ExperimentSpec {
@@ -13,9 +14,16 @@ fn small(mut spec: ExperimentSpec) -> ExperimentSpec {
     spec
 }
 
+/// The proposed-scheme cell of Table 1(a)'s row `row`, as the committed
+/// document expands it, at 150 replications.
+fn table1a_proposed(row: usize) -> ExperimentSpec {
+    let [grid, _] = table_grids(TableId::Table1);
+    small(grid.expand().unwrap().swap_remove(4 * row + 3))
+}
+
 #[test]
 fn serialize_deserialize_run_is_bit_identical() {
-    let spec = small(paper_cell(1, 0.76, 1.4e-3, 5, PaperScheme::Proposed).unwrap());
+    let spec = table1a_proposed(0);
     let (direct, _) = eacp::exec::run(&spec).unwrap();
 
     let json = spec.to_json_string();
@@ -50,7 +58,7 @@ fn monte_carlo_summary_invariant_across_thread_counts() {
     // Guards the seed-derivation contract in montecarlo.rs: replication i
     // derives its seed from (base_seed, i) alone, so the partition of
     // replications over workers must not change any outcome.
-    let base = small(paper_cell(1, 0.78, 1.6e-3, 5, PaperScheme::Proposed).unwrap());
+    let base = table1a_proposed(3);
     let run_with_threads = |threads: usize| {
         let mut spec = base.clone();
         spec.mc = McSpec { threads, ..spec.mc };
@@ -87,7 +95,7 @@ fn sweep_points_reproduce_individually() {
     // Sharding contract: running one expanded point elsewhere gives the
     // same numbers as running it inside the sweep.
     let sweep = SweepSpec {
-        base: small(paper_cell(1, 0.76, 1.4e-3, 5, PaperScheme::Proposed).unwrap()),
+        base: table1a_proposed(0),
         axes: vec![Axis::new(Knob::Lambda, vec![1.0e-4, 1.4e-3])],
     };
     let points = sweep.expand().unwrap();

@@ -6,8 +6,7 @@
 //! tests keep CI fast while still checking the claims end to end.
 
 use eacp::experiments::shape::{check_table, tally};
-use eacp::experiments::{table_grids, TableId, TablePart, TableResult};
-use eacp::spec::PaperScheme;
+use eacp::experiments::{table_grids, PaperScheme, TableId, TablePart, TableResult};
 
 /// One table under the paper's fault model (faults strike useful
 /// computation only), its part documents run on the grid path.
